@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # analysis hot paths, checked against bench/BENCH_baseline.json (3x
 # tripwire on PRs; the nightly run re-gates the same set at 1.3x with
 # real -benchtime sampling).
-BENCH_GATE = ^(BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkRollup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzeSequential|BenchmarkAnalyzeParallel|BenchmarkAnalyzeFused|BenchmarkAnalyzeUnordered|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze)$$
+BENCH_GATE = ^(BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkRollup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze)$$
 BENCH_PKGS = . ./internal/telemetry ./internal/trie ./internal/core
 NIGHTLY_BENCHTIME = 2s
 FUZZ_TARGETS = \
@@ -57,14 +57,14 @@ faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestMergeRetriesTransientIO|TestMergeCtxCancelled' . ./internal/dataset
 
-# Fused-path race gate: the fused decode+analyze pipeline (worker-local
-# replicas, all default analyzers), completion-order delivery, the
+# Analysis race gate: the fused decode+analyze path (worker-local
+# replicas, all default analyzers), the sequential one-worker path, the
 # ForEachWorker reader primitives, and direct manifest analysis (shared
 # replicas fanned out across parts) under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestAnalyzeDatasetUnordered|TestForEachWorker|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
 
 # Short native-fuzz smoke over every decoder fuzz target: catches
 # panics and typed-error regressions without a long campaign.

@@ -3,12 +3,12 @@ package userv6
 // The execute layer of the source/plan/execute analysis stack. A
 // dataset.Source names the parts of one logical telemetry corpus (a
 // merged file, a sharded export's manifest, a bare part list), a
-// core.Plan picks the execution mode, and AnalyzeSource runs the plan:
-// per part, decode workers fan out exactly as they would over a single
-// file, and because a sharded export's parts cover disjoint user
-// ranges, worker-local analyzer replicas fold across parts exactly like
-// generation shards — so analyzing a manifest directly is byte-identical
-// to merging it first and analyzing the merged file, minus the merge.
+// core.Plan picks the execution mode — sequential or fused — and
+// AnalyzeSource runs the plan: per part, decode workers fan out exactly
+// as they would over a single file, and because every analyzer folds
+// commutatively, worker-local replicas fold across parts exactly — so
+// analyzing a manifest directly is byte-identical to merging it first
+// and analyzing the merged file, minus the merge.
 
 import (
 	"context"
@@ -23,53 +23,44 @@ import (
 // AnalyzeOptions configures one analysis run over a Source.
 type AnalyzeOptions struct {
 	// Workers is the decode/analysis pool size: <= 0 means GOMAXPROCS,
-	// 1 means explicitly single-threaded (under ModeAuto that selects
-	// the sequential reference path).
+	// 1 selects the sequential mode, anything else the fused mode.
 	Workers int
 	// Tolerant selects the salvage read on every part: corrupt blocks
 	// are skipped and the returned report says what the results
 	// describe. Strict mode additionally verifies each part's declared
 	// whole-file checksum (when the source carries one) before reading.
 	Tolerant bool
-	// Mode is the requested execution mode; core.RequestAuto picks the
-	// fastest exact one.
-	Mode core.ModeRequest
 }
 
-// PlanSource resolves the execution plan for analyzing src with set
-// under opts, without running anything — the CLI's -explain flag, and
-// the first half of AnalyzeSource.
+// PlanSource resolves the execution plan for analyzing src under opts,
+// without running anything — the CLI's -explain flag, and the first
+// half of AnalyzeSource. The plan does not depend on set: every
+// registered analyzer folds commutatively. The error is always nil.
 func PlanSource(src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) (core.Plan, error) {
-	caps := src.Caps()
-	return set.Plan(core.PlanInput{
-		Request:       opts.Mode,
-		Workers:       opts.Workers,
-		Tolerant:      opts.Tolerant,
-		Parts:         caps.PartCount,
-		SeekableParts: caps.SeekableParts,
-		Codec:         caps.Codec,
-	})
+	return core.NewPlan(core.PlanInput{
+		Workers:  opts.Workers,
+		Tolerant: opts.Tolerant,
+		Parts:    src.Caps().PartCount,
+	}), nil
 }
 
 // AnalyzeSource plans and runs one analysis pass over src, populating
 // set's primaries. The returned report aggregates per-part read
 // coverage (blocks, records, per-codec block counts) across the whole
 // source; for a manifest it matches what a merge-then-analyze of the
-// same parts would report. On error the primaries are left unfolded
-// for every parallel mode (the sequential mode feeds them directly,
-// like the sequential reader always has).
+// same parts would report.
+//
+// On error the fused mode leaves the primaries unfolded. The sequential
+// mode (Workers 1) feeds the primaries directly, so on error they hold
+// whatever was observed before the failure. In both modes a panicking
+// analyzer is recovered on its decode worker and returned as a
+// *dataset.WorkerPanicError.
 func AnalyzeSource(ctx context.Context, src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) (telemetry.SalvageReport, error) {
 	plan, err := PlanSource(src, set, opts)
 	if err != nil {
 		return telemetry.SalvageReport{}, err
 	}
 	return ExecutePlan(ctx, src, set, plan)
-}
-
-// Analyze is AnalyzeSource as a Sim method, for symmetry with the
-// generation-side entry points.
-func (s *Sim) Analyze(ctx context.Context, src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) (telemetry.SalvageReport, error) {
-	return AnalyzeSource(ctx, src, set, opts)
 }
 
 // ExecutePlan runs an already-resolved plan over src. Callers normally
@@ -121,138 +112,56 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 		agg.Add(rep)
 		return nil
 	}
-	open := func(path string, unordered bool) (*dataset.ParallelReader, error) {
-		return dataset.OpenParallel(path, dataset.ParallelOptions{
-			Workers: plan.Workers, Tolerant: plan.Tolerant, Unordered: unordered,
-		})
-	}
-
+	var fused bool
 	switch plan.Mode {
 	case core.ModeSequential:
-		// One decode worker, ordered delivery, primaries fed directly
-		// from the delivery goroutine: the reference semantics of the
-		// sequential reader with the same coverage accounting as every
-		// other mode.
-		for i, path := range parts {
-			pr, err := open(path, false)
-			if err != nil {
-				return zero, err
-			}
-			err = pr.ForEachBatch(ctx, func(b dataset.Batch) error {
-				for _, o := range b.Recs {
-					set.Observe(o)
-				}
-				return nil
-			})
-			if err == nil {
-				err = finishPart(i, pr)
-			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
-		}
+		plan.Workers = 1 // more workers would feed the primaries concurrently
+	case core.ModeFused:
+		fused = true
+	default:
+		return zero, fmt.Errorf("userv6: unknown execution mode %v", plan.Mode)
+	}
 
-	case core.ModePipeline:
-		// One hash router shared across every part: per-user order holds
-		// within a part, and parts don't interleave users (disjoint
-		// ranges), so the routed stream is order-equivalent to the merged
-		// file. Abort on error so a partial run never folds.
-		pipe := set.NewPipeline(plan.Workers)
-		defer pipe.Abort()
-		for i, path := range parts {
-			pr, err := open(path, false)
-			if err != nil {
-				return zero, err
-			}
-			err = pr.ForEachBatch(ctx, func(b dataset.Batch) error {
-				pipe.ObserveBatch(b.Recs)
-				return nil
-			})
-			if err == nil {
-				err = finishPart(i, pr)
-			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
-		}
-		if err := pipe.Close(); err != nil {
+	// Sequential: the one decode worker feeds the primaries directly, in
+	// stream order. Fused: each decode worker feeds its own replica;
+	// replicas persist across parts (part k+1's factory runs only after
+	// part k's workers have been joined, so reuse is race-free), and one
+	// fold at the very end covers the whole source.
+	replicas := make([]*core.Replica, plan.Workers)
+	for i, path := range parts {
+		pr, err := dataset.OpenParallel(path, dataset.ParallelOptions{
+			Workers: plan.Workers, Tolerant: plan.Tolerant,
+		})
+		if err != nil {
 			return zero, err
 		}
-
-	case core.ModeFused:
-		// Worker-local replicas persist across parts: part k+1's factory
-		// runs only after part k's workers have been joined, so replica
-		// reuse is race-free, and one fold at the very end covers the
-		// whole source.
-		replicas := make([]*core.Replica, plan.Workers)
-		for i, path := range parts {
-			pr, err := open(path, false)
-			if err != nil {
-				return zero, err
-			}
-			err = pr.ForEachWorker(ctx, func(w int) func(dataset.Batch) error {
+		err = pr.ForEachWorker(ctx, func(w int) func(dataset.Batch) error {
+			var obs core.Observer = set
+			if fused {
 				if replicas[w] == nil {
 					replicas[w] = set.NewReplica()
 				}
-				r := replicas[w]
-				return func(b dataset.Batch) error {
-					for _, o := range b.Recs {
-						r.Observe(o)
-					}
-					return nil
-				}
-			})
-			if err == nil {
-				err = finishPart(i, pr)
+				obs = replicas[w]
 			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
-		}
-		for _, r := range replicas {
-			if r != nil {
-				set.Fold(r)
-			}
-		}
-
-	case core.ModeUnordered:
-		// One replica channel pool shared across parts; batches from any
-		// part land on whichever replica is free — exact because the
-		// planner only emits this mode for commutative sets.
-		replicas := make([]*core.Replica, plan.Workers)
-		pool := make(chan *core.Replica, plan.Workers)
-		for i := range replicas {
-			replicas[i] = set.NewReplica()
-			pool <- replicas[i]
-		}
-		for i, path := range parts {
-			pr, err := open(path, true)
-			if err != nil {
-				return zero, err
-			}
-			err = pr.ForEachBatch(ctx, func(b dataset.Batch) error {
-				r := <-pool
+			return func(b dataset.Batch) error {
 				for _, o := range b.Recs {
-					r.Observe(o)
+					obs.Observe(o)
 				}
-				pool <- r
 				return nil
-			})
-			if err == nil {
-				err = finishPart(i, pr)
 			}
-			pr.Close()
-			if err != nil {
-				return zero, err
-			}
+		})
+		if err == nil {
+			err = finishPart(i, pr)
 		}
-		set.Fold(replicas...)
-
-	default:
-		return zero, fmt.Errorf("userv6: unknown execution mode %v", plan.Mode)
+		pr.Close()
+		if err != nil {
+			return zero, err
+		}
+	}
+	for _, r := range replicas {
+		if r != nil {
+			set.Fold(r)
+		}
 	}
 	return agg, nil
 }

@@ -1,7 +1,7 @@
 package userv6
 
 // Parity matrix for the source/plan/execute stack: every source shape
-// (merged file, manifest, bare part list) under every execution mode,
+// (merged file, manifest, bare part list) under both execution modes,
 // strict and tolerant, must produce analyzer state identical to the
 // sequential replay of the merged file — and analyzing a manifest
 // directly must account coverage exactly like merging it first.
@@ -51,9 +51,19 @@ func sequentialBaseline(t *testing.T, path string) analyzeSet {
 	return base
 }
 
+// analyzeModes are the two execution modes, selected by worker count.
+var analyzeModes = []struct {
+	name    string
+	workers int
+	want    core.Mode
+}{
+	{"seq", 1, core.ModeSequential},
+	{"fused", 4, core.ModeFused},
+}
+
 // TestAnalyzeSourceParityMatrix sweeps source {file, manifest, parts} ×
-// mode {sequential, pipeline, fused, unordered} × {strict, tolerant}
-// against the merged-file sequential baseline. Inputs are intact here;
+// mode {sequential, fused} × {strict, tolerant} against the merged-file
+// sequential-reader baseline. Inputs are intact here;
 // damage is TestAnalyzeManifestTolerantCorruptPart's job.
 func TestAnalyzeSourceParityMatrix(t *testing.T) {
 	users := fusedTestUsers()
@@ -73,18 +83,8 @@ func TestAnalyzeSourceParityMatrix(t *testing.T) {
 		{"manifest", func() (dataset.Source, error) { return dataset.OpenManifestSource(dir) }},
 		{"parts", func() (dataset.Source, error) { return dataset.NewPartsSource(partPaths...) }},
 	}
-	modes := []struct {
-		name string
-		req  core.ModeRequest
-	}{
-		{"seq", core.RequestSequential},
-		{"pipeline", core.RequestPipeline},
-		{"fused", core.RequestFused},
-		{"unordered", core.RequestUnordered},
-	}
-
 	for _, srcCase := range sources {
-		for _, mode := range modes {
+		for _, mode := range analyzeModes {
 			for _, tolerant := range []bool{false, true} {
 				label := fmt.Sprintf("%s/%s/tolerant=%v", srcCase.name, mode.name, tolerant)
 				t.Run(label, func(t *testing.T) {
@@ -93,8 +93,12 @@ func TestAnalyzeSourceParityMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					got := newAnalyzeSet()
-					rep, err := AnalyzeSource(context.Background(), src, got.set,
-						AnalyzeOptions{Workers: 4, Tolerant: tolerant, Mode: mode.req})
+					opts := AnalyzeOptions{Workers: mode.workers, Tolerant: tolerant}
+					plan, _ := PlanSource(src, got.set, opts)
+					if plan.Mode != mode.want {
+						t.Fatalf("%s: planned %v, want %v", label, plan.Mode, mode.want)
+					}
+					rep, err := AnalyzeSource(context.Background(), src, got.set, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,21 +158,21 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 		wantRecords += cov.Records
 	}
 
-	for _, mode := range []core.ModeRequest{core.RequestSequential, core.RequestPipeline, core.RequestFused, core.RequestUnordered} {
+	for _, mode := range analyzeModes {
 		src, err := dataset.OpenManifestSource(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := newAnalyzeSet()
 		rep, err := AnalyzeSource(context.Background(), src, got.set,
-			AnalyzeOptions{Workers: 4, Tolerant: true, Mode: mode})
+			AnalyzeOptions{Workers: mode.workers, Tolerant: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.assertEqual(t, base, mode.String())
+		got.assertEqual(t, base, mode.name)
 		if rep.Blocks != wantBlocks || rep.CorruptBlocks != wantCorrupt || rep.Records != wantRecords {
 			t.Fatalf("%s: aggregated coverage %+v, want %d blocks / %d corrupt / %d records (merge per-part sums)",
-				mode, rep, wantBlocks, wantCorrupt, wantRecords)
+				mode.name, rep, wantBlocks, wantCorrupt, wantRecords)
 		}
 	}
 
@@ -180,7 +184,7 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 	}
 	strict := newAnalyzeSet()
 	_, err = AnalyzeSource(context.Background(), src, strict.set,
-		AnalyzeOptions{Workers: 4, Mode: core.RequestFused})
+		AnalyzeOptions{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), man.Parts[0].Name) {
 		t.Fatalf("strict analysis of corrupted part: err = %v, want checksum mismatch naming %s", err, man.Parts[0].Name)
 	}
@@ -233,8 +237,8 @@ func TestAnalyzeManifestAggregatesCodecBlocks(t *testing.T) {
 	}
 }
 
-// Sim.Analyze and the AnalyzeDataset* wrappers are the same machinery;
-// spot-check the Sim entry point over a manifest.
+// OpenSource resolves an export directory to its manifest, and the
+// default options (all CPUs) analyze it like the merged file.
 func TestSimAnalyzeManifest(t *testing.T) {
 	users := 500
 	sim := NewSim(DefaultScenario(users))
@@ -249,8 +253,8 @@ func TestSimAnalyzeManifest(t *testing.T) {
 		t.Fatalf("OpenSource(%q) resolved to %s, want manifest", dir, src.Kind())
 	}
 	got := newAnalyzeSet()
-	if _, err := sim.Analyze(context.Background(), src, got.set, AnalyzeOptions{}); err != nil {
+	if _, err := AnalyzeSource(context.Background(), src, got.set, AnalyzeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got.assertEqual(t, base, "Sim.Analyze(manifest)")
+	got.assertEqual(t, base, "AnalyzeSource(manifest)")
 }

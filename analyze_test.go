@@ -2,13 +2,10 @@ package userv6
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"userv6/internal/core"
-	"userv6/internal/dataset"
 	"userv6/internal/netaddr"
 	"userv6/internal/telemetry"
 )
@@ -26,8 +23,7 @@ type analyzeSet struct {
 
 // newAnalyzeSet registers every analyzer commutatively: each one's
 // Merge is exact for arbitrary (not just user-disjoint) stream splits,
-// which is what qualifies the default set for the fused and unordered
-// analysis paths.
+// which is what the fused analysis path relies on.
 func newAnalyzeSet() analyzeSet {
 	_, to := AnalysisWeek()
 	s := analyzeSet{set: core.NewAnalyzerSet()}
@@ -96,73 +92,5 @@ func TestAnalyzeParallelCtxMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		par.assertEqual(t, serial, "shards=4")
-	}
-}
-
-// AnalyzeDatasetParallel must reproduce a sequential dataset replay for
-// every analyzer, in both strict and tolerant mode.
-func TestAnalyzeDatasetParallelMatchesSequential(t *testing.T) {
-	sim := NewSim(DefaultScenario(1_500))
-	from, to := AnalysisWeek()
-	path := filepath.Join(t.TempDir(), "w.uv6")
-	w, err := dataset.Create(path, dataset.Meta{Seed: 1, Users: 1500, FromDay: int(from), ToDay: int(to), Sample: "all"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit, errp := w.Emit()
-	sim.Generate(from, to, emit)
-	if *errp != nil {
-		t.Fatal(*errp)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	seq := newAnalyzeSet()
-	r, err := dataset.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-
-	par := newAnalyzeSet()
-	rep, err := sim.AnalyzeDatasetParallel(context.Background(), path, 4, par.set, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.assertEqual(t, seq, "strict")
-	if rep.Records == 0 || rep.CorruptBlocks != 0 {
-		t.Fatalf("strict report %+v", rep)
-	}
-
-	// Tolerant mode on a damaged copy must match dataset.Salvage.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[256+4+16+2000] ^= 0x20 // corrupt block 0
-	bad := filepath.Join(t.TempDir(), "bad.uv6")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tseq := newAnalyzeSet()
-	srep, err := dataset.Salvage(bad, tseq.set.Emit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpar := newAnalyzeSet()
-	prep, err := sim.AnalyzeDatasetParallel(context.Background(), bad, 4, tpar.set, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpar.assertEqual(t, tseq, "tolerant")
-	if !prep.Equal(srep.Stream) {
-		t.Fatalf("tolerant coverage %+v, want %+v", prep, srep.Stream)
-	}
-	if prep.CorruptBlocks != 1 {
-		t.Fatalf("expected 1 corrupt block, got %+v", prep)
 	}
 }

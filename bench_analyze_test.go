@@ -1,9 +1,9 @@
 package userv6
 
 // Benchmarks for the block-parallel analysis engine: sequential dataset
-// replay versus the parallel decode + analyzer fan-out, over the same
-// file and the same registered analyzers. The two names land side by
-// side in the bench artifact so the speedup ratio is recorded per run.
+// replay versus the fused decode + analyze path, over the same file and
+// the same registered analyzers. The names land side by side in the
+// bench artifact so the speedup ratio is recorded per run.
 
 import (
 	"context"
@@ -13,7 +13,7 @@ import (
 	"userv6/internal/dataset"
 )
 
-// benchAnalyzeWorkers is the pool size for the parallel benchmark;
+// benchAnalyzeWorkers is the pool size for the fused benchmarks;
 // speedup is only visible on multicore hardware, but correctness (and
 // the gate) holds at any core count.
 const benchAnalyzeWorkers = 4
@@ -43,7 +43,7 @@ func writeBenchDataset(b *testing.B) string {
 }
 
 // BenchmarkAnalyzeSequential replays the dataset through every analyzer
-// on one goroutine — the reference the parallel engine must beat.
+// on one goroutine — the reference the fused engine must beat.
 func BenchmarkAnalyzeSequential(b *testing.B) {
 	path := writeBenchDataset(b)
 	b.ReportAllocs()
@@ -61,50 +61,17 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel runs the same replay through the
-// block-parallel pipeline: concurrent block decode + CRC, user-hash
-// routed analyzer workers, merge on close.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	path := writeBenchDataset(b)
-	sim := getBenchSim()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetParallel(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeFused runs the replay on the fused fast path: the
-// decode workers are the analyzer workers, each feeding a worker-local
-// replica with no ordered-delivery heap, no hash router, and no
-// cross-goroutine record handoff; one fold at the end.
+// BenchmarkAnalyzeFused runs the replay through AnalyzeSource on the
+// fused path: the decode workers are the analyzer workers, each feeding
+// a worker-local replica with no cross-goroutine record handoff; one
+// fold at the end.
 func BenchmarkAnalyzeFused(b *testing.B) {
 	path := writeBenchDataset(b)
-	sim := getBenchSim()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetFused(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeUnordered runs the replay with completion-order batch
-// delivery into a channel pool of analyzer replicas — one cross-
-// goroutine handoff per batch, against the fused path's zero.
-func BenchmarkAnalyzeUnordered(b *testing.B) {
-	path := writeBenchDataset(b)
-	sim := getBenchSim()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetUnordered(context.Background(), path, benchAnalyzeWorkers, s.set, false); err != nil {
+		if _, err := analyzeFile(path, benchAnalyzeWorkers, s.set, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +115,6 @@ func BenchmarkAnalyzeManifest(b *testing.B) {
 // fused engine over the merged output.
 func BenchmarkAnalyzeMergeAnalyze(b *testing.B) {
 	dir := writeBenchShardedExport(b)
-	sim := getBenchSim()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,7 +123,7 @@ func BenchmarkAnalyzeMergeAnalyze(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := newAnalyzeSet()
-		if _, err := sim.AnalyzeDatasetFused(context.Background(), merged, benchAnalyzeWorkers, s.set, false); err != nil {
+		if _, err := analyzeFile(merged, benchAnalyzeWorkers, s.set, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -104,9 +104,6 @@ func usage() {
                       the default analyzer set is commutative, so parallel runs
                       use the fused path (decode workers feed worker-local
                       analyzer replicas, folded once at the end)
-           -unordered completion-order batch delivery into a replica pool
-                      (errors if any analyzer withholds the commutative
-                      declaration, naming the offender)
            -explain   print the planner's chosen mode and rationale
   verify   check dataset integrity (block checksums, record counts); on a
            manifest or export directory, checks every part and aggregates
@@ -826,7 +823,6 @@ func runAnalyze(args []string) {
 	in := fs.String("i", "telemetry.uv6", "input path (dataset file, sharded export directory, or manifest.uv6m)")
 	tolerant := fs.Bool("tolerant", false, "salvage-path read: analyze intact blocks of a damaged source and report coverage")
 	workers := fs.Int("workers", 0, "block decode + analysis workers (0 = all CPUs, 1 = sequential)")
-	unordered := fs.Bool("unordered", false, "deliver blocks in completion order (requires commutative analyzers and -workers != 1)")
 	explain := fs.Bool("explain", false, "print the planner's chosen execution mode and why before analyzing")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the analysis to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path after analysis")
@@ -835,8 +831,7 @@ func runAnalyze(args []string) {
 
 	// The input may be a merged file, a sharded export directory, or a
 	// manifest path; the source layer resolves the shape and the
-	// planner picks the execution mode from it — `analyze` itself no
-	// longer re-implements the fused/unordered/pipeline decision.
+	// planner picks the execution mode from the worker count.
 	src, err := dataset.OpenSource(*in)
 	if err != nil {
 		fatal(err)
@@ -844,11 +839,7 @@ func runAnalyze(args []string) {
 
 	// Every analyzer this command registers — including churn, since its
 	// first-sight-tuple reformulation — folds exactly under arbitrary
-	// stream partition, so the whole set declares commutative
-	// accumulation. That legalizes the fused default and -unordered
-	// delivery; an order-sensitive analyzer would register with
-	// AddAnalyzer and the planner would name it when refusing (or when
-	// falling back to the pipeline).
+	// stream partition, which is what the fused default relies on.
 	set := core.NewAnalyzerSet()
 	uc := core.NewUserCentricFor(false)
 	core.AddCommutativeAnalyzer(set, uc,
@@ -875,11 +866,7 @@ func runAnalyze(args []string) {
 	core.AddCommutativeAnalyzer(set, churn,
 		func() *core.ChurnAttribution { return core.NewChurnAttribution(countFrom) }, (*core.ChurnAttribution).Merge)
 
-	req := core.RequestAuto
-	if *unordered {
-		req = core.RequestUnordered
-	}
-	opts := userv6.AnalyzeOptions{Workers: *workers, Tolerant: *tolerant, Mode: req}
+	opts := userv6.AnalyzeOptions{Workers: *workers, Tolerant: *tolerant}
 	plan, err := userv6.PlanSource(src, set, opts)
 	if err != nil {
 		fatal(fmt.Errorf("analyze: %w", err))

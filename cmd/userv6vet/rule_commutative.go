@@ -1,36 +1,23 @@
 package main
 
 // commutative-contract: registering an analyzer with
-// AddCommutativeAnalyzer authorizes the fused and unordered execution
-// paths to split its stream arbitrarily and fold the replicas back —
-// which is only sound if the type actually carries a fold. The rule
-// checks both halves of that bargain module-wide:
+// AddCommutativeAnalyzer (the only registration call) authorizes the
+// fused execution mode to split its stream arbitrarily and fold the
+// replicas back — which is only sound if the type actually carries a
+// fold. Every type passed to AddCommutativeAnalyzer (or its Filtered
+// variant) in non-test code must implement Merge with a matching
+// receiver — exactly one parameter of the registered type, so the
+// method expression fits the fold signature func(into, from T).
 //
-//  1. every type passed to AddCommutativeAnalyzer (or its Filtered
-//     variant) in non-test code must implement Merge with a matching
-//     receiver — exactly one parameter of the registered type, so the
-//     method expression fits the fold signature func(into, from T);
-//  2. a type declaring Commutative() bool that is never registered
-//     anywhere in the module is dead armor: the framework only honors
-//     the registration-time declaration, so the method is a claim
-//     nothing checks. (Types that also declare NonCommutative() are
-//     exempt — that is the analyzer-set aggregator shape, reporting
-//     on members rather than claiming to be one.)
-//
-// Test files may register throwaway doubles with inline folds (half
-// the pipeline tests do), so only non-test registrations are held to
-// the Merge requirement; registrations anywhere, tests included,
-// count as "registered" for the dead-declaration half.
+// Test files may register throwaway doubles with inline folds, so only
+// non-test registrations are held to the Merge requirement.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-type commutativeRule struct {
-	factsFor   *Module
-	registered map[string]bool // "pkgpath.TypeName" -> registered commutatively
-}
+type commutativeRule struct{}
 
 func (*commutativeRule) Name() string { return "commutative-contract" }
 
@@ -40,7 +27,6 @@ var commutativeAdders = map[string]bool{
 }
 
 func (r *commutativeRule) Check(pass *Pass) []Diagnostic {
-	r.ensureFacts(pass.Module)
 	var diags []Diagnostic
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
@@ -48,20 +34,10 @@ func (r *commutativeRule) Check(pass *Pass) []Diagnostic {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if t, ok := registeredArgType(info, n); ok {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if t, ok := registeredArgType(info, call); ok {
 					if msg := mergeContractError(t); msg != "" {
-						diags = append(diags, pass.Diag(r.Name(), n.Pos(), "%s", msg))
-					}
-				}
-			case *ast.FuncDecl:
-				if named := commutativeDeclReceiver(info, n); named != nil {
-					key := typeKey(named)
-					if !r.registered[key] && !hasMethod(named, "NonCommutative") {
-						diags = append(diags, pass.Diag(r.Name(), n.Pos(),
-							"%s declares Commutative() but is never registered with AddCommutativeAnalyzer; the declaration is unchecked dead armor (register it, or drop the method)",
-							named.Obj().Name()))
+						diags = append(diags, pass.Diag(r.Name(), call.Pos(), "%s", msg))
 					}
 				}
 			}
@@ -69,32 +45,6 @@ func (r *commutativeRule) Check(pass *Pass) []Diagnostic {
 		})
 	}
 	return diags
-}
-
-// ensureFacts scans every unit of the module — tests included — for
-// commutative registrations, once per loaded module.
-func (r *commutativeRule) ensureFacts(m *Module) {
-	if r.factsFor == m {
-		return
-	}
-	r.factsFor = m
-	r.registered = map[string]bool{}
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if t, ok := registeredArgType(pkg.Info, call); ok {
-					if named := namedOf(t); named != nil {
-						r.registered[typeKey(named)] = true
-					}
-				}
-				return true
-			})
-		}
-	}
 }
 
 // registeredArgType returns the static type of the primary analyzer
@@ -130,7 +80,7 @@ func mergeContractError(t types.Type) string {
 		if types.NewMethodSet(types.NewPointer(named)).Lookup(nil, "Merge") != nil {
 			return name + " is registered with AddCommutativeAnalyzer by value but Merge has a pointer receiver; the fold would merge into a copy"
 		}
-		return name + " is registered with AddCommutativeAnalyzer but implements no Merge; the fused/unordered fold has nothing to call"
+		return name + " is registered with AddCommutativeAnalyzer but implements no Merge; the fused fold has nothing to call"
 	}
 	sig := sel.Obj().Type().(*types.Signature)
 	if sig.Params().Len() != 1 || !types.Identical(sig.Params().At(0).Type(), t) {
@@ -138,27 +88,6 @@ func mergeContractError(t types.Type) string {
 			types.TypeString(t, nil) + "; the method expression cannot serve as the fold"
 	}
 	return ""
-}
-
-// commutativeDeclReceiver returns the receiver's named type when decl
-// is a Commutative() bool method declaration.
-func commutativeDeclReceiver(info *types.Info, decl *ast.FuncDecl) *types.Named {
-	if decl.Name.Name != "Commutative" || decl.Recv == nil || len(decl.Recv.List) != 1 {
-		return nil
-	}
-	fn, ok := info.Defs[decl.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-		return nil
-	}
-	basic, ok := sig.Results().At(0).Type().(*types.Basic)
-	if !ok || basic.Kind() != types.Bool {
-		return nil
-	}
-	return namedOf(sig.Recv().Type())
 }
 
 // namedOf unwraps pointers down to the named type, or nil.
@@ -173,20 +102,4 @@ func namedOf(t types.Type) *types.Named {
 			return nil
 		}
 	}
-}
-
-// typeKey is the module-wide identity for a named type; string keys
-// survive the same package being re-checked as a test unit.
-func typeKey(named *types.Named) string {
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// hasMethod reports whether the named type (or its pointer) has a
-// method with the given name.
-func hasMethod(named *types.Named, name string) bool {
-	return types.NewMethodSet(types.NewPointer(named)).Lookup(nil, name) != nil
 }

@@ -3,7 +3,7 @@ package main
 // pool-discipline: a sync.Pool.Get with no matching Put leaks the
 // pooled object — the pool drains under load and every "hit" becomes
 // a fresh allocation, which defeats the reason the hot paths
-// (LZ tables, delta scratch buffers, pipeline batches) pool at all.
+// (LZ tables, delta scratch buffers, decoded record batches) pool at all.
 // The rule flags Get calls in functions that contain no Put on any
 // path. Two shapes are recognized as transferring Put responsibility
 // elsewhere and exempted:
@@ -13,8 +13,8 @@ package main
 //     presence);
 //   - the Get result is returned to the caller (directly, or via a
 //     variable that appears in a return statement), the accessor
-//     shape dataset's pools and the pipeline's batch() use: the
-//     caller owns the object and its Put.
+//     shape dataset's pools use: the caller owns the object and its
+//     Put.
 
 import (
 	"go/ast"

@@ -1,17 +1,10 @@
 // Fixture for the commutative-contract rule: a type registered with
-// AddCommutativeAnalyzer must carry a Merge with a matching receiver,
-// and a Commutative() declaration on a type that is never registered
-// is dead armor. The framework stand-ins below are matched by name,
-// exactly like the real internal/core API.
+// AddCommutativeAnalyzer must carry a Merge with a matching receiver.
+// The framework stand-ins below are matched by name, exactly like the
+// real internal/core API.
 package analyzer
 
 type Set struct{}
-
-// NonCommutative marks Set as the aggregator shape: its Commutative()
-// reports on members, so the dead-armor half exempts it.
-func (s *Set) NonCommutative() []string { return nil }
-
-func (s *Set) Commutative() bool { return true }
 
 func AddCommutativeAnalyzer[T any](s *Set, primary T, mk func() T, fold func(into, from T)) {}
 
@@ -37,20 +30,6 @@ func (m *Mismatched) Merge(other *Good) {}
 type ValueReg struct{ n int }
 
 func (v *ValueReg) Merge(other ValueReg) { v.n += other.n }
-
-// Orphan claims commutativity but nothing ever registers it, so the
-// claim is never honored by any execution path.
-type Orphan struct{}
-
-func (o *Orphan) Commutative() bool { return true } // want `commutative-contract: Orphan declares Commutative\(\) but is never registered`
-
-// Quiet is only registered from a test file; that still counts as
-// registered, so its Commutative() is live.
-type Quiet struct{}
-
-func (q *Quiet) Merge(other *Quiet) {}
-
-func (q *Quiet) Commutative() bool { return true }
 
 func Wire(s *Set) {
 	AddCommutativeAnalyzer(s, &Good{}, func() *Good { return &Good{} }, (*Good).Merge)

@@ -1,10 +1,8 @@
 package analyzer
 
-// A test-only registration keeps Quiet's Commutative() live, and test
-// doubles with inline folds are not held to the Merge requirement.
+// Test doubles with inline folds are not held to the Merge requirement.
 type testDouble struct{}
 
 func wireForTest(s *Set) {
-	AddCommutativeAnalyzer(s, &Quiet{}, func() *Quiet { return &Quiet{} }, (*Quiet).Merge)
 	AddCommutativeAnalyzer(s, &testDouble{}, func() *testDouble { return &testDouble{} }, func(into, from *testDouble) {})
 }

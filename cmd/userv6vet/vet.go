@@ -31,8 +31,7 @@ func (d Diagnostic) String() string {
 
 // Pass is the per-unit context handed to each rule: the parsed files,
 // the go/types results, the unit's import path, and the whole module
-// for rules that need cross-package facts (commutative-contract scans
-// every unit for registrations before judging one).
+// (its file set and module-relative paths).
 type Pass struct {
 	Module *Module
 	Pkg    *Package
@@ -64,9 +63,7 @@ type Rule interface {
 	Check(*Pass) []Diagnostic
 }
 
-// allRules returns fresh instances of every shipped rule. Fresh per
-// run so per-module caches (commutative-contract's registration scan)
-// never leak across loads.
+// allRules returns fresh instances of every shipped rule.
 func allRules() []Rule {
 	return []Rule{
 		&faultioSeamRule{},

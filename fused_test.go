@@ -3,9 +3,9 @@ package userv6
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"userv6/internal/core"
@@ -43,20 +43,26 @@ func writeAnalyzeDataset(t *testing.T, sim *Sim, users int) string {
 	return path
 }
 
+// analyzeFile runs AnalyzeSource over one dataset file.
+func analyzeFile(path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
+	src, err := dataset.NewFileSource(path)
+	if err != nil {
+		return telemetry.SalvageReport{}, err
+	}
+	return AnalyzeSource(context.Background(), src, set, AnalyzeOptions{Workers: workers, Tolerant: tolerant})
+}
+
 // The fused path — worker-local replicas fed straight from the decode
 // pool, folded once — must reproduce a sequential replay exactly for
-// every analyzer in the (now fully commutative) default set, at any
-// worker count, in strict and tolerant mode. Run under -race this is
-// also the data-race proof for the whole fused pipeline.
+// every analyzer in the default set, at any worker count, in strict and
+// tolerant mode. Run under -race this is also the data-race proof for
+// the whole fused pipeline.
 func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
 	path := writeAnalyzeDataset(t, sim, users)
 
 	seq := newAnalyzeSet()
-	if !seq.set.Commutative() {
-		t.Fatal("default analyzer set must be commutative")
-	}
 	r, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +72,9 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	}
 	r.Close()
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{2, 4} {
 		fused := newAnalyzeSet()
-		rep, err := sim.AnalyzeDatasetFused(context.Background(), path, workers, fused.set, false)
+		rep, err := analyzeFile(path, workers, fused.set, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +101,7 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tfused := newAnalyzeSet()
-	frep, err := sim.AnalyzeDatasetFused(context.Background(), bad, 4, tfused.set, true)
+	frep, err := analyzeFile(bad, 4, tfused.set, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,88 +109,65 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	if !frep.Equal(srep.Stream) {
 		t.Fatalf("tolerant coverage %+v, want %+v", frep, srep.Stream)
 	}
+	if frep.CorruptBlocks != 1 {
+		t.Fatalf("expected 1 corrupt block, got %+v", frep)
+	}
 }
 
-// AnalyzeDatasetUnordered (completion-order delivery into a replica
-// pool) must also reproduce the sequential replay on the default set.
-func TestAnalyzeDatasetUnorderedMatchesSequential(t *testing.T) {
+// TestAnalyzeDatasetParallelMatchesSequential compares the two modes
+// through AnalyzeSource alone: a multi-worker run (fused) must reproduce
+// the one-worker run (sequential) in analyzer state and in the coverage
+// report, strict and tolerant, including worker counts that do not
+// divide the block count.
+func TestAnalyzeDatasetParallelMatchesSequential(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
 	path := writeAnalyzeDataset(t, sim, users)
 
-	seq := newAnalyzeSet()
-	r, err := dataset.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
+	raw[256+4+16+100] ^= 0x04 // corrupt block 0
+	bad := filepath.Join(t.TempDir(), "bad.uv6")
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
 
-	un := newAnalyzeSet()
-	rep, err := sim.AnalyzeDatasetUnordered(context.Background(), path, 4, un.set, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	un.assertEqual(t, seq, "unordered")
-	if rep.Records == 0 {
-		t.Fatalf("unordered report %+v", rep)
+	for _, tc := range []struct {
+		path     string
+		tolerant bool
+		corrupt  int
+	}{
+		{path, false, 0},
+		{path, true, 0},
+		{bad, true, 1},
+	} {
+		seq := newAnalyzeSet()
+		seqRep, err := analyzeFile(tc.path, 1, seq.set, tc.tolerant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seqRep.CorruptBlocks != tc.corrupt {
+			t.Fatalf("tolerant=%v: sequential report %+v, want %d corrupt blocks", tc.tolerant, seqRep, tc.corrupt)
+		}
+		for _, workers := range []int{3, 8} {
+			par := newAnalyzeSet()
+			rep, err := analyzeFile(tc.path, workers, par.set, tc.tolerant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("tolerant=%v corrupt=%d workers=%d", tc.tolerant, tc.corrupt, workers)
+			par.assertEqual(t, seq, label)
+			if !rep.Equal(seqRep) {
+				t.Fatalf("%s: report %+v, want %+v", label, rep, seqRep)
+			}
+		}
 	}
 }
 
-// orderBound is an analyzer that never declares commutativity; it
-// stands in for genuinely order-sensitive accumulation.
-type orderBound struct{ last uint64 }
-
-func (o *orderBound) Observe(ob telemetry.Observation) { o.last = ob.UserID }
-
-// A set containing a non-commutative registration must silently fall
-// back to the hash-routed pipeline (per-user order preserved), still
-// matching the sequential replay; the unordered path must instead
-// refuse, naming the offending registration.
-func TestAnalyzeDatasetFusedNonCommutativeFallback(t *testing.T) {
-	users := fusedTestUsers()
-	sim := NewSim(DefaultScenario(users))
-	path := writeAnalyzeDataset(t, sim, users)
-
-	seq := newAnalyzeSet()
-	core.AddAnalyzer(seq.set, &orderBound{},
-		func() *orderBound { return &orderBound{} },
-		func(into, from *orderBound) {})
-	r, err := dataset.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-
-	mixed := newAnalyzeSet()
-	core.AddAnalyzer(mixed.set, &orderBound{},
-		func() *orderBound { return &orderBound{} },
-		func(into, from *orderBound) {})
-	if mixed.set.Commutative() {
-		t.Fatal("orderBound registration must veto commutativity")
-	}
-	if _, err := sim.AnalyzeDatasetFused(context.Background(), path, 4, mixed.set, false); err != nil {
-		t.Fatal(err)
-	}
-	mixed.assertEqual(t, seq, "fused fallback")
-
-	refuse := newAnalyzeSet()
-	core.AddAnalyzer(refuse.set, &orderBound{},
-		func() *orderBound { return &orderBound{} },
-		func(into, from *orderBound) {})
-	_, err = sim.AnalyzeDatasetUnordered(context.Background(), path, 4, refuse.set, false)
-	if err == nil || !strings.Contains(err.Error(), "*userv6.orderBound") {
-		t.Fatalf("unordered on non-commutative set: err = %v, want offender named", err)
-	}
-}
-
-// bombAnalyzer panics partway into the stream, exercising the fused
-// path's worker fault isolation.
+// bombAnalyzer panics partway into the stream, exercising the decode
+// workers' fault isolation.
 type bombAnalyzer struct{ n int }
 
 func (b *bombAnalyzer) Observe(telemetry.Observation) {
@@ -193,33 +176,37 @@ func (b *bombAnalyzer) Observe(telemetry.Observation) {
 	}
 }
 
-// A panic inside a fused worker's analyzer replica must surface as a
-// typed *dataset.WorkerPanicError and leave the set's primaries
-// unfolded — no partial fold masquerading as a result.
+// A panic inside an analyzer must surface as a typed
+// *dataset.WorkerPanicError in both modes, not crash the caller. The
+// fused mode must also leave the set's primaries unfolded — no partial
+// fold masquerading as a result. The sequential mode feeds the
+// primaries directly, so only the error is asserted there.
 func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
 	path := writeAnalyzeDataset(t, sim, users)
 
-	s := newAnalyzeSet()
-	core.AddCommutativeAnalyzer(s.set, &bombAnalyzer{},
-		func() *bombAnalyzer { return &bombAnalyzer{} },
-		func(into, from *bombAnalyzer) {})
-	if !s.set.Commutative() {
-		t.Fatal("bomb set must stay commutative so the fused path engages")
-	}
-	_, err := sim.AnalyzeDatasetFused(context.Background(), path, 4, s.set, false)
-	var pe *dataset.WorkerPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *dataset.WorkerPanicError, got %v", err)
-	}
-	if pe.Value != "bomb" {
-		t.Fatalf("panic value %v, want bomb", pe.Value)
-	}
-	if got := s.uc.Users(); got != 0 {
-		t.Fatalf("primaries folded after failure: %d users", got)
-	}
-	if got := s.churn.Breakdown(); got.Total != 0 {
-		t.Fatalf("churn primary folded after failure: %+v", got)
+	for _, workers := range []int{1, 4} {
+		s := newAnalyzeSet()
+		core.AddCommutativeAnalyzer(s.set, &bombAnalyzer{},
+			func() *bombAnalyzer { return &bombAnalyzer{} },
+			func(into, from *bombAnalyzer) {})
+		_, err := analyzeFile(path, workers, s.set, false)
+		var pe *dataset.WorkerPanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: want *dataset.WorkerPanicError, got %v", workers, err)
+		}
+		if pe.Value != "bomb" {
+			t.Fatalf("workers=%d: panic value %v, want bomb", workers, pe.Value)
+		}
+		if workers == 1 {
+			continue
+		}
+		if got := s.uc.Users(); got != 0 {
+			t.Fatalf("workers=%d: primaries folded after failure: %d users", workers, got)
+		}
+		if got := s.churn.Breakdown(); got.Total != 0 {
+			t.Fatalf("workers=%d: churn primary folded after failure: %+v", workers, got)
+		}
 	}
 }

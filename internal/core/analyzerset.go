@@ -1,0 +1,141 @@
+package core
+
+// Analyzer sets: an AnalyzerSet names the analyzers a run wants
+// populated. A sequential run feeds the registered primaries directly;
+// a parallel run gives each worker a Replica of every analyzer, feeds it
+// an arbitrary share of the stream, and folds the replicas back into the
+// primaries with the analyzers' Merge methods. Both leave the primaries
+// holding identical state, because every registration declares a
+// commutative Merge.
+
+import (
+	"userv6/internal/telemetry"
+)
+
+// Observer is the streaming-analyzer interface every core analyzer
+// satisfies: consume one observation, answer queries later.
+type Observer interface {
+	Observe(telemetry.Observation)
+}
+
+// AnalyzerSet is a named collection of analyzers to populate from one
+// pass over a telemetry stream. Register each analyzer with
+// AddCommutativeAnalyzer, then either feed the set directly (sequential)
+// or feed Replicas and Fold them (parallel); both leave the registered
+// primaries holding identical state.
+//
+// Every registration is commutative: its state must not depend on
+// observation order or on how the stream is split across replicas. A
+// new analyzer that looks order-dependent is reformulated as a
+// commutative fold, as ChurnAttribution was (min-first-sight tuples
+// instead of a walk over consecutive observations), rather than by
+// adding an order-preserving execution mode.
+type AnalyzerSet struct {
+	regs []registration
+}
+
+type registration struct {
+	primary Observer
+	mk      func() Observer
+	fold    func(replica Observer)
+	filter  func(telemetry.Observation) bool
+}
+
+// NewAnalyzerSet returns an empty set.
+func NewAnalyzerSet() *AnalyzerSet { return &AnalyzerSet{} }
+
+// Len returns the number of registered analyzers.
+func (s *AnalyzerSet) Len() int { return len(s.regs) }
+
+// AddCommutativeAnalyzer registers primary with the set. mk constructs
+// a fresh replica configured identically to primary (same restriction,
+// window, prefix lengths, ...); fold merges a replica's state into the
+// first argument — an analyzer's Merge method expression, e.g.
+// (*UserCentric).Merge, fits directly.
+//
+// Registering declares that the analyzer's accumulated state is
+// invariant under observation order and under how the stream is
+// partitioned across replicas before folding. Concretely, feeding any
+// permutation of the same multiset of observations — or splitting it
+// arbitrarily (not just user-disjointly) across replicas and folding —
+// must leave state identical to the in-order sequential feed. The fused
+// execution mode relies on it. Analyzers whose state is a pure set- or
+// lattice-fold qualify: set-shaped dedup (UserCentric's and IPCentric's
+// (user, prefix) pair sets), min/OR folds (Lifespans), sum/OR folds
+// (Prevalence), and min-day first-sight tuples (ChurnAttribution). An
+// analyzer that inspects transitions between consecutive observations
+// at Observe time would not.
+func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T)) {
+	AddCommutativeAnalyzerFiltered(s, primary, mk, fold, nil)
+}
+
+// AddCommutativeAnalyzerFiltered is AddCommutativeAnalyzer with a
+// pre-filter: only observations for which filter returns true reach
+// this analyzer (nil accepts everything). The filter runs on worker
+// goroutines and must be pure; a pure filter preserves commutativity
+// (it only thins the multiset).
+func AddCommutativeAnalyzerFiltered[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T), filter func(telemetry.Observation) bool) {
+	s.regs = append(s.regs, registration{
+		primary: primary,
+		mk:      func() Observer { return mk() },
+		fold:    func(replica Observer) { fold(primary, replica.(T)) },
+		filter:  filter,
+	})
+}
+
+// Observe feeds one observation to every registered primary directly —
+// the sequential path, and the reference every replica fold must match.
+func (s *AnalyzerSet) Observe(o telemetry.Observation) {
+	for i := range s.regs {
+		r := &s.regs[i]
+		if r.filter == nil || r.filter(o) {
+			r.primary.Observe(o)
+		}
+	}
+}
+
+// Emit adapts Observe to a telemetry.EmitFunc.
+func (s *AnalyzerSet) Emit() telemetry.EmitFunc { return s.Observe }
+
+// Replica is an independent copy of every registered analyzer. Each
+// producer — a generation shard, a fused decode worker — feeds its own
+// Replica with no locking, and Fold merges them back into the
+// primaries.
+type Replica struct {
+	set *AnalyzerSet
+	obs []Observer
+}
+
+// NewReplica constructs a fresh replica of every registered analyzer.
+// Call it (and Fold) from one goroutine; the Replica itself is then
+// free to live on another.
+func (s *AnalyzerSet) NewReplica() *Replica {
+	r := &Replica{set: s, obs: make([]Observer, len(s.regs))}
+	for i := range s.regs {
+		r.obs[i] = s.regs[i].mk()
+	}
+	return r
+}
+
+// Observe feeds one observation to the replica's analyzers.
+func (r *Replica) Observe(o telemetry.Observation) {
+	for i, rep := range r.obs {
+		if f := r.set.regs[i].filter; f == nil || f(o) {
+			rep.Observe(o)
+		}
+	}
+}
+
+// Emit adapts Observe to a telemetry.EmitFunc.
+func (r *Replica) Emit() telemetry.EmitFunc { return r.Observe }
+
+// Fold merges the replicas' state into the set's primaries, in argument
+// order. The registration contract makes the fold exact for any split
+// of the stream across replicas, user-disjoint or not.
+func (s *AnalyzerSet) Fold(replicas ...*Replica) {
+	for _, r := range replicas {
+		for j, rep := range r.obs {
+			s.regs[j].fold(rep)
+		}
+	}
+}

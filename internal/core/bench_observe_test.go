@@ -34,7 +34,7 @@ func benchObservations(n int) []telemetry.Observation {
 
 // BenchmarkUserCentricObserve measures the per-record cost of the
 // user-centric address accounting — the dominant analyzer in the
-// parallel pipeline's per-worker loop.
+// fused path's per-worker loop.
 func BenchmarkUserCentricObserve(b *testing.B) {
 	uc := NewUserCentric()
 	obs := benchObservations(8192)

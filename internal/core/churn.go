@@ -52,7 +52,7 @@ func (c ChurnCause) String() string {
 // invariant under observation order and under how the stream is
 // partitioned across replicas (Merge folds the maps by minimum), so
 // the analyzer is safe to register with AddCommutativeAnalyzer and to
-// feed from unordered or fused readers. Causes are not classified
+// feed from fused readers. Causes are not classified
 // during the stream at all; Breakdown derives them from the first-day
 // structure at query time.
 type ChurnAttribution struct {

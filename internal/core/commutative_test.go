@@ -5,58 +5,15 @@ import (
 	"testing"
 
 	"userv6/internal/netaddr"
-	"userv6/internal/telemetry"
 )
 
-// orderSensitive is a stand-in for an analyzer that genuinely inspects
-// consecutive-observation transitions and so must never be declared
-// commutative. (Churn attribution used to be the in-tree example; its
-// first-sight-tuple reformulation made it order-free.)
-type orderSensitive struct{ last uint64 }
-
-func (o *orderSensitive) Observe(ob telemetry.Observation) { o.last = ob.UserID }
-func (o *orderSensitive) merge(*orderSensitive)            {}
-
-// TestCommutativeDeclaration: the Commutative flag is per-registration
-// and the set only reports commutative when every analyzer opted in;
-// NonCommutative names the registrations that withhold the guarantee.
-func TestCommutativeDeclaration(t *testing.T) {
-	empty := NewAnalyzerSet()
-	if !empty.Commutative() {
-		t.Fatal("empty set must be vacuously commutative")
-	}
-
-	set := NewAnalyzerSet()
-	AddCommutativeAnalyzer(set, NewUserCentricFor(false),
-		func() *UserCentric { return NewUserCentricFor(false) }, (*UserCentric).Merge)
-	AddCommutativeAnalyzer(set, NewChurnAttribution(2),
-		func() *ChurnAttribution { return NewChurnAttribution(2) }, (*ChurnAttribution).Merge)
-	if !set.Commutative() {
-		t.Fatal("all-commutative set must report commutative")
-	}
-	if names := set.NonCommutative(); len(names) != 0 {
-		t.Fatalf("commutative set names offenders: %v", names)
-	}
-
-	AddAnalyzer(set, &orderSensitive{},
-		func() *orderSensitive { return &orderSensitive{} },
-		func(into, from *orderSensitive) { into.merge(from) })
-	if set.Commutative() {
-		t.Fatal("one order-dependent analyzer must veto commutativity")
-	}
-	names := set.NonCommutative()
-	if len(names) != 1 || names[0] != "*core.orderSensitive" {
-		t.Fatalf("NonCommutative = %v, want the orderSensitive registration", names)
-	}
-}
-
-// TestCommutativeFoldArbitrarySplit backs the declaration with
-// behavior: UserCentric and IPCentric fed a reversed stream split
+// TestCommutativeFoldArbitrarySplit backs the registration contract
+// with behavior: UserCentric and IPCentric fed a reversed stream split
 // round-robin (deliberately not user-disjoint) across replicas must
-// fold to exactly the sequential state. This is the property
-// analyze -unordered relies on.
+// fold to exactly the sequential state. This is the property the fused
+// analysis path relies on.
 func TestCommutativeFoldArbitrarySplit(t *testing.T) {
-	stream := pipelineStream()
+	stream := analysisStream()
 
 	mkSet := func() (*AnalyzerSet, *UserCentric, *IPCentric) {
 		set := NewAnalyzerSet()
@@ -73,9 +30,6 @@ func TestCommutativeFoldArbitrarySplit(t *testing.T) {
 	}
 
 	set, uc, ic := mkSet()
-	if !set.Commutative() {
-		t.Fatal("test set must be commutative")
-	}
 	replicas := []*Replica{set.NewReplica(), set.NewReplica(), set.NewReplica()}
 	for i := range stream {
 		o := stream[len(stream)-1-i] // reversed order
@@ -88,19 +42,19 @@ func TestCommutativeFoldArbitrarySplit(t *testing.T) {
 	}
 	for _, fam := range []netaddr.Family{netaddr.IPv4, netaddr.IPv6} {
 		if !reflect.DeepEqual(uc.AddrsPerUser(fam), ruc.AddrsPerUser(fam)) {
-			t.Fatalf("AddrsPerUser(%v) diverged under unordered delivery", fam)
+			t.Fatalf("AddrsPerUser(%v) diverged under a reordered split", fam)
 		}
 	}
 	if !reflect.DeepEqual(uc.PrefixSpans([]int{44, 64}), ruc.PrefixSpans([]int{44, 64})) {
-		t.Fatal("PrefixSpans diverged under unordered delivery")
+		t.Fatal("PrefixSpans diverged under a reordered split")
 	}
 	if ic.Prefixes() != ric.Prefixes() {
 		t.Fatalf("IPCentric prefixes %d, want %d", ic.Prefixes(), ric.Prefixes())
 	}
 	if !reflect.DeepEqual(ic.UsersPerPrefix(), ric.UsersPerPrefix()) {
-		t.Fatal("UsersPerPrefix diverged under unordered delivery")
+		t.Fatal("UsersPerPrefix diverged under a reordered split")
 	}
 	if !reflect.DeepEqual(ic.TopPrefixes(5), ric.TopPrefixes(5)) {
-		t.Fatal("TopPrefixes diverged under unordered delivery")
+		t.Fatal("TopPrefixes diverged under a reordered split")
 	}
 }

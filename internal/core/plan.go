@@ -1,13 +1,11 @@
 package core
 
-// Plan: the one place that decides how an analysis run executes. The
-// choice among sequential, hash-routed pipeline, fused, and unordered
-// used to be re-derived independently by the library's AnalyzeDataset*
-// wrappers and the CLI's analyze command; both now ask the AnalyzerSet
-// to plan from the same inputs — requested mode, worker count,
-// tolerance, and the source's shape — and get back the mode, the
-// normalized pool size, and a human-readable reason (including which
-// analyzers blocked a faster mode).
+// Plan: the one place that decides how an analysis run executes. Every
+// registered analyzer folds commutatively, so the choice depends only
+// on the worker budget: one worker reads sequentially into the
+// primaries, more workers run fused. The library's AnalyzeSource and
+// the CLI's analyze command plan from the same inputs and get back the
+// mode, the normalized pool size, and a human-readable reason.
 
 import (
 	"fmt"
@@ -20,92 +18,34 @@ type Mode int
 
 const (
 	// ModeSequential feeds the set's primaries directly from a
-	// single-threaded read: the reference every parallel mode must
-	// match.
+	// one-worker read: the reference the fused mode must match.
 	ModeSequential Mode = iota
-	// ModePipeline hash-routes observations to analyzer workers by user
-	// ID, preserving per-user stream order — exact for every analyzer,
-	// commutative or not.
-	ModePipeline
 	// ModeFused gives each decode worker a private replica of every
 	// analyzer, fed inline from the blocks it decodes, folded once at
-	// the end. Exact only for commutative sets.
+	// the end.
 	ModeFused
-	// ModeUnordered delivers batches in completion order into a replica
-	// pool. Exact only for commutative sets.
-	ModeUnordered
 )
 
 func (m Mode) String() string {
 	switch m {
 	case ModeSequential:
 		return "sequential"
-	case ModePipeline:
-		return "pipeline"
 	case ModeFused:
 		return "fused"
-	case ModeUnordered:
-		return "unordered"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ModeRequest is what the caller asked for; the planner maps it to a
-// Mode it can honor (or an error when it cannot).
-type ModeRequest int
-
-const (
-	// RequestAuto picks the fastest exact mode: sequential when one
-	// worker is requested, fused for commutative sets, pipeline
-	// otherwise.
-	RequestAuto ModeRequest = iota
-	// RequestSequential forces the single-threaded reference path.
-	RequestSequential
-	// RequestPipeline forces hash-routed ordered delivery.
-	RequestPipeline
-	// RequestFused asks for the fused path; a non-commutative set falls
-	// back to the pipeline (the historical AnalyzeDatasetFused
-	// contract).
-	RequestFused
-	// RequestUnordered demands completion-order delivery; a
-	// non-commutative set or a single-worker request is an error, not a
-	// fallback (the historical AnalyzeDatasetUnordered contract).
-	RequestUnordered
-)
-
-func (r ModeRequest) String() string {
-	switch r {
-	case RequestAuto:
-		return "auto"
-	case RequestSequential:
-		return "sequential"
-	case RequestPipeline:
-		return "pipeline"
-	case RequestFused:
-		return "fused"
-	case RequestUnordered:
-		return "unordered"
-	}
-	return fmt.Sprintf("ModeRequest(%d)", int(r))
-}
-
-// PlanInput is everything mode selection depends on: the request, the
-// worker budget, tolerance, and the source's shape as reported by
-// dataset.SourceCaps.
+// PlanInput is everything mode selection depends on: the worker
+// budget, tolerance, and the source's part count.
 type PlanInput struct {
-	Request ModeRequest
-	// Workers is the requested pool size as the caller spelled it:
-	// <= 0 means GOMAXPROCS, 1 means explicitly single-threaded. The
-	// distinction matters — unordered delivery refuses an explicit 1
-	// but accepts "all CPUs" even on a one-CPU machine, where it
-	// degrades gracefully rather than being a spelling error.
+	// Workers is the requested pool size: <= 0 means GOMAXPROCS, 1
+	// means sequential.
 	Workers int
 	// Tolerant selects the salvage read path on every part.
 	Tolerant bool
-	// Parts, SeekableParts, and Codec mirror dataset.SourceCaps.
-	Parts         int
-	SeekableParts bool
-	Codec         string
+	// Parts mirrors dataset.SourceCaps.PartCount.
+	Parts int
 }
 
 // Plan is a resolved execution strategy: the mode, the normalized
@@ -117,17 +57,14 @@ type Plan struct {
 	Workers  int
 	Parts    int
 	Tolerant bool
-	// Why is the one-line selection rationale, naming the
-	// non-commutative analyzers whenever they constrained the choice.
+	// Why is the one-line selection rationale.
 	Why string
 }
 
-// Plan resolves a PlanInput against the set's commutativity
-// declarations. It never starts goroutines; the executor reads the
-// returned Mode. The only error cases are the unordered refusals: an
-// explicit single worker, or analyzers that withhold the commutative
-// declaration (named in the error).
-func (s *AnalyzerSet) Plan(in PlanInput) (Plan, error) {
+// NewPlan resolves a PlanInput: one worker is sequential, anything else
+// is fused. It never starts goroutines; the executor reads the returned
+// Mode.
+func NewPlan(in PlanInput) Plan {
 	p := Plan{Workers: in.Workers, Parts: in.Parts, Tolerant: in.Tolerant}
 	if p.Workers <= 0 {
 		p.Workers = runtime.GOMAXPROCS(0)
@@ -135,39 +72,14 @@ func (s *AnalyzerSet) Plan(in PlanInput) (Plan, error) {
 	if p.Parts <= 0 {
 		p.Parts = 1
 	}
-	offenders := s.NonCommutative()
-	switch in.Request {
-	case RequestSequential:
-		p.Mode, p.Workers = ModeSequential, 1
-		p.Why = "sequential requested: the single-threaded reference path"
-	case RequestPipeline:
-		p.Mode = ModePipeline
-		p.Why = "pipeline requested: hash-routed delivery preserves per-user order"
-	case RequestUnordered:
-		if in.Workers == 1 {
-			return Plan{}, fmt.Errorf("core: unordered analysis needs the parallel reader; use workers 0 or > 1")
-		}
-		if len(offenders) > 0 {
-			return Plan{}, fmt.Errorf("core: unordered analysis requires every analyzer to declare a commutative Merge; non-commutative: %v", offenders)
-		}
-		p.Mode = ModeUnordered
-		p.Why = "unordered requested and every analyzer declares a commutative Merge"
-	default: // RequestAuto, RequestFused
-		if in.Request == RequestAuto && in.Workers == 1 {
-			p.Mode, p.Workers = ModeSequential, 1
-			p.Why = "one worker requested: the single-threaded reference path"
-			break
-		}
-		if len(offenders) > 0 {
-			p.Mode = ModePipeline
-			p.Why = fmt.Sprintf("fused needs commutative analyzers; %s withhold the declaration, so hash-routed pipeline delivery preserves per-user order",
-				strings.Join(offenders, ", "))
-			break
-		}
+	if p.Workers == 1 {
+		p.Mode = ModeSequential
+		p.Why = "one worker: the decode worker feeds the primaries directly"
+	} else {
 		p.Mode = ModeFused
-		p.Why = "every analyzer declares a commutative Merge: decode workers feed worker-local replicas, folded once"
+		p.Why = "decode workers feed worker-local replicas, folded once"
 	}
-	return p, nil
+	return p
 }
 
 // Explain renders the plan as one line for humans (the CLI's -explain

@@ -2,12 +2,10 @@ package dataset
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"userv6/internal/telemetry"
@@ -50,28 +48,14 @@ func TestDatasetCompressedRoundTrip(t *testing.T) {
 	r.Close()
 
 	sameRecords(t, readSequential(t, packed), obs)
-	sameRecords(t, readParallel(t, packed, ParallelOptions{Workers: 4}), obs)
-	sameRecords(t, readParallel(t, packed, ParallelOptions{Workers: 4, Tolerant: true}), obs)
+	sameRecords(t, readOneWorker(t, packed, false), obs)
+	sameRecords(t, readOneWorker(t, packed, true), obs)
 
-	pr, err := OpenParallel(packed, ParallelOptions{Workers: 4, Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	var mu sync.Mutex
-	var unordered []telemetry.Observation
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		unordered = append(unordered, b.Recs...)
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	fused := readFused(t, packed, ParallelOptions{Workers: 4})
 	want := append([]telemetry.Observation{}, obs...)
-	sortObs(unordered)
+	sortObs(fused)
 	sortObs(want)
-	sameRecords(t, unordered, want)
+	sameRecords(t, fused, want)
 }
 
 func TestCreateRejectsUnknownCodec(t *testing.T) {

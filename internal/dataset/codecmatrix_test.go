@@ -2,11 +2,9 @@ package dataset
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"userv6/internal/telemetry"
@@ -15,29 +13,6 @@ import (
 // codecPolicies is every compression policy a dataset can be written
 // under: the full codec × reader compatibility matrix runs over it.
 var codecPolicies = []string{"", "lz", "delta", "auto"}
-
-// readUnordered drains a dataset unordered and returns the records
-// sorted back into a canonical order for comparison.
-func readUnordered(t *testing.T, path string) []telemetry.Observation {
-	t.Helper()
-	pr, err := OpenParallel(path, ParallelOptions{Workers: 4, Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	var mu sync.Mutex
-	var out []telemetry.Observation
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		out = append(out, b.Recs...)
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sortObs(out)
-	return out
-}
 
 // TestCodecReaderMatrix: every codec policy × every reader mode must
 // deliver exactly the records that went in — equal record streams mean
@@ -58,12 +33,14 @@ func TestCodecReaderMatrix(t *testing.T) {
 			}
 
 			sameRecords(t, readSequential(t, path), obs)
-			sameRecords(t, readParallel(t, path, ParallelOptions{Workers: 4}), obs)
-			sameRecords(t, readParallel(t, path, ParallelOptions{Workers: 4, Tolerant: true}), obs)
+			sameRecords(t, readOneWorker(t, path, false), obs)
+			sameRecords(t, readOneWorker(t, path, true), obs)
 
 			sorted := append([]telemetry.Observation{}, obs...)
 			sortObs(sorted)
-			sameRecords(t, readUnordered(t, path), sorted)
+			fused := readFused(t, path, ParallelOptions{Workers: 4})
+			sortObs(fused)
+			sameRecords(t, fused, sorted)
 		})
 	}
 }

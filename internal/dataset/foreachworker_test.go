@@ -18,6 +18,14 @@ import (
 // that a callback is never invoked from two goroutines.
 func readFused(t *testing.T, path string, opts ParallelOptions) []telemetry.Observation {
 	t.Helper()
+	out, _ := readFusedCoverage(t, path, opts)
+	return out
+}
+
+// readFusedCoverage is readFused that also returns the read's coverage
+// report.
+func readFusedCoverage(t *testing.T, path string, opts ParallelOptions) ([]telemetry.Observation, telemetry.SalvageReport) {
+	t.Helper()
 	pr, err := OpenParallel(path, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +41,58 @@ func readFused(t *testing.T, path string, opts ParallelOptions) []telemetry.Obse
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, ok := pr.Coverage()
+	if !ok {
+		t.Fatal("no coverage after a completed fused read")
+	}
 	var out []telemetry.Observation
 	for _, recs := range perWorker {
 		out = append(out, recs...)
 	}
-	return out
+	return out, rep
+}
+
+// blockPayload is the file offset of byte off inside the payload of
+// default-size raw block k.
+func blockPayload(k, off int) int {
+	return headerSize + 4 + k*(16+1024*40) + 16 + off
+}
+
+// corruptCopy writes a copy of the dataset at path with the byte at each
+// offset bit-flipped and returns the copy's path.
+func corruptCopy(t *testing.T, path string, offsets ...int) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range offsets {
+		raw[off] ^= 0x80
+	}
+	bad := filepath.Join(t.TempDir(), "bad.uv6")
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return bad
+}
+
+// assertTolerantMatchesSalvage checks that a tolerant fused read of path
+// delivers exactly Salvage's records and reports Salvage's coverage.
+func assertTolerantMatchesSalvage(t *testing.T, path string, workers int) telemetry.SalvageReport {
+	t.Helper()
+	var want []telemetry.Observation
+	wantRep, err := Salvage(path, func(o telemetry.Observation) { want = append(want, o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rep := readFusedCoverage(t, path, ParallelOptions{Workers: workers, Tolerant: true})
+	if !rep.Equal(wantRep.Stream) {
+		t.Fatalf("workers=%d: coverage differs:\n   fused: %+v\n salvage: %+v", workers, rep, wantRep.Stream)
+	}
+	sortObs(got)
+	sortObs(want)
+	sameRecords(t, got, want)
+	return rep
 }
 
 func TestForEachWorkerMultisetEqual(t *testing.T) {
@@ -49,6 +104,27 @@ func TestForEachWorkerMultisetEqual(t *testing.T) {
 		got := readFused(t, path, ParallelOptions{Workers: workers})
 		sortObs(got)
 		sameRecords(t, got, want)
+	}
+}
+
+// TestParallelReaderUnorderedMultisetEqual: whatever order blocks
+// complete in, a multi-worker read delivers every record exactly once —
+// including a single partial block, exact block multiples, a one-record
+// tail block, and more workers than blocks.
+func TestParallelReaderUnorderedMultisetEqual(t *testing.T) {
+	for _, n := range []int{1, 1024, 1025, 4097} {
+		in := sample(n)
+		path := writeDataset(t, in)
+		want := append([]telemetry.Observation(nil), in...)
+		sortObs(want)
+		for _, workers := range []int{2, 3, 8} {
+			got, rep := readFusedCoverage(t, path, ParallelOptions{Workers: workers})
+			if rep.Records != uint64(n) || rep.CorruptBlocks != 0 {
+				t.Fatalf("n=%d workers=%d: coverage %+v", n, workers, rep)
+			}
+			sortObs(got)
+			sameRecords(t, got, want)
+		}
 	}
 }
 
@@ -96,69 +172,30 @@ func TestForEachWorkerSerialFactories(t *testing.T) {
 }
 
 func TestForEachWorkerTolerantMatchesSalvage(t *testing.T) {
-	path := writeDataset(t, sample(5000))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[headerSize+4+(16+1024*40)+16+99] ^= 0x80 // corrupt block 1
-	bad := filepath.Join(t.TempDir(), "bad.uv6")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var want []telemetry.Observation
-	wantRep, err := Salvage(bad, func(o telemetry.Observation) { want = append(want, o) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pr, err := OpenParallel(bad, ParallelOptions{Workers: 4, Tolerant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	perWorker := make([][]telemetry.Observation, pr.Workers())
-	err = pr.ForEachWorker(context.Background(), func(w int) func(Batch) error {
-		return func(b Batch) error {
-			perWorker[w] = append(perWorker[w], b.Recs...)
-			return nil
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := pr.Coverage()
-	if !ok {
-		t.Fatal("no coverage after tolerant fused read")
-	}
-	if !rep.Equal(wantRep.Stream) {
-		t.Fatalf("coverage differs:\n   fused: %+v\n salvage: %+v", rep, wantRep.Stream)
-	}
-	var got []telemetry.Observation
-	for _, recs := range perWorker {
-		got = append(got, recs...)
-	}
-	sortObs(got)
-	sortObs(want)
-	sameRecords(t, got, want)
+	bad := corruptCopy(t, writeDataset(t, sample(5000)), blockPayload(1, 99))
+	assertTolerantMatchesSalvage(t, bad, 4)
 }
 
-// A corrupt block in strict fused mode fails the read like the
-// sequential reader does (the fused path has no ordered delivery, so
-// no prefix guarantee — only the error contract).
-func TestForEachWorkerStrictCorruptBlock(t *testing.T) {
-	path := writeDataset(t, sample(5000))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestParallelReaderTolerantUnordered: a tolerant multi-worker read of a
+// file damaged at both ends — the first block and the partial last
+// block — skips exactly the damaged blocks, whichever worker draws them,
+// and accounts for them as Salvage does.
+func TestParallelReaderTolerantUnordered(t *testing.T) {
+	path := writeDataset(t, sample(5000)) // blocks 0-3 full, block 4 partial
+	bad := corruptCopy(t, path, blockPayload(0, 7), blockPayload(4, 40))
+	for _, workers := range []int{2, 8} {
+		rep := assertTolerantMatchesSalvage(t, bad, workers)
+		if rep.CorruptBlocks != 2 || rep.Records != 3*1024 {
+			t.Fatalf("workers=%d: coverage %+v, want 2 corrupt blocks and %d records", workers, rep, 3*1024)
+		}
 	}
-	raw[headerSize+4+2*(16+1024*40)+16+200] ^= 0x01
-	bad := filepath.Join(t.TempDir(), "bad.uv6")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// A corrupt block in a strict multi-worker read fails the read like the
+// sequential reader does (blocks complete out of order, so there is no
+// prefix guarantee — only the error contract).
+func TestForEachWorkerStrictCorruptBlock(t *testing.T) {
+	bad := corruptCopy(t, writeDataset(t, sample(5000)), blockPayload(2, 200))
 	pr, err := OpenParallel(bad, ParallelOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +275,6 @@ func TestForEachWorkerSingleUse(t *testing.T) {
 	}
 	if err := pr.ForEachWorker(context.Background(), noop); err == nil {
 		t.Fatal("second consume must fail")
-	}
-	if err := pr.ForEachBatch(context.Background(), func(Batch) error { return nil }); err == nil {
-		t.Fatal("ForEachBatch after ForEachWorker must fail")
 	}
 }
 

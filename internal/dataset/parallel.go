@@ -3,11 +3,12 @@ package dataset
 // Block-parallel dataset reading. The v2 format's independently
 // checksummed, independently decodable blocks are the natural unit of
 // parallelism: a single goroutine performs the sequential disk I/O
-// (frame scanning), a worker pool verifies checksums and decodes
-// records, and batches are delivered either in exact stream order (for
-// byte-exact tooling and order-sensitive analyzers) or as they complete
-// (for commutative consumers). Tolerant reads — the salvage path that
-// skips corrupt blocks and reports coverage — go through the same pool.
+// (frame scanning), and a worker pool verifies checksums, decodes
+// records, and hands each block to its worker's own callback
+// (ForEachWorker). With one worker the blocks arrive in stream order;
+// with more they arrive in completion order. Tolerant reads — the
+// salvage path that skips corrupt blocks and reports coverage — go
+// through the same pool.
 
 import (
 	"bufio"
@@ -30,12 +31,6 @@ import (
 type ParallelOptions struct {
 	// Workers is the decode pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Unordered delivers batches as workers finish them instead of in
-	// stream order, and invokes the callback concurrently from the
-	// worker goroutines. Only consumers whose accumulation is
-	// commutative (and whose callback is safe for concurrent use)
-	// should opt in; everything else wants the default ordered mode.
-	Unordered bool
 	// Tolerant switches to the salvage read path: corrupt blocks are
 	// skipped instead of failing the read, and Coverage reports what
 	// fraction of the stream the delivered records describe. The whole
@@ -44,7 +39,7 @@ type ParallelOptions struct {
 }
 
 // Batch is one decoded block of records. The slice is recycled after
-// the delivery callback returns; consumers must copy any records they
+// the worker callback returns; consumers must copy any records they
 // retain (Observation is a value type, so plain assignment copies).
 type Batch struct {
 	// Index is the block's 0-based position in the stream. In tolerant
@@ -148,64 +143,18 @@ func (pr *ParallelReader) finishStrict(reports []telemetry.SalvageReport) {
 // Close closes the underlying file.
 func (pr *ParallelReader) Close() error { return pr.f.Close() }
 
-// ForEach streams every record through fn in exact stream order, like
-// Reader.ForEach, with decode parallelized across the pool.
-func (pr *ParallelReader) ForEach(fn telemetry.EmitFunc) error {
-	if pr.opts.Unordered {
-		return errors.New("dataset: ForEach requires ordered delivery (use ForEachBatch for unordered reads)")
-	}
-	return pr.ForEachBatch(context.Background(), func(b Batch) error {
-		for _, o := range b.Recs {
-			fn(o)
-		}
-		return nil
-	})
-}
-
-// ForEachBatch decodes the stream through the worker pool and delivers
-// each block's records to fn. In ordered mode (the default) fn is
-// invoked from the calling goroutine, one batch at a time, in stream
-// order — a strict-mode corrupt-block error surfaces only after every
-// block before it has been delivered, exactly like the sequential
-// reader. In unordered mode fn is invoked concurrently from the worker
-// goroutines in completion order. A non-nil error from fn cancels the
-// read and is returned. The reader is single-use: a second call
-// returns an error.
-func (pr *ParallelReader) ForEachBatch(ctx context.Context, fn func(Batch) error) error {
-	if pr.consumed {
-		return errors.New("dataset: stream already consumed")
-	}
-	pr.consumed = true
-	if pr.opts.Tolerant {
-		return pr.runTolerant(ctx, fn)
-	}
-	return pr.runStrict(ctx, fn)
-}
-
 // scanLabeled and workerLabeled attach pprof goroutine labels so CPU
-// and goroutine profiles attribute time by pipeline stage and worker:
-// stage=scan for the frame scanner, stage=decode for pool workers that
-// only decode, stage=decode+analyze for fused ForEachWorker workers.
+// and goroutine profiles attribute time by stage and worker: stage=scan
+// for the frame scanner, stage=decode+analyze for the ForEachWorker
+// workers, which decode blocks and run the callback on them.
 func scanLabeled(body func()) {
 	pprof.Do(context.Background(), pprof.Labels("stage", "scan"),
 		func(context.Context) { body() })
 }
 
-func workerLabeled(stage string, w int, body func()) {
-	pprof.Do(context.Background(), pprof.Labels("stage", stage, "worker", strconv.Itoa(w)),
+func workerLabeled(w int, body func()) {
+	pprof.Do(context.Background(), pprof.Labels("stage", "decode+analyze", "worker", strconv.Itoa(w)),
 		func(context.Context) { body() })
-}
-
-// result is one decoded block (or a positioned error) on its way from
-// the pool to delivery. In unordered mode only errors flow through.
-// codec and cksum carry the block's stored codec and frame version so
-// ordered delivery can count strict-mode coverage.
-type result struct {
-	idx   int
-	recs  []telemetry.Observation
-	err   error
-	codec telemetry.CodecID
-	cksum bool
 }
 
 // pools recycles payload and record-batch scratch buffers across
@@ -241,252 +190,6 @@ func (p *pools) putRecs(b []telemetry.Observation) {
 	}
 }
 
-func (pr *ParallelReader) runStrict(ctx context.Context, fn func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var bufs pools
-	jobs := make(chan telemetry.RawBlock, pr.opts.Workers)
-	results := make(chan result, pr.opts.Workers*2)
-
-	// Scanner: sequential frame I/O. A scan error is assigned the index
-	// the next block would have carried, so ordered delivery emits it
-	// after every block before the damage — like the sequential reader.
-	go scanLabeled(func() {
-		defer close(jobs)
-		br := telemetry.NewBlockReader(bufio.NewReaderSize(pr.f, 1<<20))
-		idx := 0
-		for {
-			blk, err := br.Next(bufs.getPayload())
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				select {
-				case results <- result{idx: idx, err: err}:
-				case <-ctx.Done():
-				}
-				return
-			}
-			idx = blk.Index + 1
-			select {
-			case jobs <- blk:
-			case <-ctx.Done():
-				return
-			}
-		}
-	})
-
-	// Workers: CRC verify + codec decode; in unordered mode they also
-	// deliver. Each worker keeps its own decompression scratch, so a
-	// compressed stream decodes with zero steady-state allocations and
-	// the LZ work parallelizes with the rest of the block decode.
-	// reports[w] counts worker w's unordered deliveries (ordered
-	// delivery counts in deliver, at reports[Workers]).
-	reports := make([]telemetry.SalvageReport, pr.opts.Workers+1)
-	var wg sync.WaitGroup
-	for w := 0; w < pr.opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerLabeled("decode", w, func() {
-				var scratch []byte
-				for blk := range jobs {
-					recs, sc, err := blk.AppendDecoded(bufs.getRecs(), scratch)
-					scratch = sc
-					bufs.putPayload(blk.Payload)
-					if err == nil && pr.opts.Unordered {
-						n := len(recs)
-						err = fn(Batch{Index: blk.Index, Recs: recs})
-						bufs.putRecs(recs)
-						if err == nil {
-							reports[w].RecordBlock(blk.Codec, blk.Checksummed(), n)
-							continue
-						}
-						recs = nil
-					}
-					if err != nil {
-						recs = nil
-					}
-					select {
-					case results <- result{idx: blk.Index, recs: recs, err: err,
-						codec: blk.Codec, cksum: blk.Checksummed()}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			})
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	if err := pr.deliver(cancel, results, fn, &bufs, &reports[pr.opts.Workers]); err != nil {
-		return err
-	}
-	// deliver only cancels after recording an error, so a cancelled
-	// context here means the caller's ctx fired mid-read.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Workers have been joined (results closed), so every per-worker
-	// report happens-before this sum.
-	pr.finishStrict(reports)
-	return nil
-}
-
-// Note that the scan error carries the index where the sequential
-// reader would have failed; in the strict path corruption anywhere
-// fails the read, but ordered delivery still hands over every block
-// before the damage first, mirroring Reader.ForEach exactly.
-
-func (pr *ParallelReader) runTolerant(ctx context.Context, fn func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Buffer the stream like Salvage: resynchronization needs random
-	// access, and salvage is an offline recovery path, not a hot one.
-	data, err := io.ReadAll(bufio.NewReaderSize(pr.f, 1<<20))
-	if err != nil {
-		return fmt.Errorf("dataset: salvage read: %w", err)
-	}
-
-	var bufs pools
-	type job struct {
-		idx     int
-		payload []byte
-	}
-	jobs := make(chan job, pr.opts.Workers)
-	results := make(chan result, pr.opts.Workers*2)
-
-	// Scanner: the sequential marker-resync walk, checksums included —
-	// the resync position depends on each candidate frame's checksum
-	// verdict, so deferring verification would change what salvage
-	// recovers. Workers get the already-verified payloads to decode.
-	var (
-		rep     telemetry.SalvageReport
-		scanErr error
-	)
-	go scanLabeled(func() {
-		defer close(jobs)
-		idx := 0
-		rep, scanErr = telemetry.SalvageBlocks(data, func(payload []byte, count int) {
-			select {
-			case jobs <- job{idx: idx, payload: payload}:
-				idx++
-			case <-ctx.Done():
-			}
-		})
-	})
-
-	var wg sync.WaitGroup
-	for w := 0; w < pr.opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerLabeled("decode", w, func() {
-				for j := range jobs {
-					recs := telemetry.AppendRecords(bufs.getRecs(), j.payload)
-					var err error
-					if pr.opts.Unordered {
-						err = fn(Batch{Index: j.idx, Recs: recs})
-						bufs.putRecs(recs)
-						if err == nil {
-							continue
-						}
-						recs = nil
-					}
-					select {
-					case results <- result{idx: j.idx, recs: recs, err: err}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			})
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	if err := pr.deliver(cancel, results, fn, &bufs, nil); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// The report is safe to read: SalvageBlocks returned before the
-	// deferred close(jobs), which happens-before the pool drained and
-	// deliver observed the closed results channel.
-	if scanErr != nil {
-		return scanErr
-	}
-	pr.coverage, pr.covered = rep, true
-	return nil
-}
-
-// deliver consumes results until the pool drains. Ordered mode holds
-// out-of-order blocks back until their predecessors have been handed to
-// fn; unordered mode only watches for errors (delivery already happened
-// in the workers). On the first error it cancels the pipeline and keeps
-// draining so no goroutine is left blocked on a send. A non-nil rep
-// counts each successfully delivered block (strict ordered reads;
-// tolerant reads take their coverage from the salvage scan instead).
-func (pr *ParallelReader) deliver(cancel context.CancelFunc, results <-chan result, fn func(Batch) error, bufs *pools, rep *telemetry.SalvageReport) error {
-	var (
-		firstErr error
-		next     int
-		held     = make(map[int]result)
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	for r := range results {
-		if r.err != nil {
-			if pr.opts.Unordered || firstErr != nil {
-				fail(r.err)
-				continue
-			}
-			// Ordered: the error waits its turn like any block.
-		}
-		if pr.opts.Unordered {
-			continue
-		}
-		held[r.idx] = r
-		for {
-			h, ok := held[next]
-			if !ok {
-				break
-			}
-			delete(held, next)
-			if firstErr != nil {
-				bufs.putRecs(h.recs)
-				next++
-				continue
-			}
-			if h.err != nil {
-				fail(h.err)
-				next++
-				continue
-			}
-			if err := fn(Batch{Index: next, Recs: h.recs}); err != nil {
-				fail(err)
-			} else if rep != nil {
-				rep.RecordBlock(h.codec, h.cksum, len(h.recs))
-			}
-			bufs.putRecs(h.recs)
-			next++
-		}
-	}
-	return firstErr
-}
-
 // WorkerPanicError reports a panic that escaped a ForEachWorker
 // callback (or the decode feeding it). The read returns it as an
 // ordinary error so callers can tell "a worker blew up" from "a block
@@ -501,20 +204,19 @@ func (e *WorkerPanicError) Error() string {
 	return fmt.Sprintf("dataset: ForEachWorker worker %d panicked: %v", e.Worker, e.Value)
 }
 
-// ForEachWorker is the fused consumption mode: newWorker is called
-// serially (worker 0 first, before any goroutine starts) to build one
-// callback per decode worker, and each worker then invokes its own
-// callback inline on every block it decodes — no ordered-delivery
-// heap, no cross-goroutine batch handoff, no router. Batches arrive in
-// arbitrary order and their record slices are recycled as soon as the
-// callback returns. A given callback is only ever invoked from its own
-// worker goroutine, so worker-local state needs no locking, while the
-// serial factory phase may freely touch shared state. The Unordered
-// option is irrelevant here (delivery is inherently unordered);
-// Tolerant selects the salvage scan and fills Coverage on success. The
-// first decode or callback error cancels the read and is returned; a
-// callback panic is recovered and returned as a *WorkerPanicError. The
-// reader is single-use, like ForEachBatch.
+// ForEachWorker consumes the stream: newWorker is called serially
+// (worker 0 first, before any goroutine starts) to build one callback
+// per decode worker, and each worker then invokes its own callback
+// inline on every block it decodes. With one worker the batches arrive
+// in stream order; with more, in arbitrary order. Record slices
+// are recycled as soon as the callback returns. A given callback is
+// only ever invoked from its own worker goroutine, so worker-local
+// state needs no locking, while the serial factory phase may freely
+// touch shared state. Tolerant selects the salvage scan and fills
+// Coverage on success. The first decode or callback error cancels the
+// read and is returned; a callback panic is recovered and returned as a
+// *WorkerPanicError. The reader is single-use: a second call returns an
+// error.
 func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(worker int) func(Batch) error) error {
 	if pr.consumed {
 		return errors.New("dataset: stream already consumed")
@@ -531,7 +233,7 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 }
 
 // failFunc returns a first-error-wins recorder: the first failure
-// cancels the pipeline, later ones are dropped. The recorded error is
+// cancels the read, later ones are dropped. The recorded error is
 // read only after every writer goroutine has been joined.
 func failFunc(cancel context.CancelFunc, firstErr *error) func(error) {
 	var mu sync.Mutex
@@ -582,7 +284,7 @@ func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) er
 		wg.Add(1)
 		go func(w int, fn func(Batch) error) {
 			defer wg.Done()
-			workerLabeled("decode+analyze", w, func() {
+			workerLabeled(w, func() {
 				defer func() {
 					if v := recover(); v != nil {
 						fail(&WorkerPanicError{Worker: w, Value: v, Stack: debug.Stack()})
@@ -632,7 +334,7 @@ func (pr *ParallelReader) workerTolerant(ctx context.Context, fns []func(Batch) 
 	defer cancel()
 
 	// Buffer the stream like Salvage: resynchronization needs random
-	// access (see runTolerant).
+	// access, and salvage is an offline recovery path, not a hot one.
 	data, err := io.ReadAll(bufio.NewReaderSize(pr.f, 1<<20))
 	if err != nil {
 		return fmt.Errorf("dataset: salvage read: %w", err)
@@ -670,7 +372,7 @@ func (pr *ParallelReader) workerTolerant(ctx context.Context, fns []func(Batch) 
 		wg.Add(1)
 		go func(w int, fn func(Batch) error) {
 			defer wg.Done()
-			workerLabeled("decode+analyze", w, func() {
+			workerLabeled(w, func() {
 				defer func() {
 					if v := recover(); v != nil {
 						fail(&WorkerPanicError{Worker: w, Value: v, Stack: debug.Stack()})

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 
 	"userv6/internal/telemetry"
@@ -27,19 +26,33 @@ func readSequential(t *testing.T, path string) []telemetry.Observation {
 	return out
 }
 
-// readParallel drains a dataset with a ParallelReader in ordered mode.
-func readParallel(t *testing.T, path string, opts ParallelOptions) []telemetry.Observation {
+// readOneWorker drains a dataset through a one-worker ForEachWorker —
+// the sequential analysis path — which delivers blocks in stream order.
+func readOneWorker(t *testing.T, path string, tolerant bool) []telemetry.Observation {
 	t.Helper()
-	pr, err := OpenParallel(path, opts)
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 1, Tolerant: tolerant})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	var out []telemetry.Observation
-	if err := pr.ForEach(func(o telemetry.Observation) { out = append(out, o) }); err != nil {
+	out, err := collectOneWorker(pr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// collectOneWorker appends every delivered record of a one-worker read
+// and returns them with the read's error.
+func collectOneWorker(pr *ParallelReader) ([]telemetry.Observation, error) {
+	var out []telemetry.Observation
+	err := pr.ForEachWorker(context.Background(), func(int) func(Batch) error {
+		return func(b Batch) error {
+			out = append(out, b.Recs...) // value copies
+			return nil
+		}
+	})
+	return out, err
 }
 
 func sameRecords(t *testing.T, got, want []telemetry.Observation) {
@@ -64,14 +77,12 @@ func sortObs(obs []telemetry.Observation) {
 	})
 }
 
+// A one-worker read reproduces the sequential reader record for record:
+// the single worker takes the scanner's blocks in stream order.
 func TestParallelReaderOrderedMatchesSequential(t *testing.T) {
 	in := sample(5000) // ~5 default-size blocks
 	path := writeDataset(t, in)
-	want := readSequential(t, path)
-	for _, workers := range []int{1, 4} {
-		got := readParallel(t, path, ParallelOptions{Workers: workers})
-		sameRecords(t, got, want)
-	}
+	sameRecords(t, readOneWorker(t, path, false), readSequential(t, path))
 }
 
 func TestParallelReaderMeta(t *testing.T) {
@@ -91,51 +102,26 @@ func TestParallelReaderMeta(t *testing.T) {
 
 func TestParallelReaderBatchIndexesOrdered(t *testing.T) {
 	path := writeDataset(t, sample(4500))
-	pr, err := OpenParallel(path, ParallelOptions{Workers: 4})
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
 	next := 0
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		if b.Index != next {
-			t.Fatalf("batch index %d, want %d", b.Index, next)
+	if err := pr.ForEachWorker(context.Background(), func(int) func(Batch) error {
+		return func(b Batch) error {
+			if b.Index != next {
+				t.Fatalf("batch index %d, want %d", b.Index, next)
+			}
+			next++
+			return nil
 		}
-		next++
-		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if next != 5 {
 		t.Fatalf("saw %d batches, want 5", next)
 	}
-}
-
-func TestParallelReaderUnorderedMultisetEqual(t *testing.T) {
-	in := sample(5000)
-	path := writeDataset(t, in)
-	want := readSequential(t, path)
-
-	pr, err := OpenParallel(path, ParallelOptions{Workers: 4, Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	var (
-		mu  sync.Mutex
-		got []telemetry.Observation
-	)
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		got = append(got, b.Recs...) // Observation is a value; append copies
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sortObs(got)
-	sortObs(want)
-	sameRecords(t, got, want)
 }
 
 func TestParallelReaderRawStream(t *testing.T) {
@@ -159,7 +145,7 @@ func TestParallelReaderRawStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pr, err := OpenParallel(path, ParallelOptions{Workers: 4})
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +153,17 @@ func TestParallelReaderRawStream(t *testing.T) {
 	if !pr.Raw() {
 		t.Fatal("raw stream not detected")
 	}
-	var got []telemetry.Observation
-	if err := pr.ForEach(func(o telemetry.Observation) { got = append(got, o) }); err != nil {
+	got, err := collectOneWorker(pr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sameRecords(t, got, in)
 }
 
-// A corrupt block in strict mode fails the read with a typed error, but
-// only after every preceding block has been delivered in order — the
-// exact behavior of the sequential reader.
+// A block failing its checksum in a strict one-worker read fails the
+// read with a typed error, but only after every preceding block has
+// been delivered in order — the exact behavior of the sequential
+// reader.
 func TestParallelReaderStrictCorruptBlock(t *testing.T) {
 	in := sample(5000)
 	path := writeDataset(t, in)
@@ -205,13 +192,12 @@ func TestParallelReaderStrictCorruptBlock(t *testing.T) {
 		t.Fatalf("sequential reader: want ErrCorrupt, got %v", serr)
 	}
 
-	pr, err := OpenParallel(bad, ParallelOptions{Workers: 4})
+	pr, err := OpenParallel(bad, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	var got []telemetry.Observation
-	perr := pr.ForEach(func(o telemetry.Observation) { got = append(got, o) })
+	got, perr := collectOneWorker(pr)
 	if !errors.Is(perr, telemetry.ErrCorrupt) {
 		t.Fatalf("parallel reader: want ErrCorrupt, got %v", perr)
 	}
@@ -222,8 +208,8 @@ func TestParallelReaderStrictCorruptBlock(t *testing.T) {
 	sameRecords(t, got, want)
 }
 
-// Tolerant parallel reads must recover exactly what Salvage recovers
-// and report identical coverage.
+// Tolerant one-worker reads must recover exactly what Salvage recovers,
+// in the same order, and report identical coverage.
 func TestParallelReaderTolerantMatchesSalvage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -253,18 +239,18 @@ func TestParallelReaderTolerantMatchesSalvage(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			got := readParallel(t, bad, ParallelOptions{Workers: 4, Tolerant: true})
-			sameRecords(t, got, want)
-
-			// Coverage accounting must match the sequential salvage walk.
-			pr, err := OpenParallel(bad, ParallelOptions{Workers: 4, Tolerant: true})
+			pr, err := OpenParallel(bad, ParallelOptions{Workers: 1, Tolerant: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pr.Close()
-			if err := pr.ForEachBatch(context.Background(), func(Batch) error { return nil }); err != nil {
+			got, err := collectOneWorker(pr)
+			if err != nil {
 				t.Fatal(err)
 			}
+			sameRecords(t, got, want)
+
+			// Coverage accounting must match the sequential salvage walk.
 			rep, ok := pr.Coverage()
 			if !ok {
 				t.Fatal("no coverage after tolerant read")
@@ -276,115 +262,70 @@ func TestParallelReaderTolerantMatchesSalvage(t *testing.T) {
 	}
 }
 
-func TestParallelReaderTolerantUnordered(t *testing.T) {
+// A callback error stops a one-worker read at that block: no later
+// block reaches the callback.
+func TestParallelReaderCallbackError(t *testing.T) {
 	path := writeDataset(t, sample(5000))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[headerSize+4+16+50] ^= 0x04 // corrupt block 0
-	bad := filepath.Join(t.TempDir(), "bad.uv6")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var want []telemetry.Observation
-	wantRep, err := Salvage(bad, func(o telemetry.Observation) { want = append(want, o) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pr, err := OpenParallel(bad, ParallelOptions{Workers: 4, Unordered: true, Tolerant: true})
+	boom := errors.New("boom")
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	var (
-		mu  sync.Mutex
-		got []telemetry.Observation
-	)
-	if err := pr.ForEachBatch(context.Background(), func(b Batch) error {
-		mu.Lock()
-		got = append(got, b.Recs...)
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rep, ok := pr.Coverage(); !ok || !rep.Equal(wantRep.Stream) {
-		t.Fatalf("coverage %+v (ok=%v), want %+v", rep, ok, wantRep.Stream)
-	}
-	sortObs(got)
-	sortObs(want)
-	sameRecords(t, got, want)
-}
-
-func TestParallelReaderCallbackError(t *testing.T) {
-	path := writeDataset(t, sample(5000))
-	boom := errors.New("boom")
-	for _, unordered := range []bool{false, true} {
-		pr, err := OpenParallel(path, ParallelOptions{Workers: 4, Unordered: unordered})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := 0
-		err = pr.ForEachBatch(context.Background(), func(Batch) error {
+	calls := 0
+	err = pr.ForEachWorker(context.Background(), func(int) func(Batch) error {
+		return func(Batch) error {
 			calls++
 			if calls == 2 {
 				return boom
 			}
 			return nil
-		})
-		pr.Close()
-		if !errors.Is(err, boom) {
-			t.Fatalf("unordered=%v: want callback error, got %v", unordered, err)
 		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want callback error, got %v", err)
+	}
+	if calls != 2 {
+		t.Fatalf("callback ran %d times, want the read to stop after the failing call", calls)
 	}
 }
 
 func TestParallelReaderContextCancel(t *testing.T) {
 	path := writeDataset(t, sample(5000))
-	pr, err := OpenParallel(path, ParallelOptions{Workers: 2})
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	err = pr.ForEachBatch(ctx, func(b Batch) error {
-		cancel() // fire mid-read
-		return nil
+	err = pr.ForEachWorker(ctx, func(int) func(Batch) error {
+		return func(Batch) error {
+			cancel() // fire mid-read
+			return nil
+		}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
+// A reader is consumed by its first read even when that read failed: a
+// second ForEachWorker must refuse rather than resume from wherever the
+// failed read left the file.
 func TestParallelReaderSingleUse(t *testing.T) {
-	path := writeDataset(t, sample(100))
-	pr, err := OpenParallel(path, ParallelOptions{})
+	path := writeDataset(t, sample(5000))
+	pr, err := OpenParallel(path, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	if err := pr.ForEachBatch(context.Background(), func(Batch) error { return nil }); err != nil {
-		t.Fatal(err)
+	boom := errors.New("boom")
+	if err := pr.ForEachWorker(context.Background(), func(int) func(Batch) error {
+		return func(Batch) error { return boom }
+	}); !errors.Is(err, boom) {
+		t.Fatalf("first read: want callback error, got %v", err)
 	}
-	if err := pr.ForEachBatch(context.Background(), func(Batch) error { return nil }); err == nil {
-		t.Fatal("second consume must fail")
-	}
-	if err := pr.ForEach(func(telemetry.Observation) {}); err == nil {
-		t.Fatal("ForEach after consume must fail")
-	}
-}
-
-func TestParallelReaderUnorderedForEachRejected(t *testing.T) {
-	path := writeDataset(t, sample(100))
-	pr, err := OpenParallel(path, ParallelOptions{Unordered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	if err := pr.ForEach(func(telemetry.Observation) {}); err == nil {
-		t.Fatal("ForEach must reject unordered mode")
+	if _, err := collectOneWorker(pr); err == nil {
+		t.Fatal("second consume after a failed read must fail")
 	}
 }

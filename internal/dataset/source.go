@@ -19,20 +19,11 @@ import (
 	"strings"
 )
 
-// SourceCaps describes what a Source can promise the planner and the
-// executor.
+// SourceCaps describes what a Source can promise the planner.
 type SourceCaps struct {
 	// PartCount is the number of independent part streams. A plain file
 	// counts as one part.
 	PartCount int
-	// SeekableParts reports whether every part is an independently
-	// openable file (true for all current sources; a future remote
-	// manifest union may stream).
-	SeekableParts bool
-	// Codec is the declared compression policy when every part agrees
-	// on one ("" when unknown or mixed). The executor cross-checks the
-	// per-part declarations individually; this is the summary view.
-	Codec string
 }
 
 // Source is one logical telemetry corpus: an ordered set of part files
@@ -108,7 +99,7 @@ func (s *FileSource) Parts() []string               { return []string{s.path} }
 func (s *FileSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
 func (s *FileSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
 func (s *FileSource) Caps() SourceCaps {
-	return SourceCaps{PartCount: 1, SeekableParts: true, Codec: s.meta.Codec}
+	return SourceCaps{PartCount: 1}
 }
 
 // ManifestSource is a sharded export addressed by its manifest: part
@@ -165,18 +156,7 @@ func (s *ManifestSource) Meta() (Meta, bool) {
 	return m, true
 }
 
-func (s *ManifestSource) Caps() SourceCaps {
-	caps := SourceCaps{PartCount: len(s.parts), SeekableParts: true}
-	for i, p := range s.man.Parts {
-		if i == 0 {
-			caps.Codec = p.Codec
-		} else if caps.Codec != p.Codec {
-			caps.Codec = "" // mixed declarations: no summary policy
-			break
-		}
-	}
-	return caps
-}
+func (s *ManifestSource) Caps() SourceCaps { return SourceCaps{PartCount: len(s.parts)} }
 
 // Manifest exposes the parsed manifest for tools that report per-part
 // detail (verify, merge planning).
@@ -217,7 +197,7 @@ func (s *PartsSource) Parts() []string               { return s.parts }
 func (s *PartsSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
 func (s *PartsSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
 func (s *PartsSource) Caps() SourceCaps {
-	return SourceCaps{PartCount: len(s.parts), SeekableParts: true}
+	return SourceCaps{PartCount: len(s.parts)}
 }
 
 // OpenSource resolves a user-supplied path to the right source shape:

@@ -9,7 +9,7 @@ import (
 
 // shardedDir writes a two-part export with a complete manifest and
 // returns the directory.
-func shardedDir(t *testing.T, codecs ...string) string {
+func shardedDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	meta := Meta{Seed: 7, Users: 400, FromDay: 0, ToDay: 6, Sample: "all"}
@@ -19,13 +19,8 @@ func shardedDir(t *testing.T, codecs ...string) string {
 		ConfigHash: ConfigHash(meta), Meta: meta, Complete: true,
 	}
 	for i := 0; i < 2; i++ {
-		pm := meta
-		if len(codecs) > i {
-			pm.Codec = codecs[i]
-		}
 		name := filepath.Join(dir, partName(i))
-		info := writePart(t, name, pm, obs[i*200:(i+1)*200])
-		info.Codec = pm.Codec
+		info := writePart(t, name, meta, obs[i*200:(i+1)*200])
 		info.UserLo, info.UserHi = i*200, (i+1)*200
 		man.Parts = append(man.Parts, info)
 	}
@@ -67,15 +62,13 @@ func TestOpenSourceResolution(t *testing.T) {
 	if src.Kind() != "file" || len(src.Parts()) != 1 {
 		t.Fatalf("OpenSource(part file): kind %s, %d parts", src.Kind(), len(src.Parts()))
 	}
-	caps := src.Caps()
-	if caps.PartCount != 1 || !caps.SeekableParts {
+	if caps := src.Caps(); caps.PartCount != 1 {
 		t.Fatalf("file caps %+v", caps)
 	}
 }
 
 // TestManifestSourceMetaAndCaps: Meta() carries the per-part record
-// total (the merged header's count), and Caps' summary codec collapses
-// to empty on mixed declarations.
+// total (the merged header's count), and Caps counts the parts.
 func TestManifestSourceMetaAndCaps(t *testing.T) {
 	dir := shardedDir(t)
 	src, err := OpenManifestSource(dir)
@@ -86,26 +79,8 @@ func TestManifestSourceMetaAndCaps(t *testing.T) {
 	if !ok || meta.Records != src.Manifest().TotalRecords() || meta.Records == 0 {
 		t.Fatalf("manifest meta %+v (ok=%v), want records filled from parts", meta, ok)
 	}
-	if got, n := src.Caps(), len(src.Parts()); got.PartCount != n || !got.SeekableParts {
-		t.Fatalf("manifest caps %+v, want %d seekable parts", got, n)
-	}
-
-	mixed := shardedDir(t, "lz", "")
-	ms, err := OpenManifestSource(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := ms.Caps().Codec; c != "" {
-		t.Fatalf("mixed-codec manifest summarizes codec %q, want none", c)
-	}
-
-	uniform := shardedDir(t, "lz", "lz")
-	us, err := OpenManifestSource(uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := us.Caps().Codec; c != "lz" {
-		t.Fatalf("uniform lz manifest summarizes codec %q", c)
+	if got := src.Caps(); got.PartCount != 2 || len(src.Parts()) != 2 {
+		t.Fatalf("manifest caps %+v over %d parts, want 2", got, len(src.Parts()))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"userv6/internal/core"
-	"userv6/internal/dataset"
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
@@ -176,11 +175,10 @@ func (s *Sim) GenerateParallel(from, to simtime.Day, shards int, newConsumer fun
 // goroutines (0 means GOMAXPROCS). Each generation shard — a disjoint
 // user range — feeds a private replica of every registered analyzer, so
 // no analyzer state crosses goroutines; the replicas fold into the
-// set's primaries when every shard completes. User-disjoint sharding
-// makes the fold exact for every analyzer, even ones that withhold the
-// commutative declaration. The benign stream runs sharded;
-// abusive telemetry (when includeAbusive is set) streams serially into
-// the folded primaries afterwards, mirroring Generate's ordering. On
+// set's primaries when every shard completes. The benign stream runs
+// sharded; abusive telemetry (when includeAbusive is set) streams
+// serially into the folded primaries afterwards, mirroring Generate's
+// ordering. On
 // error — cancellation or a *ShardPanicError — the set's primaries are
 // left unfolded.
 func (s *Sim) AnalyzeParallelCtx(ctx context.Context, from, to simtime.Day, shards int, set *core.AnalyzerSet, includeAbusive bool) error {
@@ -202,60 +200,6 @@ func (s *Sim) AnalyzeParallelCtx(ctx context.Context, from, to simtime.Day, shar
 	return nil
 }
 
-// analyzeFileAs wraps path as a FileSource and runs it under the
-// requested mode — the shared body of the historical AnalyzeDataset*
-// entry points, which are now thin shims over the source/plan/execute
-// stack (see analyze.go).
-func analyzeFileAs(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool, req core.ModeRequest) (telemetry.SalvageReport, error) {
-	src, err := dataset.NewFileSource(path)
-	if err != nil {
-		return telemetry.SalvageReport{}, err
-	}
-	return AnalyzeSource(ctx, src, set, AnalyzeOptions{Workers: workers, Tolerant: tolerant, Mode: req})
-}
-
-// AnalyzeDatasetParallel replays a dataset file through an AnalyzerSet
-// with both halves of the pipeline parallel: workers goroutines decode
-// and checksum-verify blocks (dataset.OpenParallel) while an equal pool
-// of analyzer workers consumes the records, routed by user hash
-// (AnalyzerSet.NewPipeline). tolerant switches to the salvage read path
-// and reports what fraction of the stream the results describe; in
-// strict mode the returned report covers the intact stream. The set's
-// primaries are only folded on success.
-func (s *Sim) AnalyzeDatasetParallel(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
-	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestPipeline)
-}
-
-// AnalyzeDatasetFused replays a dataset file through an AnalyzerSet on
-// the fused fast path: each decode worker owns a private Replica of
-// every registered analyzer and feeds it directly from the block it
-// just decoded — no ordered-delivery heap, no hash router, no
-// cross-goroutine record handoff at all. The replicas fold into the
-// set's primaries once, when the whole stream has been consumed; on
-// error (including a recovered worker panic, surfaced as a
-// *dataset.WorkerPanicError) the primaries are left unfolded. The path
-// is exact only when every registered analyzer declared a commutative
-// Merge, so a set that does not report Commutative() falls back to
-// the hash-routed pipeline, which preserves per-user order. tolerant
-// selects the salvage read; the returned report then covers what the
-// results describe, otherwise the intact stream.
-func (s *Sim) AnalyzeDatasetFused(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
-	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestFused)
-}
-
-// AnalyzeDatasetUnordered replays a dataset file with completion-order
-// batch delivery: the parallel reader's workers invoke the callback
-// concurrently as blocks finish decoding, and a channel of analyzer
-// replicas serves as the consumption pool. Unlike the fused path the
-// batch still crosses a goroutine boundary conceptually (any replica
-// may consume any block), which is exactly the property the
-// commutativity requirement covers — so instead of falling back, a
-// non-commutative set is an error naming the offending registrations.
-// The set's primaries are only folded on success.
-func (s *Sim) AnalyzeDatasetUnordered(ctx context.Context, path string, workers int, set *core.AnalyzerSet, tolerant bool) (telemetry.SalvageReport, error) {
-	return analyzeFileAs(ctx, path, workers, set, tolerant, core.RequestUnordered)
-}
-
 // Fig2Parallel computes the Figure 2 histograms using sharded
 // generation and merged analyzers — identical results to Fig2, faster
 // on multicore machines.
@@ -264,9 +208,9 @@ func (s *Sim) Fig2Parallel(shards int) AddrsPerUserResult {
 	set := core.NewAnalyzerSet()
 	mkUC := func() *core.UserCentric { return core.NewUserCentricFor(false) }
 	week := mkUC()
-	core.AddAnalyzer(set, week, mkUC, (*core.UserCentric).Merge)
+	core.AddCommutativeAnalyzer(set, week, mkUC, (*core.UserCentric).Merge)
 	day := mkUC()
-	core.AddAnalyzerFiltered(set, day, mkUC, (*core.UserCentric).Merge,
+	core.AddCommutativeAnalyzerFiltered(set, day, mkUC, (*core.UserCentric).Merge,
 		func(o telemetry.Observation) bool { return o.Day == to })
 
 	// Background context never cancels, so the only possible error is a
@@ -290,7 +234,7 @@ func (s *Sim) IPCentricParallel(fam netaddr.Family, length, shards int) *core.IP
 	set := core.NewAnalyzerSet()
 	mk := func() *core.IPCentric { return core.NewIPCentric(fam, length) }
 	out := mk()
-	core.AddAnalyzer(set, out, mk, (*core.IPCentric).Merge)
+	core.AddCommutativeAnalyzer(set, out, mk, (*core.IPCentric).Merge)
 	if err := s.AnalyzeParallelCtx(context.Background(), from, to, shards, set, true); err != nil {
 		panic(err)
 	}
