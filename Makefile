@@ -3,8 +3,13 @@ FUZZTIME ?= 10s
 # The CI bench gate: one pass over the generation, codec, trie, and
 # analysis hot paths, checked against bench/BENCH_baseline.json (3x
 # tripwire on PRs; the nightly run re-gates the same set at 1.3x with
-# real -benchtime sampling).
-BENCH_GATE = ^(BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkRollup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze)$$
+# real -benchtime sampling). The PR tripwire runs BENCH_1X once each;
+# the sub-microsecond BENCH_MICRO benchmarks would time only warm-up at
+# 1x, so they run a fixed MICRO_BENCHTIME iterations instead.
+BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze
+BENCH_MICRO = BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
+MICRO_BENCHTIME = 20000x
+BENCH_GATE = ^($(BENCH_1X)|$(BENCH_MICRO))$$
 BENCH_PKGS = . ./internal/telemetry ./internal/trie ./internal/core
 NIGHTLY_BENCHTIME = 2s
 FUZZ_TARGETS = \
@@ -59,12 +64,14 @@ faults:
 
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the
-# ForEachWorker reader primitives, and direct manifest analysis (shared
-# replicas fanned out across parts) under the race detector.
+# ForEachWorker reader primitives, direct manifest analysis (shared
+# replicas fanned out across parts), and AnalyzerSet.Fold's concurrent
+# per-registration folds under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold' ./internal/core
 
 # Short native-fuzz smoke over every decoder fuzz target: catches
 # panics and typed-error regressions without a long campaign.
@@ -75,16 +82,21 @@ fuzz-smoke:
 		$(GO) test $$pkg -run='^$$' -fuzz="^$$fn$$" -fuzztime=$(FUZZTIME); \
 	done
 
-# Single-pass benchmark smoke: catches panics outright and gates ns/op
-# against the checked-in baseline (order-of-magnitude tripwire, not a
-# profiler). Writes BENCH_results.json for the CI artifact.
+# Benchmark smoke: catches panics outright and gates ns/op against the
+# checked-in baseline (order-of-magnitude tripwire, not a profiler).
+# BENCH_1X runs one pass each, BENCH_MICRO a fixed MICRO_BENCHTIME;
+# both land in the one file benchgate reads. Writes BENCH_results.json
+# for the CI artifact.
+BENCH_SMOKE_RUN = { $(GO) test -run '^$$' -bench '^($(BENCH_1X))$$' -benchtime=1x $(BENCH_PKGS); \
+	$(GO) test -run '^$$' -bench '^($(BENCH_MICRO))$$' -benchtime=$(MICRO_BENCHTIME) $(BENCH_PKGS); } 2>&1 | tee bench-smoke.txt
+
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
+	$(BENCH_SMOKE_RUN)
 	$(GO) run ./cmd/benchgate -in bench-smoke.txt -baseline bench/BENCH_baseline.json -out BENCH_results.json
 
 # Refresh the checked-in baseline after intentional perf changes.
 bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
+	$(BENCH_SMOKE_RUN)
 	$(GO) run ./cmd/benchgate -in bench-smoke.txt -baseline bench/BENCH_baseline.json -out BENCH_results.json -update
 
 # Compression-ratio gate, run next to the bench smoke: on the fixture

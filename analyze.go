@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"userv6/internal/core"
 	"userv6/internal/dataset"
@@ -158,10 +159,9 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 			return zero, err
 		}
 	}
-	for _, r := range replicas {
-		if r != nil {
-			set.Fold(r)
-		}
+	if fused {
+		// A worker that never received a batch never built its replica.
+		set.Fold(slices.DeleteFunc(replicas, func(r *core.Replica) bool { return r == nil })...)
 	}
 	return agg, nil
 }

@@ -9,6 +9,11 @@ package core
 // commutative Merge.
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+
 	"userv6/internal/telemetry"
 )
 
@@ -51,7 +56,9 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // a fresh replica configured identically to primary (same restriction,
 // window, prefix lengths, ...); fold merges a replica's state into the
 // first argument — an analyzer's Merge method expression, e.g.
-// (*UserCentric).Merge, fits directly.
+// (*UserCentric).Merge, fits directly. fold may take ownership of
+// from's state (the default analyzers' Merge swaps in the larger
+// state), so a replica is not used again once folded.
 //
 // Registering declares that the analyzer's accumulated state is
 // invariant under observation order and under how the stream is
@@ -74,13 +81,27 @@ func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, 
 // this analyzer (nil accepts everything). The filter runs on worker
 // goroutines and must be pure; a pure filter preserves commutativity
 // (it only thins the multiset).
+//
+// Registering the same primary twice panics: its state would be fed
+// (and folded) twice, and the concurrent Fold would race on it.
 func AddCommutativeAnalyzerFiltered[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T), filter func(telemetry.Observation) bool) {
+	for _, r := range s.regs {
+		if samePrimary(r.primary, primary) {
+			panic(fmt.Sprintf("core: primary %T registered twice with one AnalyzerSet; each analyzer must be registered once", primary))
+		}
+	}
 	s.regs = append(s.regs, registration{
 		primary: primary,
 		mk:      func() Observer { return mk() },
 		fold:    func(replica Observer) { fold(primary, replica.(T)) },
 		filter:  filter,
 	})
+}
+
+// samePrimary reports whether a and b are the same analyzer. Only a
+// pointer can be shared; a value-typed primary is always a fresh copy.
+func samePrimary(a, b Observer) bool {
+	return reflect.ValueOf(a).Kind() == reflect.Pointer && a == b
 }
 
 // Observe feeds one observation to every registered primary directly —
@@ -108,7 +129,7 @@ type Replica struct {
 
 // NewReplica constructs a fresh replica of every registered analyzer.
 // Call it (and Fold) from one goroutine; the Replica itself is then
-// free to live on another.
+// free to live on another until it is folded.
 func (s *AnalyzerSet) NewReplica() *Replica {
 	r := &Replica{set: s, obs: make([]Observer, len(s.regs))}
 	for i := range s.regs {
@@ -129,13 +150,38 @@ func (r *Replica) Observe(o telemetry.Observation) {
 // Emit adapts Observe to a telemetry.EmitFunc.
 func (r *Replica) Emit() telemetry.EmitFunc { return r.Observe }
 
-// Fold merges the replicas' state into the set's primaries, in argument
-// order. The registration contract makes the fold exact for any split
-// of the stream across replicas, user-disjoint or not.
+// Fold merges the replicas' state into the set's primaries and consumes
+// the replicas: they must not be observed or folded again. The
+// registration contract makes the fold exact for any split of the
+// stream across replicas, user-disjoint or not.
+//
+// Registrations fold concurrently, one goroutine each and at most
+// GOMAXPROCS at a time; each folds its replicas in argument order. That
+// is safe because each primary is registered once. A panic in a fold is
+// re-raised on the caller's goroutine once every fold has returned (the
+// lowest-indexed registration's, if several panic).
 func (s *AnalyzerSet) Fold(replicas ...*Replica) {
-	for _, r := range replicas {
-		for j, rep := range r.obs {
-			s.regs[j].fold(rep)
+	panics := make([]any, len(s.regs))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for j := range s.regs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() {
+				panics[j] = recover()
+				<-sem
+				wg.Done()
+			}()
+			for _, r := range replicas {
+				s.regs[j].fold(r.obs[j])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"userv6/internal/netaddr"
@@ -113,6 +114,15 @@ func sequentialFullSet(stream []telemetry.Observation, ref simtime.Day) fullAnal
 // assertEqual compares every analyzer's full query surface.
 func (f fullAnalyzers) assertEqual(t *testing.T, want fullAnalyzers, label string) {
 	t.Helper()
+	f.assertUserCentric(t, want, label)
+	f.assertIPCentric(t, want, label)
+	f.assertChurn(t, want, label)
+	f.assertLifespans(t, want, label)
+	f.assertPrevalence(t, want, label)
+}
+
+func (f fullAnalyzers) assertUserCentric(t *testing.T, want fullAnalyzers, label string) {
+	t.Helper()
 	if f.uc.Users() != want.uc.Users() {
 		t.Fatalf("%s: UserCentric users %d, want %d", label, f.uc.Users(), want.uc.Users())
 	}
@@ -130,7 +140,10 @@ func (f fullAnalyzers) assertEqual(t *testing.T, want fullAnalyzers, label strin
 	if !reflect.DeepEqual(f.uc.AddrPatterns(), want.uc.AddrPatterns()) {
 		t.Fatalf("%s: AddrPatterns differ", label)
 	}
+}
 
+func (f fullAnalyzers) assertIPCentric(t *testing.T, want fullAnalyzers, label string) {
+	t.Helper()
 	if f.ic.Prefixes() != want.ic.Prefixes() {
 		t.Fatalf("%s: IPCentric prefixes %d, want %d", label, f.ic.Prefixes(), want.ic.Prefixes())
 	}
@@ -143,11 +156,17 @@ func (f fullAnalyzers) assertEqual(t *testing.T, want fullAnalyzers, label strin
 	if !reflect.DeepEqual(f.ic.AbusivePerAbusivePrefix(), want.ic.AbusivePerAbusivePrefix()) {
 		t.Fatalf("%s: AbusivePerAbusivePrefix differs", label)
 	}
+}
 
+func (f fullAnalyzers) assertChurn(t *testing.T, want fullAnalyzers, label string) {
+	t.Helper()
 	if f.churn.Breakdown() != want.churn.Breakdown() {
 		t.Fatalf("%s: churn %+v, want %+v", label, f.churn.Breakdown(), want.churn.Breakdown())
 	}
+}
 
+func (f fullAnalyzers) assertLifespans(t *testing.T, want fullAnalyzers, label string) {
+	t.Helper()
 	if f.life.Pairs() != want.life.Pairs() {
 		t.Fatalf("%s: lifespan pairs %d, want %d", label, f.life.Pairs(), want.life.Pairs())
 	}
@@ -160,7 +179,10 @@ func (f fullAnalyzers) assertEqual(t *testing.T, want fullAnalyzers, label strin
 	if !reflect.DeepEqual(f.life.FreshShares(netaddr.IPv6), want.life.FreshShares(netaddr.IPv6)) {
 		t.Fatalf("%s: FreshShares differ", label)
 	}
+}
 
+func (f fullAnalyzers) assertPrevalence(t *testing.T, want fullAnalyzers, label string) {
+	t.Helper()
 	if !reflect.DeepEqual(f.prev.Daily(), want.prev.Daily()) {
 		t.Fatalf("%s: Daily differs", label)
 	}
@@ -176,24 +198,46 @@ func (f fullAnalyzers) assertEqual(t *testing.T, want fullAnalyzers, label strin
 // analyzer, splitting the stream block-wise across any number of
 // replicas — round-robin, so users straddle replicas, as the fused
 // path's decode workers split it — and folding produces exactly the
-// state a sequential feed produces.
+// state a sequential feed produces. The skewed split gives replica 0
+// only the first tenth of the stream, and each split is folded forward
+// and reversed, so Merge's swap-the-larger-state branch runs from both
+// sides.
 func TestFullSetCommutative(t *testing.T) {
 	stream := analysisStream()
 	const ref = simtime.Day(7)
 	const block = 512
 	seq := sequentialFullSet(stream, ref)
 
-	for _, workers := range []int{1, 3, 8} {
-		f := fullSet(ref)
-		replicas := make([]*Replica, workers)
-		for w := range replicas {
-			replicas[w] = f.set.NewReplica()
+	splits := []struct {
+		name  string
+		owner func(i, workers int) int
+	}{
+		{"block", func(i, workers int) int { return i / block % workers }},
+		{"skewed", func(i, workers int) int {
+			if workers == 1 || i < len(stream)/10 {
+				return 0
+			}
+			return 1 + i/block%(workers-1)
+		}},
+	}
+	for _, split := range splits {
+		for _, reversed := range []bool{false, true} {
+			for _, workers := range []int{1, 3, 8} {
+				f := fullSet(ref)
+				replicas := make([]*Replica, workers)
+				for w := range replicas {
+					replicas[w] = f.set.NewReplica()
+				}
+				for i, o := range stream {
+					replicas[split.owner(i, workers)].Observe(o)
+				}
+				if reversed {
+					slices.Reverse(replicas)
+				}
+				f.set.Fold(replicas...)
+				f.assertEqual(t, seq, fmt.Sprintf("%s split, reversed=%v, workers=%d", split.name, reversed, workers))
+			}
 		}
-		for i, o := range stream {
-			replicas[i/block%workers].Observe(o)
-		}
-		f.set.Fold(replicas...)
-		f.assertEqual(t, seq, fmt.Sprintf("block split, workers=%d", workers))
 	}
 }
 

@@ -45,6 +45,28 @@ func BenchmarkUserCentricObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzerSetFold measures the replica fold layer: every
+// default analyzer (fullSet) in two replicas, each fed half of a
+// block-wise split of the benchmark stream, folded into fresh
+// primaries. The primaries and replicas are rebuilt outside the timer
+// each iteration, since a fold consumes its replicas.
+func BenchmarkAnalyzerSetFold(b *testing.B) {
+	const block = 512
+	obs := benchObservations(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := fullSet(0)
+		replicas := []*Replica{f.set.NewReplica(), f.set.NewReplica()}
+		for j, o := range obs {
+			replicas[j/block%2].Observe(o)
+		}
+		b.StartTimer()
+		f.set.Fold(replicas...)
+	}
+}
+
 // BenchmarkIPCentricObserve measures per-record prefix attribution at
 // /64, the trie-backed half of the analysis hot path.
 func BenchmarkIPCentricObserve(b *testing.B) {

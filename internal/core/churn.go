@@ -104,8 +104,15 @@ func minDay(m map[pairKey]simtime.Day, k pairKey, d simtime.Day) {
 // minimum day. The fold is exact for ANY split of the observation
 // stream — user-disjoint, round-robin, block-wise, anything — because
 // min is commutative, associative, and idempotent. Both analyzers must
-// use the same CountFrom.
+// use the same CountFrom. The smaller state is folded into the larger
+// (the two swap maps first when other holds more addresses), so other
+// must not be used after Merge.
 func (c *ChurnAttribution) Merge(other *ChurnAttribution) {
+	if len(other.firstAddr) > len(c.firstAddr) {
+		c.firstAddr, other.firstAddr = other.firstAddr, c.firstAddr
+		c.first64, other.first64 = other.first64, c.first64
+		c.first44, other.first44 = other.first44, c.first44
+	}
 	for k, d := range other.firstAddr {
 		minDay(c.firstAddr, k, d)
 	}

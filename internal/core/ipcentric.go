@@ -68,8 +68,14 @@ func (ic *IPCentric) Prefixes() int { return len(ic.prefixes) }
 
 // Merge folds another analyzer's state into ic, deduplicating (user,
 // prefix) pairs. Both must use the same family and length. Merge enables
-// sharded parallel analysis.
+// sharded parallel analysis. The smaller state is folded into the
+// larger (the two swap maps first when other holds more pairs), so
+// other must not be used after Merge.
 func (ic *IPCentric) Merge(other *IPCentric) {
+	if len(other.seen) > len(ic.seen) {
+		ic.seen, other.seen = other.seen, ic.seen
+		ic.prefixes, other.prefixes = other.prefixes, ic.prefixes
+	}
 	for key, abusive := range other.seen {
 		if _, dup := ic.seen[key]; dup {
 			continue

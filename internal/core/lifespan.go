@@ -73,12 +73,17 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 // Merge folds another analyzer's pair state into l: first-seen days take
 // the minimum and reference-day sightings are ORed, so the result is
 // exact for any split of the observation stream. Both analyzers must use
-// the same Ref, lengths, and restriction.
+// the same Ref, lengths, and restriction. The smaller state is folded
+// into the larger (the two swap maps first when other holds more
+// pairs), so other must not be used after Merge.
 func (l *Lifespans) Merge(other *Lifespans) {
+	if len(other.pairs) > len(l.pairs) {
+		l.pairs, other.pairs = other.pairs, l.pairs
+	}
 	for key, op := range other.pairs {
 		p := l.pairs[key]
 		if p == nil {
-			l.pairs[key] = &pairLife{first: op.first, onRef: op.onRef}
+			l.pairs[key] = op
 			continue
 		}
 		if op.first < p.first {

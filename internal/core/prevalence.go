@@ -116,8 +116,13 @@ func (p *Prevalence) Observe(o telemetry.Observation) {
 // bitmasks OR, and the ASN/country user tallies are recomputed
 // incrementally from the mask transitions — a user contributes to an
 // entity's count the first time any shard saw them, and to its v6 count
-// the first time any shard saw them over IPv6.
+// the first time any shard saw them over IPv6. The smaller state is
+// folded into the larger (the two swap whole trackers first when other
+// holds more (user, day) masks), so other must not be used after Merge.
 func (p *Prevalence) Merge(other *Prevalence) {
+	if len(other.userSeen) > len(p.userSeen) {
+		*p, *other = *other, *p
+	}
 	for day, od := range other.days {
 		d := p.days[day]
 		if d == nil {

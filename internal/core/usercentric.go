@@ -86,8 +86,14 @@ func (uc *UserCentric) Users() int { return len(uc.users) }
 // Merge folds another analyzer's state into uc, deduplicating pairs the
 // two saw in common. Both analyzers must use the same restriction. Merge
 // enables sharded parallel analysis: feed disjoint telemetry shards to
-// separate analyzers, then merge.
+// separate analyzers, then merge. The smaller state is folded into the
+// larger (the two swap maps first when other holds more pairs), so
+// other must not be used after Merge.
 func (uc *UserCentric) Merge(other *UserCentric) {
+	if len(other.seen) > len(uc.seen) {
+		uc.seen, other.seen = other.seen, uc.seen
+		uc.users, other.users = other.users, uc.users
+	}
 	for key := range other.seen {
 		if _, dup := uc.seen[key]; dup {
 			continue
