@@ -22,7 +22,7 @@ FUZZ_TARGETS = \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip
 
-.PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-smoke bench-baseline ratio-gate ci clean
+.PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-check bench-smoke bench-baseline ratio-gate ci clean
 
 all: build
 
@@ -55,12 +55,13 @@ race:
 # Fault-injection gate under the race detector: the retry/faultio unit
 # tests plus the crash sweeps — sharded exports killed at injected
 # faults (every frame boundary of every part in the full sweep, every
-# manifest rewrite) must resume byte-identical. FAULTS_FLAGS=-short
+# manifest rewrite) must resume byte-identical — and the merge's
+# read-retry, output-write-error and cancellation tests. FAULTS_FLAGS=-short
 # subsamples the truncation sweep for the PR gate; nightly runs it full.
 FAULTS_FLAGS ?=
 faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestMergeRetriesTransientIO|TestMergeCtxCancelled' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled' . ./internal/dataset
 
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the
@@ -72,6 +73,14 @@ faults:
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold' ./internal/core
+
+# The benchmark (bench/userv6bench) is a Go module of its own, so the
+# root build and test never compile it. It calls the analysis and merge
+# entry points (PlanSource, ExecutePlan, dataset.Open, OpenParallel,
+# MergeOptions, ...); vetting and testing it here catches a change that
+# breaks it.
+bench-check:
+	cd bench/userv6bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzz smoke over every decoder fuzz target: catches
 # panics and typed-error regressions without a long campaign.
@@ -118,7 +127,7 @@ bench-nightly-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=$(NIGHTLY_BENCHTIME) $(BENCH_PKGS) 2>&1 | tee bench-nightly.txt
 	$(GO) run ./cmd/benchgate -in bench-nightly.txt -baseline bench/BENCH_nightly_baseline.json -out BENCH_nightly_results.json -max-ratio 1.3 -update
 
-ci: fmt-check vet lint build race faults fused-race fuzz-smoke bench-smoke ratio-gate
+ci: fmt-check vet lint build race faults fused-race bench-check fuzz-smoke bench-smoke ratio-gate
 
 clean:
 	$(GO) clean ./...

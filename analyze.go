@@ -41,7 +41,7 @@ func PlanSource(src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) 
 	return core.NewPlan(core.PlanInput{
 		Workers:  opts.Workers,
 		Tolerant: opts.Tolerant,
-		Parts:    src.Caps().PartCount,
+		Parts:    len(src.Parts()),
 	}), nil
 }
 

@@ -2,10 +2,12 @@ package userv6
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"userv6/internal/core"
+	"userv6/internal/dataset"
 	"userv6/internal/netaddr"
 	"userv6/internal/telemetry"
 )
@@ -77,20 +79,51 @@ func (s analyzeSet) assertEqual(t *testing.T, want analyzeSet, label string) {
 	}
 }
 
-// AnalyzeParallelCtx must populate every registered analyzer exactly as
-// a serial generate-and-observe pass does, at any shard count.
+// exportWeek exports sim's analysis week as a shards-part directory and
+// opens it as a source, so the sharded path can be analyzed in place.
+func exportWeek(t *testing.T, sim *Sim, shards int) dataset.Source {
+	t.Helper()
+	from, to := AnalysisWeek()
+	meta := dataset.Meta{
+		Seed: sim.Scenario.Seed, Users: sim.Scenario.Users,
+		FromDay: int(from), ToDay: int(to), Sample: "all",
+	}
+	dir := t.TempDir()
+	if _, err := sim.ExportShardedCtx(context.Background(), dir, shards, meta, nil); err != nil {
+		t.Fatal(err)
+	}
+	src, err := dataset.OpenSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// analyzeWith runs set over src with AnalyzeSource at the given worker
+// count.
+func analyzeWith(t *testing.T, src dataset.Source, set *core.AnalyzerSet, workers int) {
+	t.Helper()
+	if _, err := AnalyzeSource(context.Background(), src, set, AnalyzeOptions{Workers: workers}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A sharded export analyzed in place must populate every registered
+// analyzer exactly as a serial generate-and-observe pass does, at any
+// shard count and in both execution modes.
 func TestAnalyzeParallelCtxMatchesSerial(t *testing.T) {
 	sim := NewSim(DefaultScenario(2_000))
 	from, to := AnalysisWeek()
 
 	serial := newAnalyzeSet()
-	sim.Generate(from, to, serial.set.Emit())
+	sim.Generate(from, to, serial.set.Observe)
 
-	for _, shards := range []int{1, 4} {
-		par := newAnalyzeSet()
-		if err := sim.AnalyzeParallelCtx(context.Background(), from, to, shards, par.set, true); err != nil {
-			t.Fatal(err)
+	for _, shards := range []int{1, 3, 4} {
+		src := exportWeek(t, sim, shards)
+		for _, workers := range []int{1, 4} {
+			got := newAnalyzeSet()
+			analyzeWith(t, src, got.set, workers)
+			got.assertEqual(t, serial, fmt.Sprintf("shards=%d workers=%d", shards, workers))
 		}
-		par.assertEqual(t, serial, "shards=4")
 	}
 }

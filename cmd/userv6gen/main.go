@@ -497,7 +497,6 @@ func runMerge(args []string) {
 	retries := fs.Int("retries", 3, "max retries per part on transient I/O errors")
 	strict := fs.Bool("strict", false, "fail on any damaged part instead of skipping corrupt blocks")
 	tolerant := fs.Bool("tolerant", false, "admit parts whose frame codecs disagree with their declared codec")
-	workers := fs.Int("workers", 0, "per-part decode workers (0 = all CPUs)")
 	fs.Parse(args)
 
 	// A SIGINT/SIGTERM aborts the merge between parts and interrupts any
@@ -507,7 +506,7 @@ func runMerge(args []string) {
 
 	opts := &dataset.MergeOptions{
 		Retry:  retry.Policy{MaxRetries: *retries},
-		Strict: *strict, Tolerant: *tolerant, Workers: *workers,
+		Strict: *strict, Tolerant: *tolerant,
 	}
 	var (
 		rep dataset.MergeReport
@@ -528,13 +527,16 @@ func runMerge(args []string) {
 		if len(parts) == 0 {
 			fatal(fmt.Errorf("merge: no inputs (use -manifest or list part files)"))
 		}
-		// Without a manifest the output inherits the first readable
-		// part's header configuration.
+		// Without a manifest the output inherits the header configuration
+		// of the first part whose header parses and passes its checksum.
+		// Only the header is read; the merge itself salvages the streams.
 		var meta dataset.Meta
 		for _, p := range parts {
-			if scan, serr := dataset.Scan(p); serr == nil && scan.HeaderOK && scan.HeaderErr == "" {
-				meta = scan.Meta
-				break
+			if src, serr := dataset.NewFileSource(p); serr == nil {
+				if m, ok := src.Meta(); ok {
+					meta = m
+					break
+				}
 			}
 		}
 		rep, err = dataset.MergeCtx(ctx, *out, meta, parts, opts)
@@ -771,10 +773,16 @@ func runInfo(args []string) {
 	fs.Parse(args)
 	inputArg(fs, in)
 
-	r := openReader(*in)
-	var codec string
-	if dr, ok := r.(*dataset.Reader); ok {
-		codec = dr.Meta().Codec
+	// Open accepts a headerless raw stream as well as a dataset file, so
+	// a damaged header is reported as such instead of being misread as a
+	// raw stream.
+	r, err := dataset.Open(*in)
+	if err != nil {
+		fatal(err)
+	}
+	defer r.Close()
+	if !r.Raw() {
+		fmt.Printf("%s\n\n", metaLine(r.Meta()))
 	}
 	var (
 		n, abusive int
@@ -783,7 +791,7 @@ func runInfo(args []string) {
 		minD, maxD = simtime.Day(1 << 30), simtime.Day(-1)
 		requests   uint64
 	)
-	err := r.ForEach(func(o telemetry.Observation) {
+	err = r.ForEach(func(o telemetry.Observation) {
 		n++
 		if o.Abusive {
 			abusive++
@@ -812,7 +820,7 @@ func runInfo(args []string) {
 		Row("distinct entities", len(users)).
 		Row("days", fmt.Sprintf("%d..%d", int(minD), int(maxD))).
 		Row("total requests", requests)
-	if codec != "" {
+	if codec := r.Meta().Codec; codec != "" {
 		tbl.Row("block codec", codec)
 	}
 	tbl.Write(os.Stdout)
@@ -970,25 +978,6 @@ func writeMemProfile(fsys faultio.FS, path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fatal(err)
 	}
-}
-
-// streamSource abstracts dataset and raw binary inputs.
-type streamSource interface {
-	ForEach(telemetry.EmitFunc) error
-}
-
-// openReader opens a dataset file (headered) or a raw binary stream,
-// printing the dataset metadata when available.
-func openReader(path string) streamSource {
-	if r, err := dataset.Open(path); err == nil {
-		fmt.Printf("%s\n\n", metaLine(r.Meta()))
-		return r
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	return telemetry.NewReader(f)
 }
 
 func fatal(err error) {

@@ -67,7 +67,7 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ForEach(seq.set.Emit()); err != nil {
+	if err := r.ForEach(seq.set.Observe); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -96,7 +96,7 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tseq := newAnalyzeSet()
-	srep, err := dataset.Salvage(bad, tseq.set.Emit())
+	srep, err := dataset.Salvage(bad, tseq.set.Observe)
 	if err != nil {
 		t.Fatal(err)
 	}

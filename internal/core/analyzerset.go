@@ -115,13 +115,9 @@ func (s *AnalyzerSet) Observe(o telemetry.Observation) {
 	}
 }
 
-// Emit adapts Observe to a telemetry.EmitFunc.
-func (s *AnalyzerSet) Emit() telemetry.EmitFunc { return s.Observe }
-
 // Replica is an independent copy of every registered analyzer. Each
-// producer — a generation shard, a fused decode worker — feeds its own
-// Replica with no locking, and Fold merges them back into the
-// primaries.
+// fused decode worker feeds its own Replica with no locking, and Fold
+// merges them back into the primaries.
 type Replica struct {
 	set *AnalyzerSet
 	obs []Observer
@@ -146,9 +142,6 @@ func (r *Replica) Observe(o telemetry.Observation) {
 		}
 	}
 }
-
-// Emit adapts Observe to a telemetry.EmitFunc.
-func (r *Replica) Emit() telemetry.EmitFunc { return r.Observe }
 
 // Fold merges the replicas' state into the set's primaries and consumes
 // the replicas: they must not be observed or folded again. The

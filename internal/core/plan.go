@@ -44,7 +44,8 @@ type PlanInput struct {
 	Workers int
 	// Tolerant selects the salvage read path on every part.
 	Tolerant bool
-	// Parts mirrors dataset.SourceCaps.PartCount.
+	// Parts is the source's part count (len of dataset.Source.Parts);
+	// a plain file is one part. It only labels the plan's explanation.
 	Parts int
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"userv6/internal/telemetry"
@@ -68,7 +69,10 @@ func TestCreateRejectsUnknownCodec(t *testing.T) {
 // TestMergeCompressedByteIdentical: merging compressed parts must
 // reproduce the single-writer compressed file exactly — with
 // block-aligned parts (where the passthrough fast path carries whole
-// stored frames) and misaligned ones (where records re-encode).
+// stored frames) and misaligned ones (where records re-encode). The
+// workers axis is the GOMAXPROCS the merge runs under: its scanner
+// goroutine and writer share one thread at 1 and run side by side at 4,
+// and the output bytes must not depend on which.
 func TestMergeCompressedByteIdentical(t *testing.T) {
 	obs := sample(5000)
 	meta := Meta{Seed: 11, Users: 5000, FromDay: 0, ToDay: 6, Sample: "all", Codec: "lz"}
@@ -79,6 +83,7 @@ func TestMergeCompressedByteIdentical(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				dir := t.TempDir()
 				single := filepath.Join(dir, "single.uv6")
 				writePart(t, single, meta, obs)
@@ -93,7 +98,7 @@ func TestMergeCompressedByteIdentical(t *testing.T) {
 				}
 
 				merged := filepath.Join(dir, "merged.uv6")
-				rep, err := Merge(merged, meta, parts, &MergeOptions{Workers: workers})
+				rep, err := Merge(merged, meta, parts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

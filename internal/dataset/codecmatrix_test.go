@@ -111,7 +111,7 @@ func TestCodecMergeMatrix(t *testing.T) {
 			} {
 				t.Run(name, func(t *testing.T) {
 					merged := filepath.Join(dir, name+"-merged.uv6")
-					rep, err := Merge(merged, meta, writeParts(name, partMeta), &MergeOptions{Workers: 4})
+					rep, err := Merge(merged, meta, writeParts(name, partMeta), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

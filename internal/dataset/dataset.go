@@ -318,34 +318,79 @@ func (w *Writer) Abort() error {
 }
 
 // Reader reads a dataset file (v1 or v2; the stream version is
-// auto-detected from the telemetry signature).
+// auto-detected from the telemetry signature) or a headerless raw
+// telemetry stream.
 type Reader struct {
 	f    *os.File
 	tr   *telemetry.Reader
 	meta Meta
+	raw  bool
 }
 
-// Open opens a dataset file and parses its header.
+// Open opens a dataset file for sequential reading, accepting exactly
+// what OpenParallel accepts: a headered file whose header parses and
+// passes its checksum, or a headerless raw telemetry stream (Raw true,
+// zero Meta).
 func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
+	f, meta, raw, err := openDataset(path)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: open: %w", err)
-	}
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	var meta Meta
-	if err := json.Unmarshal(trimHeader(hdr), &meta); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dataset: parse header: %w", err)
-	}
-	if err := verifyHeaderCRC(hdr, meta); err != nil {
-		f.Close()
 		return nil, err
 	}
-	return &Reader{f: f, tr: telemetry.NewReader(bufio.NewReaderSize(f, 1<<16)), meta: meta}, nil
+	return &Reader{f: f, tr: telemetry.NewReader(bufio.NewReaderSize(f, 1<<16)), meta: meta, raw: raw}, nil
+}
+
+// openDataset opens path and reads its header: the one accept rule
+// Open, OpenParallel and the source probes share. A file that starts
+// with a telemetry stream signature is a headerless raw stream: raw is
+// true, meta is zero, and f is rewound to byte zero. Anything else must
+// begin with a full headerSize-byte header that parses and passes its
+// checksum, and f is left just past it.
+func openDataset(path string) (f *os.File, meta Meta, raw bool, err error) {
+	f, err = os.Open(path)
+	if err != nil {
+		return nil, Meta{}, false, fmt.Errorf("dataset: open: %w", err)
+	}
+	if meta, raw, err = readHeader(f); err != nil {
+		f.Close()
+		return nil, Meta{}, false, err
+	}
+	return f, meta, raw, nil
+}
+
+func readHeader(f *os.File) (Meta, bool, error) {
+	hdr := make([]byte, headerSize)
+	n, err := io.ReadFull(f, hdr)
+	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return Meta{}, false, fmt.Errorf("dataset: read header: %w", err)
+	}
+	if isRawStream(hdr[:n]) {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return Meta{}, false, fmt.Errorf("dataset: seek: %w", err)
+		}
+		return Meta{}, true, nil
+	}
+	if n != headerSize {
+		return Meta{}, false, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
+	}
+	meta, err := parseHeader(hdr)
+	return meta, false, err
+}
+
+// isRawStream reports whether b starts with a telemetry stream
+// signature rather than a dataset header: a headerless raw stream
+// (userv6gen -format binary output).
+func isRawStream(b []byte) bool { return bytes.HasPrefix(b, []byte("uv6")) }
+
+// parseHeader decodes a headerSize-byte dataset header and verifies its
+// self-excluding checksum. A checksum failure returns the parsed Meta
+// together with an ErrHeaderCRC error; any other error means the header
+// did not parse.
+func parseHeader(hdr []byte) (Meta, error) {
+	var meta Meta
+	if err := json.Unmarshal(trimHeader(hdr), &meta); err != nil {
+		return Meta{}, fmt.Errorf("dataset: parse header: %w", err)
+	}
+	return meta, verifyHeaderCRC(hdr, meta)
 }
 
 // trimHeader strips padding from the fixed-size header line.
@@ -357,8 +402,11 @@ func trimHeader(b []byte) []byte {
 	return b[:end]
 }
 
-// Meta returns the dataset metadata.
+// Meta returns the dataset metadata (zero for raw streams).
 func (r *Reader) Meta() Meta { return r.meta }
+
+// Raw reports whether the file is a headerless telemetry stream.
+func (r *Reader) Raw() bool { return r.raw }
 
 // ForEach streams every record through fn.
 func (r *Reader) ForEach(fn telemetry.EmitFunc) error {
@@ -441,18 +489,17 @@ func salvage(path string, emit telemetry.EmitFunc) (ScanReport, error) {
 	hdr = hdr[:n]
 
 	var stream io.Reader = f
-	if n >= 3 && hdr[0] == 'u' && hdr[1] == 'v' && hdr[2] == '6' {
+	if isRawStream(hdr) {
 		// Headerless raw telemetry stream: scan from byte zero.
 		rep.Raw = true
 		stream = io.MultiReader(bytes.NewReader(hdr), f)
-	} else {
-		if n == headerSize {
-			if jerr := json.Unmarshal(trimHeader(hdr), &rep.Meta); jerr == nil {
-				rep.HeaderOK = true
-				if cerr := verifyHeaderCRC(hdr, rep.Meta); cerr != nil {
-					rep.HeaderErr = cerr.Error()
-				}
-			}
+	} else if n == headerSize {
+		meta, err := parseHeader(hdr)
+		switch {
+		case err == nil:
+			rep.HeaderOK, rep.Meta = true, meta
+		case errors.Is(err, ErrHeaderCRC):
+			rep.HeaderOK, rep.Meta, rep.HeaderErr = true, meta, err.Error()
 		}
 	}
 	sr, serr := telemetry.Salvage(stream, emit)

@@ -208,6 +208,30 @@ func writeDataset(t *testing.T, in []telemetry.Observation) string {
 	return path
 }
 
+// writeRawStream writes records as a headerless v2 telemetry stream
+// (userv6gen -format binary output) and returns its path.
+func writeRawStream(t *testing.T, in []telemetry.Observation) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "raw.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := telemetry.NewWriterV2(f)
+	for _, o := range in {
+		if err := w.Write(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // Acceptance: a dataset with any single corrupted byte is detected by
 // the reader with a typed error, and Salvage recovers every record
 // outside the damaged block.
@@ -412,21 +436,7 @@ func TestDatasetInterruptedRunSalvageable(t *testing.T) {
 
 // Scan on a raw (headerless) telemetry stream.
 func TestScanRawStream(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "raw.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := telemetry.NewWriterV2(f)
-	for _, o := range sample(50) {
-		if err := w.Write(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeRawStream(t, sample(50))
 	rep, err := Scan(path)
 	if err != nil {
 		t.Fatal(err)

@@ -299,23 +299,7 @@ func TestForEachWorkerContextCancel(t *testing.T) {
 // A raw (headerless) stream reads through the fused path too.
 func TestForEachWorkerRawStream(t *testing.T) {
 	in := sample(2500)
-	path := filepath.Join(t.TempDir(), "raw.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := telemetry.NewWriterV2(f)
-	for _, o := range in {
-		if err := w.Write(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeRawStream(t, in)
 
 	got := readFused(t, path, ParallelOptions{Workers: 4})
 	sortObs(got)

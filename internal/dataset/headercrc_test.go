@@ -160,3 +160,73 @@ func TestHeaderCRCLegacyHeadersStillReadable(t *testing.T) {
 		t.Fatalf("legacy scan = %+v", rep)
 	}
 }
+
+// TestOpenersShareHeaderRule: Open, OpenParallel and NewFileSource read
+// the header through one reader, so they accept and reject the same
+// files: a headered file and a headerless raw stream open everywhere
+// (the raw one with zero Meta), a flipped header digit fails everywhere
+// with ErrHeaderCRC, and a garbage or short header fails everywhere.
+func TestOpenersShareHeaderRule(t *testing.T) {
+	dir := t.TempDir()
+	headered := writeDataset(t, sample(100))
+	b, err := os.ReadFile(headered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipSeedDigit(t, b)
+	flipped := filepath.Join(dir, "flipped.uv6")
+	garbage := filepath.Join(dir, "garbage.uv6")
+	short := filepath.Join(dir, "short.uv6")
+	for path, data := range map[string][]byte{
+		flipped: b, garbage: make([]byte, headerSize), short: []byte("tiny"),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	openers := map[string]func(string) (meta Meta, raw bool, err error){
+		"Open": func(p string) (Meta, bool, error) {
+			r, err := Open(p)
+			if err != nil {
+				return Meta{}, false, err
+			}
+			defer r.Close()
+			return r.Meta(), r.Raw(), nil
+		},
+		"OpenParallel": func(p string) (Meta, bool, error) {
+			pr, err := OpenParallel(p, ParallelOptions{Workers: 1})
+			if err != nil {
+				return Meta{}, false, err
+			}
+			defer pr.Close()
+			return pr.Meta(), pr.Raw(), nil
+		},
+		"NewFileSource": func(p string) (Meta, bool, error) {
+			src, err := NewFileSource(p)
+			if err != nil {
+				return Meta{}, false, err
+			}
+			m, ok := src.Meta()
+			return m, !ok, nil
+		},
+	}
+	for name, open := range openers {
+		meta, raw, err := open(headered)
+		if err != nil || raw || meta.Records != 100 {
+			t.Fatalf("%s(headered): meta %+v raw %v err %v", name, meta, raw, err)
+		}
+		meta, raw, err = open(writeRawStream(t, sample(50)))
+		if err != nil || !raw || meta != (Meta{}) {
+			t.Fatalf("%s(raw stream): meta %+v raw %v err %v", name, meta, raw, err)
+		}
+		if _, _, err := open(flipped); !errors.Is(err, ErrHeaderCRC) {
+			t.Fatalf("%s(flipped header): err %v, want ErrHeaderCRC", name, err)
+		}
+		for _, bad := range []string{garbage, short} {
+			if _, _, err := open(bad); err == nil || errors.Is(err, ErrHeaderCRC) {
+				t.Fatalf("%s(%s): err %v, want a header read or parse error", name, filepath.Base(bad), err)
+			}
+		}
+	}
+}

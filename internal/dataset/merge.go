@@ -7,18 +7,18 @@
 // says exactly how much of each part survived — the tolerant-merge
 // shape the hitlist pipelines apply to partially damaged corpora.
 //
-// Two fast paths keep the pass from being the pipeline's slowest: the
-// record decode/re-encode of each part fans out across a worker pool
-// (the same block-parallelism as OpenParallel, threaded through the
-// salvage scan), and a stored block whose frame is provably what the
-// output writer would emit at that position — boundary-aligned, full,
-// same codec — is copied through without being decoded at all. For a
-// compressed sharded export merged at the same codec, that passthrough
-// covers nearly every block, so the merge never pays the LZ re-encode.
+// Two things keep the pass from being the pipeline's slowest: the
+// salvage scan and record decode of each part run on their own
+// goroutine, overlapping the output writer's re-encode, and a stored
+// block whose frame is provably what the output writer would emit at
+// that position — boundary-aligned, full, same codec — is copied
+// through without being re-encoded. For a compressed sharded export
+// merged at the same codec, that passthrough covers every full block up
+// to the first part boundary that falls mid-block; the blocks after it
+// are misaligned and re-encoded.
 package dataset
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,9 +26,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
 	"userv6/internal/faultio"
 	"userv6/internal/retry"
@@ -55,11 +53,6 @@ type MergeOptions struct {
 	// ErrCodecMismatch: a mixed or mislabeled part set is a labeling
 	// problem to surface, not to silently absorb.
 	Tolerant bool
-	// Workers is the per-part decode pool size; <= 0 means GOMAXPROCS.
-	// The marker-resync scan stays sequential (the resync position
-	// depends on each frame's checksum verdict), but record decode and
-	// re-emission fan out across the pool.
-	Workers int
 	// Expected, when non-nil, supplies per-part expectations (block
 	// counts, whole-file checksums, codec) from a manifest, keyed by
 	// part name; coverage is then reported against what the producer
@@ -242,7 +235,7 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 	// Strip the dataset header when present; a raw stream (signature at
 	// byte zero) is salvaged whole.
 	stream := data
-	if !(len(data) >= 3 && bytes.HasPrefix(data, []byte("uv6"))) {
+	if !isRawStream(data) {
 		if len(data) < headerSize {
 			cov.SkippedBytes = int64(len(data))
 			return cov, nil
@@ -269,7 +262,7 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 			telemetry.CanonicalPolicy(declared) == telemetry.CanonicalPolicy(w.meta.Codec)
 	}
 
-	sr, serr, werr := mergeStream(w, stream, opt.Workers, passOK)
+	sr, serr, werr := mergeStream(w, stream, passOK)
 	if werr != nil {
 		return cov, werr
 	}
@@ -333,143 +326,66 @@ func CheckPartCodecs(declared string, observed telemetry.CodecSet) error {
 	return nil
 }
 
-// mergeStream salvages one part's stream into the output writer through
-// a worker pool. The scanner (the sequential marker-resync walk) also
-// decides, deterministically, which blocks qualify for passthrough: a
-// block lands in the output byte-identically to re-writing its records
-// iff the caller established policy compatibility (passOK), the writer
-// has no partial block pending, the block is exactly full, and its
-// stored codec is one the writer's chain could have chosen. Everything
-// else is decoded by the pool and re-emitted record by record. scanErr
+// mergeQueue is how many decoded blocks a merge's scanner may run ahead
+// of its writer. The per-block cost of each side swings (a passthrough
+// block costs the writer almost nothing, a re-encoded one the most), and
+// a few slots absorb the swings: over 30 paired merges of a 30k-user,
+// 4-shard auto export on 2 vCPUs, one slot was about 6% slower than
+// four, and sixteen no faster than four.
+const mergeQueue = 4
+
+// mergeStream salvages one part's stream into the output writer. A
+// scanner goroutine runs the serial marker-resync walk, which verifies
+// each frame's checksum and reverses its codec, and decodes every
+// intact block's records into a pooled slice. The calling goroutine
+// writes the blocks in stream order, so the output bytes match a
+// sequential merge exactly. When passOK (the caller established policy
+// compatibility) the writer first offers the stored frame to
+// writeEncodedBlock, whose own precondition check (no partial block
+// pending, a full block, a codec the writer could have chosen) decides
+// passthrough; otherwise the block's records are re-emitted. scanErr
 // reports an unrecognizable stream (non-fatal to the merge); writeErr
 // reports an output-side failure (fatal).
-func mergeStream(w *Writer, stream []byte, workers int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	type mergeRes struct {
-		idx  int
-		blk  telemetry.RawBlock
+func mergeStream(w *Writer, stream []byte, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
+	type block struct {
+		raw  telemetry.RawBlock
 		recs []telemetry.Observation
-		pass bool
 	}
-	type mergeJob struct {
-		idx     int
-		blk     telemetry.RawBlock
-		decoded []byte
-		pass    bool
-	}
-	jobs := make(chan mergeJob, workers)
-	results := make(chan mergeRes, workers*2)
 	var bufs pools
-
-	// Scanner: walks the salvage resync sequentially, planning
-	// passthrough by simulating the writer's pending-record count. The
-	// plan mirrors WriteEncodedBlock's own precondition check, so by
-	// the time an aligned block reaches delivery (in order), the writer
-	// is exactly where the scanner predicted.
-	pending := w.tw.Pending()
-	perBlock := w.tw.RecordsPerBlock()
+	blocks := make(chan block, mergeQueue)
 	go func() {
-		defer close(jobs)
-		idx := 0
+		defer close(blocks)
 		rep, scanErr = telemetry.SalvageRawBlocks(stream, func(b telemetry.RawBlock, decoded []byte) {
-			pass := passOK && pending == 0 && b.Checksummed() &&
-				b.Count == perBlock && w.tw.CodecCompatible(b.Codec)
-			if !pass {
-				pending = (pending + b.Count) % perBlock
-			}
-			select {
-			case jobs <- mergeJob{idx: idx, blk: b, decoded: decoded, pass: pass}:
-				idx++
-			case <-ctx.Done():
-			}
+			blocks <- block{raw: b, recs: telemetry.AppendRecords(bufs.getRecs(), decoded)}
 		})
 	}()
-
-	// Workers: record decode for blocks that must be re-framed;
-	// passthrough blocks skip the pool's CPU entirely (their stored
-	// bytes — checksum included — are already what the output needs).
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res := mergeRes{idx: j.idx, blk: j.blk, pass: j.pass}
-				if !j.pass {
-					res.recs = telemetry.AppendRecords(bufs.getRecs(), j.decoded)
-				}
-				select {
-				case results <- res:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Delivery: strictly in stream order on this goroutine, so the
-	// output bytes match a sequential merge exactly.
-	var (
-		next int
-		held = make(map[int]mergeRes)
-	)
-	fail := func(err error) {
+	// After a write error the loop keeps draining, so the scanner always
+	// runs to the end of the part; rep and scanErr are set before it
+	// closes the channel.
+	for b := range blocks {
 		if writeErr == nil {
-			writeErr = err
-			cancel()
+			writeErr = writeMergedBlock(w, b.raw, b.recs, passOK)
 		}
-	}
-	for r := range results {
-		held[r.idx] = r
-		for {
-			h, ok := held[next]
-			if !ok {
-				break
-			}
-			delete(held, next)
-			next++
-			if writeErr != nil {
-				bufs.putRecs(h.recs)
-				continue
-			}
-			if h.pass {
-				ok, err := w.writeEncodedBlock(h.blk)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if ok {
-					continue
-				}
-				// The writer declined (cannot happen while the scanner's
-				// simulation holds, but stay safe): fall back to decoding
-				// the stored block and re-emitting its records.
-				recs, _, derr := h.blk.AppendDecoded(bufs.getRecs(), nil)
-				if derr != nil {
-					fail(derr)
-					continue
-				}
-				h.recs = recs
-			}
-			for _, o := range h.recs {
-				if err := w.Write(o); err != nil {
-					fail(err)
-					break
-				}
-			}
-			bufs.putRecs(h.recs)
-		}
+		bufs.putRecs(b.recs)
 	}
 	return rep, scanErr, writeErr
+}
+
+// writeMergedBlock copies raw's stored frame through when passOK and
+// the writer accepts it, and otherwise writes recs, raw's decoded
+// records, one by one.
+func writeMergedBlock(w *Writer, raw telemetry.RawBlock, recs []telemetry.Observation, passOK bool) error {
+	if passOK {
+		if ok, err := w.writeEncodedBlock(raw); ok || err != nil {
+			return err
+		}
+	}
+	for _, o := range recs {
+		if err := w.Write(o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readFileRetry reads path fully through the shared retry policy.

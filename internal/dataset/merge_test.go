@@ -3,9 +3,11 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +232,43 @@ func TestMergeRetriesTransientIO(t *testing.T) {
 		t.Fatal("missing part should fail the merge")
 	} else if len(slept) != 0 {
 		t.Fatalf("missing part slept %v before failing", slept)
+	}
+}
+
+// TestMergeOutputWriteFault: a write error on the merged output while
+// the second part is being written fails the merge with the injected
+// error, names the part, and leaves nothing behind: no output file and
+// no temp file.
+func TestMergeOutputWriteFault(t *testing.T) {
+	dir := t.TempDir()
+	meta := Meta{Seed: 9, Users: 10000, FromDay: 0, ToDay: 6, Sample: "all"}
+	obs := sample(10000)
+	p0 := filepath.Join(dir, "part-0000.uv6")
+	p1 := filepath.Join(dir, "part-0001.uv6")
+	writePart(t, p0, meta, obs[:5000])
+	writePart(t, p1, meta, obs[5000:])
+
+	// The output holds 10000 identity records of 40 bytes after its
+	// header, so byte 300000 lies inside part 1's records, and the
+	// stream writer's 64 KiB buffer flushes past it while part 1 is
+	// still merging, not at Close.
+	in := faultio.New(faultio.OS, 1)
+	if err := in.Arm("merged.uv6.tmp:write:off=300000:err"); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "merged.uv6")
+	_, err := Merge(out, meta, []string{p0, p1}, &MergeOptions{FS: in})
+	if !errors.Is(err, faultio.ErrTransient) {
+		t.Fatalf("merge error = %v, want faultio.ErrTransient", err)
+	}
+	if !strings.Contains(err.Error(), "part-0001.uv6") {
+		t.Fatalf("merge error %q does not name the part being merged", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("failed merge left output %s (stat err %v)", out, err)
+	}
+	if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed merge left temp file %s.tmp (stat err %v)", out, err)
 	}
 }
 

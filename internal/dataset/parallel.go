@@ -13,7 +13,6 @@ package dataset
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -63,46 +62,18 @@ type ParallelReader struct {
 	covered  bool
 }
 
-// OpenParallel opens path for parallel reading and parses its header
-// (verifying the header CRC like Open). A file that starts directly
-// with a telemetry signature is accepted as a headerless raw stream
-// with zero Meta.
+// OpenParallel opens path for parallel reading and parses its header,
+// under the same accept rule as Open: a headered file whose header
+// checksum verifies, or a headerless raw telemetry stream (zero Meta).
 func OpenParallel(path string, opts ParallelOptions) (*ParallelReader, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	f, err := os.Open(path)
+	f, meta, raw, err := openDataset(path)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: open: %w", err)
-	}
-	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(f, hdr)
-	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-		f.Close()
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	pr := &ParallelReader{f: f, opts: opts}
-	if n >= 3 && hdr[0] == 'u' && hdr[1] == 'v' && hdr[2] == '6' {
-		pr.raw = true
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dataset: seek: %w", err)
-		}
-		return pr, nil
-	}
-	if n != headerSize {
-		f.Close()
-		return nil, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
-	}
-	if err := json.Unmarshal(trimHeader(hdr), &pr.meta); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dataset: parse header: %w", err)
-	}
-	if err := verifyHeaderCRC(hdr, pr.meta); err != nil {
-		f.Close()
 		return nil, err
 	}
-	return pr, nil
+	return &ParallelReader{f: f, meta: meta, raw: raw, opts: opts}, nil
 }
 
 // Meta returns the dataset metadata (zero for raw streams).

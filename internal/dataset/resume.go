@@ -74,6 +74,9 @@ func LoadResumePrefix(path string) (Meta, []telemetry.Observation, error) {
 		return Meta{}, nil, err
 	}
 	defer r.Close()
+	if r.Raw() {
+		return Meta{}, nil, fmt.Errorf("dataset: resume %s: raw telemetry stream has no dataset header", path)
+	}
 	meta := r.Meta()
 	var obs []telemetry.Observation
 	for {

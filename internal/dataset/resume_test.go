@@ -155,7 +155,8 @@ func TestLoadResumePrefixTruncated(t *testing.T) {
 }
 
 // TestLoadResumePrefixRejectsBadHeader: a header that fails its CRC
-// cannot seed a resume.
+// cannot seed a resume, and neither can a headerless raw stream, which
+// Open accepts but which carries no run configuration.
 func TestLoadResumePrefixRejectsBadHeader(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "d.uv6")
@@ -181,5 +182,8 @@ func TestLoadResumePrefixRejectsBadHeader(t *testing.T) {
 	}
 	if _, _, err := LoadResumePrefix(path); err == nil {
 		t.Fatal("resume from a CRC-failing header should fail")
+	}
+	if _, _, err := LoadResumePrefix(writeRawStream(t, sample(10))); err == nil {
+		t.Fatal("resume from a raw stream should fail")
 	}
 }

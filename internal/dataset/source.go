@@ -5,26 +5,16 @@ package dataset
 // merged .uv6 file, a sharded export's manifest.uv6m plus parts, or a
 // bare list of part files. A Source names the parts, carries whatever
 // expectations the container format declares (per-part user ranges,
-// codecs, whole-file checksums from a manifest), and reports its
-// capabilities so the planner can pick an execution mode without
-// knowing which concrete shape it was handed.
+// codecs, whole-file checksums from a manifest), so the planner and
+// executor can run over it without knowing which concrete shape they
+// were handed.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 )
-
-// SourceCaps describes what a Source can promise the planner.
-type SourceCaps struct {
-	// PartCount is the number of independent part streams. A plain file
-	// counts as one part.
-	PartCount int
-}
 
 // Source is one logical telemetry corpus: an ordered set of part files
 // plus whatever the container declares about them. Parts are analyzed
@@ -43,39 +33,19 @@ type Source interface {
 	// known (false for headerless raw streams and bare part lists with
 	// no parseable header).
 	Meta() (Meta, bool)
-	// Caps reports the source's capabilities for planning.
-	Caps() SourceCaps
 }
 
-// probeMeta parses a dataset file's header without consuming the
-// stream, mirroring OpenParallel's accept rules: a headered v1/v2 file
-// yields its Meta, a headerless raw telemetry stream yields ok=false,
-// anything else is an error.
+// probeMeta reads path's header without consuming the stream, under
+// OpenParallel's accept rules: a headered v1/v2 file yields its Meta, a
+// headerless raw telemetry stream yields ok=false, anything else is an
+// error.
 func probeMeta(path string) (Meta, bool, error) {
-	f, err := os.Open(path)
+	f, meta, raw, err := openDataset(path)
 	if err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: open: %w", err)
-	}
-	defer f.Close()
-	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(f, hdr)
-	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return Meta{}, false, fmt.Errorf("dataset: read header: %w", err)
-	}
-	if n >= 3 && hdr[0] == 'u' && hdr[1] == 'v' && hdr[2] == '6' {
-		return Meta{}, false, nil // raw stream: no header to carry Meta
-	}
-	if n != headerSize {
-		return Meta{}, false, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
-	}
-	var meta Meta
-	if err := json.Unmarshal(trimHeader(hdr), &meta); err != nil {
-		return Meta{}, false, fmt.Errorf("dataset: parse header: %w", err)
-	}
-	if err := verifyHeaderCRC(hdr, meta); err != nil {
 		return Meta{}, false, err
 	}
-	return meta, true, nil
+	f.Close()
+	return meta, !raw, nil
 }
 
 // FileSource is a single dataset file (headered or raw stream).
@@ -98,9 +68,6 @@ func (s *FileSource) Kind() string                  { return "file" }
 func (s *FileSource) Parts() []string               { return []string{s.path} }
 func (s *FileSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
 func (s *FileSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
-func (s *FileSource) Caps() SourceCaps {
-	return SourceCaps{PartCount: 1}
-}
 
 // ManifestSource is a sharded export addressed by its manifest: part
 // paths resolve relative to the manifest file, and the manifest's
@@ -156,8 +123,6 @@ func (s *ManifestSource) Meta() (Meta, bool) {
 	return m, true
 }
 
-func (s *ManifestSource) Caps() SourceCaps { return SourceCaps{PartCount: len(s.parts)} }
-
 // Manifest exposes the parsed manifest for tools that report per-part
 // detail (verify, merge planning).
 func (s *ManifestSource) Manifest() *Manifest { return s.man }
@@ -196,9 +161,6 @@ func (s *PartsSource) Kind() string                  { return "parts" }
 func (s *PartsSource) Parts() []string               { return s.parts }
 func (s *PartsSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
 func (s *PartsSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
-func (s *PartsSource) Caps() SourceCaps {
-	return SourceCaps{PartCount: len(s.parts)}
-}
 
 // OpenSource resolves a user-supplied path to the right source shape:
 // a directory means "the sharded export in here" (manifest.uv6m

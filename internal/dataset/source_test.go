@@ -62,13 +62,10 @@ func TestOpenSourceResolution(t *testing.T) {
 	if src.Kind() != "file" || len(src.Parts()) != 1 {
 		t.Fatalf("OpenSource(part file): kind %s, %d parts", src.Kind(), len(src.Parts()))
 	}
-	if caps := src.Caps(); caps.PartCount != 1 {
-		t.Fatalf("file caps %+v", caps)
-	}
 }
 
 // TestManifestSourceMetaAndCaps: Meta() carries the per-part record
-// total (the merged header's count), and Caps counts the parts.
+// total (the merged header's count), and Parts lists every part.
 func TestManifestSourceMetaAndCaps(t *testing.T) {
 	dir := shardedDir(t)
 	src, err := OpenManifestSource(dir)
@@ -79,8 +76,8 @@ func TestManifestSourceMetaAndCaps(t *testing.T) {
 	if !ok || meta.Records != src.Manifest().TotalRecords() || meta.Records == 0 {
 		t.Fatalf("manifest meta %+v (ok=%v), want records filled from parts", meta, ok)
 	}
-	if got := src.Caps(); got.PartCount != 2 || len(src.Parts()) != 2 {
-		t.Fatalf("manifest caps %+v over %d parts, want 2", got, len(src.Parts()))
+	if len(src.Parts()) != 2 {
+		t.Fatalf("manifest source lists %d parts, want 2", len(src.Parts()))
 	}
 }
 

@@ -204,8 +204,8 @@ func (w *WriterV2) Codec() CodecID {
 // chain-less writer, any chain member otherwise. Identity blocks under
 // a chained writer are NOT compatible — an identity frame could be an
 // uncompressed source or an encoder fallback, and the two cannot be
-// told apart without re-encoding. WriteEncodedBlock and the merge
-// passthrough planner use this as their codec gate.
+// told apart without re-encoding. WriteEncodedBlock uses this as its
+// codec gate.
 func (w *WriterV2) CodecCompatible(id CodecID) bool {
 	if len(w.chain) == 0 {
 		return id == CodecIdentity
@@ -217,12 +217,6 @@ func (w *WriterV2) CodecCompatible(id CodecID) bool {
 	}
 	return false
 }
-
-// Pending returns the records buffered in the block in progress.
-func (w *WriterV2) Pending() int { return w.count }
-
-// RecordsPerBlock returns the full-block record target.
-func (w *WriterV2) RecordsPerBlock() int { return w.perBlock }
 
 // Write appends one observation, emitting a block when full.
 func (w *WriterV2) Write(o Observation) error {

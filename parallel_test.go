@@ -10,19 +10,62 @@ import (
 	"testing"
 
 	"userv6/internal/core"
+	"userv6/internal/dataset"
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
 	"userv6/internal/stats"
 	"userv6/internal/telemetry"
 )
 
-// TestParallelMatchesSerial: sharded generation + merge must reproduce
-// the serial analysis exactly.
+// perShard adapts a per-shard consumer factory to
+// GenerateParallelSinksCtx's sink factory, with no done hook.
+func perShard(newConsumer func() telemetry.EmitFunc) func(shard, lo, hi int) (telemetry.EmitFunc, func(error) error) {
+	return func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
+		return newConsumer(), nil
+	}
+}
+
+// fig2FromSource computes the Figure 2 histograms over src: week and
+// last-day UserCentric analyzers, merged across AnalyzeSource's workers.
+func fig2FromSource(t *testing.T, src dataset.Source, workers int) AddrsPerUserResult {
+	t.Helper()
+	_, to := AnalysisWeek()
+	set := core.NewAnalyzerSet()
+	mkUC := func() *core.UserCentric { return core.NewUserCentricFor(false) }
+	week := mkUC()
+	core.AddCommutativeAnalyzer(set, week, mkUC, (*core.UserCentric).Merge)
+	day := mkUC()
+	core.AddCommutativeAnalyzerFiltered(set, day, mkUC, (*core.UserCentric).Merge,
+		func(o telemetry.Observation) bool { return o.Day == to })
+	analyzeWith(t, src, set, workers)
+	return AddrsPerUserResult{
+		DayV4:    day.AddrsPerUser(netaddr.IPv4),
+		DayV6:    day.AddrsPerUser(netaddr.IPv6),
+		WeekV4:   week.AddrsPerUser(netaddr.IPv4),
+		WeekV6:   week.AddrsPerUser(netaddr.IPv6),
+		Entities: week.Users(),
+	}
+}
+
+// ipCentricFromSource computes users-per-prefix at one granularity over
+// src, merged across AnalyzeSource's workers.
+func ipCentricFromSource(t *testing.T, src dataset.Source, workers int, fam netaddr.Family, length int) *core.IPCentric {
+	t.Helper()
+	set := core.NewAnalyzerSet()
+	mk := func() *core.IPCentric { return core.NewIPCentric(fam, length) }
+	out := mk()
+	core.AddCommutativeAnalyzer(set, out, mk, (*core.IPCentric).Merge)
+	analyzeWith(t, src, set, workers)
+	return out
+}
+
+// TestParallelMatchesSerial: sharded export + parallel analysis must
+// reproduce the serial analysis exactly.
 func TestParallelMatchesSerial(t *testing.T) {
 	sim := NewSim(DefaultScenario(3_000))
 
 	serial := sim.Fig2()
-	parallel := sim.Fig2Parallel(4)
+	parallel := fig2FromSource(t, exportWeek(t, sim, 4), 4)
 
 	if serial.Entities != parallel.Entities {
 		t.Fatalf("entities: serial %d vs parallel %d", serial.Entities, parallel.Entities)
@@ -48,7 +91,7 @@ func TestIPCentricParallelMatchesSerial(t *testing.T) {
 	serial := core.NewIPCentric(netaddr.IPv6, 64)
 	sim.Generate(from, to, serial.Observe)
 
-	parallel := sim.IPCentricParallel(netaddr.IPv6, 64, 3)
+	parallel := ipCentricFromSource(t, exportWeek(t, sim, 3), 3, netaddr.IPv6, 64)
 
 	if serial.Prefixes() != parallel.Prefixes() {
 		t.Fatalf("prefixes: %d vs %d", serial.Prefixes(), parallel.Prefixes())
@@ -75,14 +118,17 @@ func TestGenerateParallelCoversAllUsers(t *testing.T) {
 	sim.Benign.GenerateDay(84, func(telemetry.Observation) { serialCount++ })
 
 	var total atomic.Int64
-	sim.GenerateParallel(84, 84, 5, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(context.Background(), 84, 84, 5, perShard(func() telemetry.EmitFunc {
 		m := make(map[uint64]bool)
 		seen = append(seen, m)
 		return func(o telemetry.Observation) {
 			m[o.UserID] = true
 			total.Add(1)
 		}
-	})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if total.Load() != int64(serialCount) {
 		t.Fatalf("parallel emitted %d observations, serial %d", total.Load(), serialCount)
 	}
@@ -134,8 +180,8 @@ func histFingerprint(h *stats.IntHist) string {
 	return sb.String()
 }
 
-// Shard-count invariance: the same analysis with 1, 3, and GOMAXPROCS
-// shards must produce byte-identical results.
+// Shard-count invariance: the same analysis over exports of 1, 3, and
+// GOMAXPROCS shards must produce byte-identical results.
 func TestShardCountInvariance(t *testing.T) {
 	sim := NewSim(DefaultScenario(2_000))
 	shardCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
@@ -145,14 +191,15 @@ func TestShardCountInvariance(t *testing.T) {
 	var entities []int
 	var ipc []string
 	for _, n := range shardCounts {
-		r := sim.Fig2Parallel(n)
+		src := exportWeek(t, sim, n)
+		r := fig2FromSource(t, src, n)
 		fig2 = append(fig2, fp{
 			dayV6:  histFingerprint(r.DayV6),
 			weekV4: histFingerprint(r.WeekV4),
 			weekV6: histFingerprint(r.WeekV6),
 		})
 		entities = append(entities, r.Entities)
-		ic := sim.IPCentricParallel(netaddr.IPv6, 64, n)
+		ic := ipCentricFromSource(t, src, n, netaddr.IPv6, 64)
 		ipc = append(ipc, fmt.Sprintf("p=%d;%s", ic.Prefixes(), histFingerprint(ic.UsersPerPrefix())))
 	}
 	for i := 1; i < len(shardCounts); i++ {
@@ -161,11 +208,11 @@ func TestShardCountInvariance(t *testing.T) {
 				shardCounts[0], entities[0], shardCounts[i], entities[i])
 		}
 		if fig2[i] != fig2[0] {
-			t.Fatalf("Fig2Parallel differs between shards=%d and shards=%d",
+			t.Fatalf("Figure 2 histograms differ between shards=%d and shards=%d",
 				shardCounts[0], shardCounts[i])
 		}
 		if ipc[i] != ipc[0] {
-			t.Fatalf("IPCentricParallel differs between shards=%d and shards=%d",
+			t.Fatalf("users-per-prefix differs between shards=%d and shards=%d",
 				shardCounts[0], shardCounts[i])
 		}
 	}
@@ -180,14 +227,14 @@ func TestGenerateParallelCtxPanicIsolated(t *testing.T) {
 
 	const panicUser = 777
 	var shardIdx atomic.Int32
-	err := sim.GenerateParallelCtx(context.Background(), from, to, 4, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(context.Background(), from, to, 4, perShard(func() telemetry.EmitFunc {
 		shardIdx.Add(1)
 		return func(o telemetry.Observation) {
 			if o.UserID == panicUser {
 				panic("injected consumer fault")
 			}
 		}
-	})
+	}))
 	if err == nil {
 		t.Fatal("injected panic did not surface as an error")
 	}
@@ -220,7 +267,7 @@ func TestGenerateParallelCtxSiblingsCancelled(t *testing.T) {
 	sim.Benign.Generate(from, to, func(telemetry.Observation) { full++ })
 
 	var seen atomic.Int64
-	err := sim.GenerateParallelCtx(context.Background(), from, to, 4, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(context.Background(), from, to, 4, perShard(func() telemetry.EmitFunc {
 		first := true
 		return func(telemetry.Observation) {
 			seen.Add(1)
@@ -229,7 +276,7 @@ func TestGenerateParallelCtxSiblingsCancelled(t *testing.T) {
 				panic("fail fast")
 			}
 		}
-	})
+	}))
 	var pe *ShardPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ShardPanicError, got %v", err)
@@ -252,13 +299,13 @@ func TestGenerateParallelCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen atomic.Int64
-	err := sim.GenerateParallelCtx(ctx, from, to, 4, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(ctx, from, to, 4, perShard(func() telemetry.EmitFunc {
 		return func(telemetry.Observation) {
 			if seen.Add(1) == 100 {
 				cancel()
 			}
 		}
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -273,9 +320,9 @@ func TestGenerateParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var seen atomic.Int64
-	err := sim.GenerateParallelCtx(ctx, 84, 84, 2, func() telemetry.EmitFunc {
+	err := sim.GenerateParallelSinksCtx(ctx, 84, 84, 2, perShard(func() telemetry.EmitFunc {
 		return func(telemetry.Observation) { seen.Add(1) }
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -303,12 +350,5 @@ func TestGenerateCtxMatchesGenerate(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("cancelled GenerateCtx emitted %d observations", n)
-	}
-}
-
-func BenchmarkFig2Parallel(b *testing.B) {
-	sim := getBenchSim()
-	for i := 0; i < b.N; i++ {
-		_ = sim.Fig2Parallel(0)
 	}
 }
