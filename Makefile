@@ -53,15 +53,16 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection gate under the race detector: the retry/faultio unit
-# tests plus the crash sweeps — sharded exports killed at injected
-# faults (every frame boundary of every part in the full sweep, every
-# manifest rewrite) must resume byte-identical — and the merge's
-# read-retry, output-write-error and cancellation tests. FAULTS_FLAGS=-short
-# subsamples the truncation sweep for the PR gate; nightly runs it full.
+# tests plus the crash sweeps — sharded exports and single-file runs
+# killed at injected faults (every frame boundary of every file in the
+# full sweeps, every manifest rewrite) must resume byte-identical — and
+# the merge's read-retry, output-write-error and cancellation tests.
+# FAULTS_FLAGS=-short subsamples the truncation sweeps for the PR gate;
+# nightly runs them full.
 FAULTS_FLAGS ?=
 faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled' . ./internal/dataset
 
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the

@@ -347,107 +347,56 @@ func runGen(args []string) {
 		n, *users, *from, *to, *format, *out, size, note)
 }
 
-// runGenResume continues an interrupted dataset generation run. The
-// partial file (the -o target, or its crash-safe .tmp sibling) supplies
-// the run configuration from its header and a strictly verified record
-// prefix; the frontier — the last (user, day) batch certain to be
-// complete — is derived from that prefix, the prefix is re-emitted into
-// a fresh writer, and deterministic generation restarts at the
-// frontier. The finished file is byte-identical to an uninterrupted
-// run.
+// runGenResume continues an interrupted dataset generation run through
+// Sim.ResumeFileFS. The partial file (the -o target, or its crash-safe
+// .tmp sibling) supplies the run configuration from its header, which
+// is read here only to build the Sim and the sampler; the library keeps
+// the file's verified prefix up to its last complete (user, day) batch
+// and regenerates the rest. The finished file is byte-identical to an
+// uninterrupted run.
 func runGenResume(ctx context.Context, fsys faultio.FS, out string) {
 	src := out
 	if _, err := os.Stat(src); err != nil {
-		if _, terr := os.Stat(out + ".tmp"); terr == nil {
-			src = out + ".tmp"
-		} else {
-			fatal(fmt.Errorf("gen -resume: no partial dataset at %s (or %s.tmp)", out, out))
-		}
+		src = out + ".tmp"
 	}
-	// Note that a finalized header (complete:true) does not mean the
-	// whole window was generated — an interrupted gen finalizes a valid
-	// partial dataset. Resume is idempotent: resuming a genuinely
-	// complete file regenerates only its final batch and reproduces the
-	// identical bytes.
-	meta, obs, err := dataset.LoadResumePrefix(src)
+	hdr, err := dataset.NewFileSource(src)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("gen -resume: no usable partial dataset at %s (or %s.tmp): %w", out, out, err))
 	}
-	front, keep := dataset.DeriveFrontier(obs)
-
+	meta, ok := hdr.Meta()
+	if !ok {
+		fatal(fmt.Errorf("gen -resume: %s is a raw telemetry stream with no dataset header", src))
+	}
 	sampler, err := sampling.Parse(meta.Sample, meta.Seed)
 	if err != nil {
 		fatal(err)
 	}
 	sim := userv6.NewSim(userv6.DefaultScenario(meta.Users).WithSeed(meta.Seed))
-	from, to := meta.Window()
 
-	// The resumed file carries the original run's configuration — the
-	// block codec included, or the resumed bytes would diverge from the
-	// uninterrupted run's; counts and completion are rewritten by the
-	// new writer.
-	w, err := dataset.CreateFS(fsys, out, dataset.Meta{
-		Seed: meta.Seed, Users: meta.Users, FromDay: meta.FromDay, ToDay: meta.ToDay,
-		Sample: meta.Sample, BenignOnly: meta.BenignOnly, Codec: meta.Codec,
+	front, kept, records, err := sim.ResumeFileFS(ctx, fsys, out, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
+		return sampling.Filter(sampler, emit)
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, context.Canceled) {
 		fatal(err)
 	}
-	emit, errp := w.Emit()
-	for _, o := range obs[:keep] {
-		emit(o)
+	var size int64
+	if st, err := os.Stat(out); err == nil {
+		size = st.Size()
 	}
-	femit := sampling.Filter(sampler, emit)
-
-	var genErr error
-	switch {
-	case front.Restart:
-		if meta.BenignOnly {
-			genErr = sim.Benign.GenerateCtx(ctx, from, to, femit)
-		} else {
-			genErr = sim.GenerateCtx(ctx, from, to, femit)
-		}
-	case front.BenignDone:
-		sim.Abusive.Generate(from, to, femit)
-	default:
-		idx := sim.UserIndex(front.UserID)
-		if idx < 0 {
-			w.Abort()
-			fatal(fmt.Errorf("gen -resume: frontier user %d not in population (%d users); header untrustworthy?",
-				front.UserID, meta.Users))
-		}
-		if meta.BenignOnly {
-			genErr = sim.Benign.GenerateFromCtx(ctx, idx, front.Day, from, to, femit)
-		} else {
-			genErr = sim.GenerateResumeCtx(ctx, idx, front.Day, from, to, femit)
-		}
-	}
-	if *errp != nil {
-		w.Abort()
-		fatal(*errp)
-	}
-	if genErr != nil && !errors.Is(genErr, context.Canceled) {
-		w.Abort()
-		fatal(genErr)
-	}
-	if err := w.Close(); err != nil {
-		fatal(err)
-	}
-	st, _ := os.Stat(out)
 	note := ""
-	if genErr != nil {
+	if err != nil {
 		note = " [interrupted again; resume to continue]"
 	}
 	switch {
 	case front.Restart:
 		fmt.Printf("resumed %s from scratch (no usable prefix): %d records, %d bytes%s\n",
-			out, w.Records(), st.Size(), note)
+			out, records, size, note)
 	case front.BenignDone:
 		fmt.Printf("resumed %s at the abusive phase (kept %d benign records): %d records, %d bytes%s\n",
-			out, keep, w.Records(), st.Size(), note)
+			out, kept, records, size, note)
 	default:
 		fmt.Printf("resumed %s at user %d, day %d (kept %d records): %d records, %d bytes%s\n",
-			out, front.UserID, int(front.Day), keep, w.Records(), st.Size(), note)
+			out, front.UserID, int(front.Day), kept, records, size, note)
 	}
 }
 

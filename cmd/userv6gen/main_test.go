@@ -7,6 +7,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -143,5 +144,46 @@ func TestMergePositionalTakesFirstValidHeader(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("positional merge differs from the single-writer file (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestGenResumeAfterCrash: a gen killed by a crash failpoint in its
+// temp file, then `gen -resume`, writes the file a plain gen writes,
+// under a block-codec policy and a sampler alike.
+func TestGenResumeAfterCrash(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		flags []string
+	}{
+		{"auto", []string{"-compress=auto"}},
+		{"sample", []string{"-sample", "user:0.5"}},
+	} {
+		dir := t.TempDir()
+		plain := filepath.Join(dir, "plain.uv6")
+		mustRun(t, append([]string{"gen", "-users", "300", "-o", plain}, c.flags...)...)
+		want, err := os.ReadFile(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut, off := range map[string]int{"early": 3000, "mid": len(want) / 2} {
+			t.Run(c.name+"-"+cut, func(t *testing.T) {
+				out := filepath.Join(t.TempDir(), "week.uv6")
+				args := append([]string{"gen", "-users", "300", "-o", out,
+					"-faults", fmt.Sprintf("week.uv6.tmp:write:off=%d:crash", off)}, c.flags...)
+				if _, stderr, code := userv6gen(t, args...); code == 0 || !strings.Contains(stderr, "injected crash") {
+					t.Fatalf("gen across the crash failpoint: exit %d\n%s", code, stderr)
+				}
+				if stdout := mustRun(t, "gen", "-resume", "-o", out); !strings.HasPrefix(stdout, "resumed "+out) {
+					t.Fatalf("gen -resume printed %q", stdout)
+				}
+				got, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("resumed file differs from a plain gen (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
 	}
 }

@@ -84,7 +84,7 @@ func BenchmarkWriterV2LZ(b *testing.B) {
 	b.SetBytes(int64(len(obs)) * recordSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := NewWriterV2Codec(io.Discard, DefaultBlockRecords, CodecLZ)
+		w, err := NewWriterV2Policy(io.Discard, DefaultBlockRecords, "lz")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkWriterV2LZ(b *testing.B) {
 func BenchmarkReaderV2LZ(b *testing.B) {
 	obs := benchObs(64 * DefaultBlockRecords)
 	var buf bytes.Buffer
-	w, err := NewWriterV2Codec(&buf, DefaultBlockRecords, CodecLZ)
+	w, err := NewWriterV2Policy(&buf, DefaultBlockRecords, "lz")
 	if err != nil {
 		b.Fatal(err)
 	}

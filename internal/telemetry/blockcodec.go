@@ -107,21 +107,6 @@ func CodecByID(id CodecID) (BlockCodec, bool) {
 	return nil, false
 }
 
-// CodecByName resolves a codec by its metadata name. The empty string
-// and "none" are accepted as aliases for identity, so datasets written
-// before the codec field existed resolve without special-casing.
-func CodecByName(name string) (BlockCodec, bool) {
-	switch strings.ToLower(name) {
-	case "", "identity", "none":
-		return identityCodec{}, true
-	case "lz":
-		return lzCodec{}, true
-	case "delta":
-		return deltaCodec{}, true
-	}
-	return nil, false
-}
-
 // CodecChainByName resolves a compression policy name to a writer
 // fallback chain: the writer encodes each block under every codec in
 // the chain and stores the smallest result (identity when nothing

@@ -201,7 +201,7 @@ func TestCodecCompatible(t *testing.T) {
 	if !ident.CodecCompatible(CodecIdentity) || ident.CodecCompatible(CodecLZ) {
 		t.Fatal("identity writer compatibility wrong")
 	}
-	lzw, err := NewWriterV2Codec(io.Discard, DefaultBlockRecords, CodecLZ)
+	lzw, err := NewWriterV2Policy(io.Discard, DefaultBlockRecords, "lz")
 	if err != nil {
 		t.Fatal(err)
 	}

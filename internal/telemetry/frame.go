@@ -154,23 +154,6 @@ func NewWriterV2Blocks(w io.Writer, recordsPerBlock int) *WriterV2 {
 	}
 }
 
-// NewWriterV2Codec returns a v2 Writer that stores each block under
-// codec, falling back to identity per block when the encoded payload
-// is not strictly smaller (so a pathological block never grows the
-// stream past the uncompressed layout plus headers).
-func NewWriterV2Codec(w io.Writer, recordsPerBlock int, codec CodecID) (*WriterV2, error) {
-	c, ok := CodecByID(codec)
-	if !ok {
-		return nil, fmt.Errorf("telemetry: unknown block codec id %d", codec)
-	}
-	wr := NewWriterV2Blocks(w, recordsPerBlock)
-	if c.ID() != CodecIdentity {
-		wr.chain = []BlockCodec{c}
-		wr.encs = make([][]byte, 1)
-	}
-	return wr, nil
-}
-
 // NewWriterV2Policy returns a v2 Writer driven by a compression policy
 // name (see CodecChainByName): every block is encoded under each codec
 // in the policy's chain and stored under whichever yields the smallest

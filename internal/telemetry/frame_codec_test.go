@@ -18,7 +18,7 @@ import (
 func encodeV2LZ(t *testing.T, obs []Observation, perBlock int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterV2Codec(&buf, perBlock, CodecLZ)
+	w, err := NewWriterV2Policy(&buf, perBlock, "lz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestWriteEncodedBlockPassthrough(t *testing.T) {
 	orig := encodeV2LZ(t, obs, 64)
 
 	var buf bytes.Buffer
-	w, err := NewWriterV2Codec(&buf, 64, CodecLZ)
+	w, err := NewWriterV2Policy(&buf, 64, "lz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestWriteEncodedBlockDeclines(t *testing.T) {
 	}
 
 	mk := func(perBlock int, codec CodecID) *WriterV2 {
-		w, err := NewWriterV2Codec(io.Discard, perBlock, codec)
+		w, err := NewWriterV2Policy(io.Discard, perBlock, codec.String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	var v2lz bytes.Buffer
-	wlz, err := NewWriterV2Codec(&v2lz, 16, CodecLZ)
+	wlz, err := NewWriterV2Policy(&v2lz, 16, "lz")
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -115,18 +115,13 @@ func (g *Generator) GenerateDay(day simtime.Day, emit EmitFunc) {
 	g.Generate(day, day, emit)
 }
 
-// GenerateUsers emits observations for the user-index range [lo, hi)
+// GenerateUsersCtx emits observations for the user-index range [lo, hi)
 // over days [from, to]. Because generation is a pure function of (user,
 // day), disjoint ranges can be generated concurrently; each goroutine
-// gets its own emit.
-func (g *Generator) GenerateUsers(lo, hi int, from, to simtime.Day, emit EmitFunc) {
-	g.GenerateUsersCtx(context.Background(), lo, hi, from, to, emit)
-}
-
-// GenerateUsersCtx is GenerateUsers with cooperative cancellation: the
-// context is checked before every (user, day) batch, so generation
-// stops within one batch of ctx being cancelled and returns ctx.Err().
-// It returns nil when the range was generated to completion.
+// gets its own emit. The context is checked before every (user, day)
+// batch, so generation stops within one batch of ctx being cancelled
+// and returns ctx.Err(). It returns nil when the range was generated to
+// completion.
 func (g *Generator) GenerateUsersCtx(ctx context.Context, lo, hi int, from, to simtime.Day, emit EmitFunc) error {
 	if lo < 0 {
 		lo = 0
@@ -155,22 +150,14 @@ func (g *Generator) GenerateCtx(ctx context.Context, from, to simtime.Day, emit 
 	return g.GenerateUsersCtx(ctx, 0, len(g.Pop.Users), from, to, emit)
 }
 
-// GenerateFromCtx resumes generation at a (user, day) frontier: it
-// emits days [startDay, to] for the user at index startUser, then days
-// [from, to] for every subsequent user. Because generation is a pure
-// function of (user, day), the resumed stream is identical to the
-// suffix of a full run from that frontier onward —
-// GenerateFromCtx(ctx, 0, from, from, to, emit) is exactly
-// GenerateCtx(ctx, from, to, emit).
-func (g *Generator) GenerateFromCtx(ctx context.Context, startUser int, startDay, from, to simtime.Day, emit EmitFunc) error {
-	return g.GenerateUsersFromCtx(ctx, startUser, startDay, len(g.Pop.Users), from, to, emit)
-}
-
-// GenerateUsersFromCtx is GenerateFromCtx bounded to the user-index
-// range [startUser, hi): the resume primitive for one shard of a
-// sharded export, whose part covers a contiguous range rather than the
-// whole population. It emits days [startDay, to] for startUser, then
-// days [from, to] for users (startUser, hi).
+// GenerateUsersFromCtx resumes generation of a user-index range ending
+// at hi from a (user, day) frontier: it emits days [startDay, to] for
+// startUser, then days [from, to] for users (startUser, hi). Because
+// generation is a pure function of (user, day), that is exactly the
+// part of a GenerateUsersCtx(ctx, lo, hi, from, to, emit) run, for any
+// lo <= startUser, from the frontier on; starting at (lo, from) is the
+// whole run. It is the resume primitive for a dataset file covering a
+// contiguous user range.
 func (g *Generator) GenerateUsersFromCtx(ctx context.Context, startUser int, startDay simtime.Day, hi int, from, to simtime.Day, emit EmitFunc) error {
 	if startUser < 0 {
 		startUser = 0

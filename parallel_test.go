@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -17,12 +18,17 @@ import (
 	"userv6/internal/telemetry"
 )
 
-// perShard adapts a per-shard consumer factory to
-// GenerateParallelSinksCtx's sink factory, with no done hook.
-func perShard(newConsumer func() telemetry.EmitFunc) func(shard, lo, hi int) (telemetry.EmitFunc, func(error) error) {
-	return func(_, _, _ int) (telemetry.EmitFunc, func(error) error) {
-		return newConsumer(), nil
+// exportBenign runs a benign-only sharded export of days [from, to]
+// into a fresh directory, with wrap decorating each part's emit func,
+// and returns the export's error.
+func exportBenign(t *testing.T, ctx context.Context, sim *Sim, from, to simtime.Day, shards int, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) error {
+	t.Helper()
+	meta := dataset.Meta{
+		Seed: sim.Scenario.Seed, Users: len(sim.Pop.Users),
+		FromDay: int(from), ToDay: int(to), Sample: "all", BenignOnly: true,
 	}
+	_, err := sim.ExportShardedCtx(ctx, t.TempDir(), shards, meta, wrap)
+	return err
 }
 
 // fig2FromSource computes the Figure 2 histograms over src: week and
@@ -117,15 +123,21 @@ func TestGenerateParallelCoversAllUsers(t *testing.T) {
 	var serialCount int
 	sim.Benign.GenerateDay(84, func(telemetry.Observation) { serialCount++ })
 
-	var total atomic.Int64
-	err := sim.GenerateParallelSinksCtx(context.Background(), 84, 84, 5, perShard(func() telemetry.EmitFunc {
+	var (
+		mu    sync.Mutex
+		total atomic.Int64
+	)
+	err := exportBenign(t, context.Background(), sim, 84, 84, 5, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
 		m := make(map[uint64]bool)
+		mu.Lock()
 		seen = append(seen, m)
+		mu.Unlock()
 		return func(o telemetry.Observation) {
 			m[o.UserID] = true
 			total.Add(1)
+			emit(o)
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +238,14 @@ func TestGenerateParallelCtxPanicIsolated(t *testing.T) {
 	from, to := AnalysisWeek()
 
 	const panicUser = 777
-	var shardIdx atomic.Int32
-	err := sim.GenerateParallelSinksCtx(context.Background(), from, to, 4, perShard(func() telemetry.EmitFunc {
-		shardIdx.Add(1)
+	err := exportBenign(t, context.Background(), sim, from, to, 4, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
 		return func(o telemetry.Observation) {
 			if o.UserID == panicUser {
 				panic("injected consumer fault")
 			}
+			emit(o)
 		}
-	}))
+	})
 	if err == nil {
 		t.Fatal("injected panic did not surface as an error")
 	}
@@ -267,16 +278,17 @@ func TestGenerateParallelCtxSiblingsCancelled(t *testing.T) {
 	sim.Benign.Generate(from, to, func(telemetry.Observation) { full++ })
 
 	var seen atomic.Int64
-	err := sim.GenerateParallelSinksCtx(context.Background(), from, to, 4, perShard(func() telemetry.EmitFunc {
+	err := exportBenign(t, context.Background(), sim, from, to, 4, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
 		first := true
-		return func(telemetry.Observation) {
+		return func(o telemetry.Observation) {
 			seen.Add(1)
 			if first {
 				first = false
 				panic("fail fast")
 			}
+			emit(o)
 		}
-	}))
+	})
 	var pe *ShardPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ShardPanicError, got %v", err)
@@ -299,13 +311,14 @@ func TestGenerateParallelCtxCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen atomic.Int64
-	err := sim.GenerateParallelSinksCtx(ctx, from, to, 4, perShard(func() telemetry.EmitFunc {
-		return func(telemetry.Observation) {
+	err := exportBenign(t, ctx, sim, from, to, 4, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
+		return func(o telemetry.Observation) {
 			if seen.Add(1) == 100 {
 				cancel()
 			}
+			emit(o)
 		}
-	}))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -320,9 +333,12 @@ func TestGenerateParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var seen atomic.Int64
-	err := sim.GenerateParallelSinksCtx(ctx, 84, 84, 2, perShard(func() telemetry.EmitFunc {
-		return func(telemetry.Observation) { seen.Add(1) }
-	}))
+	err := exportBenign(t, ctx, sim, 84, 84, 2, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
+		return func(o telemetry.Observation) {
+			seen.Add(1)
+			emit(o)
+		}
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -13,14 +13,18 @@ package userv6
 // The export is crash-survivable end to end. A provisional manifest —
 // every expected part with its user range, zero counts, no checksums,
 // Complete false — is written before generation starts; each part is
-// finalized the moment its shard finishes and its manifest entry
-// (records, blocks, whole-file CRC) is rewritten atomically. An
-// interrupted or faulted run therefore always leaves dir in a state
-// ResumeShardedCtx can finish from: finalized parts are recognized by
-// their recorded checksum, everything else (torn temp files, partial
-// parts, missing parts) is salvaged to its last intact frame and only
-// the missing suffix is regenerated. The resumed output — parts and
-// manifest both — is byte-identical to an uninterrupted run.
+// finalized the moment it is filled and its manifest entry (records,
+// blocks, whole-file CRC) is rewritten atomically. An interrupted or
+// faulted run therefore always leaves dir in a state ResumeShardedCtx
+// can finish from: finalized parts are recognized by their recorded
+// checksum, everything else (torn temp files, partial parts, missing
+// parts) is salvaged to its last intact frame and only the missing
+// suffix is regenerated. The resumed output — parts and manifest both
+// — is byte-identical to an uninterrupted run.
+//
+// Export, sharded resume and single-file resume (ResumeFileFS) write
+// every file through one filler, fillFile, and fill a manifest's parts
+// through one runner, fillParts.
 
 import (
 	"context"
@@ -31,7 +35,6 @@ import (
 
 	"userv6/internal/dataset"
 	"userv6/internal/faultio"
-	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
 
@@ -41,7 +44,7 @@ func PartName(i int) string { return fmt.Sprintf("part-%04d.uv6", i) }
 
 // shardedRun is the shared bookkeeping of an export or resume pass:
 // the manifest under construction and the lock serializing its
-// incremental rewrites (part finalizations race on shard goroutines).
+// incremental rewrites (part finalizations race on part goroutines).
 type shardedRun struct {
 	fsys faultio.FS
 	dir  string
@@ -79,6 +82,40 @@ func (r *shardedRun) finalizePart(i int, w *dataset.Writer) error {
 	return dataset.WriteManifestFS(r.fsys, r.manifestPath(), r.man)
 }
 
+// fill fills every part of the manifest concurrently through
+// fillParts, finalizing each part the moment it is done, then marks the
+// manifest complete. With resume set, a part whose recorded checksum
+// still matches its bytes is left untouched, and every other part
+// starts from the trusted prefix the interrupted run left on disk.
+func (r *shardedRun) fill(ctx context.Context, s *Sim, resume bool, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (*dataset.Manifest, error) {
+	err := r.fillParts(ctx, func(ctx context.Context, i int) error {
+		p := r.man.Parts[i]
+		path := filepath.Join(r.dir, p.Name)
+		if resume && p.CRC32C != "" {
+			if crc, err := dataset.FileCRC32CFS(r.fsys, path); err == nil && crc == p.CRC32C {
+				return nil // part finalized and intact
+			}
+		}
+		w, _, _, err := s.fillFile(ctx, r.fsys, path, r.man.Meta, p.UserLo, p.UserHi,
+			p.Kind == dataset.PartKindAbusive, resume, wrap)
+		if err == nil {
+			err = r.finalizePart(i, w)
+		}
+		if err != nil {
+			return fmt.Errorf("userv6: %s: %w", p.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.man.Complete = true
+	if err := r.writeManifest(); err != nil {
+		return nil, err
+	}
+	return r.man, nil
+}
+
 // provisionalManifest lays out the full expected part list for a run:
 // benign shards over the given user ranges, plus one trailing abusive
 // part unless the run is benign-only. Counts and checksums are zero —
@@ -107,15 +144,17 @@ func provisionalManifest(meta dataset.Meta, ranges [][2]int) *dataset.Manifest {
 
 // ExportShardedCtx generates the telemetry described by meta (window,
 // benign-only flag) into dir as per-shard dataset part files plus a
-// manifest, using shards concurrent generators (0 means GOMAXPROCS).
-// Benign shards cover contiguous ascending user ranges; unless
-// meta.BenignOnly is set, the abusive stream is generated serially
-// into one trailing part, preserving the single-writer order (benign
-// users ascending, then abusive). wrap, when non-nil, decorates each
-// part's emit func — the hook where deterministic samplers attach.
+// manifest. Benign parts cover the contiguous ascending user ranges of
+// ShardRanges(shards); unless meta.BenignOnly is set, the abusive
+// stream goes into one trailing part, preserving the single-writer
+// order (benign users ascending, then abusive). Every part, the
+// abusive one included, is filled on a goroutine of its own. wrap, when
+// non-nil, decorates each part's emit func — the hook where
+// deterministic samplers attach; it is called once per part, possibly
+// concurrently.
 //
 // On failure or cancellation nothing is deleted: finalized parts, the
-// partial part each interrupted shard flushed, and the incrementally
+// partial part each interrupted fill left, and the incrementally
 // updated manifest all stay in dir, which is exactly the state
 // ResumeShardedCtx finishes from. Cancellation stops generation within
 // one (user, day) batch.
@@ -130,7 +169,6 @@ func (s *Sim) ExportShardedFS(ctx context.Context, fsys faultio.FS, dir string, 
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("userv6: export dir: %w", err)
 	}
-	from, to := meta.Window()
 	ranges := s.ShardRanges(shards)
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("userv6: empty population, nothing to export")
@@ -143,82 +181,20 @@ func (s *Sim) ExportShardedFS(ctx context.Context, fsys faultio.FS, dir string, 
 	if err := run.writeManifest(); err != nil {
 		return nil, err
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// makePartSink opens part i's writer and returns the emit func plus
-	// the completion hook generation calls when the part's range is
-	// done. Writer-side errors cancel the run but are remembered so the
-	// first real fault surfaces over cancellation noise.
-	makePartSink := func(i int) (telemetry.EmitFunc, func(error) error) {
-		var werr error
-		w, err := dataset.CreateFS(fsys, filepath.Join(dir, run.man.Parts[i].Name), meta)
-		if err != nil {
-			cancel()
-			return func(telemetry.Observation) {}, func(genErr error) error { return err }
-		}
-		emit := func(o telemetry.Observation) {
-			if werr == nil {
-				if e := w.Write(o); e != nil {
-					werr = e
-					cancel()
-				}
-			}
-		}
-		done := func(genErr error) error {
-			if werr != nil {
-				w.Close() // best effort: keep whatever reached disk
-				return werr
-			}
-			if genErr != nil {
-				// Interrupted mid-range: finalize the partial part like a
-				// single-file interrupted gen, but leave its manifest entry
-				// provisional — an empty checksum is what tells a resume
-				// this part is unfinished.
-				w.Close()
-				return genErr
-			}
-			return run.finalizePart(i, w)
-		}
-		if wrap != nil {
-			return wrap(emit), done
-		}
-		return emit, done
-	}
-
-	genErr := s.GenerateParallelSinksCtx(ctx, from, to, shards, func(sh, _, _ int) (telemetry.EmitFunc, func(error) error) {
-		return makePartSink(sh)
-	})
-	if genErr == nil && !meta.BenignOnly {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		emit, done := makePartSink(len(ranges))
-		s.Abusive.Generate(from, to, emit)
-		genErr = done(nil)
-	}
-	if genErr != nil {
-		return nil, genErr
-	}
-
-	run.man.Complete = true
-	if err := run.writeManifest(); err != nil {
-		return nil, err
-	}
-	return run.man, nil
+	// Every part is filled from scratch: dir may hold files of another
+	// run, so nothing in it is salvaged.
+	return run.fill(ctx, s, false, wrap)
 }
 
 // ResumeShardedCtx finishes an interrupted sharded export in dir: it
 // reads the (provisional or final) manifest, keeps every part whose
-// recorded whole-file checksum still matches, and rebuilds the rest —
-// salvaging each damaged or unfinished part's intact record prefix
-// (from the part file or its crash-safe .tmp sibling), deriving the
-// (user, day) frontier, and regenerating only the missing suffix of
-// that part's user range. Finished parts update the manifest
-// incrementally, so an interrupted resume is itself resumable. The
-// final directory — every part and the manifest — is byte-identical to
-// an uninterrupted ExportShardedCtx run.
+// recorded whole-file checksum still matches, and refills the rest
+// concurrently — each from the trusted prefix of what survives of it
+// (the part file or its crash-safe .tmp sibling), regenerating only the
+// missing suffix of the part's user range. Finished parts update the
+// manifest incrementally, so an interrupted resume is itself
+// resumable. The final directory — every part and the manifest — is
+// byte-identical to an uninterrupted ExportShardedCtx run.
 //
 // wrap must be the same emit decorator the original run used (the
 // deterministic sampler), or the regenerated suffixes will diverge.
@@ -244,126 +220,161 @@ func (s *Sim) ResumeShardedFS(ctx context.Context, fsys faultio.FS, dir string, 
 		return nil, fmt.Errorf("userv6: sharded resume: manifest is for seed %d / %d users, sim has seed %d / %d users",
 			meta.Seed, meta.Users, s.Scenario.Seed, len(s.Pop.Users))
 	}
-	from, to := meta.Window()
+	return run.fill(ctx, s, true, wrap)
+}
 
-	for i := range man.Parts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p := man.Parts[i]
-		path := filepath.Join(dir, p.Name)
-		if p.CRC32C != "" {
-			if crc, err := dataset.FileCRC32CFS(fsys, path); err == nil && crc == p.CRC32C {
-				continue // part finalized and intact
+// ResumeFileFS finishes an interrupted single-file dataset run at path
+// (`userv6gen gen -resume`). The configuration comes from the header of
+// path, or of path.tmp when path is absent; a header that fails its
+// checksum or names another seed or user count than the Sim's is
+// refused. The file is refilled exactly like a sharded part covering
+// users [0, N) plus, unless the header says benign-only, the abusive
+// stream: the trusted prefix of what survives is kept and generation
+// restarts at its frontier. The finished file is byte-identical to an
+// uninterrupted run, and resuming a complete file reproduces it.
+//
+// It reports the frontier generation restarted at, the number of
+// records kept from the prefix (Restart and 0 when the file started
+// from scratch) and the records the file holds. A cancelled resume
+// finalizes the partial file and returns the context's error alongside
+// those figures; it can be resumed again. wrap must be the emit
+// decorator the original run used (its deterministic sampler), or the
+// regenerated suffix will diverge.
+func (s *Sim) ResumeFileFS(ctx context.Context, fsys faultio.FS, path string, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (front dataset.Frontier, kept int, records uint64, err error) {
+	src := path
+	if _, err := os.Stat(path); err != nil {
+		src = path + ".tmp"
+	}
+	hdr, err := dataset.NewFileSource(src)
+	if err != nil {
+		return front, 0, 0, fmt.Errorf("userv6: resume %s: %w", path, err)
+	}
+	meta, ok := hdr.Meta()
+	switch {
+	case !ok:
+		return front, 0, 0, fmt.Errorf("userv6: resume %s: raw telemetry stream has no dataset header", src)
+	case meta.Seed != s.Scenario.Seed || meta.Users != len(s.Pop.Users):
+		return front, 0, 0, fmt.Errorf("userv6: resume %s: header is for seed %d / %d users, sim has seed %d / %d users",
+			src, meta.Seed, meta.Users, s.Scenario.Seed, len(s.Pop.Users))
+	}
+	// The resumed file carries the original run's configuration, block
+	// codec included, or its bytes would diverge from the uninterrupted
+	// run's; counts and completion are the new writer's.
+	meta = dataset.Meta{
+		Seed: meta.Seed, Users: meta.Users, FromDay: meta.FromDay, ToDay: meta.ToDay,
+		Sample: meta.Sample, BenignOnly: meta.BenignOnly, Codec: meta.Codec,
+	}
+	w, front, kept, err := s.fillFile(ctx, fsys, path, meta, 0, meta.Users, !meta.BenignOnly, true, wrap)
+	if err == nil {
+		err = w.Close()
+	}
+	if w != nil {
+		records = w.Records()
+	}
+	return front, kept, records, err
+}
+
+// fillFile writes the dataset file at path under meta: benign users
+// [lo, hi) over meta's window, then the abusive stream when abusive is
+// set. wrap, when non-nil, decorates the emit func generation writes
+// through.
+//
+// With resume set, the file first keeps the trusted prefix an
+// interrupted run left of it (see salvagePrefix) up to its frontier —
+// the first (user, day) batch that may be torn — and generation
+// restarts at that batch. Without a trusted prefix the file starts from
+// scratch. The choice is made before the first write, and the returned
+// frontier and kept count report it.
+//
+// On success the writer holds the whole file, still open for the
+// caller to finalize. On failure it comes back already closed, best
+// effort: a cancelled file is finalized as a valid partial dataset and
+// any other failure leaves the .tmp, so a later resume starts from
+// whatever reached disk. The writer is nil if the file was never
+// created.
+func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta dataset.Meta, lo, hi int, abusive, resume bool, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (*dataset.Writer, dataset.Frontier, int, error) {
+	var prefix []telemetry.Observation
+	if resume {
+		prefix = s.salvagePrefix(path, meta, lo, hi, abusive)
+	}
+	front, keep := dataset.DeriveFrontier(prefix)
+	w, err := dataset.CreateFS(fsys, path, meta)
+	if err != nil {
+		return nil, front, keep, err
+	}
+
+	// A write error stops generation within one batch; the first one is
+	// the file's error.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var werr error
+	var emit telemetry.EmitFunc = func(o telemetry.Observation) {
+		if werr == nil {
+			if werr = w.Write(o); werr != nil {
+				cancel()
 			}
 		}
-		if err := s.resumePart(ctx, run, i, path, from, to, wrap); err != nil {
-			return nil, fmt.Errorf("userv6: sharded resume %s: %w", p.Name, err)
-		}
 	}
-
-	run.man.Complete = true
-	if err := run.writeManifest(); err != nil {
-		return nil, err
-	}
-	return run.man, nil
-}
-
-// resumePart rebuilds one part: salvage the verified record prefix of
-// whatever survives on disk, re-emit it into a fresh writer, and
-// regenerate the remainder of the part's range from the derived
-// frontier. Deterministic generation makes the rebuilt part
-// byte-identical to an uninterrupted one.
-func (s *Sim) resumePart(ctx context.Context, run *shardedRun, i int, path string, from, to simtime.Day, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) error {
-	p := run.man.Parts[i]
-	obs := salvagePrefix(path)
-
-	w, err := dataset.CreateFS(run.fsys, path, run.man.Meta)
-	if err != nil {
-		return err
-	}
-	front, keep := dataset.DeriveFrontier(obs)
-	emit, errp := w.Emit()
-	for _, o := range obs[:keep] {
+	for _, o := range prefix[:keep] {
 		emit(o)
 	}
-	femit := emit
 	if wrap != nil {
-		femit = wrap(emit)
+		emit = wrap(emit)
 	}
 
-	var genErr error
+	from, to := meta.Window()
+	user, day := lo, from
 	switch {
-	case p.Kind == dataset.PartKindAbusive:
-		// The abusive stream is small and not range-resumable; any
-		// salvaged abusive records were dropped by DeriveFrontier (keep
-		// counts only the benign prefix, which is empty here) and the
-		// whole stream regenerates.
-		s.Abusive.Generate(from, to, femit)
-	case front.Restart:
-		genErr = s.Benign.GenerateUsersCtx(ctx, p.UserLo, p.UserHi, from, to, femit)
-	default:
-		idx := s.UserIndex(front.UserID)
-		if idx < p.UserLo || idx >= p.UserHi || front.BenignDone {
-			// The salvaged prefix names a frontier outside this part's
-			// range (or claims abusive records in a benign part): the
-			// prefix cannot be trusted, regenerate the range whole.
-			w.Abort()
-			return s.resumeRestart(ctx, run, i, path, from, to, wrap)
+	case front.BenignDone:
+		user = hi
+	case !front.Restart:
+		user, day = s.UserIndex(front.UserID), front.Day
+	}
+	err = s.Benign.GenerateUsersFromCtx(ctx, user, day, hi, from, to, emit)
+	if err == nil && abusive {
+		// The abusive stream is small and not range-resumable: it always
+		// regenerates whole, uninterrupted once started.
+		if err = ctx.Err(); err == nil {
+			s.Abusive.Generate(from, to, emit)
 		}
-		genErr = s.Benign.GenerateUsersFromCtx(ctx, idx, front.Day, p.UserHi, from, to, femit)
 	}
-	if *errp != nil {
-		w.Close() // best effort: keep whatever reached disk
-		return *errp
+	if werr != nil {
+		err = werr
 	}
-	if genErr != nil {
-		w.Close()
-		return genErr
-	}
-	return run.finalizePart(i, w)
-}
-
-// resumeRestart regenerates a part from scratch after its salvaged
-// prefix proved untrustworthy.
-func (s *Sim) resumeRestart(ctx context.Context, run *shardedRun, i int, path string, from, to simtime.Day, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) error {
-	p := run.man.Parts[i]
-	w, err := dataset.CreateFS(run.fsys, path, run.man.Meta)
 	if err != nil {
-		return err
+		w.Close() // best effort: keep whatever reached disk
 	}
-	emit, errp := w.Emit()
-	femit := emit
-	if wrap != nil {
-		femit = wrap(emit)
-	}
-	var genErr error
-	if p.Kind == dataset.PartKindAbusive {
-		s.Abusive.Generate(from, to, femit)
-	} else {
-		genErr = s.Benign.GenerateUsersCtx(ctx, p.UserLo, p.UserHi, from, to, femit)
-	}
-	if *errp != nil {
-		w.Close()
-		return *errp
-	}
-	if genErr != nil {
-		w.Close()
-		return genErr
-	}
-	return run.finalizePart(i, w)
+	return w, front, keep, err
 }
 
-// salvagePrefix loads the strictly verified record prefix of a part
-// from the best surviving source: the finalized (possibly partial)
-// part file, or failing that its crash-safe .tmp sibling. A part with
-// no readable source resumes from scratch.
-func salvagePrefix(path string) []telemetry.Observation {
+// salvagePrefix returns the verified record prefix an interrupted run
+// left of the file at path: from path itself, or failing that its
+// crash-safe .tmp sibling. A source is trusted only if its prefix can
+// begin the file under meta: its header's config hash equals meta's,
+// its benign records all belong to users in [lo, hi) (canonical order
+// lets the first and last decide), and it holds abusive records only if
+// the file holds the abusive stream. A file of another configuration or
+// shard layout fails that rule — keeping it would splice foreign
+// records into the file — so it is skipped, and with no trusted source
+// left the file restarts from scratch.
+func (s *Sim) salvagePrefix(path string, meta dataset.Meta, lo, hi int, abusive bool) []telemetry.Observation {
+	hash := dataset.ConfigHash(meta)
+	inRange := func(o telemetry.Observation) bool {
+		i := s.UserIndex(o.UserID)
+		return !o.Abusive && i >= lo && i < hi
+	}
 	for _, src := range []string{path, path + ".tmp"} {
-		if _, err := os.Stat(src); err != nil {
+		m, obs, err := dataset.LoadResumePrefix(src)
+		if err != nil || len(obs) == 0 || dataset.ConfigHash(m) != hash {
 			continue
 		}
-		if _, obs, err := dataset.LoadResumePrefix(src); err == nil && len(obs) > 0 {
+		benign := len(obs)
+		for benign > 0 && obs[benign-1].Abusive {
+			benign--
+		}
+		benignOK := benign == 0 || inRange(obs[0]) && inRange(obs[benign-1])
+		abusiveOK := benign == len(obs) || abusive
+		if benignOK && abusiveOK {
 			return obs
 		}
 	}

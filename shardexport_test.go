@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"userv6/internal/dataset"
+	"userv6/internal/faultio"
 	"userv6/internal/telemetry"
 )
 
@@ -22,7 +23,11 @@ func writeSingle(t *testing.T, sim *Sim, path string, meta dataset.Meta) ([]byte
 	var obs []telemetry.Observation
 	emit, errp := w.Emit()
 	from, to := meta.Window()
-	if err := sim.GenerateCtx(context.Background(), from, to, func(o telemetry.Observation) {
+	generate := sim.GenerateCtx
+	if meta.BenignOnly {
+		generate = sim.Benign.GenerateCtx
+	}
+	if err := generate(context.Background(), from, to, func(o telemetry.Observation) {
 		obs = append(obs, o)
 		emit(o)
 	}); err != nil {
@@ -150,10 +155,11 @@ func TestShardedMergeReportsDamagedPart(t *testing.T) {
 	}
 }
 
-// TestResumeByteIdentical: resuming from a finalized partial dataset —
-// re-emitting the verified prefix and restarting generation at the
-// derived frontier — reproduces the uninterrupted run byte for byte,
-// both mid-benign and mid-abusive.
+// TestResumeByteIdentical: Sim.ResumeFileFS on a finalized partial
+// dataset keeps the verified prefix, restarts generation at the derived
+// frontier, and reproduces the uninterrupted run byte for byte, both
+// mid-benign and mid-abusive. The resumed header keeps the run's block
+// codec (the auto cases) and its benign-only flag.
 func TestResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	sim := NewSim(DefaultScenario(600).WithSeed(9))
@@ -161,90 +167,65 @@ func TestResumeByteIdentical(t *testing.T) {
 	meta := dataset.Meta{
 		Seed: 9, Users: 600, FromDay: int(from), ToDay: int(to), Sample: "all",
 	}
-	want, obs := writeSingle(t, sim, filepath.Join(dir, "full.uv6"), meta)
+	auto, benignOnly := meta, meta
+	auto.Codec = "auto"
+	benignOnly.BenignOnly, benignOnly.Codec = true, "lz"
 
-	benign := 0
-	for _, o := range obs {
-		if !o.Abusive {
-			benign++
+	for _, run := range []struct {
+		prefix string
+		meta   dataset.Meta
+	}{{"", meta}, {"auto-", auto}, {"benign-only-", benignOnly}} {
+		want, obs := writeSingle(t, sim, filepath.Join(dir, run.prefix+"full.uv6"), run.meta)
+
+		benign := 0
+		for _, o := range obs {
+			if !o.Abusive {
+				benign++
+			}
 		}
-	}
-	if benign == len(obs) {
-		t.Fatal("scenario produced no abusive records; resume test needs both phases")
-	}
-
-	cuts := map[string]int{
-		"mid-benign":  benign * 2 / 5,
-		"mid-abusive": benign + (len(obs)-benign)/2,
-	}
-	for name, cut := range cuts {
-		t.Run(name, func(t *testing.T) {
-			// An interrupted run finalizes whatever it has: a valid,
-			// complete-framed dataset holding a prefix of the stream.
-			partial := filepath.Join(dir, name+".uv6")
-			w, err := dataset.Create(partial, meta)
-			if err != nil {
-				t.Fatal(err)
+		cuts := map[string]int{"mid-benign": benign * 2 / 5}
+		if !run.meta.BenignOnly {
+			if benign == len(obs) {
+				t.Fatal("scenario produced no abusive records; resume test needs both phases")
 			}
-			for _, o := range obs[:cut] {
-				if err := w.Write(o); err != nil {
+			cuts["mid-abusive"] = benign + (len(obs)-benign)/2
+		}
+		for name, cut := range cuts {
+			t.Run(run.prefix+name, func(t *testing.T) {
+				// An interrupted run finalizes whatever it has: a valid,
+				// complete-framed dataset holding a prefix of the stream.
+				path := filepath.Join(dir, run.prefix+name+".uv6")
+				w, err := dataset.Create(path, run.meta)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+				for _, o := range obs[:cut] {
+					if err := w.Write(o); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
 
-			gotMeta, prefix, err := dataset.LoadResumePrefix(partial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotMeta.Seed != meta.Seed || gotMeta.Users != meta.Users {
-				t.Fatalf("resume meta = %+v", gotMeta)
-			}
-			front, keep := dataset.DeriveFrontier(prefix)
-			if front.Restart {
-				t.Fatalf("frontier = %+v from %d-record prefix", front, len(prefix))
-			}
-
-			resumed := filepath.Join(dir, name+"-resumed.uv6")
-			rw, err := dataset.Create(resumed, dataset.Meta{
-				Seed: gotMeta.Seed, Users: gotMeta.Users,
-				FromDay: gotMeta.FromDay, ToDay: gotMeta.ToDay, Sample: gotMeta.Sample,
+				front, kept, records, err := sim.ResumeFileFS(context.Background(), faultio.OS, path, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if front.Restart || front.BenignDone != (cut > benign) || kept == 0 || kept > cut {
+					t.Fatalf("frontier %+v keeping %d of a %d-record prefix", front, kept, cut)
+				}
+				if records != uint64(len(obs)) {
+					t.Fatalf("resumed file holds %d records, uninterrupted run %d", records, len(obs))
+				}
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			emit, errp := rw.Emit()
-			for _, o := range prefix[:keep] {
-				emit(o)
-			}
-			rsim := NewSim(DefaultScenario(gotMeta.Users).WithSeed(gotMeta.Seed))
-			if front.BenignDone {
-				rsim.Abusive.Generate(from, to, emit)
-			} else {
-				idx := rsim.UserIndex(front.UserID)
-				if idx < 0 {
-					t.Fatalf("frontier user %d not in population", front.UserID)
-				}
-				if err := rsim.GenerateResumeCtx(context.Background(), idx, front.Day, from, to, emit); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if *errp != nil {
-				t.Fatal(*errp)
-			}
-			if err := rw.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			got, err := os.ReadFile(resumed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("resumed run differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
-			}
-		})
+		}
 	}
 }

@@ -267,3 +267,117 @@ func TestShardedResumeIdempotent(t *testing.T) {
 		t.Fatalf("idempotent resume touched part contents (%d injected faults fired)", hits)
 	}
 }
+
+// TestResumeTruncationSweep is the single-file counterpart of
+// TestShardedResumeTruncationSweep: a crash failpoint tears a dataset
+// run's temp file at every frame boundary (plus inside every frame
+// header, inside one payload and through the stream signature), and
+// Sim.ResumeFileFS must turn what survives into the uninterrupted file,
+// byte for byte. -short subsamples the cut list.
+func TestResumeTruncationSweep(t *testing.T) {
+	const users = 300
+	sim := NewSim(DefaultScenario(users).WithSeed(33))
+	from, to := AnalysisWeek()
+	meta := dataset.Meta{Seed: 33, Users: users, FromDay: int(from), ToDay: int(to), Sample: "all"}
+	want, _ := writeSingle(t, sim, filepath.Join(t.TempDir(), "week.uv6"), meta)
+
+	var cuts []int64
+	if _, err := telemetry.SalvageRawBlocks(want[shardHeaderSize:], func(b telemetry.RawBlock, _ []byte) {
+		cuts = append(cuts, shardHeaderSize+b.Offset, shardHeaderSize+b.Offset+7) // frame boundary, torn frame header
+		if b.Index == 0 {
+			cuts = append(cuts, shardHeaderSize+b.Offset+16+3) // torn payload
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cuts = append(cuts, shardHeaderSize+2) // torn signature
+	if len(cuts) < 8 {
+		t.Fatalf("sweep found only %d cut points", len(cuts))
+	}
+	stride := 1
+	if testing.Short() {
+		stride = 5
+	}
+
+	for i := 0; i < len(cuts); i += stride {
+		off := cuts[i]
+		t.Run(fmt.Sprintf("week.uv6@%d", off), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "week.uv6")
+			in := faultio.New(faultio.OS, uint64(off))
+			if err := in.ArmPoint(faultio.Failpoint{
+				Path: "week.uv6.tmp", Op: faultio.OpWrite, Offset: off, Action: faultio.ActionCrash,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			w, err := dataset.CreateFS(in, path, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit, _ := w.Emit()
+			if err := sim.GenerateCtx(context.Background(), from, to, emit); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err == nil || !in.Crashed() {
+				t.Fatalf("crash failpoint at %d never fired (close: %v)", off, err)
+			}
+
+			if _, _, _, err := sim.ResumeFileFS(context.Background(), faultio.OS, path, nil); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resumed file differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestShardedResumeIgnoresStalePart: a directory reused by a run of
+// another configuration (other-seed) or another shard layout
+// (other-layout) holds finished parts the new run never wrote. After
+// the new run crashes, resume must not keep any of their records: the
+// result equals the new run's uninterrupted export, byte for byte.
+func TestShardedResumeIgnoresStalePart(t *testing.T) {
+	const users = 300
+	from, to := AnalysisWeek()
+	metaFor := func(seed uint64) dataset.Meta {
+		return dataset.Meta{Seed: seed, Users: users, FromDay: int(from), ToDay: int(to), Sample: "all"}
+	}
+	sim := NewSim(DefaultScenario(users).WithSeed(2))
+	_, want := exportPristine(t, sim, t.TempDir(), 2, metaFor(2), nil)
+
+	for _, c := range []struct {
+		name   string
+		stale  *Sim
+		shards int
+		fault  string
+	}{
+		{"other-seed", NewSim(DefaultScenario(users).WithSeed(1)), 2, "part-0000.uv6.tmp:write:off=2000:crash"},
+		{"other-layout", sim, 3, "part-0001.uv6.tmp:write:off=2000:crash"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := c.stale.ExportShardedCtx(context.Background(), dir, c.shards, metaFor(c.stale.Scenario.Seed), nil); err != nil {
+				t.Fatal(err)
+			}
+			in := faultio.New(faultio.OS, 1)
+			if err := in.Arm(c.fault); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.ExportShardedFS(context.Background(), in, dir, 2, metaFor(2), nil); err == nil || !in.Crashed() {
+				t.Fatalf("export across %s did not crash (err %v)", c.fault, err)
+			}
+			man, err := sim.ResumeShardedCtx(context.Background(), dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !man.Complete || man.Seed != 2 {
+				t.Fatalf("resumed manifest: complete=%v seed=%d", man.Complete, man.Seed)
+			}
+			requireIdentical(t, dir, want)
+		})
+	}
+}

@@ -72,24 +72,6 @@ func (s *Sim) GenerateCtx(ctx context.Context, from, to simtime.Day, emit teleme
 	return nil
 }
 
-// GenerateResumeCtx continues an interrupted run from a (user, day)
-// frontier: benign telemetry restarts at the user with index startUser
-// on startDay (then days [from, to] for every later user), followed by
-// the full abusive stream. Combined with a re-emitted verified prefix,
-// the resumed output is identical to an uninterrupted
-// GenerateCtx(ctx, from, to, emit) run — resuming at (0, from) *is*
-// that run.
-func (s *Sim) GenerateResumeCtx(ctx context.Context, startUser int, startDay, from, to simtime.Day, emit telemetry.EmitFunc) error {
-	if err := s.Benign.GenerateFromCtx(ctx, startUser, startDay, from, to, emit); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.Abusive.Generate(from, to, emit)
-	return nil
-}
-
 // UserIndex maps a benign telemetry UserID back to its population
 // index, or -1 when no such user exists (e.g. an abusive account ID).
 // Synthesis assigns IDs sequentially, so the common case is O(1); the
