@@ -3,11 +3,13 @@ FUZZTIME ?= 10s
 # The CI bench gate: one pass over the generation, codec, trie, and
 # analysis hot paths, checked against bench/BENCH_baseline.json (3x
 # tripwire on PRs; the nightly run re-gates the same set at 1.3x with
-# real -benchtime sampling). The PR tripwire runs BENCH_1X once each;
-# the sub-microsecond BENCH_MICRO benchmarks would time only warm-up at
-# 1x, so they run a fixed MICRO_BENCHTIME iterations instead.
-BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze
-BENCH_MICRO = BenchmarkTrieUpdate|BenchmarkTrieLookup|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
+# real -benchtime sampling). The PR tripwire runs BENCH_1X once each
+# (the trie and analyzer Observe benchmarks feed a fresh structure a
+# whole fixture per op, so one op takes milliseconds); the
+# sub-microsecond BENCH_MICRO benchmarks would time only warm-up at 1x,
+# so they run a fixed MICRO_BENCHTIME iterations instead.
+BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkTrieUpdate|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
+BENCH_MICRO = BenchmarkTrieLookup
 MICRO_BENCHTIME = 20000x
 BENCH_GATE = ^($(BENCH_1X)|$(BENCH_MICRO))$$
 BENCH_PKGS = . ./internal/telemetry ./internal/trie ./internal/core
@@ -20,7 +22,8 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzDeltaRoundTrip \
 	./internal/telemetry:FuzzDeltaDecode \
 	./internal/dataset:FuzzDatasetOpen \
-	./internal/dataset:FuzzDatasetRoundTrip
+	./internal/dataset:FuzzDatasetRoundTrip \
+	./internal/core:FuzzAnalyzerOracle
 
 .PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-check bench-smoke bench-baseline ratio-gate ci clean
 
@@ -67,13 +70,14 @@ faults:
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the
 # ForEachWorker reader primitives, direct manifest analysis (shared
-# replicas fanned out across parts), and AnalyzerSet.Fold's concurrent
-# per-registration folds under the race detector.
+# replicas fanned out across parts), AnalyzerSet.Fold's concurrent
+# per-registration folds, and the analyzers against the independent
+# oracle on sequential and folded feeds, under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold' ./internal/core
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the
 # root build and test never compile it. It calls the analysis and merge
@@ -83,8 +87,9 @@ fused-race:
 bench-check:
 	cd bench/userv6bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short native-fuzz smoke over every decoder fuzz target: catches
-# panics and typed-error regressions without a long campaign.
+# Short native-fuzz smoke over every decoder fuzz target and the
+# analyzer oracle: catches panics, typed-error regressions and analyzer
+# answers that depart from the oracle without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -132,5 +137,5 @@ ci: fmt-check vet lint build race faults fused-race bench-check fuzz-smoke bench
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/telemetry/testdata/fuzz internal/dataset/testdata/fuzz
+	rm -rf internal/telemetry/testdata/fuzz internal/dataset/testdata/fuzz internal/core/testdata/fuzz
 	rm -f bench-smoke.txt BENCH_results.json bench-nightly.txt BENCH_nightly_results.json

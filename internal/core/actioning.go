@@ -8,6 +8,12 @@ import (
 	"userv6/internal/telemetry"
 )
 
+// pairKey identifies a (user, prefix-or-address) pair.
+type pairKey struct {
+	uid uint64
+	pfx netaddr.Prefix
+}
+
 // Actioning simulates §7.1: on day n, compute each prefix's abusive-
 // account ratio; action every prefix whose ratio meets a threshold; on
 // day n+1, measure which abusive accounts were caught (TPR) and which

@@ -67,11 +67,14 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // arbitrarily (not just user-disjointly) across replicas and folding —
 // must leave state identical to the in-order sequential feed. The fused
 // execution mode relies on it. Analyzers whose state is a pure set- or
-// lattice-fold qualify: set-shaped dedup (UserCentric's and IPCentric's
-// (user, prefix) pair sets), min/OR folds (Lifespans), sum/OR folds
-// (Prevalence), and min-day first-sight tuples (ChurnAttribution). An
+// lattice-fold qualify. The default five keep a user table (per user,
+// the distinct addresses or prefixes seen, each with a value): set
+// union for UserCentric's addresses and IPCentric's prefixes, min/OR
+// folds (Lifespans), OR folds with summed tallies (Prevalence), and
+// min-day first-sight tuples (ChurnAttribution). Their Merge adopts the
+// users only the replica holds and combines the users both hold. An
 // analyzer that inspects transitions between consecutive observations
-// at Observe time would not.
+// at Observe time would not qualify.
 func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T)) {
 	AddCommutativeAnalyzerFiltered(s, primary, mk, fold, nil)
 }

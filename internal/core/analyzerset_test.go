@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"userv6/internal/netaddr"
@@ -74,24 +75,32 @@ func analysisStream() []telemetry.Observation {
 // fullAnalyzers is one of every analyzer registered on a fresh
 // AnalyzerSet, with the primaries kept for querying.
 type fullAnalyzers struct {
-	set   *AnalyzerSet
-	uc    *UserCentric
-	ic    *IPCentric
-	churn *ChurnAttribution
-	life  *Lifespans
-	prev  *Prevalence
+	set        *AnalyzerSet
+	uc         *UserCentric
+	ic         *IPCentric // IPv6 /64
+	ic4, ic128 *IPCentric
+	churn      *ChurnAttribution
+	life       *Lifespans
+	prev       *Prevalence
 }
 
-// fullSet registers one of every analyzer on a fresh AnalyzerSet. Every
-// default analyzer's accumulated state is a pure order-free fold (set
-// union, min-day, OR/sum), which is what the fused analysis path relies
-// on.
+// fullSet registers one of every analyzer on a fresh AnalyzerSet, with
+// the parameters of the CLI analyze set plus lifespans and prevalence:
+// the set the repository benchmark's digest queries. Every default
+// analyzer's accumulated state is a pure order-free fold (set union,
+// min-day, OR/sum), which is what the fused analysis path relies on.
 func fullSet(ref simtime.Day) fullAnalyzers {
 	f := fullAnalyzers{set: NewAnalyzerSet()}
 	f.uc = NewUserCentricFor(false)
 	AddCommutativeAnalyzer(f.set, f.uc, func() *UserCentric { return NewUserCentricFor(false) }, (*UserCentric).Merge)
-	f.ic = NewIPCentric(netaddr.IPv6, 64)
-	AddCommutativeAnalyzer(f.set, f.ic, func() *IPCentric { return NewIPCentric(netaddr.IPv6, 64) }, (*IPCentric).Merge)
+	addIC := func(fam netaddr.Family, length int) *IPCentric {
+		ic := NewIPCentric(fam, length)
+		AddCommutativeAnalyzer(f.set, ic, func() *IPCentric { return NewIPCentric(fam, length) }, (*IPCentric).Merge)
+		return ic
+	}
+	f.ic4 = addIC(netaddr.IPv4, 32)
+	f.ic128 = addIC(netaddr.IPv6, 128)
+	f.ic = addIC(netaddr.IPv6, 64)
 	f.churn = NewChurnAttribution(2)
 	AddCommutativeAnalyzer(f.set, f.churn, func() *ChurnAttribution { return NewChurnAttribution(2) }, (*ChurnAttribution).Merge)
 	f.life = NewLifespans(ref, 64, 128, 32)
@@ -114,84 +123,22 @@ func sequentialFullSet(stream []telemetry.Observation, ref simtime.Day) fullAnal
 // assertEqual compares every analyzer's full query surface.
 func (f fullAnalyzers) assertEqual(t *testing.T, want fullAnalyzers, label string) {
 	t.Helper()
-	f.assertUserCentric(t, want, label)
-	f.assertIPCentric(t, want, label)
-	f.assertChurn(t, want, label)
-	f.assertLifespans(t, want, label)
-	f.assertPrevalence(t, want, label)
+	f.assertSurface(t, want, label, "")
 }
 
-func (f fullAnalyzers) assertUserCentric(t *testing.T, want fullAnalyzers, label string) {
+// assertSurface compares the digestQueries answers whose names start
+// with prefix: one analyzer's query surface, or all of them for "".
+func (f fullAnalyzers) assertSurface(t *testing.T, want fullAnalyzers, label, prefix string) {
 	t.Helper()
-	if f.uc.Users() != want.uc.Users() {
-		t.Fatalf("%s: UserCentric users %d, want %d", label, f.uc.Users(), want.uc.Users())
-	}
-	for _, fam := range []netaddr.Family{netaddr.IPv4, netaddr.IPv6} {
-		if !reflect.DeepEqual(f.uc.AddrsPerUser(fam), want.uc.AddrsPerUser(fam)) {
-			t.Fatalf("%s: AddrsPerUser(%v) differs", label, fam)
+	pick := func(q map[string]any) map[string]any {
+		for name := range q {
+			if !strings.HasPrefix(name, prefix) {
+				delete(q, name)
+			}
 		}
+		return q
 	}
-	if !reflect.DeepEqual(f.uc.PrefixSpans([]int{44, 64}), want.uc.PrefixSpans([]int{44, 64})) {
-		t.Fatalf("%s: PrefixSpans differ", label)
-	}
-	if !reflect.DeepEqual(f.uc.TopUsersByAddrs(netaddr.IPv6, 10), want.uc.TopUsersByAddrs(netaddr.IPv6, 10)) {
-		t.Fatalf("%s: TopUsersByAddrs differ", label)
-	}
-	if !reflect.DeepEqual(f.uc.AddrPatterns(), want.uc.AddrPatterns()) {
-		t.Fatalf("%s: AddrPatterns differ", label)
-	}
-}
-
-func (f fullAnalyzers) assertIPCentric(t *testing.T, want fullAnalyzers, label string) {
-	t.Helper()
-	if f.ic.Prefixes() != want.ic.Prefixes() {
-		t.Fatalf("%s: IPCentric prefixes %d, want %d", label, f.ic.Prefixes(), want.ic.Prefixes())
-	}
-	if !reflect.DeepEqual(f.ic.UsersPerPrefix(), want.ic.UsersPerPrefix()) {
-		t.Fatalf("%s: UsersPerPrefix differs", label)
-	}
-	if !reflect.DeepEqual(f.ic.TopPrefixes(5), want.ic.TopPrefixes(5)) {
-		t.Fatalf("%s: TopPrefixes differ", label)
-	}
-	if !reflect.DeepEqual(f.ic.AbusivePerAbusivePrefix(), want.ic.AbusivePerAbusivePrefix()) {
-		t.Fatalf("%s: AbusivePerAbusivePrefix differs", label)
-	}
-}
-
-func (f fullAnalyzers) assertChurn(t *testing.T, want fullAnalyzers, label string) {
-	t.Helper()
-	if f.churn.Breakdown() != want.churn.Breakdown() {
-		t.Fatalf("%s: churn %+v, want %+v", label, f.churn.Breakdown(), want.churn.Breakdown())
-	}
-}
-
-func (f fullAnalyzers) assertLifespans(t *testing.T, want fullAnalyzers, label string) {
-	t.Helper()
-	if f.life.Pairs() != want.life.Pairs() {
-		t.Fatalf("%s: lifespan pairs %d, want %d", label, f.life.Pairs(), want.life.Pairs())
-	}
-	if !reflect.DeepEqual(f.life.AgeHist(netaddr.IPv6, 128), want.life.AgeHist(netaddr.IPv6, 128)) {
-		t.Fatalf("%s: AgeHist differs", label)
-	}
-	if !reflect.DeepEqual(f.life.MedianAgePerUser(netaddr.IPv6, 64), want.life.MedianAgePerUser(netaddr.IPv6, 64)) {
-		t.Fatalf("%s: MedianAgePerUser differs", label)
-	}
-	if !reflect.DeepEqual(f.life.FreshShares(netaddr.IPv6), want.life.FreshShares(netaddr.IPv6)) {
-		t.Fatalf("%s: FreshShares differ", label)
-	}
-}
-
-func (f fullAnalyzers) assertPrevalence(t *testing.T, want fullAnalyzers, label string) {
-	t.Helper()
-	if !reflect.DeepEqual(f.prev.Daily(), want.prev.Daily()) {
-		t.Fatalf("%s: Daily differs", label)
-	}
-	if !reflect.DeepEqual(f.prev.TopASNs(1, 0, nil), want.prev.TopASNs(1, 0, nil)) {
-		t.Fatalf("%s: TopASNs differ", label)
-	}
-	if !reflect.DeepEqual(f.prev.TopCountries(1, 0), want.prev.TopCountries(1, 0)) {
-		t.Fatalf("%s: TopCountries differ", label)
-	}
+	assertQueries(t, label, pick(digestQueries(f)), pick(digestQueries(want)))
 }
 
 // TestFullSetCommutative is the core equality guarantee: for every

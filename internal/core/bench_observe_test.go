@@ -32,17 +32,27 @@ func benchObservations(n int) []telemetry.Observation {
 	return obs
 }
 
-// BenchmarkUserCentricObserve measures the per-record cost of the
-// user-centric address accounting — the dominant analyzer in the
-// fused path's per-worker loop.
-func BenchmarkUserCentricObserve(b *testing.B) {
-	uc := NewUserCentric()
+// benchObserveFixture feeds a fresh analyzer the whole fixture per op,
+// so every op does the same inserts, and reports ns/record. The
+// fixture draws users at random from 50k, so nearly every record
+// belongs to a user other than the previous record's.
+func benchObserveFixture(b *testing.B, fresh func() Observer) {
 	obs := benchObservations(8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uc.Observe(obs[i%len(obs)])
+		a := fresh()
+		for _, o := range obs {
+			a.Observe(o)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(obs)), "ns/record")
+}
+
+// BenchmarkUserCentricObserve measures the user-centric address
+// accounting: the per-user IPv4 and IPv6 address lists.
+func BenchmarkUserCentricObserve(b *testing.B) {
+	benchObserveFixture(b, func() Observer { return NewUserCentric() })
 }
 
 // BenchmarkAnalyzerSetFold measures the replica fold layer: every
@@ -68,13 +78,22 @@ func BenchmarkAnalyzerSetFold(b *testing.B) {
 }
 
 // BenchmarkIPCentricObserve measures per-record prefix attribution at
-// /64, the trie-backed half of the analysis hot path.
+// /64: the per-user prefix lists and the map of prefix populations.
 func BenchmarkIPCentricObserve(b *testing.B) {
-	ic := NewIPCentric(netaddr.IPv6, 64)
-	obs := benchObservations(8192)
+	benchObserveFixture(b, func() Observer { return NewIPCentric(netaddr.IPv6, 64) })
+}
+
+// BenchmarkAnalyzerQueries times the repository benchmark digest's
+// query surface (digestQueries) over a fullSet fed an 8k-user oracle
+// stream: the work the end-to-end benchmark leaves outside its timer.
+func BenchmarkAnalyzerQueries(b *testing.B) {
+	f := fullSet(oracleRef)
+	for _, o := range oracleStream(1, 8000, 10, 1200) {
+		f.set.Observe(o)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ic.Observe(obs[i%len(obs)])
+		digestQueries(f)
 	}
 }

@@ -50,7 +50,7 @@ func (c ChurnCause) String() string {
 // full /128 address, its /64, and its /44 — only the earliest day of
 // contact is kept. Accumulation is therefore a pure min-fold: it is
 // invariant under observation order and under how the stream is
-// partitioned across replicas (Merge folds the maps by minimum), so
+// partitioned across replicas (Merge folds the tuples by minimum), so
 // the analyzer is safe to register with AddCommutativeAnalyzer and to
 // feed from fused readers. Causes are not classified
 // during the stream at all; Breakdown derives them from the first-day
@@ -60,20 +60,19 @@ type ChurnAttribution struct {
 	// without being counted (a pair is only "new" against history).
 	CountFrom simtime.Day
 
-	firstAddr map[pairKey]simtime.Day // (user, /128) -> earliest day seen
-	first64   map[pairKey]simtime.Day // (user, /64)  -> earliest day seen
-	first44   map[pairKey]simtime.Day // (user, /44)  -> earliest day seen
+	users userTable[userFirsts]
+}
+
+// userFirsts holds one user's earliest day seen behind each /128
+// address, each /64 and each /44, keyed by the prefix's base address.
+type userFirsts struct {
+	addrs, p64, p44 keyList[netaddr.Addr, simtime.Day]
 }
 
 // NewChurnAttribution counts new pairs from countFrom onward; earlier
 // days only build history.
 func NewChurnAttribution(countFrom simtime.Day) *ChurnAttribution {
-	return &ChurnAttribution{
-		CountFrom: countFrom,
-		firstAddr: make(map[pairKey]simtime.Day),
-		first64:   make(map[pairKey]simtime.Day),
-		first44:   make(map[pairKey]simtime.Day),
-	}
+	return &ChurnAttribution{CountFrom: countFrom}
 }
 
 // Observe feeds one observation (IPv6 only; others are ignored).
@@ -82,46 +81,43 @@ func (c *ChurnAttribution) Observe(o telemetry.Observation) {
 	if !o.Addr.Is6() {
 		return
 	}
-	addrKey := pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, 128)}
-	if cur, ok := c.firstAddr[addrKey]; ok && cur <= o.Day {
+	u, _ := c.users.get(o.UserID)
+	d, added := u.addrs.slot(o.Addr)
+	if !added && *d <= o.Day {
 		// Dominated sighting: the address was already seen on an
 		// earlier (or equal) day, so the /64 and /44 minima cannot
 		// improve either — they were set at least as early.
 		return
 	}
-	c.firstAddr[addrKey] = o.Day
-	minDay(c.first64, pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, 64)}, o.Day)
-	minDay(c.first44, pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, 44)}, o.Day)
+	*d = o.Day
+	minDay(&u.p64, netaddr.PrefixFrom(o.Addr, 64).Addr(), o.Day)
+	minDay(&u.p44, netaddr.PrefixFrom(o.Addr, 44).Addr(), o.Day)
 }
 
-func minDay(m map[pairKey]simtime.Day, k pairKey, d simtime.Day) {
-	if cur, ok := m[k]; !ok || d < cur {
-		m[k] = d
+func minDay(l *keyList[netaddr.Addr, simtime.Day], k netaddr.Addr, d simtime.Day) {
+	if cur, added := l.slot(k); added || d < *cur {
+		*cur = d
 	}
 }
 
 // Merge folds another attribution's first-sight tuples into c by
-// minimum day. The fold is exact for ANY split of the observation
-// stream — user-disjoint, round-robin, block-wise, anything — because
-// min is commutative, associative, and idempotent. Both analyzers must
-// use the same CountFrom. The smaller state is folded into the larger
-// (the two swap maps first when other holds more addresses), so other
-// must not be used after Merge.
+// minimum day: users only other saw are adopted, and the tuples of
+// users both saw fold by minimum. The fold is exact for ANY split of
+// the observation stream — user-disjoint, round-robin, block-wise,
+// anything — because min is commutative, associative, and idempotent.
+// Both analyzers must use the same CountFrom. The smaller state is
+// folded into the larger (the two swap first when other holds more
+// users), so other must not be used after Merge.
 func (c *ChurnAttribution) Merge(other *ChurnAttribution) {
-	if len(other.firstAddr) > len(c.firstAddr) {
-		c.firstAddr, other.firstAddr = other.firstAddr, c.firstAddr
-		c.first64, other.first64 = other.first64, c.first64
-		c.first44, other.first44 = other.first44, c.first44
+	if other.users.len() > c.users.len() {
+		*c, *other = *other, *c
 	}
-	for k, d := range other.firstAddr {
-		minDay(c.firstAddr, k, d)
-	}
-	for k, d := range other.first64 {
-		minDay(c.first64, k, d)
-	}
-	for k, d := range other.first44 {
-		minDay(c.first44, k, d)
-	}
+	keepMin := func(_ netaddr.Addr, d *simtime.Day, od simtime.Day) { *d = min(*d, od) }
+	c.users.merge(&other.users, func(into, from *userFirsts) {
+		into.addrs.merge(&from.addrs, keepMin)
+		into.p64.merge(&from.p64, keepMin)
+		into.p44.merge(&from.p44, keepMin)
+	})
 }
 
 // ChurnBreakdown is the attribution result.
@@ -162,40 +158,37 @@ func (b ChurnBreakdown) Share(cause ChurnCause) float64 {
 //     cohort, whose first opener is the NetworkSwitch and the rest are
 //     SubnetMoves.
 //
-// Which cohort member is "first" depends on map iteration order, but
-// only the labels move between identical-cause members — the tallies
-// are deterministic, equal to the sequential walk's for any feeding
-// order or partition.
+// Which cohort member is "first" depends on the order a user's
+// addresses are held in, but only the labels move between
+// identical-cause members — the tallies are deterministic, equal to the
+// sequential walk's for any feeding order or partition.
 func (c *ChurnAttribution) Breakdown() ChurnBreakdown {
 	var counts [3]uint64
-	opener64 := make(map[pairKey]struct{})
-	opener44 := make(map[pairKey]struct{})
-	for k, dAddr := range c.firstAddr {
-		if dAddr < c.CountFrom {
-			continue
+	// opened64[j] / opened44[h]: the user's j-th /64 or h-th /44 cohort
+	// already has its opener.
+	var opened64, opened44 []bool
+	for _, u := range c.users.m {
+		opened64 = resetFlags(opened64, u.p64.len())
+		opened44 = resetFlags(opened44, u.p44.len())
+		for i, a := range u.addrs.keys {
+			dAddr := u.addrs.vals[i]
+			if dAddr < c.CountFrom {
+				continue
+			}
+			j := u.p64.find(netaddr.PrefixFrom(a, 64).Addr())
+			if u.p64.vals[j] < dAddr || opened64[j] {
+				counts[IIDRotation]++
+				continue
+			}
+			opened64[j] = true
+			h := u.p44.find(netaddr.PrefixFrom(a, 44).Addr())
+			if u.p44.vals[h] < dAddr || opened44[h] {
+				counts[SubnetMove]++
+				continue
+			}
+			opened44[h] = true
+			counts[NetworkSwitch]++
 		}
-		a := k.pfx.Addr()
-		k64 := pairKey{uid: k.uid, pfx: netaddr.PrefixFrom(a, 64)}
-		if c.first64[k64] < dAddr {
-			counts[IIDRotation]++
-			continue
-		}
-		if _, taken := opener64[k64]; taken {
-			counts[IIDRotation]++
-			continue
-		}
-		opener64[k64] = struct{}{}
-		k44 := pairKey{uid: k.uid, pfx: netaddr.PrefixFrom(a, 44)}
-		if c.first44[k44] < dAddr {
-			counts[SubnetMove]++
-			continue
-		}
-		if _, taken := opener44[k44]; taken {
-			counts[SubnetMove]++
-			continue
-		}
-		opener44[k44] = struct{}{}
-		counts[NetworkSwitch]++
 	}
 	return ChurnBreakdown{
 		IIDRotation:   counts[IIDRotation],
@@ -203,4 +196,14 @@ func (c *ChurnAttribution) Breakdown() ChurnBreakdown {
 		NetworkSwitch: counts[NetworkSwitch],
 		Total:         counts[0] + counts[1] + counts[2],
 	}
+}
+
+// resetFlags returns flags resized to n entries, all false.
+func resetFlags(flags []bool, n int) []bool {
+	if cap(flags) < n {
+		return make([]bool, n)
+	}
+	flags = flags[:n]
+	clear(flags)
+	return flags
 }

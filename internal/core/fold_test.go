@@ -13,26 +13,26 @@ import (
 )
 
 // mergeAnalyzer is one default analyzer as the swap tests see it: its
-// Merge, its state size (the quantity Merge compares before swapping),
-// and its full query-surface check.
+// Merge, its state size (the user count Merge compares before
+// swapping), and the name prefix of its digestQueries answers.
 type mergeAnalyzer struct {
-	name  string
-	merge func(into, from fullAnalyzers)
-	size  func(f fullAnalyzers) int
-	check func(f fullAnalyzers, t *testing.T, want fullAnalyzers, label string)
+	name    string
+	merge   func(into, from fullAnalyzers)
+	size    func(f fullAnalyzers) int
+	queries string
 }
 
 var mergeAnalyzers = []mergeAnalyzer{
 	{"usercentric", func(a, b fullAnalyzers) { a.uc.Merge(b.uc) },
-		func(f fullAnalyzers) int { return len(f.uc.seen) }, fullAnalyzers.assertUserCentric},
+		func(f fullAnalyzers) int { return f.uc.users.len() }, "uc."},
 	{"ipcentric", func(a, b fullAnalyzers) { a.ic.Merge(b.ic) },
-		func(f fullAnalyzers) int { return len(f.ic.seen) }, fullAnalyzers.assertIPCentric},
+		func(f fullAnalyzers) int { return f.ic.users.len() }, "ic64."},
 	{"churn", func(a, b fullAnalyzers) { a.churn.Merge(b.churn) },
-		func(f fullAnalyzers) int { return len(f.churn.firstAddr) }, fullAnalyzers.assertChurn},
+		func(f fullAnalyzers) int { return f.churn.users.len() }, "churn"},
 	{"lifespans", func(a, b fullAnalyzers) { a.life.Merge(b.life) },
-		func(f fullAnalyzers) int { return len(f.life.pairs) }, fullAnalyzers.assertLifespans},
+		func(f fullAnalyzers) int { return f.life.users.len() }, "life."},
 	{"prevalence", func(a, b fullAnalyzers) { a.prev.Merge(b.prev) },
-		func(f fullAnalyzers) int { return len(f.prev.userSeen) }, fullAnalyzers.assertPrevalence},
+		func(f fullAnalyzers) int { return f.prev.users.len() }, "prev."},
 }
 
 // TestMergeSwapDirections checks each analyzer's Merge on a skewed
@@ -78,7 +78,7 @@ func TestMergeSwapDirections(t *testing.T) {
 				for _, from := range c.from {
 					a.merge(got, from())
 				}
-				a.check(got, t, want, c.name)
+				got.assertSurface(t, want, c.name, a.queries)
 			}
 		})
 	}

@@ -19,10 +19,20 @@ type IPCentric struct {
 	Length int
 	Family netaddr.Family
 
-	// seen maps each (user, prefix) pair to whether the entity is
-	// abusive — kept as a value (not struct{}) so shards can be merged.
-	seen     map[pairKey]bool
-	prefixes map[netaddr.Prefix]*prefixPop
+	users userTable[userPrefixes]
+	// prefixes tallies each prefix's users, keyed by the prefix's base
+	// address: one per (user, prefix) entry, counted when the entry is
+	// added.
+	prefixes map[netaddr.Addr]*prefixPop
+}
+
+// userPrefixes holds one user's distinct prefixes, by base address, and
+// the abusive label of its first record. Abusive account IDs are
+// disjoint from benign user IDs, so every record of a user carries the
+// same label.
+type userPrefixes struct {
+	pfx     keyList[netaddr.Addr, struct{}]
+	abusive bool
 }
 
 // prefixPop is one prefix's population tally.
@@ -32,12 +42,7 @@ type prefixPop struct {
 
 // NewIPCentric returns an analyzer for one family and prefix length.
 func NewIPCentric(fam netaddr.Family, length int) *IPCentric {
-	return &IPCentric{
-		Length:   length,
-		Family:   fam,
-		seen:     make(map[pairKey]bool),
-		prefixes: make(map[netaddr.Prefix]*prefixPop),
-	}
+	return &IPCentric{Length: length, Family: fam, prefixes: make(map[netaddr.Addr]*prefixPop)}
 }
 
 // Observe feeds one observation.
@@ -45,18 +50,20 @@ func (ic *IPCentric) Observe(o telemetry.Observation) {
 	if o.Addr.Family() != ic.Family || ic.Length > o.Addr.Bits() {
 		return
 	}
-	p := netaddr.PrefixFrom(o.Addr, ic.Length)
-	key := pairKey{uid: o.UserID, pfx: p}
-	if _, dup := ic.seen[key]; dup {
+	u, added := ic.users.get(o.UserID)
+	if added {
+		u.abusive = o.Abusive
+	}
+	p := netaddr.PrefixFrom(o.Addr, ic.Length).Addr()
+	if _, added := u.pfx.slot(p); !added {
 		return
 	}
-	ic.seen[key] = o.Abusive
 	pop := ic.prefixes[p]
 	if pop == nil {
 		pop = &prefixPop{}
 		ic.prefixes[p] = pop
 	}
-	if o.Abusive {
+	if u.abusive {
 		pop.abusive++
 	} else {
 		pop.benign++
@@ -66,32 +73,35 @@ func (ic *IPCentric) Observe(o telemetry.Observation) {
 // Prefixes returns the number of distinct prefixes observed.
 func (ic *IPCentric) Prefixes() int { return len(ic.prefixes) }
 
-// Merge folds another analyzer's state into ic, deduplicating (user,
-// prefix) pairs. Both must use the same family and length. Merge enables
-// sharded parallel analysis. The smaller state is folded into the
-// larger (the two swap maps first when other holds more pairs), so
-// other must not be used after Merge.
+// Merge folds another analyzer's state into ic: the prefix tallies sum,
+// users only other saw are adopted, and for users both saw each (user,
+// prefix) entry both counted is kept once and uncounted once. Both must
+// use the same family and length. Merge enables sharded parallel
+// analysis. The smaller state is folded into the larger (the two swap
+// first when other holds more users), so other must not be used after
+// Merge.
 func (ic *IPCentric) Merge(other *IPCentric) {
-	if len(other.seen) > len(ic.seen) {
-		ic.seen, other.seen = other.seen, ic.seen
-		ic.prefixes, other.prefixes = other.prefixes, ic.prefixes
+	if other.users.len() > ic.users.len() {
+		*ic, *other = *other, *ic
 	}
-	for key, abusive := range other.seen {
-		if _, dup := ic.seen[key]; dup {
+	for p, op := range other.prefixes {
+		pop := ic.prefixes[p]
+		if pop == nil {
+			ic.prefixes[p] = op
 			continue
 		}
-		ic.seen[key] = abusive
-		pop := ic.prefixes[key.pfx]
-		if pop == nil {
-			pop = &prefixPop{}
-			ic.prefixes[key.pfx] = pop
-		}
-		if abusive {
-			pop.abusive++
-		} else {
-			pop.benign++
-		}
+		pop.benign += op.benign
+		pop.abusive += op.abusive
 	}
+	ic.users.merge(&other.users, func(into, from *userPrefixes) {
+		into.pfx.merge(&from.pfx, func(p netaddr.Addr, _ *struct{}, _ struct{}) {
+			if pop := ic.prefixes[p]; into.abusive {
+				pop.abusive--
+			} else {
+				pop.benign--
+			}
+		})
+	})
 }
 
 // UsersPerPrefix returns the histogram of total users (benign + abusive)
@@ -172,8 +182,8 @@ type HeavyPrefix struct {
 // TopPrefixes returns the k most user-populated prefixes, descending.
 func (ic *IPCentric) TopPrefixes(k int) []HeavyPrefix {
 	tops := make([]HeavyPrefix, 0, len(ic.prefixes))
-	for p, pop := range ic.prefixes {
-		tops = append(tops, HeavyPrefix{Prefix: p, Users: int(pop.benign + pop.abusive), Abusive: int(pop.abusive)})
+	for a, pop := range ic.prefixes {
+		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(a, ic.Length), Users: int(pop.benign + pop.abusive), Abusive: int(pop.abusive)})
 	}
 	sort.Slice(tops, func(i, j int) bool {
 		if tops[i].Users != tops[j].Users {
@@ -210,15 +220,15 @@ func (ic *IPCentric) ConcentrationAbove(n int, asnOf func(netaddr.Addr) netmodel
 	var hc HeavyConcentration
 	perASN := make(map[netmodel.ASN]int)
 	structured := 0
-	for p, pop := range ic.prefixes {
+	for a, pop := range ic.prefixes {
 		if int(pop.benign+pop.abusive) <= n {
 			continue
 		}
 		hc.Heavy++
 		if asnOf != nil {
-			perASN[asnOf(p.Addr())]++
+			perASN[asnOf(a)]++
 		}
-		if netaddr.IsStructuredIID(p.Addr()) {
+		if netaddr.IsStructuredIID(a) {
 			structured++
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
 	"userv6/internal/stats"
@@ -15,12 +17,20 @@ import (
 type Lifespans struct {
 	// Ref is the reference day (the paper uses Apr 19).
 	Ref simtime.Day
-	// lengths are the prefix lengths tracked per family; /32 covers
-	// IPv4 addresses, /128 IPv6 addresses.
+	// lengths are the distinct prefix lengths tracked per family; /32
+	// covers IPv4 addresses, /128 IPv6 addresses.
 	lengths []int
-	pairs   map[pairKey]*pairLife
+	users   userTable[userLives]
+	// pairs counts the (user, prefix) entries across all users.
+	pairs int
 	// abusiveOnly/benignOnly restrict the population.
 	abusiveOnly, benignOnly bool
+}
+
+// userLives holds one user's pairs: per tracked length (indexed like
+// Lifespans.lengths), each prefix's base address and its life.
+type userLives struct {
+	byLen []keyList[netaddr.Addr, pairLife]
 }
 
 type pairLife struct {
@@ -30,9 +40,16 @@ type pairLife struct {
 
 // NewLifespans returns an analyzer for the given reference day and
 // prefix lengths. Lengths longer than a family's width are skipped per
-// observation, so one list can mix IPv4 and IPv6 lengths.
+// observation, so one list can mix IPv4 and IPv6 lengths; a repeated
+// length is tracked once.
 func NewLifespans(ref simtime.Day, lengths ...int) *Lifespans {
-	return &Lifespans{Ref: ref, lengths: append([]int(nil), lengths...), pairs: make(map[pairKey]*pairLife)}
+	l := &Lifespans{Ref: ref}
+	for _, length := range lengths {
+		if !slices.Contains(l.lengths, length) {
+			l.lengths = append(l.lengths, length)
+		}
+	}
+	return l
 }
 
 // Restrict limits accounting to abusive accounts (true) or benign users
@@ -51,16 +68,19 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 	if (l.abusiveOnly && !o.Abusive) || (l.benignOnly && o.Abusive) {
 		return
 	}
+	u, added := l.users.get(o.UserID)
+	if added {
+		u.byLen = make([]keyList[netaddr.Addr, pairLife], len(l.lengths))
+	}
 	max := o.Addr.Bits()
-	for _, length := range l.lengths {
+	for i, length := range l.lengths {
 		if length > max {
 			continue
 		}
-		key := pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, length)}
-		p := l.pairs[key]
-		if p == nil {
-			p = &pairLife{first: o.Day}
-			l.pairs[key] = p
+		p, added := u.byLen[i].slot(netaddr.PrefixFrom(o.Addr, length).Addr())
+		if added {
+			p.first = o.Day
+			l.pairs++
 		} else if o.Day < p.first {
 			p.first = o.Day
 		}
@@ -70,26 +90,38 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 	}
 }
 
-// Merge folds another analyzer's pair state into l: first-seen days take
-// the minimum and reference-day sightings are ORed, so the result is
-// exact for any split of the observation stream. Both analyzers must use
-// the same Ref, lengths, and restriction. The smaller state is folded
-// into the larger (the two swap maps first when other holds more
-// pairs), so other must not be used after Merge.
+// Merge folds another analyzer's pair state into l: users only other
+// saw are adopted, and for a pair both saw the first-seen days take the
+// minimum and reference-day sightings are ORed, so the result is exact
+// for any split of the observation stream. Both analyzers must use the
+// same Ref, lengths, and restriction. The smaller state is folded into
+// the larger (the two swap first when other holds more users), so other
+// must not be used after Merge.
 func (l *Lifespans) Merge(other *Lifespans) {
-	if len(other.pairs) > len(l.pairs) {
-		l.pairs, other.pairs = other.pairs, l.pairs
+	if other.users.len() > l.users.len() {
+		*l, *other = *other, *l
 	}
-	for key, op := range other.pairs {
-		p := l.pairs[key]
-		if p == nil {
-			l.pairs[key] = op
-			continue
+	l.pairs += other.pairs
+	l.users.merge(&other.users, func(into, from *userLives) {
+		for i := range into.byLen {
+			into.byLen[i].merge(&from.byLen[i], func(_ netaddr.Addr, p *pairLife, op pairLife) {
+				p.first = min(p.first, op.first)
+				p.onRef = p.onRef || op.onRef
+				l.pairs--
+			})
 		}
-		if op.first < p.first {
-			p.first = op.first
+	})
+}
+
+// onRefAges calls add with the age (days since first seen, 0 = first
+// seen on the reference day) of each of one user's pairs at the i-th
+// tracked length, of the family, that were seen on the reference day.
+func (l *Lifespans) onRefAges(u *userLives, i int, fam netaddr.Family, add func(age int)) {
+	pairs := &u.byLen[i]
+	for j, a := range pairs.keys {
+		if p := pairs.vals[j]; p.onRef && a.Family() == fam {
+			add(int(l.Ref - p.first))
 		}
-		p.onRef = p.onRef || op.onRef
 	}
 }
 
@@ -99,11 +131,10 @@ func (l *Lifespans) Merge(other *Lifespans) {
 // pairs" curves).
 func (l *Lifespans) AgeHist(fam netaddr.Family, length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
-	for key, p := range l.pairs {
-		if !p.onRef || key.pfx.Family() != fam || key.pfx.Bits() != length {
-			continue
+	if i := slices.Index(l.lengths, length); i >= 0 {
+		for _, u := range l.users.m {
+			l.onRefAges(u, i, fam, h.Add)
 		}
-		h.Add(int(l.Ref - p.first))
 	}
 	return h
 }
@@ -111,16 +142,19 @@ func (l *Lifespans) AgeHist(fam netaddr.Family, length int) *stats.IntHist {
 // MedianAgePerUser returns the histogram of per-user median pair ages
 // (Figure 5's "User med" curves).
 func (l *Lifespans) MedianAgePerUser(fam netaddr.Family, length int) *stats.IntHist {
-	perUser := make(map[uint64][]int)
-	for key, p := range l.pairs {
-		if !p.onRef || key.pfx.Family() != fam || key.pfx.Bits() != length {
-			continue
-		}
-		perUser[key.uid] = append(perUser[key.uid], int(l.Ref-p.first))
-	}
 	h := stats.NewIntHist(64)
-	for _, ages := range perUser {
-		h.Add(medianInt(ages))
+	i := slices.Index(l.lengths, length)
+	if i < 0 {
+		return h
+	}
+	var ages []int
+	add := func(age int) { ages = append(ages, age) }
+	for _, u := range l.users.m {
+		ages = ages[:0]
+		l.onRefAges(u, i, fam, add)
+		if len(ages) > 0 {
+			h.Add(medianInt(ages))
+		}
 	}
 	return h
 }
@@ -148,14 +182,10 @@ type FreshShare struct {
 // FreshShares computes Figure 6's curves for the given family across
 // all configured lengths valid for it.
 func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
-	counts := make(map[int][4]int) // [pairs, <=1d, <=2d, <=3d]
-	for key, p := range l.pairs {
-		if !p.onRef || key.pfx.Family() != fam {
-			continue
-		}
-		c := counts[key.pfx.Bits()]
+	counts := make([][4]int, len(l.lengths)) // [pairs, <=1d, <=2d, <=3d]
+	var c *[4]int
+	tally := func(age int) {
 		c[0]++
-		age := int(l.Ref - p.first)
 		if age < 1 {
 			c[1]++
 		}
@@ -165,12 +195,17 @@ func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
 		if age < 3 {
 			c[3]++
 		}
-		counts[key.pfx.Bits()] = c
+	}
+	for _, u := range l.users.m {
+		for i := range l.lengths {
+			c = &counts[i]
+			l.onRefAges(u, i, fam, tally)
+		}
 	}
 	out := make([]FreshShare, 0, len(counts))
-	for _, length := range l.lengths {
-		c, ok := counts[length]
-		if !ok || c[0] == 0 {
+	for i, length := range l.lengths {
+		c := counts[i]
+		if c[0] == 0 {
 			continue
 		}
 		fs := FreshShare{
@@ -186,4 +221,4 @@ func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
 }
 
 // Pairs returns the number of tracked (user, prefix) pairs.
-func (l *Lifespans) Pairs() int { return len(l.pairs) }
+func (l *Lifespans) Pairs() int { return l.pairs }

@@ -12,48 +12,67 @@ import (
 // and per-ASN / per-country user IPv6 ratios (Tables 1 and 2). The zero
 // value is not ready; use NewPrevalence.
 type Prevalence struct {
-	days map[simtime.Day]*dayTally
-	// per-entity per-window tallies for ASN/country tables.
-	userSeen map[userDayKey]uint8 // bitmask: 1 = any, 2 = v6
-	asn      map[netmodel.ASN]*ratioTally
-	country  map[string]*ratioTally
-	// asnSeen/countrySeen dedup (user, asn) and (user, country).
-	asnSeen     map[userASNKey]uint8
-	countrySeen map[userCountryKey]uint8
+	days  map[simtime.Day]*dayTally
+	users userTable[userMasks]
+	// asn and country tally each entity's users and IPv6 users; they
+	// change only when a user's mask for the entity does.
+	asn     map[netmodel.ASN]*ratioTally
+	country map[string]*ratioTally
 }
 
 type dayTally struct {
 	reqV4, reqV6 uint64
 }
 
-type userDayKey struct {
-	uid uint64
-	day simtime.Day
-}
-
-type userASNKey struct {
-	uid uint64
-	asn netmodel.ASN
-}
-
-type userCountryKey struct {
-	uid uint64
-	cc  [2]byte
+// userMasks holds one user's sighting masks (1 = any, 2 = IPv6) per
+// day, per ASN and per country.
+type userMasks struct {
+	days      keyList[simtime.Day, uint8]
+	asns      keyList[netmodel.ASN, uint8]
+	countries keyList[[2]byte, uint8]
 }
 
 type ratioTally struct {
 	users, v6Users int
 }
 
+// count records that a user's mask for the entity grew from prev to
+// next: the user counts toward the entity once, and toward its IPv6
+// tally once seen over IPv6.
+func (t *ratioTally) count(prev, next uint8) {
+	if prev == 0 && next != 0 {
+		t.users++
+	}
+	if prev&2 == 0 && next&2 != 0 {
+		t.v6Users++
+	}
+}
+
+// uncount removes the second count of a user whose masks two replicas
+// both counted, a and b.
+func (t *ratioTally) uncount(a, b uint8) {
+	t.users--
+	if a&b&2 != 0 {
+		t.v6Users--
+	}
+}
+
+// tally returns k's tally in m, creating it if absent.
+func tally[K comparable](m map[K]*ratioTally, k K) *ratioTally {
+	t := m[k]
+	if t == nil {
+		t = &ratioTally{}
+		m[k] = t
+	}
+	return t
+}
+
 // NewPrevalence returns an empty prevalence tracker.
 func NewPrevalence() *Prevalence {
 	return &Prevalence{
-		days:        make(map[simtime.Day]*dayTally),
-		userSeen:    make(map[userDayKey]uint8),
-		asn:         make(map[netmodel.ASN]*ratioTally),
-		country:     make(map[string]*ratioTally),
-		asnSeen:     make(map[userASNKey]uint8),
-		countrySeen: make(map[userCountryKey]uint8),
+		days:    make(map[simtime.Day]*dayTally),
+		asn:     make(map[netmodel.ASN]*ratioTally),
+		country: make(map[string]*ratioTally),
 	}
 }
 
@@ -76,96 +95,64 @@ func (p *Prevalence) Observe(o telemetry.Observation) {
 	if isV6 {
 		mark = 3
 	}
-	p.userSeen[userDayKey{o.UserID, o.Day}] |= mark
+	u, _ := p.users.get(o.UserID)
+	m, _ := u.days.slot(o.Day)
+	*m |= mark
 
 	// ASN table: a user counts toward an ASN if they used it at all,
 	// and toward its v6 ratio if they used it over IPv6.
-	ak := userASNKey{o.UserID, o.ASN}
-	prev := p.asnSeen[ak]
-	p.asnSeen[ak] = prev | mark
-	t := p.asn[o.ASN]
-	if t == nil {
-		t = &ratioTally{}
-		p.asn[o.ASN] = t
+	if m, _ := u.asns.slot(o.ASN); *m|mark != *m {
+		tally(p.asn, o.ASN).count(*m, *m|mark)
+		*m |= mark
 	}
-	if prev == 0 {
-		t.users++
-	}
-	if prev&2 == 0 && mark&2 != 0 {
-		t.v6Users++
-	}
-
-	ck := userCountryKey{o.UserID, o.Country}
-	prevC := p.countrySeen[ck]
-	p.countrySeen[ck] = prevC | mark
-	ct := p.country[o.CountryCode()]
-	if ct == nil {
-		ct = &ratioTally{}
-		p.country[o.CountryCode()] = ct
-	}
-	if prevC == 0 {
-		ct.users++
-	}
-	if prevC&2 == 0 && mark&2 != 0 {
-		ct.v6Users++
+	if m, _ := u.countries.slot(o.Country); *m|mark != *m {
+		tally(p.country, o.CountryCode()).count(*m, *m|mark)
+		*m |= mark
 	}
 }
 
 // Merge folds another tracker's state into p, exactly for any split of
-// the observation stream: request tallies sum, the per-(user, window)
-// bitmasks OR, and the ASN/country user tallies are recomputed
-// incrementally from the mask transitions — a user contributes to an
-// entity's count the first time any shard saw them, and to its v6 count
-// the first time any shard saw them over IPv6. The smaller state is
+// the observation stream: request tallies and the ASN/country user
+// tallies sum, users only other saw are adopted, and the per-(user,
+// window) masks of users both saw OR — each ASN or country both
+// replicas counted a user toward is uncounted once, and its v6 tally
+// likewise when both saw the user over IPv6. The smaller state is
 // folded into the larger (the two swap whole trackers first when other
-// holds more (user, day) masks), so other must not be used after Merge.
+// holds more users), so other must not be used after Merge.
 func (p *Prevalence) Merge(other *Prevalence) {
-	if len(other.userSeen) > len(p.userSeen) {
+	if other.users.len() > p.users.len() {
 		*p, *other = *other, *p
 	}
 	for day, od := range other.days {
 		d := p.days[day]
 		if d == nil {
-			d = &dayTally{}
-			p.days[day] = d
+			p.days[day] = od
+			continue
 		}
 		d.reqV4 += od.reqV4
 		d.reqV6 += od.reqV6
 	}
-	for k, m := range other.userSeen {
-		p.userSeen[k] |= m
+	for asn, ot := range other.asn {
+		t := tally(p.asn, asn)
+		t.users += ot.users
+		t.v6Users += ot.v6Users
 	}
-	for k, m := range other.asnSeen {
-		prev := p.asnSeen[k]
-		p.asnSeen[k] = prev | m
-		t := p.asn[k.asn]
-		if t == nil {
-			t = &ratioTally{}
-			p.asn[k.asn] = t
-		}
-		if prev == 0 && m != 0 {
-			t.users++
-		}
-		if prev&2 == 0 && m&2 != 0 {
-			t.v6Users++
-		}
+	for cc, ot := range other.country {
+		t := tally(p.country, cc)
+		t.users += ot.users
+		t.v6Users += ot.v6Users
 	}
-	for k, m := range other.countrySeen {
-		prev := p.countrySeen[k]
-		p.countrySeen[k] = prev | m
-		cc := string(k.cc[:])
-		t := p.country[cc]
-		if t == nil {
-			t = &ratioTally{}
-			p.country[cc] = t
-		}
-		if prev == 0 && m != 0 {
-			t.users++
-		}
-		if prev&2 == 0 && m&2 != 0 {
-			t.v6Users++
-		}
-	}
+	p.users.merge(&other.users, func(into, from *userMasks) {
+		into.days.merge(&from.days, func(_ simtime.Day, m *uint8, om uint8) { *m |= om })
+		into.asns.merge(&from.asns, func(asn netmodel.ASN, m *uint8, om uint8) {
+			p.asn[asn].uncount(*m, om)
+			*m |= om
+		})
+		into.countries.merge(&from.countries, func(cc [2]byte, m *uint8, om uint8) {
+			p.country[string(cc[:])].uncount(*m, om)
+			*m |= om
+		})
+	})
 }
 
 // DayShare is one day's IPv6 prevalence.
@@ -179,15 +166,17 @@ type DayShare struct {
 // Daily returns per-day IPv6 prevalence ordered by day (Figure 1).
 func (p *Prevalence) Daily() []DayShare {
 	perDay := make(map[simtime.Day]*struct{ users, v6 int })
-	for k, mark := range p.userSeen {
-		t := perDay[k.day]
-		if t == nil {
-			t = &struct{ users, v6 int }{}
-			perDay[k.day] = t
-		}
-		t.users++
-		if mark&2 != 0 {
-			t.v6++
+	for _, u := range p.users.m {
+		for i, day := range u.days.keys {
+			t := perDay[day]
+			if t == nil {
+				t = &struct{ users, v6 int }{}
+				perDay[day] = t
+			}
+			t.users++
+			if u.days.vals[i]&2 != 0 {
+				t.v6++
+			}
 		}
 	}
 	out := make([]DayShare, 0, len(p.days))

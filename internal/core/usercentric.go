@@ -19,40 +19,35 @@ import (
 	"userv6/internal/telemetry"
 )
 
-// pairKey identifies a (user, prefix-or-address) pair.
-type pairKey struct {
-	uid uint64
-	pfx netaddr.Prefix
-}
-
 // UserCentric accumulates per-user address diversity over its feeding
 // window: the engine behind Figures 2, 3 and 4 and the §4.4 client
 // address patterns. The zero value is ready to use.
 type UserCentric struct {
-	seen  map[pairKey]struct{}
-	users map[uint64]*userAddrs
+	users userTable[userAddrs]
 	// abusiveOnly restricts accounting to abusive or benign entities.
 	abusiveOnly, benignOnly bool
 }
 
-// userAddrs holds one user's deduplicated addresses.
+// userAddrs holds one user's distinct addresses.
 type userAddrs struct {
-	v4, v6  []netaddr.Addr
-	abusive bool
+	v4, v6 keyList[netaddr.Addr, struct{}]
+}
+
+// count returns the user's number of distinct addresses of the family.
+func (u *userAddrs) count(fam netaddr.Family) int {
+	if fam == netaddr.IPv6 {
+		return u.v6.len()
+	}
+	return u.v4.len()
 }
 
 // NewUserCentric returns an analyzer accepting every entity.
-func NewUserCentric() *UserCentric {
-	return &UserCentric{seen: make(map[pairKey]struct{}), users: make(map[uint64]*userAddrs)}
-}
+func NewUserCentric() *UserCentric { return &UserCentric{} }
 
 // NewUserCentricFor returns an analyzer restricted to abusive accounts
 // (abusive = true) or benign users (abusive = false).
 func NewUserCentricFor(abusive bool) *UserCentric {
-	uc := NewUserCentric()
-	uc.abusiveOnly = abusive
-	uc.benignOnly = !abusive
-	return uc
+	return &UserCentric{abusiveOnly: abusive, benignOnly: !abusive}
 }
 
 // Observe feeds one observation.
@@ -63,54 +58,32 @@ func (uc *UserCentric) Observe(o telemetry.Observation) {
 	if !o.Addr.IsValid() {
 		return
 	}
-	key := pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, o.Addr.Bits())}
-	if _, dup := uc.seen[key]; dup {
-		return
-	}
-	uc.seen[key] = struct{}{}
-	u := uc.users[o.UserID]
-	if u == nil {
-		u = &userAddrs{abusive: o.Abusive}
-		uc.users[o.UserID] = u
-	}
+	u, _ := uc.users.get(o.UserID)
 	if o.Addr.Is4() {
-		u.v4 = append(u.v4, o.Addr)
+		u.v4.slot(o.Addr)
 	} else {
-		u.v6 = append(u.v6, o.Addr)
+		u.v6.slot(o.Addr)
 	}
 }
 
 // Users returns the number of distinct entities observed.
-func (uc *UserCentric) Users() int { return len(uc.users) }
+func (uc *UserCentric) Users() int { return uc.users.len() }
 
-// Merge folds another analyzer's state into uc, deduplicating pairs the
-// two saw in common. Both analyzers must use the same restriction. Merge
-// enables sharded parallel analysis: feed disjoint telemetry shards to
-// separate analyzers, then merge. The smaller state is folded into the
-// larger (the two swap maps first when other holds more pairs), so
-// other must not be used after Merge.
+// Merge folds another analyzer's state into uc: users only other saw
+// are adopted, and the address lists of users both saw are united.
+// Both analyzers must use the same restriction. Merge enables sharded
+// parallel analysis: feed disjoint telemetry shards to separate
+// analyzers, then merge. The smaller state is folded into the larger
+// (the two swap first when other holds more users), so other must not
+// be used after Merge.
 func (uc *UserCentric) Merge(other *UserCentric) {
-	if len(other.seen) > len(uc.seen) {
-		uc.seen, other.seen = other.seen, uc.seen
-		uc.users, other.users = other.users, uc.users
+	if other.users.len() > uc.users.len() {
+		*uc, *other = *other, *uc
 	}
-	for key := range other.seen {
-		if _, dup := uc.seen[key]; dup {
-			continue
-		}
-		uc.seen[key] = struct{}{}
-		u := uc.users[key.uid]
-		if u == nil {
-			ou := other.users[key.uid]
-			u = &userAddrs{abusive: ou != nil && ou.abusive}
-			uc.users[key.uid] = u
-		}
-		if key.pfx.Family() == netaddr.IPv4 {
-			u.v4 = append(u.v4, key.pfx.Addr())
-		} else {
-			u.v6 = append(u.v6, key.pfx.Addr())
-		}
-	}
+	uc.users.merge(&other.users, func(into, from *userAddrs) {
+		into.v4.merge(&from.v4, nil)
+		into.v6.merge(&from.v6, nil)
+	})
 }
 
 // AddrsPerUser returns the histogram of distinct addresses per user for
@@ -118,11 +91,8 @@ func (uc *UserCentric) Merge(other *UserCentric) {
 // family (matching the paper's per-protocol user populations).
 func (uc *UserCentric) AddrsPerUser(fam netaddr.Family) *stats.IntHist {
 	h := stats.NewIntHist(64)
-	for _, u := range uc.users {
-		n := len(u.v4)
-		if fam == netaddr.IPv6 {
-			n = len(u.v6)
-		}
+	for _, u := range uc.users.m {
+		n := u.count(fam)
 		if n > 0 {
 			h.Add(n)
 		}
@@ -144,12 +114,12 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 	for i, l := range lengths {
 		var one, two, three, total int
 		set := make(map[netaddr.Prefix]struct{}, 16)
-		for _, u := range uc.users {
-			if len(u.v6) == 0 {
+		for _, u := range uc.users.m {
+			if u.v6.len() == 0 {
 				continue
 			}
 			clear(set)
-			for _, a := range u.v6 {
+			for _, a := range u.v6.keys {
 				set[netaddr.PrefixFrom(a, l)] = struct{}{}
 			}
 			total++
@@ -181,12 +151,12 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 func (uc *UserCentric) PrefixesPerUser(length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
 	set := make(map[netaddr.Prefix]struct{}, 16)
-	for _, u := range uc.users {
-		if len(u.v6) == 0 {
+	for _, u := range uc.users.m {
+		if u.v6.len() == 0 {
 			continue
 		}
 		clear(set)
-		for _, a := range u.v6 {
+		for _, a := range u.v6.keys {
 			set[netaddr.PrefixFrom(a, length)] = struct{}{}
 		}
 		h.Add(len(set))
@@ -203,12 +173,9 @@ type TopUser struct {
 // TopUsersByAddrs returns the k users with the most distinct addresses
 // of the family, descending.
 func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
-	tops := make([]TopUser, 0, len(uc.users))
-	for uid, u := range uc.users {
-		n := len(u.v4)
-		if fam == netaddr.IPv6 {
-			n = len(u.v6)
-		}
+	tops := make([]TopUser, 0, uc.users.len())
+	for uid, u := range uc.users.m {
+		n := u.count(fam)
 		if n > 0 {
 			tops = append(tops, TopUser{UID: uid, Count: n})
 		}
@@ -229,12 +196,8 @@ func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
 // addresses of the family.
 func (uc *UserCentric) UsersWithMoreThan(fam netaddr.Family, n int) int {
 	count := 0
-	for _, u := range uc.users {
-		c := len(u.v4)
-		if fam == netaddr.IPv6 {
-			c = len(u.v6)
-		}
-		if c > n {
+	for _, u := range uc.users.m {
+		if u.count(fam) > n {
 			count++
 		}
 	}
@@ -259,15 +222,15 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 	var p ClientAddrPatterns
 	var teredo, sixToFour, eui, structured, random int
 	var euiMulti, euiReuse int
-	for _, u := range uc.users {
-		if len(u.v6) == 0 {
+	for _, u := range uc.users.m {
+		if u.v6.len() == 0 {
 			continue
 		}
 		p.V6Users++
 		var hasTeredo, has6to4, hasEUI, hasStruct, hasRandom bool
 		iids := make(map[uint64]struct{}, 4)
 		euiAddrs := 0
-		for _, a := range u.v6 {
+		for _, a := range u.v6.keys {
 			switch netaddr.Classify(a) {
 			case netaddr.KindTeredo:
 				hasTeredo = true
@@ -291,7 +254,7 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 		}
 		if hasEUI {
 			eui++
-			if len(u.v6) >= 2 && euiAddrs >= 2 {
+			if u.v6.len() >= 2 && euiAddrs >= 2 {
 				euiMulti++
 				if len(iids) == 1 {
 					euiReuse++
