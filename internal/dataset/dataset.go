@@ -17,6 +17,7 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -344,7 +345,8 @@ func Open(path string) (*Reader, error) {
 // with a telemetry stream signature is a headerless raw stream: raw is
 // true, meta is zero, and f is rewound to byte zero. Anything else must
 // begin with a full headerSize-byte header that parses and passes its
-// checksum, and f is left just past it.
+// checksum, and f is left just past it. A format-2 header pins the
+// stream version: the stream must begin with the v2 signature.
 func openDataset(path string) (f *os.File, meta Meta, raw bool, err error) {
 	f, err = os.Open(path)
 	if err != nil {
@@ -373,8 +375,27 @@ func readHeader(f *os.File) (Meta, bool, error) {
 		return Meta{}, false, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
 	}
 	meta, err := parseHeader(hdr)
+	if err == nil && meta.Format == FormatV2 {
+		// No stream bytes at all is an empty stream, and a torn signature
+		// is left to the stream readers, which report the truncation.
+		sig := make([]byte, 4)
+		n, rerr := f.ReadAt(sig, headerSize)
+		if string(sig[:n]) != "uv6\x02"[:n] {
+			err = fmt.Errorf("%w (stream begins %q)", ErrStreamSignature, sig[:n])
+		} else if rerr != nil && rerr != io.EOF {
+			err = fmt.Errorf("dataset: read stream signature: %w", rerr)
+		}
+	}
 	return meta, false, err
 }
+
+// ErrStreamSignature reports a format-2 header over a stream with
+// another signature, which read as v1 would serve damaged records.
+var ErrStreamSignature = fmt.Errorf("dataset: stream signature does not match the header's format: %w", telemetry.ErrBadMagic)
+
+// streamPin is the stream version a verified header declares to the
+// frame walker; a legacy header has no format field and declares v1.
+func streamPin(meta Meta) int { return cmp.Or(meta.Format, 1) }
 
 // isRawStream reports whether b starts with a telemetry stream
 // signature rather than a dataset header: a headerless raw stream
@@ -461,7 +482,9 @@ func (r ScanReport) Intact() bool {
 // Scan verifies path without extracting records: it parses the header,
 // walks the stream checking every block checksum, and reports what a
 // Salvage pass would recover. It never fails on corrupt content — only
-// on I/O errors — so it is safe to point at torn temp files.
+// on I/O errors — so it is safe to point at torn temp files. A verified
+// header pins the stream version, so a damaged v2 signature never reads
+// as a v1 stream.
 func Scan(path string) (ScanReport, error) {
 	return salvage(path, nil)
 }
@@ -489,6 +512,7 @@ func salvage(path string, emit telemetry.EmitFunc) (ScanReport, error) {
 	hdr = hdr[:n]
 
 	var stream io.Reader = f
+	pin := 0
 	if isRawStream(hdr) {
 		// Headerless raw telemetry stream: scan from byte zero.
 		rep.Raw = true
@@ -498,11 +522,12 @@ func salvage(path string, emit telemetry.EmitFunc) (ScanReport, error) {
 		switch {
 		case err == nil:
 			rep.HeaderOK, rep.Meta = true, meta
+			pin = streamPin(meta)
 		case errors.Is(err, ErrHeaderCRC):
 			rep.HeaderOK, rep.Meta, rep.HeaderErr = true, meta, err.Error()
 		}
 	}
-	sr, serr := telemetry.Salvage(stream, emit)
+	sr, serr := telemetry.NewBlockReaderVersion(stream, pin).Salvage(emit)
 	rep.Stream = sr
 	if serr != nil {
 		rep.StreamErr = serr.Error()

@@ -21,7 +21,10 @@ func fuzzFile(t *testing.T, data []byte) string {
 }
 
 // FuzzDatasetOpen: arbitrary file contents must never panic Open,
-// Read, ForEach, or Scan — they either decode or return an error.
+// Read, ForEach, or Scan — they either decode or return an error. And
+// the read modes agree: whenever a strict one-worker read succeeds, a
+// tolerant read of the same file delivers the same records, with the
+// same coverage, and calls it intact.
 func FuzzDatasetOpen(f *testing.F) {
 	// Seed with a well-formed dataset and assorted malformations.
 	dir, err := os.MkdirTemp("", "uv6fuzzseed")
@@ -56,6 +59,7 @@ func FuzzDatasetOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
+	f.Add(golden[:headerSize]) // a legacy header with an empty stream
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := fuzzFile(t, data)
@@ -79,6 +83,18 @@ func FuzzDatasetOpen(f *testing.F) {
 				t.Fatalf("scan reported %d records, salvage emitted %d", rep.Stream.Records, n)
 			}
 		}
+		strict, strictRep, err := readParallel(path, 1, false)
+		if err != nil {
+			return
+		}
+		tolerant, tolerantRep, err := readParallel(path, 1, true)
+		if err != nil {
+			t.Fatalf("strict read succeeded, tolerant failed: %v", err)
+		}
+		if !tolerantRep.Equal(strictRep) || !tolerantRep.Intact() {
+			t.Fatalf("coverage: strict %+v, tolerant %+v", strictRep, tolerantRep)
+		}
+		sameRecords(t, tolerant, strict)
 	})
 }
 
@@ -89,6 +105,9 @@ func FuzzDatasetRoundTrip(f *testing.F) {
 	f.Add(uint16(0), byte(0xff))
 	f.Add(uint16(300), byte(0x01))
 	f.Add(uint16(2000), byte(0x80))
+	// The stream signature's version byte: 2 becomes 1, and a reader
+	// trusting the signature would serve every v2 frame as v1 records.
+	f.Add(uint16(259), byte(0x03))
 	f.Fuzz(func(t *testing.T, off uint16, mask byte) {
 		path := filepath.Join(t.TempDir(), "d.uv6")
 		w, err := Create(path, Meta{Sample: "all"})

@@ -19,11 +19,12 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,18 +234,19 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 	}
 
 	// Strip the dataset header when present; a raw stream (signature at
-	// byte zero) is salvaged whole.
-	stream := data
+	// byte zero) is salvaged whole; a verified header pins its version.
+	stream, pin := data, 0
 	if !isRawStream(data) {
 		if len(data) < headerSize {
 			cov.SkippedBytes = int64(len(data))
 			return cov, nil
 		}
-		if !haveDeclared {
-			var pm Meta
-			if json.Unmarshal(trimHeader(data[:headerSize]), &pm) == nil {
-				declared, haveDeclared = pm.Codec, true
-			}
+		pm, err := parseHeader(data[:headerSize])
+		if err == nil {
+			pin = streamPin(pm)
+		}
+		if !haveDeclared && (err == nil || errors.Is(err, ErrHeaderCRC)) {
+			declared, haveDeclared = pm.Codec, true
 		}
 		stream = data[headerSize:]
 	}
@@ -262,7 +264,7 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 			telemetry.CanonicalPolicy(declared) == telemetry.CanonicalPolicy(w.meta.Codec)
 	}
 
-	sr, serr, werr := mergeStream(w, stream, passOK)
+	sr, serr, werr := mergeStream(w, stream, pin, passOK)
 	if werr != nil {
 		return cov, werr
 	}
@@ -335,18 +337,17 @@ func CheckPartCodecs(declared string, observed telemetry.CodecSet) error {
 const mergeQueue = 4
 
 // mergeStream salvages one part's stream into the output writer. A
-// scanner goroutine runs the serial marker-resync walk, which verifies
-// each frame's checksum and reverses its codec, and decodes every
-// intact block's records into a pooled slice. The calling goroutine
-// writes the blocks in stream order, so the output bytes match a
-// sequential merge exactly. When passOK (the caller established policy
-// compatibility) the writer first offers the stored frame to
-// writeEncodedBlock, whose own precondition check (no partial block
-// pending, a full block, a codec the writer could have chosen) decides
-// passthrough; otherwise the block's records are re-emitted. scanErr
-// reports an unrecognizable stream (non-fatal to the merge); writeErr
-// reports an output-side failure (fatal).
-func mergeStream(w *Writer, stream []byte, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
+// scanner goroutine walks the part tolerantly (the walker verifies and
+// decodes each frame) and decodes every intact block's records into a
+// pooled slice. The calling goroutine writes the blocks in stream
+// order, so the output bytes match a sequential merge exactly. When
+// passOK (the caller established policy compatibility) the writer
+// first offers the stored frame to writeEncodedBlock, whose own
+// precondition check (no partial block pending, a full block, a codec
+// the writer could have chosen) decides passthrough; otherwise the
+// block's records are re-emitted. scanErr reports an unrecognizable
+// stream (non-fatal to the merge); writeErr an output-side failure.
+func mergeStream(w *Writer, stream []byte, pin int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
 	type block struct {
 		raw  telemetry.RawBlock
 		recs []telemetry.Observation
@@ -355,9 +356,16 @@ func mergeStream(w *Writer, stream []byte, passOK bool) (rep telemetry.SalvageRe
 	blocks := make(chan block, mergeQueue)
 	go func() {
 		defer close(blocks)
-		rep, scanErr = telemetry.SalvageRawBlocks(stream, func(b telemetry.RawBlock, decoded []byte) {
-			blocks <- block{raw: b, recs: telemetry.AppendRecords(bufs.getRecs(), decoded)}
-		})
+		br := telemetry.NewBlockReaderVersion(bytes.NewReader(stream), pin)
+		raw, dec, err := br.NextIntact(nil)
+		for ; err == nil; raw, dec, err = br.NextIntact(dec) {
+			// The stored payload aliases the walker's window, which moves on.
+			raw.Payload = append(bufs.getPayload()[:0], raw.Payload...)
+			blocks <- block{raw: raw, recs: telemetry.AppendRecords(bufs.getRecs(), dec)}
+		}
+		if rep = br.Report(); err != io.EOF {
+			scanErr = err
+		}
 	}()
 	// After a write error the loop keeps draining, so the scanner always
 	// runs to the end of the part; rep and scanErr are set before it
@@ -366,6 +374,7 @@ func mergeStream(w *Writer, stream []byte, passOK bool) (rep telemetry.SalvageRe
 		if writeErr == nil {
 			writeErr = writeMergedBlock(w, b.raw, b.recs, passOK)
 		}
+		bufs.putPayload(b.raw.Payload)
 		bufs.putRecs(b.recs)
 	}
 	return rep, scanErr, writeErr

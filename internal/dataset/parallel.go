@@ -3,15 +3,13 @@ package dataset
 // Block-parallel dataset reading. The v2 format's independently
 // checksummed, independently decodable blocks are the natural unit of
 // parallelism: a single goroutine performs the sequential disk I/O
-// (frame scanning), and a worker pool verifies checksums, decodes
-// records, and hands each block to its worker's own callback
+// (the frame walker, strict or tolerant), and a worker pool decodes
+// records and hands each block to its worker's own callback
 // (ForEachWorker). With one worker the blocks arrive in stream order;
-// with more they arrive in completion order. Tolerant reads — the
-// salvage path that skips corrupt blocks and reports coverage — go
-// through the same pool.
+// with more they arrive in completion order. Neither mode holds more
+// of the file than one frame and the blocks in flight.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -32,8 +30,8 @@ type ParallelOptions struct {
 	Workers int
 	// Tolerant switches to the salvage read path: corrupt blocks are
 	// skipped instead of failing the read, and Coverage reports what
-	// fraction of the stream the delivered records describe. The whole
-	// stream is buffered in memory, like Salvage.
+	// fraction of the stream the delivered records describe. The
+	// stream is walked like Salvage walks it, one frame at a time.
 	Tolerant bool
 }
 
@@ -88,27 +86,12 @@ func (pr *ParallelReader) Workers() int { return pr.opts.Workers }
 func (pr *ParallelReader) Raw() bool { return pr.raw }
 
 // Coverage returns the stream report of a completed read and whether
-// one finished. A tolerant read mirrors Scan's accounting exactly (the
-// same blocks counted intact, corrupt, or skipped); a strict read that
-// ran to completion reports the intact stream it delivered — blocks,
-// records, and per-codec block counts, with nothing corrupt or skipped
-// by construction. A read that returned an error reports nothing.
+// one finished. It is the frame walker's report in both modes: a
+// tolerant read accounts exactly as Scan does, and a strict read that
+// ran to completion reports the same intact stream, with nothing
+// corrupt or skipped by construction. A failed read reports nothing.
 func (pr *ParallelReader) Coverage() (telemetry.SalvageReport, bool) {
 	return pr.coverage, pr.covered
-}
-
-// finishStrict sums the per-goroutine block counts of a successful
-// strict read into the reader's coverage. An empty stream still reports
-// as v2: there is nothing to contradict the newest format.
-func (pr *ParallelReader) finishStrict(reports []telemetry.SalvageReport) {
-	var total telemetry.SalvageReport
-	for i := range reports {
-		total.Add(reports[i])
-	}
-	if total.Version == 0 {
-		total.Version = 2
-	}
-	pr.coverage, pr.covered = total, true
 }
 
 // Close closes the underlying file.
@@ -183,8 +166,8 @@ func (e *WorkerPanicError) Error() string {
 // are recycled as soon as the callback returns. A given callback is
 // only ever invoked from its own worker goroutine, so worker-local
 // state needs no locking, while the serial factory phase may freely
-// touch shared state. Tolerant selects the salvage scan and fills
-// Coverage on success. The first decode or callback error cancels the
+// touch shared state. Tolerant selects the salvage scan. Coverage is
+// filled on success. The first decode or callback error cancels the
 // read and is returned; a callback panic is recovered and returned as a
 // *WorkerPanicError. The reader is single-use: a second call returns an
 // error.
@@ -197,43 +180,43 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 	for w := range fns {
 		fns[w] = newWorker(w)
 	}
-	if pr.opts.Tolerant {
-		return pr.workerTolerant(ctx, fns)
-	}
-	return pr.workerStrict(ctx, fns)
-}
 
-// failFunc returns a first-error-wins recorder: the first failure
-// cancels the read, later ones are dropped. The recorded error is
-// read only after every writer goroutine has been joined.
-func failFunc(cancel context.CancelFunc, firstErr *error) func(error) {
-	var mu sync.Mutex
-	return func(err error) {
-		mu.Lock()
-		if *firstErr == nil {
-			*firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-}
-
-func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	var (
 		bufs     pools
 		firstErr error
+		errMu    sync.Mutex
 	)
-	fail := failFunc(cancel, &firstErr)
+	// The first failure cancels the read. firstErr is read only after
+	// every goroutine that can fail has been joined.
+	fail := func(err error) {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+			cancel()
+		}
+		errMu.Unlock()
+	}
 
+	pin := 0
+	if !pr.raw {
+		pin = streamPin(pr.meta)
+	}
+	br := telemetry.NewBlockReaderVersion(pr.f, pin)
 	jobs := make(chan telemetry.RawBlock, pr.opts.Workers)
 	go scanLabeled(func() {
 		defer close(jobs)
-		br := telemetry.NewBlockReader(bufio.NewReaderSize(pr.f, 1<<20))
 		for {
-			blk, err := br.Next(bufs.getPayload())
+			var blk telemetry.RawBlock
+			var err error
+			if pr.opts.Tolerant {
+				// The walker has verified and decoded the block, so it
+				// travels with its decoded payload.
+				blk, blk.Payload, err = br.NextIntact(bufs.getPayload())
+			} else {
+				blk, err = br.Next(bufs.getPayload())
+			}
 			if err == io.EOF {
 				return
 			}
@@ -249,7 +232,6 @@ func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) er
 		}
 	})
 
-	reports := make([]telemetry.SalvageReport, len(fns))
 	var wg sync.WaitGroup
 	for w := range fns {
 		wg.Add(1)
@@ -270,14 +252,16 @@ func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) er
 					if ctx.Err() != nil {
 						continue // cancelled: drain without decoding
 					}
-					recs, sc, err := blk.AppendDecoded(bufs.getRecs(), scratch)
-					scratch = sc
+					recs := bufs.getRecs()
+					var err error
+					if pr.opts.Tolerant {
+						recs = telemetry.AppendRecords(recs, blk.Payload)
+					} else {
+						recs, scratch, err = blk.AppendDecoded(recs, scratch)
+					}
 					bufs.putPayload(blk.Payload)
 					if err == nil {
 						err = fn(Batch{Index: blk.Index, Recs: recs})
-						if err == nil {
-							reports[w].RecordBlock(blk.Codec, blk.Checksummed(), len(recs))
-						}
 					}
 					bufs.putRecs(recs)
 					if err != nil {
@@ -289,94 +273,13 @@ func (pr *ParallelReader) workerStrict(ctx context.Context, fns []func(Batch) er
 	}
 	wg.Wait()
 	// Workers only exit after the scanner closed jobs, so every fail()
-	// happens-before this read.
+	// and every walker update happens-before these reads.
 	if firstErr != nil {
 		return firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	pr.finishStrict(reports)
-	return nil
-}
-
-func (pr *ParallelReader) workerTolerant(ctx context.Context, fns []func(Batch) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Buffer the stream like Salvage: resynchronization needs random
-	// access, and salvage is an offline recovery path, not a hot one.
-	data, err := io.ReadAll(bufio.NewReaderSize(pr.f, 1<<20))
-	if err != nil {
-		return fmt.Errorf("dataset: salvage read: %w", err)
-	}
-
-	var (
-		bufs     pools
-		firstErr error
-	)
-	fail := failFunc(cancel, &firstErr)
-
-	type job struct {
-		idx     int
-		payload []byte
-	}
-	jobs := make(chan job, pr.opts.Workers)
-	var (
-		rep     telemetry.SalvageReport
-		scanErr error
-	)
-	go scanLabeled(func() {
-		defer close(jobs)
-		idx := 0
-		rep, scanErr = telemetry.SalvageBlocks(data, func(payload []byte, count int) {
-			select {
-			case jobs <- job{idx: idx, payload: payload}:
-				idx++
-			case <-ctx.Done():
-			}
-		})
-	})
-
-	var wg sync.WaitGroup
-	for w := range fns {
-		wg.Add(1)
-		go func(w int, fn func(Batch) error) {
-			defer wg.Done()
-			workerLabeled(w, func() {
-				defer func() {
-					if v := recover(); v != nil {
-						fail(&WorkerPanicError{Worker: w, Value: v, Stack: debug.Stack()})
-						for range jobs {
-						}
-					}
-				}()
-				for j := range jobs {
-					if ctx.Err() != nil {
-						continue
-					}
-					recs := telemetry.AppendRecords(bufs.getRecs(), j.payload)
-					err := fn(Batch{Index: j.idx, Recs: recs})
-					bufs.putRecs(recs)
-					if err != nil {
-						fail(err)
-					}
-				}
-			})
-		}(w, fns[w])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// rep/scanErr were assigned before the scanner's deferred
-	// close(jobs), which happens-before every worker's exit.
-	if scanErr != nil {
-		return scanErr
-	}
-	pr.coverage, pr.covered = rep, true
+	pr.coverage, pr.covered = br.Report(), true
 	return nil
 }

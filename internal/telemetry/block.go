@@ -2,16 +2,14 @@ package telemetry
 
 // Block-granular stream access: the sequential-I/O half of a parallel
 // decode pipeline. A BlockReader pulls raw frames off the stream
-// without touching their payload bytes beyond copying them in, so that
-// the CPU-heavy work — CRC verification and record decoding — can be
+// through the frame walker's window, which holds at most one frame,
+// and copies each payload out without checking it, so that the
+// CPU-heavy work — CRC verification and record decoding — can be
 // fanned out to a worker pool (dataset.ParallelReader). The v2 framing
 // makes each block independently verifiable and decodable, which is
 // exactly what makes it the unit of parallelism.
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -19,8 +17,8 @@ import (
 
 // RawBlock is one undecoded unit of a telemetry stream: a v2 frame, or
 // a pseudo-block of consecutive v1 records (v1 streams have no framing,
-// so the reader chunks them to bound batch sizes). The payload has not
-// been checksum-verified; call Verify or Decode before trusting it.
+// so the reader chunks them to bound batch sizes). Verify or
+// AppendDecoded it before trusting its payload.
 type RawBlock struct {
 	// Index is the 0-based position of the block in the stream.
 	Index int
@@ -40,10 +38,6 @@ type RawBlock struct {
 	version byte
 }
 
-// Checksummed reports whether the block carries a checksum to verify
-// (v2 frames do; v1 pseudo-blocks have none and always verify clean).
-func (b RawBlock) Checksummed() bool { return b.version >= 2 }
-
 // Verify checks the payload against the stored checksum, returning a
 // *CorruptError on mismatch. v1 pseudo-blocks verify vacuously.
 func (b RawBlock) Verify() error {
@@ -55,14 +49,6 @@ func (b RawBlock) Verify() error {
 			Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", b.Sum, got)}
 	}
 	return nil
-}
-
-// Decode verifies the block and appends its records to dst, reusing
-// dst's capacity. On a checksum mismatch dst is returned unchanged
-// alongside the *CorruptError.
-func (b RawBlock) Decode(dst []Observation) ([]Observation, error) {
-	dst, _, err := b.AppendDecoded(dst, nil)
-	return dst, err
 }
 
 // AppendDecoded verifies the block's checksum, reverses its codec, and
@@ -110,150 +96,66 @@ func AppendRecords(dst []Observation, payload []byte) []Observation {
 	return dst
 }
 
-// BlockReader scans a telemetry stream frame by frame. It performs only
-// sequential I/O and frame-header sanity checks; payload checksums are
-// deliberately left to the caller (RawBlock.Verify) so verification can
-// run concurrently across blocks. The stream version is auto-detected
-// like Reader's: v2 streams yield one RawBlock per frame, v1 streams
-// yield pseudo-blocks of at most DefaultBlockRecords records.
+// BlockReader reads a stream block by block through the frame walker
+// (walk.go): strictly with Next or tolerantly with NextIntact, never
+// both. The stream version is detected from the signature like
+// Reader's: v2 streams yield one RawBlock per frame, v1 streams
+// pseudo-blocks of at most DefaultBlockRecords records.
 type BlockReader struct {
-	br         *bufio.Reader
-	hdr        [blockHeaderSize]byte
-	readHeader bool
-	version    byte
-	idx        int
-	off        int64
-	err        error // sticky: set once the stream is corrupt or done
+	w walker
 }
 
 // NewBlockReader returns a BlockReader wrapping r.
-func NewBlockReader(r io.Reader) *BlockReader {
-	return &BlockReader{br: bufio.NewReaderSize(r, 1<<16)}
+func NewBlockReader(r io.Reader) *BlockReader { return NewBlockReaderVersion(r, 0) }
+
+// NewBlockReaderVersion is NewBlockReader for a stream behind a dataset
+// header that declares version (0: no header to pin against). An empty
+// stream is then empty in that version, and a pinned v2 stream under
+// another signature reads tolerantly as v2 with a damaged signature.
+func NewBlockReaderVersion(r io.Reader, version int) *BlockReader {
+	return &BlockReader{w: walker{r: r, pin: version}}
 }
 
-// Next returns the next raw block. The payload is stored in buf when
-// its capacity suffices (buf may be nil); a caller recycling buffers
-// across calls reads the stream with zero steady-state allocations.
-// io.EOF is returned only at a clean block boundary; a malformed frame
-// header or torn payload yields a *CorruptError. Errors are sticky.
+// Next returns the next raw block. It checks only the frame header:
+// the payload checksum is left to the caller (RawBlock.Verify) so
+// verification can run concurrently across blocks. The payload is
+// stored in buf when its capacity suffices (buf may be nil); a caller
+// recycling buffers across calls reads the stream with zero
+// steady-state allocations. io.EOF is returned only at a clean block
+// boundary; a malformed frame header or torn payload yields a
+// *CorruptError. Errors are sticky.
 func (r *BlockReader) Next(buf []byte) (RawBlock, error) {
-	if r.err != nil {
-		return RawBlock{}, r.err
-	}
-	blk, err := r.next(buf)
-	if err != nil {
-		r.err = err
-	}
+	blk, _, err := r.w.next(buf, false)
 	return blk, err
 }
 
-func (r *BlockReader) next(buf []byte) (RawBlock, error) {
-	if !r.readHeader {
-		var m [4]byte
-		if _, err := io.ReadFull(r.br, m[:]); err != nil {
-			if err == io.EOF {
-				return RawBlock{}, io.EOF
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return RawBlock{}, fmt.Errorf("%w (truncated signature)", ErrBadMagic)
-			}
-			return RawBlock{}, fmt.Errorf("telemetry: read header: %w", err)
-		}
-		r.off += 4
-		switch {
-		case m == magic:
-			r.version = 1
-		case m == magicV2:
-			r.version = 2
-		case m[0] == 'u' && m[1] == 'v' && m[2] == '6':
-			return RawBlock{}, fmt.Errorf("%w: %d", ErrUnsupportedVersion, m[3])
-		default:
-			return RawBlock{}, ErrBadMagic
-		}
-		r.readHeader = true
-	}
-	if r.version == 1 {
-		return r.nextV1(buf)
-	}
-	return r.nextV2(buf)
+// NextIntact returns the next intact block and its payload, verified
+// and decoded into dst; everything else is skipped and counted as
+// Salvage counts it. The stored Payload aliases the reader's window
+// until the next call. io.EOF ends the stream; ErrBadMagic means it was
+// unrecognizable. Errors are sticky.
+func (r *BlockReader) NextIntact(dst []byte) (RawBlock, []byte, error) {
+	return r.w.next(dst, true)
 }
 
-// nextV1 chunks the unframed v1 record stream into pseudo-blocks. A
-// trailing partial record surfaces as ErrCorrupt after the complete
-// records before it have been delivered, matching the strict Reader.
-func (r *BlockReader) nextV1(buf []byte) (RawBlock, error) {
-	const chunk = DefaultBlockRecords * recordSize
-	buf = sliceFor(buf, chunk)
-	n, err := io.ReadFull(r.br, buf)
-	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return RawBlock{}, fmt.Errorf("telemetry: read record: %w", err)
-	}
-	if n == 0 {
-		return RawBlock{}, io.EOF
-	}
-	blk := RawBlock{
-		Index:   r.idx,
-		Offset:  r.off,
-		Count:   n / recordSize,
-		Payload: buf[:n-n%recordSize],
-		version: 1,
-	}
-	r.off += int64(n)
-	if blk.Count == 0 {
-		return RawBlock{}, fmt.Errorf("%w (truncated record)", ErrCorrupt)
-	}
-	if n%recordSize != 0 {
-		// Serve the complete records now; the torn tail errors next call.
-		r.err = fmt.Errorf("%w (truncated record)", ErrCorrupt)
-	}
-	r.idx++
-	return blk, nil
-}
+// Report returns the coverage of the blocks read so far. After a strict
+// read whose blocks all verified, it equals a tolerant read's.
+func (r *BlockReader) Report() SalvageReport { return r.w.rep }
 
-// nextV2 reads one frame, validating the header bounds but not the
-// payload checksum.
-func (r *BlockReader) nextV2(buf []byte) (RawBlock, error) {
-	frameOff := r.off
-	h := r.hdr[:]
-	n, err := io.ReadFull(r.br, h)
-	r.off += int64(n)
+// Salvage reads the rest of the stream with NextIntact, emitting every
+// intact record in stream order (emit may be nil), and returns the
+// final report.
+func (r *BlockReader) Salvage(emit EmitFunc) (SalvageReport, error) {
+	_, decoded, err := r.NextIntact(nil)
+	for ; err == nil; _, decoded, err = r.NextIntact(decoded) {
+		for off := 0; emit != nil && off < len(decoded); off += recordSize {
+			emit(decodeRecord(decoded[off:]))
+		}
+	}
 	if err == io.EOF {
-		return RawBlock{}, io.EOF
+		err = nil
 	}
-	if err != nil {
-		return RawBlock{}, &CorruptError{Block: r.idx, Offset: frameOff, Reason: "short frame header"}
-	}
-	if [4]byte(h[0:4]) != blockMagic {
-		return RawBlock{}, &CorruptError{Block: r.idx, Offset: frameOff, Reason: "bad block marker"}
-	}
-	length := binary.LittleEndian.Uint32(h[4:])
-	count, codec := splitCountFlags(binary.LittleEndian.Uint32(h[8:]))
-	sum := binary.LittleEndian.Uint32(h[12:])
-	if length > maxBlockPayload {
-		return RawBlock{}, &CorruptError{Block: r.idx, Offset: frameOff,
-			Reason: fmt.Sprintf("oversized frame (%d bytes)", length)}
-	}
-	if !frameShapeValid(length, count, codec) {
-		return RawBlock{}, &CorruptError{Block: r.idx, Offset: frameOff,
-			Reason: fmt.Sprintf("frame length %d / record count %d mismatch (codec %s)", length, count, codec)}
-	}
-	buf = sliceFor(buf, int(length))
-	n, err = io.ReadFull(r.br, buf)
-	r.off += int64(n)
-	if err != nil {
-		return RawBlock{}, &CorruptError{Block: r.idx, Offset: frameOff, Reason: "short frame payload"}
-	}
-	blk := RawBlock{
-		Index:   r.idx,
-		Offset:  frameOff,
-		Count:   int(count),
-		Sum:     sum,
-		Codec:   codec,
-		Payload: buf,
-		version: 2,
-	}
-	r.idx++
-	return blk, nil
+	return r.Report(), err
 }
 
 // sliceFor returns buf resized to n bytes, reallocating only when its

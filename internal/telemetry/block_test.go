@@ -54,7 +54,7 @@ func drainBlocks(t *testing.T, data []byte) []Observation {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err = blk.Decode(out)
+		out, _, err = blk.AppendDecoded(out, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +110,8 @@ func TestBlockReaderIndexesSequential(t *testing.T) {
 		if blk.Index != want {
 			t.Fatalf("block index %d, want %d", blk.Index, want)
 		}
-		if !blk.Checksummed() {
-			t.Fatal("v2 block reports no checksum")
+		if blk.Sum == 0 {
+			t.Fatal("v2 block carries no checksum")
 		}
 		if err := blk.Verify(); err != nil {
 			t.Fatal(err)
@@ -140,8 +140,8 @@ func TestBlockReaderDetectsCorruptPayload(t *testing.T) {
 	if !errors.As(verr, &ce) || ce.Block != 1 {
 		t.Fatalf("want *CorruptError for block 1, got %v", verr)
 	}
-	if _, derr := b1.Decode(nil); !errors.Is(derr, ErrCorrupt) {
-		t.Fatalf("Decode must reject the block: %v", derr)
+	if _, _, derr := b1.AppendDecoded(nil, nil); !errors.Is(derr, ErrCorrupt) {
+		t.Fatalf("AppendDecoded must reject the block: %v", derr)
 	}
 }
 
@@ -175,8 +175,15 @@ func TestBlockReaderV1TruncatedTail(t *testing.T) {
 	}
 }
 
-// SalvageBlocks must report exactly what Salvage reports and deliver
-// the same records, both on intact and damaged streams.
+// salvageBlocks drains a tolerant BlockReader over data, handing visit
+// each intact block's decoded payload and record count.
+func salvageBlocks(data []byte, visit func(payload []byte, count int)) (SalvageReport, error) {
+	return rawBlocks(data, func(b RawBlock, decoded []byte) { visit(decoded, b.Count) })
+}
+
+// The block-level tolerant walk must report exactly what Salvage
+// reports and deliver the same records, both on intact and damaged
+// streams.
 func TestSalvageBlocksMatchesSalvage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -196,7 +203,7 @@ func TestSalvageBlocksMatchesSalvage(t *testing.T) {
 			wantRep, werr := SalvageBytes(data, func(o Observation) { want = append(want, o) })
 
 			var got []Observation
-			gotRep, gerr := SalvageBlocks(data, func(payload []byte, count int) {
+			gotRep, gerr := salvageBlocks(data, func(payload []byte, count int) {
 				before := len(got)
 				got = AppendRecords(got, payload)
 				if len(got)-before != count {
@@ -227,7 +234,7 @@ func TestSalvageBlocksV1Chunks(t *testing.T) {
 	data := v1Stream(t, benchObs(2*DefaultBlockRecords+100))
 	visits := 0
 	total := 0
-	rep, err := SalvageBlocks(data, func(payload []byte, count int) {
+	rep, err := salvageBlocks(data, func(payload []byte, count int) {
 		visits++
 		total += count
 		if count > DefaultBlockRecords {

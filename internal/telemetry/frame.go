@@ -37,6 +37,7 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -393,7 +394,8 @@ func (r *Reader) readBlock() error {
 // possibly damaged stream.
 type SalvageReport struct {
 	// Version is the detected format (1 or 2). When the signature
-	// itself is damaged but intact v2 blocks were found, Version is 2.
+	// itself is damaged but intact v2 blocks were found, or a dataset
+	// header pins v2, Version is 2.
 	Version int
 	// Blocks is the number of intact blocks recovered. A v1 stream
 	// counts as one pseudo-block when it yields any records.
@@ -439,21 +441,6 @@ func (r *SalvageReport) addCodecBlock(id CodecID) {
 	r.CodecBlocks[id]++
 }
 
-// RecordBlock counts one delivered block toward the report: readers
-// that verify blocks inline (the strict parallel paths) use it to build
-// the same coverage a salvage walk reports. checksummed distinguishes
-// v2 frames (codec tracked, Version 2) from v1 pseudo-blocks.
-func (r *SalvageReport) RecordBlock(codec CodecID, checksummed bool, records int) {
-	r.Blocks++
-	r.Records += uint64(records)
-	if checksummed {
-		r.Version = 2
-		r.addCodecBlock(codec)
-	} else if r.Version == 0 {
-		r.Version = 1
-	}
-}
-
 // Add folds another part's report into r — the cross-part aggregation a
 // sharded source (manifest or explicit part list) presents as the
 // coverage of the whole logical stream: counts sum, codec sets union,
@@ -495,171 +482,16 @@ func Scan(r io.Reader) (SalvageReport, error) {
 // streams it validates each frame's checksum and resynchronizes on the
 // block marker after damage, so one corrupt block never hides the
 // blocks behind it. For v1 streams (no checksums) it recovers all
-// complete records and drops a torn tail. The stream is buffered in
-// memory; salvage is an offline recovery operation, not a hot path.
+// complete records and drops a torn tail. The stream is read through
+// the frame walker's window, so at most one frame is held in memory.
 //
 // Salvage returns ErrBadMagic only when the input is unrecognizable:
 // no valid signature and no intact v2 block anywhere.
 func Salvage(r io.Reader, emit EmitFunc) (SalvageReport, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return SalvageReport{}, fmt.Errorf("telemetry: salvage read: %w", err)
-	}
-	return salvageBytes(data, emit)
+	return NewBlockReader(r).Salvage(emit)
 }
 
-// SalvageBytes is Salvage over an in-memory stream. Callers that manage
-// their own I/O (e.g. a merge engine retrying transient read errors
-// before decoding) use it to keep the read and the salvage pass
-// separate: by the time SalvageBytes runs, no I/O error can interrupt
-// emission, so a retry can never deliver duplicate records.
+// SalvageBytes is Salvage over an in-memory stream.
 func SalvageBytes(data []byte, emit EmitFunc) (SalvageReport, error) {
-	return salvageBytes(data, emit)
-}
-
-func salvageBytes(data []byte, emit EmitFunc) (SalvageReport, error) {
-	var visit func(b RawBlock, decoded []byte)
-	if emit != nil {
-		visit = func(b RawBlock, decoded []byte) {
-			for rec := 0; rec < b.Count; rec++ {
-				emit(decodeRecord(decoded[rec*recordSize:]))
-			}
-		}
-	}
-	return salvageWalk(data, visit)
-}
-
-// SalvageBlocks walks data exactly like Salvage but delivers the intact
-// decoded block payloads — already checksum-verified and codec-decoded,
-// each a whole number of records — instead of decoded records, so a
-// caller can fan record decoding out to a worker pool while the
-// marker-resync scan stays sequential (the scan must know each
-// candidate frame's checksum verdict before choosing the next scan
-// position, so the verify step cannot be deferred without changing
-// which bytes salvage recovers). Identity payloads alias data and stay
-// valid as long as data does; codec-encoded payloads are decoded into a
-// fresh buffer per block, so every delivered slice is safe to retain or
-// hand to another goroutine. A v1 stream, which has no frames, is
-// delivered in pseudo-blocks of at most DefaultBlockRecords records;
-// the report still counts it as one block.
-func SalvageBlocks(data []byte, visit func(payload []byte, count int)) (SalvageReport, error) {
-	if visit == nil {
-		return salvageWalk(data, nil)
-	}
-	return salvageWalk(data, func(b RawBlock, decoded []byte) {
-		visit(decoded, b.Count)
-	})
-}
-
-// SalvageRawBlocks walks data exactly like Salvage but delivers each
-// intact block twice over: the RawBlock as stored on disk (payload
-// still codec-encoded, checksum already verified against it) and its
-// decoded payload. Merge uses the stored form to pass aligned blocks
-// through without a re-encode and the decoded form for everything
-// else. The same aliasing rules as SalvageBlocks apply: b.Payload and
-// an identity block's decoded slice alias data; a codec-encoded
-// block's decoded slice is freshly allocated.
-func SalvageRawBlocks(data []byte, visit func(b RawBlock, decoded []byte)) (SalvageReport, error) {
-	return salvageWalk(data, visit)
-}
-
-func salvageWalk(data []byte, visit func(b RawBlock, decoded []byte)) (SalvageReport, error) {
-	var rep SalvageReport
-	if len(data) >= 4 && [4]byte(data[0:4]) == magic {
-		// v1: fixed records with no checksums — every complete record
-		// is recoverable, a trailing partial record is dropped.
-		rep.Version = 1
-		body := data[4:]
-		nrec := len(body) / recordSize
-		rep.Records = uint64(nrec)
-		if nrec > 0 {
-			rep.Blocks = 1
-		}
-		rep.SkippedBytes = int64(len(body) - nrec*recordSize)
-		if visit != nil {
-			for i := 0; i < nrec; i += DefaultBlockRecords {
-				n := min(DefaultBlockRecords, nrec-i)
-				chunk := body[i*recordSize : (i+n)*recordSize]
-				visit(RawBlock{
-					Index:   i / DefaultBlockRecords,
-					Offset:  4 + int64(i*recordSize),
-					Count:   n,
-					Payload: chunk,
-					version: 1,
-				}, chunk)
-			}
-		}
-		return rep, nil
-	}
-
-	start := 0
-	if len(data) >= 4 && [4]byte(data[0:4]) == magicV2 {
-		rep.Version = 2
-		start = 4
-	}
-	i, lastEnd := start, start
-	for i+blockHeaderSize <= len(data) {
-		if [4]byte(data[i:i+4]) != blockMagic {
-			i++
-			continue
-		}
-		length := binary.LittleEndian.Uint32(data[i+4:])
-		count, codec := splitCountFlags(binary.LittleEndian.Uint32(data[i+8:]))
-		sum := binary.LittleEndian.Uint32(data[i+12:])
-		end := i + blockHeaderSize + int(length)
-		if frameShapeValid(length, count, codec) && end <= len(data) {
-			payload := data[i+blockHeaderSize : end]
-			if crc32.Checksum(payload, castagnoli) == sum {
-				decoded := payload
-				if codec != CodecIdentity {
-					// The checksum only vouches for the stored bytes; an
-					// authentic-looking frame can still hold a payload
-					// that does not decode (e.g. corruption that happens
-					// to preserve the CRC of a garbage region promoted to
-					// a frame). Decode failures mean the frame is corrupt:
-					// skip the whole frame — resuming inside it could only
-					// resynchronize on garbage.
-					c, _ := CodecByID(codec) // shape-valid implies known
-					raw := int(count) * recordSize
-					buf, derr := c.AppendDecode(make([]byte, 0, raw), payload, raw)
-					if derr != nil || len(buf) != raw {
-						rep.CorruptBlocks++
-						i = end
-						continue
-					}
-					decoded = buf
-				}
-				rep.Blocks++
-				rep.Records += uint64(count)
-				rep.SkippedBytes += int64(i - lastEnd)
-				rep.addCodecBlock(codec)
-				if visit != nil {
-					visit(RawBlock{
-						Index:   rep.Blocks - 1,
-						Offset:  int64(i),
-						Count:   int(count),
-						Sum:     sum,
-						Codec:   codec,
-						Payload: payload,
-						version: 2,
-					}, decoded)
-				}
-				i, lastEnd = end, end
-				continue
-			}
-		}
-		// Marker matched but the frame is invalid: count it once and
-		// resume scanning just past the marker.
-		rep.CorruptBlocks++
-		i++
-	}
-	rep.SkippedBytes += int64(len(data) - lastEnd)
-	if rep.Version == 0 {
-		if rep.Blocks == 0 {
-			return SalvageReport{SkippedBytes: int64(len(data))}, ErrBadMagic
-		}
-		// Damaged signature but intact v2 blocks: recoverable v2.
-		rep.Version = 2
-	}
-	return rep, nil
+	return Salvage(bytes.NewReader(data), emit)
 }

@@ -192,7 +192,7 @@ func TestSalvageCRCValidButUndecodable(t *testing.T) {
 // format docs, on a compressed stream: one damaged byte inside a
 // block's stored payload must cost exactly that block, with every
 // sibling recovered and the reports agreeing across Salvage, Scan, and
-// SalvageRawBlocks.
+// a tolerant BlockReader walk.
 func TestSalvageCompressedCorruption(t *testing.T) {
 	const perBlock = 64
 	obs := frameObs(perBlock * 5)
@@ -201,7 +201,7 @@ func TestSalvageCompressedCorruption(t *testing.T) {
 	// Locate block 2's stored payload via a clean raw walk.
 	var offsets []int64
 	var lengths []int
-	if _, err := SalvageRawBlocks(stream, func(b RawBlock, decoded []byte) {
+	if _, err := rawBlocks(stream, func(b RawBlock, decoded []byte) {
 		offsets = append(offsets, b.Offset)
 		lengths = append(lengths, len(b.Payload))
 	}); err != nil {
@@ -240,7 +240,7 @@ func TestSalvageCompressedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rawRecs uint64
-	raw, err := SalvageRawBlocks(stream, func(b RawBlock, decoded []byte) {
+	raw, err := rawBlocks(stream, func(b RawBlock, decoded []byte) {
 		if len(decoded) != b.Count*recordSize {
 			t.Fatalf("decoded %d bytes for a %d-record block", len(decoded), b.Count)
 		}
@@ -249,7 +249,7 @@ func TestSalvageCompressedCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, other := range map[string]SalvageReport{"Scan": scan, "SalvageRawBlocks": raw} {
+	for name, other := range map[string]SalvageReport{"Scan": scan, "NextIntact": raw} {
 		if other.Blocks != rep.Blocks || other.CorruptBlocks != rep.CorruptBlocks ||
 			other.Records != rep.Records || other.SkippedBytes != rep.SkippedBytes ||
 			other.Codecs != rep.Codecs {

@@ -97,12 +97,14 @@ func FuzzReader(f *testing.F) {
 
 // FuzzSalvage: salvage must never panic, never error except for
 // unrecognizable input, and never recover more than the input could
-// possibly hold.
+// possibly hold; and the frame walker must agree with the reference
+// walk on every input, however the reads split it.
 func FuzzSalvage(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		assertMatchesReference(t, data)
 		var n uint64
 		rep, err := Salvage(bytes.NewReader(data), func(Observation) { n++ })
 		if err != nil {

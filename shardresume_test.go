@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -85,8 +86,7 @@ func TestShardedResumeTruncationSweep(t *testing.T) {
 	}
 	var cuts []cut
 	for _, p := range man.Parts {
-		stream := want[p.Name][shardHeaderSize:]
-		if _, err := telemetry.SalvageRawBlocks(stream, func(b telemetry.RawBlock, _ []byte) {
+		for _, b := range frames(t, want[p.Name][shardHeaderSize:]) {
 			cuts = append(cuts,
 				cut{p.Name, shardHeaderSize + b.Offset},     // frame boundary
 				cut{p.Name, shardHeaderSize + b.Offset + 7}, // torn frame header
@@ -94,8 +94,6 @@ func TestShardedResumeTruncationSweep(t *testing.T) {
 			if b.Index == 0 {
 				cuts = append(cuts, cut{p.Name, shardHeaderSize + b.Offset + 16 + 3}) // torn payload
 			}
-		}); err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
 		}
 		cuts = append(cuts, cut{p.Name, shardHeaderSize + 2}) // torn signature
 	}
@@ -268,6 +266,24 @@ func TestShardedResumeIdempotent(t *testing.T) {
 	}
 }
 
+// frames returns the frames of an intact stream, payloads dropped.
+func frames(t *testing.T, stream []byte) []telemetry.RawBlock {
+	t.Helper()
+	br := telemetry.NewBlockReader(bytes.NewReader(stream))
+	var out []telemetry.RawBlock
+	for {
+		b, err := br.Next(nil)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Payload = nil
+		out = append(out, b)
+	}
+}
+
 // TestResumeTruncationSweep is the single-file counterpart of
 // TestShardedResumeTruncationSweep: a crash failpoint tears a dataset
 // run's temp file at every frame boundary (plus inside every frame
@@ -282,13 +298,11 @@ func TestResumeTruncationSweep(t *testing.T) {
 	want, _ := writeSingle(t, sim, filepath.Join(t.TempDir(), "week.uv6"), meta)
 
 	var cuts []int64
-	if _, err := telemetry.SalvageRawBlocks(want[shardHeaderSize:], func(b telemetry.RawBlock, _ []byte) {
+	for _, b := range frames(t, want[shardHeaderSize:]) {
 		cuts = append(cuts, shardHeaderSize+b.Offset, shardHeaderSize+b.Offset+7) // frame boundary, torn frame header
 		if b.Index == 0 {
 			cuts = append(cuts, shardHeaderSize+b.Offset+16+3) // torn payload
 		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 	cuts = append(cuts, shardHeaderSize+2) // torn signature
 	if len(cuts) < 8 {
