@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 # whole fixture per op, so one op takes milliseconds); the
 # sub-microsecond BENCH_MICRO benchmarks would time only warm-up at 1x,
 # so they run a fixed MICRO_BENCHTIME iterations instead.
-BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkTrieUpdate|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
+BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkWriterV2Auto|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkTrieUpdate|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
 BENCH_MICRO = BenchmarkTrieLookup
 MICRO_BENCHTIME = 20000x
 BENCH_GATE = ^($(BENCH_1X)|$(BENCH_MICRO))$$
@@ -21,6 +21,7 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzLZDecode \
 	./internal/telemetry:FuzzDeltaRoundTrip \
 	./internal/telemetry:FuzzDeltaDecode \
+	./internal/telemetry:FuzzWriterPolicyMatchesReference \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip \
 	./internal/core:FuzzAnalyzerOracle
@@ -87,9 +88,11 @@ fused-race:
 bench-check:
 	cd bench/userv6bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short native-fuzz smoke over every decoder fuzz target and the
-# analyzer oracle: catches panics, typed-error regressions and analyzer
-# answers that depart from the oracle without a long campaign.
+# Short native-fuzz smoke over every decoder fuzz target, the encoder
+# differentials against the reference encoders, and the analyzer
+# oracle: catches panics, typed-error regressions, stored bytes that
+# depart from the reference writer, and analyzer answers that depart
+# from the oracle without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

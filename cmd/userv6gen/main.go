@@ -301,7 +301,6 @@ func runGen(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
 
 	var write func(telemetry.Observation) error
 	var flush func() error
@@ -334,6 +333,9 @@ func runGen(args []string) {
 	}
 	if err := flush(); err != nil {
 		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(fmt.Errorf("close %s: %w", *out, err))
 	}
 	var size int64
 	if st, err := fsys.Stat(*out); err == nil {

@@ -187,3 +187,22 @@ func TestGenResumeAfterCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestGenReportsCloseError: when closing a `-format binary` or `jsonl`
+// output fails, gen exits non-zero with the close error instead of
+// reporting the observations written.
+func TestGenReportsCloseError(t *testing.T) {
+	for _, c := range []struct{ format, name string }{
+		{"binary", "out.bin"},
+		{"jsonl", "out.jsonl"},
+	} {
+		t.Run(c.format, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), c.name)
+			stdout, stderr, code := userv6gen(t, "gen", "-users", "300", "-format", c.format,
+				"-o", out, "-faults", c.name+":close:err")
+			if code == 0 || !strings.Contains(stderr, "close "+out) || strings.Contains(stdout, "wrote ") {
+				t.Fatalf("gen with a failing close: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+			}
+		})
+	}
+}

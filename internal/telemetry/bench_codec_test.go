@@ -79,12 +79,15 @@ func BenchmarkReaderV2(b *testing.B) {
 
 // BenchmarkWriterV2LZ is BenchmarkWriterV2 with per-block LZ: the extra
 // cost of compressing each payload before checksumming it.
-func BenchmarkWriterV2LZ(b *testing.B) {
+func BenchmarkWriterV2LZ(b *testing.B) { benchWriterV2Policy(b, "lz") }
+
+// benchWriterV2Policy is BenchmarkWriterV2 under a compression policy.
+func benchWriterV2Policy(b *testing.B, policy string) {
 	obs := benchObs(64 * DefaultBlockRecords)
 	b.SetBytes(int64(len(obs)) * recordSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := NewWriterV2Policy(io.Discard, DefaultBlockRecords, "lz")
+		w, err := NewWriterV2Policy(io.Discard, DefaultBlockRecords, policy)
 		if err != nil {
 			b.Fatal(err)
 		}

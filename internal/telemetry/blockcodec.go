@@ -48,8 +48,11 @@ type BlockCodec interface {
 	ID() CodecID
 	// Name is the stable lowercase name used in dataset metadata.
 	Name() string
-	// AppendEncode appends the encoded form of src to dst.
-	AppendEncode(dst, src []byte) []byte
+	// AppendEncode appends the encoded form of src to dst and reports
+	// whether it is shorter than limit bytes. On true the appended bytes
+	// are the whole encoding, whatever the limit; on false the trial may
+	// have stopped early, and dst holds a prefix to discard.
+	AppendEncode(dst, src []byte, limit int) ([]byte, bool)
 	// AppendDecode appends the decoded form of src to dst, failing
 	// (not panicking, not over-allocating) on any input whose decoded
 	// form would exceed maxLen bytes or is otherwise malformed.
@@ -60,8 +63,8 @@ type identityCodec struct{}
 
 func (identityCodec) ID() CodecID  { return CodecIdentity }
 func (identityCodec) Name() string { return "identity" }
-func (identityCodec) AppendEncode(dst, src []byte) []byte {
-	return append(dst, src...)
+func (identityCodec) AppendEncode(dst, src []byte, limit int) ([]byte, bool) {
+	return append(dst, src...), len(src) < limit
 }
 func (identityCodec) AppendDecode(dst, src []byte, maxLen int) ([]byte, error) {
 	if len(src) > maxLen {
@@ -74,8 +77,8 @@ type lzCodec struct{}
 
 func (lzCodec) ID() CodecID  { return CodecLZ }
 func (lzCodec) Name() string { return "lz" }
-func (lzCodec) AppendEncode(dst, src []byte) []byte {
-	return lzAppendEncode(dst, src)
+func (lzCodec) AppendEncode(dst, src []byte, limit int) ([]byte, bool) {
+	return lzEncode(dst, src, limit)
 }
 func (lzCodec) AppendDecode(dst, src []byte, maxLen int) ([]byte, error) {
 	return lzAppendDecode(dst, src, maxLen)
@@ -85,8 +88,8 @@ type deltaCodec struct{}
 
 func (deltaCodec) ID() CodecID  { return CodecDelta }
 func (deltaCodec) Name() string { return "delta" }
-func (deltaCodec) AppendEncode(dst, src []byte) []byte {
-	return deltaAppendEncode(dst, src)
+func (deltaCodec) AppendEncode(dst, src []byte, limit int) ([]byte, bool) {
+	return deltaEncode(dst, src, limit)
 }
 func (deltaCodec) AppendDecode(dst, src []byte, maxLen int) ([]byte, error) {
 	return deltaAppendDecode(dst, src, maxLen)
@@ -108,13 +111,14 @@ func CodecByID(id CodecID) (BlockCodec, bool) {
 }
 
 // CodecChainByName resolves a compression policy name to a writer
-// fallback chain: the writer encodes each block under every codec in
-// the chain and stores the smallest result (identity when nothing
-// shrinks the payload; chain order breaks ties). Single-codec names
-// resolve to one-element chains; "auto" tries delta first, then LZ. A
-// nil chain with ok=true is the identity policy. Policy names are a
-// strict superset of codec names, so dataset metadata written with a
-// plain codec name resolves unchanged.
+// fallback chain: the writer tries each codec in the chain on every
+// block and stores the smallest result (identity when nothing shrinks
+// the payload; chain order breaks ties). A trial stops once it cannot
+// beat the smallest so far, which leaves the stored result unchanged.
+// Single-codec names resolve to one-element chains; "auto" tries delta
+// first, then LZ. A nil chain with ok=true is the identity policy.
+// Policy names are a strict superset of codec names, so dataset
+// metadata written with a plain codec name resolves unchanged.
 func CodecChainByName(name string) ([]BlockCodec, bool) {
 	switch strings.ToLower(name) {
 	case "", "identity", "none":

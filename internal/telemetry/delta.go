@@ -30,7 +30,7 @@ package telemetry
 // self-delimiting, so the tail needs no length word. Columns of XORed
 // addresses and near-constant flag bytes are long runs of zeros —
 // exactly what the existing LZ stage compresses best — so the encoder
-// optionally cascades the body through lzAppendEncode and keeps
+// optionally cascades the body through the LZ encoder and keeps
 // whichever form is smaller (bit 0 of the flag byte records the
 // choice). Both stages are deterministic, which the merge passthrough
 // relies on.
@@ -42,6 +42,7 @@ package telemetry
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -68,7 +69,8 @@ var deltaBodyPool = sync.Pool{
 // deltaBodyBound is the largest body a payload of rawLen decoded bytes
 // can encode to: varint columns cost at most 45 bytes per 40-byte
 // record (5+10+16+1+1+2+5+5), plus the count varint and a sub-record
-// tail. Used to bound the LZ stage's decode of a cascaded body.
+// tail. The encoder reserves it once; the decoder bounds the LZ
+// stage's expansion of a cascaded body by it.
 func deltaBodyBound(rawLen int) int {
 	return rawLen + rawLen/4 + 16
 }
@@ -79,16 +81,19 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// deltaAppendEncode appends the delta encoding of src to dst. The
-// output is deterministic for a given src: same payload, same bytes.
-func deltaAppendEncode(dst, src []byte) []byte {
+// deltaEncode appends the delta encoding of src to dst if it is
+// shorter than limit bytes, and returns false once it provably is not.
+// The output is deterministic for a given src.
+func deltaEncode(dst, src []byte, limit int) ([]byte, bool) {
 	bp := deltaBodyPool.Get().(*[]byte)
-	body := deltaEncodeBody((*bp)[:0], src)
-	lz := lzAppendEncode(body[len(body):], body)
-	if len(lz) < len(body) {
+	body := deltaEncodeColumns((*bp)[:0], src)
+	// The cascade is kept only if it beats the plain body and, with the
+	// flag byte, the limit; the plain body then still has to fit.
+	lz, ok := lzEncode(body[len(body):], body, min(len(body), limit-1))
+	if ok {
 		dst = append(dst, deltaFlagLZ)
 		dst = append(dst, lz...)
-	} else {
+	} else if ok = 1+len(body) < limit; ok {
 		dst = append(dst, 0)
 		dst = append(dst, body...)
 	}
@@ -96,20 +101,21 @@ func deltaAppendEncode(dst, src []byte) []byte {
 	// length), so returning body keeps both for the next block.
 	*bp = body[:cap(body)]
 	deltaBodyPool.Put(bp)
-	return dst
+	return dst, ok
 }
 
-// deltaEncodeBody builds the column-transposed body of src in dst.
-func deltaEncodeBody(dst, src []byte) []byte {
+// deltaEncodeColumns builds the column-transposed body of src in dst,
+// reserving deltaBodyBound once.
+func deltaEncodeColumns(dst, src []byte) []byte {
+	dst = slices.Grow(dst, deltaBodyBound(len(src)))
 	n := len(src) / recordSize
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(n))]...)
+	dst = binary.AppendUvarint(dst, uint64(n))
 
 	// day column: int32 deltas.
 	prevDay := int64(0)
 	for i := 0; i < n; i++ {
 		v := int64(int32(binary.LittleEndian.Uint32(src[i*recordSize:])))
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], zigzag(v-prevDay))]...)
+		dst = binary.AppendUvarint(dst, zigzag(v-prevDay))
 		prevDay = v
 	}
 	// user column: uint64 ring deltas (two's-complement subtraction is
@@ -117,39 +123,35 @@ func deltaEncodeBody(dst, src []byte) []byte {
 	prevUser := uint64(0)
 	for i := 0; i < n; i++ {
 		v := binary.LittleEndian.Uint64(src[i*recordSize+4:])
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], zigzag(int64(v-prevUser)))]...)
+		dst = binary.AppendUvarint(dst, zigzag(int64(v-prevUser)))
 		prevUser = v
 	}
-	// addr column: XOR with the previous record's address.
-	var prevAddr [16]byte
+	// addr column: XOR with the previous record's address, word-wise.
+	var prevHi, prevLo uint64
 	for i := 0; i < n; i++ {
-		a := src[i*recordSize+12 : i*recordSize+28]
-		for j := 0; j < 16; j++ {
-			dst = append(dst, a[j]^prevAddr[j])
-			prevAddr[j] = a[j]
-		}
+		hi := binary.LittleEndian.Uint64(src[i*recordSize+12:])
+		lo := binary.LittleEndian.Uint64(src[i*recordSize+20:])
+		dst = binary.LittleEndian.AppendUint64(dst, hi^prevHi)
+		dst = binary.LittleEndian.AppendUint64(dst, lo^prevLo)
+		prevHi, prevLo = hi, lo
 	}
-	// family, abusive, country columns: raw.
+	// family, abusive, country columns: raw, filled in place.
+	cols := dst[len(dst) : len(dst)+4*n]
 	for i := 0; i < n; i++ {
-		dst = append(dst, src[i*recordSize+28])
+		r := src[i*recordSize+28 : i*recordSize+32]
+		cols[i], cols[n+i], cols[2*n+2*i], cols[2*n+2*i+1] = r[0], r[1], r[2], r[3]
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, src[i*recordSize+29])
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, src[i*recordSize+30], src[i*recordSize+31])
-	}
+	dst = dst[:len(dst)+4*n]
 	// asn column: uint32 deltas.
 	prevASN := int64(0)
 	for i := 0; i < n; i++ {
 		v := int64(binary.LittleEndian.Uint32(src[i*recordSize+32:]))
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], zigzag(v-prevASN))]...)
+		dst = binary.AppendUvarint(dst, zigzag(v-prevASN))
 		prevASN = v
 	}
 	// requests column: plain varints of the values.
 	for i := 0; i < n; i++ {
-		v := uint64(binary.LittleEndian.Uint32(src[i*recordSize+36:]))
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
+		dst = binary.AppendUvarint(dst, uint64(binary.LittleEndian.Uint32(src[i*recordSize+36:])))
 	}
 	// tail: payload bytes past the last whole record.
 	return append(dst, src[n*recordSize:]...)
@@ -178,7 +180,7 @@ func deltaAppendDecode(dst, src []byte, maxLen int) ([]byte, error) {
 	return deltaDecodeBody(dst, body, maxLen)
 }
 
-// deltaDecodeBody reverses deltaEncodeBody, bounding the output at
+// deltaDecodeBody reverses deltaEncodeColumns, bounding the output at
 // maxLen appended bytes.
 func deltaDecodeBody(dst, body []byte, maxLen int) ([]byte, error) {
 	u, sz := binary.Uvarint(body)

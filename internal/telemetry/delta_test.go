@@ -4,17 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
 	"userv6/internal/netmodel"
 )
 
+// deltaEncodeAll is deltaEncode with no limit: the whole encoding.
+func deltaEncodeAll(src []byte) []byte {
+	enc, _ := deltaEncode(nil, src, math.MaxInt)
+	return enc
+}
+
 // deltaRoundTrip encodes src, decodes the result, and fails unless the
 // decode reproduces src exactly within the exact bound.
 func deltaRoundTrip(t *testing.T, src []byte) []byte {
 	t.Helper()
-	enc := deltaAppendEncode(nil, src)
+	enc := deltaEncodeAll(src)
 	dec, err := deltaAppendDecode(nil, enc, len(src))
 	if err != nil {
 		t.Fatalf("decode failed for %d-byte input: %v", len(src), err)
@@ -64,7 +71,7 @@ func TestDeltaRoundTripExtremes(t *testing.T) {
 func TestDeltaBeatsLZOnSortedRecords(t *testing.T) {
 	payload := lzRecordPayload(benchObs(DefaultBlockRecords))
 	delta := deltaRoundTrip(t, payload)
-	lz := lzAppendEncode(nil, payload)
+	lz := lzEncodeAll(payload)
 	if len(delta) >= len(lz) {
 		t.Fatalf("delta %d bytes >= lz %d bytes on sorted records", len(delta), len(lz))
 	}
@@ -76,8 +83,8 @@ func TestDeltaBeatsLZOnSortedRecords(t *testing.T) {
 
 func TestDeltaEncodeDeterministic(t *testing.T) {
 	payload := lzRecordPayload(benchObs(500))
-	a := deltaAppendEncode(nil, payload)
-	b := deltaAppendEncode(nil, payload)
+	a := deltaEncodeAll(payload)
+	b := deltaEncodeAll(payload)
 	if !bytes.Equal(a, b) {
 		t.Fatal("encoder is not deterministic; merge passthrough depends on it")
 	}
@@ -256,14 +263,31 @@ func TestSalvageReportCodecBlocks(t *testing.T) {
 }
 
 // FuzzDeltaRoundTrip: every input must encode and decode back to itself
-// within the exact output bound.
+// within the exact output bound, and under a limit the encoder must
+// succeed exactly when the reference encoding is shorter, with the
+// reference's bytes.
 func FuzzDeltaRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add(lzRecordPayload(frameObs(64)))
-	f.Add(append(lzRecordPayload(benchObs(16)), 1, 2, 3))
-	f.Fuzz(func(t *testing.T, src []byte) {
-		enc := deltaAppendEncode(nil, src)
+	f.Add([]byte{}, 1)
+	f.Add([]byte{0x00}, 3)
+	f.Add(lzRecordPayload(frameObs(64)), 400)
+	f.Add(append(lzRecordPayload(benchObs(16)), 1, 2, 3), 90)
+	f.Add(lzRecordPayload(noisyObs(8)), 330)
+	f.Fuzz(func(t *testing.T, src []byte, limit int) {
+		ref := deltaAppendEncode(nil, src)
+		limit = int(uint(limit) % uint(2*len(ref)+2))
+		for _, lim := range []int{limit, len(ref), len(ref) + 1} {
+			enc, ok := deltaEncode(nil, src, lim)
+			if ok != (len(ref) < lim) {
+				t.Fatalf("limit %d: ok=%v, reference encoding is %d bytes", lim, ok, len(ref))
+			}
+			if ok && !bytes.Equal(enc, ref) {
+				t.Fatalf("limit %d: encoding diverged from the reference", lim)
+			}
+		}
+		enc := deltaEncodeAll(src)
+		if !bytes.Equal(enc, ref) {
+			t.Fatal("unlimited encoding diverged from the reference")
+		}
 		dec, err := deltaAppendDecode(nil, enc, len(src))
 		if err != nil {
 			t.Fatalf("own output failed to decode: %v", err)
@@ -305,28 +329,14 @@ func FuzzDeltaDecode(f *testing.F) {
 	})
 }
 
-// BenchmarkWriterV2Delta is BenchmarkWriterV2 under the auto policy:
-// the cost of the delta transpose plus the LZ cascade and the
-// smallest-wins comparison per block.
-func BenchmarkWriterV2Delta(b *testing.B) {
-	obs := benchObs(64 * DefaultBlockRecords)
-	b.SetBytes(int64(len(obs)) * recordSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := NewWriterV2Policy(io.Discard, DefaultBlockRecords, "auto")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, o := range obs {
-			if err := w.Write(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkWriterV2Delta is BenchmarkWriterV2 under the delta policy:
+// the cost of the delta transpose plus its LZ cascade per block.
+func BenchmarkWriterV2Delta(b *testing.B) { benchWriterV2Policy(b, "delta") }
+
+// BenchmarkWriterV2Auto is BenchmarkWriterV2 under the auto policy: the
+// delta trial, then an LZ trial of the raw payload that stops once it
+// cannot beat delta's size, and the smallest-wins choice per block.
+func BenchmarkWriterV2Auto(b *testing.B) { benchWriterV2Policy(b, "auto") }
 
 // BenchmarkReaderV2Delta measures CRC-verify + delta-decode + record
 // decode throughput. SetBytes uses the decoded size, so the number is

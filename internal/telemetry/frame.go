@@ -156,11 +156,12 @@ func NewWriterV2Blocks(w io.Writer, recordsPerBlock int) *WriterV2 {
 }
 
 // NewWriterV2Policy returns a v2 Writer driven by a compression policy
-// name (see CodecChainByName): every block is encoded under each codec
+// name (see CodecChainByName): every block is tried under each codec
 // in the policy's chain and stored under whichever yields the smallest
-// payload, identity included. With "auto" that makes the per-block
-// selection a delta → lz → identity fallback; ties go to the earlier
-// chain entry.
+// payload, identity included. A trial stops once it cannot beat the
+// smallest so far, which changes no stored byte. With "auto" that
+// makes the per-block selection a delta → lz → identity fallback; ties
+// go to the earlier chain entry.
 func NewWriterV2Policy(w io.Writer, recordsPerBlock int, policy string) (*WriterV2, error) {
 	chain, ok := CodecChainByName(policy)
 	if !ok {
@@ -234,11 +235,13 @@ func (w *WriterV2) emitBlock() error {
 	}
 	stored, codec := w.payload, CodecIdentity
 	for i, c := range w.chain {
-		w.encs[i] = c.AppendEncode(w.encs[i][:0], w.payload)
 		// Strictly smaller wins; on a tie the earlier chain entry (or
-		// identity) keeps the block, so selection is deterministic.
-		if len(w.encs[i]) < len(stored) {
-			stored, codec = w.encs[i], c.ID()
+		// identity) keeps the block, so selection is deterministic. A
+		// trial stops once it cannot beat the smallest so far.
+		enc, ok := c.AppendEncode(w.encs[i][:0], w.payload, len(stored))
+		w.encs[i] = enc
+		if ok {
+			stored, codec = enc, c.ID()
 		}
 	}
 	h := w.hdr[:]

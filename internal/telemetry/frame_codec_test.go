@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"userv6/internal/netaddr"
@@ -17,8 +18,15 @@ import (
 // encodeV2LZ writes obs into a v2 stream under the LZ codec.
 func encodeV2LZ(t *testing.T, obs []Observation, perBlock int) []byte {
 	t.Helper()
+	return encodeV2Policy(t, obs, perBlock, "lz")
+}
+
+// encodeV2Policy writes obs into a v2 stream under a compression
+// policy.
+func encodeV2Policy(t testing.TB, obs []Observation, perBlock int, policy string) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterV2Policy(&buf, perBlock, "lz")
+	w, err := NewWriterV2Policy(&buf, perBlock, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +44,11 @@ func encodeV2LZ(t *testing.T, obs []Observation, perBlock int) []byte {
 // noisyObs builds observations whose encoded records are almost all
 // random bytes, so LZ cannot shrink the block payload.
 func noisyObs(n int) []Observation {
-	rng := rand.New(rand.NewSource(99))
+	return noisyObsFrom(rand.New(rand.NewSource(99)), n)
+}
+
+// noisyObsFrom is noisyObs drawing from rng.
+func noisyObsFrom(rng *rand.Rand, n int) []Observation {
 	out := make([]Observation, n)
 	for i := range out {
 		o := Observation{
@@ -434,4 +446,118 @@ func TestPackSplitCountFlags(t *testing.T) {
 	if _, id := splitCountFlags(1024); id != CodecIdentity {
 		t.Fatal("pre-codec count word must read as identity")
 	}
+}
+
+// goldenPolicyObs is the fixture TestWriterPolicyGolden pins, four
+// blocks at the default block size: sorted records, three noisy
+// records cycled (repeats only LZ sees), noisy records nothing
+// shrinks, and a sorted partial block. Under auto each of its
+// outcomes (delta, lz, identity) is stored at least once.
+func goldenPolicyObs() []Observation {
+	noisy := noisyObs(DefaultBlockRecords)
+	obs := frameObs(DefaultBlockRecords)
+	for i := 0; i < DefaultBlockRecords; i++ {
+		obs = append(obs, noisy[i%3])
+	}
+	obs = append(obs, noisy...)
+	return append(obs, frameObs(100)...)
+}
+
+// TestWriterPolicyGolden pins every policy's stored bytes. Merge copies
+// a part's encoded frames through unchanged, so merging one build's
+// parts with another build reproduces the single-writer file only if
+// both builds encode alike: encoder output is frozen, and changing it
+// takes a new codec ID.
+func TestWriterPolicyGolden(t *testing.T) {
+	const I, L, D = CodecIdentity, CodecLZ, CodecDelta
+	obs := goldenPolicyObs()
+	for _, tc := range []struct {
+		policy string
+		size   int
+		crc    uint32
+		blocks []CodecID
+	}{
+		{"identity", 126948, 0x668de1fb, []CodecID{I, I, I, I}},
+		{"lz", 65093, 0xd68f1796, []CodecID{L, L, I, L}},
+		{"delta", 49101, 0x1eb412da, []CodecID{D, D, I, D}},
+		{"auto", 48939, 0x6096add1, []CodecID{D, L, I, D}},
+	} {
+		stream := encodeV2Policy(t, obs, DefaultBlockRecords, tc.policy)
+		crc := crc32.Checksum(stream, castagnoli)
+		if len(stream) != tc.size || crc != tc.crc {
+			t.Errorf("%s: %d B, CRC32C %08x; want %d B, %08x", tc.policy, len(stream), crc, tc.size, tc.crc)
+		}
+		if got := blockCodecs(t, stream); !slices.Equal(got, tc.blocks) {
+			t.Errorf("%s: blocks stored as %v, want %v", tc.policy, got, tc.blocks)
+		}
+	}
+}
+
+// policyFuzzObs builds up to about 8k records from fuzz input. Each
+// byte of shape appends a run of up to 64 records whose kind its low
+// two bits pick: one user's (user, day)-sorted records on a stable
+// /64, the next user's, random records, or repeats cycling the last
+// few records.
+func policyFuzzObs(seed int64, shape []byte) []Observation {
+	rng := rand.New(rand.NewSource(seed))
+	var obs []Observation
+	user := rng.Uint64() >> 16
+	for _, b := range shape {
+		if len(obs) >= 8192 {
+			break
+		}
+		n := 1 + int(b>>2)
+		switch b & 3 {
+		case 0, 1:
+			user += uint64(b & 1)
+			hi := 0x20010db8<<32 | user%997<<8
+			for i := 0; i < n; i++ {
+				o := Observation{
+					Day:      simtime.Day(i * 7 / n),
+					UserID:   user,
+					Addr:     netaddr.AddrFrom6(hi, uint64(rng.Intn(4))<<32|uint64(i)),
+					ASN:      netmodel.ASN(64500 + user%16),
+					Requests: uint32(1 + rng.Intn(40)),
+					Abusive:  user%13 == 0,
+				}
+				o.SetCountry([]string{"US", "IN", "DE", "BR"}[user%4])
+				obs = append(obs, o)
+			}
+		case 2:
+			obs = append(obs, noisyObsFrom(rng, n)...)
+		case 3:
+			k := min(len(obs), 1+rng.Intn(3))
+			if k == 0 {
+				continue
+			}
+			cycle := obs[len(obs)-k:]
+			for i := 0; i < n; i++ {
+				obs = append(obs, cycle[i%k])
+			}
+		}
+	}
+	return obs
+}
+
+// FuzzWriterPolicyMatchesReference: under every policy the writer must
+// store exactly the stream the reference writer produces by encoding
+// each block under every chain member unbounded and keeping the
+// strictly smallest. Block sizes run from 1 to 2048 records, and the
+// last block is usually partial.
+func FuzzWriterPolicyMatchesReference(f *testing.F) {
+	f.Add(int64(1), []byte{0x00, 0xfc, 0xfd, 0x7e, 0xff}, uint16(63))
+	f.Add(int64(2), []byte{0xfe, 0xfe, 0xfc, 0xff, 0x13}, uint16(63))
+	f.Add(int64(3), bytes.Repeat([]byte{0xfc, 0xfd, 0x7f, 0x32}, 16), uint16(1023))
+	f.Add(int64(4), []byte{0x10, 0x23, 0x03, 0x41}, uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte, perBlock uint16) {
+		obs := policyFuzzObs(seed, shape)
+		n := 1 + int(perBlock)%2048
+		for _, policy := range []string{"identity", "lz", "delta", "auto"} {
+			got := encodeV2Policy(t, obs, n, policy)
+			if want := referencePolicyStream(obs, n, policy); !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d records in blocks of %d: stream differs from the reference (%d vs %d B)",
+					policy, len(obs), n, len(got), len(want))
+			}
+		}
+	})
 }

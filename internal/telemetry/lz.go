@@ -21,6 +21,7 @@ package telemetry
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sync"
 )
 
@@ -49,22 +50,30 @@ func lzHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lzHashLog)
 }
 
-// lzAppendEncode appends the LZ encoding of src to dst and returns the
-// extended slice. The output is deterministic for a given src, which
-// the merge passthrough relies on: re-encoding the same block payload
-// reproduces the same bytes.
-func lzAppendEncode(dst, src []byte) []byte {
+// lzEncode appends the LZ encoding of src to dst if it is shorter
+// than limit bytes. A trial that cannot win stops early and returns
+// false, leaving a prefix to discard in dst: it has lost once the bytes
+// written plus the pending literals reach limit, since each pending
+// literal costs at least one output byte. The output is deterministic
+// for a given src, which the merge passthrough relies on.
+func lzEncode(dst, src []byte, limit int) ([]byte, bool) {
+	// The encoding is at most 2*len(src) bytes, so clamping limit there
+	// keeps the answer and keeps lim from overflowing.
+	lim := len(dst) + min(limit, 2*len(src)+1)
 	if len(src) < lzMinMatch {
-		return lzAppendLiterals(dst, src)
+		dst = lzAppendLiterals(dst, src)
+		return dst, len(dst) < lim
 	}
 	table := lzTablePool.Get().(*[1 << lzHashLog]int32)
 	clear(table[:])
 	defer lzTablePool.Put(table)
 
 	// Table entries store position+1 so the zero value means "empty".
+	// The bound is checked only where a match starts, which leaves the
+	// scan loop as tight as an unbounded one.
 	s, lit := 0, 0
-	limit := len(src) - lzMinMatch
-	for s <= limit {
+	last := len(src) - lzMinMatch
+	for s <= last {
 		seq := binary.LittleEndian.Uint32(src[s:])
 		h := lzHash(seq)
 		cand := int(table[h]) - 1
@@ -74,17 +83,34 @@ func lzAppendEncode(dst, src []byte) []byte {
 			s++
 			continue
 		}
-		mlen := lzMinMatch
-		for s+mlen < len(src) && mlen < lzMaxMatch && src[cand+mlen] == src[s+mlen] {
-			mlen++
+		if len(dst)+s-lit >= lim {
+			return dst, false
 		}
+		// Extend the match 8 bytes per step (byte by byte within 8 of
+		// the end), up to lzMaxMatch.
+		mlen := lzMinMatch
+		for mlen < lzMaxMatch {
+			if s+mlen+8 > len(src) {
+				for mlen < lzMaxMatch && s+mlen < len(src) && src[cand+mlen] == src[s+mlen] {
+					mlen++
+				}
+				break
+			}
+			if x := binary.LittleEndian.Uint64(src[s+mlen:]) ^ binary.LittleEndian.Uint64(src[cand+mlen:]); x != 0 {
+				mlen += bits.TrailingZeros64(x) / 8
+				break
+			}
+			mlen += 8
+		}
+		mlen = min(mlen, lzMaxMatch)
 		dst = lzAppendLiterals(dst, src[lit:s])
 		dist := s - cand
 		dst = append(dst, 0x80|byte(mlen-lzMinMatch), byte(dist), byte(dist>>8))
 		s += mlen
 		lit = s
 	}
-	return lzAppendLiterals(dst, src[lit:])
+	dst = lzAppendLiterals(dst, src[lit:])
+	return dst, len(dst) < lim
 }
 
 // lzAppendLiterals emits lit as a sequence of literal runs.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -16,11 +17,17 @@ func lzRecordPayload(obs []Observation) []byte {
 	return payload
 }
 
+// lzEncodeAll is lzEncode with no limit: the whole encoding.
+func lzEncodeAll(src []byte) []byte {
+	enc, _ := lzEncode(nil, src, math.MaxInt)
+	return enc
+}
+
 // lzRoundTrip encodes src, decodes the result, and fails unless the
 // decode reproduces src exactly within the exact bound.
 func lzRoundTrip(t *testing.T, src []byte) []byte {
 	t.Helper()
-	enc := lzAppendEncode(nil, src)
+	enc := lzEncodeAll(src)
 	dec, err := lzAppendDecode(nil, enc, len(src))
 	if err != nil {
 		t.Fatalf("decode failed for %d-byte input: %v", len(src), err)
@@ -59,7 +66,7 @@ func TestLZRoundTrip(t *testing.T) {
 // region must still round-trip.
 func TestLZRoundTripBase(t *testing.T) {
 	src := bytes.Repeat([]byte("userv6"), 100)
-	enc := lzAppendEncode(nil, src)
+	enc := lzEncodeAll(src)
 	prefix := []byte("prior block payload, not part of the window")
 	dec, err := lzAppendDecode(append([]byte{}, prefix...), enc, len(src))
 	if err != nil {
@@ -96,8 +103,8 @@ func TestLZCompressesRecords(t *testing.T) {
 
 func TestLZEncodeDeterministic(t *testing.T) {
 	payload := lzRecordPayload(frameObs(500))
-	a := lzAppendEncode(nil, payload)
-	b := lzAppendEncode(nil, payload)
+	a := lzEncodeAll(payload)
+	b := lzEncodeAll(payload)
 	if !bytes.Equal(a, b) {
 		t.Fatal("encoder is not deterministic; merge passthrough depends on it")
 	}
@@ -171,15 +178,32 @@ func TestCodecSet(t *testing.T) {
 }
 
 // FuzzLZRoundTrip: every input must encode and decode back to itself
-// within the exact output bound.
+// within the exact output bound, and under a limit the encoder must
+// succeed exactly when the reference encoding is shorter, with the
+// reference's bytes.
 func FuzzLZRoundTrip(f *testing.F) {
 	payload := lzRecordPayload(frameObs(64))
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add(bytes.Repeat([]byte{0x7f}, 300))
-	f.Add(payload)
-	f.Fuzz(func(t *testing.T, src []byte) {
-		enc := lzAppendEncode(nil, src)
+	f.Add([]byte{}, 0)
+	f.Add([]byte{0x00}, 2)
+	f.Add(bytes.Repeat([]byte{0x7f}, 300), 9)
+	f.Add(payload, 700)
+	f.Add(lzRecordPayload(noisyObs(8)), 320)
+	f.Fuzz(func(t *testing.T, src []byte, limit int) {
+		ref := lzAppendEncode(nil, src)
+		limit = int(uint(limit) % uint(2*len(ref)+2))
+		for _, lim := range []int{limit, len(ref), len(ref) + 1} {
+			enc, ok := lzEncode(nil, src, lim)
+			if ok != (len(ref) < lim) {
+				t.Fatalf("limit %d: ok=%v, reference encoding is %d bytes", lim, ok, len(ref))
+			}
+			if ok && !bytes.Equal(enc, ref) {
+				t.Fatalf("limit %d: encoding diverged from the reference", lim)
+			}
+		}
+		enc := lzEncodeAll(src)
+		if !bytes.Equal(enc, ref) {
+			t.Fatal("unlimited encoding diverged from the reference")
+		}
 		dec, err := lzAppendDecode(nil, enc, len(src))
 		if err != nil {
 			t.Fatalf("own output failed to decode: %v", err)
