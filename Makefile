@@ -24,7 +24,8 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzWriterPolicyMatchesReference \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip \
-	./internal/core:FuzzAnalyzerOracle
+	./internal/core:FuzzAnalyzerOracle \
+	./internal/core:FuzzKeyPool
 
 .PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-check bench-smoke bench-baseline ratio-gate ci clean
 
@@ -72,13 +73,15 @@ faults:
 # replicas, all default analyzers), the sequential one-worker path, the
 # ForEachWorker reader primitives, direct manifest analysis (shared
 # replicas fanned out across parts), AnalyzerSet.Fold's concurrent
-# per-registration folds, and the analyzers against the independent
-# oracle on sequential and folded feeds, under the race detector.
+# per-registration folds, the analyzers against the independent oracle
+# on sequential and folded feeds, and the key-pool unit tests (the
+# chunked storage every default analyzer keeps its state in), under
+# the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle' ./internal/core
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the
 # root build and test never compile it. It calls the analysis and merge
@@ -89,10 +92,11 @@ bench-check:
 	cd bench/userv6bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzz smoke over every decoder fuzz target, the encoder
-# differentials against the reference encoders, and the analyzer
-# oracle: catches panics, typed-error regressions, stored bytes that
-# depart from the reference writer, and analyzer answers that depart
-# from the oracle without a long campaign.
+# differentials against the reference encoders, the analyzer oracle,
+# and the key-pool differential against a map reference: catches
+# panics, typed-error regressions, stored bytes that depart from the
+# reference writer, analyzer answers that depart from the oracle, and
+# key lists that depart from their reference without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

@@ -186,21 +186,23 @@ func runGen(args []string) {
 		}
 		fsys = injector
 	}
-	// Registered before the profile defers so it runs after them:
-	// profile bytes flush at StopCPUProfile/WriteHeapProfile time, and
-	// a campaign aimed at a profile file must count those hits.
+	// At return: write the heap profile, stop the CPU profile, then
+	// report the failpoints — profile bytes flush at
+	// WriteHeapProfile/StopCPUProfile time, and a campaign aimed at a
+	// profile file must count those hits — and fail the run if either
+	// profile could not be written or closed.
+	stopProf := startCPUProfile(fsys, *cpuprofile)
 	defer func() {
-		if injector == nil {
-			return
+		err := errors.Join(writeMemProfile(fsys, *memprofile), stopProf())
+		if injector != nil {
+			for _, p := range injector.Points() {
+				fmt.Fprintf(os.Stderr, "failpoint %s: fired %d time(s)\n", p.Name, p.Hits)
+			}
 		}
-		for _, p := range injector.Points() {
-			fmt.Fprintf(os.Stderr, "failpoint %s: fired %d time(s)\n", p.Name, p.Hits)
+		if err != nil {
+			fatal(err)
 		}
 	}()
-
-	stopProf := startCPUProfile(fsys, *cpuprofile)
-	defer stopProf()
-	defer writeMemProfile(fsys, *memprofile)
 
 	// A SIGINT/SIGTERM cancels generation at the next (user, day) batch;
 	// the writer then finalizes, so an interrupted run still leaves a
@@ -843,13 +845,15 @@ func runAnalyze(args []string) {
 
 	stopProf := startCPUProfile(faultio.OS, *cpuprofile)
 	rep, err := userv6.ExecutePlan(ctx, src, set, plan)
-	stopProf()
-	writeMemProfile(faultio.OS, *memprofile)
+	profErr := errors.Join(stopProf(), writeMemProfile(faultio.OS, *memprofile))
 	if err != nil {
 		if !*tolerant {
 			err = fmt.Errorf("%w (rerun with -tolerant to analyze the intact blocks)", err)
 		}
 		fatal(err)
+	}
+	if profErr != nil {
+		fatal(profErr)
 	}
 	if *tolerant {
 		printCoverage(rep)
@@ -893,12 +897,13 @@ func printCoverage(rep telemetry.SalvageReport) {
 }
 
 // startCPUProfile begins CPU profiling when path is non-empty and
-// returns the stop function (a no-op otherwise). The profile file is
-// created through the faultio seam so a `gen -faults` campaign covers
-// every write the command makes.
-func startCPUProfile(fsys faultio.FS, path string) func() {
+// returns the stop function, which reports the profile file's close
+// error (a no-op otherwise). The profile file is created through the
+// faultio seam so a `gen -faults` campaign covers every write the
+// command makes.
+func startCPUProfile(fsys faultio.FS, path string) func() error {
 	if path == "" {
-		return func() {}
+		return func() error { return nil }
 	}
 	f, err := fsys.Create(path)
 	if err != nil {
@@ -908,27 +913,36 @@ func startCPUProfile(fsys faultio.FS, path string) func() {
 		f.Close()
 		fatal(err)
 	}
-	return func() {
+	return func() error {
 		pprof.StopCPUProfile()
-		f.Close()
+		return closeProfile(f, path)
 	}
 }
 
 // writeMemProfile snapshots the heap to path (after a GC, so the
 // profile reflects live memory) when path is non-empty.
-func writeMemProfile(fsys faultio.FS, path string) {
+func writeMemProfile(fsys faultio.FS, path string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := fsys.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
+	return closeProfile(f, path)
+}
+
+// closeProfile closes a profile file, naming it in the error.
+func closeProfile(f faultio.File, path string) error {
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", path, err)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -206,3 +206,19 @@ func TestGenReportsCloseError(t *testing.T) {
 		})
 	}
 }
+
+// TestGenReportsProfileCloseError: when closing the -cpuprofile or
+// -memprofile file fails, gen still reports the failpoints, then exits
+// 1 with each profile's close error.
+func TestGenReportsProfileCloseError(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	_, stderr, code := userv6gen(t, "gen", "-users", "200", "-o", filepath.Join(dir, "w.uv6"),
+		"-cpuprofile", cpu, "-memprofile", mem, "-faults", "cpu.prof:close:err;mem.prof:close:err")
+	for _, want := range []string{"close " + cpu + ":", "close " + mem + ":",
+		"failpoint cpu.prof:close: fired 1", "failpoint mem.prof:close: fired 1"} {
+		if code != 1 || !strings.Contains(stderr, want) {
+			t.Fatalf("gen with failing profile closes: exit %d, stderr lacks %q:\n%s", code, want, stderr)
+		}
+	}
+}

@@ -37,6 +37,11 @@ type Actioning struct {
 	abusiveN1 map[uint64]float64
 }
 
+// prefixPop is one prefix's population tally.
+type prefixPop struct {
+	benign, abusive uint32
+}
+
 // NewActioning returns a simulator for one family and prefix length.
 func NewActioning(fam netaddr.Family, length int) *Actioning {
 	return &Actioning{

@@ -71,8 +71,13 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // the distinct addresses or prefixes seen, each with a value): set
 // union for UserCentric's addresses and IPCentric's prefixes, min/OR
 // folds (Lifespans), OR folds with summed tallies (Prevalence), and
-// min-day first-sight tuples (ChurnAttribution). Their Merge adopts the
-// users only the replica holds and combines the users both hold. An
+// min-day first-sight tuples (ChurnAttribution). The table is pooled
+// and holds no pointer the GC would trace per user or key: user IDs map
+// to indexes into chunks of by-value states, and each key list is a
+// handle into a per-field pool of key and value chunks. Their Merge
+// adopts the replica's chunks whole, rebases the handles of the
+// replica's users, takes over the users only the replica holds and
+// combines the users both hold: O(chunks + users), not O(keys). An
 // analyzer that inspects transitions between consecutive observations
 // at Observe time would not qualify.
 func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T)) {

@@ -60,13 +60,18 @@ type ChurnAttribution struct {
 	// without being counted (a pair is only "new" against history).
 	CountFrom simtime.Day
 
-	users userTable[userFirsts]
+	users           userTable[userFirsts]
+	addrs, p64, p44 dayPool
 }
 
+// dayPool holds first-sight days by prefix base address.
+type dayPool = keyPool[netaddr.Addr, simtime.Day]
+
 // userFirsts holds one user's earliest day seen behind each /128
-// address, each /64 and each /44, keyed by the prefix's base address.
+// address, each /64 and each /44, keyed by the prefix's base address,
+// in the pools of the same name.
 type userFirsts struct {
-	addrs, p64, p44 keyList[netaddr.Addr, simtime.Day]
+	addrs, p64, p44 keyList
 }
 
 // NewChurnAttribution counts new pairs from countFrom onward; earlier
@@ -82,7 +87,7 @@ func (c *ChurnAttribution) Observe(o telemetry.Observation) {
 		return
 	}
 	u, _ := c.users.get(o.UserID)
-	d, added := u.addrs.slot(o.Addr)
+	d, added := c.addrs.slot(&u.addrs, o.Addr)
 	if !added && *d <= o.Day {
 		// Dominated sighting: the address was already seen on an
 		// earlier (or equal) day, so the /64 and /44 minima cannot
@@ -90,21 +95,22 @@ func (c *ChurnAttribution) Observe(o telemetry.Observation) {
 		return
 	}
 	*d = o.Day
-	minDay(&u.p64, netaddr.PrefixFrom(o.Addr, 64).Addr(), o.Day)
-	minDay(&u.p44, netaddr.PrefixFrom(o.Addr, 44).Addr(), o.Day)
+	minDay(&c.p64, &u.p64, netaddr.PrefixFrom(o.Addr, 64).Addr(), o.Day)
+	minDay(&c.p44, &u.p44, netaddr.PrefixFrom(o.Addr, 44).Addr(), o.Day)
 }
 
-func minDay(l *keyList[netaddr.Addr, simtime.Day], k netaddr.Addr, d simtime.Day) {
-	if cur, added := l.slot(k); added || d < *cur {
+func minDay(p *dayPool, l *keyList, k netaddr.Addr, d simtime.Day) {
+	if cur, added := p.slot(l, k); added || d < *cur {
 		*cur = d
 	}
 }
 
 // Merge folds another attribution's first-sight tuples into c by
-// minimum day: users only other saw are adopted, and the tuples of
-// users both saw fold by minimum. The fold is exact for ANY split of
-// the observation stream — user-disjoint, round-robin, block-wise,
-// anything — because min is commutative, associative, and idempotent.
+// minimum day: c adopts other's pool chunks whole, users only other
+// saw are adopted, and the tuples of users both saw fold by minimum.
+// The fold is exact for ANY split of the observation stream —
+// user-disjoint, round-robin, block-wise, anything — because min is
+// commutative, associative, and idempotent.
 // Both analyzers must use the same CountFrom. The smaller state is
 // folded into the larger (the two swap first when other holds more
 // users), so other must not be used after Merge.
@@ -113,10 +119,15 @@ func (c *ChurnAttribution) Merge(other *ChurnAttribution) {
 		*c, *other = *other, *c
 	}
 	keepMin := func(_ netaddr.Addr, d *simtime.Day, od simtime.Day) { *d = min(*d, od) }
-	c.users.merge(&other.users, func(into, from *userFirsts) {
-		into.addrs.merge(&from.addrs, keepMin)
-		into.p64.merge(&from.p64, keepMin)
-		into.p44.merge(&from.p44, keepMin)
+	ba, b64, b44 := c.addrs.adopt(&other.addrs), c.p64.adopt(&other.p64), c.p44.adopt(&other.p44)
+	c.users.merge(&other.users, func(u *userFirsts, _ int) {
+		u.addrs.rebase(ba)
+		u.p64.rebase(b64)
+		u.p44.rebase(b44)
+	}, func(into, from *userFirsts, _ int) {
+		c.addrs.merge(&into.addrs, &from.addrs, keepMin)
+		c.p64.merge(&into.p64, &from.p64, keepMin)
+		c.p44.merge(&into.p44, &from.p44, keepMin)
 	})
 }
 
@@ -167,29 +178,30 @@ func (c *ChurnAttribution) Breakdown() ChurnBreakdown {
 	// opened64[j] / opened44[h]: the user's j-th /64 or h-th /44 cohort
 	// already has its opener.
 	var opened64, opened44 []bool
-	for _, u := range c.users.m {
-		opened64 = resetFlags(opened64, u.p64.len())
-		opened44 = resetFlags(opened44, u.p44.len())
-		for i, a := range u.addrs.keys {
-			dAddr := u.addrs.vals[i]
+	c.users.each(func(_ uint64, u *userFirsts) {
+		opened64 = resetFlags(opened64, int(u.p64.n))
+		opened44 = resetFlags(opened44, int(u.p44.n))
+		days, days64, days44 := c.addrs.valsOf(u.addrs), c.p64.valsOf(u.p64), c.p44.valsOf(u.p44)
+		for i, a := range c.addrs.keysOf(u.addrs) {
+			dAddr := days[i]
 			if dAddr < c.CountFrom {
 				continue
 			}
-			j := u.p64.find(netaddr.PrefixFrom(a, 64).Addr())
-			if u.p64.vals[j] < dAddr || opened64[j] {
+			j := c.p64.find(u.p64, netaddr.PrefixFrom(a, 64).Addr())
+			if days64[j] < dAddr || opened64[j] {
 				counts[IIDRotation]++
 				continue
 			}
 			opened64[j] = true
-			h := u.p44.find(netaddr.PrefixFrom(a, 44).Addr())
-			if u.p44.vals[h] < dAddr || opened44[h] {
+			h := c.p44.find(u.p44, netaddr.PrefixFrom(a, 44).Addr())
+			if days44[h] < dAddr || opened44[h] {
 				counts[SubnetMove]++
 				continue
 			}
 			opened44[h] = true
 			counts[NetworkSwitch]++
 		}
-	}
+	})
 	return ChurnBreakdown{
 		IIDRotation:   counts[IIDRotation],
 		SubnetMove:    counts[SubnetMove],

@@ -20,29 +20,42 @@ type IPCentric struct {
 	Family netaddr.Family
 
 	users userTable[userPrefixes]
+	pfx   keyPool[netaddr.Addr, struct{}]
 	// prefixes tallies each prefix's users, keyed by the prefix's base
 	// address: one per (user, prefix) entry, counted when the entry is
 	// added.
-	prefixes map[netaddr.Addr]*prefixPop
+	prefixes map[netaddr.Addr]prefixUsers
 }
 
-// userPrefixes holds one user's distinct prefixes, by base address, and
-// the abusive label of its first record. Abusive account IDs are
-// disjoint from benign user IDs, so every record of a user carries the
-// same label.
+// userPrefixes holds one user's distinct prefixes, by base address, in
+// the pfx pool, and the abusive label of its first record. Abusive
+// account IDs are disjoint from benign user IDs, so every record of a
+// user carries the same label.
 type userPrefixes struct {
-	pfx     keyList[netaddr.Addr, struct{}]
+	pfx     keyList
 	abusive bool
 }
 
-// prefixPop is one prefix's population tally.
-type prefixPop struct {
-	benign, abusive uint32
+// prefixUsers is one prefix's population tally: benign users in the
+// low 32 bits and abusive accounts in the high 32, so one map update
+// counts (or uncounts) a user of either label.
+type prefixUsers uint64
+
+// popOf is the tally of one user with the given label.
+func popOf(abusive bool) prefixUsers {
+	if abusive {
+		return 1 << 32
+	}
+	return 1
 }
+
+func (p prefixUsers) benign() int  { return int(uint32(p)) }
+func (p prefixUsers) abusive() int { return int(p >> 32) }
+func (p prefixUsers) users() int   { return p.benign() + p.abusive() }
 
 // NewIPCentric returns an analyzer for one family and prefix length.
 func NewIPCentric(fam netaddr.Family, length int) *IPCentric {
-	return &IPCentric{Length: length, Family: fam, prefixes: make(map[netaddr.Addr]*prefixPop)}
+	return &IPCentric{Length: length, Family: fam, prefixes: make(map[netaddr.Addr]prefixUsers)}
 }
 
 // Observe feeds one observation.
@@ -55,28 +68,20 @@ func (ic *IPCentric) Observe(o telemetry.Observation) {
 		u.abusive = o.Abusive
 	}
 	p := netaddr.PrefixFrom(o.Addr, ic.Length).Addr()
-	if _, added := u.pfx.slot(p); !added {
+	if _, added := ic.pfx.slot(&u.pfx, p); !added {
 		return
 	}
-	pop := ic.prefixes[p]
-	if pop == nil {
-		pop = &prefixPop{}
-		ic.prefixes[p] = pop
-	}
-	if u.abusive {
-		pop.abusive++
-	} else {
-		pop.benign++
-	}
+	ic.prefixes[p] += popOf(u.abusive)
 }
 
 // Prefixes returns the number of distinct prefixes observed.
 func (ic *IPCentric) Prefixes() int { return len(ic.prefixes) }
 
 // Merge folds another analyzer's state into ic: the prefix tallies sum,
-// users only other saw are adopted, and for users both saw each (user,
-// prefix) entry both counted is kept once and uncounted once. Both must
-// use the same family and length. Merge enables sharded parallel
+// ic adopts other's pool chunks whole, users only other saw are
+// adopted, and for users both saw each (user, prefix) entry both
+// counted is kept once and uncounted once. Both must use the same
+// family and length. Merge enables sharded parallel
 // analysis. The smaller state is folded into the larger (the two swap
 // first when other holds more users), so other must not be used after
 // Merge.
@@ -85,21 +90,14 @@ func (ic *IPCentric) Merge(other *IPCentric) {
 		*ic, *other = *other, *ic
 	}
 	for p, op := range other.prefixes {
-		pop := ic.prefixes[p]
-		if pop == nil {
-			ic.prefixes[p] = op
-			continue
-		}
-		pop.benign += op.benign
-		pop.abusive += op.abusive
+		ic.prefixes[p] += op
 	}
-	ic.users.merge(&other.users, func(into, from *userPrefixes) {
-		into.pfx.merge(&from.pfx, func(p netaddr.Addr, _ *struct{}, _ struct{}) {
-			if pop := ic.prefixes[p]; into.abusive {
-				pop.abusive--
-			} else {
-				pop.benign--
-			}
+	base := ic.pfx.adopt(&other.pfx)
+	ic.users.merge(&other.users, func(u *userPrefixes, _ int) {
+		u.pfx.rebase(base)
+	}, func(into, from *userPrefixes, _ int) {
+		ic.pfx.merge(&into.pfx, &from.pfx, func(p netaddr.Addr, _ *struct{}, _ struct{}) {
+			ic.prefixes[p] -= popOf(into.abusive)
 		})
 	})
 }
@@ -109,7 +107,7 @@ func (ic *IPCentric) Merge(other *IPCentric) {
 func (ic *IPCentric) UsersPerPrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
 	for _, pop := range ic.prefixes {
-		h.Add(int(pop.benign + pop.abusive))
+		h.Add(pop.users())
 	}
 	return h
 }
@@ -118,7 +116,7 @@ func (ic *IPCentric) UsersPerPrefix() *stats.IntHist {
 func (ic *IPCentric) BenignPerPrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
 	for _, pop := range ic.prefixes {
-		h.Add(int(pop.benign))
+		h.Add(pop.benign())
 	}
 	return h
 }
@@ -129,8 +127,8 @@ func (ic *IPCentric) BenignPerPrefix() *stats.IntHist {
 func (ic *IPCentric) AbusivePerAbusivePrefix() *stats.IntHist {
 	h := stats.NewIntHist(64)
 	for _, pop := range ic.prefixes {
-		if pop.abusive > 0 {
-			h.Add(int(pop.abusive))
+		if pop.abusive() > 0 {
+			h.Add(pop.abusive())
 		}
 	}
 	return h
@@ -142,8 +140,8 @@ func (ic *IPCentric) AbusivePerAbusivePrefix() *stats.IntHist {
 func (ic *IPCentric) BenignPerAbusivePrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
 	for _, pop := range ic.prefixes {
-		if pop.abusive > 0 {
-			h.Add(int(pop.benign))
+		if pop.abusive() > 0 {
+			h.Add(pop.benign())
 		}
 	}
 	return h
@@ -154,7 +152,7 @@ func (ic *IPCentric) BenignPerAbusivePrefix() *stats.IntHist {
 func (ic *IPCentric) PrefixesWithMoreThan(n int) int {
 	count := 0
 	for _, pop := range ic.prefixes {
-		if int(pop.benign+pop.abusive) > n {
+		if pop.users() > n {
 			count++
 		}
 	}
@@ -166,7 +164,7 @@ func (ic *IPCentric) PrefixesWithMoreThan(n int) int {
 func (ic *IPCentric) AbusivePrefixesWithMoreThan(n int) int {
 	count := 0
 	for _, pop := range ic.prefixes {
-		if int(pop.abusive) > n {
+		if pop.abusive() > n {
 			count++
 		}
 	}
@@ -183,7 +181,7 @@ type HeavyPrefix struct {
 func (ic *IPCentric) TopPrefixes(k int) []HeavyPrefix {
 	tops := make([]HeavyPrefix, 0, len(ic.prefixes))
 	for a, pop := range ic.prefixes {
-		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(a, ic.Length), Users: int(pop.benign + pop.abusive), Abusive: int(pop.abusive)})
+		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(a, ic.Length), Users: pop.users(), Abusive: pop.abusive()})
 	}
 	sort.Slice(tops, func(i, j int) bool {
 		if tops[i].Users != tops[j].Users {
@@ -221,7 +219,7 @@ func (ic *IPCentric) ConcentrationAbove(n int, asnOf func(netaddr.Addr) netmodel
 	perASN := make(map[netmodel.ASN]int)
 	structured := 0
 	for a, pop := range ic.prefixes {
-		if int(pop.benign+pop.abusive) <= n {
+		if pop.users() <= n {
 			continue
 		}
 		hc.Heavy++

@@ -20,17 +20,17 @@ type Lifespans struct {
 	// lengths are the distinct prefix lengths tracked per family; /32
 	// covers IPv4 addresses, /128 IPv6 addresses.
 	lengths []int
-	users   userTable[userLives]
+	// users holds a row of key lists per user, one per tracked length
+	// (indexed like lengths), each in the pool of the same index: the
+	// user's prefixes at that length, by base address, and their lives.
+	// A table without lengths still has one (unused) list per user and
+	// one pool, so rows and pools line up.
+	users userTable[keyList]
+	pools []keyPool[netaddr.Addr, pairLife]
 	// pairs counts the (user, prefix) entries across all users.
 	pairs int
 	// abusiveOnly/benignOnly restrict the population.
 	abusiveOnly, benignOnly bool
-}
-
-// userLives holds one user's pairs: per tracked length (indexed like
-// Lifespans.lengths), each prefix's base address and its life.
-type userLives struct {
-	byLen []keyList[netaddr.Addr, pairLife]
 }
 
 type pairLife struct {
@@ -49,6 +49,8 @@ func NewLifespans(ref simtime.Day, lengths ...int) *Lifespans {
 			l.lengths = append(l.lengths, length)
 		}
 	}
+	l.users.width = len(l.lengths)
+	l.pools = make([]keyPool[netaddr.Addr, pairLife], l.users.w())
 	return l
 }
 
@@ -68,16 +70,13 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 	if (l.abusiveOnly && !o.Abusive) || (l.benignOnly && o.Abusive) {
 		return
 	}
-	u, added := l.users.get(o.UserID)
-	if added {
-		u.byLen = make([]keyList[netaddr.Addr, pairLife], len(l.lengths))
-	}
+	row, _ := l.users.row(o.UserID)
 	max := o.Addr.Bits()
 	for i, length := range l.lengths {
 		if length > max {
 			continue
 		}
-		p, added := u.byLen[i].slot(netaddr.PrefixFrom(o.Addr, length).Addr())
+		p, added := l.pools[i].slot(&row[i], netaddr.PrefixFrom(o.Addr, length).Addr())
 		if added {
 			p.first = o.Day
 			l.pairs++
@@ -90,10 +89,11 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 	}
 }
 
-// Merge folds another analyzer's pair state into l: users only other
-// saw are adopted, and for a pair both saw the first-seen days take the
-// minimum and reference-day sightings are ORed, so the result is exact
-// for any split of the observation stream. Both analyzers must use the
+// Merge folds another analyzer's pair state into l: l adopts other's
+// pool chunks whole, users only other saw are adopted, and for a pair
+// both saw the first-seen days take the minimum and reference-day
+// sightings are ORed, so the result is exact for any split of the
+// observation stream. Both analyzers must use the
 // same Ref, lengths, and restriction. The smaller state is folded into
 // the larger (the two swap first when other holds more users), so other
 // must not be used after Merge.
@@ -102,24 +102,29 @@ func (l *Lifespans) Merge(other *Lifespans) {
 		*l, *other = *other, *l
 	}
 	l.pairs += other.pairs
-	l.users.merge(&other.users, func(into, from *userLives) {
-		for i := range into.byLen {
-			into.byLen[i].merge(&from.byLen[i], func(_ netaddr.Addr, p *pairLife, op pairLife) {
-				p.first = min(p.first, op.first)
-				p.onRef = p.onRef || op.onRef
-				l.pairs--
-			})
-		}
+	bases := make([]int32, len(l.pools))
+	for i := range l.pools {
+		bases[i] = l.pools[i].adopt(&other.pools[i])
+	}
+	both := func(_ netaddr.Addr, p *pairLife, op pairLife) {
+		p.first = min(p.first, op.first)
+		p.onRef = p.onRef || op.onRef
+		l.pairs--
+	}
+	l.users.merge(&other.users, func(s *keyList, i int) {
+		s.rebase(bases[i])
+	}, func(into, from *keyList, i int) {
+		l.pools[i].merge(into, from, both)
 	})
 }
 
 // onRefAges calls add with the age (days since first seen, 0 = first
 // seen on the reference day) of each of one user's pairs at the i-th
 // tracked length, of the family, that were seen on the reference day.
-func (l *Lifespans) onRefAges(u *userLives, i int, fam netaddr.Family, add func(age int)) {
-	pairs := &u.byLen[i]
-	for j, a := range pairs.keys {
-		if p := pairs.vals[j]; p.onRef && a.Family() == fam {
+func (l *Lifespans) onRefAges(row []keyList, i int, fam netaddr.Family, add func(age int)) {
+	lives := l.pools[i].valsOf(row[i])
+	for j, a := range l.pools[i].keysOf(row[i]) {
+		if p := lives[j]; p.onRef && a.Family() == fam {
 			add(int(l.Ref - p.first))
 		}
 	}
@@ -132,9 +137,9 @@ func (l *Lifespans) onRefAges(u *userLives, i int, fam netaddr.Family, add func(
 func (l *Lifespans) AgeHist(fam netaddr.Family, length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
 	if i := slices.Index(l.lengths, length); i >= 0 {
-		for _, u := range l.users.m {
-			l.onRefAges(u, i, fam, h.Add)
-		}
+		l.users.eachRow(func(_ uint64, row []keyList) {
+			l.onRefAges(row, i, fam, h.Add)
+		})
 	}
 	return h
 }
@@ -149,13 +154,13 @@ func (l *Lifespans) MedianAgePerUser(fam netaddr.Family, length int) *stats.IntH
 	}
 	var ages []int
 	add := func(age int) { ages = append(ages, age) }
-	for _, u := range l.users.m {
+	l.users.eachRow(func(_ uint64, row []keyList) {
 		ages = ages[:0]
-		l.onRefAges(u, i, fam, add)
+		l.onRefAges(row, i, fam, add)
 		if len(ages) > 0 {
 			h.Add(medianInt(ages))
 		}
-	}
+	})
 	return h
 }
 
@@ -196,12 +201,12 @@ func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
 			c[3]++
 		}
 	}
-	for _, u := range l.users.m {
+	l.users.eachRow(func(_ uint64, row []keyList) {
 		for i := range l.lengths {
 			c = &counts[i]
-			l.onRefAges(u, i, fam, tally)
+			l.onRefAges(row, i, fam, tally)
 		}
-	}
+	})
 	out := make([]FreshShare, 0, len(counts))
 	for i, length := range l.lengths {
 		c := counts[i]

@@ -12,147 +12,135 @@ import (
 // and per-ASN / per-country user IPv6 ratios (Tables 1 and 2). The zero
 // value is not ready; use NewPrevalence.
 type Prevalence struct {
-	days  map[simtime.Day]*dayTally
+	// reqs sums each day's requests over IPv4 (reqs[0]) and IPv6
+	// (reqs[1]).
+	reqs  [2]map[simtime.Day]uint64
 	users userTable[userMasks]
+	// The users' mask lists, by field of userMasks.
+	dayMasks     keyPool[simtime.Day, uint8]
+	asnMasks     keyPool[netmodel.ASN, uint8]
+	countryMasks keyPool[[2]byte, uint8]
 	// asn and country tally each entity's users and IPv6 users; they
 	// change only when a user's mask for the entity does.
-	asn     map[netmodel.ASN]*ratioTally
-	country map[string]*ratioTally
-}
-
-type dayTally struct {
-	reqV4, reqV6 uint64
+	asn     map[netmodel.ASN]ratioTally
+	country map[[2]byte]ratioTally
 }
 
 // userMasks holds one user's sighting masks (1 = any, 2 = IPv6) per
 // day, per ASN and per country.
 type userMasks struct {
-	days      keyList[simtime.Day, uint8]
-	asns      keyList[netmodel.ASN, uint8]
-	countries keyList[[2]byte, uint8]
+	days, asns, countries keyList
 }
 
 type ratioTally struct {
 	users, v6Users int
 }
 
-// count records that a user's mask for the entity grew from prev to
-// next: the user counts toward the entity once, and toward its IPv6
-// tally once seen over IPv6.
-func (t *ratioTally) count(prev, next uint8) {
+// countMask records in m that a user's mask for entity k grew from
+// prev to next: the user counts toward the entity once, and toward its
+// IPv6 tally once seen over IPv6.
+func countMask[K comparable](m map[K]ratioTally, k K, prev, next uint8) {
+	t := m[k]
 	if prev == 0 && next != 0 {
 		t.users++
 	}
 	if prev&2 == 0 && next&2 != 0 {
 		t.v6Users++
 	}
+	m[k] = t
 }
 
-// uncount removes the second count of a user whose masks two replicas
-// both counted, a and b.
-func (t *ratioTally) uncount(a, b uint8) {
+// uncountMask removes from m the second count of a user whose masks
+// for entity k two replicas both counted, a and b.
+func uncountMask[K comparable](m map[K]ratioTally, k K, a, b uint8) {
+	t := m[k]
 	t.users--
 	if a&b&2 != 0 {
 		t.v6Users--
 	}
-}
-
-// tally returns k's tally in m, creating it if absent.
-func tally[K comparable](m map[K]*ratioTally, k K) *ratioTally {
-	t := m[k]
-	if t == nil {
-		t = &ratioTally{}
-		m[k] = t
-	}
-	return t
+	m[k] = t
 }
 
 // NewPrevalence returns an empty prevalence tracker.
 func NewPrevalence() *Prevalence {
 	return &Prevalence{
-		days:    make(map[simtime.Day]*dayTally),
-		asn:     make(map[netmodel.ASN]*ratioTally),
-		country: make(map[string]*ratioTally),
+		reqs:    [2]map[simtime.Day]uint64{make(map[simtime.Day]uint64), make(map[simtime.Day]uint64)},
+		asn:     make(map[netmodel.ASN]ratioTally),
+		country: make(map[[2]byte]ratioTally),
 	}
 }
 
 // Observe feeds one observation (benign users only are expected, but the
 // tracker is agnostic).
 func (p *Prevalence) Observe(o telemetry.Observation) {
-	d := p.days[o.Day]
-	if d == nil {
-		d = &dayTally{}
-		p.days[o.Day] = d
+	fam, mark := 0, uint8(1)
+	if o.Addr.Is6() {
+		fam, mark = 1, 3
 	}
-	isV6 := o.Addr.Is6()
-	if isV6 {
-		d.reqV6 += uint64(o.Requests)
-	} else {
-		d.reqV4 += uint64(o.Requests)
-	}
+	p.reqs[fam][o.Day] += uint64(o.Requests)
 
-	mark := uint8(1)
-	if isV6 {
-		mark = 3
-	}
 	u, _ := p.users.get(o.UserID)
-	m, _ := u.days.slot(o.Day)
+	m, _ := p.dayMasks.slot(&u.days, o.Day)
 	*m |= mark
 
 	// ASN table: a user counts toward an ASN if they used it at all,
 	// and toward its v6 ratio if they used it over IPv6.
-	if m, _ := u.asns.slot(o.ASN); *m|mark != *m {
-		tally(p.asn, o.ASN).count(*m, *m|mark)
+	if m, _ := p.asnMasks.slot(&u.asns, o.ASN); *m|mark != *m {
+		countMask(p.asn, o.ASN, *m, *m|mark)
 		*m |= mark
 	}
-	if m, _ := u.countries.slot(o.Country); *m|mark != *m {
-		tally(p.country, o.CountryCode()).count(*m, *m|mark)
+	if m, _ := p.countryMasks.slot(&u.countries, o.Country); *m|mark != *m {
+		countMask(p.country, o.Country, *m, *m|mark)
 		*m |= mark
 	}
 }
 
 // Merge folds another tracker's state into p, exactly for any split of
 // the observation stream: request tallies and the ASN/country user
-// tallies sum, users only other saw are adopted, and the per-(user,
-// window) masks of users both saw OR — each ASN or country both
-// replicas counted a user toward is uncounted once, and its v6 tally
-// likewise when both saw the user over IPv6. The smaller state is
+// tallies sum, p adopts other's pool chunks whole, users only other
+// saw are adopted, and the per-(user, window) masks of users both saw
+// OR — each ASN or country both replicas counted a user toward is
+// uncounted once, and its v6 tally likewise when both saw the user
+// over IPv6. The smaller state is
 // folded into the larger (the two swap whole trackers first when other
 // holds more users), so other must not be used after Merge.
 func (p *Prevalence) Merge(other *Prevalence) {
 	if other.users.len() > p.users.len() {
 		*p, *other = *other, *p
 	}
-	for day, od := range other.days {
-		d := p.days[day]
-		if d == nil {
-			p.days[day] = od
-			continue
+	for fam, reqs := range other.reqs {
+		for day, n := range reqs {
+			p.reqs[fam][day] += n
 		}
-		d.reqV4 += od.reqV4
-		d.reqV6 += od.reqV6
 	}
-	for asn, ot := range other.asn {
-		t := tally(p.asn, asn)
-		t.users += ot.users
-		t.v6Users += ot.v6Users
-	}
-	for cc, ot := range other.country {
-		t := tally(p.country, cc)
-		t.users += ot.users
-		t.v6Users += ot.v6Users
-	}
-	p.users.merge(&other.users, func(into, from *userMasks) {
-		into.days.merge(&from.days, func(_ simtime.Day, m *uint8, om uint8) { *m |= om })
-		into.asns.merge(&from.asns, func(asn netmodel.ASN, m *uint8, om uint8) {
-			p.asn[asn].uncount(*m, om)
+	sumTallies(p.asn, other.asn)
+	sumTallies(p.country, other.country)
+	bd, ba, bc := p.dayMasks.adopt(&other.dayMasks), p.asnMasks.adopt(&other.asnMasks), p.countryMasks.adopt(&other.countryMasks)
+	p.users.merge(&other.users, func(u *userMasks, _ int) {
+		u.days.rebase(bd)
+		u.asns.rebase(ba)
+		u.countries.rebase(bc)
+	}, func(into, from *userMasks, _ int) {
+		p.dayMasks.merge(&into.days, &from.days, func(_ simtime.Day, m *uint8, om uint8) { *m |= om })
+		p.asnMasks.merge(&into.asns, &from.asns, func(asn netmodel.ASN, m *uint8, om uint8) {
+			uncountMask(p.asn, asn, *m, om)
 			*m |= om
 		})
-		into.countries.merge(&from.countries, func(cc [2]byte, m *uint8, om uint8) {
-			p.country[string(cc[:])].uncount(*m, om)
+		p.countryMasks.merge(&into.countries, &from.countries, func(cc [2]byte, m *uint8, om uint8) {
+			uncountMask(p.country, cc, *m, om)
 			*m |= om
 		})
 	})
+}
+
+// sumTallies adds from's tallies into m.
+func sumTallies[K comparable](m, from map[K]ratioTally) {
+	for k, ot := range from {
+		t := m[k]
+		t.users += ot.users
+		t.v6Users += ot.v6Users
+		m[k] = t
+	}
 }
 
 // DayShare is one day's IPv6 prevalence.
@@ -165,33 +153,40 @@ type DayShare struct {
 
 // Daily returns per-day IPv6 prevalence ordered by day (Figure 1).
 func (p *Prevalence) Daily() []DayShare {
-	perDay := make(map[simtime.Day]*struct{ users, v6 int })
-	for _, u := range p.users.m {
-		for i, day := range u.days.keys {
-			t := perDay[day]
-			if t == nil {
-				t = &struct{ users, v6 int }{}
-				perDay[day] = t
+	perDay := make(map[simtime.Day]*DayShare)
+	for fam, reqs := range p.reqs {
+		for day, n := range reqs {
+			s := perDay[day]
+			if s == nil {
+				s = &DayShare{Day: day}
+				perDay[day] = s
 			}
-			t.users++
-			if u.days.vals[i]&2 != 0 {
-				t.v6++
+			s.Requests += n
+			if fam == 1 {
+				s.V6Requests += n
 			}
 		}
 	}
-	out := make([]DayShare, 0, len(p.days))
-	for day, d := range p.days {
-		s := DayShare{Day: day, Requests: d.reqV4 + d.reqV6, V6Requests: d.reqV6}
-		if s.Requests > 0 {
-			s.ReqShare = float64(d.reqV6) / float64(s.Requests)
-		}
-		if u := perDay[day]; u != nil {
-			s.Users, s.V6Users = u.users, u.v6
-			if u.users > 0 {
-				s.UserShare = float64(u.v6) / float64(u.users)
+	p.users.each(func(_ uint64, u *userMasks) {
+		masks := p.dayMasks.valsOf(u.days)
+		for i, day := range p.dayMasks.keysOf(u.days) {
+			if s := perDay[day]; s != nil {
+				s.Users++
+				if masks[i]&2 != 0 {
+					s.V6Users++
+				}
 			}
 		}
-		out = append(out, s)
+	})
+	out := make([]DayShare, 0, len(perDay))
+	for _, s := range perDay {
+		if s.Requests > 0 {
+			s.ReqShare = float64(s.V6Requests) / float64(s.Requests)
+		}
+		if s.Users > 0 {
+			s.UserShare = float64(s.V6Users) / float64(s.Users)
+		}
+		out = append(out, *s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Day < out[j].Day })
 	return out
@@ -264,7 +259,7 @@ func (p *Prevalence) TopCountries(minUsers, k int) []RatioRow {
 		if t.users < minUsers {
 			continue
 		}
-		rows = append(rows, RatioRow{Country: cc, Users: t.users, Ratio: float64(t.v6Users) / float64(t.users)})
+		rows = append(rows, RatioRow{Country: string(cc[:]), Users: t.users, Ratio: float64(t.v6Users) / float64(t.users)})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Ratio != rows[j].Ratio {
@@ -280,8 +275,11 @@ func (p *Prevalence) TopCountries(minUsers, k int) []RatioRow {
 
 // CountryRatio returns one country's v6 user ratio and user count.
 func (p *Prevalence) CountryRatio(code string) (ratio float64, users int) {
-	t := p.country[code]
-	if t == nil || t.users == 0 {
+	if len(code) != 2 {
+		return 0, 0
+	}
+	t := p.country[[2]byte{code[0], code[1]}]
+	if t.users == 0 {
 		return 0, 0
 	}
 	return float64(t.v6Users) / float64(t.users), t.users

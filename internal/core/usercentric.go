@@ -23,22 +23,24 @@ import (
 // window: the engine behind Figures 2, 3 and 4 and the §4.4 client
 // address patterns. The zero value is ready to use.
 type UserCentric struct {
-	users userTable[userAddrs]
+	users  userTable[userAddrs]
+	v4, v6 keyPool[netaddr.Addr, struct{}]
 	// abusiveOnly restricts accounting to abusive or benign entities.
 	abusiveOnly, benignOnly bool
 }
 
-// userAddrs holds one user's distinct addresses.
+// userAddrs holds one user's distinct addresses, in the v4 and v6
+// pools.
 type userAddrs struct {
-	v4, v6 keyList[netaddr.Addr, struct{}]
+	v4, v6 keyList
 }
 
 // count returns the user's number of distinct addresses of the family.
 func (u *userAddrs) count(fam netaddr.Family) int {
 	if fam == netaddr.IPv6 {
-		return u.v6.len()
+		return int(u.v6.n)
 	}
-	return u.v4.len()
+	return int(u.v4.n)
 }
 
 // NewUserCentric returns an analyzer accepting every entity.
@@ -60,17 +62,18 @@ func (uc *UserCentric) Observe(o telemetry.Observation) {
 	}
 	u, _ := uc.users.get(o.UserID)
 	if o.Addr.Is4() {
-		u.v4.slot(o.Addr)
+		uc.v4.slot(&u.v4, o.Addr)
 	} else {
-		u.v6.slot(o.Addr)
+		uc.v6.slot(&u.v6, o.Addr)
 	}
 }
 
 // Users returns the number of distinct entities observed.
 func (uc *UserCentric) Users() int { return uc.users.len() }
 
-// Merge folds another analyzer's state into uc: users only other saw
-// are adopted, and the address lists of users both saw are united.
+// Merge folds another analyzer's state into uc: uc adopts other's pool
+// chunks whole, users only other saw are adopted, and the address
+// lists of users both saw are united.
 // Both analyzers must use the same restriction. Merge enables sharded
 // parallel analysis: feed disjoint telemetry shards to separate
 // analyzers, then merge. The smaller state is folded into the larger
@@ -80,9 +83,13 @@ func (uc *UserCentric) Merge(other *UserCentric) {
 	if other.users.len() > uc.users.len() {
 		*uc, *other = *other, *uc
 	}
-	uc.users.merge(&other.users, func(into, from *userAddrs) {
-		into.v4.merge(&from.v4, nil)
-		into.v6.merge(&from.v6, nil)
+	b4, b6 := uc.v4.adopt(&other.v4), uc.v6.adopt(&other.v6)
+	uc.users.merge(&other.users, func(u *userAddrs, _ int) {
+		u.v4.rebase(b4)
+		u.v6.rebase(b6)
+	}, func(into, from *userAddrs, _ int) {
+		uc.v4.merge(&into.v4, &from.v4, nil)
+		uc.v6.merge(&into.v6, &from.v6, nil)
 	})
 }
 
@@ -91,12 +98,11 @@ func (uc *UserCentric) Merge(other *UserCentric) {
 // family (matching the paper's per-protocol user populations).
 func (uc *UserCentric) AddrsPerUser(fam netaddr.Family) *stats.IntHist {
 	h := stats.NewIntHist(64)
-	for _, u := range uc.users.m {
-		n := u.count(fam)
-		if n > 0 {
+	uc.users.each(func(_ uint64, u *userAddrs) {
+		if n := u.count(fam); n > 0 {
 			h.Add(n)
 		}
-	}
+	})
 	return h
 }
 
@@ -114,12 +120,12 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 	for i, l := range lengths {
 		var one, two, three, total int
 		set := make(map[netaddr.Prefix]struct{}, 16)
-		for _, u := range uc.users.m {
-			if u.v6.len() == 0 {
-				continue
+		uc.users.each(func(_ uint64, u *userAddrs) {
+			if u.v6.n == 0 {
+				return
 			}
 			clear(set)
-			for _, a := range u.v6.keys {
+			for _, a := range uc.v6.keysOf(u.v6) {
 				set[netaddr.PrefixFrom(a, l)] = struct{}{}
 			}
 			total++
@@ -134,7 +140,7 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 			case n == 3:
 				three++
 			}
-		}
+		})
 		s := SpanShare{Length: l}
 		if total > 0 {
 			s.One = float64(one) / float64(total)
@@ -151,16 +157,16 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 func (uc *UserCentric) PrefixesPerUser(length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
 	set := make(map[netaddr.Prefix]struct{}, 16)
-	for _, u := range uc.users.m {
-		if u.v6.len() == 0 {
-			continue
+	uc.users.each(func(_ uint64, u *userAddrs) {
+		if u.v6.n == 0 {
+			return
 		}
 		clear(set)
-		for _, a := range u.v6.keys {
+		for _, a := range uc.v6.keysOf(u.v6) {
 			set[netaddr.PrefixFrom(a, length)] = struct{}{}
 		}
 		h.Add(len(set))
-	}
+	})
 	return h
 }
 
@@ -174,12 +180,11 @@ type TopUser struct {
 // of the family, descending.
 func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
 	tops := make([]TopUser, 0, uc.users.len())
-	for uid, u := range uc.users.m {
-		n := u.count(fam)
-		if n > 0 {
+	uc.users.each(func(uid uint64, u *userAddrs) {
+		if n := u.count(fam); n > 0 {
 			tops = append(tops, TopUser{UID: uid, Count: n})
 		}
-	}
+	})
 	sort.Slice(tops, func(i, j int) bool {
 		if tops[i].Count != tops[j].Count {
 			return tops[i].Count > tops[j].Count
@@ -196,11 +201,11 @@ func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
 // addresses of the family.
 func (uc *UserCentric) UsersWithMoreThan(fam netaddr.Family, n int) int {
 	count := 0
-	for _, u := range uc.users.m {
+	uc.users.each(func(_ uint64, u *userAddrs) {
 		if u.count(fam) > n {
 			count++
 		}
-	}
+	})
 	return count
 }
 
@@ -222,15 +227,15 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 	var p ClientAddrPatterns
 	var teredo, sixToFour, eui, structured, random int
 	var euiMulti, euiReuse int
-	for _, u := range uc.users.m {
-		if u.v6.len() == 0 {
-			continue
+	uc.users.each(func(_ uint64, u *userAddrs) {
+		if u.v6.n == 0 {
+			return
 		}
 		p.V6Users++
 		var hasTeredo, has6to4, hasEUI, hasStruct, hasRandom bool
 		iids := make(map[uint64]struct{}, 4)
 		euiAddrs := 0
-		for _, a := range u.v6.keys {
+		for _, a := range uc.v6.keysOf(u.v6) {
 			switch netaddr.Classify(a) {
 			case netaddr.KindTeredo:
 				hasTeredo = true
@@ -254,7 +259,7 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 		}
 		if hasEUI {
 			eui++
-			if u.v6.len() >= 2 && euiAddrs >= 2 {
+			if u.v6.n >= 2 && euiAddrs >= 2 {
 				euiMulti++
 				if len(iids) == 1 {
 					euiReuse++
@@ -267,7 +272,7 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 		if hasRandom {
 			random++
 		}
-	}
+	})
 	if p.V6Users > 0 {
 		n := float64(p.V6Users)
 		p.TeredoShare = float64(teredo) / n
