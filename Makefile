@@ -74,14 +74,15 @@ faults:
 # ForEachWorker reader primitives, direct manifest analysis (shared
 # replicas fanned out across parts), AnalyzerSet.Fold's concurrent
 # per-registration folds, the analyzers against the independent oracle
-# on sequential and folded feeds, and the key-pool unit tests (the
-# chunked storage every default analyzer keeps its state in), under
-# the race detector.
+# on sequential and folded feeds, the key-pool unit tests (the
+# chunked storage every default analyzer keeps its state in), and
+# Actioning against its two-phase reference on shuffled and folded
+# feeds, under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool' ./internal/core
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the
 # root build and test never compile it. It calls the analysis and merge

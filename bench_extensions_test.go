@@ -100,7 +100,7 @@ func BenchmarkAblationMegaCGN(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig11()
+		r := runFigure(sim, (*Paper).Fig11)
 		if i == b.N-1 {
 			if p, ok := r.Curves["IPv4"].At(0); ok {
 				b.ReportMetric(p.FPR*100, "v4_FPR0_%")
@@ -119,7 +119,7 @@ func BenchmarkAblationSlowDetection(b *testing.B) {
 	sc.Abuse.SurvivorDailyDeath = 0.15
 	sim := NewSim(sc)
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig3()
+		r := runFigure(sim, (*Paper).Fig3)
 		if i == b.N-1 {
 			b.ReportMetric(float64(r.WeekV4.Median()), "AA_v4_week_median")
 			b.ReportMetric(float64(r.WeekV6.Median()), "AA_v6_week_median")

@@ -1,8 +1,9 @@
 package userv6
 
 // The benchmark harness: one testing.B benchmark per table and figure in
-// the paper's evaluation. Each benchmark regenerates its experiment on
-// the synthetic substrate and reports the headline statistics as custom
+// the paper's evaluation. Each op registers its figure on a fresh Paper
+// and runs it, regenerating the figure's own windows on the synthetic
+// substrate; the last op's headline statistics are reported as custom
 // benchmark metrics (so `go test -bench` output doubles as a results
 // table; EXPERIMENTS.md records the paper-vs-measured comparison).
 //
@@ -32,11 +33,12 @@ func getBenchSim() *Sim {
 	return benchSim
 }
 
-// BenchmarkFig1 regenerates the daily IPv6 prevalence series (Figure 1).
+// BenchmarkFig1 regenerates the daily IPv6 prevalence series over the
+// study window (Figure 1).
 func BenchmarkFig1(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		days := sim.Fig1(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd)
+		days := runFigure(sim, (*Paper).Fig1)
 		if i == b.N-1 {
 			last := days[len(days)-1]
 			b.ReportMetric(last.UserShare*100, "userV6_%")
@@ -49,7 +51,7 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkTable1(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Table1(AnalysisWeek())
+		r := runFigure(sim, (*Paper).Table1)
 		if i == b.N-1 && len(r.Rows) > 0 {
 			b.ReportMetric(r.Rows[0].Ratio*100, "topASN_ratio_%")
 			b.ReportMetric(r.ZeroShare*100, "zeroV6_ASNs_%")
@@ -63,7 +65,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Table2()
+		r := runFigure(sim, (*Paper).Table2)
 		if i == b.N-1 {
 			b.ReportMetric(r.April[0].Ratio*100, "topCountry_%")
 			b.ReportMetric((r.GermanyApr-r.GermanyJan)*100, "germany_shift_pp")
@@ -76,7 +78,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkClientAddrPatterns(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		p := sim.ClientAddrPatterns()
+		p := runFigure(sim, (*Paper).ClientAddrPatterns)
 		if i == b.N-1 {
 			b.ReportMetric(p.EUI64Share*100, "eui64_%")
 			b.ReportMetric(p.EUI64IIDReuse*100, "iid_reuse_%")
@@ -89,7 +91,7 @@ func BenchmarkClientAddrPatterns(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig2()
+		r := runFigure(sim, (*Paper).Fig2)
 		if i == b.N-1 {
 			b.ReportMetric(float64(r.WeekV4.Median()), "v4_week_median")
 			b.ReportMetric(float64(r.WeekV6.Median()), "v6_week_median")
@@ -103,7 +105,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig3()
+		r := runFigure(sim, (*Paper).Fig3)
 		if i == b.N-1 {
 			b.ReportMetric(r.DayV4.CDFAt(1)*100, "v4_day_single_%")
 			b.ReportMetric(r.DayV6.CDFAt(1)*100, "v6_day_single_%")
@@ -115,7 +117,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig4()
+		r := runFigure(sim, (*Paper).Fig4)
 		if i == b.N-1 {
 			for _, s := range r.Users {
 				switch s.Length {
@@ -133,7 +135,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig5And6(false)
+		r := runFigure(sim, benignLifespans)
 		if i == b.N-1 {
 			b.ReportMetric(r.AgeV4.CDFAt(0)*100, "v4_fresh_%")
 			b.ReportMetric(r.AgeV6.CDFAt(0)*100, "v6_fresh_%")
@@ -147,7 +149,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig5And6(false)
+		r := runFigure(sim, benignLifespans)
 		if i == b.N-1 {
 			for _, fs := range r.FreshV6 {
 				switch fs.Length {
@@ -170,7 +172,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.IPCentricWeek()
+		r := runFigure(sim, (*Paper).IPCentricWeek)
 		if i == b.N-1 {
 			b.ReportMetric(r.V4.UsersPerPrefix().CDFAt(1)*100, "v4_single_%")
 			b.ReportMetric(r.V6[128].UsersPerPrefix().CDFAt(1)*100, "v6_single_%")
@@ -182,7 +184,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.IPCentricWeek()
+		r := runFigure(sim, (*Paper).IPCentricWeek)
 		if i == b.N-1 {
 			b.ReportMetric(r.V4.AbusivePerAbusivePrefix().CDFAt(1)*100, "v4_1AA_%")
 			b.ReportMetric(r.V6[128].AbusivePerAbusivePrefix().CDFAt(1)*100, "v6_1AA_%")
@@ -196,7 +198,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.IPCentricWeek()
+		r := runFigure(sim, (*Paper).IPCentricWeek)
 		if i == b.N-1 {
 			b.ReportMetric(r.V6[64].UsersPerPrefix().CDFAt(1)*100, "v6_64_single_%")
 			b.ReportMetric(r.V6[48].UsersPerPrefix().CDFAt(1)*100, "v6_48_single_%")
@@ -209,7 +211,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.IPCentricWeek()
+		r := runFigure(sim, (*Paper).IPCentricWeek)
 		if i == b.N-1 {
 			b.ReportMetric(r.V6[64].AbusivePerAbusivePrefix().CDFAt(1)*100, "v6_64_1AA_%")
 			b.ReportMetric(r.V6[56].AbusivePerAbusivePrefix().CDFAt(1)*100, "v6_56_1AA_%")
@@ -222,7 +224,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig11()
+		r := runFigure(sim, (*Paper).Fig11)
 		if i == b.N-1 {
 			if p, ok := r.Curves["/128"].At(0); ok {
 				b.ReportMetric(p.TPR*100, "v6_128_TPR0_%")
@@ -242,7 +244,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkOutliers(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.Outliers()
+		r := runFigure(sim, (*Paper).Outliers)
 		if i == b.N-1 {
 			b.ReportMetric(float64(r.V4MaxUsers), "v4_max_users")
 			b.ReportMetric(float64(r.V6MaxUsers), "v6_max_users")
@@ -255,13 +257,37 @@ func BenchmarkOutliers(b *testing.B) {
 func BenchmarkAdvise(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		a := sim.Advise(0.001)
+		paper := NewPaper(sim)
+		advise := paper.Advise()
+		paper.Run()
+		a := advise(0.001)
 		if i == b.N-1 {
 			b.ReportMetric(float64(a.BlocklistGranularity), "granularity")
 			b.ReportMetric(float64(a.BlocklistTTLDays), "ttl_days")
 		}
 	}
 }
+
+// BenchmarkPaperAll times one Run with every paper figure registered,
+// and the reads of every result: the whole reproduction from one
+// generation pass (informational; no bench gate runs it).
+func BenchmarkPaperAll(b *testing.B) {
+	sim := getBenchSim()
+	for i := 0; i < b.N; i++ {
+		paper := NewPaper(sim)
+		reads := make([]func() any, len(paperFigures))
+		for j, f := range paperFigures {
+			reads[j] = f.register(paper)
+		}
+		paper.Run()
+		for _, read := range reads {
+			read()
+		}
+	}
+}
+
+// benignLifespans registers Figures 5 and 6 for benign users.
+func benignLifespans(p *Paper) func() LifespanResult { return p.Fig5And6(false) }
 
 // BenchmarkGenerateWeek measures raw telemetry generation throughput.
 func BenchmarkGenerateWeek(b *testing.B) {
@@ -290,7 +316,7 @@ func BenchmarkAblationNoGateways(b *testing.B) {
 	sc.Abuse.GatewayW = 0
 	sim := NewSim(sc)
 	for i := 0; i < b.N; i++ {
-		r := sim.Outliers()
+		r := runFigure(sim, (*Paper).Outliers)
 		if i == b.N-1 {
 			b.ReportMetric(float64(r.V6HeavyAddrs), "v6_heavy_addrs")
 		}
@@ -309,7 +335,7 @@ func BenchmarkAblationNoIIDRotation(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		r := sim.Fig5And6(false)
+		r := runFigure(sim, benignLifespans)
 		if i == b.N-1 {
 			b.ReportMetric(r.AgeV6.CDFAt(0)*100, "v6_fresh_%")
 		}

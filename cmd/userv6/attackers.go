@@ -10,9 +10,9 @@ import (
 
 func init() {
 	experimentOrder = append(experimentOrder, "scrapers", "hijacks", "pandemic")
-	experiments["scrapers"] = experiment{"logged-out scraper defense (§8 future work)", runScrapers}
-	experiments["hijacks"] = experiment{"account-hijack detection (§8 future work)", runHijacks}
-	experiments["pandemic"] = experiment{"Appendix A pre/post-lockdown robustness", runPandemic}
+	experiments["scrapers"] = experiment{"logged-out scraper defense (§8 future work)", ownPass(runScrapers)}
+	experiments["hijacks"] = experiment{"account-hijack detection (§8 future work)", ownPass(runHijacks)}
+	experiments["pandemic"] = experiment{"Appendix A pre/post-lockdown robustness", ownPass(runPandemic)}
 }
 
 func runScrapers(sim *userv6.Sim) {

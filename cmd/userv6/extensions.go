@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"userv6"
+	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/report"
 )
@@ -12,11 +13,11 @@ import (
 func init() {
 	experimentOrder = append(experimentOrder,
 		"segments", "blocklist-sweep", "ratelimit-sweep", "sketched", "ttlcurve")
-	experiments["segments"] = experiment{"per-network-type behavior (§8 future work)", runSegments}
-	experiments["blocklist-sweep"] = experiment{"multi-day blocklist policies with TTLs", runBlocklistSweep}
-	experiments["ratelimit-sweep"] = experiment{"per-prefix entity caps vs collateral", runRateLimitSweep}
-	experiments["sketched"] = experiment{"fixed-memory heavy-hitter pipeline vs exact", runSketched}
-	experiments["ttlcurve"] = experiment{"indicator recall decay by age", runTTLCurve}
+	experiments["segments"] = experiment{"per-network-type behavior (§8 future work)", ownPass(runSegments)}
+	experiments["blocklist-sweep"] = experiment{"multi-day blocklist policies with TTLs", ownPass(runBlocklistSweep)}
+	experiments["ratelimit-sweep"] = experiment{"per-prefix entity caps vs collateral", ownPass(runRateLimitSweep)}
+	experiments["sketched"] = experiment{"fixed-memory heavy-hitter pipeline vs exact", ownPass(runSketched)}
+	experiments["ttlcurve"] = experiment{"indicator recall decay by age", ownPass(runTTLCurve)}
 }
 
 func runSegments(sim *userv6.Sim) {
@@ -84,7 +85,7 @@ func runTTLCurve(sim *userv6.Sim) {
 
 func init() {
 	experimentOrder = append(experimentOrder, "churn")
-	experiments["churn"] = experiment{"causes of new IPv6 addresses (§8 future work)", runChurn}
+	experiments["churn"] = experiment{"causes of new IPv6 addresses (§8 future work)", ownPass(runChurn)}
 }
 
 func runChurn(sim *userv6.Sim) {
@@ -99,12 +100,12 @@ func runChurn(sim *userv6.Sim) {
 
 func init() {
 	experimentOrder = append(experimentOrder, "fig12")
-	experiments["fig12"] = experiment{"per-country IPv6 ratios (choropleth as table)", runFig12}
+	experiments["fig12"] = experiment{"per-country IPv6 ratios (choropleth as table)", show((*userv6.Paper).CountryRatios, printFig12)}
 }
 
-func runFig12(sim *userv6.Sim) {
+func printFig12(rows []core.RatioRow) {
 	t := report.NewTable("country", "v6 user ratio", "users")
-	for _, row := range sim.CountryRatios() {
+	for _, row := range rows {
 		t.Row(row.Country, report.Percent(row.Ratio), row.Users)
 	}
 	t.Write(os.Stdout)

@@ -14,9 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 
 	"userv6"
+	"userv6/internal/core"
 	"userv6/internal/report"
 	"userv6/internal/simtime"
 	"userv6/internal/stats"
@@ -38,31 +40,76 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	name := flag.Arg(0)
-
-	sim := userv6.NewSim(userv6.DefaultScenario(*users).WithSeed(*seed))
-	fmt.Printf("# userv6: %d users, seed %d (reference scale %.2f)\n\n", *users, *seed, sim.Scenario.Scale())
-
-	if name == "all" {
-		for _, e := range experimentOrder {
-			fmt.Printf("== %s: %s ==\n", e, experiments[e].desc)
-			experiments[e].run(sim)
-			fmt.Println()
-		}
-		return
+	if *users < 1 {
+		fmt.Fprintf(os.Stderr, "userv6: -users must be at least 1, got %d\n", *users)
+		os.Exit(2)
 	}
-	exp, ok := experiments[name]
-	if !ok {
+	name := flag.Arg(0)
+	names := []string{name}
+	if name == "all" {
+		names = experimentOrder
+	} else if _, ok := experiments[name]; !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 		flag.Usage()
 		os.Exit(2)
 	}
-	exp.run(sim)
+
+	sim := userv6.NewSim(userv6.DefaultScenario(*users).WithSeed(*seed))
+	fmt.Printf("# userv6: %d users, seed %d (reference scale %.2f)\n\n", *users, *seed, sim.Scenario.Scale())
+
+	// Register every requested experiment, feed them all from the
+	// paper's one generation pass, then print. The printers hold what
+	// their experiment reads, not the paper.
+	paper := userv6.NewPaper(sim)
+	prints := make([]func(), len(names))
+	for i, e := range names {
+		prints[i] = experiments[e].add(paper)
+	}
+	paper.Run()
+	if name != "all" {
+		prints[0]()
+		return
+	}
+	for i, e := range names {
+		fmt.Printf("== %s: %s ==\n", e, experiments[e].desc)
+		prints[i]()
+		fmt.Println()
+		// Drop the printed experiment: analyzers no later experiment
+		// reads are freed before the extensions generate their own
+		// telemetry.
+		prints[i] = nil
+	}
 }
 
 type experiment struct {
 	desc string
-	run  func(*userv6.Sim)
+	// add registers what the experiment reads with the paper and
+	// returns the function that prints its result after the paper's
+	// Run.
+	add func(*userv6.Paper) func()
+}
+
+// show adapts a printer of one paper result: it registers the figure
+// and prints what it reads.
+func show[R any](register func(*userv6.Paper) func() R, printer func(R)) func(*userv6.Paper) func() {
+	return func(p *userv6.Paper) func() {
+		read := register(p)
+		return func() { printer(read()) }
+	}
+}
+
+// ownPass adapts an experiment that generates its own telemetry (the
+// §8 and Appendix A extensions): it registers nothing and runs when it
+// prints. It collects the heap first, so the paper analyzers that were
+// dropped once printed are freed before it allocates its own.
+func ownPass(run func(*userv6.Sim)) func(*userv6.Paper) func() {
+	return func(p *userv6.Paper) func() {
+		sim := p.Sim
+		return func() {
+			runtime.GC()
+			run(sim)
+		}
+	}
 }
 
 var experimentOrder = []string{
@@ -72,26 +119,25 @@ var experimentOrder = []string{
 }
 
 var experiments = map[string]experiment{
-	"fig1":       {"daily IPv6 share of users and requests", runFig1},
-	"table1":     {"top ASNs by IPv6 user ratio", runTable1},
-	"table2":     {"top countries by IPv6 user ratio, Jan vs Apr", runTable2},
-	"clientaddr": {"§4.4 transition protocols and IID structure", runClientAddr},
-	"fig2":       {"addresses per user (1 day / 7 days)", runFig2},
-	"fig3":       {"addresses per abusive account (1 day)", runFig3},
-	"fig4":       {"prefixes spanned per entity vs prefix length", runFig4},
-	"fig5":       {"address lifespans for users", runFig5},
-	"fig6":       {"prefix lifespans vs prefix length", runFig6},
-	"fig7":       {"users per address (day / week)", runFig7},
-	"fig8":       {"populations on addresses with abusive accounts", runFig8},
-	"fig9":       {"users per IPv6 prefix by length", runFig9},
-	"fig10":      {"abusive/benign populations per prefix", runFig10},
-	"fig11":      {"actioning ROC curves (day n -> n+1)", runFig11},
-	"outliers":   {"RQ3 outlier summary", runOutliers},
-	"advise":     {"§7.2 policy advisor", runAdvise},
+	"fig1":       {"daily IPv6 share of users and requests", show((*userv6.Paper).Fig1, printFig1)},
+	"table1":     {"top ASNs by IPv6 user ratio", show((*userv6.Paper).Table1, printTable1)},
+	"table2":     {"top countries by IPv6 user ratio, Jan vs Apr", show((*userv6.Paper).Table2, printTable2)},
+	"clientaddr": {"§4.4 transition protocols and IID structure", show((*userv6.Paper).ClientAddrPatterns, printClientAddr)},
+	"fig2":       {"addresses per user (1 day / 7 days)", show((*userv6.Paper).Fig2, printFig2)},
+	"fig3":       {"addresses per abusive account (1 day)", show((*userv6.Paper).Fig3, printFig3)},
+	"fig4":       {"prefixes spanned per entity vs prefix length", show((*userv6.Paper).Fig4, printFig4)},
+	"fig5":       {"address lifespans for users", show(func(p *userv6.Paper) func() userv6.LifespanResult { return p.Fig5And6(false) }, printFig5)},
+	"fig6":       {"prefix lifespans vs prefix length", addFig6},
+	"fig7":       {"users per address (day / week)", show((*userv6.Paper).IPCentricWeek, printFig7)},
+	"fig8":       {"populations on addresses with abusive accounts", show((*userv6.Paper).IPCentricWeek, printFig8)},
+	"fig9":       {"users per IPv6 prefix by length", show((*userv6.Paper).IPCentricWeek, printFig9)},
+	"fig10":      {"abusive/benign populations per prefix", show((*userv6.Paper).IPCentricWeek, printFig10)},
+	"fig11":      {"actioning ROC curves (day n -> n+1)", show((*userv6.Paper).Fig11, printFig11)},
+	"outliers":   {"RQ3 outlier summary", addOutliers},
+	"advise":     {"§7.2 policy advisor", addAdvise},
 }
 
-func runFig1(sim *userv6.Sim) {
-	days := sim.Fig1(0, simtime.StudyDays-1)
+func printFig1(days []core.DayShare) {
 	t := report.NewTable("day", "date", "weekend", "phase", "userV6", "reqV6")
 	for _, d := range days {
 		if int(d.Day)%7 != 0 && !d.Day.IsWeekend() && d.Day != simtime.StudyDays-1 {
@@ -112,9 +158,7 @@ func runFig1(sim *userv6.Sim) {
 	report.Plot(os.Stdout, 72, 14, userSeries, reqSeries)
 }
 
-func runTable1(sim *userv6.Sim) {
-	from, to := userv6.AnalysisWeek()
-	r := sim.Table1(from, to)
+func printTable1(r userv6.Table1Result) {
 	t := report.NewTable("#", "ASN", "name", "country", "users", "v6 ratio", "95% CI")
 	for i, row := range r.Rows {
 		lo, hi := stats.WilsonInterval(uint64(float64(row.Users)*row.Ratio+0.5), uint64(row.Users))
@@ -126,8 +170,7 @@ func runTable1(sim *userv6.Sim) {
 		r.MinUsersThreshold, r.QualifyingASNs, report.Percent(r.ZeroShare), report.Percent(r.UnderTenShare))
 }
 
-func runTable2(sim *userv6.Sim) {
-	r := sim.Table2()
+func printTable2(r userv6.Table2Result) {
 	t := report.NewTable("#", "country (Jan)", "ratio", "country (Apr)", "ratio")
 	for i := 0; i < len(r.January) || i < len(r.April); i++ {
 		var jc, ac string
@@ -146,8 +189,7 @@ func runTable2(sim *userv6.Sim) {
 		report.Percent(r.GreeceJan), report.Percent(r.GreeceApr))
 }
 
-func runClientAddr(sim *userv6.Sim) {
-	p := sim.ClientAddrPatterns()
+func printClientAddr(p core.ClientAddrPatterns) {
 	report.NewTable("metric", "value").
 		Row("IPv6 users", p.V6Users).
 		Row("Teredo share", report.Percent(p.TeredoShare)).
@@ -178,11 +220,10 @@ func addrsTable(r userv6.AddrsPerUserResult, entity string) {
 	)
 }
 
-func runFig2(sim *userv6.Sim) { addrsTable(sim.Fig2(), "users") }
-func runFig3(sim *userv6.Sim) { addrsTable(sim.Fig3(), "accounts") }
+func printFig2(r userv6.AddrsPerUserResult) { addrsTable(r, "users") }
+func printFig3(r userv6.AddrsPerUserResult) { addrsTable(r, "accounts") }
 
-func runFig4(sim *userv6.Sim) {
-	r := sim.Fig4()
+func printFig4(r userv6.Fig4Result) {
 	t := report.NewTable("prefix", "users =1", "users <=2", "users <=3", "AA =1", "AA <=2", "AA <=3")
 	for i := range r.Users {
 		u, a := r.Users[i], r.Abusive[i]
@@ -191,8 +232,7 @@ func runFig4(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig5(sim *userv6.Sim) {
-	r := sim.Fig5And6(false)
+func printFig5(r userv6.LifespanResult) {
 	t := report.NewTable("curve", "pairs", "age=0", "age>7d", "age>=27d")
 	t.Row("across v4 pairs", int(r.AgeV4.N()), r.AgeV4.CDFAt(0), r.AgeV4.FracAbove(7), r.AgeV4.FracAbove(26))
 	t.Row("across v6 pairs", int(r.AgeV6.N()), r.AgeV6.CDFAt(0), r.AgeV6.FracAbove(7), r.AgeV6.FracAbove(26))
@@ -206,26 +246,28 @@ func runFig5(sim *userv6.Sim) {
 	)
 }
 
-func runFig6(sim *userv6.Sim) {
-	for _, pop := range []struct {
-		name    string
-		abusive bool
-	}{{"users", false}, {"abusive accounts", true}} {
-		r := sim.Fig5And6(pop.abusive)
-		fmt.Printf("-- %s --\n", pop.name)
-		t := report.NewTable("family", "prefix", "pairs", "<=1d", "<=2d", "<=3d")
-		for _, fs := range r.FreshV4 {
-			t.Row("IPv4", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
+func addFig6(p *userv6.Paper) func() {
+	users, aas := p.Fig5And6(false), p.Fig5And6(true)
+	return func() {
+		for _, pop := range []struct {
+			name string
+			read func() userv6.LifespanResult
+		}{{"users", users}, {"abusive accounts", aas}} {
+			r := pop.read()
+			fmt.Printf("-- %s --\n", pop.name)
+			t := report.NewTable("family", "prefix", "pairs", "<=1d", "<=2d", "<=3d")
+			for _, fs := range r.FreshV4 {
+				t.Row("IPv4", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
+			}
+			for _, fs := range r.FreshV6 {
+				t.Row("IPv6", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
+			}
+			t.Write(os.Stdout)
 		}
-		for _, fs := range r.FreshV6 {
-			t.Row("IPv6", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
-		}
-		t.Write(os.Stdout)
 	}
 }
 
-func runFig7(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func printFig7(r userv6.IPCentricResult) {
 	t := report.NewTable("window", "family", "addresses", "P(=1 user)", "P(<=2)", "max users")
 	day4, day6 := r.DayV4.UsersPerPrefix(), r.DayV6.UsersPerPrefix()
 	week4, week6 := r.V4.UsersPerPrefix(), r.V6[128].UsersPerPrefix()
@@ -236,8 +278,7 @@ func runFig7(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig8(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func printFig8(r userv6.IPCentricResult) {
 	t := report.NewTable("family", "AA addrs", "P(1 AA)", "P(0 benign)", "P(<=1 benign)", "P(>10 benign)")
 	aa4, aa6 := r.V4.AbusivePerAbusivePrefix(), r.V6[128].AbusivePerAbusivePrefix()
 	b4, b6 := r.V4.BenignPerAbusivePrefix(), r.V6[128].BenignPerAbusivePrefix()
@@ -246,8 +287,7 @@ func runFig8(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig9(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func printFig9(r userv6.IPCentricResult) {
 	t := report.NewTable("prefix", "prefixes", "P(=1 user)", "P(<=2)", "median", "max")
 	lengths := append([]int(nil), userv6.Fig9Lengths...)
 	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
@@ -260,8 +300,7 @@ func runFig9(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig10(sim *userv6.Sim) {
-	r := sim.IPCentricWeek()
+func printFig10(r userv6.IPCentricResult) {
 	t := report.NewTable("prefix", "AA prefixes", "P(1 AA)", "P(<=1 benign)", "P(>10 benign)")
 	for _, l := range []int{128, 64, 56, 48} {
 		aa := r.V6[l].AbusivePerAbusivePrefix()
@@ -273,8 +312,7 @@ func runFig10(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runFig11(sim *userv6.Sim) {
-	r := sim.Fig11()
+func printFig11(r userv6.Fig11Result) {
 	t := report.NewTable("granularity", "threshold", "TPR", "FPR")
 	for _, g := range userv6.Fig11Granularities() {
 		roc := r.Curves[g.Name]
@@ -297,35 +335,41 @@ func runFig11(sim *userv6.Sim) {
 	}
 }
 
-func runOutliers(sim *userv6.Sim) {
-	r := sim.Outliers()
-	report.NewTable("metric", "IPv4", "IPv6").
-		Row(fmt.Sprintf("users with >%d addrs", r.HeavyUserThreshold), r.V4HeavyUsers, r.V6HeavyUsers).
-		Row("max addrs per user", r.V4MaxAddrs, r.V6MaxAddrs).
-		Row(fmt.Sprintf("addrs with >%d users", r.HeavyAddrThreshold), r.V4HeavyAddrs, r.V6HeavyAddrs).
-		Row("max users per addr", r.V4MaxUsers, r.V6MaxUsers).
-		Row("max users per /64", "-", r.V6Max64Users).
-		Write(os.Stdout)
-	c := r.V6Concentration
-	fmt.Printf("\nheavy IPv6 addresses: %d, top ASN %d (%s, %s of heavy), %s structured IIDs, %d ASNs total\n",
-		c.Heavy, c.TopASN, sim.World.ASNName(c.TopASN), report.Percent(c.TopASNShare),
-		report.Percent(c.StructuredShare), c.ASNs)
+func addOutliers(p *userv6.Paper) func() {
+	outliers, asnName := p.Outliers(), p.Sim.World.ASNName
+	return func() {
+		r := outliers()
+		report.NewTable("metric", "IPv4", "IPv6").
+			Row(fmt.Sprintf("users with >%d addrs", r.HeavyUserThreshold), r.V4HeavyUsers, r.V6HeavyUsers).
+			Row("max addrs per user", r.V4MaxAddrs, r.V6MaxAddrs).
+			Row(fmt.Sprintf("addrs with >%d users", r.HeavyAddrThreshold), r.V4HeavyAddrs, r.V6HeavyAddrs).
+			Row("max users per addr", r.V4MaxUsers, r.V6MaxUsers).
+			Row("max users per /64", "-", r.V6Max64Users).
+			Write(os.Stdout)
+		c := r.V6Concentration
+		fmt.Printf("\nheavy IPv6 addresses: %d, top ASN %d (%s, %s of heavy), %s structured IIDs, %d ASNs total\n",
+			c.Heavy, c.TopASN, asnName(c.TopASN), report.Percent(c.TopASNShare),
+			report.Percent(c.StructuredShare), c.ASNs)
+	}
 }
 
-func runAdvise(sim *userv6.Sim) {
-	for _, tol := range []float64{0.0001, 0.001, 0.01} {
-		a := sim.Advise(tol)
-		fmt.Printf("-- FPR tolerance %s --\n", report.Percent(tol))
-		report.NewTable("recommendation", "value").
-			Row("blocklist granularity", fmt.Sprintf("/%d", a.BlocklistGranularity)).
-			Row("blocklist TPR at tolerance", report.Percent(a.BlocklistTPR)).
-			Row("blocklist TTL (days)", a.BlocklistTTLDays).
-			Row("rate-limit users per v6 addr", a.RateLimitUsersPerV6Addr).
-			Row("rate-limit v4-equivalent length", fmt.Sprintf("/%d", a.RateLimitV4EquivalentLength)).
-			Row("blocklist v4-equivalent length", fmt.Sprintf("/%d", a.BlocklistV4EquivalentLength)).
-			Row("v6 beats v4 at low FPR", a.V6BeatsV4BelowFPR).
-			Row("threat-intel 1-day decay", report.Percent(a.ThreatIntelDecay)).
-			Write(os.Stdout)
-		fmt.Println()
+func addAdvise(p *userv6.Paper) func() {
+	advise := p.Advise()
+	return func() {
+		for _, tol := range []float64{0.0001, 0.001, 0.01} {
+			a := advise(tol)
+			fmt.Printf("-- FPR tolerance %s --\n", report.Percent(tol))
+			report.NewTable("recommendation", "value").
+				Row("blocklist granularity", fmt.Sprintf("/%d", a.BlocklistGranularity)).
+				Row("blocklist TPR at tolerance", report.Percent(a.BlocklistTPR)).
+				Row("blocklist TTL (days)", a.BlocklistTTLDays).
+				Row("rate-limit users per v6 addr", a.RateLimitUsersPerV6Addr).
+				Row("rate-limit v4-equivalent length", fmt.Sprintf("/%d", a.RateLimitV4EquivalentLength)).
+				Row("blocklist v4-equivalent length", fmt.Sprintf("/%d", a.BlocklistV4EquivalentLength)).
+				Row("v6 beats v4 at low FPR", a.V6BeatsV4BelowFPR).
+				Row("threat-intel 1-day decay", report.Percent(a.ThreatIntelDecay)).
+				Write(os.Stdout)
+			fmt.Println()
+		}
 	}
 }

@@ -170,6 +170,11 @@ func runGen(args []string) {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path at exit")
 	fs.Parse(args)
+	// -resume takes the population from the partial dataset's header.
+	if *users < 1 && !*resume {
+		fmt.Fprintf(os.Stderr, "userv6gen: gen: -users must be at least 1, got %d\n", *users)
+		os.Exit(2)
+	}
 
 	// -faults arms named failpoints over the dataset layer's filesystem
 	// seam: a debug rehearsal of the crash/transient-error recovery the

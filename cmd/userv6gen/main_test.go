@@ -222,3 +222,34 @@ func TestGenReportsProfileCloseError(t *testing.T) {
 		}
 	}
 }
+
+// TestGenRefusesNonPositiveUsers: gen refuses a population below one
+// user with exit 2, naming the flag, and writes nothing. With -resume
+// the population comes from the partial dataset's header, so -users is
+// not checked there.
+func TestGenRefusesNonPositiveUsers(t *testing.T) {
+	dir := t.TempDir()
+	for _, users := range []string{"-1", "0"} {
+		out := filepath.Join(dir, "week"+users+".uv6")
+		stdout, stderr, code := userv6gen(t, "gen", "-users", users, "-from", "81", "-to", "81", "-o", out)
+		if code != 2 || !strings.Contains(stderr, "-users must be at least 1") {
+			t.Fatalf("gen -users %s: exit %d\nstdout: %s\nstderr: %s", users, code, stdout, stderr)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("gen -users %s left %s behind (stat: %v)", users, out, err)
+		}
+	}
+
+	out := filepath.Join(dir, "week.uv6")
+	mustRun(t, "gen", "-users", "200", "-from", "81", "-to", "81", "-o", out)
+	want, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout := mustRun(t, "gen", "-resume", "-users", "-1", "-o", out); !strings.HasPrefix(stdout, "resumed "+out) {
+		t.Fatalf("gen -resume -users -1 printed %q", stdout)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("gen -resume -users -1 changed the complete dataset (read err %v)", err)
+	}
+}

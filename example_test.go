@@ -33,10 +33,13 @@ func ExampleScenario_WithSeed() {
 	// Output: true
 }
 
-// Running a paper experiment end to end.
-func ExampleSim_Fig11() {
-	sim := userv6.NewSim(userv6.DefaultScenario(4_000))
-	roc := sim.Fig11()
+// Running a paper experiment end to end: register the figure, run the
+// one generation pass, read the result.
+func ExamplePaper_Fig11() {
+	paper := userv6.NewPaper(userv6.NewSim(userv6.DefaultScenario(4_000)))
+	fig11 := paper.Fig11()
+	paper.Run()
+	roc := fig11()
 	v4, _ := roc.Curves["IPv4"].At(0)
 	v6, _ := roc.Curves["/128"].At(0)
 	// IPv4 actioning recalls more but at far higher collateral.

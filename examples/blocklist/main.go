@@ -18,9 +18,11 @@ import (
 )
 
 func main() {
-	sim := userv6.NewSim(userv6.DefaultScenario(20_000))
+	paper := userv6.NewPaper(userv6.NewSim(userv6.DefaultScenario(20_000)))
+	fig11, advise := paper.Fig11(), paper.Advise()
+	paper.Run()
 
-	roc := sim.Fig11()
+	roc := fig11()
 	fmt.Printf("actioning simulation: day %s -> day %s\n\n", roc.DayN, roc.DayN1)
 
 	t := report.NewTable("granularity", "AUC", "TPR@0.01% FPR", "TPR@0.1% FPR", "TPR@1% FPR")
@@ -40,12 +42,12 @@ func main() {
 
 	fmt.Println("\npolicy advisor:")
 	for _, tol := range []float64{0.0001, 0.001, 0.01} {
-		a := sim.Advise(tol)
+		a := advise(tol)
 		fmt.Printf("  at %s FPR budget: block /%d prefixes, TTL %d day(s), recall %s\n",
 			report.Percent(tol), a.BlocklistGranularity, a.BlocklistTTLDays, report.Percent(a.BlocklistTPR))
 	}
 
-	a := sim.Advise(0.001)
+	a := advise(0.001)
 	fmt.Printf("\nexisting IPv4 blocklist policies translate to IPv6 /%d prefixes\n", a.BlocklistV4EquivalentLength)
 	if a.V6BeatsV4BelowFPR {
 		fmt.Println("at low FPR operating points, IPv6 actioning outperforms IPv4 — as the paper found")

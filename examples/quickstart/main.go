@@ -45,7 +45,10 @@ func main() {
 	fmt.Printf("max users on one address:   IPv4 %d, IPv6 %d\n\n", u4.Max(), u6.Max())
 
 	// The §4.4 client-address patterns over a full week.
-	pat := sim.ClientAddrPatterns()
+	paper := userv6.NewPaper(sim)
+	patterns := paper.ClientAddrPatterns()
+	paper.Run()
+	pat := patterns()
 	fmt.Printf("IPv6 users on EUI-64 (MAC-embedding) addresses: %.1f%%\n", pat.EUI64Share*100)
 	fmt.Printf("IPv6 users on 6to4/Teredo transition addresses: %.3f%%\n",
 		(pat.SixToFourShare+pat.TeredoShare)*100)

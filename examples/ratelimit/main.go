@@ -21,7 +21,10 @@ import (
 
 func main() {
 	sim := userv6.NewSim(userv6.DefaultScenario(20_000))
-	ipc := sim.IPCentricWeek()
+	paper := userv6.NewPaper(sim)
+	ipcWeek, advise := paper.IPCentricWeek(), paper.Advise()
+	paper.Run()
+	ipc := ipcWeek()
 
 	// Benign user population quantiles per granularity: a rate limiter
 	// that budgets R requests per legitimate user can multiply these.
@@ -58,7 +61,7 @@ func main() {
 
 	// The v4-equivalence mapping: where existing IPv4 rate-limit logic
 	// should be attached in IPv6 space.
-	a := sim.Advise(0.001)
+	a := advise(0.001)
 	fmt.Printf("\nIPv4-address rate limits translate to IPv6 /%d prefixes\n", a.RateLimitV4EquivalentLength)
 	fmt.Printf("budget %d legitimate user(s) per IPv6 address (99.9th percentile)\n", a.RateLimitUsersPerV6Addr)
 }

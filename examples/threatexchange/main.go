@@ -83,7 +83,10 @@ func main() {
 	t.Write(os.Stdout)
 
 	// Compare with the advisor's one-day decay estimate.
-	a := sim.Advise(0.001)
+	paper := userv6.NewPaper(sim)
+	advise := paper.Advise()
+	paper.Run()
+	a := advise(0.001)
 	fmt.Printf("\nadvisor one-day decay estimate: %s of abusive activity is NOT covered next day\n",
 		report.Percent(a.ThreatIntelDecay))
 	fmt.Println("conclusion: share IPv6 indicators at /64 granularity and expire them fast.")

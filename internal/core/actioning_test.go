@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"userv6/internal/netaddr"
+	"userv6/internal/rng"
 	"userv6/internal/stats"
+	"userv6/internal/telemetry"
 )
 
 // buildActioning creates a small two-day scenario:
@@ -16,20 +21,20 @@ import (
 //	         a brand-new addr D; benign 1 on B, benign 2 on C, benign 3
 //	         on D.
 func buildActioning() *Actioning {
-	ac := NewActioning(netaddr.IPv4, 32)
-	ac.ObserveDayN(obs(100, "10.0.0.1", 0, true))
-	ac.ObserveDayN(obs(101, "10.0.0.2", 0, true))
+	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac.Observe(obs(100, "10.0.0.1", 0, true))
+	ac.Observe(obs(101, "10.0.0.2", 0, true))
 	for u := uint64(1); u <= 9; u++ {
-		ac.ObserveDayN(obs(u, "10.0.0.2", 0, false))
+		ac.Observe(obs(u, "10.0.0.2", 0, false))
 	}
-	ac.ObserveDayN(obs(10, "10.0.0.3", 0, false))
+	ac.Observe(obs(10, "10.0.0.3", 0, false))
 
-	ac.ObserveDayN1(obs(100, "10.0.0.1", 1, true))
-	ac.ObserveDayN1(obs(101, "10.0.0.2", 1, true))
-	ac.ObserveDayN1(obs(102, "10.0.0.4", 1, true))
-	ac.ObserveDayN1(obs(1, "10.0.0.2", 1, false))
-	ac.ObserveDayN1(obs(2, "10.0.0.3", 1, false))
-	ac.ObserveDayN1(obs(3, "10.0.0.4", 1, false))
+	ac.Observe(obs(100, "10.0.0.1", 1, true))
+	ac.Observe(obs(101, "10.0.0.2", 1, true))
+	ac.Observe(obs(102, "10.0.0.4", 1, true))
+	ac.Observe(obs(1, "10.0.0.2", 1, false))
+	ac.Observe(obs(2, "10.0.0.3", 1, false))
+	ac.Observe(obs(3, "10.0.0.4", 1, false))
 	return ac
 }
 
@@ -69,13 +74,13 @@ func TestActioningThresholds(t *testing.T) {
 }
 
 func TestActioningPrefixGranularity(t *testing.T) {
-	ac := NewActioning(netaddr.IPv6, 64)
+	ac := NewActioning(netaddr.IPv6, 64, 0)
 	// Day n: AA on one address of a /64.
-	ac.ObserveDayN(obs(100, "2001:db8:0:1::a", 0, true))
+	ac.Observe(obs(100, "2001:db8:0:1::a", 0, true))
 	// Day n+1: a different AA on a different address, same /64.
-	ac.ObserveDayN1(obs(101, "2001:db8:0:1::b", 1, true))
+	ac.Observe(obs(101, "2001:db8:0:1::b", 1, true))
 	// And one on another /64: missed.
-	ac.ObserveDayN1(obs(102, "2001:db8:0:2::c", 1, true))
+	ac.Observe(obs(102, "2001:db8:0:2::c", 1, true))
 	c := ac.Counts(0)
 	if c.TP != 1 || c.FN != 1 {
 		t.Fatalf("counts = %+v", c)
@@ -83,9 +88,9 @@ func TestActioningPrefixGranularity(t *testing.T) {
 }
 
 func TestActioningZeroRatioNotActioned(t *testing.T) {
-	ac := NewActioning(netaddr.IPv4, 32)
-	ac.ObserveDayN(obs(1, "10.0.0.1", 0, false)) // benign-only prefix
-	ac.ObserveDayN1(obs(2, "10.0.0.1", 1, false))
+	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac.Observe(obs(1, "10.0.0.1", 0, false)) // benign-only prefix
+	ac.Observe(obs(2, "10.0.0.1", 1, false))
 	c := ac.Counts(0)
 	if c.FP != 0 || c.TN != 1 {
 		t.Fatalf("benign-only prefix actioned: %+v", c)
@@ -111,14 +116,220 @@ func TestActioningCurve(t *testing.T) {
 }
 
 func TestActioningDedup(t *testing.T) {
-	ac := NewActioning(netaddr.IPv4, 32)
+	ac := NewActioning(netaddr.IPv4, 32, 0)
 	for i := 0; i < 5; i++ {
-		ac.ObserveDayN(obs(100, "10.0.0.1", 0, true))
-		ac.ObserveDayN1(obs(100, "10.0.0.1", 1, true))
+		ac.Observe(obs(100, "10.0.0.1", 0, true))
+		ac.Observe(obs(100, "10.0.0.1", 1, true))
 	}
 	c := ac.Counts(0)
 	if c.TP != 1 {
 		t.Fatalf("dedup failed: %+v", c)
+	}
+}
+
+// twoPhaseActioning is the reference for Actioning: the two-phase
+// simulator it replaced, kept verbatim. Day-n observations go through
+// ObserveDayN, all of them before any day-n+1 observation goes through
+// ObserveDayN1, which reads each prefix's day-n ratio as it arrives.
+type twoPhaseActioning struct {
+	Family netaddr.Family
+	Length int
+
+	seenN map[pairKey]struct{}
+	dayN  map[netaddr.Prefix]*prefixPop
+	// Day n+1: per-entity best (max) day-n ratio across the prefixes
+	// the entity appears on; -1 means none of its prefixes existed on
+	// day n.
+	seenN1    map[pairKey]struct{}
+	benignN1  map[uint64]float64
+	abusiveN1 map[uint64]float64
+}
+
+func newTwoPhaseActioning(fam netaddr.Family, length int) *twoPhaseActioning {
+	return &twoPhaseActioning{
+		Family:    fam,
+		Length:    length,
+		seenN:     make(map[pairKey]struct{}),
+		dayN:      make(map[netaddr.Prefix]*prefixPop),
+		seenN1:    make(map[pairKey]struct{}),
+		benignN1:  make(map[uint64]float64),
+		abusiveN1: make(map[uint64]float64),
+	}
+}
+
+func (ac *twoPhaseActioning) ObserveDayN(o telemetry.Observation) {
+	if o.Addr.Family() != ac.Family || ac.Length > o.Addr.Bits() {
+		return
+	}
+	p := netaddr.PrefixFrom(o.Addr, ac.Length)
+	key := pairKey{uid: o.UserID, pfx: p}
+	if _, dup := ac.seenN[key]; dup {
+		return
+	}
+	ac.seenN[key] = struct{}{}
+	pop := ac.dayN[p]
+	if pop == nil {
+		pop = &prefixPop{}
+		ac.dayN[p] = pop
+	}
+	if o.Abusive {
+		pop.abusive++
+	} else {
+		pop.benign++
+	}
+}
+
+func (ac *twoPhaseActioning) ObserveDayN1(o telemetry.Observation) {
+	if o.Addr.Family() != ac.Family || ac.Length > o.Addr.Bits() {
+		return
+	}
+	p := netaddr.PrefixFrom(o.Addr, ac.Length)
+	key := pairKey{uid: o.UserID, pfx: p}
+	if _, dup := ac.seenN1[key]; dup {
+		return
+	}
+	ac.seenN1[key] = struct{}{}
+
+	ratio := -1.0
+	if pop := ac.dayN[p]; pop != nil && pop.abusive > 0 {
+		ratio = float64(pop.abusive) / float64(pop.abusive+pop.benign)
+	} else if pop != nil {
+		ratio = 0
+	}
+	m := ac.benignN1
+	if o.Abusive {
+		m = ac.abusiveN1
+	}
+	if prev, ok := m[o.UserID]; !ok || ratio > prev {
+		m[o.UserID] = ratio
+	}
+}
+
+func (ac *twoPhaseActioning) Counts(threshold float64) stats.BinaryCounts {
+	var c stats.BinaryCounts
+	t := threshold
+	if t <= 0 {
+		t = math.SmallestNonzeroFloat64
+	}
+	for _, r := range ac.abusiveN1 {
+		if r >= t {
+			c.TP++
+		} else {
+			c.FN++
+		}
+	}
+	for _, r := range ac.benignN1 {
+		if r >= t {
+			c.FP++
+		} else {
+			c.TN++
+		}
+	}
+	return c
+}
+
+func (ac *twoPhaseActioning) Curve(thresholds []float64) *stats.ROC {
+	pts := make([]stats.ROCPoint, 0, len(thresholds))
+	for _, t := range thresholds {
+		counts := ac.Counts(t)
+		pts = append(pts, stats.ROCPoint{Threshold: t, TPR: counts.TPR(), FPR: counts.FPR()})
+	}
+	return stats.NewROC(pts)
+}
+
+// feedActioning feeds stream (days 0 and 1) to a fresh Actioning:
+// directly when replicas is 0, otherwise split block-wise (block b to
+// replica b mod replicas, so entities straddle replicas) and folded
+// with Merge, in replica order or reversed.
+func feedActioning(fam netaddr.Family, length int, stream []telemetry.Observation, replicas int, reversed bool) *Actioning {
+	ac := NewActioning(fam, length, 0)
+	if replicas == 0 {
+		for _, o := range stream {
+			ac.Observe(o)
+		}
+		return ac
+	}
+	reps := make([]*Actioning, replicas)
+	for i := range reps {
+		reps[i] = NewActioning(fam, length, 0)
+	}
+	for i, o := range stream {
+		reps[i/53%replicas].Observe(o)
+	}
+	if reversed {
+		slices.Reverse(reps)
+	}
+	for _, r := range reps {
+		ac.Merge(r)
+	}
+	return ac
+}
+
+// TestActioningCommutativeFold: Actioning is a commutative fold. On
+// randomized two-day streams (shared IPv4 addresses, IPv6 users that
+// rotate IIDs and move subnets, abusive accounts beside benign users),
+// the one-Observe simulator fed in stream order, shuffled, and split
+// across 1, 3 and 8 replicas folded with Merge (forward and reversed)
+// must give the reference two-phase feed's Counts at every
+// DefaultThresholds value, its Curve and its population sizes.
+func TestActioningCommutativeFold(t *testing.T) {
+	grans := []struct {
+		fam    netaddr.Family
+		length int
+	}{
+		{netaddr.IPv6, 128}, {netaddr.IPv6, 64}, {netaddr.IPv6, 56},
+		{netaddr.IPv6, 48}, {netaddr.IPv6, 44}, {netaddr.IPv4, 32},
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		stream := oracleStream(seed, 400, 2, 0)
+		orders := map[string][]telemetry.Observation{
+			"stream order": stream,
+			"shuffled":     shuffled(rng.New(seed*17), stream),
+		}
+		for _, g := range grans {
+			ref := newTwoPhaseActioning(g.fam, g.length)
+			for _, o := range stream {
+				if o.Day == 0 {
+					ref.ObserveDayN(o)
+				}
+			}
+			for _, o := range stream {
+				if o.Day == 1 {
+					ref.ObserveDayN1(o)
+				}
+			}
+			if c := ref.Counts(0); c.TP == 0 || c.FN+c.TN == 0 {
+				t.Fatalf("seed %d, /%d: degenerate reference counts %+v", seed, g.length, c)
+			}
+			for order, recs := range orders {
+				check := func(label string, ac *Actioning) {
+					t.Helper()
+					label = fmt.Sprintf("seed %d, %v /%d, %s, %s", seed, g.fam, g.length, order, label)
+					for _, th := range DefaultThresholds() {
+						if got, want := ac.Counts(th), ref.Counts(th); got != want {
+							t.Fatalf("%s: Counts(%v) = %+v, want %+v", label, th, got, want)
+						}
+					}
+					if got, want := ac.Curve(DefaultThresholds()), ref.Curve(DefaultThresholds()); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Curve = %+v, want %+v", label, got, want)
+					}
+					if got, want := ac.DayNPrefixes(), len(ref.dayN); got != want {
+						t.Fatalf("%s: DayNPrefixes = %d, want %d", label, got, want)
+					}
+					b, a := ac.DayN1Entities()
+					if b != len(ref.benignN1) || a != len(ref.abusiveN1) {
+						t.Fatalf("%s: DayN1Entities = %d, %d, want %d, %d", label, b, a, len(ref.benignN1), len(ref.abusiveN1))
+					}
+				}
+				check("sequential", feedActioning(g.fam, g.length, recs, 0, false))
+				for _, replicas := range []int{1, 3, 8} {
+					for _, reversed := range []bool{false, true} {
+						check(fmt.Sprintf("%d replicas, reversed=%v", replicas, reversed),
+							feedActioning(g.fam, g.length, recs, replicas, reversed))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func ipCentricFromSource(t *testing.T, src dataset.Source, workers int, fam neta
 func TestParallelMatchesSerial(t *testing.T) {
 	sim := NewSim(DefaultScenario(3_000))
 
-	serial := sim.Fig2()
+	serial := runFigure(sim, (*Paper).Fig2)
 	parallel := fig2FromSource(t, exportWeek(t, sim, 4), 4)
 
 	if serial.Entities != parallel.Entities {

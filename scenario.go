@@ -17,8 +17,9 @@
 //     security-policy advisor.
 //
 // The entry point is a Scenario (the experiment configuration) and a Sim
-// built from it. Every figure and table in the paper has a corresponding
-// Sim method that regenerates it; see EXPERIMENTS.md for the index.
+// built from it. Every figure and table in the paper has a Paper method
+// that registers its analyzers; one Paper.Run generates the days they
+// read once and feeds them all. See EXPERIMENTS.md for the index.
 package userv6
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"userv6/internal/abuse"
+	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
 	"userv6/internal/population"
 	"userv6/internal/simtime"
@@ -97,3 +98,6 @@ func (s *Sim) GenerateDay(day simtime.Day, emit telemetry.EmitFunc) {
 func AnalysisWeek() (from, to simtime.Day) {
 	return simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd
 }
+
+// ASNOf exposes routing attribution for downstream tools.
+func (s *Sim) ASNOf(a netaddr.Addr) netmodel.ASN { return s.World.ASNOf(a) }

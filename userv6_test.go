@@ -55,8 +55,7 @@ func TestSimDeterministic(t *testing.T) {
 }
 
 func TestFig1Shapes(t *testing.T) {
-	sim := testSim(t)
-	days := sim.Fig1(0, simtime.StudyDays-1)
+	days := runFigure(testSim(t), (*Paper).Fig1)
 	if len(days) != simtime.StudyDays {
 		t.Fatalf("days = %d", len(days))
 	}
@@ -107,8 +106,7 @@ func TestFig1Shapes(t *testing.T) {
 }
 
 func TestTable1Shapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.Table1(AnalysisWeek())
+	r := runFigure(testSim(t), (*Paper).Table1)
 	if len(r.Rows) != 10 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -145,8 +143,7 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.Table2()
+	r := runFigure(testSim(t), (*Paper).Table2)
 	if len(r.April) != 10 || len(r.January) != 10 {
 		t.Fatalf("rows: jan=%d apr=%d", len(r.January), len(r.April))
 	}
@@ -163,8 +160,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestClientAddrPatternShapes(t *testing.T) {
-	sim := testSim(t)
-	p := sim.ClientAddrPatterns()
+	p := runFigure(testSim(t), (*Paper).ClientAddrPatterns)
 	if p.V6Users == 0 {
 		t.Fatal("no v6 users")
 	}
@@ -187,8 +183,10 @@ func TestClientAddrPatternShapes(t *testing.T) {
 }
 
 func TestFig2Fig3Shapes(t *testing.T) {
-	sim := testSim(t)
-	users := sim.Fig2()
+	paper := NewPaper(testSim(t))
+	fig2, fig3 := paper.Fig2(), paper.Fig3()
+	paper.Run()
+	users := fig2()
 	// Users gain more v6 than v4 addresses over a week (paper: medians
 	// 9 vs 6).
 	if users.WeekV6.Median() <= users.WeekV4.Median() {
@@ -199,7 +197,7 @@ func TestFig2Fig3Shapes(t *testing.T) {
 		t.Fatalf("v6 medians: week %d <= day %d", users.WeekV6.Median(), users.DayV6.Median())
 	}
 
-	aas := sim.Fig3()
+	aas := fig3()
 	// The majority of abusive accounts use one address per day on both
 	// protocols...
 	if aas.DayV6.CDFAt(1) < 0.5 || aas.DayV4.CDFAt(1) < 0.5 {
@@ -217,8 +215,7 @@ func TestFig2Fig3Shapes(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.Fig4()
+	r := runFigure(testSim(t), (*Paper).Fig4)
 	share := func(l int) float64 {
 		for _, s := range r.Users {
 			if s.Length == l {
@@ -263,8 +260,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Fig6Shapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.Fig5And6(false)
+	r := runFigure(testSim(t), benignLifespans)
 	// IPv6 pairs are far fresher than IPv4 pairs (paper: 84% vs 66%).
 	fresh6, fresh4 := r.AgeV6.CDFAt(0), r.AgeV4.CDFAt(0)
 	if fresh6 < fresh4+0.2 {
@@ -295,8 +291,7 @@ func TestFig5Fig6Shapes(t *testing.T) {
 }
 
 func TestIPCentricShapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.IPCentricWeek()
+	r := runFigure(testSim(t), (*Paper).IPCentricWeek)
 
 	// Figure 7: v6 addresses nearly single-user; v4 far from it.
 	v6single := r.V6[128].UsersPerPrefix().CDFAt(1)
@@ -345,8 +340,7 @@ func TestIPCentricShapes(t *testing.T) {
 }
 
 func TestOutlierShapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.Outliers()
+	r := runFigure(testSim(t), (*Paper).Outliers)
 	// IPv4 outliers dwarf IPv6 outliers in both directions.
 	if r.V4MaxUsers <= r.V6MaxUsers {
 		t.Fatalf("max users per addr: v4 %d <= v6 %d", r.V4MaxUsers, r.V6MaxUsers)
@@ -371,8 +365,7 @@ func TestOutlierShapes(t *testing.T) {
 }
 
 func TestFig11Shapes(t *testing.T) {
-	sim := testSim(t)
-	r := sim.Fig11()
+	r := runFigure(testSim(t), (*Paper).Fig11)
 	c128, c64, cv4 := r.Curves["/128"], r.Curves["/64"], r.Curves["IPv4"]
 
 	p128, _ := c128.At(0)
@@ -410,8 +403,10 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestAdviseShapes(t *testing.T) {
-	sim := testSim(t)
-	a := sim.Advise(0.001)
+	paper := NewPaper(testSim(t))
+	advise := paper.Advise()
+	paper.Run()
+	a := advise(0.001)
 	if a.BlocklistGranularity != 64 && a.BlocklistGranularity != 128 {
 		t.Fatalf("granularity = %d", a.BlocklistGranularity)
 	}
