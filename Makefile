@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 # whole fixture per op, so one op takes milliseconds); the
 # sub-microsecond BENCH_MICRO benchmarks would time only warm-up at 1x,
 # so they run a fixed MICRO_BENCHTIME iterations instead.
-BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkWriterV2Auto|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkTrieUpdate|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
+BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkBlockReaderStrict|BenchmarkBlockReaderStrictLZ|BenchmarkBlockReaderStrictDelta|BenchmarkBlockReaderTolerant|BenchmarkBlockReaderTolerantLZ|BenchmarkBlockReaderTolerantDelta|BenchmarkWriterV2Auto|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkTrieUpdate|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
 BENCH_MICRO = BenchmarkTrieLookup
 MICRO_BENCHTIME = 20000x
 BENCH_GATE = ^($(BENCH_1X)|$(BENCH_MICRO))$$
@@ -25,9 +25,10 @@ FUZZ_TARGETS = \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip \
 	./internal/core:FuzzAnalyzerOracle \
-	./internal/core:FuzzKeyPool
+	./internal/core:FuzzKeyPool \
+	./internal/core:FuzzMergeLaws
 
-.PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-check bench-smoke bench-baseline ratio-gate ci clean
+.PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-check bench-smoke bench-baseline ratio-gate snapshot-check ci clean
 
 all: build
 
@@ -75,14 +76,15 @@ faults:
 # replicas fanned out across parts), AnalyzerSet.Fold's concurrent
 # per-registration folds, the analyzers against the independent oracle
 # on sequential and folded feeds, the key-pool unit tests (the
-# chunked storage every default analyzer keeps its state in), and
+# chunked storage every default analyzer keeps its state in),
 # Actioning against its two-phase reference on shuffled and folded
-# feeds, under the race detector.
+# feeds, and every registration's Merge laws (commutative,
+# associative, empty replica as identity), under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold' ./internal/core
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold|TestMergeLaws' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the
 # root build and test never compile it. It calls the analysis and merge
@@ -94,10 +96,11 @@ bench-check:
 
 # Short native-fuzz smoke over every decoder fuzz target, the encoder
 # differentials against the reference encoders, the analyzer oracle,
-# and the key-pool differential against a map reference: catches
-# panics, typed-error regressions, stored bytes that depart from the
-# reference writer, analyzer answers that depart from the oracle, and
-# key lists that depart from their reference without a long campaign.
+# the key-pool differential against a map reference, and the Merge
+# laws: catches panics, typed-error regressions, stored bytes that
+# depart from the reference writer, analyzer answers that depart from
+# the oracle, key lists that depart from their reference, and folds
+# that depend on order or split, without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -128,6 +131,14 @@ bench-baseline:
 ratio-gate:
 	$(GO) test ./internal/dataset -run '^TestCompressionRatioGate$$' -v
 
+# Reproduction gate: regenerate `userv6 -users 30000 all` at seed 1
+# and compare it byte for byte with calibration_snapshot.txt, the
+# measured column EXPERIMENTS.md cites (about half a minute on two
+# cores). The 1,500-user goldens under cmd/userv6/testdata pin the same
+# output at a scale `go test` can afford.
+snapshot-check:
+	$(GO) run ./cmd/userv6 -users 30000 all | cmp - calibration_snapshot.txt
+
 # Nightly benchmark gate: the same benchmark set with real sampling
 # (-benchtime=$(NIGHTLY_BENCHTIME)) and a much tighter ratio, to catch
 # the slow drift the 3x PR tripwire deliberately ignores.
@@ -141,7 +152,7 @@ bench-nightly-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=$(NIGHTLY_BENCHTIME) $(BENCH_PKGS) 2>&1 | tee bench-nightly.txt
 	$(GO) run ./cmd/benchgate -in bench-nightly.txt -baseline bench/BENCH_nightly_baseline.json -out BENCH_nightly_results.json -max-ratio 1.3 -update
 
-ci: fmt-check vet lint build race faults fused-race bench-check fuzz-smoke bench-smoke ratio-gate
+ci: fmt-check vet lint build race faults fused-race bench-check fuzz-smoke bench-smoke ratio-gate snapshot-check
 
 clean:
 	$(GO) clean ./...

@@ -7,8 +7,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -82,10 +84,7 @@ func TestUsersMustBePositive(t *testing.T) {
 // every experiment's "== name: description ==" header exactly once, in
 // experimentOrder.
 func TestAllPrintsEveryExperimentOnce(t *testing.T) {
-	stdout, stderr, code := runCLI(t, "-users", "1500", "all")
-	if code != 0 {
-		t.Fatalf("exit %d\nstderr: %s", code, stderr)
-	}
+	stdout := runAll(t, "1")
 	if !strings.HasPrefix(stdout, "# userv6: 1500 users, seed 1 ") {
 		t.Fatalf("run header missing: %.80q", stdout)
 	}
@@ -102,4 +101,73 @@ func TestAllPrintsEveryExperimentOnce(t *testing.T) {
 	if !slices.Equal(got, experimentOrder) {
 		t.Fatalf("experiment headers\n got %v\nwant %v", got, experimentOrder)
 	}
+}
+
+// allRuns caches the stdout of `all` at 1,500 users by seed, so the
+// tests that read the same run share it.
+var allRuns = map[string]string{}
+
+// runAll returns the stdout of `userv6 -users 1500 -seed seed all`,
+// failing the test unless it exits 0.
+func runAll(t *testing.T, seed string) string {
+	t.Helper()
+	if out, ok := allRuns[seed]; ok {
+		return out
+	}
+	stdout, stderr, code := runCLI(t, "-users", "1500", "-seed", seed, "all")
+	if code != 0 {
+		t.Fatalf("seed %s: exit %d\nstderr: %s", seed, code, stderr)
+	}
+	allRuns[seed] = stdout
+	return stdout
+}
+
+// TestAllMatchesGolden pins the reproduction: `all` at 1,500 users
+// prints exactly testdata/all-1500-seed<S>.txt at seeds 1 and 2. A
+// mismatch prints the lines that differ. Changing a golden is a
+// deliberate act: regenerate it with
+//
+//	go run ./cmd/userv6 -users 1500 -seed S all > cmd/userv6/testdata/all-1500-seedS.txt
+//
+// and name the changed lines in CHANGES.md and EXPERIMENTS.md.
+func TestAllMatchesGolden(t *testing.T) {
+	for _, seed := range []string{"1", "2"} {
+		golden := filepath.Join("testdata", "all-1500-seed"+seed+".txt")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runAll(t, seed); got != string(want) {
+			t.Errorf("seed %s: output differs from %s:\n%s", seed, golden, lineDiff(string(want), got))
+		}
+	}
+}
+
+// lineDiff shows where got departs from want: the lines between their
+// common leading and trailing lines, want's marked "-" and got's "+",
+// each with its line number and at most 40 of each.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	head := 0
+	for head < len(w) && head < len(g) && w[head] == g[head] {
+		head++
+	}
+	tail := 0
+	for tail < len(w)-head && tail < len(g)-head && w[len(w)-1-tail] == g[len(g)-1-tail] {
+		tail++
+	}
+	var b strings.Builder
+	for _, side := range []struct {
+		mark  string
+		lines []string
+	}{{"-", w[head : len(w)-tail]}, {"+", g[head : len(g)-tail]}} {
+		for i, line := range side.lines {
+			if i == 40 {
+				fmt.Fprintf(&b, "%s ... %d more lines\n", side.mark, len(side.lines)-i)
+				break
+			}
+			fmt.Fprintf(&b, "%s%4d  %s\n", side.mark, head+i+1, line)
+		}
+	}
+	return b.String()
 }

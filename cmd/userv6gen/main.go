@@ -170,10 +170,17 @@ func runGen(args []string) {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path at exit")
 	fs.Parse(args)
-	// -resume takes the population from the partial dataset's header.
-	if *users < 1 && !*resume {
-		fmt.Fprintf(os.Stderr, "userv6gen: gen: -users must be at least 1, got %d\n", *users)
-		os.Exit(2)
+	// -resume takes the population and the window from the partial
+	// dataset's header.
+	if !*resume {
+		switch {
+		case *users < 1:
+			usageError("-users must be at least 1, got %d", *users)
+		case *from < 0:
+			usageError("-from must be at least 0, got %d", *from)
+		case *from > *to:
+			usageError("-from must not exceed -to, got -from %d -to %d", *from, *to)
+		}
 	}
 
 	// -faults arms named failpoints over the dataset layer's filesystem
@@ -948,6 +955,13 @@ func closeProfile(f faultio.File, path string) error {
 		return fmt.Errorf("close %s: %w", path, err)
 	}
 	return nil
+}
+
+// usageError reports a flag value gen cannot mean and exits 2, before
+// anything is written.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "userv6gen: gen: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

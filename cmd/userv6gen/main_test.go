@@ -253,3 +253,35 @@ func TestGenRefusesNonPositiveUsers(t *testing.T) {
 		t.Fatalf("gen -resume -users -1 changed the complete dataset (read err %v)", err)
 	}
 }
+
+// TestGenRefusesImpossibleWindow: gen refuses a window that starts
+// before day 0 or after its last day with exit 2, naming the flag, on
+// the single-file and the sharded path, and writes nothing. With
+// -resume the window comes from the partial dataset's header, so
+// -from and -to are not checked there.
+func TestGenRefusesImpossibleWindow(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		from, to, want string
+	}{
+		{"-1", "2", "-from must be at least 0, got -1"},
+		{"10", "5", "-from must not exceed -to, got -from 10 -to 5"},
+	} {
+		for _, shards := range []string{"0", "2"} {
+			out := filepath.Join(dir, "week"+c.from+"_"+c.to+"_"+shards)
+			stdout, stderr, code := userv6gen(t, "gen", "-users", "50", "-from", c.from, "-to", c.to, "-shards", shards, "-o", out)
+			if code != 2 || !strings.Contains(stderr, c.want) {
+				t.Fatalf("gen -from %s -to %s -shards %s: exit %d\nstdout: %s\nstderr: %s", c.from, c.to, shards, code, stdout, stderr)
+			}
+			if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("gen -from %s -to %s -shards %s left %s behind (stat: %v)", c.from, c.to, shards, out, err)
+			}
+		}
+	}
+
+	out := filepath.Join(dir, "week.uv6")
+	mustRun(t, "gen", "-users", "50", "-from", "81", "-to", "81", "-o", out)
+	if stdout := mustRun(t, "gen", "-resume", "-from", "10", "-to", "5", "-o", out); !strings.HasPrefix(stdout, "resumed "+out) {
+		t.Fatalf("gen -resume -from 10 -to 5 printed %q", stdout)
+	}
+}

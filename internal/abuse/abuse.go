@@ -208,8 +208,12 @@ func (a Account) ActiveOn(d simtime.Day) bool {
 	return d >= a.Birth && int(d-a.Birth) < a.Life
 }
 
-// ForEachActive calls fn for every account active on day d.
+// ForEachActive calls fn for every account active on day d. No account
+// is born before day 0, so none is active on a negative day.
 func (g *Generator) ForEachActive(d simtime.Day, fn func(Account)) {
+	if d < 0 {
+		return
+	}
 	perDay := uint64(max(1, g.Cfg.AccountsPerDay))
 	firstBirth := int64(d) - int64(g.Cfg.MaxLifeDays) + 1
 	if firstBirth < 0 {

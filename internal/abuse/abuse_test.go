@@ -3,6 +3,7 @@ package abuse
 import (
 	"math"
 	"testing"
+	"time"
 
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
@@ -69,33 +70,47 @@ func TestActiveWindow(t *testing.T) {
 	}
 }
 
+// TestForEachActiveMatchesActiveOn: ForEachActive visits exactly the
+// accounts active on a day, each once. On a negative day there are
+// none, and the walk must end at once rather than wrap its index range;
+// a deadline turns a walk that does not end into a failure.
 func TestForEachActiveMatchesActiveOn(t *testing.T) {
 	g := testGen(t)
-	day := simtime.Day(25)
-	seen := make(map[uint64]bool)
-	g.ForEachActive(day, func(a Account) {
-		if !a.ActiveOn(day) {
-			t.Fatalf("ForEachActive yielded inactive account %d", a.Index)
+	for _, day := range []simtime.Day{25, 0, -1, -3} {
+		var visited []Account
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			g.ForEachActive(day, func(a Account) { visited = append(visited, a) })
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("ForEachActive(%d) still running after 10s", day)
 		}
-		if seen[a.Index] {
-			t.Fatalf("account %d visited twice", a.Index)
+		seen := make(map[uint64]bool)
+		for _, a := range visited {
+			if !a.ActiveOn(day) {
+				t.Fatalf("day %d: ForEachActive yielded inactive account %d", day, a.Index)
+			}
+			if seen[a.Index] {
+				t.Fatalf("day %d: account %d visited twice", day, a.Index)
+			}
+			seen[a.Index] = true
 		}
-		seen[a.Index] = true
-	})
-	// Brute force over the feasible index range.
-	lo := uint64(0)
-	hi := uint64(day+1) * uint64(g.Cfg.AccountsPerDay)
-	want := 0
-	for k := lo; k < hi; k++ {
-		if g.AccountAt(k).ActiveOn(day) {
-			want++
-			if !seen[k] {
-				t.Fatalf("active account %d missed", k)
+		// Brute force over the feasible index range.
+		want := 0
+		for k := uint64(0); k < uint64(max(0, int(day)+1))*uint64(g.Cfg.AccountsPerDay); k++ {
+			if g.AccountAt(k).ActiveOn(day) {
+				want++
+				if !seen[k] {
+					t.Fatalf("day %d: active account %d missed", day, k)
+				}
 			}
 		}
-	}
-	if len(seen) != want {
-		t.Fatalf("visited %d, want %d", len(seen), want)
+		if len(seen) != want {
+			t.Fatalf("day %d: visited %d, want %d", day, len(seen), want)
+		}
 	}
 }
 

@@ -74,7 +74,9 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // min-day first-sight tuples (ChurnAttribution). The table is pooled
 // and holds no pointer the GC would trace per user or key: user IDs map
 // to indexes into chunks of by-value states, and each key list is a
-// handle into a per-field pool of key and value chunks. Their Merge
+// handle into a per-field pool of key and value chunks. An address or
+// prefix key is the masked prefix's two 64-bit words, the family coming
+// from the pool, and a day is stored as an int32. Their Merge
 // adopts the replica's chunks whole, rebases the handles of the
 // replica's users, takes over the users only the replica holds and
 // combines the users both hold: O(chunks + users), not O(keys). An

@@ -64,12 +64,11 @@ type ChurnAttribution struct {
 	addrs, p64, p44 dayPool
 }
 
-// dayPool holds first-sight days by prefix base address.
-type dayPool = keyPool[netaddr.Addr, simtime.Day]
+// dayPool holds first-sight days by IPv6 prefix.
+type dayPool = keyPool[addrKey, int32]
 
 // userFirsts holds one user's earliest day seen behind each /128
-// address, each /64 and each /44, keyed by the prefix's base address,
-// in the pools of the same name.
+// address, each /64 and each /44, in the pools of the same name.
 type userFirsts struct {
 	addrs, p64, p44 keyList
 }
@@ -87,19 +86,20 @@ func (c *ChurnAttribution) Observe(o telemetry.Observation) {
 		return
 	}
 	u, _ := c.users.get(o.UserID)
-	d, added := c.addrs.slot(&u.addrs, o.Addr)
-	if !added && *d <= o.Day {
+	day := int32(o.Day)
+	d, added := c.addrs.slot(&u.addrs, keyOf(o.Addr))
+	if !added && *d <= day {
 		// Dominated sighting: the address was already seen on an
 		// earlier (or equal) day, so the /64 and /44 minima cannot
 		// improve either — they were set at least as early.
 		return
 	}
-	*d = o.Day
-	minDay(&c.p64, &u.p64, netaddr.PrefixFrom(o.Addr, 64).Addr(), o.Day)
-	minDay(&c.p44, &u.p44, netaddr.PrefixFrom(o.Addr, 44).Addr(), o.Day)
+	*d = day
+	minDay(&c.p64, &u.p64, keyOf(netaddr.PrefixFrom(o.Addr, 64).Addr()), day)
+	minDay(&c.p44, &u.p44, keyOf(netaddr.PrefixFrom(o.Addr, 44).Addr()), day)
 }
 
-func minDay(p *dayPool, l *keyList, k netaddr.Addr, d simtime.Day) {
+func minDay(p *dayPool, l *keyList, k addrKey, d int32) {
 	if cur, added := p.slot(l, k); added || d < *cur {
 		*cur = d
 	}
@@ -118,7 +118,7 @@ func (c *ChurnAttribution) Merge(other *ChurnAttribution) {
 	if other.users.len() > c.users.len() {
 		*c, *other = *other, *c
 	}
-	keepMin := func(_ netaddr.Addr, d *simtime.Day, od simtime.Day) { *d = min(*d, od) }
+	keepMin := func(_ addrKey, d *int32, od int32) { *d = min(*d, od) }
 	ba, b64, b44 := c.addrs.adopt(&other.addrs), c.p64.adopt(&other.p64), c.p44.adopt(&other.p44)
 	c.users.merge(&other.users, func(u *userFirsts, _ int) {
 		u.addrs.rebase(ba)
@@ -182,18 +182,19 @@ func (c *ChurnAttribution) Breakdown() ChurnBreakdown {
 		opened64 = resetFlags(opened64, int(u.p64.n))
 		opened44 = resetFlags(opened44, int(u.p44.n))
 		days, days64, days44 := c.addrs.valsOf(u.addrs), c.p64.valsOf(u.p64), c.p44.valsOf(u.p44)
-		for i, a := range c.addrs.keysOf(u.addrs) {
+		for i, k := range c.addrs.keysOf(u.addrs) {
 			dAddr := days[i]
-			if dAddr < c.CountFrom {
+			if simtime.Day(dAddr) < c.CountFrom {
 				continue
 			}
-			j := c.p64.find(u.p64, netaddr.PrefixFrom(a, 64).Addr())
+			a := k.addr(netaddr.IPv6)
+			j := c.p64.find(u.p64, keyOf(netaddr.PrefixFrom(a, 64).Addr()))
 			if days64[j] < dAddr || opened64[j] {
 				counts[IIDRotation]++
 				continue
 			}
 			opened64[j] = true
-			h := c.p44.find(u.p44, netaddr.PrefixFrom(a, 44).Addr())
+			h := c.p44.find(u.p44, keyOf(netaddr.PrefixFrom(a, 44).Addr()))
 			if days44[h] < dAddr || opened44[h] {
 				counts[SubnetMove]++
 				continue

@@ -5,23 +5,29 @@ import (
 	"runtime/metrics"
 	"testing"
 
+	"userv6/internal/netaddr"
 	"userv6/internal/telemetry"
 )
+
+// liveHeap returns the objects and bytes live on the heap after a full
+// GC.
+func liveHeap() (objects, bytes int64) {
+	live := []metrics.Sample{{Name: "/gc/heap/objects:objects"}, {Name: "/gc/heap/live:bytes"}}
+	runtime.GC()
+	metrics.Read(live)
+	return int64(live[0].Value.Uint64()), int64(live[1].Value.Uint64())
+}
 
 // retainedObjects returns the number of live heap objects a fullSet
 // retains after a sequential feed of an oracle stream of the given
 // number of users (plus the heavy user).
 func retainedObjects(users int) int64 {
-	live := []metrics.Sample{{Name: "/gc/heap/objects:objects"}}
 	stream := oracleStream(1, users, 10, 1200)
-	runtime.GC()
-	metrics.Read(live)
-	before := int64(live[0].Value.Uint64())
+	before, _ := liveHeap()
 	f := sequentialFullSet(stream, oracleRef)
-	runtime.GC()
-	metrics.Read(live)
+	after, _ := liveHeap()
 	runtime.KeepAlive(f)
-	return int64(live[0].Value.Uint64()) - before
+	return after - before
 }
 
 // TestAnalyzerStateHeapObjects checks that the default analyzers keep
@@ -62,6 +68,82 @@ func TestAnalyzerStateHeapObjects(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: re-observing known pairs allocates %.1f times", c.name, allocs)
+		}
+	}
+}
+
+// TestAnalyzerStateBytes bounds the heap each default analyzer retains
+// per stored (user, key) entry when fed the oracle stream alone: its
+// pool chunks, user table and tallies over the entries of its key
+// lists. Keys are a prefix's two words (16 bytes) and days int32s, and
+// each bound sits between what that costs and what 24-byte
+// netaddr.Addr keys or 8-byte simtime.Day days would cost, so widening
+// either fails it.
+func TestAnalyzerStateBytes(t *testing.T) {
+	stream := oracleStream(3, 8000, 10, 1200)
+	count := func(lists ...keyList) (n int) {
+		for _, l := range lists {
+			n += int(l.n)
+		}
+		return n
+	}
+	ic := func(fam netaddr.Family, length int) func() (Observer, func() int) {
+		return func() (Observer, func() int) {
+			a := NewIPCentric(fam, length)
+			return a, func() (n int) {
+				a.users.each(func(_ uint64, u *userPrefixes) { n += count(u.pfx) })
+				return n
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		// bound is in bytes per entry. The comment gives the cost
+		// measured on x86-64, then the lower of the costs measured with
+		// 24-byte keys and with 8-byte days.
+		bound float64
+		make  func() (a Observer, entries func() int)
+	}{
+		{"usercentric", 27, func() (Observer, func() int) { // 22.7; 32.5
+			a := NewUserCentricFor(false)
+			return a, func() (n int) {
+				a.users.each(func(_ uint64, u *userAddrs) { n += count(u.v4, u.v6) })
+				return n
+			}
+		}},
+		{"ipcentric v4/32", 25, ic(netaddr.IPv4, 32)},   // 21.0; 29.5
+		{"ipcentric v6/128", 64, ic(netaddr.IPv6, 128)}, // 53.6; 76.5
+		{"ipcentric v6/64", 46, ic(netaddr.IPv6, 64)},   // 41.1; 51.4
+		{"churn", 35, func() (Observer, func() int) { // 32.6; 37.6
+			a := NewChurnAttribution(oracleCountFrom)
+			return a, func() (n int) {
+				a.users.each(func(_ uint64, u *userFirsts) { n += count(u.addrs, u.p64, u.p44) })
+				return n
+			}
+		}},
+		{"lifespans", 39, func() (Observer, func() int) { // 35.3; 44.9
+			a := NewLifespans(oracleRef, 64, 128, 32)
+			return a, a.Pairs
+		}},
+		{"prevalence", 16.5, func() (Observer, func() int) { // 14.9; 18.4
+			a := NewPrevalence()
+			return a, func() (n int) {
+				a.users.each(func(_ uint64, u *userMasks) { n += count(u.days, u.asns, u.countries) })
+				return n
+			}
+		}},
+	} {
+		_, before := liveHeap()
+		a, entries := c.make()
+		for _, o := range stream {
+			if _, prev := a.(*Prevalence); !prev || !o.Abusive {
+				a.Observe(o)
+			}
+		}
+		_, after := liveHeap()
+		n := entries()
+		if per := float64(after-before) / float64(n); per > c.bound {
+			t.Errorf("%s retains %.1f bytes per (user, key) entry over %d entries, want at most %.1f", c.name, per, n, c.bound)
 		}
 	}
 }

@@ -20,17 +20,16 @@ type IPCentric struct {
 	Family netaddr.Family
 
 	users userTable[userPrefixes]
-	pfx   keyPool[netaddr.Addr, struct{}]
-	// prefixes tallies each prefix's users, keyed by the prefix's base
-	// address: one per (user, prefix) entry, counted when the entry is
-	// added.
-	prefixes map[netaddr.Addr]prefixUsers
+	pfx   keyPool[addrKey, struct{}]
+	// prefixes tallies each prefix's users, keyed like pfx: one per
+	// (user, prefix) entry, counted when the entry is added.
+	prefixes map[addrKey]prefixUsers
 }
 
-// userPrefixes holds one user's distinct prefixes, by base address, in
-// the pfx pool, and the abusive label of its first record. Abusive
-// account IDs are disjoint from benign user IDs, so every record of a
-// user carries the same label.
+// userPrefixes holds one user's distinct prefixes, in the pfx pool,
+// and the abusive label of its first record. Abusive account IDs are
+// disjoint from benign user IDs, so every record of a user carries the
+// same label.
 type userPrefixes struct {
 	pfx     keyList
 	abusive bool
@@ -55,7 +54,7 @@ func (p prefixUsers) users() int   { return p.benign() + p.abusive() }
 
 // NewIPCentric returns an analyzer for one family and prefix length.
 func NewIPCentric(fam netaddr.Family, length int) *IPCentric {
-	return &IPCentric{Length: length, Family: fam, prefixes: make(map[netaddr.Addr]prefixUsers)}
+	return &IPCentric{Length: length, Family: fam, prefixes: make(map[addrKey]prefixUsers)}
 }
 
 // Observe feeds one observation.
@@ -67,7 +66,7 @@ func (ic *IPCentric) Observe(o telemetry.Observation) {
 	if added {
 		u.abusive = o.Abusive
 	}
-	p := netaddr.PrefixFrom(o.Addr, ic.Length).Addr()
+	p := keyOf(netaddr.PrefixFrom(o.Addr, ic.Length).Addr())
 	if _, added := ic.pfx.slot(&u.pfx, p); !added {
 		return
 	}
@@ -96,7 +95,7 @@ func (ic *IPCentric) Merge(other *IPCentric) {
 	ic.users.merge(&other.users, func(u *userPrefixes, _ int) {
 		u.pfx.rebase(base)
 	}, func(into, from *userPrefixes, _ int) {
-		ic.pfx.merge(&into.pfx, &from.pfx, func(p netaddr.Addr, _ *struct{}, _ struct{}) {
+		ic.pfx.merge(&into.pfx, &from.pfx, func(p addrKey, _ *struct{}, _ struct{}) {
 			ic.prefixes[p] -= popOf(into.abusive)
 		})
 	})
@@ -180,8 +179,8 @@ type HeavyPrefix struct {
 // TopPrefixes returns the k most user-populated prefixes, descending.
 func (ic *IPCentric) TopPrefixes(k int) []HeavyPrefix {
 	tops := make([]HeavyPrefix, 0, len(ic.prefixes))
-	for a, pop := range ic.prefixes {
-		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(a, ic.Length), Users: pop.users(), Abusive: pop.abusive()})
+	for k, pop := range ic.prefixes {
+		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(k.addr(ic.Family), ic.Length), Users: pop.users(), Abusive: pop.abusive()})
 	}
 	sort.Slice(tops, func(i, j int) bool {
 		if tops[i].Users != tops[j].Users {
@@ -218,10 +217,11 @@ func (ic *IPCentric) ConcentrationAbove(n int, asnOf func(netaddr.Addr) netmodel
 	var hc HeavyConcentration
 	perASN := make(map[netmodel.ASN]int)
 	structured := 0
-	for a, pop := range ic.prefixes {
+	for k, pop := range ic.prefixes {
 		if pop.users() <= n {
 			continue
 		}
+		a := k.addr(ic.Family)
 		hc.Heavy++
 		if asnOf != nil {
 			perASN[asnOf(a)]++

@@ -17,40 +17,51 @@ import (
 type Lifespans struct {
 	// Ref is the reference day (the paper uses Apr 19).
 	Ref simtime.Day
-	// lengths are the distinct prefix lengths tracked per family; /32
-	// covers IPv4 addresses, /128 IPv6 addresses.
-	lengths []int
-	// users holds a row of key lists per user, one per tracked length
-	// (indexed like lengths), each in the pool of the same index: the
-	// user's prefixes at that length, by base address, and their lives.
-	// A table without lengths still has one (unused) list per user and
-	// one pool, so rows and pools line up.
+	// cols are the tracked (prefix length, family) pairs: each distinct
+	// length once per family it fits, in the order given; /32 covers
+	// IPv4 addresses, /128 IPv6 addresses. A pool holds one family, so
+	// 0.0.0.0/L and ::/L, which share their words, stay distinct.
+	cols []lifeCol
+	// users holds a row of key lists per user, one per column (indexed
+	// like cols), each in the pool of the same index: the user's
+	// prefixes at that length and family, and their lives. A table
+	// without columns still has one (unused) list per user and one
+	// pool, so rows and pools line up.
 	users userTable[keyList]
-	pools []keyPool[netaddr.Addr, pairLife]
+	pools []keyPool[addrKey, pairLife]
 	// pairs counts the (user, prefix) entries across all users.
 	pairs int
 	// abusiveOnly/benignOnly restrict the population.
 	abusiveOnly, benignOnly bool
 }
 
+type lifeCol struct {
+	length int
+	fam    netaddr.Family
+}
+
 type pairLife struct {
-	first simtime.Day
+	first int32
 	onRef bool
 }
 
 // NewLifespans returns an analyzer for the given reference day and
-// prefix lengths. Lengths longer than a family's width are skipped per
-// observation, so one list can mix IPv4 and IPv6 lengths; a repeated
-// length is tracked once.
+// prefix lengths. A length is tracked for each family whose width it
+// fits, so one list can mix IPv4 and IPv6 lengths; a repeated length
+// is tracked once.
 func NewLifespans(ref simtime.Day, lengths ...int) *Lifespans {
 	l := &Lifespans{Ref: ref}
 	for _, length := range lengths {
-		if !slices.Contains(l.lengths, length) {
-			l.lengths = append(l.lengths, length)
+		// Each family as its zero address, which knows its width.
+		for _, zero := range [...]netaddr.Addr{netaddr.AddrFrom4(0), netaddr.AddrFrom6(0, 0)} {
+			c := lifeCol{length, zero.Family()}
+			if length <= zero.Bits() && !slices.Contains(l.cols, c) {
+				l.cols = append(l.cols, c)
+			}
 		}
 	}
-	l.users.width = len(l.lengths)
-	l.pools = make([]keyPool[netaddr.Addr, pairLife], l.users.w())
+	l.users.width = len(l.cols)
+	l.pools = make([]keyPool[addrKey, pairLife], l.users.w())
 	return l
 }
 
@@ -71,17 +82,17 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 		return
 	}
 	row, _ := l.users.row(o.UserID)
-	max := o.Addr.Bits()
-	for i, length := range l.lengths {
-		if length > max {
+	day := int32(o.Day)
+	for i, c := range l.cols {
+		if c.fam != o.Addr.Family() {
 			continue
 		}
-		p, added := l.pools[i].slot(&row[i], netaddr.PrefixFrom(o.Addr, length).Addr())
+		p, added := l.pools[i].slot(&row[i], keyOf(netaddr.PrefixFrom(o.Addr, c.length).Addr()))
 		if added {
-			p.first = o.Day
+			p.first = day
 			l.pairs++
-		} else if o.Day < p.first {
-			p.first = o.Day
+		} else if day < p.first {
+			p.first = day
 		}
 		if o.Day == l.Ref {
 			p.onRef = true
@@ -106,7 +117,7 @@ func (l *Lifespans) Merge(other *Lifespans) {
 	for i := range l.pools {
 		bases[i] = l.pools[i].adopt(&other.pools[i])
 	}
-	both := func(_ netaddr.Addr, p *pairLife, op pairLife) {
+	both := func(_ addrKey, p *pairLife, op pairLife) {
 		p.first = min(p.first, op.first)
 		p.onRef = p.onRef || op.onRef
 		l.pairs--
@@ -119,13 +130,12 @@ func (l *Lifespans) Merge(other *Lifespans) {
 }
 
 // onRefAges calls add with the age (days since first seen, 0 = first
-// seen on the reference day) of each of one user's pairs at the i-th
-// tracked length, of the family, that were seen on the reference day.
-func (l *Lifespans) onRefAges(row []keyList, i int, fam netaddr.Family, add func(age int)) {
-	lives := l.pools[i].valsOf(row[i])
-	for j, a := range l.pools[i].keysOf(row[i]) {
-		if p := lives[j]; p.onRef && a.Family() == fam {
-			add(int(l.Ref - p.first))
+// seen on the reference day) of each of one user's pairs in the i-th
+// column that were seen on the reference day.
+func (l *Lifespans) onRefAges(row []keyList, i int, add func(age int)) {
+	for _, p := range l.pools[i].valsOf(row[i]) {
+		if p.onRef {
+			add(int(l.Ref) - int(p.first))
 		}
 	}
 }
@@ -136,9 +146,9 @@ func (l *Lifespans) onRefAges(row []keyList, i int, fam netaddr.Family, add func
 // pairs" curves).
 func (l *Lifespans) AgeHist(fam netaddr.Family, length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
-	if i := slices.Index(l.lengths, length); i >= 0 {
+	if i := slices.Index(l.cols, lifeCol{length, fam}); i >= 0 {
 		l.users.eachRow(func(_ uint64, row []keyList) {
-			l.onRefAges(row, i, fam, h.Add)
+			l.onRefAges(row, i, h.Add)
 		})
 	}
 	return h
@@ -148,7 +158,7 @@ func (l *Lifespans) AgeHist(fam netaddr.Family, length int) *stats.IntHist {
 // (Figure 5's "User med" curves).
 func (l *Lifespans) MedianAgePerUser(fam netaddr.Family, length int) *stats.IntHist {
 	h := stats.NewIntHist(64)
-	i := slices.Index(l.lengths, length)
+	i := slices.Index(l.cols, lifeCol{length, fam})
 	if i < 0 {
 		return h
 	}
@@ -156,7 +166,7 @@ func (l *Lifespans) MedianAgePerUser(fam netaddr.Family, length int) *stats.IntH
 	add := func(age int) { ages = append(ages, age) }
 	l.users.eachRow(func(_ uint64, row []keyList) {
 		ages = ages[:0]
-		l.onRefAges(row, i, fam, add)
+		l.onRefAges(row, i, add)
 		if len(ages) > 0 {
 			h.Add(medianInt(ages))
 		}
@@ -187,7 +197,7 @@ type FreshShare struct {
 // FreshShares computes Figure 6's curves for the given family across
 // all configured lengths valid for it.
 func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
-	counts := make([][4]int, len(l.lengths)) // [pairs, <=1d, <=2d, <=3d]
+	counts := make([][4]int, len(l.cols)) // [pairs, <=1d, <=2d, <=3d]
 	var c *[4]int
 	tally := func(age int) {
 		c[0]++
@@ -202,19 +212,22 @@ func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
 		}
 	}
 	l.users.eachRow(func(_ uint64, row []keyList) {
-		for i := range l.lengths {
-			c = &counts[i]
-			l.onRefAges(row, i, fam, tally)
+		for i, col := range l.cols {
+			if col.fam == fam {
+				c = &counts[i]
+				l.onRefAges(row, i, tally)
+			}
 		}
 	})
+	// The other family's columns counted nothing, so they are skipped.
 	out := make([]FreshShare, 0, len(counts))
-	for i, length := range l.lengths {
+	for i, col := range l.cols {
 		c := counts[i]
 		if c[0] == 0 {
 			continue
 		}
 		fs := FreshShare{
-			Length:  length,
+			Length:  col.length,
 			Pairs:   c[0],
 			Within1: float64(c[1]) / float64(c[0]),
 			Within2: float64(c[2]) / float64(c[0]),

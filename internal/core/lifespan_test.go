@@ -40,6 +40,25 @@ func TestLifespanAges(t *testing.T) {
 	}
 }
 
+// TestLifespanMixedFamilies: at lengths that fit both families, an
+// IPv4 and an IPv6 address whose prefixes share their words (0.0.0.0/L
+// and ::/L) are two pairs, each counted in its own family's ages.
+func TestLifespanMixedFamilies(t *testing.T) {
+	ls := NewLifespans(10, 8, 32)
+	ls.Observe(obs(1, "0.0.0.1", 10, false))
+	ls.Observe(obs(1, "::1", 10, false))
+	if got := ls.Pairs(); got != 4 {
+		t.Fatalf("pairs = %d, want 2 per length", got)
+	}
+	for _, length := range []int{8, 32} {
+		for _, fam := range []netaddr.Family{netaddr.IPv4, netaddr.IPv6} {
+			if h := ls.AgeHist(fam, length); h.N() != 1 || h.Max() != 0 {
+				t.Fatalf("%v /%d: %d ages (max %d), want one of 0", fam, length, h.N(), h.Max())
+			}
+		}
+	}
+}
+
 func TestLifespanEarlierSightingLowersFirst(t *testing.T) {
 	ls := NewLifespans(10, 128)
 	// Out-of-order observation: later day first.

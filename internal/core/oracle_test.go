@@ -122,46 +122,68 @@ func oracleStream(seed uint64, users, days, heavy int) []telemetry.Observation {
 // digestQueries answers every query of the benchmark digest (plus
 // TopPrefixes and /44 spans) from a fed fullSet, keyed by query name.
 func digestQueries(f fullAnalyzers) map[string]any {
-	q := map[string]any{
-		"uc.users":       f.uc.Users(),
-		"uc.addrs.v4":    f.uc.AddrsPerUser(netaddr.IPv4),
-		"uc.addrs.v6":    f.uc.AddrsPerUser(netaddr.IPv6),
-		"uc.prefixes64":  f.uc.PrefixesPerUser(64),
-		"uc.spans":       f.uc.PrefixSpans(oracleSpanLengths),
-		"uc.patterns":    f.uc.AddrPatterns(),
-		"uc.top":         f.uc.TopUsersByAddrs(netaddr.IPv6, 10),
-		"churn":          f.churn.Breakdown(),
-		"life.pairs":     f.life.Pairs(),
-		"life.fresh.v6":  f.life.FreshShares(netaddr.IPv6),
-		"life.fresh.v4":  f.life.FreshShares(netaddr.IPv4),
-		"prev.daily":     f.prev.Daily(),
-		"prev.asns":      f.prev.TopASNs(1, 0, nil),
-		"prev.countries": f.prev.TopCountries(1, 0),
-	}
+	q := map[string]any{"churn": f.churn.Breakdown()}
+	userCentricQueries(q, f.uc)
 	for name, ic := range map[string]*IPCentric{"ic4": f.ic4, "ic128": f.ic128, "ic64": f.ic} {
-		q[name+".prefixes"] = ic.Prefixes()
-		q[name+".users"] = ic.UsersPerPrefix()
-		q[name+".benign"] = ic.BenignPerPrefix()
-		q[name+".abusive"] = ic.AbusivePerAbusivePrefix()
-		q[name+".benign_in_abusive"] = ic.BenignPerAbusivePrefix()
-		q[name+".top"] = ic.TopPrefixes(10)
+		ipCentricQueries(q, name, ic)
 	}
-	for _, fl := range oracleLifeLengths {
-		name := fmt.Sprintf("life.%v/%d", fl.fam, fl.length)
-		q[name+".age"] = f.life.AgeHist(fl.fam, fl.length)
-		q[name+".user_median_age"] = f.life.MedianAgePerUser(fl.fam, fl.length)
-	}
-	zero, underTen, total := f.prev.ASNShareBands(1)
-	q["prev.bands"] = [3]any{zero, underTen, total}
+	lifespanQueries(q, f.life, oracleLifeLengths)
+	prevalenceQueries(q, f.prev)
 	return q
+}
+
+// userCentricQueries adds uc's digest answers to q.
+func userCentricQueries(q map[string]any, uc *UserCentric) {
+	q["uc.users"] = uc.Users()
+	q["uc.addrs.v4"] = uc.AddrsPerUser(netaddr.IPv4)
+	q["uc.addrs.v6"] = uc.AddrsPerUser(netaddr.IPv6)
+	q["uc.prefixes64"] = uc.PrefixesPerUser(64)
+	q["uc.spans"] = uc.PrefixSpans(oracleSpanLengths)
+	q["uc.patterns"] = uc.AddrPatterns()
+	q["uc.top"] = uc.TopUsersByAddrs(netaddr.IPv6, 10)
+}
+
+// ipCentricQueries adds ic's digest answers to q, under name.
+func ipCentricQueries(q map[string]any, name string, ic *IPCentric) {
+	q[name+".prefixes"] = ic.Prefixes()
+	q[name+".users"] = ic.UsersPerPrefix()
+	q[name+".benign"] = ic.BenignPerPrefix()
+	q[name+".abusive"] = ic.AbusivePerAbusivePrefix()
+	q[name+".benign_in_abusive"] = ic.BenignPerAbusivePrefix()
+	q[name+".top"] = ic.TopPrefixes(10)
+}
+
+// lifespanQueries adds life's digest answers to q, with the age
+// histograms of each (family, length) in lengths.
+func lifespanQueries(q map[string]any, life *Lifespans, lengths []famLength) {
+	q["life.pairs"] = life.Pairs()
+	q["life.fresh.v6"] = life.FreshShares(netaddr.IPv6)
+	q["life.fresh.v4"] = life.FreshShares(netaddr.IPv4)
+	for _, fl := range lengths {
+		name := fmt.Sprintf("life.%v/%d", fl.fam, fl.length)
+		q[name+".age"] = life.AgeHist(fl.fam, fl.length)
+		q[name+".user_median_age"] = life.MedianAgePerUser(fl.fam, fl.length)
+	}
+}
+
+// prevalenceQueries adds prev's digest answers to q.
+func prevalenceQueries(q map[string]any, prev *Prevalence) {
+	q["prev.daily"] = prev.Daily()
+	q["prev.asns"] = prev.TopASNs(1, 0, nil)
+	q["prev.countries"] = prev.TopCountries(1, 0)
+	zero, underTen, total := prev.ASNShareBands(1)
+	q["prev.bands"] = [3]any{zero, underTen, total}
+}
+
+// famLength is one (family, prefix length) pair.
+type famLength struct {
+	fam    netaddr.Family
+	length int
 }
 
 var (
 	oracleSpanLengths = []int{32, 44, 48, 56, 64, 128}
-	oracleLifeLengths = []struct {
-		fam    netaddr.Family
-		length int
-	}{{netaddr.IPv6, 64}, {netaddr.IPv6, 128}, {netaddr.IPv4, 32}}
+	oracleLifeLengths = []famLength{{netaddr.IPv6, 64}, {netaddr.IPv6, 128}, {netaddr.IPv4, 32}}
 )
 
 // oraclePair is one (user, key) pair with the days it was seen on.

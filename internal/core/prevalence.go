@@ -14,10 +14,10 @@ import (
 type Prevalence struct {
 	// reqs sums each day's requests over IPv4 (reqs[0]) and IPv6
 	// (reqs[1]).
-	reqs  [2]map[simtime.Day]uint64
+	reqs  [2]map[int32]uint64
 	users userTable[userMasks]
 	// The users' mask lists, by field of userMasks.
-	dayMasks     keyPool[simtime.Day, uint8]
+	dayMasks     keyPool[int32, uint8]
 	asnMasks     keyPool[netmodel.ASN, uint8]
 	countryMasks keyPool[[2]byte, uint8]
 	// asn and country tally each entity's users and IPv6 users; they
@@ -64,7 +64,7 @@ func uncountMask[K comparable](m map[K]ratioTally, k K, a, b uint8) {
 // NewPrevalence returns an empty prevalence tracker.
 func NewPrevalence() *Prevalence {
 	return &Prevalence{
-		reqs:    [2]map[simtime.Day]uint64{make(map[simtime.Day]uint64), make(map[simtime.Day]uint64)},
+		reqs:    [2]map[int32]uint64{make(map[int32]uint64), make(map[int32]uint64)},
 		asn:     make(map[netmodel.ASN]ratioTally),
 		country: make(map[[2]byte]ratioTally),
 	}
@@ -77,10 +77,11 @@ func (p *Prevalence) Observe(o telemetry.Observation) {
 	if o.Addr.Is6() {
 		fam, mark = 1, 3
 	}
-	p.reqs[fam][o.Day] += uint64(o.Requests)
+	day := int32(o.Day)
+	p.reqs[fam][day] += uint64(o.Requests)
 
 	u, _ := p.users.get(o.UserID)
-	m, _ := p.dayMasks.slot(&u.days, o.Day)
+	m, _ := p.dayMasks.slot(&u.days, day)
 	*m |= mark
 
 	// ASN table: a user counts toward an ASN if they used it at all,
@@ -121,7 +122,7 @@ func (p *Prevalence) Merge(other *Prevalence) {
 		u.asns.rebase(ba)
 		u.countries.rebase(bc)
 	}, func(into, from *userMasks, _ int) {
-		p.dayMasks.merge(&into.days, &from.days, func(_ simtime.Day, m *uint8, om uint8) { *m |= om })
+		p.dayMasks.merge(&into.days, &from.days, func(_ int32, m *uint8, om uint8) { *m |= om })
 		p.asnMasks.merge(&into.asns, &from.asns, func(asn netmodel.ASN, m *uint8, om uint8) {
 			uncountMask(p.asn, asn, *m, om)
 			*m |= om
@@ -155,7 +156,8 @@ type DayShare struct {
 func (p *Prevalence) Daily() []DayShare {
 	perDay := make(map[simtime.Day]*DayShare)
 	for fam, reqs := range p.reqs {
-		for day, n := range reqs {
+		for d, n := range reqs {
+			day := simtime.Day(d)
 			s := perDay[day]
 			if s == nil {
 				s = &DayShare{Day: day}
@@ -170,7 +172,7 @@ func (p *Prevalence) Daily() []DayShare {
 	p.users.each(func(_ uint64, u *userMasks) {
 		masks := p.dayMasks.valsOf(u.days)
 		for i, day := range p.dayMasks.keysOf(u.days) {
-			if s := perDay[day]; s != nil {
+			if s := perDay[simtime.Day(day)]; s != nil {
 				s.Users++
 				if masks[i]&2 != 0 {
 					s.V6Users++

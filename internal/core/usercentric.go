@@ -24,7 +24,7 @@ import (
 // address patterns. The zero value is ready to use.
 type UserCentric struct {
 	users  userTable[userAddrs]
-	v4, v6 keyPool[netaddr.Addr, struct{}]
+	v4, v6 keyPool[addrKey, struct{}]
 	// abusiveOnly restricts accounting to abusive or benign entities.
 	abusiveOnly, benignOnly bool
 }
@@ -62,9 +62,9 @@ func (uc *UserCentric) Observe(o telemetry.Observation) {
 	}
 	u, _ := uc.users.get(o.UserID)
 	if o.Addr.Is4() {
-		uc.v4.slot(&u.v4, o.Addr)
+		uc.v4.slot(&u.v4, keyOf(o.Addr))
 	} else {
-		uc.v6.slot(&u.v6, o.Addr)
+		uc.v6.slot(&u.v6, keyOf(o.Addr))
 	}
 }
 
@@ -125,8 +125,8 @@ func (uc *UserCentric) PrefixSpans(lengths []int) []SpanShare {
 				return
 			}
 			clear(set)
-			for _, a := range uc.v6.keysOf(u.v6) {
-				set[netaddr.PrefixFrom(a, l)] = struct{}{}
+			for _, k := range uc.v6.keysOf(u.v6) {
+				set[netaddr.PrefixFrom(k.addr(netaddr.IPv6), l)] = struct{}{}
 			}
 			total++
 			switch n := len(set); {
@@ -162,8 +162,8 @@ func (uc *UserCentric) PrefixesPerUser(length int) *stats.IntHist {
 			return
 		}
 		clear(set)
-		for _, a := range uc.v6.keysOf(u.v6) {
-			set[netaddr.PrefixFrom(a, length)] = struct{}{}
+		for _, k := range uc.v6.keysOf(u.v6) {
+			set[netaddr.PrefixFrom(k.addr(netaddr.IPv6), length)] = struct{}{}
 		}
 		h.Add(len(set))
 	})
@@ -235,7 +235,8 @@ func (uc *UserCentric) AddrPatterns() ClientAddrPatterns {
 		var hasTeredo, has6to4, hasEUI, hasStruct, hasRandom bool
 		iids := make(map[uint64]struct{}, 4)
 		euiAddrs := 0
-		for _, a := range uc.v6.keysOf(u.v6) {
+		for _, k := range uc.v6.keysOf(u.v6) {
+			a := k.addr(netaddr.IPv6)
 			switch netaddr.Classify(a) {
 			case netaddr.KindTeredo:
 				hasTeredo = true

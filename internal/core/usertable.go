@@ -16,6 +16,34 @@ package core
 // objects are the chunks, not the users or keys. Merge adopts another
 // replica's chunks wholesale and rebases the handles of the users it
 // takes over, so it costs O(chunks + users), not O(keys).
+//
+// Keys and values are kept as narrow as the analyses allow. An address
+// or prefix is stored as its masked prefix's two 64-bit words, an
+// addrKey of 16 bytes instead of netaddr.Addr's 24. Every pool holds
+// one family, which its analyzer knows, so queries rebuild the address
+// from key and pool family. A day is stored as an int32, the width the
+// record format stores it in, not as an 8-byte simtime.Day.
+
+import "userv6/internal/netaddr"
+
+// addrKey is a masked address or prefix without its family: the key
+// of every address and prefix pool. A pool holds keys of one family,
+// so keyOf and addr convert between the two without loss.
+type addrKey struct{ hi, lo uint64 }
+
+// keyOf returns a's key.
+func keyOf(a netaddr.Addr) addrKey {
+	hi, lo := a.Words()
+	return addrKey{hi, lo}
+}
+
+// addr returns the address of family fam that k was taken from.
+func (k addrKey) addr(fam netaddr.Family) netaddr.Addr {
+	if fam == netaddr.IPv4 {
+		return netaddr.AddrFrom4(uint32(k.lo))
+	}
+	return netaddr.AddrFrom6(k.hi, k.lo)
+}
 
 // indexAt is the key-list length past which a list gets a hash index.
 // Shorter lists are scanned: a user-week holds a handful of addresses,

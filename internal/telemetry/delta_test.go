@@ -341,31 +341,4 @@ func BenchmarkWriterV2Auto(b *testing.B) { benchWriterV2Policy(b, "auto") }
 // BenchmarkReaderV2Delta measures CRC-verify + delta-decode + record
 // decode throughput. SetBytes uses the decoded size, so the number is
 // directly comparable to BenchmarkReaderV2 and BenchmarkReaderV2LZ.
-func BenchmarkReaderV2Delta(b *testing.B) {
-	obs := benchObs(64 * DefaultBlockRecords)
-	var buf bytes.Buffer
-	w, err := NewWriterV2Policy(&buf, DefaultBlockRecords, "delta")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, o := range obs {
-		if err := w.Write(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(obs)) * recordSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(buf.Bytes()))
-		n := 0
-		if err := r.ForEach(func(Observation) { n++ }); err != nil {
-			b.Fatal(err)
-		}
-		if n != len(obs) {
-			b.Fatalf("read %d of %d records", n, len(obs))
-		}
-	}
-}
+func BenchmarkReaderV2Delta(b *testing.B) { benchReaderV2Policy(b, "delta") }
