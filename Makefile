@@ -24,6 +24,7 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzWriterPolicyMatchesReference \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip \
+	./internal/dataset:FuzzMergeResume \
 	./internal/core:FuzzAnalyzerOracle \
 	./internal/core:FuzzKeyPool \
 	./internal/core:FuzzMergeLaws
@@ -62,13 +63,17 @@ race:
 # tests plus the crash sweeps — sharded exports and single-file runs
 # killed at injected faults (every frame boundary of every file in the
 # full sweeps, every manifest rewrite) must resume byte-identical — and
-# the merge's read-retry, output-write-error and cancellation tests.
+# the merge's read-retry, output-write-error and cancellation tests,
+# its resumed reads (parts torn at header, frame-header, payload and
+# last-byte offsets must still merge byte-identical) and the failures
+# a resumed read must not hide (a fault that never clears, a part
+# changed or gone between attempts, a missing part).
 # FAULTS_FLAGS=-short subsamples the truncation sweeps for the PR gate;
 # nightly runs them full.
 FAULTS_FLAGS ?=
 faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume' . ./internal/dataset
 
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the
@@ -95,12 +100,14 @@ bench-check:
 	cd bench/userv6bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzz smoke over every decoder fuzz target, the encoder
-# differentials against the reference encoders, the analyzer oracle,
-# the key-pool differential against a map reference, and the Merge
-# laws: catches panics, typed-error regressions, stored bytes that
-# depart from the reference writer, analyzer answers that depart from
-# the oracle, key lists that depart from their reference, and folds
-# that depend on order or split, without a long campaign.
+# differentials against the reference encoders, merge reads resumed
+# after faults at fuzzed offsets, the analyzer oracle, the key-pool
+# differential against a map reference, and the Merge laws: catches
+# panics, typed-error regressions, stored bytes that depart from the
+# reference writer, a resumed merge that departs from the single-writer
+# file, analyzer answers that depart from the oracle, key lists that
+# depart from their reference, and folds that depend on order or split,
+# without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

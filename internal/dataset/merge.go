@@ -7,6 +7,12 @@
 // says exactly how much of each part survived — the tolerant-merge
 // shape the hitlist pipelines apply to partially damaged corpora.
 //
+// A merge runs in memory that does not grow with its parts: no part is
+// read whole. Each streams once through one frame-walker window that
+// every part of the merge shares, its bytes feeding the part's CRC32C
+// as they pass, and a read that fails reopens the part and resumes at
+// the byte it reached (partReader), so a retry never repeats a record.
+//
 // Two things keep the pass from being the pipeline's slowest: the
 // salvage scan and record decode of each part run on their own
 // goroutine, overlapping the output writer's re-encode, and a stored
@@ -25,9 +31,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"userv6/internal/faultio"
 	"userv6/internal/retry"
@@ -38,9 +45,12 @@ import (
 type MergeOptions struct {
 	// Retry is the backoff policy applied to transient I/O errors while
 	// reading parts (zero value = retry defaults: 3 retries, 50ms base,
-	// 2s cap, jittered). Decoding is retry-safe: a part is read fully
-	// into memory before any record is emitted, so a retried read can
-	// never duplicate records.
+	// 2s cap, jittered). MaxRetries budgets each part's re-attempts,
+	// opens and reads together. A part is streamed, never held whole: a
+	// failed read reopens the part and resumes at the byte offset it
+	// reached, so every byte is decoded once and a retried read can
+	// never duplicate records. A part that vanished or changed between
+	// attempts fails the merge with *PartChangedError.
 	Retry retry.Policy
 	// FS is the filesystem parts are read through (nil = the real OS).
 	// The fault-injection tests point it at a faultio.Injector.
@@ -125,12 +135,13 @@ type MergeReport struct {
 }
 
 // Merge folds the given part files, in order, into one dataset at out
-// carrying meta. Each part is read with capped-exponential-backoff
-// retries on transient I/O errors (the shared retry policy), then
-// salvaged: intact blocks are re-emitted through the output writer,
-// corrupt blocks are skipped and reported. The output is finalized
-// (complete, checksummed header) even when parts were damaged — the
-// report says what was lost.
+// carrying meta. Each part is streamed with capped-exponential-backoff
+// retries on transient I/O errors (the shared retry policy) and
+// salvaged as it streams: intact blocks are re-emitted through the
+// output writer, corrupt blocks are skipped and reported. The output is
+// finalized (complete, checksummed header) even when parts were damaged
+// — the report says what was lost. A part that cannot be read within
+// its retries fails the merge: that is an I/O failure, not damage.
 func Merge(out string, meta Meta, parts []string, opts *MergeOptions) (MergeReport, error) {
 	return MergeCtx(context.Background(), out, meta, parts, opts)
 }
@@ -188,14 +199,40 @@ func MergeManifestCtx(ctx context.Context, out, manifestPath string, opts *Merge
 // corpus fails later in far more confusing ways.
 var ErrCodecMismatch = errors.New("dataset: part frame codec disagrees with declared codec")
 
+// PartChangedError reports a part that vanished, or whose size or
+// modification time changed, between two read attempts of one merge. A
+// retried read resumes at the byte the failed one reached, which is
+// only sound on the file the first attempt opened: the merge fails
+// rather than splice two files.
+type PartChangedError struct {
+	Part   string // the part's path
+	Reason string // "vanished", or how its size or modification time changed
+}
+
+func (e *PartChangedError) Error() string {
+	return fmt.Sprintf("dataset: part %s changed between read attempts: %s", e.Part, e.Reason)
+}
+
+// merger is what every part of one merge shares: the output writer, one
+// frame walker whose window serves part after part, its decode buffer,
+// and one set of block buffer pools.
+type merger struct {
+	w    *Writer
+	opt  MergeOptions
+	br   telemetry.BlockReader
+	dec  []byte
+	bufs pools
+}
+
 func mergeInto(ctx context.Context, w *Writer, parts []string, opt MergeOptions) (MergeReport, error) {
 	var rep MergeReport
 	rep.Complete = true
+	m := &merger{w: w, opt: opt}
 	for _, path := range parts {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		cov, err := mergePart(ctx, w, path, opt)
+		cov, err := m.part(ctx, path)
 		if err != nil {
 			return rep, fmt.Errorf("dataset: merge %s: %w", path, err)
 		}
@@ -211,13 +248,13 @@ func mergeInto(ctx context.Context, w *Writer, parts []string, opt MergeOptions)
 	return rep, nil
 }
 
-func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (PartCoverage, error) {
+func (m *merger) part(ctx context.Context, path string) (PartCoverage, error) {
 	cov := PartCoverage{Name: filepath.Base(path), ChecksumOK: true, CodecOK: true}
-	data, retries, err := readFileRetry(ctx, path, opt)
-	cov.Retries = retries
+	pr, err := openPart(ctx, m.opt, path)
 	if err != nil {
 		return cov, err
 	}
+	defer pr.close()
 
 	// The codec the part is supposed to be stored under: the manifest
 	// entry when there is one, otherwise the part's own header. A raw
@@ -225,30 +262,36 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 	// checked against it.
 	var declared string
 	var haveDeclared bool
-	want, fromManifest := opt.Expected[cov.Name]
+	want, fromManifest := m.opt.Expected[cov.Name]
 	if fromManifest {
 		cov.BlocksExpected = int(want.Blocks)
-		got := fmt.Sprintf("%08x", crc32.Checksum(data, headerCastagnoli))
-		cov.ChecksumOK = got == want.CRC32C
 		declared, haveDeclared = want.Codec, true
 	}
 
 	// Strip the dataset header when present; a raw stream (signature at
 	// byte zero) is salvaged whole; a verified header pins its version.
-	stream, pin := data, 0
-	if !isRawStream(data) {
-		if len(data) < headerSize {
-			cov.SkippedBytes = int64(len(data))
-			return cov, nil
-		}
-		pm, err := parseHeader(data[:headerSize])
+	// A part too short to hold a header has nothing to salvage.
+	hdr := make([]byte, headerSize)
+	n, err := io.ReadFull(pr, hdr)
+	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return cov, err
+	}
+	hdr = hdr[:n]
+	var stream io.Reader = pr
+	pin := 0
+	switch {
+	case isRawStream(hdr):
+		stream = io.MultiReader(bytes.NewReader(hdr), pr)
+	case n < headerSize:
+		stream = nil
+	default:
+		pm, err := parseHeader(hdr)
 		if err == nil {
 			pin = streamPin(pm)
 		}
 		if !haveDeclared && (err == nil || errors.Is(err, ErrHeaderCRC)) {
 			declared, haveDeclared = pm.Codec, true
 		}
-		stream = data[headerSize:]
 	}
 
 	// Passthrough of stored frames is only provably byte-identical when
@@ -259,14 +302,33 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 	// the same policy — otherwise its blocks are decoded and re-encoded,
 	// which costs CPU but never bytes.
 	passOK := true
-	if chain, ok := telemetry.CodecChainByName(w.meta.Codec); ok && len(chain) > 1 {
+	if chain, ok := telemetry.CodecChainByName(m.w.meta.Codec); ok && len(chain) > 1 {
 		passOK = haveDeclared &&
-			telemetry.CanonicalPolicy(declared) == telemetry.CanonicalPolicy(w.meta.Codec)
+			telemetry.CanonicalPolicy(declared) == telemetry.CanonicalPolicy(m.w.meta.Codec)
 	}
 
-	sr, serr, werr := mergeStream(w, stream, pin, passOK)
-	if werr != nil {
-		return cov, werr
+	var sr telemetry.SalvageReport
+	var serr error
+	if stream != nil {
+		var werr error
+		if sr, serr, werr = m.stream(stream, pin, passOK); werr != nil {
+			return cov, werr
+		}
+	}
+	// The walk read the part to its end, so this drains nothing but
+	// returns a read that still failed once its retries were spent: that
+	// fails the merge rather than count as damage.
+	_, err = io.Copy(io.Discard, pr)
+	cov.Retries = pr.retries
+	if err != nil {
+		return cov, err
+	}
+	if fromManifest {
+		cov.ChecksumOK = fmt.Sprintf("%08x", pr.crc) == want.CRC32C
+	}
+	if stream == nil {
+		cov.SkippedBytes = int64(n)
+		return cov, nil
 	}
 	cov.BlocksRecovered = sr.Blocks
 	cov.CorruptBlocks = sr.CorruptBlocks
@@ -284,7 +346,7 @@ func mergePart(ctx context.Context, w *Writer, path string, opt MergeOptions) (P
 	if haveDeclared {
 		if err := CheckPartCodecs(declared, sr.Codecs); err != nil {
 			cov.CodecOK = false
-			if !opt.Tolerant {
+			if !m.opt.Tolerant {
 				return cov, err
 			}
 		}
@@ -336,34 +398,35 @@ func CheckPartCodecs(declared string, observed telemetry.CodecSet) error {
 // four, and sixteen no faster than four.
 const mergeQueue = 4
 
-// mergeStream salvages one part's stream into the output writer. A
-// scanner goroutine walks the part tolerantly (the walker verifies and
-// decodes each frame) and decodes every intact block's records into a
-// pooled slice. The calling goroutine writes the blocks in stream
-// order, so the output bytes match a sequential merge exactly. When
-// passOK (the caller established policy compatibility) the writer
-// first offers the stored frame to writeEncodedBlock, whose own
-// precondition check (no partial block pending, a full block, a codec
-// the writer could have chosen) decides passthrough; otherwise the
-// block's records are re-emitted. scanErr reports an unrecognizable
-// stream (non-fatal to the merge); writeErr an output-side failure.
-func mergeStream(w *Writer, stream []byte, pin int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
+// stream salvages one part's stream into the output writer. A scanner
+// goroutine walks the part tolerantly through the merge's one walker
+// (which verifies and decodes each frame) and decodes every intact
+// block's records into a pooled slice. The calling goroutine writes the
+// blocks in stream order, so the output bytes match a sequential merge
+// exactly. When passOK (the caller established policy compatibility)
+// the writer first offers the stored frame to writeEncodedBlock, whose
+// own precondition check (no partial block pending, a full block, a
+// codec the writer could have chosen) decides passthrough; otherwise
+// the block's records are re-emitted. scanErr reports an unrecognizable
+// stream (non-fatal to the merge) or a failed read; writeErr an
+// output-side failure.
+func (m *merger) stream(r io.Reader, pin int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
 	type block struct {
 		raw  telemetry.RawBlock
 		recs []telemetry.Observation
 	}
-	var bufs pools
 	blocks := make(chan block, mergeQueue)
+	m.br.Reset(r, pin)
 	go func() {
 		defer close(blocks)
-		br := telemetry.NewBlockReaderVersion(bytes.NewReader(stream), pin)
-		raw, dec, err := br.NextIntact(nil)
-		for ; err == nil; raw, dec, err = br.NextIntact(dec) {
+		raw, dec, err := m.br.NextIntact(m.dec)
+		for ; err == nil; raw, dec, err = m.br.NextIntact(dec) {
 			// The stored payload aliases the walker's window, which moves on.
-			raw.Payload = append(bufs.getPayload()[:0], raw.Payload...)
-			blocks <- block{raw: raw, recs: telemetry.AppendRecords(bufs.getRecs(), dec)}
+			raw.Payload = append(m.bufs.getPayload()[:0], raw.Payload...)
+			blocks <- block{raw: raw, recs: telemetry.AppendRecords(m.bufs.getRecs(), dec)}
+			m.dec = dec
 		}
-		if rep = br.Report(); err != io.EOF {
+		if rep = m.br.Report(); err != io.EOF {
 			scanErr = err
 		}
 	}()
@@ -372,10 +435,10 @@ func mergeStream(w *Writer, stream []byte, pin int, passOK bool) (rep telemetry.
 	// closes the channel.
 	for b := range blocks {
 		if writeErr == nil {
-			writeErr = writeMergedBlock(w, b.raw, b.recs, passOK)
+			writeErr = writeMergedBlock(m.w, b.raw, b.recs, passOK)
 		}
-		bufs.putPayload(b.raw.Payload)
-		bufs.putRecs(b.recs)
+		m.bufs.putPayload(b.raw.Payload)
+		m.bufs.putRecs(b.recs)
 	}
 	return rep, scanErr, writeErr
 }
@@ -397,20 +460,155 @@ func writeMergedBlock(w *Writer, raw telemetry.RawBlock, recs []telemetry.Observ
 	return nil
 }
 
-// readFileRetry reads path fully through the shared retry policy.
-// os.ErrNotExist is terminal on the first attempt: a missing part will
-// not appear by waiting.
-func readFileRetry(ctx context.Context, path string, opt MergeOptions) (data []byte, retries int, err error) {
-	retries, err = opt.Retry.Do(ctx, "merge:"+filepath.Base(path), func() error {
-		var rerr error
-		data, rerr = opt.FS.ReadFile(path)
-		if os.IsNotExist(rerr) {
-			return retry.Permanent(rerr)
+// partReader reads one part of a merge from its first byte to its last,
+// delivering each byte once however its reads fail, and feeds every
+// byte it delivers into the part's CRC32C. A failed read drops the
+// handle; the next Read reopens the part, seeks to the offset reached
+// and reads on, backing off under the merge's retry policy. One budget
+// of MaxRetries re-attempts covers the part's opens and reads. A part
+// that vanished, or whose size or modification time changed, between
+// attempts fails with *PartChangedError; a read that fails once the
+// budget is spent fails for good.
+type partReader struct {
+	ctx   context.Context
+	fsys  faultio.FS
+	path  string
+	pol   retry.Policy // MaxRetries: the part's re-attempts left
+	f     faultio.File // nil from a failed read until the reopen
+	cause error        // the failure that dropped f
+	off   int64        // bytes delivered
+	size  int64        // at the first open (-1 before it)
+	mod   time.Time    // at the first open
+	crc   uint32
+	// retries counts the re-attempts made; err is set once the part
+	// cannot be read.
+	retries int
+	err     error
+}
+
+// openPart opens path for a merge under opt's retry policy. A part
+// that does not exist fails at once: it will not appear by waiting.
+func openPart(ctx context.Context, opt MergeOptions, path string) (*partReader, error) {
+	p := &partReader{ctx: ctx, fsys: opt.FS, path: path, pol: opt.Retry, size: -1}
+	if p.pol.MaxRetries <= 0 {
+		p.pol.MaxRetries = retry.DefaultMaxRetries
+	}
+	if err := p.retry(nil, p.open); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// retry runs fn under the part's retry policy and charges the
+// re-attempts to its budget. failed, when non-nil, is a failure that
+// has already happened: Do is handed it as the first attempt's result,
+// so it backs off before calling fn.
+func (p *partReader) retry(failed error, fn func() error) error {
+	label := "merge:" + filepath.Base(p.path)
+	if p.pol.MaxRetries == 0 {
+		return fmt.Errorf("retry: %s: after %d retries: %w", label, p.retries, failed)
+	}
+	n, err := p.pol.Do(p.ctx, label, func() error {
+		if err := failed; err != nil {
+			failed = nil
+			return err
 		}
-		return rerr
+		return fn()
+	})
+	p.retries += n
+	p.pol.MaxRetries -= n
+	return err
+}
+
+// open opens the part and seeks to the offset reached. The first open
+// records the part's size and modification time; a reopen that finds
+// either changed, or the part gone, fails for good.
+func (p *partReader) open() error {
+	f, err := p.fsys.Open(p.path)
+	if err != nil {
+		return p.openErr(err)
+	}
+	fi, err := p.fsys.Stat(p.path)
+	if err != nil {
+		f.Close()
+		return p.openErr(err)
+	}
+	switch {
+	case p.size < 0:
+		p.size, p.mod = fi.Size(), fi.ModTime()
+	case fi.Size() != p.size || !fi.ModTime().Equal(p.mod):
+		f.Close()
+		return retry.Permanent(&PartChangedError{Part: p.path, Reason: fmt.Sprintf(
+			"%d bytes modified %s, was %d bytes modified %s", fi.Size(),
+			fi.ModTime().Format(time.RFC3339Nano), p.size, p.mod.Format(time.RFC3339Nano))})
+	}
+	if _, err := f.Seek(p.off, io.SeekStart); err != nil {
+		f.Close()
+		return err
+	}
+	p.f = f
+	return nil
+}
+
+// openErr classifies a failed open or stat: a missing part is final,
+// and a part that was there at the first open has vanished.
+func (p *partReader) openErr(err error) error {
+	switch {
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	case p.size < 0:
+		return retry.Permanent(err)
+	}
+	return retry.Permanent(&PartChangedError{Part: p.path, Reason: "vanished"})
+}
+
+// Read delivers the part's next bytes. After a failed read it first
+// reopens the part at the offset reached, within the retry budget.
+func (p *partReader) Read(b []byte) (int, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	if p.f != nil {
+		if n, err := p.read(b); n > 0 || p.f != nil {
+			return n, err
+		}
+	}
+	var n int
+	var rerr error
+	err := p.retry(p.cause, func() error {
+		if err := p.open(); err != nil {
+			return err
+		}
+		if n, rerr = p.read(b); n == 0 && p.f == nil {
+			return p.cause
+		}
+		return nil
 	})
 	if err != nil {
-		return nil, retries, err
+		p.err = err
+		return 0, err
 	}
-	return data, retries, nil
+	return n, rerr
+}
+
+// read reads from the open handle, counting what it delivers into the
+// offset and the checksum. A failure other than io.EOF drops the handle
+// and is kept as the cause of the retry to come; read reports the
+// bytes delivered before it and no error.
+func (p *partReader) read(b []byte) (int, error) {
+	n, err := p.f.Read(b)
+	p.off += int64(n)
+	p.crc = crc32.Update(p.crc, headerCastagnoli, b[:n])
+	if err != nil && err != io.EOF {
+		p.f.Close()
+		p.f, p.cause = nil, err
+		return n, nil
+	}
+	return n, err
+}
+
+func (p *partReader) close() {
+	if p.f != nil {
+		p.f.Close()
+	}
 }

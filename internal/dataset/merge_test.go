@@ -18,7 +18,7 @@ import (
 
 // writePart writes obs into a new dataset at path and returns the
 // part description a sharded exporter would record for it.
-func writePart(t *testing.T, path string, meta Meta, obs []telemetry.Observation) PartInfo {
+func writePart(t testing.TB, path string, meta Meta, obs []telemetry.Observation) PartInfo {
 	t.Helper()
 	w, err := Create(path, meta)
 	if err != nil {
@@ -191,7 +191,7 @@ func TestMergeRetriesTransientIO(t *testing.T) {
 	writePart(t, p1, meta, obs[300:])
 
 	in := faultio.New(faultio.OS, 1)
-	if err := in.Arm("flaky@part-0001.uv6:readfile:n=1:x=2:err"); err != nil {
+	if err := in.Arm("flaky@part-0001.uv6:read:n=1:x=2:err"); err != nil {
 		t.Fatal(err)
 	}
 	var slept []time.Duration
@@ -219,7 +219,7 @@ func TestMergeRetriesTransientIO(t *testing.T) {
 	// A part that never stops failing exhausts its retries and fails
 	// the merge.
 	in2 := faultio.New(faultio.OS, 1)
-	if err := in2.Arm("part-0001.uv6:readfile:x=-1:err"); err != nil {
+	if err := in2.Arm("part-0001.uv6:read:x=-1:err"); err != nil {
 		t.Fatal(err)
 	}
 	pol.MaxRetries = 2
@@ -282,7 +282,7 @@ func TestMergeCtxCancelled(t *testing.T) {
 	writePart(t, p0, meta, obs)
 
 	in := faultio.New(faultio.OS, 1)
-	if err := in.Arm("part-0000.uv6:readfile:x=-1:err"); err != nil {
+	if err := in.Arm("part-0000.uv6:read:x=-1:err"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

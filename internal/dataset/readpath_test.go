@@ -189,8 +189,8 @@ func raceEnabled() bool {
 
 // A tolerant read streams the file through the frame walker: its
 // allocation does not grow with the file, as a strict read's does not.
-// Holding the stream in memory, as salvage once did, costs the whole
-// file on every read.
+// Holding the stream in memory, as salvage and merge once did, costs
+// the whole file on every read.
 func TestReadAllocationFlat(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -223,6 +223,10 @@ func TestReadAllocationFlat(t *testing.T) {
 		"strict":   forEach(false),
 		"tolerant": forEach(true),
 		"scan":     func(path string) error { _, err := Scan(path); return err },
+		"merge": func(path string) error {
+			_, err := Merge(filepath.Join(t.TempDir(), "merged.uv6"), Meta{Seed: 3, Sample: "all"}, []string{path}, nil)
+			return err
+		},
 	} {
 		a, b := measure(read, small), measure(read, large)
 		if b > a+2<<20 {

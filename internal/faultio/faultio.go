@@ -96,11 +96,11 @@ const (
 	// ActionErr fails the operation with ErrTransient and no side
 	// effect; a retry succeeds once the failpoint's budget is spent.
 	ActionErr Action = "err"
-	// ActionShort performs half the requested write, then returns
-	// ErrTransient — the classic short-write tear.
+	// ActionShort performs half the requested read or write, then
+	// returns ErrTransient — the classic short-write tear.
 	ActionShort Action = "short"
-	// ActionTorn writes a seeded-random prefix of the buffer, then
-	// returns ErrTransient, tearing a frame at an arbitrary byte.
+	// ActionTorn reads or writes a seeded-random prefix of the buffer,
+	// then returns ErrTransient, tearing a frame at an arbitrary byte.
 	ActionTorn Action = "torn"
 	// ActionCrash simulates process death at this point: the triggering
 	// write persists only up to the crash offset (when the trigger is
@@ -138,10 +138,14 @@ type Failpoint struct {
 	// Times is how many matching calls fire once armed (0 means 1;
 	// negative means every call forever).
 	Times int
-	// Offset, for OpWrite with a non-negative value, fires when the
-	// file's byte offset crosses it: the write persists bytes up to
-	// exactly Offset, then the action applies. Use -1 or leave Nth/P
-	// triggers for offset-insensitive faults.
+	// Offset, when positive, fires on the OpWrite that crosses it (the
+	// mark lies strictly inside the write) or on the OpRead that would
+	// deliver byte Offset: the write persists, or the read delivers,
+	// the bytes before Offset, then the action applies. A retried read
+	// resuming at Offset reaches it again, so Times counts attempts at
+	// that byte. Only read and write take an offset; ArmPoint refuses
+	// it on any other op. Use -1 or Nth/P triggers for
+	// offset-insensitive faults.
 	Offset int64
 	// P, when positive, fires each matching call with probability P
 	// (drawn from the injector's seeded rng) instead of counting.
@@ -179,6 +183,9 @@ func (in *Injector) ArmPoint(fp Failpoint) error {
 	}
 	if !validActions[fp.Action] {
 		return fmt.Errorf("faultio: unknown action %q", fp.Action)
+	}
+	if fp.Offset > 0 && fp.Op != OpRead && fp.Op != OpWrite {
+		return fmt.Errorf("faultio: op %q takes no offset trigger (only read and write do)", fp.Op)
 	}
 	if fp.Path != "" {
 		if _, err := filepath.Match(fp.Path, "probe"); err != nil {
@@ -247,15 +254,17 @@ func (in *Injector) Points() []struct {
 }
 
 // hit is one fired fault: the action to apply, and for offset triggers
-// the number of bytes of the current write to persist first.
+// the number of bytes of the current read or write to let through
+// first.
 type hit struct {
 	action Action
-	keep   int // bytes of the buffer to write through; -1 = action decides
+	keep   int // bytes of the buffer to read or write through; -1 = action decides
 }
 
 // check consults the armed failpoints for an operation on name. off is
 // the file offset before the operation and n the buffer length
-// (negative when not a write). It returns nil when no failpoint fires.
+// (negative when not a read or write). It returns nil when no
+// failpoint fires.
 func (in *Injector) check(name string, op Op, off int64, n int) *hit {
 	if in.crashed.Load() {
 		return &hit{action: ActionCrash, keep: 0}
@@ -272,9 +281,14 @@ func (in *Injector) check(name string, op Op, off int64, n int) *hit {
 				continue
 			}
 		}
-		if fp.Offset > 0 && op == OpWrite {
-			// Offset trigger: fire on the write that crosses the mark.
-			if off >= fp.Offset || off+int64(n) <= fp.Offset {
+		if fp.Offset > 0 && (op == OpWrite || op == OpRead) {
+			// Offset trigger: fire on the write that crosses the mark, or
+			// on the read that would deliver it.
+			first := off
+			if op == OpWrite {
+				first++
+			}
+			if fp.Offset < first || fp.Offset >= off+int64(n) {
 				continue
 			}
 			if fp.hits >= fp.Times && fp.Times >= 0 {
@@ -389,6 +403,22 @@ type faultFile struct {
 	pos  int64 // sequential position (Seek/Write/Read advance it)
 }
 
+// keep is how many bytes of an n-byte read or write a fired hit lets
+// through before its error.
+func (in *Injector) keep(h *hit, n int) int {
+	switch {
+	case h.keep >= 0:
+		return h.keep
+	case h.action == ActionShort:
+		return n / 2
+	case h.action == ActionTorn:
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return in.src.Intn(n + 1)
+	}
+	return 0
+}
+
 func (ff *faultFile) Write(p []byte) (int, error) {
 	h := ff.in.check(ff.name, OpWrite, ff.pos, len(p))
 	if h == nil {
@@ -396,26 +426,16 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		ff.pos += int64(n)
 		return n, err
 	}
-	keep := 0
-	switch {
-	case h.keep >= 0:
-		keep = h.keep
-	case h.action == ActionShort:
-		keep = len(p) / 2
-	case h.action == ActionTorn:
-		ff.in.mu.Lock()
-		keep = ff.in.src.Intn(len(p) + 1)
-		ff.in.mu.Unlock()
-	}
-	if keep > 0 {
-		n, err := ff.f.Write(p[:keep])
+	n := 0
+	if keep := ff.in.keep(h, len(p)); keep > 0 {
+		var err error
+		n, err = ff.f.Write(p[:keep])
 		ff.pos += int64(n)
 		if err != nil {
 			return n, err
 		}
-		keep = n
 	}
-	return keep, ff.in.errFor(h)
+	return n, ff.in.errFor(h)
 }
 
 func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
@@ -425,20 +445,34 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	return ff.f.WriteAt(p, off)
 }
 
+// Read and ReadAt deliver the prefix a fired hit lets through, then its
+// error: a read that reaches the end of the file first still fails, so
+// every fired fault is one the reader sees.
 func (ff *faultFile) Read(p []byte) (int, error) {
-	if h := ff.in.check(ff.name, OpRead, ff.pos, len(p)); h != nil {
-		return 0, ff.in.errFor(h)
+	h := ff.in.check(ff.name, OpRead, ff.pos, len(p))
+	if h == nil {
+		n, err := ff.f.Read(p)
+		ff.pos += int64(n)
+		return n, err
 	}
-	n, err := ff.f.Read(p)
+	n, err := ff.f.Read(p[:ff.in.keep(h, len(p))])
 	ff.pos += int64(n)
-	return n, err
+	if err != nil && err != io.EOF {
+		return n, err
+	}
+	return n, ff.in.errFor(h)
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if h := ff.in.check(ff.name, OpRead, off, len(p)); h != nil {
-		return 0, ff.in.errFor(h)
+	h := ff.in.check(ff.name, OpRead, off, len(p))
+	if h == nil {
+		return ff.f.ReadAt(p, off)
 	}
-	return ff.f.ReadAt(p, off)
+	n, err := ff.f.ReadAt(p[:ff.in.keep(h, len(p))], off)
+	if err != nil && err != io.EOF {
+		return n, err
+	}
+	return n, ff.in.errFor(h)
 }
 
 func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {

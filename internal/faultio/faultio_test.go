@@ -3,6 +3,7 @@ package faultio
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -224,5 +225,154 @@ func TestSpecErrors(t *testing.T) {
 	}
 	if got := len(in.Points()); got != 2 {
 		t.Fatalf("armed %d failpoints, want 2", got)
+	}
+}
+
+// readChunks reads f to the end in chunk-byte reads, recording each
+// read's length and error.
+func readChunks(f File, chunk int) (got []byte, ns []int, errs []error) {
+	buf := make([]byte, chunk)
+	for {
+		n, err := f.Read(buf)
+		got = append(got, buf[:n]...)
+		ns, errs = append(ns, n), append(errs, err)
+		if err == io.EOF || len(errs) > 64 {
+			return got, ns, errs
+		}
+	}
+}
+
+// TestReadAtOffset: an offset failpoint on read fires on the read that
+// would deliver the marked byte, after delivering the bytes before it,
+// and the next read resumes at the mark. Reads before the mark are
+// untouched.
+func TestReadAtOffset(t *testing.T) {
+	data := make([]byte, 10000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	p := filepath.Join(t.TempDir(), "x.bin")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, action := range []Action{ActionErr, ActionShort, ActionTorn} {
+		t.Run(string(action), func(t *testing.T) {
+			in := New(OS, 5)
+			if err := in.Arm("x.bin:read:off=5000:" + string(action)); err != nil {
+				t.Fatal(err)
+			}
+			f, err := in.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			got, ns, errs := readChunks(f, 4096)
+			// 4096 clean, 904 then the fault, then the rest from 5000.
+			if ns[0] != 4096 || errs[0] != nil {
+				t.Fatalf("read 0 = %d, %v; the fault fired before its offset", ns[0], errs[0])
+			}
+			if ns[1] != 904 || !errors.Is(errs[1], ErrTransient) {
+				t.Fatalf("read 1 = %d, %v; want 904 bytes and ErrTransient", ns[1], errs[1])
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("read back %d bytes, not the file's %d", len(got), len(data))
+			}
+			if in.TotalHits() != 1 {
+				t.Fatalf("hits = %d, want 1", in.TotalHits())
+			}
+		})
+	}
+
+	// x=2 fires again on the read that resumes at the mark, delivering
+	// nothing; a ReadAt reaching the mark tears the same way.
+	in := New(OS, 5)
+	if err := in.Arm("x.bin:read:off=5000:x=2:err"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := in.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 6000)
+	if n, err := f.Read(buf); n != 5000 || !errors.Is(err, ErrTransient) {
+		t.Fatalf("first read = %d, %v", n, err)
+	}
+	if n, err := f.ReadAt(buf, 4000); n != 1000 || !errors.Is(err, ErrTransient) || !bytes.Equal(buf[:n], data[4000:5000]) {
+		t.Fatalf("ReadAt across the mark = %d, %v", n, err)
+	}
+	if n, err := f.Read(buf); n != 5000 || err != nil || !bytes.Equal(buf[:n], data[5000:]) {
+		t.Fatalf("read after the budget = %d, %v", n, err)
+	}
+}
+
+// TestShortAndTornReads: short reads deliver half the buffer and torn
+// reads a seeded-random prefix, then ErrTransient; the next read goes
+// on from where the prefix ended. A fault on the read that reaches the
+// end of the file still fails it.
+func TestShortAndTornReads(t *testing.T) {
+	data := bytes.Repeat([]byte("0123456789"), 10)
+	p := filepath.Join(t.TempDir(), "t.bin")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, action := range []Action{ActionShort, ActionTorn} {
+		t.Run(string(action), func(t *testing.T) {
+			in := New(OS, 7)
+			if err := in.ArmPoint(Failpoint{Path: "*.bin", Op: OpRead, Action: action}); err != nil {
+				t.Fatal(err)
+			}
+			f, err := in.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			got, ns, errs := readChunks(f, 100)
+			if !errors.Is(errs[0], ErrTransient) {
+				t.Fatalf("read 0 err = %v, want ErrTransient", errs[0])
+			}
+			if action == ActionShort && ns[0] != 50 {
+				t.Fatalf("short read delivered %d bytes, want 50", ns[0])
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("read back %q, want the file", got)
+			}
+		})
+	}
+
+	in := New(OS, 7)
+	if err := in.Arm("t.bin:read:n=2:short"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := in.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 200)
+	if n, err := f.Read(buf); n != 100 || err != nil {
+		t.Fatalf("first read = %d, %v", n, err)
+	}
+	if n, err := f.Read(buf); n != 0 || !errors.Is(err, ErrTransient) {
+		t.Fatalf("faulted read at end of file = %d, %v; want 0 and ErrTransient", n, err)
+	}
+	if n, err := f.Read(buf); n != 0 || err != io.EOF {
+		t.Fatalf("read after the fault = %d, %v; want EOF", n, err)
+	}
+}
+
+// TestOffsetOnlyOnReadAndWrite: an offset trigger means something only
+// for reads and writes, so arming one on any other op is refused.
+func TestOffsetOnlyOnReadAndWrite(t *testing.T) {
+	for op := range validOps {
+		in := New(OS, 0)
+		err := in.Arm("x.bin:" + string(op) + ":off=5:err")
+		if ok := op == OpRead || op == OpWrite; ok != (err == nil) {
+			t.Fatalf("op %s with off=: Arm error %v", op, err)
+		}
+		err = in.ArmPoint(Failpoint{Path: "x.bin", Op: op, Offset: 5, Action: ActionErr})
+		if ok := op == OpRead || op == OpWrite; ok != (err == nil) {
+			t.Fatalf("op %s with Offset 5: ArmPoint error %v", op, err)
+		}
 	}
 }

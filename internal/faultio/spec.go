@@ -8,14 +8,17 @@ package faultio
 //	failpoint := [name '@'] glob ':' op (':' trigger)* ':' action
 //	trigger   := 'n=' NUM   — arm at the NUM-th matching call (1-based)
 //	           | 'x=' NUM   — fire NUM times once armed (-1 = forever)
-//	           | 'off=' NUM — fire when a write crosses byte offset NUM
+//	           | 'off=' NUM — fire when a write crosses byte offset NUM,
+//	                          or on the read that would deliver byte NUM
+//	                          (read and write only)
 //	           | 'p=' FLOAT — fire each call with probability FLOAT
 //	action    := 'err' | 'short' | 'torn' | 'crash'
 //
 // Examples:
 //
 //	part-0002.uv6.tmp:write:off=41232:crash
-//	flaky@part-*.uv6:readfile:n=1:x=2:err
+//	flaky@part-*.uv6:read:n=1:x=2:err
+//	part-0001.uv6:read:off=300:err
 //	*.uv6m.tmp:create:n=2:crash
 
 import (

@@ -116,6 +116,14 @@ func NewBlockReaderVersion(r io.Reader, version int) *BlockReader {
 	return &BlockReader{w: walker{r: r, pin: version}}
 }
 
+// Reset makes the reader read src from its start, as
+// NewBlockReaderVersion(src, version) would, but keeps its window, so
+// one reader walks stream after stream without allocating another. The
+// zero BlockReader is ready for Reset.
+func (r *BlockReader) Reset(src io.Reader, version int) {
+	r.w = walker{r: src, pin: version, win: r.w.win}
+}
+
 // Next returns the next raw block. It checks only the frame header:
 // the payload checksum is left to the caller (RawBlock.Verify) so
 // verification can run concurrently across blocks. The payload is

@@ -198,7 +198,12 @@ func (g *Generator) UserDay(u *population.User, day simtime.Day, emit EmitFunc) 
 	// every day) and weekends (no work at all) differ, and is the
 	// mechanism behind Germany's lockdown IPv6 jump (Appendix A.2).
 	shiftToHome := 0.0
-	effW := make([]float64, len(u.Contexts))
+	var stackW [8]float64 // a user has a handful of contexts; more spill to the heap
+	effW := stackW[:]
+	if len(u.Contexts) > len(effW) {
+		effW = make([]float64, len(u.Contexts))
+	}
+	effW = effW[:len(u.Contexts)]
 	for i := range u.Contexts {
 		c := &u.Contexts[i]
 		w := c.Weight

@@ -191,3 +191,25 @@ func BenchmarkGenerateDay(b *testing.B) {
 		g.GenerateDay(simtime.Day(i%28), func(Observation) { n++ })
 	}
 }
+
+// Generation is the set-up cost of every export and analysis run, paid
+// once per (user, day): UserDay with an emit that keeps nothing must
+// allocate nothing, on weekdays, weekends and lockdown days alike.
+func TestUserDayAllocatesNothing(t *testing.T) {
+	g := testGen(t, 300)
+	n := 0
+	emit := func(Observation) { n++ }
+	for _, day := range []simtime.Day{10, 81, 84, 120} {
+		allocs := testing.AllocsPerRun(5, func() {
+			for i := range g.Pop.Users {
+				g.UserDay(&g.Pop.Users[i], day, emit)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("day %d: %.1f allocations per pass over %d users", day, allocs, len(g.Pop.Users))
+		}
+	}
+	if n == 0 {
+		t.Fatal("no observations generated")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -245,6 +246,51 @@ func TestWalkerReadError(t *testing.T) {
 				t.Fatalf("strict: %v, want the read error", err)
 			}
 			break
+		}
+	}
+}
+
+// One BlockReader Reset from stream to stream reads each exactly as a
+// fresh reader does, whatever the stream before it left behind (a
+// sticky error, a grown window, another version), and keeps the window
+// it grew for the largest frame.
+func TestBlockReaderReset(t *testing.T) {
+	v2 := v2Stream(t, frameObs(3000), 1024)
+	flipped := bytes.Clone(v2)
+	flipped[3] ^= 0x03
+	junk := make([]byte, 4096)
+	rand.New(rand.NewSource(3)).Read(junk)
+	streams := []struct {
+		name string
+		data []byte
+		pin  int
+	}{
+		{"big-frame", v2Stream(t, frameObs(40000), 40000), 0},
+		{"garbage", junk, 0},
+		{"lz", encodeV2LZ(t, frameObs(5*64), 64), 0},
+		{"v1", v1Stream(t, frameObs(2100)), 1},
+		{"pinned-empty", nil, 2},
+		{"pinned-flipped-signature", flipped, 2},
+		{"truncated", v2[:len(v2)-100], 0},
+		{"v2", v2, 0},
+	}
+	var br BlockReader
+	var win *byte
+	for _, s := range streams {
+		var want, got walked
+		wantRep, wantErr := walkReader(NewBlockReaderVersion(bytes.NewReader(s.data), s.pin), want.visit)
+		br.Reset(bytes.NewReader(s.data), s.pin)
+		gotRep, gotErr := walkReader(&br, got.visit)
+		if gotErr != wantErr || !gotRep.Equal(wantRep) {
+			t.Fatalf("%s: reset reader %+v, %v; fresh reader %+v, %v", s.name, gotRep, gotErr, wantRep, wantErr)
+		}
+		if !slices.Equal(got.blocks, want.blocks) || !slices.Equal(got.recs, want.recs) {
+			t.Fatalf("%s: reset reader delivered other blocks or records than a fresh one", s.name)
+		}
+		if win == nil {
+			win = &br.w.win[0]
+		} else if &br.w.win[0] != win {
+			t.Fatalf("%s: Reset gave up the window", s.name)
 		}
 	}
 }
