@@ -10,7 +10,6 @@ import (
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/simtime"
-	"userv6/internal/telemetry"
 )
 
 // PandemicWindowMetrics are the Appendix-A metrics for one week window.
@@ -31,43 +30,40 @@ type PandemicComparison struct {
 	Pre, Lockdown PandemicWindowMetrics
 }
 
-// ComparePandemic runs the Appendix-A robustness check.
-func (s *Sim) ComparePandemic() PandemicComparison {
-	return PandemicComparison{
-		Pre:      s.windowMetrics(20, 26),
-		Lockdown: s.windowMetrics(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd),
+// ComparePandemic registers the Appendix-A robustness check: a benign
+// UserCentric over the February week beside the analysis week's, and
+// Lifespans over each week's 14-day lookback.
+func (p *Paper) ComparePandemic() func() PandemicComparison {
+	pre := p.windowMetrics(20, 26, p.userCentric(false, 20, 26))
+	lockdown := p.windowMetrics(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd, p.weekUserCentric(false))
+	return func() PandemicComparison {
+		return PandemicComparison{Pre: pre(), Lockdown: lockdown()}
 	}
 }
 
-func (s *Sim) windowMetrics(from, to simtime.Day) PandemicWindowMetrics {
-	uc := core.NewUserCentricFor(false)
+// windowMetrics registers the Lifespans of the window [from, to] whose
+// users uc holds, and returns the window's metrics reader.
+func (p *Paper) windowMetrics(from, to simtime.Day, uc *core.UserCentric) func() PandemicWindowMetrics {
 	// Lifespans with a 14-day lookback so both windows use the same
 	// horizon (the February window has less history before it).
-	lookback := to - 13
-	if lookback < 0 {
-		lookback = 0
-	}
-	ls := core.NewLifespans(to, 32, 128).Restrict(false)
-	s.Benign.Generate(lookback, to, func(o telemetry.Observation) {
-		ls.Observe(o)
-		if o.Day >= from {
-			uc.Observe(o)
+	mk := func() *core.Lifespans { return core.NewLifespans(to, 32, 128).Restrict(false) }
+	ls := mk()
+	core.AddCommutativeAnalyzerFiltered(p.set, ls, mk, (*core.Lifespans).Merge, p.window(max(to-13, 0), to, true, false))
+	return func() PandemicWindowMetrics {
+		m := PandemicWindowMetrics{From: from, To: to}
+		m.MedianV4Addrs = uc.AddrsPerUser(netaddr.IPv4).Median()
+		m.MedianV6Addrs = uc.AddrsPerUser(netaddr.IPv6).Median()
+		for _, span := range uc.PrefixSpans([]int{64}) {
+			if span.Length == 64 {
+				m.SingleSlash64Share = span.One
+			}
 		}
-	})
-
-	m := PandemicWindowMetrics{From: from, To: to}
-	m.MedianV4Addrs = uc.AddrsPerUser(netaddr.IPv4).Median()
-	m.MedianV6Addrs = uc.AddrsPerUser(netaddr.IPv6).Median()
-	for _, span := range uc.PrefixSpans([]int{64}) {
-		if span.Length == 64 {
-			m.SingleSlash64Share = span.One
+		if h := ls.AgeHist(netaddr.IPv4, 32); h.N() > 0 {
+			m.FreshV4 = h.CDFAt(0)
 		}
+		if h := ls.AgeHist(netaddr.IPv6, 128); h.N() > 0 {
+			m.FreshV6 = h.CDFAt(0)
+		}
+		return m
 	}
-	if h := ls.AgeHist(netaddr.IPv4, 32); h.N() > 0 {
-		m.FreshV4 = h.CDFAt(0)
-	}
-	if h := ls.AgeHist(netaddr.IPv6, 128); h.N() > 0 {
-		m.FreshV6 = h.CDFAt(0)
-	}
-	return m
 }

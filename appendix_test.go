@@ -10,7 +10,7 @@ import (
 // both regimes.
 func TestPandemicRobustness(t *testing.T) {
 	sim := testSim(t)
-	c := sim.ComparePandemic()
+	c := runFigure(sim, (*Paper).ComparePandemic)
 
 	if c.Pre.From == c.Lockdown.From {
 		t.Fatal("windows identical")

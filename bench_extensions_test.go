@@ -7,6 +7,7 @@ package userv6
 import (
 	"testing"
 
+	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
 )
@@ -15,7 +16,9 @@ import (
 func BenchmarkBlocklistSweep(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		rs := sim.BlocklistSweep(DefaultBlocklistPolicies())
+		rs := runFigure(sim, func(p *Paper) func() []BlocklistSweepResult {
+			return p.BlocklistSweep(DefaultBlocklistPolicies())
+		})
 		if i == b.N-1 {
 			for _, r := range rs {
 				if r.Policy.Name == "/64 t=10% ttl=3" {
@@ -31,8 +34,11 @@ func BenchmarkBlocklistSweep(b *testing.B) {
 func BenchmarkRateLimitSweep(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		v6 := sim.RateLimitSweep(netaddr.IPv6, 128, []int{3})
-		v4 := sim.RateLimitSweep(netaddr.IPv4, 32, []int{3})
+		sweeps := runFigure(sim, func(p *Paper) func() [2][]core.RateLimitOutcome {
+			v6, v4 := p.RateLimitSweep(netaddr.IPv6, 128, []int{3}), p.RateLimitSweep(netaddr.IPv4, 32, []int{3})
+			return func() [2][]core.RateLimitOutcome { return [2][]core.RateLimitOutcome{v6(), v4()} }
+		})
+		v6, v4 := sweeps[0], sweeps[1]
 		if i == b.N-1 {
 			b.ReportMetric(v6[0].BenignShare*100, "v6_cap3_benign_%")
 			b.ReportMetric(v4[0].BenignShare*100, "v4_cap3_benign_%")
@@ -44,7 +50,7 @@ func BenchmarkRateLimitSweep(b *testing.B) {
 func BenchmarkSegments(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		rs := sim.Segments()
+		rs := runFigure(sim, (*Paper).Segments)
 		if i == b.N-1 {
 			for _, r := range rs {
 				switch r.Kind {
@@ -75,7 +81,7 @@ func BenchmarkSketchedOutliers(b *testing.B) {
 func BenchmarkTTLRecallCurve(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		v64 := sim.TTLRecallCurve(netaddr.IPv6, 64, 3)
+		v64 := runFigure(sim, func(p *Paper) func() []float64 { return p.TTLRecallCurve(netaddr.IPv6, 64, 3) })
 		if i == b.N-1 && len(v64) == 3 {
 			b.ReportMetric(v64[0]*100, "day1_recall_%")
 			b.ReportMetric(v64[2]*100, "day3_recall_%")
@@ -162,7 +168,7 @@ func BenchmarkDetectHijacks(b *testing.B) {
 func BenchmarkChurnReasons(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.ChurnReasons()
+		r := runFigure(sim, (*Paper).ChurnReasons)
 		if i == b.N-1 {
 			b.ReportMetric(r.Share(0)*100, "iid_rotation_%")
 			b.ReportMetric(r.Share(1)*100, "subnet_move_%")
@@ -175,7 +181,7 @@ func BenchmarkChurnReasons(b *testing.B) {
 func BenchmarkPandemic(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		c := sim.ComparePandemic()
+		c := runFigure(sim, (*Paper).ComparePandemic)
 		if i == b.N-1 {
 			b.ReportMetric(float64(c.Pre.MedianV6Addrs), "pre_v6_median")
 			b.ReportMetric(float64(c.Lockdown.MedianV6Addrs), "lockdown_v6_median")

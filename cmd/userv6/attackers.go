@@ -12,7 +12,7 @@ func init() {
 	experimentOrder = append(experimentOrder, "scrapers", "hijacks", "pandemic")
 	experiments["scrapers"] = experiment{"logged-out scraper defense (§8 future work)", ownPass(runScrapers)}
 	experiments["hijacks"] = experiment{"account-hijack detection (§8 future work)", ownPass(runHijacks)}
-	experiments["pandemic"] = experiment{"Appendix A pre/post-lockdown robustness", ownPass(runPandemic)}
+	experiments["pandemic"] = experiment{"Appendix A pre/post-lockdown robustness", show((*userv6.Paper).ComparePandemic, printPandemic)}
 }
 
 func runScrapers(sim *userv6.Sim) {
@@ -36,8 +36,7 @@ func runHijacks(sim *userv6.Sim) {
 	fmt.Println("\ndetector: established account suddenly on hosting/proxy space.")
 }
 
-func runPandemic(sim *userv6.Sim) {
-	c := sim.ComparePandemic()
+func printPandemic(c userv6.PandemicComparison) {
 	t := report.NewTable("metric", "pre-lockdown (Feb)", "lockdown (Apr)")
 	t.Row("median v4 addrs/user", c.Pre.MedianV4Addrs, c.Lockdown.MedianV4Addrs)
 	t.Row("median v6 addrs/user", c.Pre.MedianV6Addrs, c.Lockdown.MedianV6Addrs)

@@ -13,33 +13,35 @@ import (
 func init() {
 	experimentOrder = append(experimentOrder,
 		"segments", "blocklist-sweep", "ratelimit-sweep", "sketched", "ttlcurve")
-	experiments["segments"] = experiment{"per-network-type behavior (§8 future work)", ownPass(runSegments)}
-	experiments["blocklist-sweep"] = experiment{"multi-day blocklist policies with TTLs", ownPass(runBlocklistSweep)}
-	experiments["ratelimit-sweep"] = experiment{"per-prefix entity caps vs collateral", ownPass(runRateLimitSweep)}
+	experiments["segments"] = experiment{"per-network-type behavior (§8 future work)", show((*userv6.Paper).Segments, printSegments)}
+	experiments["blocklist-sweep"] = experiment{"multi-day blocklist policies with TTLs", show(func(p *userv6.Paper) func() []userv6.BlocklistSweepResult {
+		return p.BlocklistSweep(userv6.DefaultBlocklistPolicies())
+	}, printBlocklistSweep)}
+	experiments["ratelimit-sweep"] = experiment{"per-prefix entity caps vs collateral", addRateLimitSweep}
 	experiments["sketched"] = experiment{"fixed-memory heavy-hitter pipeline vs exact", ownPass(runSketched)}
-	experiments["ttlcurve"] = experiment{"indicator recall decay by age", ownPass(runTTLCurve)}
+	experiments["ttlcurve"] = experiment{"indicator recall decay by age", addTTLCurve}
 }
 
-func runSegments(sim *userv6.Sim) {
+func printSegments(reports []core.SegmentReport) {
 	t := report.NewTable("network kind", "users", "v6 users", "v6 requests", "med v4 addrs", "med v6 addrs")
-	for _, r := range sim.Segments() {
+	for _, r := range reports {
 		t.Row(r.Kind.String(), r.Users, report.Percent(r.V6UserShare), report.Percent(r.V6ReqShare),
 			r.MedianV4Addrs, r.MedianV6Addrs)
 	}
 	t.Write(os.Stdout)
 }
 
-func runBlocklistSweep(sim *userv6.Sim) {
+func printBlocklistSweep(results []userv6.BlocklistSweepResult) {
 	t := report.NewTable("policy", "TPR", "FPR", "final list size")
-	for _, r := range sim.BlocklistSweep(userv6.DefaultBlocklistPolicies()) {
+	for _, r := range results {
 		t.Row(r.Policy.Name, report.Percent(r.TPR), report.Percent(r.FPR), r.FinalListSize)
 	}
 	t.Write(os.Stdout)
 }
 
-func runRateLimitSweep(sim *userv6.Sim) {
+func addRateLimitSweep(p *userv6.Paper) func() {
 	caps := []int{1, 2, 3, 5, 10, 50}
-	for _, g := range []struct {
+	grans := []struct {
 		name   string
 		fam    netaddr.Family
 		length int
@@ -47,14 +49,21 @@ func runRateLimitSweep(sim *userv6.Sim) {
 		{"IPv6 /128", netaddr.IPv6, 128},
 		{"IPv6 /64", netaddr.IPv6, 64},
 		{"IPv4 addr", netaddr.IPv4, 32},
-	} {
-		fmt.Printf("-- %s --\n", g.name)
-		t := report.NewTable("cap", "benign throttled", "abusive throttled")
-		for _, o := range sim.RateLimitSweep(g.fam, g.length, caps) {
-			t.Row(o.Cap, report.Percent(o.BenignShare), report.Percent(o.AbusiveShare))
+	}
+	sweeps := make([]func() []core.RateLimitOutcome, len(grans))
+	for i, g := range grans {
+		sweeps[i] = p.RateLimitSweep(g.fam, g.length, caps)
+	}
+	return func() {
+		for i, g := range grans {
+			fmt.Printf("-- %s --\n", g.name)
+			t := report.NewTable("cap", "benign throttled", "abusive throttled")
+			for _, o := range sweeps[i]() {
+				t.Row(o.Cap, report.Percent(o.BenignShare), report.Percent(o.AbusiveShare))
+			}
+			t.Write(os.Stdout)
+			fmt.Println()
 		}
-		t.Write(os.Stdout)
-		fmt.Println()
 	}
 }
 
@@ -70,26 +79,28 @@ func runSketched(sim *userv6.Sim) {
 	t.Write(os.Stdout)
 }
 
-func runTTLCurve(sim *userv6.Sim) {
+func addTTLCurve(p *userv6.Paper) func() {
 	const horizon = 5
-	v128 := sim.TTLRecallCurve(netaddr.IPv6, 128, horizon)
-	v64 := sim.TTLRecallCurve(netaddr.IPv6, 64, horizon)
-	v4 := sim.TTLRecallCurve(netaddr.IPv4, 32, horizon)
-	t := report.NewTable("age (days)", "IPv6 /128", "IPv6 /64", "IPv4")
-	for k := 0; k < horizon; k++ {
-		t.Row(k+1, report.Percent(v128[k]), report.Percent(v64[k]), report.Percent(v4[k]))
+	v128 := p.TTLRecallCurve(netaddr.IPv6, 128, horizon)
+	v64 := p.TTLRecallCurve(netaddr.IPv6, 64, horizon)
+	v4 := p.TTLRecallCurve(netaddr.IPv4, 32, horizon)
+	return func() {
+		r128, r64, r4 := v128(), v64(), v4()
+		t := report.NewTable("age (days)", "IPv6 /128", "IPv6 /64", "IPv4")
+		for k := 0; k < horizon; k++ {
+			t.Row(k+1, report.Percent(r128[k]), report.Percent(r64[k]), report.Percent(r4[k]))
+		}
+		t.Write(os.Stdout)
+		fmt.Println("\nindicator value decays fastest at /128; /64 buys roughly one extra day.")
 	}
-	t.Write(os.Stdout)
-	fmt.Println("\nindicator value decays fastest at /128; /64 buys roughly one extra day.")
 }
 
 func init() {
 	experimentOrder = append(experimentOrder, "churn")
-	experiments["churn"] = experiment{"causes of new IPv6 addresses (§8 future work)", ownPass(runChurn)}
+	experiments["churn"] = experiment{"causes of new IPv6 addresses (§8 future work)", show((*userv6.Paper).ChurnReasons, printChurn)}
 }
 
-func runChurn(sim *userv6.Sim) {
-	b := sim.ChurnReasons()
+func printChurn(b core.ChurnBreakdown) {
 	report.NewTable("cause", "new pairs", "share").
 		Row("IID rotation (same /64)", b.IIDRotation, report.Percent(b.Share(0))).
 		Row("subnet move (same /44)", b.SubnetMove, report.Percent(b.Share(1))).

@@ -98,10 +98,13 @@ func show[R any](register func(*userv6.Paper) func() R, printer func(R)) func(*u
 	}
 }
 
-// ownPass adapts an experiment that generates its own telemetry (the
-// §8 and Appendix A extensions): it registers nothing and runs when it
-// prints. It collects the heap first, so the paper analyzers that were
-// dropped once printed are freed before it allocates its own.
+// ownPass adapts an experiment that generates its own telemetry: it
+// registers nothing and runs when it prints. It collects the heap
+// first, so the paper analyzers that were dropped once printed are
+// freed before it allocates its own. Three §8 extensions need it:
+// hijacks, whose detector depends on the order of sightings inside one
+// benign user's day; scrapers, which has its own generator; and
+// sketched, whose Space-Saving counters depend on feed order.
 func ownPass(run func(*userv6.Sim)) func(*userv6.Paper) func() {
 	return func(p *userv6.Paper) func() {
 		sim := p.Sim

@@ -143,6 +143,37 @@ func TestAllMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestExperimentAloneMatchesAll: each §8 and Appendix A extension that
+// registers on the paper pass prints, run alone at 1,500 users, exactly
+// its section of the seed-1 golden of all, below the run header. A
+// registration that reads other days alone than inside all fails it.
+func TestExperimentAloneMatchesAll(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "all-1500-seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, sections, _ := strings.Cut(string(golden), "\n\n")
+	for _, e := range []string{"segments", "blocklist-sweep", "ratelimit-sweep", "ttlcurve", "churn", "pandemic"} {
+		title := fmt.Sprintf("== %s: %s ==\n", e, experiments[e].desc)
+		_, section, ok := strings.Cut(sections, title)
+		if !ok {
+			t.Fatalf("%s: no section in the golden", e)
+		}
+		// all prints a blank line after each section.
+		if end := strings.Index(section, "\n== "); end >= 0 {
+			section = section[:end+1]
+		}
+		want := header + "\n\n" + strings.TrimSuffix(section, "\n")
+		stdout, stderr, code := runCLI(t, "-users", "1500", "-seed", "1", e)
+		if code != 0 {
+			t.Fatalf("%s: exit %d\nstderr: %s", e, code, stderr)
+		}
+		if stdout != want {
+			t.Errorf("%s alone differs from its section of all:\n%s", e, lineDiff(want, stdout))
+		}
+	}
+}
+
 // lineDiff shows where got departs from want: the lines between their
 // common leading and trailing lines, want's marked "-" and got's "+",
 // each with its line number and at most 40 of each.

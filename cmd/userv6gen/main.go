@@ -37,6 +37,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -175,11 +176,11 @@ func runGen(args []string) {
 	if !*resume {
 		switch {
 		case *users < 1:
-			usageError("-users must be at least 1, got %d", *users)
+			usageError("gen", "-users must be at least 1, got %d", *users)
 		case *from < 0:
-			usageError("-from must be at least 0, got %d", *from)
+			usageError("gen", "-from must be at least 0, got %d", *from)
 		case *from > *to:
-			usageError("-from must not exceed -to, got -from %d -to %d", *from, *to)
+			usageError("gen", "-from must not exceed -to, got -from %d -to %d", *from, *to)
 		}
 	}
 
@@ -459,10 +460,13 @@ func runMerge(args []string) {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	out := fs.String("o", "merged.uv6", "output path for the merged dataset")
 	manifest := fs.String("manifest", "", "manifest.uv6m path (parts resolved next to it)")
-	retries := fs.Int("retries", 3, "max retries per part on transient I/O errors")
+	retries := fs.Int("retries", 3, "max retries per part on transient I/O errors (0: none)")
 	strict := fs.Bool("strict", false, "fail on any damaged part instead of skipping corrupt blocks")
 	tolerant := fs.Bool("tolerant", false, "admit parts whose frame codecs disagree with their declared codec")
 	fs.Parse(args)
+	if *retries < 0 {
+		usageError("merge", "-retries must be at least 0, got %d", *retries)
+	}
 
 	// A SIGINT/SIGTERM aborts the merge between parts and interrupts any
 	// in-flight backoff sleep instead of blocking it out.
@@ -470,7 +474,7 @@ func runMerge(args []string) {
 	defer stop()
 
 	opts := &dataset.MergeOptions{
-		Retry:  retry.Policy{MaxRetries: *retries},
+		Retry:  mergeRetry(*retries),
 		Strict: *strict, Tolerant: *tolerant,
 	}
 	var (
@@ -957,10 +961,16 @@ func closeProfile(f faultio.File, path string) error {
 	return nil
 }
 
-// usageError reports a flag value gen cannot mean and exits 2, before
-// anything is written.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "userv6gen: gen: "+format+"\n", args...)
+// mergeRetry is merge's retry policy for -retries n (n >= 0): n
+// re-attempts per part, none at 0.
+func mergeRetry(n int) retry.Policy {
+	return retry.Policy{MaxRetries: cmp.Or(n, retry.NoRetries)}
+}
+
+// usageError reports a flag value subcommand cmd cannot mean and exits
+// 2, before anything is written.
+func usageError(cmd, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "userv6gen: "+cmd+": "+format+"\n", args...)
 	os.Exit(2)
 }
 

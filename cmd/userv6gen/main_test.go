@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"userv6/internal/dataset"
+	"userv6/internal/faultio"
 )
 
 func TestMain(m *testing.M) {
@@ -283,5 +288,35 @@ func TestGenRefusesImpossibleWindow(t *testing.T) {
 	mustRun(t, "gen", "-users", "50", "-from", "81", "-to", "81", "-o", out)
 	if stdout := mustRun(t, "gen", "-resume", "-from", "10", "-to", "5", "-o", out); !strings.HasPrefix(stdout, "resumed "+out) {
 		t.Fatalf("gen -resume -from 10 -to 5 printed %q", stdout)
+	}
+}
+
+// TestMergeRetriesZeroMeansNone: `merge -retries 0` turns re-attempts
+// off. Under its policy, a part whose reads always fail is read once,
+// never slept on, and fails the merge after 0 retries; a negative
+// -retries is refused with exit 2.
+func TestMergeRetriesZeroMeansNone(t *testing.T) {
+	dir := t.TempDir()
+	part := filepath.Join(dir, "part-0000.uv6")
+	mustRun(t, "gen", "-o", part, "-users", "50", "-from", "0", "-to", "1")
+	in := faultio.New(faultio.OS, 1)
+	if err := in.Arm("stuck@part-0000.uv6:read:x=-1:err"); err != nil {
+		t.Fatal(err)
+	}
+	pol := mergeRetry(0)
+	slept := 0
+	pol.Sleep = func(ctx context.Context, _ time.Duration) error { slept++; return ctx.Err() }
+	_, err := dataset.Merge(filepath.Join(dir, "merged.uv6"), dataset.Meta{}, []string{part},
+		&dataset.MergeOptions{FS: in, Retry: pol})
+	if !errors.Is(err, faultio.ErrTransient) || !strings.Contains(err.Error(), "after 0 retries") {
+		t.Fatalf("merge error %v, want the read error after 0 retries", err)
+	}
+	if hits := in.Hits("stuck"); hits != 1 || slept != 0 {
+		t.Fatalf("%d read attempts, %d sleeps; want one attempt and no sleep", hits, slept)
+	}
+
+	_, stderr, code := userv6gen(t, "merge", "-retries", "-1", "-o", filepath.Join(dir, "x.uv6"), part)
+	if code != 2 || !strings.Contains(stderr, "-retries must be at least 0, got -1") {
+		t.Fatalf("merge -retries -1: exit %d\nstderr: %s", code, stderr)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
-	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
 
@@ -43,68 +42,44 @@ func DefaultBlocklistPolicies() []BlocklistPolicy {
 	}
 }
 
-// BlocklistSweep runs every policy over the analysis week (day 1 warms
-// the list; days 2-7 are measured).
-func (s *Sim) BlocklistSweep(policies []BlocklistPolicy) []BlocklistSweepResult {
-	from, to := AnalysisWeek()
-	sims := make([]*core.BlocklistSim, len(policies))
-	for i, p := range policies {
-		sims[i] = core.NewBlocklistSim(p.Family, p.Length, p.Threshold, p.TTLDays)
+// BlocklistSweep registers every policy's blocklist over the analysis
+// week (day 1 warms the list; days 2-7 are measured). The policies of
+// one granularity share one week-long Actioning, which replays each
+// policy's list when read.
+func (p *Paper) BlocklistSweep(policies []BlocklistPolicy) func() []BlocklistSweepResult {
+	acts := make([]*core.Actioning, len(policies))
+	for i, pol := range policies {
+		acts[i] = p.weekActioning(pol.Family, pol.Length)
 	}
-	for day := from; day <= to; day++ {
-		s.GenerateDay(day, func(o telemetry.Observation) {
-			for _, b := range sims {
-				b.ObserveDay(o)
-			}
-		})
-		for _, b := range sims {
-			b.EndDay()
+	return func() []BlocklistSweepResult {
+		out := make([]BlocklistSweepResult, len(policies))
+		for i, pol := range policies {
+			c, size := acts[i].Blocklist(pol.Threshold, pol.TTLDays)
+			out[i] = BlocklistSweepResult{Policy: pol, TPR: c.TPR(), FPR: c.FPR(), FinalListSize: size}
 		}
+		return out
 	}
-	out := make([]BlocklistSweepResult, len(policies))
-	for i, p := range policies {
-		c := sims[i].Counts()
-		out[i] = BlocklistSweepResult{
-			Policy:        p,
-			TPR:           c.TPR(),
-			FPR:           c.FPR(),
-			FinalListSize: sims[i].ListSize(),
-		}
-	}
-	return out
 }
 
-// RateLimitSweep evaluates per-prefix-day entity caps at one granularity
-// across several cap values, over the analysis week.
-func (s *Sim) RateLimitSweep(fam netaddr.Family, length int, caps []int) []core.RateLimitOutcome {
-	from, to := AnalysisWeek()
-	sims := make([]*core.RateLimitSim, len(caps))
-	for i, c := range caps {
-		sims[i] = core.NewRateLimitSim(fam, length, c)
-	}
-	s.Generate(from, to, func(o telemetry.Observation) {
-		for _, r := range sims {
-			r.Observe(o)
-		}
-	})
-	out := make([]core.RateLimitOutcome, len(caps))
-	for i, r := range sims {
-		out[i] = r.Outcome()
-	}
-	return out
+// RateLimitSweep registers per-prefix-day entity caps at one
+// granularity across several cap values, over the analysis week.
+func (p *Paper) RateLimitSweep(fam netaddr.Family, length int, caps []int) func() []core.RateLimitOutcome {
+	ac := p.weekActioning(fam, length)
+	return func() []core.RateLimitOutcome { return ac.RateLimit(caps) }
 }
 
-// Segments computes the per-network-kind behavioral breakdown over the
-// analysis week for benign users (§8 future work).
-func (s *Sim) Segments() []core.SegmentReport {
-	kinds := make(map[netmodel.ASN]netmodel.Kind, len(s.World.Networks()))
-	for _, n := range s.World.Networks() {
+// Segments registers the per-network-kind behavioral breakdown over
+// the analysis week for benign users (§8 future work).
+func (p *Paper) Segments() func() []core.SegmentReport {
+	kinds := make(map[netmodel.ASN]netmodel.Kind, len(p.Sim.World.Networks()))
+	for _, n := range p.Sim.World.Networks() {
 		kinds[n.ASN] = n.Kind
 	}
-	seg := core.NewSegmentation(core.ClassifyByASN(kinds))
+	mk := func() *core.Segmentation { return core.NewSegmentation(core.ClassifyByASN(kinds)) }
+	seg := mk()
 	from, to := AnalysisWeek()
-	s.Benign.Generate(from, to, seg.Observe)
-	return seg.Report()
+	core.AddCommutativeAnalyzerFiltered(p.set, seg, mk, (*core.Segmentation).Merge, p.window(from, to, true, false))
+	return seg.Report
 }
 
 // SketchedOutliers runs the fixed-memory heavy-hitter pipeline over the
@@ -137,49 +112,38 @@ func (s *Sim) SketchedOutliers(length int) SketchedOutliersResult {
 	}
 }
 
-// TTLRecallCurve measures how recall decays with indicator age: the
+// TTLRecallCurve registers how recall decays with indicator age: the
 // fraction of day (n+k) abusive accounts covered by day-n indicators,
-// for k = 1..horizon (the threat-exchange decay experiment).
-func (s *Sim) TTLRecallCurve(fam netaddr.Family, length int, horizon int) []float64 {
-	day0 := simtime.AnalysisWeekStart
-	indicators := make(map[netaddr.Prefix]struct{})
-	s.Abusive.GenerateDay(day0, func(o telemetry.Observation) {
-		if o.Addr.Family() == fam {
-			indicators[netaddr.PrefixFrom(o.Addr, length)] = struct{}{}
-		}
-	})
-	out := make([]float64, 0, horizon)
-	for k := 1; k <= horizon; k++ {
-		caught := make(map[uint64]struct{})
-		total := make(map[uint64]struct{})
-		s.Abusive.GenerateDay(day0+simtime.Day(k), func(o telemetry.Observation) {
-			if o.Addr.Family() != fam {
-				return
-			}
-			total[o.UserID] = struct{}{}
-			if _, hit := indicators[netaddr.PrefixFrom(o.Addr, length)]; hit {
-				caught[o.UserID] = struct{}{}
-			}
-		})
-		if len(total) == 0 {
-			out = append(out, 0)
-			continue
-		}
-		out = append(out, float64(len(caught))/float64(len(total)))
-	}
-	return out
+// for k = 1..horizon, with day n the analysis week's first day (the
+// threat-exchange decay experiment). The horizon must stay inside the
+// week.
+func (p *Paper) TTLRecallCurve(fam netaddr.Family, length int, horizon int) func() []float64 {
+	ac := p.weekActioning(fam, length)
+	return func() []float64 { return ac.RecallDecay(horizon) }
 }
 
-// ChurnReasons attributes the analysis week's new (user, IPv6 address)
-// pairs to causes — IID rotation, subnet moves, network switches — after
-// a one-week warmup (the §8 "causes of dynamic IPv6 behavior" study).
-func (s *Sim) ChurnReasons() core.ChurnBreakdown {
-	from, to := AnalysisWeek()
-	warmup := from - 7
-	if warmup < 0 {
-		warmup = 0
+// weekActioning is the analysis-week Actioning over both populations
+// at one granularity, which the blocklist, rate-limit and TTL sweeps
+// read.
+func (p *Paper) weekActioning(fam netaddr.Family, length int) *core.Actioning {
+	g := granularity{fam, length}
+	if p.weekActs[g] == nil {
+		from, to := AnalysisWeek()
+		mk := func() *core.Actioning { return core.NewActioning(fam, length, from, to) }
+		p.weekActs[g] = mk()
+		core.AddCommutativeAnalyzerFiltered(p.set, p.weekActs[g], mk, (*core.Actioning).Merge, p.window(from, to, true, true))
 	}
-	ca := core.NewChurnAttribution(from)
-	s.Benign.Generate(warmup, to, ca.Observe)
-	return ca.Breakdown()
+	return p.weekActs[g]
+}
+
+// ChurnReasons registers the attribution of the analysis week's new
+// (user, IPv6 address) pairs to causes — IID rotation, subnet moves,
+// network switches — after a one-week warmup (the §8 "causes of
+// dynamic IPv6 behavior" study).
+func (p *Paper) ChurnReasons() func() core.ChurnBreakdown {
+	from, to := AnalysisWeek()
+	mk := func() *core.ChurnAttribution { return core.NewChurnAttribution(from) }
+	ca := mk()
+	core.AddCommutativeAnalyzerFiltered(p.set, ca, mk, (*core.ChurnAttribution).Merge, p.window(max(from-7, 0), to, true, false))
+	return ca.Breakdown
 }

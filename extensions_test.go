@@ -3,13 +3,16 @@ package userv6
 import (
 	"testing"
 
+	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
 )
 
 func TestBlocklistSweepShapes(t *testing.T) {
 	sim := testSim(t)
-	results := sim.BlocklistSweep(DefaultBlocklistPolicies())
+	results := runFigure(sim, func(p *Paper) func() []BlocklistSweepResult {
+		return p.BlocklistSweep(DefaultBlocklistPolicies())
+	})
 	if len(results) != len(DefaultBlocklistPolicies()) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -39,8 +42,11 @@ func TestBlocklistSweepShapes(t *testing.T) {
 func TestRateLimitSweepShapes(t *testing.T) {
 	sim := testSim(t)
 	caps := []int{1, 3, 10, 100}
-	v6 := sim.RateLimitSweep(netaddr.IPv6, 128, caps)
-	v4 := sim.RateLimitSweep(netaddr.IPv4, 32, caps)
+	sweeps := runFigure(sim, func(p *Paper) func() [2][]core.RateLimitOutcome {
+		v6, v4 := p.RateLimitSweep(netaddr.IPv6, 128, caps), p.RateLimitSweep(netaddr.IPv4, 32, caps)
+		return func() [2][]core.RateLimitOutcome { return [2][]core.RateLimitOutcome{v6(), v4()} }
+	})
+	v6, v4 := sweeps[0], sweeps[1]
 	if len(v6) != len(caps) || len(v4) != len(caps) {
 		t.Fatal("sweep sizes wrong")
 	}
@@ -67,7 +73,7 @@ func TestRateLimitSweepShapes(t *testing.T) {
 
 func TestSegmentsShapes(t *testing.T) {
 	sim := testSim(t)
-	reports := sim.Segments()
+	reports := runFigure(sim, (*Paper).Segments)
 	byKind := make(map[netmodel.Kind]bool)
 	var mobile, residential, enterprise *float64
 	for i := range reports {
@@ -125,9 +131,11 @@ func TestSketchedOutliersAgree(t *testing.T) {
 
 func TestTTLRecallCurveDecays(t *testing.T) {
 	sim := testSim(t)
-	v6 := sim.TTLRecallCurve(netaddr.IPv6, 128, 4)
-	v64 := sim.TTLRecallCurve(netaddr.IPv6, 64, 4)
-	v4 := sim.TTLRecallCurve(netaddr.IPv4, 32, 4)
+	curves := runFigure(sim, func(p *Paper) func() [3][]float64 {
+		v6, v64, v4 := p.TTLRecallCurve(netaddr.IPv6, 128, 4), p.TTLRecallCurve(netaddr.IPv6, 64, 4), p.TTLRecallCurve(netaddr.IPv4, 32, 4)
+		return func() [3][]float64 { return [3][]float64{v6(), v64(), v4()} }
+	})
+	v6, v64, v4 := curves[0], curves[1], curves[2]
 	if len(v6) != 4 || len(v64) != 4 || len(v4) != 4 {
 		t.Fatal("curve lengths wrong")
 	}
@@ -147,7 +155,7 @@ func TestTTLRecallCurveDecays(t *testing.T) {
 
 func TestChurnReasonsShapes(t *testing.T) {
 	sim := testSim(t)
-	b := sim.ChurnReasons()
+	b := runFigure(sim, (*Paper).ChurnReasons)
 	if b.Total == 0 {
 		t.Fatal("no churn attributed")
 	}

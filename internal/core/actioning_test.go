@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"userv6/internal/netaddr"
 	"userv6/internal/rng"
+	"userv6/internal/simtime"
 	"userv6/internal/stats"
 	"userv6/internal/telemetry"
 )
@@ -21,7 +23,7 @@ import (
 //	         a brand-new addr D; benign 1 on B, benign 2 on C, benign 3
 //	         on D.
 func buildActioning() *Actioning {
-	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac := NewActioning(netaddr.IPv4, 32, 0, 1)
 	ac.Observe(obs(100, "10.0.0.1", 0, true))
 	ac.Observe(obs(101, "10.0.0.2", 0, true))
 	for u := uint64(1); u <= 9; u++ {
@@ -74,7 +76,7 @@ func TestActioningThresholds(t *testing.T) {
 }
 
 func TestActioningPrefixGranularity(t *testing.T) {
-	ac := NewActioning(netaddr.IPv6, 64, 0)
+	ac := NewActioning(netaddr.IPv6, 64, 0, 1)
 	// Day n: AA on one address of a /64.
 	ac.Observe(obs(100, "2001:db8:0:1::a", 0, true))
 	// Day n+1: a different AA on a different address, same /64.
@@ -88,7 +90,7 @@ func TestActioningPrefixGranularity(t *testing.T) {
 }
 
 func TestActioningZeroRatioNotActioned(t *testing.T) {
-	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac := NewActioning(netaddr.IPv4, 32, 0, 1)
 	ac.Observe(obs(1, "10.0.0.1", 0, false)) // benign-only prefix
 	ac.Observe(obs(2, "10.0.0.1", 1, false))
 	c := ac.Counts(0)
@@ -116,7 +118,7 @@ func TestActioningCurve(t *testing.T) {
 }
 
 func TestActioningDedup(t *testing.T) {
-	ac := NewActioning(netaddr.IPv4, 32, 0)
+	ac := NewActioning(netaddr.IPv4, 32, 0, 1)
 	for i := 0; i < 5; i++ {
 		ac.Observe(obs(100, "10.0.0.1", 0, true))
 		ac.Observe(obs(100, "10.0.0.1", 1, true))
@@ -124,6 +126,29 @@ func TestActioningDedup(t *testing.T) {
 	c := ac.Counts(0)
 	if c.TP != 1 {
 		t.Fatalf("dedup failed: %+v", c)
+	}
+}
+
+// TestActioningAbusiveOnAnySighting: a pair is abusive when any of its
+// sightings was, whether both sightings reach one simulator or two
+// folded with Merge in either order.
+func TestActioningAbusiveOnAnySighting(t *testing.T) {
+	benign, abusive := obs(5, "10.0.0.1", 1, false), obs(5, "10.0.0.1", 1, true)
+	one := NewActioning(netaddr.IPv4, 32, 0, 1)
+	one.Observe(abusive)
+	one.Observe(benign)
+	feeds := map[string]*Actioning{"one simulator": one}
+	for _, order := range [][2]telemetry.Observation{{benign, abusive}, {abusive, benign}} {
+		into, from := NewActioning(netaddr.IPv4, 32, 0, 1), NewActioning(netaddr.IPv4, 32, 0, 1)
+		into.Observe(order[0])
+		from.Observe(order[1])
+		into.Merge(from)
+		feeds[fmt.Sprintf("merged, abusive=%v into abusive=%v", order[1].Abusive, order[0].Abusive)] = into
+	}
+	for label, ac := range feeds {
+		if b, a := ac.DayN1Entities(); b != 0 || a != 1 {
+			t.Errorf("%s: day-To entities %d benign, %d abusive; want the one abusive", label, b, a)
+		}
 	}
 }
 
@@ -237,12 +262,12 @@ func (ac *twoPhaseActioning) Curve(thresholds []float64) *stats.ROC {
 	return stats.NewROC(pts)
 }
 
-// feedActioning feeds stream (days 0 and 1) to a fresh Actioning:
+// feedActioning feeds stream to a fresh Actioning over days [0, to]:
 // directly when replicas is 0, otherwise split block-wise (block b to
 // replica b mod replicas, so entities straddle replicas) and folded
 // with Merge, in replica order or reversed.
-func feedActioning(fam netaddr.Family, length int, stream []telemetry.Observation, replicas int, reversed bool) *Actioning {
-	ac := NewActioning(fam, length, 0)
+func feedActioning(fam netaddr.Family, length int, to simtime.Day, stream []telemetry.Observation, replicas int, reversed bool) *Actioning {
+	ac := NewActioning(fam, length, 0, to)
 	if replicas == 0 {
 		for _, o := range stream {
 			ac.Observe(o)
@@ -251,7 +276,7 @@ func feedActioning(fam netaddr.Family, length int, stream []telemetry.Observatio
 	}
 	reps := make([]*Actioning, replicas)
 	for i := range reps {
-		reps[i] = NewActioning(fam, length, 0)
+		reps[i] = NewActioning(fam, length, 0, to)
 	}
 	for i, o := range stream {
 		reps[i/53%replicas].Observe(o)
@@ -273,20 +298,13 @@ func feedActioning(fam netaddr.Family, length int, stream []telemetry.Observatio
 // must give the reference two-phase feed's Counts at every
 // DefaultThresholds value, its Curve and its population sizes.
 func TestActioningCommutativeFold(t *testing.T) {
-	grans := []struct {
-		fam    netaddr.Family
-		length int
-	}{
-		{netaddr.IPv6, 128}, {netaddr.IPv6, 64}, {netaddr.IPv6, 56},
-		{netaddr.IPv6, 48}, {netaddr.IPv6, 44}, {netaddr.IPv4, 32},
-	}
 	for _, seed := range []uint64{1, 2, 3} {
 		stream := oracleStream(seed, 400, 2, 0)
 		orders := map[string][]telemetry.Observation{
 			"stream order": stream,
 			"shuffled":     shuffled(rng.New(seed*17), stream),
 		}
-		for _, g := range grans {
+		for _, g := range actioningGranularities {
 			ref := newTwoPhaseActioning(g.fam, g.length)
 			for _, o := range stream {
 				if o.Day == 0 {
@@ -321,16 +339,148 @@ func TestActioningCommutativeFold(t *testing.T) {
 						t.Fatalf("%s: DayN1Entities = %d, %d, want %d, %d", label, b, a, len(ref.benignN1), len(ref.abusiveN1))
 					}
 				}
-				check("sequential", feedActioning(g.fam, g.length, recs, 0, false))
-				for _, replicas := range []int{1, 3, 8} {
-					for _, reversed := range []bool{false, true} {
-						check(fmt.Sprintf("%d replicas, reversed=%v", replicas, reversed),
-							feedActioning(g.fam, g.length, recs, replicas, reversed))
-					}
-				}
+				forEachActioningFeed(g, 1, recs, check)
 			}
 		}
 	}
+}
+
+// actioningGranularities are the (family, length) pairs the Actioning
+// differentials check.
+var actioningGranularities = []famLength{
+	{netaddr.IPv6, 128}, {netaddr.IPv6, 64}, {netaddr.IPv6, 56},
+	{netaddr.IPv6, 48}, {netaddr.IPv6, 44}, {netaddr.IPv4, 32},
+}
+
+// forEachActioningFeed feeds recs to an Actioning over days [0, to] at
+// granularity g sequentially and split across 1, 3 and 8 replicas
+// folded forward and reversed, and hands each to check.
+func forEachActioningFeed(g famLength, to simtime.Day, recs []telemetry.Observation, check func(label string, ac *Actioning)) {
+	check("sequential", feedActioning(g.fam, g.length, to, recs, 0, false))
+	for _, replicas := range []int{1, 3, 8} {
+		for _, reversed := range []bool{false, true} {
+			check(fmt.Sprintf("%d replicas, reversed=%v", replicas, reversed),
+				feedActioning(g.fam, g.length, to, recs, replicas, reversed))
+		}
+	}
+}
+
+// TestActioningMatchesReferenceSims: Actioning's Blocklist and
+// RateLimit queries answer as the simulators they replaced. On 7-day
+// oracle streams, BlocklistSim is fed day by day and RateLimitSim
+// benign users by ID, then abusive accounts by ID, the order a
+// generated stream delivers them in. Actioning is fed in stream order,
+// shuffled, and split across 1, 3 and 8 replicas folded forward and
+// reversed, and must give the references' counts, list sizes and
+// outcomes at every threshold, TTL and cap.
+func TestActioningMatchesReferenceSims(t *testing.T) {
+	const days = 7
+	thresholds, ttls, caps := []float64{0, 0.1, 0.5, 1}, []int{1, 3}, []int{1, 2, 3, 10}
+	type policy struct {
+		threshold float64
+		ttl       int
+	}
+	type listed struct {
+		counts stats.BinaryCounts
+		size   int
+	}
+	var caught, hitBenign, throttled uint64
+	for _, seed := range []uint64{1, 2} {
+		stream := oracleStream(seed, 300, days, 0)
+		byEntity := slices.Clone(stream)
+		slices.SortStableFunc(byEntity, func(a, b telemetry.Observation) int {
+			return cmp.Or(boolIndex(a.Abusive)-boolIndex(b.Abusive), cmp.Compare(a.UserID, b.UserID))
+		})
+		orders := map[string][]telemetry.Observation{
+			"stream order": stream,
+			"shuffled":     shuffled(rng.New(seed*29), stream),
+		}
+		for _, g := range actioningGranularities {
+			wantLists := map[policy]listed{}
+			for _, th := range thresholds {
+				for _, ttl := range ttls {
+					ref := NewBlocklistSim(g.fam, g.length, th, ttl)
+					for d := simtime.Day(0); d < days; d++ {
+						for _, o := range stream {
+							if o.Day == d {
+								ref.ObserveDay(o)
+							}
+						}
+						ref.EndDay()
+					}
+					wantLists[policy{th, ttl}] = listed{ref.Counts(), ref.ListSize()}
+					caught += ref.Counts().TP
+					hitBenign += ref.Counts().FP
+				}
+			}
+			wantRates := make([]RateLimitOutcome, len(caps))
+			for i, c := range caps {
+				ref := NewRateLimitSim(g.fam, g.length, c)
+				for _, o := range byEntity {
+					ref.Observe(o)
+				}
+				wantRates[i] = ref.Outcome()
+				throttled += uint64(wantRates[i].BenignThrottled + wantRates[i].AbusiveThrottled)
+			}
+			for order, recs := range orders {
+				forEachActioningFeed(g, days-1, recs, func(label string, ac *Actioning) {
+					label = fmt.Sprintf("seed %d, %v /%d, %s, %s", seed, g.fam, g.length, order, label)
+					for p, want := range wantLists {
+						if c, size := ac.Blocklist(p.threshold, p.ttl); c != want.counts || size != want.size {
+							t.Fatalf("%s: Blocklist(%v, %d) = %+v, %d, want %+v, %d", label, p.threshold, p.ttl, c, size, want.counts, want.size)
+						}
+					}
+					if got := ac.RateLimit(caps); !reflect.DeepEqual(got, wantRates) {
+						t.Fatalf("%s: RateLimit(%v) =\n%+v\nwant\n%+v", label, caps, got, wantRates)
+					}
+				})
+			}
+		}
+	}
+	if caught == 0 || hitBenign == 0 || throttled == 0 {
+		t.Fatalf("degenerate references: %d caught, %d benign hit, %d throttled", caught, hitBenign, throttled)
+	}
+}
+
+// TestActioningBlocklistEvictsOnEmptyDay: an entry leaves the list on
+// the day its coverage ends, even when that day has no sighting of the
+// family. (BlocklistSim skips eviction on such a day, so its ListSize
+// still counts the expired entry.)
+func TestActioningBlocklistEvictsOnEmptyDay(t *testing.T) {
+	ac := NewActioning(netaddr.IPv4, 32, 0, 1)
+	ac.Observe(obs(100, "10.0.0.1", 0, true))
+	ac.Observe(obs(1, "2001:db8::1", 1, false)) // day 1: no IPv4 sighting
+	if c, size := ac.Blocklist(0.5, 1); size != 0 || c != (stats.BinaryCounts{}) {
+		t.Fatalf("TTL 1: counts %+v, list size %d, want nothing counted and an empty list", c, size)
+	}
+	// A TTL of 2 still covers day 2.
+	if _, size := ac.Blocklist(0.5, 2); size != 1 {
+		t.Fatalf("TTL 2: list size %d, want 1", size)
+	}
+}
+
+// TestActioningRecallDecay: each day's share of abusive accounts on a
+// prefix an abusive account used on the window's first day, 0 on a
+// day without abusive accounts; a horizon past the window panics.
+func TestActioningRecallDecay(t *testing.T) {
+	ac := NewActioning(netaddr.IPv6, 64, 0, 3)
+	ac.Observe(obs(100, "2001:db8:0:1::a", 0, true))
+	ac.Observe(obs(1, "2001:db8:0:2::a", 0, false))  // a benign prefix is no indicator
+	ac.Observe(obs(101, "2001:db8:0:1::b", 1, true)) // caught
+	ac.Observe(obs(102, "2001:db8:0:2::b", 1, true)) // missed
+	ac.Observe(obs(103, "2001:db8:0:3::c", 1, true)) // missed on one prefix ...
+	ac.Observe(obs(103, "2001:db8:0:1::c", 1, true)) // ... caught on another
+	ac.Observe(obs(2, "2001:db8:0:1::d", 2, false))  // day 2: benign only
+	ac.Observe(obs(104, "2001:db8:0:1::e", 3, true)) // caught
+	if got, want := ac.RecallDecay(3), []float64{2.0 / 3, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("RecallDecay(3) = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RecallDecay(4) past the window did not panic")
+		}
+	}()
+	ac.RecallDecay(4)
 }
 
 func TestAdviseEndToEnd(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"userv6/internal/netaddr"
+	"userv6/internal/netmodel"
 	"userv6/internal/rng"
 	"userv6/internal/telemetry"
 )
@@ -43,7 +44,8 @@ func law[T Observer](name string, mk func() T, merge func(into, from T), surface
 // lawAnalyzers are the registrations the laws cover: the five default
 // analyzers, IPCentric at three granularities and Lifespans at lengths
 // where the families share key words (8, 32) and where only IPv6 fits
-// (64, 128), and Actioning.
+// (64, 128), Actioning over two days and over a week, and
+// Segmentation.
 func lawAnalyzers() []lawAnalyzer {
 	ic := func(fam netaddr.Family, length int) lawAnalyzer {
 		return law(fmt.Sprintf("ipcentric %v/%d", fam, length),
@@ -67,7 +69,7 @@ func lawAnalyzers() []lawAnalyzer {
 			func(c *ChurnAttribution, q map[string]any) { q["churn"] = c.Breakdown() }),
 		law("prevalence", NewPrevalence, (*Prevalence).Merge,
 			func(p *Prevalence, q map[string]any) { prevalenceQueries(q, p) }),
-		law("actioning", func() *Actioning { return NewActioning(netaddr.IPv6, 64, 1) }, (*Actioning).Merge,
+		law("actioning", func() *Actioning { return NewActioning(netaddr.IPv6, 64, 1, 2) }, (*Actioning).Merge,
 			func(ac *Actioning, q map[string]any) {
 				for _, th := range DefaultThresholds() {
 					q[fmt.Sprintf("counts@%v", th)] = ac.Counts(th)
@@ -79,7 +81,28 @@ func lawAnalyzers() []lawAnalyzer {
 				b, a := ac.DayN1Entities()
 				q["entities"] = [2]int{b, a}
 			}),
+		law("actioning week", func() *Actioning { return NewActioning(netaddr.IPv4, 32, 0, 6) }, (*Actioning).Merge,
+			func(ac *Actioning, q map[string]any) {
+				for _, p := range []struct {
+					threshold float64
+					ttl       int
+				}{{0.1, 1}, {0.5, 3}} {
+					c, size := ac.Blocklist(p.threshold, p.ttl)
+					q[fmt.Sprintf("blocklist@%v,%d", p.threshold, p.ttl)] = [2]any{c, size}
+				}
+				q["recall"] = ac.RecallDecay(3)
+				q["ratelimit"] = ac.RateLimit([]int{1, 3})
+			}),
+		law("segmentation", func() *Segmentation { return NewSegmentation(ClassifyByASN(lawKinds)) }, (*Segmentation).Merge,
+			func(s *Segmentation, q map[string]any) { q["segments"] = s.Report() }),
 	}
+}
+
+// lawKinds classifies the oracle stream's region ASNs; the heavy
+// user's ASNs stay unclassified, so their sightings are dropped.
+var lawKinds = map[netmodel.ASN]netmodel.Kind{
+	100: netmodel.Mobile, 101: netmodel.Residential, 102: netmodel.Residential,
+	103: netmodel.Enterprise, 104: netmodel.Hosting, 105: netmodel.Mobile,
 }
 
 // randomSplit deals each record of stream to one of three parts, with

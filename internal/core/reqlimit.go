@@ -2,6 +2,7 @@ package core
 
 import (
 	"userv6/internal/netaddr"
+	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
 
@@ -23,6 +24,12 @@ type RequestRateLimit struct {
 	// Tallies.
 	BenignAdmitted, BenignThrottled   uint64
 	AbusiveAdmitted, AbusiveThrottled uint64
+}
+
+// dayPrefixKey identifies one prefix on one day.
+type dayPrefixKey struct {
+	day simtime.Day
+	pfx netaddr.Prefix
 }
 
 // NewRequestRateLimit returns a limiter at one granularity and budget.

@@ -20,10 +20,16 @@ type Segmentation struct {
 	segments map[netmodel.Kind]*segmentAcc
 }
 
+// pairKey identifies a (user, prefix-or-address) pair.
+type pairKey struct {
+	uid uint64
+	pfx netaddr.Prefix
+}
+
 type segmentAcc struct {
+	// seen holds the distinct (user, address) pairs; per-user address
+	// counts are worked out from it when a report asks.
 	seen    map[pairKey]struct{}
-	userV4  map[uint64]int
-	userV6  map[uint64]int
 	userAny map[uint64]bool // true once the user used v6 in this segment
 	reqV4   uint64
 	reqV6   uint64
@@ -32,8 +38,6 @@ type segmentAcc struct {
 func newSegmentAcc() *segmentAcc {
 	return &segmentAcc{
 		seen:    make(map[pairKey]struct{}),
-		userV4:  make(map[uint64]int),
-		userV6:  make(map[uint64]int),
 		userAny: make(map[uint64]bool),
 	}
 }
@@ -69,26 +73,36 @@ func (s *Segmentation) Observe(o telemetry.Observation) {
 		acc = newSegmentAcc()
 		s.segments[kind] = acc
 	}
-	if o.Addr.Is6() {
+	v6 := o.Addr.Is6()
+	if v6 {
 		acc.reqV6 += uint64(o.Requests)
 	} else {
 		acc.reqV4 += uint64(o.Requests)
 	}
-	if _, exists := acc.userAny[o.UserID]; !exists {
-		acc.userAny[o.UserID] = false
-	}
-	if o.Addr.Is6() {
-		acc.userAny[o.UserID] = true
-	}
-	key := pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, o.Addr.Bits())}
-	if _, dup := acc.seen[key]; dup {
-		return
-	}
-	acc.seen[key] = struct{}{}
-	if o.Addr.Is6() {
-		acc.userV6[o.UserID]++
-	} else {
-		acc.userV4[o.UserID]++
+	acc.userAny[o.UserID] = acc.userAny[o.UserID] || v6
+	acc.seen[pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, o.Addr.Bits())}] = struct{}{}
+}
+
+// Merge folds another segmentation's state into s: per segment, the
+// union of the pairs and users, a user counting as v6 when either saw
+// it over v6, and the summed requests. Both must use the same
+// classifier. Segments only other saw are taken over, so other must not
+// be used after Merge.
+func (s *Segmentation) Merge(other *Segmentation) {
+	for kind, from := range other.segments {
+		into := s.segments[kind]
+		if into == nil {
+			s.segments[kind] = from
+			continue
+		}
+		for k := range from.seen {
+			into.seen[k] = struct{}{}
+		}
+		for uid, v6 := range from.userAny {
+			into.userAny[uid] = into.userAny[uid] || v6
+		}
+		into.reqV4 += from.reqV4
+		into.reqV6 += from.reqV6
 	}
 }
 
@@ -122,8 +136,16 @@ func (s *Segmentation) Report() []SegmentReport {
 		if total := acc.reqV4 + acc.reqV6; total > 0 {
 			r.V6ReqShare = float64(acc.reqV6) / float64(total)
 		}
-		r.MedianV4Addrs = medianOfCounts(acc.userV4)
-		r.MedianV6Addrs = medianOfCounts(acc.userV6)
+		userV4, userV6 := make(map[uint64]int), make(map[uint64]int)
+		for k := range acc.seen {
+			if k.pfx.Addr().Is6() {
+				userV6[k.uid]++
+			} else {
+				userV4[k.uid]++
+			}
+		}
+		r.MedianV4Addrs = medianOfCounts(userV4)
+		r.MedianV6Addrs = medianOfCounts(userV6)
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })

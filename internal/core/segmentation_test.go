@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"userv6/internal/netmodel"
@@ -81,5 +83,39 @@ func TestSegmentationInvalidAddr(t *testing.T) {
 	seg.Observe(telemetry.Observation{UserID: 1, Requests: 1})
 	if len(seg.Report()) != 0 {
 		t.Fatal("invalid address created a segment")
+	}
+}
+
+// TestSegmentationMergeMatchesSequential: the oracle stream split across
+// replicas and folded with Merge, in either order, reports as the
+// stream fed to one Segmentation does.
+func TestSegmentationMergeMatchesSequential(t *testing.T) {
+	stream := oracleStream(1, 200, 7, 60)
+	seq := NewSegmentation(ClassifyByASN(lawKinds))
+	for _, o := range stream {
+		seq.Observe(o)
+	}
+	want := seq.Report()
+	if len(want) < 3 {
+		t.Fatalf("degenerate reference: %+v", want)
+	}
+	for _, reversed := range []bool{false, true} {
+		reps := make([]*Segmentation, 3)
+		for i := range reps {
+			reps[i] = NewSegmentation(ClassifyByASN(lawKinds))
+		}
+		for i, o := range stream {
+			reps[i/37%3].Observe(o)
+		}
+		if reversed {
+			slices.Reverse(reps)
+		}
+		got := NewSegmentation(ClassifyByASN(lawKinds))
+		for _, r := range reps {
+			got.Merge(r)
+		}
+		if g := got.Report(); !reflect.DeepEqual(g, want) {
+			t.Fatalf("reversed=%v: folded report\n got %+v\nwant %+v", reversed, g, want)
+		}
 	}
 }

@@ -26,6 +26,7 @@ package dataset
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -45,8 +46,9 @@ import (
 type MergeOptions struct {
 	// Retry is the backoff policy applied to transient I/O errors while
 	// reading parts (zero value = retry defaults: 3 retries, 50ms base,
-	// 2s cap, jittered). MaxRetries budgets each part's re-attempts,
-	// opens and reads together. A part is streamed, never held whole: a
+	// 2s cap, jittered; retry.NoRetries turns re-attempts off). Its
+	// Budget() budgets each part's re-attempts, opens and reads
+	// together. A part is streamed, never held whole: a
 	// failed read reopens the part and resumes at the byte offset it
 	// reached, so every byte is decoded once and a retried read can
 	// never duplicate records. A part that vanished or changed between
@@ -465,7 +467,7 @@ func writeMergedBlock(w *Writer, raw telemetry.RawBlock, recs []telemetry.Observ
 // byte it delivers into the part's CRC32C. A failed read drops the
 // handle; the next Read reopens the part, seeks to the offset reached
 // and reads on, backing off under the merge's retry policy. One budget
-// of MaxRetries re-attempts covers the part's opens and reads. A part
+// of Retry.Budget() re-attempts covers the part's opens and reads. A part
 // that vanished, or whose size or modification time changed, between
 // attempts fails with *PartChangedError; a read that fails once the
 // budget is spent fails for good.
@@ -473,7 +475,8 @@ type partReader struct {
 	ctx   context.Context
 	fsys  faultio.FS
 	path  string
-	pol   retry.Policy // MaxRetries: the part's re-attempts left
+	pol   retry.Policy
+	left  int          // the part's re-attempts left
 	f     faultio.File // nil from a failed read until the reopen
 	cause error        // the failure that dropped f
 	off   int64        // bytes delivered
@@ -489,10 +492,7 @@ type partReader struct {
 // openPart opens path for a merge under opt's retry policy. A part
 // that does not exist fails at once: it will not appear by waiting.
 func openPart(ctx context.Context, opt MergeOptions, path string) (*partReader, error) {
-	p := &partReader{ctx: ctx, fsys: opt.FS, path: path, pol: opt.Retry, size: -1}
-	if p.pol.MaxRetries <= 0 {
-		p.pol.MaxRetries = retry.DefaultMaxRetries
-	}
+	p := &partReader{ctx: ctx, fsys: opt.FS, path: path, pol: opt.Retry, left: opt.Retry.Budget(), size: -1}
 	if err := p.retry(nil, p.open); err != nil {
 		return nil, err
 	}
@@ -505,10 +505,12 @@ func openPart(ctx context.Context, opt MergeOptions, path string) (*partReader, 
 // so it backs off before calling fn.
 func (p *partReader) retry(failed error, fn func() error) error {
 	label := "merge:" + filepath.Base(p.path)
-	if p.pol.MaxRetries == 0 {
+	if p.left == 0 && failed != nil {
 		return fmt.Errorf("retry: %s: after %d retries: %w", label, p.retries, failed)
 	}
-	n, err := p.pol.Do(p.ctx, label, func() error {
+	pol := p.pol
+	pol.MaxRetries = cmp.Or(p.left, retry.NoRetries)
+	n, err := pol.Do(p.ctx, label, func() error {
 		if err := failed; err != nil {
 			failed = nil
 			return err
@@ -516,7 +518,7 @@ func (p *partReader) retry(failed error, fn func() error) error {
 		return fn()
 	})
 	p.retries += n
-	p.pol.MaxRetries -= n
+	p.left -= n
 	return err
 }
 

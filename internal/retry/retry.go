@@ -30,12 +30,17 @@ const (
 	DefaultMax        = 2 * time.Second
 )
 
+// NoRetries, as a Policy's MaxRetries, makes Do attempt once and never
+// retry: a MaxRetries of 0 means DefaultMaxRetries.
+const NoRetries = -1
+
 // Policy describes one capped-exponential-backoff schedule. The zero
 // Policy is valid and uses the package defaults with jitter enabled.
 type Policy struct {
 	// MaxRetries is how many times the operation is re-attempted after
-	// the first failure (default 3; a Do call makes at most
-	// MaxRetries+1 attempts).
+	// the first failure: 0 means the default 3, and a negative value,
+	// such as NoRetries, none. A Do call makes at most Budget()+1
+	// attempts.
 	MaxRetries int
 	// Base is the first backoff interval (default 50ms); each retry
 	// doubles it, capped at Max (default 2s).
@@ -56,8 +61,11 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.MaxRetries <= 0 {
+	switch {
+	case p.MaxRetries == 0:
 		p.MaxRetries = DefaultMaxRetries
+	case p.MaxRetries < 0:
+		p.MaxRetries = 0
 	}
 	if p.Base <= 0 {
 		p.Base = DefaultBase
@@ -70,6 +78,9 @@ func (p Policy) withDefaults() Policy {
 	}
 	return p
 }
+
+// Budget returns how many re-attempts p allows after a first failure.
+func (p Policy) Budget() int { return p.withDefaults().MaxRetries }
 
 // sleep is the real clock: a timer raced against ctx.Done, so a
 // cancelled caller never waits out a backoff interval.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -153,6 +154,25 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 		base *= 2
 		if base > 500*time.Millisecond {
 			base = 500 * time.Millisecond
+		}
+	}
+}
+
+// TestNoRetries: a NoRetries policy attempts once, never sleeps, and
+// reports the failure after 0 retries; the zero MaxRetries still means
+// the default budget.
+func TestNoRetries(t *testing.T) {
+	slept := 0
+	p := Policy{MaxRetries: NoRetries, Sleep: func(context.Context, time.Duration) error { slept++; return nil }}
+	attempts := 0
+	boom := errors.New("boom")
+	retries, err := p.Do(context.Background(), "t", func() error { attempts++; return boom })
+	if attempts != 1 || slept != 0 || retries != 0 || !errors.Is(err, boom) || !strings.Contains(err.Error(), "after 0 retries") {
+		t.Fatalf("%d attempts, %d sleeps, %d retries, err %v; want one attempt failing after 0 retries", attempts, slept, retries, err)
+	}
+	for _, c := range []struct{ max, budget int }{{0, DefaultMaxRetries}, {NoRetries, 0}, {-5, 0}, {2, 2}} {
+		if got := (Policy{MaxRetries: c.max}).Budget(); got != c.budget {
+			t.Errorf("MaxRetries %d: Budget() = %d, want %d", c.max, got, c.budget)
 		}
 	}
 }

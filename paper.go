@@ -28,8 +28,9 @@ var Fig9Lengths = []int{128, 96, 72, 68, 64, 56, 48, 44}
 // analysis-week Prevalence (Table 1, Table 2, Figure 12), each
 // population's week UserCentric (Figures 2–4, §4.4, RQ3), each
 // population's Lifespans (Figures 5–6, §7.2), the week's IP-centric
-// sweep (Figures 7–10, RQ3, §7.2) and the actioning simulators
-// (Figure 11, §7.2).
+// sweep (Figures 7–10, RQ3, §7.2), the actioning simulators
+// (Figure 11, §7.2) and, per granularity, the week-long actioning
+// simulator (the blocklist, rate-limit and TTL sweeps).
 //
 // Run generates only the days each population's registrations read,
 // each maximal run of days once: benign users first, user by user,
@@ -56,6 +57,13 @@ type Paper struct {
 	life      map[bool]*core.Lifespans
 	ipc       *IPCentricResult
 	acts      []*core.Actioning
+	weekActs  map[granularity]*core.Actioning
+}
+
+// granularity is one (family, prefix length) pair.
+type granularity struct {
+	fam    netaddr.Family
+	length int
 }
 
 // NewPaper returns a Paper over sim with no figure registered.
@@ -65,6 +73,7 @@ func NewPaper(sim *Sim) *Paper {
 		set:       core.NewAnalyzerSet(),
 		weekUsers: make(map[bool]*core.UserCentric),
 		life:      make(map[bool]*core.Lifespans),
+		weekActs:  make(map[granularity]*core.Actioning),
 	}
 }
 
@@ -450,7 +459,7 @@ func (p *Paper) Fig11() func() Fig11Result {
 	dayN, dayN1 := to-1, to
 	if p.acts == nil {
 		for _, g := range Fig11Granularities() {
-			mk := func() *core.Actioning { return core.NewActioning(g.Family, g.Length, dayN) }
+			mk := func() *core.Actioning { return core.NewActioning(g.Family, g.Length, dayN, dayN1) }
 			a := mk()
 			core.AddCommutativeAnalyzerFiltered(p.set, a, mk, (*core.Actioning).Merge, p.window(dayN, dayN1, true, true))
 			p.acts = append(p.acts, a)

@@ -3,14 +3,20 @@ package userv6
 // The reference for Paper: the per-figure feeds it replaced, kept
 // verbatim as the methods of perFigureFeeds. Each figure generates its
 // own window and feeds its own analyzers, and Advise re-runs three
-// figures per tolerance. One change: Figure 11's simulators take day n
-// at construction and one Observe, fed day n and then day n+1 as
-// before. internal/core's TestActioningCommutativeFold checks that
-// simulator against the two-phase one it replaced.
+// figures per tolerance. One change: Figure 11's simulators take days
+// n and n+1 at construction and one Observe, fed day n and then day
+// n+1 as before. internal/core's TestActioningCommutativeFold checks that
+// simulator against the two-phase one it replaced. Four §8 and
+// Appendix A extensions join them, as the Sim methods they replaced:
+// Segments, TTLRecallCurve, ChurnReasons and ComparePandemic. The
+// blocklist and rate-limit sweeps' references are internal/core's
+// BlocklistSim and RateLimitSim, which
+// TestActioningMatchesReferenceSims checks Actioning against.
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"userv6/internal/core"
@@ -251,7 +257,7 @@ func (s perFigureFeeds) Fig11() Fig11Result {
 	dayN, dayN1 := to-1, to
 	acts := make([]*core.Actioning, 0, 4)
 	for _, g := range Fig11Granularities() {
-		acts = append(acts, core.NewActioning(g.Family, g.Length, dayN))
+		acts = append(acts, core.NewActioning(g.Family, g.Length, dayN, dayN1))
 	}
 	s.GenerateDay(dayN, func(o telemetry.Observation) {
 		for _, a := range acts {
@@ -301,6 +307,107 @@ func (s perFigureFeeds) Advise(fprTolerance float64) core.Advice {
 	})
 }
 
+// Segments computes the per-network-kind behavioral breakdown over the
+// analysis week for benign users (§8 future work).
+func (s perFigureFeeds) Segments() []core.SegmentReport {
+	kinds := make(map[netmodel.ASN]netmodel.Kind, len(s.World.Networks()))
+	for _, n := range s.World.Networks() {
+		kinds[n.ASN] = n.Kind
+	}
+	seg := core.NewSegmentation(core.ClassifyByASN(kinds))
+	from, to := AnalysisWeek()
+	s.Benign.Generate(from, to, seg.Observe)
+	return seg.Report()
+}
+
+// TTLRecallCurve measures how recall decays with indicator age: the
+// fraction of day (n+k) abusive accounts covered by day-n indicators,
+// for k = 1..horizon (the threat-exchange decay experiment).
+func (s perFigureFeeds) TTLRecallCurve(fam netaddr.Family, length int, horizon int) []float64 {
+	day0 := simtime.AnalysisWeekStart
+	indicators := make(map[netaddr.Prefix]struct{})
+	s.Abusive.GenerateDay(day0, func(o telemetry.Observation) {
+		if o.Addr.Family() == fam {
+			indicators[netaddr.PrefixFrom(o.Addr, length)] = struct{}{}
+		}
+	})
+	out := make([]float64, 0, horizon)
+	for k := 1; k <= horizon; k++ {
+		caught := make(map[uint64]struct{})
+		total := make(map[uint64]struct{})
+		s.Abusive.GenerateDay(day0+simtime.Day(k), func(o telemetry.Observation) {
+			if o.Addr.Family() != fam {
+				return
+			}
+			total[o.UserID] = struct{}{}
+			if _, hit := indicators[netaddr.PrefixFrom(o.Addr, length)]; hit {
+				caught[o.UserID] = struct{}{}
+			}
+		})
+		if len(total) == 0 {
+			out = append(out, 0)
+			continue
+		}
+		out = append(out, float64(len(caught))/float64(len(total)))
+	}
+	return out
+}
+
+// ChurnReasons attributes the analysis week's new (user, IPv6 address)
+// pairs to causes — IID rotation, subnet moves, network switches — after
+// a one-week warmup (the §8 "causes of dynamic IPv6 behavior" study).
+func (s perFigureFeeds) ChurnReasons() core.ChurnBreakdown {
+	from, to := AnalysisWeek()
+	warmup := from - 7
+	if warmup < 0 {
+		warmup = 0
+	}
+	ca := core.NewChurnAttribution(from)
+	s.Benign.Generate(warmup, to, ca.Observe)
+	return ca.Breakdown()
+}
+
+// ComparePandemic runs the Appendix-A robustness check.
+func (s perFigureFeeds) ComparePandemic() PandemicComparison {
+	return PandemicComparison{
+		Pre:      s.windowMetrics(20, 26),
+		Lockdown: s.windowMetrics(simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd),
+	}
+}
+
+func (s perFigureFeeds) windowMetrics(from, to simtime.Day) PandemicWindowMetrics {
+	uc := core.NewUserCentricFor(false)
+	// Lifespans with a 14-day lookback so both windows use the same
+	// horizon (the February window has less history before it).
+	lookback := to - 13
+	if lookback < 0 {
+		lookback = 0
+	}
+	ls := core.NewLifespans(to, 32, 128).Restrict(false)
+	s.Benign.Generate(lookback, to, func(o telemetry.Observation) {
+		ls.Observe(o)
+		if o.Day >= from {
+			uc.Observe(o)
+		}
+	})
+
+	m := PandemicWindowMetrics{From: from, To: to}
+	m.MedianV4Addrs = uc.AddrsPerUser(netaddr.IPv4).Median()
+	m.MedianV6Addrs = uc.AddrsPerUser(netaddr.IPv6).Median()
+	for _, span := range uc.PrefixSpans([]int{64}) {
+		if span.Length == 64 {
+			m.SingleSlash64Share = span.One
+		}
+	}
+	if h := ls.AgeHist(netaddr.IPv4, 32); h.N() > 0 {
+		m.FreshV4 = h.CDFAt(0)
+	}
+	if h := ls.AgeHist(netaddr.IPv6, 128); h.N() > 0 {
+		m.FreshV6 = h.CDFAt(0)
+	}
+	return m
+}
+
 // runFigure registers one figure on a fresh Paper over sim, runs the
 // paper and returns what the figure reads.
 func runFigure[R any](sim *Sim, register func(*Paper) func() R) R {
@@ -313,6 +420,27 @@ func runFigure[R any](sim *Sim, register func(*Paper) func() R) R {
 // adviseAt reads the advisor at the three tolerances cmd/userv6 prints.
 func adviseAt(advise func(float64) core.Advice) []core.Advice {
 	return []core.Advice{advise(0.0001), advise(0.001), advise(0.01)}
+}
+
+// sweepGranularities are the granularities cmd/userv6's rate-limit
+// and TTL sweeps read, and ttlHorizon its TTL horizon.
+var sweepGranularities = []granularity{{netaddr.IPv6, 128}, {netaddr.IPv6, 64}, {netaddr.IPv4, 32}}
+
+const ttlHorizon = 5
+
+// ttlCurves registers TTLRecallCurve at every sweep granularity.
+func ttlCurves(p *Paper) func() [][]float64 {
+	reads := make([]func() []float64, len(sweepGranularities))
+	for i, g := range sweepGranularities {
+		reads[i] = p.TTLRecallCurve(g.fam, g.length, ttlHorizon)
+	}
+	return func() [][]float64 {
+		out := make([][]float64, len(reads))
+		for i, read := range reads {
+			out[i] = read()
+		}
+		return out
+	}
 }
 
 // paperFigure pairs a Paper figure with its per-figure reference.
@@ -350,6 +478,38 @@ var paperFigures = []paperFigure{
 		advise := p.Advise()
 		return func() []core.Advice { return adviseAt(advise) }
 	}), func(s perFigureFeeds) any { return adviseAt(s.Advise) }},
+	{"Segments", figure((*Paper).Segments), func(s perFigureFeeds) any { return s.Segments() }},
+	{"ChurnReasons", figure((*Paper).ChurnReasons), func(s perFigureFeeds) any { return s.ChurnReasons() }},
+	{"ComparePandemic", figure((*Paper).ComparePandemic), func(s perFigureFeeds) any { return s.ComparePandemic() }},
+	{"TTLRecallCurve", figure(ttlCurves), func(s perFigureFeeds) any {
+		out := make([][]float64, len(sweepGranularities))
+		for i, g := range sweepGranularities {
+			out[i] = s.TTLRecallCurve(g.fam, g.length, ttlHorizon)
+		}
+		return out
+	}},
+}
+
+// sweepFigures are the blocklist and rate-limit sweeps as cmd/userv6
+// registers them. Their references are internal/core's BlocklistSim
+// and RateLimitSim, so here only the days they generate are checked.
+var sweepFigures = []paperFigure{
+	{"BlocklistSweep", figure(func(p *Paper) func() []BlocklistSweepResult {
+		return p.BlocklistSweep(DefaultBlocklistPolicies())
+	}), nil},
+	{"RateLimitSweep", figure(func(p *Paper) func() [][]core.RateLimitOutcome {
+		reads := make([]func() []core.RateLimitOutcome, len(sweepGranularities))
+		for i, g := range sweepGranularities {
+			reads[i] = p.RateLimitSweep(g.fam, g.length, []int{1, 2, 3, 5, 10, 50})
+		}
+		return func() [][]core.RateLimitOutcome {
+			out := make([][]core.RateLimitOutcome, len(reads))
+			for i, read := range reads {
+				out[i] = read()
+			}
+			return out
+		}
+	}), nil},
 }
 
 // TestPaperMatchesPerFigureFeeds: one Paper with every figure
@@ -382,8 +542,10 @@ func TestPaperMatchesPerFigureFeeds(t *testing.T) {
 }
 
 // TestPaperGeneratesOnlyReadDays: a figure registered alone makes Run
-// generate the days and populations its per-figure feed generates,
-// each once, and nothing else.
+// generate the days and populations it reads, each once, and nothing
+// else. These are the days its per-figure feed generates, except that
+// the TTL curve reads the week-long Actioning the blocklist and
+// rate-limit sweeps share, so it generates both populations' week.
 func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 	type window struct {
 		abusive  bool
@@ -406,6 +568,12 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		"Outliers":           {benign(81, 87), abusive(81, 87)},
 		"Fig11":              {benign(86, 87), abusive(86, 87)},
 		"Advise":             {benign(60, 87), abusive(81, 87)},
+		"Segments":           {benign(81, 87)},
+		"ChurnReasons":       {benign(74, 87)},
+		"ComparePandemic":    {benign(13, 26), benign(74, 87)},
+		"TTLRecallCurve":     {benign(81, 87), abusive(81, 87)},
+		"BlocklistSweep":     {benign(81, 87), abusive(81, 87)},
+		"RateLimitSweep":     {benign(81, 87), abusive(81, 87)},
 	}
 	// count tallies observations per (day, abusive).
 	type dayPop struct {
@@ -416,7 +584,7 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		return func(o telemetry.Observation) { m[dayPop{o.Day, o.Abusive}]++ }
 	}
 	sim := NewSim(DefaultScenario(300))
-	for _, f := range paperFigures {
+	for _, f := range slices.Concat(paperFigures, sweepFigures) {
 		windows, ok := reads[f.name]
 		if !ok {
 			t.Fatalf("%s: no expected windows", f.name)
