@@ -84,13 +84,15 @@ faults:
 # chunked storage every default analyzer keeps its state in),
 # Actioning against its two-phase reference and, over a week, against
 # the blocklist and rate-limit simulators it replaced, on shuffled and
-# folded feeds, and every registration's Merge laws (commutative,
-# associative, empty replica as identity), under the race detector.
+# folded feeds, RequestLoad against the request limiter it replaced and
+# IPNovelty's rule on shuffled and folded feeds, and every
+# registration's Merge laws (commutative, associative, empty replica as
+# identity), under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold|TestActioningMatchesReferenceSims|TestMergeLaws' ./internal/core
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold|TestActioningMatchesReferenceSims|TestRequestLoadMatchesReference|TestIPNoveltyFlags|TestMergeLaws' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the
 # root build and test never compile it. It calls the analysis and merge

@@ -46,9 +46,7 @@ func (p *Paper) ComparePandemic() func() PandemicComparison {
 func (p *Paper) windowMetrics(from, to simtime.Day, uc *core.UserCentric) func() PandemicWindowMetrics {
 	// Lifespans with a 14-day lookback so both windows use the same
 	// horizon (the February window has less history before it).
-	mk := func() *core.Lifespans { return core.NewLifespans(to, 32, 128).Restrict(false) }
-	ls := mk()
-	core.AddCommutativeAnalyzerFiltered(p.set, ls, mk, (*core.Lifespans).Merge, p.window(max(to-13, 0), to, true, false))
+	ls := p.lifespansAt(false, to, max(to-13, 0), []int{32, 128})
 	return func() PandemicWindowMetrics {
 		m := PandemicWindowMetrics{From: from, To: to}
 		m.MedianV4Addrs = uc.AddrsPerUser(netaddr.IPv4).Median()

@@ -5,6 +5,9 @@ package userv6
 // of both into the public API, with evaluation experiments for each.
 
 import (
+	"fmt"
+	"slices"
+
 	"userv6/internal/abuse"
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
@@ -43,13 +46,14 @@ type ScraperDefenseResult struct {
 	ScraperBlockShare float64
 }
 
-// ScraperDefense runs logged-out request-rate limiting over one analysis
-// day with benign traffic plus the scraper fleet, at /128 and /64 for
-// each budget. Scrapers hop IIDs inside their /64, so per-address caps
-// leak most of their volume; the /64 limiter (whose budget is 10x the
-// per-address budget, since whole households and sites share a /64)
-// catches what hopping hides.
-func (s *Sim) ScraperDefense(caps []uint64) []ScraperDefenseResult {
+// ScraperDefense registers logged-out request-rate limiting over one
+// analysis day with benign traffic plus the scraper fleet, at /128 and
+// /64 for each budget. Scrapers hop IIDs inside their /64, so
+// per-address caps leak most of their volume; the /64 limiter (whose
+// budget is 10x the per-address budget, since whole households and
+// sites share a /64) catches what hopping hides. One RequestLoad per
+// granularity serves every budget.
+func (p *Paper) ScraperDefense(caps []uint64) func() []ScraperDefenseResult {
 	day := simtime.AnalysisWeekStart
 	grans := []struct {
 		name   string
@@ -57,34 +61,30 @@ func (s *Sim) ScraperDefense(caps []uint64) []ScraperDefenseResult {
 		mult   uint64
 	}{{"/128", 128, 1}, {"/64", 64, 10}}
 
-	limiters := make([]*core.RequestRateLimit, 0, len(grans)*len(caps))
-	var results []ScraperDefenseResult
-	for _, g := range grans {
-		for _, c := range caps {
-			budget := c * g.mult
-			limiters = append(limiters, core.NewRequestRateLimit(netaddr.IPv6, g.length, budget))
-			results = append(results, ScraperDefenseResult{Name: g.name, Length: g.length, CapPerDay: budget})
-		}
-	}
-	feed := func(o telemetry.Observation) {
+	loads := make([]*core.RequestLoad, len(grans))
+	for i, g := range grans {
 		// The §7.2 carve-out: heavily populated gateway addresses are
 		// predictable from their structured IIDs, so the rate limiter
 		// exempts them (they get a dedicated policy) rather than
 		// throttling hundreds of legitimate users behind one address.
-		if netaddr.IsStructuredIID(o.Addr) {
-			return
-		}
-		for _, l := range limiters {
-			l.Observe(o)
-		}
+		loads[i] = register(p, reg{fmt.Sprintf("RequestLoad IPv6/%d, structured IIDs exempt", g.length), day, day, benignPop | scraperPop},
+			func() *core.RequestLoad { return core.NewRequestLoad(netaddr.IPv6, g.length) },
+			func(o telemetry.Observation) bool { return !netaddr.IsStructuredIID(o.Addr) })
 	}
-	s.Benign.GenerateDay(day, feed)
-	s.Scrapers().GenerateDay(day, feed)
-	for i, l := range limiters {
-		results[i].BenignLossShare = l.BenignLossShare()
-		results[i].ScraperBlockShare = l.AbusiveBlockShare()
+	return func() []ScraperDefenseResult {
+		var results []ScraperDefenseResult
+		for i, g := range grans {
+			for _, c := range caps {
+				budget := c * g.mult
+				t := loads[i].Limit(budget)
+				results = append(results, ScraperDefenseResult{
+					Name: g.name, Length: g.length, CapPerDay: budget,
+					BenignLossShare: t.BenignLossShare(), ScraperBlockShare: t.AbusiveBlockShare(),
+				})
+			}
+		}
+		return results
 	}
-	return results
 }
 
 // HijackDetectionResult evaluates the IP-novelty hijack detector.
@@ -95,59 +95,34 @@ type HijackDetectionResult struct {
 	FalseAlarmShare    float64
 }
 
-// DetectHijacks runs a simple IP-novelty detector over the full study
-// window: flag an account when it appears on a hosting/proxy-network
-// address after having been seen only on access networks — the paper's
-// suggested use of user-level IP features for compromise detection.
-func (s *Sim) DetectHijacks() HijackDetectionResult {
-	hijacks := s.Hijacks()
-	hosting := make(map[netmodel.ASN]bool)
-	for _, n := range s.World.Hosting {
+// DetectHijacks registers a simple IP-novelty detector over the full
+// study window, benign users and hijacked accounts alike: flag an
+// account when it appears on a hosting/proxy-network address after
+// having been seen on access networks — the paper's suggested use of
+// user-level IP features for compromise detection.
+func (p *Paper) DetectHijacks() func() HijackDetectionResult {
+	s, hosting := p.Sim, make(map[netmodel.ASN]bool)
+	for _, n := range slices.Concat(s.World.Hosting, s.World.Proxies) {
 		hosting[n.ASN] = true
 	}
-	for _, n := range s.World.Proxies {
-		hosting[n.ASN] = true
-	}
-
-	// Pass: accumulate per-user "seen on access network" then flag on a
-	// hosting appearance. Stream day by day, benign first (so a victim
-	// has history before the compromise fires, as in reality).
-	established := make(map[uint64]bool)
-	flagged := make(map[uint64]bool)
-	observe := func(o telemetry.Observation) {
-		if hosting[o.ASN] {
-			if established[o.UserID] && !flagged[o.UserID] {
-				flagged[o.UserID] = true
+	det := register(p, reg{"IPNovelty", 0, simtime.StudyDays - 1, benignPop | hijackPop},
+		func() *core.IPNovelty { return core.NewIPNovelty(hosting) }, nil)
+	return func() HijackDetectionResult {
+		hijacks := s.Hijacks()
+		r := HijackDetectionResult{Victims: len(hijacks.Victims()), Users: det.Users()}
+		for _, uid := range det.Flagged() {
+			if _, victim := hijacks.VictimOf(uid); victim {
+				r.Detected++
+			} else {
+				r.FalseAlarms++
 			}
-			return
 		}
-		established[o.UserID] = true
-	}
-	for d := simtime.Day(0); d < simtime.StudyDays; d++ {
-		s.Benign.GenerateDay(d, observe)
-		hijacks.GenerateDay(d, observe)
-	}
-
-	victims := hijacks.Victims()
-	victimSet := make(map[uint64]bool, len(victims))
-	for _, v := range victims {
-		victimSet[v.UserID] = true
-	}
-	var r HijackDetectionResult
-	r.Victims = len(victims)
-	r.Users = len(established)
-	for uid := range flagged {
-		if victimSet[uid] {
-			r.Detected++
-		} else {
-			r.FalseAlarms++
+		if r.Victims > 0 {
+			r.Recall = float64(r.Detected) / float64(r.Victims)
 		}
+		if r.Users > 0 {
+			r.FalseAlarmShare = float64(r.FalseAlarms) / float64(r.Users)
+		}
+		return r
 	}
-	if r.Victims > 0 {
-		r.Recall = float64(r.Detected) / float64(r.Victims)
-	}
-	if r.Users > 0 {
-		r.FalseAlarmShare = float64(r.FalseAlarms) / float64(r.Users)
-	}
-	return r
 }

@@ -1,10 +1,17 @@
 package userv6
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"userv6/internal/netmodel"
+	"userv6/internal/simtime"
+	"userv6/internal/telemetry"
+)
 
 func TestScraperDefenseShapes(t *testing.T) {
 	sim := testSim(t)
-	results := sim.ScraperDefense([]uint64{200, 1000})
+	results := runFigure(sim, func(p *Paper) func() []ScraperDefenseResult { return p.ScraperDefense([]uint64{200, 1000}) })
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -63,7 +70,7 @@ func TestScraperDefenseShapes(t *testing.T) {
 
 func TestDetectHijacksShapes(t *testing.T) {
 	sim := testSim(t)
-	r := sim.DetectHijacks()
+	r := runFigure(sim, (*Paper).DetectHijacks)
 	if r.Victims == 0 {
 		t.Fatal("no victims synthesized")
 	}
@@ -79,4 +86,45 @@ func TestDetectHijacksShapes(t *testing.T) {
 	if r.Detected > r.Victims {
 		t.Fatal("detected more victims than exist")
 	}
+}
+
+// TestUserDaysPutAccessBeforeHosting: in every generated user-day, no
+// access sighting follows a hosting or proxy sighting. Paper's
+// DetectHijacks rests on it: core.IPNovelty folds each user's first
+// access day and last hosting day, which flags what the streaming
+// detector flags only when a user-day delivers its access sightings
+// first (a day's hijack sightings come after all its benign ones).
+// The population appends a user's VPN context after the access ones,
+// and the generator emits contexts in order. Some user-days must mix
+// both kinds, so reordering the contexts fails the test.
+func TestUserDaysPutAccessBeforeHosting(t *testing.T) {
+	sim := NewSim(DefaultScenario(1_500))
+	hosting := make(map[netmodel.ASN]bool)
+	for _, n := range slices.Concat(sim.World.Hosting, sim.World.Proxies) {
+		hosting[n.ASN] = true
+	}
+	mixed := 0
+	for i := range sim.Pop.Users {
+		u := &sim.Pop.Users[i]
+		for d := simtime.Day(0); d < simtime.StudyDays; d++ {
+			var access, onHosting bool
+			sim.Benign.UserDay(u, d, func(o telemetry.Observation) {
+				if hosting[o.ASN] {
+					onHosting = true
+					return
+				}
+				if onHosting {
+					t.Fatalf("user %d, day %d: access sighting on ASN %d after a hosting sighting", u.ID, d, o.ASN)
+				}
+				access = true
+			})
+			if access && onHosting {
+				mixed++
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no user-day mixes access and hosting sightings, so the order is not checked")
+	}
+	t.Logf("%d user-days mix access and hosting sightings", mixed)
 }

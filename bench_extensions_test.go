@@ -69,7 +69,7 @@ func BenchmarkSegments(b *testing.B) {
 func BenchmarkSketchedOutliers(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.SketchedOutliers(128)
+		r := runFigure(sim, func(p *Paper) func() SketchedOutliersResult { return p.SketchedOutliers(128) })
 		if i == b.N-1 {
 			b.ReportMetric(r.HeavyRecall*100, "heavy_recall_%")
 			b.ReportMetric(r.TopError*100, "top_err_%")
@@ -138,7 +138,7 @@ func BenchmarkAblationSlowDetection(b *testing.B) {
 func BenchmarkScraperDefense(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		rs := sim.ScraperDefense([]uint64{200})
+		rs := runFigure(sim, func(p *Paper) func() []ScraperDefenseResult { return p.ScraperDefense([]uint64{200}) })
 		if i == b.N-1 {
 			for _, r := range rs {
 				switch r.Name {
@@ -156,7 +156,7 @@ func BenchmarkScraperDefense(b *testing.B) {
 func BenchmarkDetectHijacks(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := sim.DetectHijacks()
+		r := runFigure(sim, (*Paper).DetectHijacks)
 		if i == b.N-1 {
 			b.ReportMetric(r.Recall*100, "recall_%")
 			b.ReportMetric(r.FalseAlarmShare*100, "false_alarm_%")

@@ -8,24 +8,16 @@ import (
 	"userv6/internal/report"
 )
 
-func init() {
-	experimentOrder = append(experimentOrder, "scrapers", "hijacks", "pandemic")
-	experiments["scrapers"] = experiment{"logged-out scraper defense (§8 future work)", ownPass(runScrapers)}
-	experiments["hijacks"] = experiment{"account-hijack detection (§8 future work)", ownPass(runHijacks)}
-	experiments["pandemic"] = experiment{"Appendix A pre/post-lockdown robustness", show((*userv6.Paper).ComparePandemic, printPandemic)}
-}
-
-func runScrapers(sim *userv6.Sim) {
+func printScrapers(results []userv6.ScraperDefenseResult) {
 	t := report.NewTable("granularity", "budget/day", "scraper volume blocked", "benign volume lost")
-	for _, r := range sim.ScraperDefense([]uint64{100, 200, 500, 1000}) {
+	for _, r := range results {
 		t.Row(r.Name, r.CapPerDay, report.Percent(r.ScraperBlockShare), report.Percent(r.BenignLossShare))
 	}
 	t.Write(os.Stdout)
 	fmt.Println("\nIID-hopping defeats per-address caps; /64 budgets recover the lost volume.")
 }
 
-func runHijacks(sim *userv6.Sim) {
-	r := sim.DetectHijacks()
+func printHijacks(r userv6.HijackDetectionResult) {
 	report.NewTable("metric", "value").
 		Row("compromised accounts", r.Victims).
 		Row("detected by IP novelty", r.Detected).

@@ -10,18 +10,6 @@ import (
 	"userv6/internal/report"
 )
 
-func init() {
-	experimentOrder = append(experimentOrder,
-		"segments", "blocklist-sweep", "ratelimit-sweep", "sketched", "ttlcurve")
-	experiments["segments"] = experiment{"per-network-type behavior (§8 future work)", show((*userv6.Paper).Segments, printSegments)}
-	experiments["blocklist-sweep"] = experiment{"multi-day blocklist policies with TTLs", show(func(p *userv6.Paper) func() []userv6.BlocklistSweepResult {
-		return p.BlocklistSweep(userv6.DefaultBlocklistPolicies())
-	}, printBlocklistSweep)}
-	experiments["ratelimit-sweep"] = experiment{"per-prefix entity caps vs collateral", addRateLimitSweep}
-	experiments["sketched"] = experiment{"fixed-memory heavy-hitter pipeline vs exact", ownPass(runSketched)}
-	experiments["ttlcurve"] = experiment{"indicator recall decay by age", addTTLCurve}
-}
-
 func printSegments(reports []core.SegmentReport) {
 	t := report.NewTable("network kind", "users", "v6 users", "v6 requests", "med v4 addrs", "med v6 addrs")
 	for _, r := range reports {
@@ -67,8 +55,7 @@ func addRateLimitSweep(p *userv6.Paper) func() {
 	}
 }
 
-func runSketched(sim *userv6.Sim) {
-	r := sim.SketchedOutliers(128)
+func printSketched(r userv6.SketchedOutliersResult) {
 	fmt.Printf("prefix cardinality: sketched %.0f vs exact %d\n", r.PrefixEstimate, r.ExactPrefixes)
 	fmt.Printf("heavy-hitter recall vs exact top-10: %s; top estimate error: %s\n\n",
 		report.Percent(r.HeavyRecall), report.Percent(r.TopError))
@@ -95,11 +82,6 @@ func addTTLCurve(p *userv6.Paper) func() {
 	}
 }
 
-func init() {
-	experimentOrder = append(experimentOrder, "churn")
-	experiments["churn"] = experiment{"causes of new IPv6 addresses (§8 future work)", show((*userv6.Paper).ChurnReasons, printChurn)}
-}
-
 func printChurn(b core.ChurnBreakdown) {
 	report.NewTable("cause", "new pairs", "share").
 		Row("IID rotation (same /64)", b.IIDRotation, report.Percent(b.Share(0))).
@@ -107,11 +89,6 @@ func printChurn(b core.ChurnBreakdown) {
 		Row("network switch", b.NetworkSwitch, report.Percent(b.Share(2))).
 		Write(os.Stdout)
 	fmt.Printf("\n%d new (user, IPv6 address) pairs attributed\n", b.Total)
-}
-
-func init() {
-	experimentOrder = append(experimentOrder, "fig12")
-	experiments["fig12"] = experiment{"per-country IPv6 ratios (choropleth as table)", show((*userv6.Paper).CountryRatios, printFig12)}
 }
 
 func printFig12(rows []core.RatioRow) {

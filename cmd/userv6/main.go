@@ -7,14 +7,15 @@
 //	userv6 [-users N] [-seed S] <experiment>
 //
 // Experiments: fig1 table1 table2 clientaddr fig2 fig3 fig4 fig5 fig6
-// fig7 fig8 fig9 fig10 fig11 outliers advise all
+// fig7 fig8 fig9 fig10 fig11 outliers advise scrapers hijacks pandemic
+// segments blocklist-sweep ratelimit-sweep sketched ttlcurve churn
+// fig12 all
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"userv6"
@@ -74,9 +75,9 @@ func main() {
 		fmt.Printf("== %s: %s ==\n", e, experiments[e].desc)
 		prints[i]()
 		fmt.Println()
-		// Drop the printed experiment: analyzers no later experiment
-		// reads are freed before the extensions generate their own
-		// telemetry.
+		// Drop the printed experiment, so that analyzers no later
+		// experiment reads can be collected while the rest print
+		// (sketched generates the week again for its sketch).
 		prints[i] = nil
 	}
 }
@@ -98,27 +99,12 @@ func show[R any](register func(*userv6.Paper) func() R, printer func(R)) func(*u
 	}
 }
 
-// ownPass adapts an experiment that generates its own telemetry: it
-// registers nothing and runs when it prints. It collects the heap
-// first, so the paper analyzers that were dropped once printed are
-// freed before it allocates its own. Three §8 extensions need it:
-// hijacks, whose detector depends on the order of sightings inside one
-// benign user's day; scrapers, which has its own generator; and
-// sketched, whose Space-Saving counters depend on feed order.
-func ownPass(run func(*userv6.Sim)) func(*userv6.Paper) func() {
-	return func(p *userv6.Paper) func() {
-		sim := p.Sim
-		return func() {
-			runtime.GC()
-			run(sim)
-		}
-	}
-}
-
 var experimentOrder = []string{
 	"fig1", "table1", "table2", "clientaddr", "fig2", "fig3", "fig4",
 	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "outliers",
-	"advise",
+	"advise", "scrapers", "hijacks", "pandemic", "segments",
+	"blocklist-sweep", "ratelimit-sweep", "sketched", "ttlcurve", "churn",
+	"fig12",
 }
 
 var experiments = map[string]experiment{
@@ -138,6 +124,22 @@ var experiments = map[string]experiment{
 	"fig11":      {"actioning ROC curves (day n -> n+1)", show((*userv6.Paper).Fig11, printFig11)},
 	"outliers":   {"RQ3 outlier summary", addOutliers},
 	"advise":     {"§7.2 policy advisor", addAdvise},
+	"scrapers": {"logged-out scraper defense (§8 future work)", show(func(p *userv6.Paper) func() []userv6.ScraperDefenseResult {
+		return p.ScraperDefense([]uint64{100, 200, 500, 1000})
+	}, printScrapers)},
+	"hijacks":  {"account-hijack detection (§8 future work)", show((*userv6.Paper).DetectHijacks, printHijacks)},
+	"pandemic": {"Appendix A pre/post-lockdown robustness", show((*userv6.Paper).ComparePandemic, printPandemic)},
+	"segments": {"per-network-type behavior (§8 future work)", show((*userv6.Paper).Segments, printSegments)},
+	"blocklist-sweep": {"multi-day blocklist policies with TTLs", show(func(p *userv6.Paper) func() []userv6.BlocklistSweepResult {
+		return p.BlocklistSweep(userv6.DefaultBlocklistPolicies())
+	}, printBlocklistSweep)},
+	"ratelimit-sweep": {"per-prefix entity caps vs collateral", addRateLimitSweep},
+	"sketched": {"fixed-memory heavy-hitter pipeline vs exact", show(func(p *userv6.Paper) func() userv6.SketchedOutliersResult {
+		return p.SketchedOutliers(128)
+	}, printSketched)},
+	"ttlcurve": {"indicator recall decay by age", addTTLCurve},
+	"churn":    {"causes of new IPv6 addresses (§8 future work)", show((*userv6.Paper).ChurnReasons, printChurn)},
+	"fig12":    {"per-country IPv6 ratios (choropleth as table)", show((*userv6.Paper).CountryRatios, printFig12)},
 }
 
 func printFig1(days []core.DayShare) {

@@ -143,17 +143,17 @@ func TestAllMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestExperimentAloneMatchesAll: each §8 and Appendix A extension that
-// registers on the paper pass prints, run alone at 1,500 users, exactly
-// its section of the seed-1 golden of all, below the run header. A
-// registration that reads other days alone than inside all fails it.
+// TestExperimentAloneMatchesAll: each §8 and Appendix A extension
+// prints, run alone at 1,500 users, exactly its section of the seed-1
+// golden of all, below the run header. A registration that reads other
+// days or populations alone than inside all fails it.
 func TestExperimentAloneMatchesAll(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "all-1500-seed1.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	header, sections, _ := strings.Cut(string(golden), "\n\n")
-	for _, e := range []string{"segments", "blocklist-sweep", "ratelimit-sweep", "ttlcurve", "churn", "pandemic"} {
+	for _, e := range []string{"segments", "blocklist-sweep", "ratelimit-sweep", "ttlcurve", "churn", "pandemic", "hijacks", "scrapers", "sketched"} {
 		title := fmt.Sprintf("== %s: %s ==\n", e, experiments[e].desc)
 		_, section, ok := strings.Cut(sections, title)
 		if !ok {

@@ -5,10 +5,11 @@ package userv6
 // threshold sweeps, and per-network-type behavioral segmentation.
 
 import (
+	"fmt"
+
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
-	"userv6/internal/telemetry"
 )
 
 // BlocklistPolicy identifies one blocklist configuration to evaluate.
@@ -75,16 +76,13 @@ func (p *Paper) Segments() func() []core.SegmentReport {
 	for _, n := range p.Sim.World.Networks() {
 		kinds[n.ASN] = n.Kind
 	}
-	mk := func() *core.Segmentation { return core.NewSegmentation(core.ClassifyByASN(kinds)) }
-	seg := mk()
 	from, to := AnalysisWeek()
-	core.AddCommutativeAnalyzerFiltered(p.set, seg, mk, (*core.Segmentation).Merge, p.window(from, to, true, false))
-	return seg.Report
+	return register(p, reg{"Segmentation", from, to, benignPop},
+		func() *core.Segmentation { return core.NewSegmentation(core.ClassifyByASN(kinds)) }, nil).Report
 }
 
-// SketchedOutliers runs the fixed-memory heavy-hitter pipeline over the
-// analysis week and cross-checks it against the exact analyzer,
-// returning the sketched top prefixes plus agreement metrics.
+// SketchedOutliersResult is the fixed-memory heavy-hitter pipeline's
+// top prefixes and its agreement with exact counting.
 type SketchedOutliersResult struct {
 	Top            []core.SketchedHeavy
 	TopError       float64
@@ -93,22 +91,25 @@ type SketchedOutliersResult struct {
 	ExactPrefixes  int
 }
 
-// SketchedOutliers exercises the production-scale counting path.
-func (s *Sim) SketchedOutliers(length int) SketchedOutliersResult {
+// SketchedOutliers registers the production-scale counting path over
+// the analysis week. Its exact half is the week's IPCentric at length,
+// which IPCentricWeek registers too. The sketch's Space-Saving counters
+// depend on feed order, so the returned reader feeds the sketch from a
+// generation of the week of its own, in Sim.Generate's order.
+func (p *Paper) SketchedOutliers(length int) func() SketchedOutliersResult {
 	from, to := AnalysisWeek()
-	sk := core.NewSketchedIPCentric(netaddr.IPv6, length, 2048)
-	exact := core.NewIPCentric(netaddr.IPv6, length)
-	s.Generate(from, to, func(o telemetry.Observation) {
-		sk.Observe(o)
-		exact.Observe(o)
-	})
-	topErr, recall := core.CompareExact(sk, exact, 10)
-	return SketchedOutliersResult{
-		Top:            sk.Top(10),
-		TopError:       topErr,
-		HeavyRecall:    recall,
-		PrefixEstimate: sk.Prefixes(),
-		ExactPrefixes:  exact.Prefixes(),
+	exact, s := p.ipCentric(netaddr.IPv6, length, from, to), p.Sim
+	return func() SketchedOutliersResult {
+		sk := core.NewSketchedIPCentric(netaddr.IPv6, length, 2048)
+		s.Generate(from, to, sk.Observe)
+		topErr, recall := core.CompareExact(sk, exact, 10)
+		return SketchedOutliersResult{
+			Top:            sk.Top(10),
+			TopError:       topErr,
+			HeavyRecall:    recall,
+			PrefixEstimate: sk.Prefixes(),
+			ExactPrefixes:  exact.Prefixes(),
+		}
 	}
 }
 
@@ -126,14 +127,8 @@ func (p *Paper) TTLRecallCurve(fam netaddr.Family, length int, horizon int) func
 // at one granularity, which the blocklist, rate-limit and TTL sweeps
 // read.
 func (p *Paper) weekActioning(fam netaddr.Family, length int) *core.Actioning {
-	g := granularity{fam, length}
-	if p.weekActs[g] == nil {
-		from, to := AnalysisWeek()
-		mk := func() *core.Actioning { return core.NewActioning(fam, length, from, to) }
-		p.weekActs[g] = mk()
-		core.AddCommutativeAnalyzerFiltered(p.set, p.weekActs[g], mk, (*core.Actioning).Merge, p.window(from, to, true, true))
-	}
-	return p.weekActs[g]
+	from, to := AnalysisWeek()
+	return p.actioning(fam, length, from, to)
 }
 
 // ChurnReasons registers the attribution of the analysis week's new
@@ -142,8 +137,6 @@ func (p *Paper) weekActioning(fam netaddr.Family, length int) *core.Actioning {
 // dynamic IPv6 behavior" study).
 func (p *Paper) ChurnReasons() func() core.ChurnBreakdown {
 	from, to := AnalysisWeek()
-	mk := func() *core.ChurnAttribution { return core.NewChurnAttribution(from) }
-	ca := mk()
-	core.AddCommutativeAnalyzerFiltered(p.set, ca, mk, (*core.ChurnAttribution).Merge, p.window(max(from-7, 0), to, true, false))
-	return ca.Breakdown
+	return register(p, reg{fmt.Sprint("ChurnAttribution from day ", from), max(from-7, 0), to, benignPop},
+		func() *core.ChurnAttribution { return core.NewChurnAttribution(from) }, nil).Breakdown
 }

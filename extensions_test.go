@@ -112,7 +112,7 @@ func TestSegmentsShapes(t *testing.T) {
 
 func TestSketchedOutliersAgree(t *testing.T) {
 	sim := testSim(t)
-	r := sim.SketchedOutliers(128)
+	r := runFigure(sim, func(p *Paper) func() SketchedOutliersResult { return p.SketchedOutliers(128) })
 	if r.HeavyRecall < 0.7 {
 		t.Fatalf("heavy recall = %v", r.HeavyRecall)
 	}

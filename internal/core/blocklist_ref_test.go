@@ -13,6 +13,13 @@ import (
 	"userv6/internal/telemetry"
 )
 
+// pairKey identifies a (user, prefix-or-address) pair in the
+// references' sets.
+type pairKey struct {
+	uid uint64
+	pfx netaddr.Prefix
+}
+
 // BlocklistSim extends the §7.1 single-transition actioning experiment
 // to a multi-day blocklist with entry TTLs — the operational form of the
 // paper's §7.2 blocklisting guidance. Each day, prefixes whose abusive

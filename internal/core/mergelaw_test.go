@@ -44,8 +44,8 @@ func law[T Observer](name string, mk func() T, merge func(into, from T), surface
 // lawAnalyzers are the registrations the laws cover: the five default
 // analyzers, IPCentric at three granularities and Lifespans at lengths
 // where the families share key words (8, 32) and where only IPv6 fits
-// (64, 128), Actioning over two days and over a week, and
-// Segmentation.
+// (64, 128), Actioning over two days and over a week, Segmentation,
+// RequestLoad and IPNovelty.
 func lawAnalyzers() []lawAnalyzer {
 	ic := func(fam netaddr.Family, length int) lawAnalyzer {
 		return law(fmt.Sprintf("ipcentric %v/%d", fam, length),
@@ -95,8 +95,23 @@ func lawAnalyzers() []lawAnalyzer {
 			}),
 		law("segmentation", func() *Segmentation { return NewSegmentation(ClassifyByASN(lawKinds)) }, (*Segmentation).Merge,
 			func(s *Segmentation, q map[string]any) { q["segments"] = s.Report() }),
+		law("requestload", func() *RequestLoad { return NewRequestLoad(netaddr.IPv6, 64) }, (*RequestLoad).Merge,
+			func(r *RequestLoad, q map[string]any) {
+				for _, c := range []uint64{1, 7, 100} {
+					q[fmt.Sprint("limit@", c)] = r.Limit(c)
+				}
+			}),
+		law("ipnovelty", func() *IPNovelty { return NewIPNovelty(lawHosting) }, (*IPNovelty).Merge,
+			func(n *IPNovelty, q map[string]any) {
+				q["users"] = n.Users()
+				q["flagged"] = n.Flagged()
+			}),
 	}
 }
+
+// lawHosting marks the oracle stream's region-4 ASN as hosting, so
+// users who move there after an access sighting are flagged.
+var lawHosting = map[netmodel.ASN]bool{104: true}
 
 // lawKinds classifies the oracle stream's region ASNs; the heavy
 // user's ASNs stay unclassified, so their sightings are dropped.

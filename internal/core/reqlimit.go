@@ -2,89 +2,99 @@ package core
 
 import (
 	"userv6/internal/netaddr"
-	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
 
-// RequestRateLimit caps *requests* (not entities) per prefix per day —
-// the logged-out safeguard the paper's §7.2 rate-limiting discussion
-// ends on: it must work against scrapers that present no account at
-// all, and its thresholds can be tight on IPv6 because so few
-// legitimate users share an address.
-//
-// Requests beyond the cap are throttled. The simulator tallies admitted
-// and throttled requests separately for benign and abusive traffic.
-type RequestRateLimit struct {
+// RequestLoad keeps each prefix-day's benign and abusive request sums
+// at one granularity, for capping *requests* (not entities) per prefix
+// per day: the logged-out safeguard against scrapers, which present no
+// account, that the paper's §7.2 rate-limiting discussion ends on.
+// Limit replays a cap over the sums.
+type RequestLoad struct {
 	Family netaddr.Family
 	Length int
-	// CapPerDay is the request budget per prefix-day.
-	CapPerDay uint64
 
-	used map[dayPrefixKey]uint64
-	// Tallies.
+	load map[dayPrefix]struct{ benign, abusive uint64 }
+}
+
+// dayPrefix is one prefix on one day, the prefix as its masked words.
+type dayPrefix struct {
+	day int32
+	pfx addrKey
+}
+
+// NewRequestLoad returns an analyzer at one granularity.
+func NewRequestLoad(fam netaddr.Family, length int) *RequestLoad {
+	return &RequestLoad{Family: fam, Length: length, load: make(map[dayPrefix]struct{ benign, abusive uint64 })}
+}
+
+// Observe adds one observation's requests to its prefix-day.
+func (r *RequestLoad) Observe(o telemetry.Observation) {
+	if o.Addr.Family() != r.Family || r.Length > o.Addr.Bits() {
+		return
+	}
+	k := dayPrefix{day: int32(o.Day), pfx: keyOf(netaddr.PrefixFrom(o.Addr, r.Length).Addr())}
+	s := r.load[k]
+	if o.Abusive {
+		s.abusive += uint64(o.Requests)
+	} else {
+		s.benign += uint64(o.Requests)
+	}
+	r.load[k] = s
+}
+
+// Merge adds another analyzer's sums into r. Both must use the same
+// granularity. The larger table is kept and the smaller added into it,
+// so other must not be used after Merge.
+func (r *RequestLoad) Merge(other *RequestLoad) {
+	if len(other.load) > len(r.load) {
+		r.load, other.load = other.load, r.load
+	}
+	for k, from := range other.load {
+		into := r.load[k]
+		into.benign += from.benign
+		into.abusive += from.abusive
+		r.load[k] = into
+	}
+}
+
+// RequestTallies are a cap's admitted and throttled requests, benign
+// and abusive apart.
+type RequestTallies struct {
 	BenignAdmitted, BenignThrottled   uint64
 	AbusiveAdmitted, AbusiveThrottled uint64
 }
 
-// dayPrefixKey identifies one prefix on one day.
-type dayPrefixKey struct {
-	day simtime.Day
-	pfx netaddr.Prefix
-}
-
-// NewRequestRateLimit returns a limiter at one granularity and budget.
-func NewRequestRateLimit(fam netaddr.Family, length int, capPerDay uint64) *RequestRateLimit {
-	if capPerDay < 1 {
-		capPerDay = 1
+// Limit replays a budget of capPerDay requests per prefix-day: each
+// prefix-day admits its benign requests first, up to the budget, and
+// its abusive requests fill what is left. A budget below 1 counts as 1.
+func (r *RequestLoad) Limit(capPerDay uint64) RequestTallies {
+	capPerDay = max(capPerDay, 1)
+	var t RequestTallies
+	for _, s := range r.load {
+		benign := min(s.benign, capPerDay)
+		abusive := min(s.abusive, capPerDay-benign)
+		t.BenignAdmitted += benign
+		t.BenignThrottled += s.benign - benign
+		t.AbusiveAdmitted += abusive
+		t.AbusiveThrottled += s.abusive - abusive
 	}
-	return &RequestRateLimit{
-		Family:    fam,
-		Length:    length,
-		CapPerDay: capPerDay,
-		used:      make(map[dayPrefixKey]uint64),
-	}
-}
-
-// Observe feeds one observation, splitting its requests into admitted
-// and throttled against the prefix-day budget.
-func (r *RequestRateLimit) Observe(o telemetry.Observation) {
-	if o.Addr.Family() != r.Family || r.Length > o.Addr.Bits() {
-		return
-	}
-	dk := dayPrefixKey{day: o.Day, pfx: netaddr.PrefixFrom(o.Addr, r.Length)}
-	used := r.used[dk]
-	admit := uint64(0)
-	if used < r.CapPerDay {
-		admit = r.CapPerDay - used
-		if admit > uint64(o.Requests) {
-			admit = uint64(o.Requests)
-		}
-	}
-	throttled := uint64(o.Requests) - admit
-	r.used[dk] = used + admit
-	if o.Abusive {
-		r.AbusiveAdmitted += admit
-		r.AbusiveThrottled += throttled
-	} else {
-		r.BenignAdmitted += admit
-		r.BenignThrottled += throttled
-	}
+	return t
 }
 
 // BenignLossShare returns the fraction of benign requests throttled.
-func (r *RequestRateLimit) BenignLossShare() float64 {
-	total := r.BenignAdmitted + r.BenignThrottled
-	if total == 0 {
-		return 0
-	}
-	return float64(r.BenignThrottled) / float64(total)
+func (t RequestTallies) BenignLossShare() float64 {
+	return throttledShare(t.BenignAdmitted, t.BenignThrottled)
 }
 
 // AbusiveBlockShare returns the fraction of abusive requests throttled.
-func (r *RequestRateLimit) AbusiveBlockShare() float64 {
-	total := r.AbusiveAdmitted + r.AbusiveThrottled
-	if total == 0 {
+func (t RequestTallies) AbusiveBlockShare() float64 {
+	return throttledShare(t.AbusiveAdmitted, t.AbusiveThrottled)
+}
+
+func throttledShare(admitted, throttled uint64) float64 {
+	if admitted+throttled == 0 {
 		return 0
 	}
-	return float64(r.AbusiveThrottled) / float64(total)
+	return float64(throttled) / float64(admitted+throttled)
 }

@@ -5,7 +5,6 @@ import (
 
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
-	"userv6/internal/stats"
 	"userv6/internal/telemetry"
 )
 
@@ -20,26 +19,11 @@ type Segmentation struct {
 	segments map[netmodel.Kind]*segmentAcc
 }
 
-// pairKey identifies a (user, prefix-or-address) pair.
-type pairKey struct {
-	uid uint64
-	pfx netaddr.Prefix
-}
-
+// segmentAcc is one kind's users, with their distinct addresses, and
+// its requests per family.
 type segmentAcc struct {
-	// seen holds the distinct (user, address) pairs; per-user address
-	// counts are worked out from it when a report asks.
-	seen    map[pairKey]struct{}
-	userAny map[uint64]bool // true once the user used v6 in this segment
-	reqV4   uint64
-	reqV6   uint64
-}
-
-func newSegmentAcc() *segmentAcc {
-	return &segmentAcc{
-		seen:    make(map[pairKey]struct{}),
-		userAny: make(map[uint64]bool),
-	}
+	users        UserCentric
+	reqV4, reqV6 uint64
 }
 
 // NewSegmentation returns an analyzer using the given classifier.
@@ -70,24 +54,21 @@ func (s *Segmentation) Observe(o telemetry.Observation) {
 	}
 	acc := s.segments[kind]
 	if acc == nil {
-		acc = newSegmentAcc()
+		acc = &segmentAcc{}
 		s.segments[kind] = acc
 	}
-	v6 := o.Addr.Is6()
-	if v6 {
+	if o.Addr.Is6() {
 		acc.reqV6 += uint64(o.Requests)
 	} else {
 		acc.reqV4 += uint64(o.Requests)
 	}
-	acc.userAny[o.UserID] = acc.userAny[o.UserID] || v6
-	acc.seen[pairKey{uid: o.UserID, pfx: netaddr.PrefixFrom(o.Addr, o.Addr.Bits())}] = struct{}{}
+	acc.users.Observe(o)
 }
 
 // Merge folds another segmentation's state into s: per segment, the
-// union of the pairs and users, a user counting as v6 when either saw
-// it over v6, and the summed requests. Both must use the same
-// classifier. Segments only other saw are taken over, so other must not
-// be used after Merge.
+// users' address sets merged as UserCentric merges them, and the
+// summed requests. Both must use the same classifier. Segments only
+// other saw are taken over, so other must not be used after Merge.
 func (s *Segmentation) Merge(other *Segmentation) {
 	for kind, from := range other.segments {
 		into := s.segments[kind]
@@ -95,12 +76,7 @@ func (s *Segmentation) Merge(other *Segmentation) {
 			s.segments[kind] = from
 			continue
 		}
-		for k := range from.seen {
-			into.seen[k] = struct{}{}
-		}
-		for uid, v6 := range from.userAny {
-			into.userAny[uid] = into.userAny[uid] || v6
-		}
+		into.users.Merge(&from.users)
 		into.reqV4 += from.reqV4
 		into.reqV6 += from.reqV6
 	}
@@ -123,29 +99,15 @@ type SegmentReport struct {
 func (s *Segmentation) Report() []SegmentReport {
 	out := make([]SegmentReport, 0, len(s.segments))
 	for kind, acc := range s.segments {
-		r := SegmentReport{Kind: kind, Users: len(acc.userAny)}
-		v6users := 0
-		for _, hasV6 := range acc.userAny {
-			if hasV6 {
-				v6users++
-			}
-		}
+		r := SegmentReport{Kind: kind, Users: acc.users.Users()}
+		v4, v6 := acc.users.AddrsPerUser(netaddr.IPv4), acc.users.AddrsPerUser(netaddr.IPv6)
 		if r.Users > 0 {
-			r.V6UserShare = float64(v6users) / float64(r.Users)
+			r.V6UserShare = float64(v6.N()) / float64(r.Users)
 		}
 		if total := acc.reqV4 + acc.reqV6; total > 0 {
 			r.V6ReqShare = float64(acc.reqV6) / float64(total)
 		}
-		userV4, userV6 := make(map[uint64]int), make(map[uint64]int)
-		for k := range acc.seen {
-			if k.pfx.Addr().Is6() {
-				userV6[k.uid]++
-			} else {
-				userV4[k.uid]++
-			}
-		}
-		r.MedianV4Addrs = medianOfCounts(userV4)
-		r.MedianV6Addrs = medianOfCounts(userV6)
+		r.MedianV4Addrs, r.MedianV6Addrs = v4.Median(), v6.Median()
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
@@ -163,15 +125,4 @@ func (s *Segmentation) Segment(kind netmodel.Kind) (SegmentReport, bool) {
 		}
 	}
 	return SegmentReport{}, false
-}
-
-func medianOfCounts(m map[uint64]int) int {
-	if len(m) == 0 {
-		return 0
-	}
-	h := stats.NewIntHist(64)
-	for _, c := range m {
-		h.Add(c)
-	}
-	return h.Median()
 }

@@ -413,9 +413,11 @@ const mergeQueue = 4
 // stream (non-fatal to the merge) or a failed read; writeErr an
 // output-side failure.
 func (m *merger) stream(r io.Reader, pin int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
-	type block struct {
-		raw  telemetry.RawBlock
-		recs []telemetry.Observation
+	type block struct { // with its buffers' pool handles
+		raw     telemetry.RawBlock
+		recs    []telemetry.Observation
+		rawBuf  *[]byte
+		recsBuf *[]telemetry.Observation
 	}
 	blocks := make(chan block, mergeQueue)
 	m.br.Reset(r, pin)
@@ -423,9 +425,11 @@ func (m *merger) stream(r io.Reader, pin int, passOK bool) (rep telemetry.Salvag
 		defer close(blocks)
 		raw, dec, err := m.br.NextIntact(m.dec)
 		for ; err == nil; raw, dec, err = m.br.NextIntact(dec) {
+			b := block{raw: raw, rawBuf: m.bufs.payload.get(0), recsBuf: m.bufs.recs.get(telemetry.DefaultBlockRecords)}
 			// The stored payload aliases the walker's window, which moves on.
-			raw.Payload = append(m.bufs.getPayload()[:0], raw.Payload...)
-			blocks <- block{raw: raw, recs: telemetry.AppendRecords(m.bufs.getRecs(), dec)}
+			b.raw.Payload = append((*b.rawBuf)[:0], raw.Payload...)
+			b.recs = telemetry.AppendRecords((*b.recsBuf)[:0], dec)
+			blocks <- b
 			m.dec = dec
 		}
 		if rep = m.br.Report(); err != io.EOF {
@@ -439,8 +443,8 @@ func (m *merger) stream(r io.Reader, pin int, passOK bool) (rep telemetry.Salvag
 		if writeErr == nil {
 			writeErr = writeMergedBlock(m.w, b.raw, b.recs, passOK)
 		}
-		m.bufs.putPayload(b.raw.Payload)
-		m.bufs.putRecs(b.recs)
+		m.bufs.payload.put(b.rawBuf, b.raw.Payload)
+		m.bufs.recs.put(b.recsBuf, b.recs)
 	}
 	return rep, scanErr, writeErr
 }

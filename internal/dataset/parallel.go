@@ -114,34 +114,33 @@ func workerLabeled(w int, body func()) {
 // pools recycles payload and record-batch scratch buffers across
 // blocks, so a steady-state read allocates nothing per block.
 type pools struct {
-	payload sync.Pool
-	recs    sync.Pool
+	payload bufPool[byte]
+	recs    bufPool[telemetry.Observation]
 }
 
-func (p *pools) getPayload() []byte {
-	if b, ok := p.payload.Get().(*[]byte); ok {
-		return *b
+// bufPool recycles buffers of one kind. A block keeps the handle its
+// buffer came in, as pooling a new pointer would allocate per block.
+type bufPool[T any] struct{ pool sync.Pool }
+
+// get returns a pooled buffer's handle, or a new buffer's with room for
+// size.
+func (p *bufPool[T]) get(size int) *[]T {
+	if h, ok := p.pool.Get().(*[]T); ok {
+		return h
 	}
-	return nil
+	b := make([]T, 0, size)
+	return &b
 }
 
-func (p *pools) putPayload(b []byte) {
-	if b != nil {
-		p.payload.Put(&b)
-	}
+func (p *bufPool[T]) put(h *[]T, b []T) {
+	*h = b
+	p.pool.Put(h)
 }
 
-func (p *pools) getRecs() []telemetry.Observation {
-	if b, ok := p.recs.Get().(*[]telemetry.Observation); ok {
-		return (*b)[:0]
-	}
-	return make([]telemetry.Observation, 0, telemetry.DefaultBlockRecords)
-}
-
-func (p *pools) putRecs(b []telemetry.Observation) {
-	if b != nil {
-		p.recs.Put(&b)
-	}
+// scannedBlock is a scanned block and its payload buffer's handle.
+type scannedBlock struct {
+	blk telemetry.RawBlock
+	buf *[]byte
 }
 
 // WorkerPanicError reports a panic that escaped a ForEachWorker
@@ -204,18 +203,18 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 		pin = streamPin(pr.meta)
 	}
 	br := telemetry.NewBlockReaderVersion(pr.f, pin)
-	jobs := make(chan telemetry.RawBlock, pr.opts.Workers)
+	jobs := make(chan scannedBlock, pr.opts.Workers)
 	go scanLabeled(func() {
 		defer close(jobs)
 		for {
-			var blk telemetry.RawBlock
+			job := scannedBlock{buf: bufs.payload.get(0)}
 			var err error
 			if pr.opts.Tolerant {
 				// The walker has verified and decoded the block, so it
 				// travels with its decoded payload.
-				blk, blk.Payload, err = br.NextIntact(bufs.getPayload())
+				job.blk, job.blk.Payload, err = br.NextIntact(*job.buf)
 			} else {
-				blk, err = br.Next(bufs.getPayload())
+				job.blk, err = br.Next(*job.buf)
 			}
 			if err == io.EOF {
 				return
@@ -225,7 +224,7 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 				return
 			}
 			select {
-			case jobs <- blk:
+			case jobs <- job:
 			case <-ctx.Done():
 				return
 			}
@@ -248,22 +247,23 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 					}
 				}()
 				var scratch []byte
-				for blk := range jobs {
+				for job := range jobs {
 					if ctx.Err() != nil {
 						continue // cancelled: drain without decoding
 					}
-					recs := bufs.getRecs()
+					recsBuf := bufs.recs.get(telemetry.DefaultBlockRecords)
+					recs := (*recsBuf)[:0]
 					var err error
 					if pr.opts.Tolerant {
-						recs = telemetry.AppendRecords(recs, blk.Payload)
+						recs = telemetry.AppendRecords(recs, job.blk.Payload)
 					} else {
-						recs, scratch, err = blk.AppendDecoded(recs, scratch)
+						recs, scratch, err = job.blk.AppendDecoded(recs, scratch)
 					}
-					bufs.putPayload(blk.Payload)
+					bufs.payload.put(job.buf, job.blk.Payload)
 					if err == nil {
-						err = fn(Batch{Index: blk.Index, Recs: recs})
+						err = fn(Batch{Index: job.blk.Index, Recs: recs})
 					}
-					bufs.putRecs(recs)
+					bufs.recs.put(recsBuf, recs)
 					if err != nil {
 						fail(err)
 					}

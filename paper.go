@@ -2,10 +2,11 @@ package userv6
 
 // Every table and figure of the paper's evaluation (§4–7) is a cut of
 // one telemetry stream over the study window. A Paper registers each
-// figure's analyzers on one AnalyzerSet and feeds them all from one
-// generation pass.
+// figure's analyzers and feeds them all from one generation pass.
 
 import (
+	"fmt"
+
 	"userv6/internal/core"
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
@@ -20,24 +21,19 @@ var Fig4Lengths = []int{32, 36, 40, 44, 48, 52, 56, 60, 64, 68, 72, 80, 96, 112,
 // Fig9Lengths are the prefix lengths compared in Figure 9 (plus IPv4).
 var Fig9Lengths = []int{128, 96, 72, 68, 64, 56, 48, 44}
 
-// Paper reproduces the paper's figures and tables from one pass over
-// the simulation's telemetry. Each figure method registers the
-// analyzers its figure reads on one core.AnalyzerSet and returns a
-// function that reads the result once Run has fed the set. Analyzers
-// that several figures read are registered once: the benign
-// analysis-week Prevalence (Table 1, Table 2, Figure 12), each
-// population's week UserCentric (Figures 2–4, §4.4, RQ3), each
-// population's Lifespans (Figures 5–6, §7.2), the week's IP-centric
-// sweep (Figures 7–10, RQ3, §7.2), the actioning simulators
-// (Figure 11, §7.2) and, per granularity, the week-long actioning
-// simulator (the blocklist, rate-limit and TTL sweeps).
+// Paper reproduces the paper's figures and tables, and its §8 and
+// Appendix A extensions, from one pass over the simulation's telemetry.
+// Each figure method registers the analyzers its figure reads and
+// returns a function that reads the result once Run has fed them.
+// Paper keeps one registration per (analyzer, configuration, window,
+// populations), so figures that read the same analyzer share it.
 //
-// Run generates only the days each population's registrations read,
-// each maximal run of days once: benign users first, user by user,
-// then abusive accounts, day by day, as Sim.Generate does. Generation
-// is a pure function of (user, day) and (account, day), so every
-// registration sees the observations a generation of its own window
-// would give it, in the same order.
+// Run generates four populations, each into an AnalyzerSet of its own:
+// benign users (user by user), then abusive accounts, the attacker
+// sightings of hijacked accounts and scraper bots (day by day). It
+// generates only the days the registrations read, each maximal run of
+// days once. Generation is a pure function of (entity, day), so every
+// registration sees what a generation of its own window would give it.
 //
 // A function a figure method returns holds the analyzers its figure
 // reads and not the Paper, so state that no remaining reader holds can
@@ -45,64 +41,95 @@ var Fig9Lengths = []int{128, 96, 72, 68, 64, 56, 48, 44}
 type Paper struct {
 	Sim *Sim
 
-	set *core.AnalyzerSet
-	// days[0][d] and days[1][d] are set when a registration reads day
-	// d of the benign users and of the abusive accounts.
-	days [2][simtime.StudyDays]bool
+	// sets[i] is population i's set, and days[i][d] is set when a
+	// registration reads day d of it.
+	sets [populations]*core.AnalyzerSet
+	days [populations][simtime.StudyDays]bool
+	memo map[reg]any
 	ran  bool
-
-	// Registrations several figures share, made on first use.
-	weekPrev  *core.Prevalence
-	weekUsers map[bool]*core.UserCentric
-	life      map[bool]*core.Lifespans
-	ipc       *IPCentricResult
-	acts      []*core.Actioning
-	weekActs  map[granularity]*core.Actioning
 }
 
-// granularity is one (family, prefix length) pair.
-type granularity struct {
-	fam    netaddr.Family
-	length int
+// reads is a set of the populations Run generates, one bit each.
+type reads uint8
+
+const (
+	benignPop  reads = 1 << iota // Sim.Benign's users
+	abusivePop                   // Sim.Abusive's accounts
+	hijackPop                    // Sim.Hijacks' attacker sightings
+	scraperPop                   // Sim.Scrapers' bots
+
+	populations = iota // their number
+)
+
+// entityPop is benign users' or abusive accounts' population.
+func entityPop(abusive bool) reads {
+	if abusive {
+		return abusivePop
+	}
+	return benignPop
+}
+
+// reg names one registration: its analyzer and configuration, and the
+// days [from, to] it reads of each population in pops.
+type reg struct {
+	analyzer string
+	from, to simtime.Day
+	pops     reads
+}
+
+// mergeable is an analyzer that folds another of its kind into itself,
+// as core.AddCommutativeAnalyzer requires.
+type mergeable[T any] interface {
+	core.Observer
+	Merge(T)
+}
+
+// register returns the analyzer r names. On first use it makes it with
+// mk and adds it to the set of each population r reads, filtered to r's
+// days and to what keep accepts (nil accepts all; r.analyzer names it).
+func register[T mergeable[T]](p *Paper, r reg, mk func() T, keep func(telemetry.Observation) bool) T {
+	if a, ok := p.memo[r]; ok {
+		return a.(T)
+	}
+	if p.ran {
+		panic("userv6: Paper figure registered after Run")
+	}
+	filter := func(o telemetry.Observation) bool {
+		return o.Day >= r.from && o.Day <= r.to && (keep == nil || keep(o))
+	}
+	a := mk()
+	for i, set := range p.sets {
+		if r.pops&(1<<i) == 0 {
+			continue
+		}
+		for d := r.from; d <= r.to; d++ {
+			p.days[i][d] = true
+		}
+		core.AddCommutativeAnalyzerFiltered(set, a, mk, T.Merge, filter)
+	}
+	p.memo[r] = a
+	return a
 }
 
 // NewPaper returns a Paper over sim with no figure registered.
 func NewPaper(sim *Sim) *Paper {
-	return &Paper{
-		Sim:       sim,
-		set:       core.NewAnalyzerSet(),
-		weekUsers: make(map[bool]*core.UserCentric),
-		life:      make(map[bool]*core.Lifespans),
-		weekActs:  make(map[granularity]*core.Actioning),
+	p := &Paper{Sim: sim, memo: make(map[reg]any)}
+	for i := range p.sets {
+		p.sets[i] = core.NewAnalyzerSet()
 	}
+	return p
 }
 
-// window marks days [from, to] of the benign users, the abusive
-// accounts or both as read, and returns the filter of a registration
-// that reads them.
-func (p *Paper) window(from, to simtime.Day, benign, abusive bool) func(telemetry.Observation) bool {
-	if p.ran {
-		panic("userv6: Paper figure registered after Run")
-	}
-	for i, reads := range [2]bool{benign, abusive} {
-		for d := from; reads && d <= to; d++ {
-			p.days[i][d] = true
-		}
-	}
-	return func(o telemetry.Observation) bool {
-		return o.Day >= from && o.Day <= to && (o.Abusive && abusive || !o.Abusive && benign)
-	}
-}
-
-// Run generates every registered day once and feeds the set: the
-// benign users' days, then the abusive accounts', one generator call
-// per maximal run of days. Call it once, after registering.
+// Run generates every registered day once and feeds each population's
+// set. Call it once, after registering.
 func (p *Paper) Run() {
 	if p.ran {
 		panic("userv6: Paper.Run called twice")
 	}
 	p.ran = true
-	gens := [2]func(from, to simtime.Day, emit telemetry.EmitFunc){p.Sim.Benign.Generate, p.Sim.Abusive.Generate}
+	gens := [populations]func(from, to simtime.Day, emit telemetry.EmitFunc){
+		p.Sim.Benign.Generate, p.Sim.Abusive.Generate, p.Sim.Hijacks().Generate, p.Sim.Scrapers().Generate,
+	}
 	for i, gen := range gens {
 		days := &p.days[i]
 		for d := 0; d < len(days); d++ {
@@ -113,7 +140,7 @@ func (p *Paper) Run() {
 			for d+1 < len(days) && days[d+1] {
 				d++
 			}
-			gen(simtime.Day(from), simtime.Day(d), p.set.Observe)
+			gen(simtime.Day(from), simtime.Day(d), p.sets[i].Observe)
 		}
 	}
 }
@@ -127,19 +154,7 @@ func (p *Paper) Fig1() func() []core.DayShare {
 
 // prevalence registers a Prevalence over benign days [from, to].
 func (p *Paper) prevalence(from, to simtime.Day) *core.Prevalence {
-	prev := core.NewPrevalence()
-	core.AddCommutativeAnalyzerFiltered(p.set, prev, core.NewPrevalence, (*core.Prevalence).Merge,
-		p.window(from, to, true, false))
-	return prev
-}
-
-// weekPrevalence is the benign analysis-week Prevalence that Table 1,
-// Table 2 and Figure 12 read.
-func (p *Paper) weekPrevalence() *core.Prevalence {
-	if p.weekPrev == nil {
-		p.weekPrev = p.prevalence(AnalysisWeek())
-	}
-	return p.weekPrev
+	return register(p, reg{"Prevalence", from, to, benignPop}, core.NewPrevalence, nil)
 }
 
 // Table1Result is the ASN prevalence table plus the §4.2 bands.
@@ -154,7 +169,7 @@ type Table1Result struct {
 // Table1 registers the ASN ranking by IPv6 user ratio over the
 // analysis week (Table 1).
 func (p *Paper) Table1() func() Table1Result {
-	prev, s := p.weekPrevalence(), p.Sim
+	prev, s := p.prevalence(AnalysisWeek()), p.Sim
 	return func() Table1Result {
 		minUsers := max(s.Scenario.Users/150, 20)
 		zero, under, total := prev.ASNShareBands(minUsers)
@@ -189,7 +204,7 @@ type Table2Result struct {
 // Apr 13-19 weeks (Table 2 / Figure 12).
 func (p *Paper) Table2() func() Table2Result {
 	jan := p.prevalence(simtime.JanWeekStart, simtime.JanWeekEnd)
-	apr := p.weekPrevalence()
+	apr := p.prevalence(AnalysisWeek())
 	minUsers := p.countryMinUsers()
 	return func() Table2Result {
 		var r Table2Result
@@ -212,7 +227,7 @@ func (p *Paper) countryMinUsers() int {
 // over the analysis week, descending — the data behind the Figure 12
 // choropleth.
 func (p *Paper) CountryRatios() func() []core.RatioRow {
-	prev, minUsers := p.weekPrevalence(), p.countryMinUsers()
+	prev, minUsers := p.prevalence(AnalysisWeek()), p.countryMinUsers()
 	return func() []core.RatioRow {
 		return prev.TopCountries(minUsers, 0)
 	}
@@ -260,20 +275,14 @@ func (p *Paper) addrsPerEntity(abusive bool) func() AddrsPerUserResult {
 // userCentric registers a UserCentric over one population's days
 // [from, to].
 func (p *Paper) userCentric(abusive bool, from, to simtime.Day) *core.UserCentric {
-	mk := func() *core.UserCentric { return core.NewUserCentricFor(abusive) }
-	uc := mk()
-	core.AddCommutativeAnalyzerFiltered(p.set, uc, mk, (*core.UserCentric).Merge,
-		p.window(from, to, !abusive, abusive))
-	return uc
+	return register(p, reg{"UserCentric", from, to, entityPop(abusive)},
+		func() *core.UserCentric { return core.NewUserCentricFor(abusive) }, nil)
 }
 
 // weekUserCentric is one population's analysis-week UserCentric, which
-// Figures 2–4, §4.4 and RQ3 read.
+// Figures 2–4, §4.4, RQ3 and Appendix A read.
 func (p *Paper) weekUserCentric(abusive bool) *core.UserCentric {
-	if p.weekUsers[abusive] == nil {
-		p.weekUsers[abusive] = p.userCentric(abusive, simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd)
-	}
-	return p.weekUsers[abusive]
+	return p.userCentric(abusive, simtime.AnalysisWeekStart, simtime.AnalysisWeekEnd)
 }
 
 // Fig4Result holds the prefix-span curves for users and abusive
@@ -327,14 +336,15 @@ func (p *Paper) Fig5And6(abusive bool) func() LifespanResult {
 // lifespans is one population's Lifespans, which Figures 5–6 and §7.2
 // read.
 func (p *Paper) lifespans(abusive bool) *core.Lifespans {
-	if p.life[abusive] == nil {
-		_, ref := AnalysisWeek()
-		mk := func() *core.Lifespans { return core.NewLifespans(ref, LifespanLengths...).Restrict(abusive) }
-		p.life[abusive] = mk()
-		core.AddCommutativeAnalyzerFiltered(p.set, p.life[abusive], mk, (*core.Lifespans).Merge,
-			p.window(ref-27, ref, !abusive, abusive))
-	}
-	return p.life[abusive]
+	_, ref := AnalysisWeek()
+	return p.lifespansAt(abusive, ref, ref-27, LifespanLengths)
+}
+
+// lifespansAt registers a Lifespans of one population with reference
+// day ref and the given lengths, over days [from, ref].
+func (p *Paper) lifespansAt(abusive bool, ref, from simtime.Day, lengths []int) *core.Lifespans {
+	return register(p, reg{fmt.Sprint("Lifespans ", lengths), from, ref, entityPop(abusive)},
+		func() *core.Lifespans { return core.NewLifespans(ref, lengths...).Restrict(abusive) }, nil)
 }
 
 // IPCentricResult bundles the per-granularity population analyzers for
@@ -351,29 +361,24 @@ type IPCentricResult struct {
 // week at the Figure 9 lengths, reading both benign and abusive
 // telemetry.
 func (p *Paper) IPCentricWeek() func() IPCentricResult {
-	if p.ipc == nil {
-		from, to := AnalysisWeek()
-		p.ipc = &IPCentricResult{
-			V4:    p.ipCentric(netaddr.IPv4, 32, from, to),
-			V6:    make(map[int]*core.IPCentric, len(Fig9Lengths)),
-			DayV4: p.ipCentric(netaddr.IPv4, 32, from, from),
-			DayV6: p.ipCentric(netaddr.IPv6, 128, from, from),
-		}
-		for _, l := range Fig9Lengths {
-			p.ipc.V6[l] = p.ipCentric(netaddr.IPv6, l, from, to)
-		}
+	from, to := AnalysisWeek()
+	r := IPCentricResult{
+		V4:    p.ipCentric(netaddr.IPv4, 32, from, to),
+		V6:    make(map[int]*core.IPCentric, len(Fig9Lengths)),
+		DayV4: p.ipCentric(netaddr.IPv4, 32, from, from),
+		DayV6: p.ipCentric(netaddr.IPv6, 128, from, from),
 	}
-	r := *p.ipc
+	for _, l := range Fig9Lengths {
+		r.V6[l] = p.ipCentric(netaddr.IPv6, l, from, to)
+	}
 	return func() IPCentricResult { return r }
 }
 
-// ipCentric registers an IPCentric over both populations' days
-// [from, to].
+// ipCentric registers an IPCentric over benign users' and abusive
+// accounts' days [from, to].
 func (p *Paper) ipCentric(fam netaddr.Family, length int, from, to simtime.Day) *core.IPCentric {
-	mk := func() *core.IPCentric { return core.NewIPCentric(fam, length) }
-	ic := mk()
-	core.AddCommutativeAnalyzerFiltered(p.set, ic, mk, (*core.IPCentric).Merge, p.window(from, to, true, true))
-	return ic
+	return register(p, reg{fmt.Sprintf("IPCentric %v/%d", fam, length), from, to, benignPop | abusivePop},
+		func() *core.IPCentric { return core.NewIPCentric(fam, length) }, nil)
 }
 
 // OutlierResult summarizes RQ3: extreme users and extreme prefixes.
@@ -457,15 +462,10 @@ type Fig11Result struct {
 func (p *Paper) Fig11() func() Fig11Result {
 	_, to := AnalysisWeek()
 	dayN, dayN1 := to-1, to
-	if p.acts == nil {
-		for _, g := range Fig11Granularities() {
-			mk := func() *core.Actioning { return core.NewActioning(g.Family, g.Length, dayN, dayN1) }
-			a := mk()
-			core.AddCommutativeAnalyzerFiltered(p.set, a, mk, (*core.Actioning).Merge, p.window(dayN, dayN1, true, true))
-			p.acts = append(p.acts, a)
-		}
+	var acts []*core.Actioning
+	for _, g := range Fig11Granularities() {
+		acts = append(acts, p.actioning(g.Family, g.Length, dayN, dayN1))
 	}
-	acts := p.acts
 	return func() Fig11Result {
 		r := Fig11Result{Curves: make(map[string]*stats.ROC, 4), DayN: dayN, DayN1: dayN1}
 		for i, g := range Fig11Granularities() {
@@ -473,6 +473,13 @@ func (p *Paper) Fig11() func() Fig11Result {
 		}
 		return r
 	}
+}
+
+// actioning registers an Actioning over benign users' and abusive
+// accounts' days [from, to].
+func (p *Paper) actioning(fam netaddr.Family, length int, from, to simtime.Day) *core.Actioning {
+	return register(p, reg{fmt.Sprintf("Actioning %v/%d", fam, length), from, to, benignPop | abusivePop},
+		func() *core.Actioning { return core.NewActioning(fam, length, from, to) }, nil)
 }
 
 // Advise registers the full §7.2 policy advisor, deriving every input

@@ -6,9 +6,11 @@ package userv6
 // figures per tolerance. One change: Figure 11's simulators take days
 // n and n+1 at construction and one Observe, fed day n and then day
 // n+1 as before. internal/core's TestActioningCommutativeFold checks that
-// simulator against the two-phase one it replaced. Four §8 and
+// simulator against the two-phase one it replaced. Seven §8 and
 // Appendix A extensions join them, as the Sim methods they replaced:
-// Segments, TTLRecallCurve, ChurnReasons and ComparePandemic. The
+// Segments, TTLRecallCurve, ChurnReasons, ComparePandemic,
+// SketchedOutliers, ScraperDefense and DetectHijacks. ScraperDefense
+// feeds a copy of internal/core's reference request limiter. The
 // blocklist and rate-limit sweeps' references are internal/core's
 // BlocklistSim and RateLimitSim, which
 // TestActioningMatchesReferenceSims checks Actioning against.
@@ -408,6 +410,205 @@ func (s perFigureFeeds) windowMetrics(from, to simtime.Day) PandemicWindowMetric
 	return m
 }
 
+// SketchedOutliers exercises the production-scale counting path.
+func (s perFigureFeeds) SketchedOutliers(length int) SketchedOutliersResult {
+	from, to := AnalysisWeek()
+	sk := core.NewSketchedIPCentric(netaddr.IPv6, length, 2048)
+	exact := core.NewIPCentric(netaddr.IPv6, length)
+	s.Generate(from, to, func(o telemetry.Observation) {
+		sk.Observe(o)
+		exact.Observe(o)
+	})
+	topErr, recall := core.CompareExact(sk, exact, 10)
+	return SketchedOutliersResult{
+		Top:            sk.Top(10),
+		TopError:       topErr,
+		HeavyRecall:    recall,
+		PrefixEstimate: sk.Prefixes(),
+		ExactPrefixes:  exact.Prefixes(),
+	}
+}
+
+// ScraperDefense runs logged-out request-rate limiting over one analysis
+// day with benign traffic plus the scraper fleet, at /128 and /64 for
+// each budget. Scrapers hop IIDs inside their /64, so per-address caps
+// leak most of their volume; the /64 limiter (whose budget is 10x the
+// per-address budget, since whole households and sites share a /64)
+// catches what hopping hides.
+func (s perFigureFeeds) ScraperDefense(caps []uint64) []ScraperDefenseResult {
+	day := simtime.AnalysisWeekStart
+	grans := []struct {
+		name   string
+		length int
+		mult   uint64
+	}{{"/128", 128, 1}, {"/64", 64, 10}}
+
+	limiters := make([]*requestRateLimit, 0, len(grans)*len(caps))
+	var results []ScraperDefenseResult
+	for _, g := range grans {
+		for _, c := range caps {
+			budget := c * g.mult
+			limiters = append(limiters, newRequestRateLimit(netaddr.IPv6, g.length, budget))
+			results = append(results, ScraperDefenseResult{Name: g.name, Length: g.length, CapPerDay: budget})
+		}
+	}
+	feed := func(o telemetry.Observation) {
+		// The §7.2 carve-out: heavily populated gateway addresses are
+		// predictable from their structured IIDs, so the rate limiter
+		// exempts them (they get a dedicated policy) rather than
+		// throttling hundreds of legitimate users behind one address.
+		if netaddr.IsStructuredIID(o.Addr) {
+			return
+		}
+		for _, l := range limiters {
+			l.Observe(o)
+		}
+	}
+	s.Benign.GenerateDay(day, feed)
+	s.Scrapers().GenerateDay(day, feed)
+	for i, l := range limiters {
+		results[i].BenignLossShare = l.BenignLossShare()
+		results[i].ScraperBlockShare = l.AbusiveBlockShare()
+	}
+	return results
+}
+
+// DetectHijacks runs a simple IP-novelty detector over the full study
+// window: flag an account when it appears on a hosting/proxy-network
+// address after having been seen only on access networks — the paper's
+// suggested use of user-level IP features for compromise detection.
+func (s perFigureFeeds) DetectHijacks() HijackDetectionResult {
+	hijacks := s.Hijacks()
+	hosting := make(map[netmodel.ASN]bool)
+	for _, n := range s.World.Hosting {
+		hosting[n.ASN] = true
+	}
+	for _, n := range s.World.Proxies {
+		hosting[n.ASN] = true
+	}
+
+	// Pass: accumulate per-user "seen on access network" then flag on a
+	// hosting appearance. Stream day by day, benign first (so a victim
+	// has history before the compromise fires, as in reality).
+	established := make(map[uint64]bool)
+	flagged := make(map[uint64]bool)
+	observe := func(o telemetry.Observation) {
+		if hosting[o.ASN] {
+			if established[o.UserID] && !flagged[o.UserID] {
+				flagged[o.UserID] = true
+			}
+			return
+		}
+		established[o.UserID] = true
+	}
+	for d := simtime.Day(0); d < simtime.StudyDays; d++ {
+		s.Benign.GenerateDay(d, observe)
+		hijacks.GenerateDay(d, observe)
+	}
+
+	victims := hijacks.Victims()
+	victimSet := make(map[uint64]bool, len(victims))
+	for _, v := range victims {
+		victimSet[v.UserID] = true
+	}
+	var r HijackDetectionResult
+	r.Victims = len(victims)
+	r.Users = len(established)
+	for uid := range flagged {
+		if victimSet[uid] {
+			r.Detected++
+		} else {
+			r.FalseAlarms++
+		}
+	}
+	if r.Victims > 0 {
+		r.Recall = float64(r.Detected) / float64(r.Victims)
+	}
+	if r.Users > 0 {
+		r.FalseAlarmShare = float64(r.FalseAlarms) / float64(r.Users)
+	}
+	return r
+}
+
+// requestRateLimit is internal/core's reference request limiter
+// (RequestRateLimit in reqlimit_ref_test.go), which ScraperDefense's
+// reference feeds. A package's test files are not visible to another
+// package's tests, so it is repeated here, renamed.
+type requestRateLimit struct {
+	Family netaddr.Family
+	Length int
+	// CapPerDay is the request budget per prefix-day.
+	CapPerDay uint64
+
+	used map[dayPrefixKey]uint64
+	// Tallies.
+	BenignAdmitted, BenignThrottled   uint64
+	AbusiveAdmitted, AbusiveThrottled uint64
+}
+
+// dayPrefixKey identifies one prefix on one day.
+type dayPrefixKey struct {
+	day simtime.Day
+	pfx netaddr.Prefix
+}
+
+// newRequestRateLimit returns a limiter at one granularity and budget.
+func newRequestRateLimit(fam netaddr.Family, length int, capPerDay uint64) *requestRateLimit {
+	if capPerDay < 1 {
+		capPerDay = 1
+	}
+	return &requestRateLimit{
+		Family:    fam,
+		Length:    length,
+		CapPerDay: capPerDay,
+		used:      make(map[dayPrefixKey]uint64),
+	}
+}
+
+// Observe feeds one observation, splitting its requests into admitted
+// and throttled against the prefix-day budget.
+func (r *requestRateLimit) Observe(o telemetry.Observation) {
+	if o.Addr.Family() != r.Family || r.Length > o.Addr.Bits() {
+		return
+	}
+	dk := dayPrefixKey{day: o.Day, pfx: netaddr.PrefixFrom(o.Addr, r.Length)}
+	used := r.used[dk]
+	admit := uint64(0)
+	if used < r.CapPerDay {
+		admit = r.CapPerDay - used
+		if admit > uint64(o.Requests) {
+			admit = uint64(o.Requests)
+		}
+	}
+	throttled := uint64(o.Requests) - admit
+	r.used[dk] = used + admit
+	if o.Abusive {
+		r.AbusiveAdmitted += admit
+		r.AbusiveThrottled += throttled
+	} else {
+		r.BenignAdmitted += admit
+		r.BenignThrottled += throttled
+	}
+}
+
+// BenignLossShare returns the fraction of benign requests throttled.
+func (r *requestRateLimit) BenignLossShare() float64 {
+	total := r.BenignAdmitted + r.BenignThrottled
+	if total == 0 {
+		return 0
+	}
+	return float64(r.BenignThrottled) / float64(total)
+}
+
+// AbusiveBlockShare returns the fraction of abusive requests throttled.
+func (r *requestRateLimit) AbusiveBlockShare() float64 {
+	total := r.AbusiveAdmitted + r.AbusiveThrottled
+	if total == 0 {
+		return 0
+	}
+	return float64(r.AbusiveThrottled) / float64(total)
+}
+
 // runFigure registers one figure on a fresh Paper over sim, runs the
 // paper and returns what the figure reads.
 func runFigure[R any](sim *Sim, register func(*Paper) func() R) R {
@@ -420,6 +621,12 @@ func runFigure[R any](sim *Sim, register func(*Paper) func() R) R {
 // adviseAt reads the advisor at the three tolerances cmd/userv6 prints.
 func adviseAt(advise func(float64) core.Advice) []core.Advice {
 	return []core.Advice{advise(0.0001), advise(0.001), advise(0.01)}
+}
+
+// granularity is one (family, prefix length) pair.
+type granularity struct {
+	fam    netaddr.Family
+	length int
 }
 
 // sweepGranularities are the granularities cmd/userv6's rate-limit
@@ -488,7 +695,15 @@ var paperFigures = []paperFigure{
 		}
 		return out
 	}},
+	{"SketchedOutliers", figure(func(p *Paper) func() SketchedOutliersResult { return p.SketchedOutliers(128) }),
+		func(s perFigureFeeds) any { return s.SketchedOutliers(128) }},
+	{"ScraperDefense", figure(func(p *Paper) func() []ScraperDefenseResult { return p.ScraperDefense(scraperCaps) }),
+		func(s perFigureFeeds) any { return s.ScraperDefense(scraperCaps) }},
+	{"DetectHijacks", figure((*Paper).DetectHijacks), func(s perFigureFeeds) any { return s.DetectHijacks() }},
 }
+
+// scraperCaps are the budgets cmd/userv6's scraper experiment reads.
+var scraperCaps = []uint64{100, 200, 500, 1000}
 
 // sweepFigures are the blocklist and rate-limit sweeps as cmd/userv6
 // registers them. Their references are internal/core's BlocklistSim
@@ -546,14 +761,18 @@ func TestPaperMatchesPerFigureFeeds(t *testing.T) {
 // else. These are the days its per-figure feed generates, except that
 // the TTL curve reads the week-long Actioning the blocklist and
 // rate-limit sweeps share, so it generates both populations' week.
+// The sketched outliers generate the week again for their sketch when
+// read, which is after Run and not counted here.
 func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 	type window struct {
-		abusive  bool
+		pop      reads
 		from, to simtime.Day
 	}
-	benign := func(from, to simtime.Day) window { return window{false, from, to} }
-	abusive := func(from, to simtime.Day) window { return window{true, from, to} }
-	reads := map[string][]window{
+	in := func(pop reads) func(from, to simtime.Day) window {
+		return func(from, to simtime.Day) window { return window{pop, from, to} }
+	}
+	benign, abusive, hijack, scraper := in(benignPop), in(abusivePop), in(hijackPop), in(scraperPop)
+	windowsOf := map[string][]window{
 		"Fig1":               {benign(0, 87)},
 		"Table1":             {benign(81, 87)},
 		"Table2":             {benign(0, 6), benign(81, 87)},
@@ -572,39 +791,48 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		"ChurnReasons":       {benign(74, 87)},
 		"ComparePandemic":    {benign(13, 26), benign(74, 87)},
 		"TTLRecallCurve":     {benign(81, 87), abusive(81, 87)},
+		"SketchedOutliers":   {benign(81, 87), abusive(81, 87)},
+		"ScraperDefense":     {benign(81, 81), scraper(81, 81)},
+		"DetectHijacks":      {benign(0, 87), hijack(0, 87)},
 		"BlocklistSweep":     {benign(81, 87), abusive(81, 87)},
 		"RateLimitSweep":     {benign(81, 87), abusive(81, 87)},
 	}
-	// count tallies observations per (day, abusive).
+	// count tallies observations per (day, population).
 	type dayPop struct {
-		day     simtime.Day
-		abusive bool
+		day simtime.Day
+		pop reads
 	}
-	count := func(m map[dayPop]int) telemetry.EmitFunc {
-		return func(o telemetry.Observation) { m[dayPop{o.Day, o.Abusive}]++ }
+	count := func(m map[dayPop]int, pop reads) telemetry.EmitFunc {
+		return func(o telemetry.Observation) { m[dayPop{o.Day, pop}]++ }
 	}
 	sim := NewSim(DefaultScenario(300))
+	gens := map[reads]func(from, to simtime.Day, emit telemetry.EmitFunc){
+		benignPop: sim.Benign.Generate, abusivePop: sim.Abusive.Generate,
+		hijackPop: sim.Hijacks().Generate, scraperPop: sim.Scrapers().Generate,
+	}
 	for _, f := range slices.Concat(paperFigures, sweepFigures) {
-		windows, ok := reads[f.name]
+		windows, ok := windowsOf[f.name]
 		if !ok {
 			t.Fatalf("%s: no expected windows", f.name)
 		}
 		want := map[dayPop]int{}
 		for _, w := range windows {
-			if w.abusive {
-				sim.Abusive.Generate(w.from, w.to, count(want))
-			} else {
-				sim.Benign.Generate(w.from, w.to, count(want))
+			n := len(want)
+			gens[w.pop](w.from, w.to, count(want, w.pop))
+			if len(want) == n {
+				t.Fatalf("%s: window %+v generates nothing, so it is not checked", f.name, w)
 			}
 		}
 		got := map[dayPop]int{}
 		p := NewPaper(sim)
 		f.register(p)
-		tap := observerFunc(count(got))
-		core.AddCommutativeAnalyzer(p.set, tap, func() observerFunc { return tap }, func(_, _ observerFunc) {})
+		for i, set := range p.sets {
+			tap := observerFunc(count(got, 1<<i))
+			core.AddCommutativeAnalyzer(set, tap, func() observerFunc { return tap }, func(_, _ observerFunc) {})
+		}
 		p.Run()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: generated (day, abusive) counts\n got %v\nwant %v", f.name, got, want)
+			t.Errorf("%s: generated (day, population) counts\n got %v\nwant %v", f.name, got, want)
 		}
 	}
 }
