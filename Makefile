@@ -1,18 +1,14 @@
 GO ?= go
 FUZZTIME ?= 10s
-# The CI bench gate: one pass over the generation, codec, trie, and
+# The CI bench gate: one pass over the generation, codec, read and
 # analysis hot paths, checked against bench/BENCH_baseline.json (3x
 # tripwire on PRs; the nightly run re-gates the same set at 1.3x with
-# real -benchtime sampling). The PR tripwire runs BENCH_1X once each
-# (the trie and analyzer Observe benchmarks feed a fresh structure a
-# whole fixture per op, so one op takes milliseconds); the
-# sub-microsecond BENCH_MICRO benchmarks would time only warm-up at 1x,
-# so they run a fixed MICRO_BENCHTIME iterations instead.
-BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkBlockReaderStrict|BenchmarkBlockReaderStrictLZ|BenchmarkBlockReaderStrictDelta|BenchmarkBlockReaderTolerant|BenchmarkBlockReaderTolerantLZ|BenchmarkBlockReaderTolerantDelta|BenchmarkWriterV2Auto|BenchmarkRollup|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkTrieUpdate|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
-BENCH_MICRO = BenchmarkTrieLookup
-MICRO_BENCHTIME = 20000x
-BENCH_GATE = ^($(BENCH_1X)|$(BENCH_MICRO))$$
-BENCH_PKGS = . ./internal/telemetry ./internal/trie ./internal/core
+# real -benchtime sampling). The PR tripwire runs each benchmark once
+# (the analyzer Observe benchmarks feed a fresh analyzer a whole
+# fixture per op, so one op takes milliseconds).
+BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkBlockReaderStrict|BenchmarkBlockReaderStrictLZ|BenchmarkBlockReaderStrictDelta|BenchmarkBlockReaderTolerant|BenchmarkBlockReaderTolerantLZ|BenchmarkBlockReaderTolerantDelta|BenchmarkWriterV2Auto|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve
+BENCH_GATE = ^($(BENCH_1X))$$
+BENCH_PKGS = . ./internal/telemetry ./internal/core
 NIGHTLY_BENCHTIME = 2s
 FUZZ_TARGETS = \
 	./internal/telemetry:FuzzReader \
@@ -27,7 +23,8 @@ FUZZ_TARGETS = \
 	./internal/dataset:FuzzMergeResume \
 	./internal/core:FuzzAnalyzerOracle \
 	./internal/core:FuzzKeyPool \
-	./internal/core:FuzzMergeLaws
+	./internal/core:FuzzMergeLaws \
+	.:FuzzAnalyzeParity
 
 .PHONY: all build vet fmt-check lint test race faults fused-race fuzz-smoke bench-check bench-smoke bench-baseline ratio-gate snapshot-check ci clean
 
@@ -78,11 +75,12 @@ faults:
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the
 # ForEachWorker reader primitives, direct manifest analysis (shared
-# replicas fanned out across parts), AnalyzerSet.Fold's concurrent
-# per-registration folds, the analyzers against the independent oracle
-# on sequential and folded feeds, the key-pool unit tests (the
-# chunked storage every default analyzer keeps its state in),
-# Actioning against its two-phase reference and, over a week, against
+# replicas fanned out across parts), the analyze-parity fuzz seeds (one
+# per codec and shape, against the in-memory feed), AnalyzerSet.Fold's
+# concurrent per-registration folds, the analyzers against the
+# independent oracle on sequential and folded feeds, the key-pool unit
+# tests (the chunked storage every default analyzer keeps its state
+# in), Actioning against its two-phase reference and, over a week, against
 # the blocklist and rate-limit simulators it replaced, on shuffled and
 # folded feeds, RequestLoad against the request limiter it replaced and
 # IPNovelty's rule on shuffled and folded feeds, and every
@@ -91,7 +89,7 @@ faults:
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|FuzzAnalyzeParity|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold|TestActioningMatchesReferenceSims|TestRequestLoadMatchesReference|TestIPNoveltyFlags|TestMergeLaws' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the
@@ -105,12 +103,14 @@ bench-check:
 # Short native-fuzz smoke over every decoder fuzz target, the encoder
 # differentials against the reference encoders, merge reads resumed
 # after faults at fuzzed offsets, the analyzer oracle, the key-pool
-# differential against a map reference, and the Merge laws: catches
+# differential against a map reference, the Merge laws, and stored
+# datasets analyzed against the same records fed in memory: catches
 # panics, typed-error regressions, stored bytes that depart from the
 # reference writer, a resumed merge that departs from the single-writer
 # file, analyzer answers that depart from the oracle, key lists that
-# depart from their reference, and folds that depend on order or split,
-# without a long campaign.
+# depart from their reference, folds that depend on order or split, and
+# an analysis whose answer depends on codec, shape, workers or read
+# mode, without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -120,11 +120,9 @@ fuzz-smoke:
 
 # Benchmark smoke: catches panics outright and gates ns/op against the
 # checked-in baseline (order-of-magnitude tripwire, not a profiler).
-# BENCH_1X runs one pass each, BENCH_MICRO a fixed MICRO_BENCHTIME;
-# both land in the one file benchgate reads. Writes BENCH_results.json
-# for the CI artifact.
-BENCH_SMOKE_RUN = { $(GO) test -run '^$$' -bench '^($(BENCH_1X))$$' -benchtime=1x $(BENCH_PKGS); \
-	$(GO) test -run '^$$' -bench '^($(BENCH_MICRO))$$' -benchtime=$(MICRO_BENCHTIME) $(BENCH_PKGS); } 2>&1 | tee bench-smoke.txt
+# Each benchmark runs one pass. Writes BENCH_results.json for the CI
+# artifact.
+BENCH_SMOKE_RUN = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime=1x $(BENCH_PKGS) 2>&1 | tee bench-smoke.txt
 
 bench-smoke:
 	$(BENCH_SMOKE_RUN)
@@ -166,5 +164,5 @@ ci: fmt-check vet lint build race faults fused-race bench-check fuzz-smoke bench
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/telemetry/testdata/fuzz internal/dataset/testdata/fuzz internal/core/testdata/fuzz
+	rm -rf testdata/fuzz internal/telemetry/testdata/fuzz internal/dataset/testdata/fuzz internal/core/testdata/fuzz
 	rm -f bench-smoke.txt BENCH_results.json bench-nightly.txt BENCH_nightly_results.json

@@ -2,8 +2,7 @@ package userv6
 
 // The execute layer of the source/plan/execute analysis stack. A
 // dataset.Source names the parts of one logical telemetry corpus (a
-// merged file, a sharded export's manifest, a bare part list), a
-// core.Plan picks the execution mode — sequential or fused — and
+// merged file or a sharded export's manifest), a core.Plan picks the execution mode — sequential or fused — and
 // AnalyzeSource runs the plan: per part, decode workers fan out exactly
 // as they would over a single file, and because every analyzer folds
 // commutatively, worker-local replicas fold across parts exactly — so

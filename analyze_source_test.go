@@ -1,13 +1,14 @@
 package userv6
 
-// Parity matrix for the source/plan/execute stack: every source shape
-// (merged file, manifest, bare part list) under both execution modes,
-// strict and tolerant, must produce analyzer state identical to the
-// sequential replay of the merged file — and analyzing a manifest
-// directly must account coverage exactly like merging it first.
+// Parity matrix for the source/plan/execute stack: both source shapes
+// (merged file, manifest) under both execution modes, strict and
+// tolerant, must produce analyzer state identical to the sequential
+// replay of the merged file — and analyzing a manifest directly must
+// account coverage exactly like merging it first.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 
 	"userv6/internal/core"
 	"userv6/internal/dataset"
+	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
 
@@ -61,7 +63,7 @@ var analyzeModes = []struct {
 	{"fused", 4, core.ModeFused},
 }
 
-// TestAnalyzeSourceParityMatrix sweeps source {file, manifest, parts} ×
+// TestAnalyzeSourceParityMatrix sweeps source {file, manifest} ×
 // mode {sequential, fused} × {strict, tolerant} against the merged-file
 // sequential-reader baseline. Inputs are intact here;
 // damage is TestAnalyzeManifestTolerantCorruptPart's job.
@@ -71,17 +73,12 @@ func TestAnalyzeSourceParityMatrix(t *testing.T) {
 	dir, merged, man := exportShardedWeek(t, sim, users)
 	base := sequentialBaseline(t, merged)
 
-	partPaths := make([]string, len(man.Parts))
-	for i, p := range man.Parts {
-		partPaths[i] = filepath.Join(dir, p.Name)
-	}
 	sources := []struct {
 		name string
 		open func() (dataset.Source, error)
 	}{
 		{"file", func() (dataset.Source, error) { return dataset.NewFileSource(merged) }},
 		{"manifest", func() (dataset.Source, error) { return dataset.OpenManifestSource(dir) }},
-		{"parts", func() (dataset.Source, error) { return dataset.NewPartsSource(partPaths...) }},
 	}
 	for _, srcCase := range sources {
 		for _, mode := range analyzeModes {
@@ -110,14 +107,76 @@ func TestAnalyzeSourceParityMatrix(t *testing.T) {
 						t.Fatalf("%s: coverage %+v, want intact blocks only", label, rep)
 					}
 					// Merging re-packs records into new block boundaries, so
-					// block counts are only comparable for part-shaped sources.
-					if srcCase.name != "file" && rep.Blocks != int(man.TotalBlocks()) {
+					// block counts are only comparable for the manifest.
+					if srcCase.name == "manifest" && rep.Blocks != int(man.TotalBlocks()) {
 						t.Fatalf("%s: coverage %d blocks, manifest declares %d", label, rep.Blocks, man.TotalBlocks())
 					}
 				})
 			}
 		}
 	}
+}
+
+// FuzzAnalyzeParity: AnalyzeSource over a stored dataset folds to the
+// state the same analyzers reach fed in memory from Sim.Generate, and
+// reads every generated record, whatever the seed, the population
+// (1–300 users), the window inside the analysis week, the block codec,
+// the shape (one dataset file, or a sharded export of 1–6 parts read
+// through its manifest), the worker count (1–4) and the read mode.
+func FuzzAnalyzeParity(f *testing.F) {
+	codecs := []string{"", "lz", "delta", "auto"} // "" is none
+	for i := range codecs {
+		f.Add(uint64(i+1), uint16(200), uint8(i), uint8(2), uint8(i), uint8(0), uint8(i), i%2 == 1)
+		f.Add(uint64(i+5), uint16(280), uint8(i+1), uint8(3), uint8(i), uint8(i+2), uint8(i+1), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, users uint16, start, span, codec, shards, workers uint8, tolerant bool) {
+		weekFrom, weekTo := AnalysisWeek()
+		from := weekFrom + simtime.Day(start)%(weekTo-weekFrom+1)
+		to := from + simtime.Day(span)%(weekTo-from+1)
+		n := int(users)%300 + 1
+		sim := NewSim(DefaultScenario(n).WithSeed(seed))
+		meta := dataset.Meta{Seed: seed, Users: n, FromDay: int(from), ToDay: int(to), Sample: "all",
+			Codec: codecs[int(codec)%len(codecs)]}
+		opts := AnalyzeOptions{Workers: int(workers)%4 + 1, Tolerant: tolerant}
+		parts := int(shards) % 7
+		label := fmt.Sprintf("seed %d, %d users, days %d-%d, codec %q, %d parts, %+v", seed, n, from, to, meta.Codec, parts, opts)
+
+		// OpenSource reads a directory as the sharded export in it.
+		stored := t.TempDir()
+		if parts == 0 {
+			stored = filepath.Join(stored, "w.uv6")
+			w, err := dataset.Create(stored, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit, errp := w.Emit()
+			sim.Generate(from, to, emit)
+			if err := errors.Join(*errp, w.Close()); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := sim.ExportShardedCtx(context.Background(), stored, parts, meta, nil); err != nil {
+			t.Fatal(err)
+		}
+		src, err := dataset.OpenSource(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		want, records := newAnalyzeSet(), uint64(0)
+		sim.Generate(from, to, func(o telemetry.Observation) {
+			records++
+			want.set.Observe(o)
+		})
+		got := newAnalyzeSet()
+		rep, err := AnalyzeSource(context.Background(), src, got.set, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got.assertEqual(t, want, label)
+		if rep.Records != records || !rep.Intact() {
+			t.Fatalf("%s: coverage %+v, want %d records, intact", label, rep, records)
+		}
+	})
 }
 
 // Direct manifest analysis must account coverage exactly like a

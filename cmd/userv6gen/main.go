@@ -181,6 +181,8 @@ func runGen(args []string) {
 			usageError("gen", "-from must be at least 0, got %d", *from)
 		case *from > *to:
 			usageError("gen", "-from must not exceed -to, got -from %d -to %d", *from, *to)
+		case *shards < 0:
+			usageError("gen", "-shards must be at least 0, got %d", *shards)
 		}
 	}
 
@@ -782,12 +784,18 @@ func runInfo(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	// A dataset with no records has no day range, only the scan's
+	// starting bounds.
+	days := "-"
+	if n > 0 {
+		days = fmt.Sprintf("%d..%d", int(minD), int(maxD))
+	}
 	tbl := report.NewTable("metric", "value").
 		Row("observations", n).
 		Row("abusive observations", abusive).
 		Row("IPv4 / IPv6 observations", fmt.Sprintf("%d / %d", v4, v6)).
 		Row("distinct entities", len(users)).
-		Row("days", fmt.Sprintf("%d..%d", int(minD), int(maxD))).
+		Row("days", days).
 		Row("total requests", requests)
 	if codec := r.Meta().Codec; codec != "" {
 		tbl.Row("block codec", codec)
@@ -805,6 +813,9 @@ func runAnalyze(args []string) {
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path after analysis")
 	fs.Parse(args)
 	inputArg(fs, in)
+	if *workers < 0 {
+		usageError("analyze", "-workers must be at least 0, got %d", *workers)
+	}
 
 	// The input may be a merged file, a sharded export directory, or a
 	// manifest path; the source layer resolves the shape and the

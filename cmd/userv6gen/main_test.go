@@ -108,17 +108,31 @@ func TestInfoReadsHeaderedAndRaw(t *testing.T) {
 	if strings.Contains(r, "users=") || strings.Contains(r, "block codec") {
 		t.Fatalf("info on a raw stream printed header fields:\n%s", r)
 	}
-	obs := func(out string) string {
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "observations ") {
-				return strings.Join(strings.Fields(line), " ")
-			}
+	if obs := tableRow(h, "observations"); obs == "" || obs != tableRow(r, "observations") {
+		t.Fatalf("observation counts differ: dataset %q, raw %q", obs, tableRow(r, "observations"))
+	}
+}
+
+// TestInfoEmptyDatasetHasNoDays: a valid dataset with no records has no
+// day range, and info prints "-" for it.
+func TestInfoEmptyDatasetHasNoDays(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.uv6")
+	mustRun(t, "gen", "-users", "1", "-from", "0", "-to", "0", "-benign-only", "-sample", "user:0.000001", "-o", empty)
+	out := mustRun(t, "info", empty)
+	if obs, days := tableRow(out, "observations"), tableRow(out, "days"); obs != "observations 0" || days != "days -" {
+		t.Fatalf("info on an empty dataset: %q, %q\n%s", obs, days, out)
+	}
+}
+
+// tableRow returns the row of a printed table whose first cell is
+// metric, with its cells joined by single spaces, or "".
+func tableRow(out, metric string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, metric+"  ") {
+			return strings.Join(strings.Fields(line), " ")
 		}
-		return ""
 	}
-	if obs(h) == "" || obs(h) != obs(r) {
-		t.Fatalf("observation counts differ: dataset %q, raw %q", obs(h), obs(r))
-	}
+	return ""
 }
 
 // TestMergePositionalTakesFirstValidHeader: without a manifest, merge
@@ -261,18 +275,21 @@ func TestGenRefusesNonPositiveUsers(t *testing.T) {
 
 // TestGenRefusesImpossibleWindow: gen refuses a window that starts
 // before day 0 or after its last day with exit 2, naming the flag, on
-// the single-file and the sharded path, and writes nothing. With
+// the single-file and the sharded path, and writes nothing. So it does
+// a negative -shards, which would otherwise write a part per CPU. With
 // -resume the window comes from the partial dataset's header, so
 // -from and -to are not checked there.
 func TestGenRefusesImpossibleWindow(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {
 		from, to, want string
+		shards         []string
 	}{
-		{"-1", "2", "-from must be at least 0, got -1"},
-		{"10", "5", "-from must not exceed -to, got -from 10 -to 5"},
+		{"-1", "2", "-from must be at least 0, got -1", []string{"0", "2"}},
+		{"10", "5", "-from must not exceed -to, got -from 10 -to 5", []string{"0", "2"}},
+		{"81", "81", "-shards must be at least 0, got -2", []string{"-2"}},
 	} {
-		for _, shards := range []string{"0", "2"} {
+		for _, shards := range c.shards {
 			out := filepath.Join(dir, "week"+c.from+"_"+c.to+"_"+shards)
 			stdout, stderr, code := userv6gen(t, "gen", "-users", "50", "-from", c.from, "-to", c.to, "-shards", shards, "-o", out)
 			if code != 2 || !strings.Contains(stderr, c.want) {
@@ -306,7 +323,7 @@ func TestMergeRetriesZeroMeansNone(t *testing.T) {
 	pol := mergeRetry(0)
 	slept := 0
 	pol.Sleep = func(ctx context.Context, _ time.Duration) error { slept++; return ctx.Err() }
-	_, err := dataset.Merge(filepath.Join(dir, "merged.uv6"), dataset.Meta{}, []string{part},
+	_, err := dataset.MergeCtx(context.Background(), filepath.Join(dir, "merged.uv6"), dataset.Meta{}, []string{part},
 		&dataset.MergeOptions{FS: in, Retry: pol})
 	if !errors.Is(err, faultio.ErrTransient) || !strings.Contains(err.Error(), "after 0 retries") {
 		t.Fatalf("merge error %v, want the read error after 0 retries", err)
@@ -318,5 +335,17 @@ func TestMergeRetriesZeroMeansNone(t *testing.T) {
 	_, stderr, code := userv6gen(t, "merge", "-retries", "-1", "-o", filepath.Join(dir, "x.uv6"), part)
 	if code != 2 || !strings.Contains(stderr, "-retries must be at least 0, got -1") {
 		t.Fatalf("merge -retries -1: exit %d\nstderr: %s", code, stderr)
+	}
+}
+
+// TestAnalyzeRefusesNegativeWorkers: analyze refuses a negative
+// -workers with exit 2, naming the flag, instead of running it as 0
+// (all CPUs).
+func TestAnalyzeRefusesNegativeWorkers(t *testing.T) {
+	week := filepath.Join(t.TempDir(), "week.uv6")
+	mustRun(t, "gen", "-users", "50", "-from", "81", "-to", "81", "-o", week)
+	stdout, stderr, code := userv6gen(t, "analyze", "-workers", "-3", week)
+	if code != 2 || !strings.Contains(stderr, "-workers must be at least 0, got -3") {
+		t.Fatalf("analyze -workers -3: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }

@@ -192,15 +192,6 @@ func (ac *Actioning) Curve(thresholds []float64) *stats.ROC {
 	return stats.NewROC(pts)
 }
 
-// DayNPrefixes returns how many prefixes were observed on day To−1.
-func (ac *Actioning) DayNPrefixes() int { return len(ac.pops(ac.To - 1)) }
-
-// DayN1Entities returns the day-To population sizes (benign, abusive).
-func (ac *Actioning) DayN1Entities() (benign, abusive int) {
-	b, a := ac.ratios()
-	return len(b), len(a)
-}
-
 // Blocklist replays a blocklist with entry TTLs over the window, the
 // operational form of the paper's §7.2 blocklisting guidance. At the
 // end of each day, every prefix actioned at threshold on that day's

@@ -42,13 +42,9 @@ func buildActioning() *Actioning {
 
 func TestActioningThresholds(t *testing.T) {
 	ac := buildActioning()
-	if ac.DayNPrefixes() != 3 {
-		t.Fatalf("dayN prefixes = %d", ac.DayNPrefixes())
-	}
-	if b, a := ac.DayN1Entities(); b != 3 || a != 3 {
-		t.Fatalf("dayN1 entities = %d benign, %d abusive", b, a)
-	}
 
+	// Day n+1 holds 3 abusive entities (TP+FN) and 3 benign ones
+	// (FP+TN) at every threshold.
 	// Threshold 0 ("any abusive presence"): addrs A (ratio 1) and B
 	// (0.1) actioned. AAs 100, 101 caught; 102 missed. Benign 1 hit.
 	c := ac.Counts(0)
@@ -146,7 +142,8 @@ func TestActioningAbusiveOnAnySighting(t *testing.T) {
 		feeds[fmt.Sprintf("merged, abusive=%v into abusive=%v", order[1].Abusive, order[0].Abusive)] = into
 	}
 	for label, ac := range feeds {
-		if b, a := ac.DayN1Entities(); b != 0 || a != 1 {
+		c := ac.Counts(0)
+		if b, a := c.FP+c.TN, c.TP+c.FN; b != 0 || a != 1 {
 			t.Errorf("%s: day-To entities %d benign, %d abusive; want the one abusive", label, b, a)
 		}
 	}
@@ -331,12 +328,9 @@ func TestActioningCommutativeFold(t *testing.T) {
 					if got, want := ac.Curve(DefaultThresholds()), ref.Curve(DefaultThresholds()); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: Curve = %+v, want %+v", label, got, want)
 					}
-					if got, want := ac.DayNPrefixes(), len(ref.dayN); got != want {
-						t.Fatalf("%s: DayNPrefixes = %d, want %d", label, got, want)
-					}
-					b, a := ac.DayN1Entities()
-					if b != len(ref.benignN1) || a != len(ref.abusiveN1) {
-						t.Fatalf("%s: DayN1Entities = %d, %d, want %d, %d", label, b, a, len(ref.benignN1), len(ref.abusiveN1))
+					c := ac.Counts(0)
+					if b, a := int(c.FP+c.TN), int(c.TP+c.FN); b != len(ref.benignN1) || a != len(ref.abusiveN1) {
+						t.Fatalf("%s: day-To entities %d benign, %d abusive, want %d, %d", label, b, a, len(ref.benignN1), len(ref.abusiveN1))
 					}
 				}
 				forEachActioningFeed(g, 1, recs, check)

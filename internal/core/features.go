@@ -87,9 +87,6 @@ func (fe *FeatureExtractor) Observe(o telemetry.Observation) {
 	}
 }
 
-// Entities returns the number of entities with features.
-func (fe *FeatureExtractor) Entities() int { return len(fe.ents) }
-
 // Vector returns the feature vector for one entity and whether it was
 // observed.
 func (fe *FeatureExtractor) Vector(uid uint64) (FeatureVector, bool) {

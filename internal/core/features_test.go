@@ -47,9 +47,6 @@ func TestFeatureExtractorBasics(t *testing.T) {
 	if _, ok := fe.Vector(999); ok {
 		t.Fatal("phantom entity")
 	}
-	if fe.Entities() != 1 {
-		t.Fatalf("entities = %d", fe.Entities())
-	}
 }
 
 func TestFeatureStructuredCount(t *testing.T) {

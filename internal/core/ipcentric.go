@@ -158,18 +158,6 @@ func (ic *IPCentric) PrefixesWithMoreThan(n int) int {
 	return count
 }
 
-// AbusivePrefixesWithMoreThan counts prefixes whose abusive population
-// strictly exceeds n.
-func (ic *IPCentric) AbusivePrefixesWithMoreThan(n int) int {
-	count := 0
-	for _, pop := range ic.prefixes {
-		if pop.abusive() > n {
-			count++
-		}
-	}
-	return count
-}
-
 // HeavyPrefix is a prefix ranked by its user population.
 type HeavyPrefix struct {
 	Prefix         netaddr.Prefix

@@ -72,9 +72,6 @@ func TestIPCentricAbusiveSplits(t *testing.T) {
 	if all.N() != 3 {
 		t.Fatalf("benign hist over all prefixes N = %d", all.N())
 	}
-	if got := ic.AbusivePrefixesWithMoreThan(1); got != 1 {
-		t.Fatalf("AbusivePrefixesWithMoreThan(1) = %d", got)
-	}
 	if got := ic.PrefixesWithMoreThan(2); got != 1 {
 		t.Fatalf("PrefixesWithMoreThan(2) = %d", got)
 	}

@@ -71,15 +71,14 @@ func lawAnalyzers() []lawAnalyzer {
 			func(p *Prevalence, q map[string]any) { prevalenceQueries(q, p) }),
 		law("actioning", func() *Actioning { return NewActioning(netaddr.IPv6, 64, 1, 2) }, (*Actioning).Merge,
 			func(ac *Actioning, q map[string]any) {
+				// Each threshold's counts also hold the day-To entity
+				// counts: TP+FN abusive, FP+TN benign.
 				for _, th := range DefaultThresholds() {
 					q[fmt.Sprintf("counts@%v", th)] = ac.Counts(th)
 				}
 				// As text: a rate over an empty population is NaN, which
 				// equals nothing.
 				q["curve"] = fmt.Sprint(ac.Curve(DefaultThresholds()).Points)
-				q["prefixes"] = ac.DayNPrefixes()
-				b, a := ac.DayN1Entities()
-				q["entities"] = [2]int{b, a}
 			}),
 		law("actioning week", func() *Actioning { return NewActioning(netaddr.IPv4, 32, 0, 6) }, (*Actioning).Merge,
 			func(ac *Actioning, q map[string]any) {

@@ -113,16 +113,3 @@ func (s *Segmentation) Report() []SegmentReport {
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
 }
-
-// Segment returns one kind's report and whether it was observed.
-func (s *Segmentation) Segment(kind netmodel.Kind) (SegmentReport, bool) {
-	if _, ok := s.segments[kind]; !ok {
-		return SegmentReport{}, false
-	}
-	for _, r := range s.Report() {
-		if r.Kind == kind {
-			return r, true
-		}
-	}
-	return SegmentReport{}, false
-}

@@ -34,13 +34,10 @@ func TestSegmentationBasic(t *testing.T) {
 	seg.Observe(segObs(4, "10.9.9.9", 99, 1))
 
 	reports := seg.Report()
-	if len(reports) != 2 {
-		t.Fatalf("segments = %d", len(reports))
+	if len(reports) != 2 || reports[0].Kind != netmodel.Residential || reports[1].Kind != netmodel.Mobile {
+		t.Fatalf("segments = %+v, want residential and mobile", reports)
 	}
-	mob, ok := seg.Segment(netmodel.Mobile)
-	if !ok {
-		t.Fatal("mobile segment missing")
-	}
+	res, mob := reports[0], reports[1]
 	if mob.Users != 2 {
 		t.Fatalf("mobile users = %d", mob.Users)
 	}
@@ -53,12 +50,8 @@ func TestSegmentationBasic(t *testing.T) {
 	if mob.MedianV6Addrs != 2 || mob.MedianV4Addrs != 1 {
 		t.Fatalf("mobile medians = %d/%d", mob.MedianV6Addrs, mob.MedianV4Addrs)
 	}
-	res, _ := seg.Segment(netmodel.Residential)
 	if res.Users != 1 || res.V6UserShare != 1 {
 		t.Fatalf("residential = %+v", res)
-	}
-	if _, ok := seg.Segment(netmodel.Hosting); ok {
-		t.Fatal("phantom segment")
 	}
 }
 
@@ -68,7 +61,7 @@ func TestSegmentationDedup(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		seg.Observe(segObs(1, "2001:db8::1", 10, 1))
 	}
-	mob, _ := seg.Segment(netmodel.Mobile)
+	mob := seg.Report()[0]
 	if mob.MedianV6Addrs != 1 {
 		t.Fatalf("median v6 addrs = %d (dedup failed)", mob.MedianV6Addrs)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"userv6/internal/netaddr"
 	"userv6/internal/sketch"
-	"userv6/internal/stats"
 	"userv6/internal/telemetry"
 )
 
@@ -135,27 +134,6 @@ func (s *SketchedIPCentric) Top(k int) []SketchedHeavy {
 	return out
 }
 
-// EstimateUsers returns the estimated distinct users on prefix p and
-// whether p was tracked as a heavy candidate.
-func (s *SketchedIPCentric) EstimateUsers(p netaddr.Prefix) (float64, bool) {
-	if h, ok := s.hlls[prefixKey(p)]; ok {
-		return h.Estimate(), true
-	}
-	return 0, false
-}
-
-// HeavyAbove estimates how many tracked prefixes exceed n distinct
-// users. It is a lower bound: only tracked candidates are counted.
-func (s *SketchedIPCentric) HeavyAbove(n int) int {
-	count := 0
-	for _, h := range s.hlls {
-		if h.Estimate() > float64(n) {
-			count++
-		}
-	}
-	return count
-}
-
 // CompareExact summarizes agreement between the sketched and exact
 // analyzers: the relative error of the heaviest prefix's user estimate
 // and the recall of the exact top-k within the sketched top-2k.
@@ -192,16 +170,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-// statsHistFromTop builds an IntHist over tracked heavy populations,
-// for coarse reporting when no exact analyzer is available.
-func (s *SketchedIPCentric) statsHistFromTop() *stats.IntHist {
-	h := stats.NewIntHist(256)
-	for _, hll := range s.hlls {
-		h.Add(int(hll.Estimate() + 0.5))
-	}
-	return h
-}
-
-// HeavyHist returns the histogram of tracked heavy-prefix populations.
-func (s *SketchedIPCentric) HeavyHist() *stats.IntHist { return s.statsHistFromTop() }

@@ -75,35 +75,6 @@ func TestSketchedPrefixCardinality(t *testing.T) {
 	}
 }
 
-func TestSketchedHeavyAbove(t *testing.T) {
-	sk := NewSketchedIPCentric(netaddr.IPv6, 128, 128)
-	synthStream(sk.Observe)
-	// 5 addresses exceed 250 users; allow sketch slack.
-	got := sk.HeavyAbove(250)
-	if got < 4 || got > 8 {
-		t.Fatalf("HeavyAbove(250) = %d, want ~5", got)
-	}
-	if sk.HeavyAbove(10_000) != 0 {
-		t.Fatal("phantom mega-heavy prefix")
-	}
-}
-
-func TestSketchedEstimateUsers(t *testing.T) {
-	sk := NewSketchedIPCentric(netaddr.IPv6, 128, 64)
-	synthStream(sk.Observe)
-	heaviest := netaddr.PrefixFrom(netaddr.MustParseAddr("2600:380::").WithIID(1), 128)
-	est, ok := sk.EstimateUsers(heaviest)
-	if !ok {
-		t.Fatal("heaviest prefix not tracked")
-	}
-	if est < 1800 || est > 2200 {
-		t.Fatalf("estimate = %v, want ~2000", est)
-	}
-	if _, ok := sk.EstimateUsers(netaddr.MustParsePrefix("3fff::1/128")); ok {
-		t.Fatal("untracked prefix reported as tracked")
-	}
-}
-
 func TestSketchedAtPrefixGranularity(t *testing.T) {
 	// At /64, the heavy addresses (same /64) merge into one very heavy
 	// prefix.
@@ -131,18 +102,6 @@ func TestSketchedIgnoresWrongFamily(t *testing.T) {
 	sk.Observe(telemetry.Observation{UserID: 1, Addr: netaddr.MustParseAddr("2001:db8::1")})
 	if sk.Prefixes() != 0 {
 		t.Fatal("v6 observation counted by v4 sketch")
-	}
-}
-
-func TestSketchedHeavyHist(t *testing.T) {
-	sk := NewSketchedIPCentric(netaddr.IPv6, 128, 64)
-	synthStream(sk.Observe)
-	h := sk.HeavyHist()
-	if h.N() == 0 {
-		t.Fatal("empty heavy histogram")
-	}
-	if h.Max() < 1800 {
-		t.Fatalf("heavy hist max = %d", h.Max())
 	}
 }
 

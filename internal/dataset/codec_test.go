@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func TestMergeCompressedByteIdentical(t *testing.T) {
 				}
 
 				merged := filepath.Join(dir, "merged.uv6")
-				rep, err := Merge(merged, meta, parts, nil)
+				rep, err := MergeCtx(context.Background(), merged, meta, parts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +151,7 @@ func TestMergeCompressedDamagedPart(t *testing.T) {
 	}
 
 	merged := filepath.Join(dir, "merged.uv6")
-	rep, err := Merge(merged, meta, parts, nil)
+	rep, err := MergeCtx(context.Background(), merged, meta, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestMergeCodecMismatch(t *testing.T) {
 	lie.Codec = ""
 	expected := map[string]PartInfo{info.Name: lie}
 
-	_, err := Merge(filepath.Join(dir, "refused.uv6"), lzMeta, []string{part}, &MergeOptions{Expected: expected})
+	_, err := MergeCtx(context.Background(), filepath.Join(dir, "refused.uv6"), lzMeta, []string{part}, &MergeOptions{Expected: expected})
 	if !errors.Is(err, ErrCodecMismatch) {
 		t.Fatalf("mislabeled part gave %v, want ErrCodecMismatch", err)
 	}
@@ -191,14 +192,14 @@ func TestMergeCodecMismatch(t *testing.T) {
 	// checked against a codec this build cannot name.
 	bogus := info
 	bogus.Codec = "zstd"
-	_, err = Merge(filepath.Join(dir, "bogus.uv6"), lzMeta, []string{part},
+	_, err = MergeCtx(context.Background(), filepath.Join(dir, "bogus.uv6"), lzMeta, []string{part},
 		&MergeOptions{Expected: map[string]PartInfo{info.Name: bogus}})
 	if !errors.Is(err, ErrCodecMismatch) {
 		t.Fatalf("unknown declared codec gave %v, want ErrCodecMismatch", err)
 	}
 
 	// Tolerant mode proceeds, records the mismatch, loses nothing.
-	rep, err := Merge(filepath.Join(dir, "tolerant.uv6"), lzMeta, []string{part},
+	rep, err := MergeCtx(context.Background(), filepath.Join(dir, "tolerant.uv6"), lzMeta, []string{part},
 		&MergeOptions{Expected: expected, Tolerant: true})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestMergeCodecMismatch(t *testing.T) {
 
 	// Truthful manifest: no error, CodecOK stays set. Identity frames
 	// would also be fine under a declared-lz part.
-	rep, err = Merge(filepath.Join(dir, "ok.uv6"), lzMeta, []string{part},
+	rep, err = MergeCtx(context.Background(), filepath.Join(dir, "ok.uv6"), lzMeta, []string{part},
 		&MergeOptions{Expected: map[string]PartInfo{info.Name: info}})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +228,7 @@ func TestMergeCodecMismatch(t *testing.T) {
 	plainMeta.Codec = ""
 	plainPart := filepath.Join(dir, "part-plain.uv6")
 	writePart(t, plainPart, plainMeta, obs)
-	rep, err = Merge(filepath.Join(dir, "mixed.uv6"), lzMeta, []string{part, plainPart}, nil)
+	rep, err = MergeCtx(context.Background(), filepath.Join(dir, "mixed.uv6"), lzMeta, []string{part, plainPart}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func assertIdentityFrames(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := telemetry.Scan(bytes.NewReader(raw[headerSize:]))
+	rep, err := telemetry.Salvage(bytes.NewReader(raw[headerSize:]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCodecMergeMatrix(t *testing.T) {
 			} {
 				t.Run(name, func(t *testing.T) {
 					merged := filepath.Join(dir, name+"-merged.uv6")
-					rep, err := Merge(merged, meta, writeParts(name, partMeta), nil)
+					rep, err := MergeCtx(context.Background(), merged, meta, writeParts(name, partMeta), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -136,20 +136,16 @@ type MergeReport struct {
 	Complete bool
 }
 
-// Merge folds the given part files, in order, into one dataset at out
-// carrying meta. Each part is streamed with capped-exponential-backoff
-// retries on transient I/O errors (the shared retry policy) and
-// salvaged as it streams: intact blocks are re-emitted through the
-// output writer, corrupt blocks are skipped and reported. The output is
-// finalized (complete, checksummed header) even when parts were damaged
-// — the report says what was lost. A part that cannot be read within
-// its retries fails the merge: that is an I/O failure, not damage.
-func Merge(out string, meta Meta, parts []string, opts *MergeOptions) (MergeReport, error) {
-	return MergeCtx(context.Background(), out, meta, parts, opts)
-}
-
-// MergeCtx is Merge under a context: cancellation aborts between parts
-// and interrupts any in-flight backoff sleep.
+// MergeCtx folds the given part files, in order, into one dataset at
+// out carrying meta. Each part is streamed with
+// capped-exponential-backoff retries on transient I/O errors (the
+// shared retry policy) and salvaged as it streams: intact blocks are
+// re-emitted through the output writer, corrupt blocks are skipped and
+// reported. The output is finalized (complete, checksummed header) even
+// when parts were damaged — the report says what was lost. A part that
+// cannot be read within its retries fails the merge: that is an I/O
+// failure, not damage. Cancelling ctx aborts between parts and
+// interrupts any in-flight backoff sleep.
 func MergeCtx(ctx context.Context, out string, meta Meta, parts []string, opts *MergeOptions) (MergeReport, error) {
 	opt := opts.withDefaults()
 	w, err := CreateFS(opt.FS, out, meta)

@@ -66,7 +66,7 @@ func TestMergeByteIdenticalToSingleWriter(t *testing.T) {
 	}
 
 	merged := filepath.Join(dir, "merged.uv6")
-	rep, err := Merge(merged, meta, parts, nil)
+	rep, err := MergeCtx(context.Background(), merged, meta, parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMergeRecoversDamagedPart(t *testing.T) {
 	}
 
 	merged := filepath.Join(dir, "merged.uv6")
-	rep, err := Merge(merged, meta, parts, &MergeOptions{Expected: expected})
+	rep, err := MergeCtx(context.Background(), merged, meta, parts, &MergeOptions{Expected: expected})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMergeRecoversDamagedPart(t *testing.T) {
 	}
 
 	// Strict mode refuses the damaged part.
-	if _, err := Merge(filepath.Join(dir, "strict.uv6"), meta, parts, &MergeOptions{Expected: expected, Strict: true}); err == nil {
+	if _, err := MergeCtx(context.Background(), filepath.Join(dir, "strict.uv6"), meta, parts, &MergeOptions{Expected: expected, Strict: true}); err == nil {
 		t.Fatal("strict merge of a damaged part should fail")
 	}
 }
@@ -201,7 +201,7 @@ func TestMergeRetriesTransientIO(t *testing.T) {
 	}
 
 	merged := filepath.Join(dir, "merged.uv6")
-	rep, err := Merge(merged, meta, []string{p0, p1}, &MergeOptions{FS: in, Retry: pol})
+	rep, err := MergeCtx(context.Background(), merged, meta, []string{p0, p1}, &MergeOptions{FS: in, Retry: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,12 @@ func TestMergeRetriesTransientIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol.MaxRetries = 2
-	if _, err := Merge(filepath.Join(dir, "fail.uv6"), meta, []string{p0, p1}, &MergeOptions{FS: in2, Retry: pol}); err == nil {
+	if _, err := MergeCtx(context.Background(), filepath.Join(dir, "fail.uv6"), meta, []string{p0, p1}, &MergeOptions{FS: in2, Retry: pol}); err == nil {
 		t.Fatal("persistently failing part should fail the merge")
 	}
 	// A missing part fails immediately, without retries.
 	slept = nil
-	if _, err := Merge(filepath.Join(dir, "missing.uv6"), meta, []string{filepath.Join(dir, "nope.uv6")}, &MergeOptions{Retry: pol}); err == nil {
+	if _, err := MergeCtx(context.Background(), filepath.Join(dir, "missing.uv6"), meta, []string{filepath.Join(dir, "nope.uv6")}, &MergeOptions{Retry: pol}); err == nil {
 		t.Fatal("missing part should fail the merge")
 	} else if len(slept) != 0 {
 		t.Fatalf("missing part slept %v before failing", slept)
@@ -257,7 +257,7 @@ func TestMergeOutputWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "merged.uv6")
-	_, err := Merge(out, meta, []string{p0, p1}, &MergeOptions{FS: in})
+	_, err := MergeCtx(context.Background(), out, meta, []string{p0, p1}, &MergeOptions{FS: in})
 	if !errors.Is(err, faultio.ErrTransient) {
 		t.Fatalf("merge error = %v, want faultio.ErrTransient", err)
 	}

@@ -142,7 +142,7 @@ func FuzzMergeResume(f *testing.F) {
 			}
 		}
 		out := filepath.Join(t.TempDir(), "merged.uv6")
-		rep, err := Merge(out, fx.meta, fx.parts, &MergeOptions{
+		rep, err := MergeCtx(context.Background(), out, fx.meta, fx.parts, &MergeOptions{
 			FS: in, Retry: noSleep(16), Expected: fx.expected, Strict: true,
 		})
 		if err != nil {
@@ -202,7 +202,7 @@ func TestMergeResumeFailures(t *testing.T) {
 			return ctx.Err()
 		}
 		out := filepath.Join(t.TempDir(), "merged.uv6")
-		res.rep, res.err = Merge(out, fx.meta, parts, &MergeOptions{FS: in, Retry: pol, Expected: fx.expected})
+		res.rep, res.err = MergeCtx(context.Background(), out, fx.meta, parts, &MergeOptions{FS: in, Retry: pol, Expected: fx.expected})
 		if res.err != nil {
 			if _, err := os.Stat(out + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("failed merge left its temp file (stat err %v)", err)

@@ -232,7 +232,7 @@ func TestReadAllocationFlat(t *testing.T) {
 		"tolerant": forEach(true),
 		"scan":     func(path string) error { _, err := Scan(path); return err },
 		"merge": func(path string) error {
-			_, err := Merge(filepath.Join(t.TempDir(), "merged.uv6"), Meta{Seed: 3, Sample: "all"}, []string{path}, nil)
+			_, err := MergeCtx(context.Background(), filepath.Join(t.TempDir(), "merged.uv6"), Meta{Seed: 3, Sample: "all"}, []string{path}, nil)
 			return err
 		},
 	} {

@@ -2,12 +2,11 @@ package dataset
 
 // Sources: the unit of analysis. The paper's analyses run over one
 // logical telemetry corpus, but on disk that corpus may be a single
-// merged .uv6 file, a sharded export's manifest.uv6m plus parts, or a
-// bare list of part files. A Source names the parts, carries whatever
-// expectations the container format declares (per-part user ranges,
-// codecs, whole-file checksums from a manifest), so the planner and
-// executor can run over it without knowing which concrete shape they
-// were handed.
+// merged .uv6 file or a sharded export's manifest.uv6m plus parts. A
+// Source names the parts and carries whatever expectations the
+// container format declares (per-part user ranges, codecs, whole-file
+// checksums from a manifest), so the planner and executor can run over
+// it without knowing which concrete shape they were handed.
 
 import (
 	"fmt"
@@ -22,7 +21,7 @@ import (
 // range, so per-part analyzer replicas fold exactly like generation
 // shards.
 type Source interface {
-	// Kind names the concrete shape: "file", "manifest", or "parts".
+	// Kind names the concrete shape: "file" or "manifest".
 	Kind() string
 	// Parts returns the part file paths in canonical order.
 	Parts() []string
@@ -30,8 +29,7 @@ type Source interface {
 	// (codec, CRC32C, counts) when the container records them.
 	Expected(i int) (PartInfo, bool)
 	// Meta returns the dataset metadata the corpus describes, when
-	// known (false for headerless raw streams and bare part lists with
-	// no parseable header).
+	// known (false for a headerless raw stream).
 	Meta() (Meta, bool)
 }
 
@@ -126,41 +124,6 @@ func (s *ManifestSource) Meta() (Meta, bool) {
 // Manifest exposes the parsed manifest for tools that report per-part
 // detail (verify, merge planning).
 func (s *ManifestSource) Manifest() *Manifest { return s.man }
-
-// PartsSource is a bare ordered list of part files with no manifest:
-// no declared expectations, metadata taken from the first part that
-// carries a parseable header.
-type PartsSource struct {
-	parts   []string
-	meta    Meta
-	hasMeta bool
-}
-
-// NewPartsSource wraps explicit part paths as a source, in the order
-// given. The caller asserts the parts cover disjoint user ranges (as
-// sharded exports do); nothing re-derives that from bare files.
-func NewPartsSource(paths ...string) (*PartsSource, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("dataset: parts source needs at least one part")
-	}
-	s := &PartsSource{parts: append([]string(nil), paths...)}
-	for _, p := range paths {
-		meta, ok, err := probeMeta(p)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			s.meta, s.hasMeta = meta, true
-			break
-		}
-	}
-	return s, nil
-}
-
-func (s *PartsSource) Kind() string                  { return "parts" }
-func (s *PartsSource) Parts() []string               { return s.parts }
-func (s *PartsSource) Expected(int) (PartInfo, bool) { return PartInfo{}, false }
-func (s *PartsSource) Meta() (Meta, bool)            { return s.meta, s.hasMeta }
 
 // OpenSource resolves a user-supplied path to the right source shape:
 // a directory means "the sharded export in here" (manifest.uv6m

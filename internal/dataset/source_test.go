@@ -110,39 +110,3 @@ func TestManifestSourceRejections(t *testing.T) {
 		t.Fatalf("missing part not reported: err = %v", err)
 	}
 }
-
-// TestPartsSource: at least one part required; metadata comes from the
-// first part carrying a parseable header, skipping raw streams.
-func TestPartsSource(t *testing.T) {
-	if _, err := NewPartsSource(); err == nil {
-		t.Fatal("empty parts source accepted")
-	}
-
-	dir := shardedDir(t)
-	raw := filepath.Join(dir, "raw.uv6")
-	if err := os.WriteFile(raw, []byte("uv6"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewPartsSource(raw, filepath.Join(dir, partName(0)), filepath.Join(dir, partName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Kind() != "parts" || len(src.Parts()) != 3 {
-		t.Fatalf("parts source: kind %s, %d parts", src.Kind(), len(src.Parts()))
-	}
-	meta, ok := src.Meta()
-	if !ok || meta.Seed != 7 {
-		t.Fatalf("parts meta %+v (ok=%v), want header of first headered part", meta, ok)
-	}
-	if _, ok := src.Expected(0); ok {
-		t.Fatal("bare parts claim declared expectations")
-	}
-
-	rawOnly, err := NewPartsSource(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rawOnly.Meta(); ok {
-		t.Fatal("raw-only parts source claims metadata")
-	}
-}

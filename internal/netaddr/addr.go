@@ -9,7 +9,7 @@
 // Addr is a two-word value type: comparable, usable as a map key, and
 // maskable without allocation. It plays the role net/netip.Addr plays in
 // the standard library, but exposes the raw 128-bit words so that the
-// prefix trie and the analyzers can operate on them directly.
+// analyzers can operate on them directly.
 package netaddr
 
 import (
@@ -273,22 +273,6 @@ func (a Addr) mask(n int) Addr {
 	return a
 }
 
-// Bit returns bit i of the address (0 = most significant) as 0 or 1.
-// It panics if i is outside [0, Bits()).
-func (a Addr) Bit(i int) byte {
-	bits := a.Bits()
-	if i < 0 || i >= bits {
-		panic("netaddr: Bit index out of range: " + strconv.Itoa(i))
-	}
-	if a.family == IPv4 {
-		return byte(uint32(a.lo) >> (31 - i) & 1)
-	}
-	if i < 64 {
-		return byte(a.hi >> (63 - i) & 1)
-	}
-	return byte(a.lo >> (127 - i) & 1)
-}
-
 // Prefix is an address plus a prefix length: a subnet. The address is
 // stored in canonical (masked) form, so Prefix values are comparable:
 // two Prefixes are equal iff they denote the same subnet.
@@ -368,14 +352,6 @@ func (p Prefix) Overlaps(q Prefix) bool {
 		p, q = q, p
 	}
 	return q.addr.mask(int(p.bits)) == p.addr
-}
-
-// Parent returns the prefix one bit shorter, or p itself at length 0.
-func (p Prefix) Parent() Prefix {
-	if p.bits == 0 {
-		return p
-	}
-	return PrefixFrom(p.addr, int(p.bits)-1)
 }
 
 // String formats the prefix in CIDR notation.

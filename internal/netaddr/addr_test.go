@@ -141,35 +141,6 @@ func TestNext(t *testing.T) {
 	}
 }
 
-func TestBit(t *testing.T) {
-	a := MustParseAddr("8000::") // only bit 0 set
-	if a.Bit(0) != 1 {
-		t.Error("bit 0 should be 1")
-	}
-	for i := 1; i < 128; i++ {
-		if a.Bit(i) != 0 {
-			t.Errorf("bit %d should be 0", i)
-		}
-	}
-	one := MustParseAddr("::1")
-	if one.Bit(127) != 1 {
-		t.Error("bit 127 of ::1 should be 1")
-	}
-	v4 := MustParseAddr("128.0.0.1")
-	if v4.Bit(0) != 1 || v4.Bit(31) != 1 || v4.Bit(1) != 0 {
-		t.Error("IPv4 bit extraction wrong")
-	}
-}
-
-func TestBitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Bit(-1) did not panic")
-		}
-	}()
-	MustParseAddr("::1").Bit(-1)
-}
-
 func TestWithIID(t *testing.T) {
 	a := MustParseAddr("2001:db8:1:2::")
 	b := a.WithIID(0xdeadbeef)
@@ -288,18 +259,6 @@ func TestPrefixOverlaps(t *testing.T) {
 		if got != c.want {
 			t.Errorf("Overlaps(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestPrefixParent(t *testing.T) {
-	p := MustParsePrefix("2001:db8:8000::/33")
-	parent := p.Parent()
-	if parent.String() != "2001:db8::/32" {
-		t.Fatalf("Parent() = %s", parent)
-	}
-	root := MustParsePrefix("::/0")
-	if root.Parent() != root {
-		t.Fatal("Parent of /0 should be itself")
 	}
 }
 

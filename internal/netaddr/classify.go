@@ -115,12 +115,3 @@ func EUI64FromMAC(mac uint64) uint64 {
 	iid := oui<<40 | 0xfffe<<24 | nic
 	return iid ^ 1<<57 // flip universal/local bit
 }
-
-// MACFromEUI64 recovers the MAC address from a modified EUI-64 IID.
-// The caller should first check IsEUI64IID on the containing address.
-func MACFromEUI64(iid uint64) uint64 {
-	iid ^= 1 << 57
-	oui := iid >> 40 & 0xffffff
-	nic := iid & 0xffffff
-	return oui<<24 | nic
-}

@@ -2,8 +2,10 @@ package netmodel
 
 import (
 	"testing"
+	"testing/quick"
 
 	"userv6/internal/netaddr"
+	"userv6/internal/rng"
 	"userv6/internal/simtime"
 )
 
@@ -108,6 +110,75 @@ func TestASNRouting(t *testing.T) {
 	}
 	if got := w.ASNOf(netaddr.MustParseAddr("3fff::1")); got != 0 {
 		t.Errorf("ASNOf outside all blocks = %d, want 0", got)
+	}
+}
+
+// TestASNOfLongestMatch: an address answers with the longest announced
+// block that holds it. The world's own blocks never nest, so this
+// announces a /40 inside a /32 and a /48 inside the /40, out of length
+// order, under three ASNs.
+func TestASNOfLongestMatch(t *testing.T) {
+	w := testWorld(t)
+	outer := netaddr.MustParsePrefix("3fff::/32")
+	inner := outer.Subnet(40, 5)
+	innermost := inner.Subnet(48, 1)
+	w.announce(inner, 65001)
+	w.announce(outer, 65000)
+	w.announce(innermost, 65002)
+	for _, c := range []struct {
+		addr netaddr.Addr
+		want ASN
+	}{
+		{outer.Addr(), 65000},
+		{inner.Addr(), 65001},
+		{innermost.Addr().Next(), 65002},
+		{outer.Subnet(40, 6).Addr(), 65000},
+	} {
+		if got := w.ASNOf(c.addr); got != c.want {
+			t.Errorf("ASNOf(%s) = %d, want %d", c.addr, got, c.want)
+		}
+	}
+}
+
+// TestASNOfNoDefault: no block is a default route, so an address that
+// no announced block holds, or an invalid one, maps to ASN 0.
+func TestASNOfNoDefault(t *testing.T) {
+	w := testWorld(t)
+	w.announce(netaddr.MustParsePrefix("3fff::/32"), 65000)
+	for _, a := range []netaddr.Addr{
+		netaddr.MustParseAddr("3ffe::1"),
+		netaddr.MustParseAddr("3fff:1::1"),
+		{},
+	} {
+		if got := w.ASNOf(a); got != 0 {
+			t.Errorf("ASNOf(%s) = %d, want 0", a, got)
+		}
+	}
+}
+
+// TestASNOfMatchesBruteForce: with 300 random blocks of random lengths
+// announced beside the world's own, many of them nested, ASNOf answers
+// with the ASN of the longest announced block holding the address, as
+// a scan of every block finds it.
+func TestASNOfMatchesBruteForce(t *testing.T) {
+	src := rng.New(777)
+	w := testWorld(t)
+	for i := 0; i < 300; i++ {
+		p := netaddr.PrefixFrom(netaddr.AddrFrom6(src.Uint64()&0xff00000000000000, src.Uint64()), src.Intn(129))
+		w.announce(p, ASN(70000+i))
+	}
+	f := func(hi, lo uint64) bool {
+		a := netaddr.AddrFrom6(hi&0xff00000000000000|hi>>32, lo)
+		best, want := -1, ASN(0)
+		for p, asn := range w.routes {
+			if p.Contains(a) && p.Bits() > best {
+				best, want = p.Bits(), asn
+			}
+		}
+		return w.ASNOf(a) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -376,22 +447,6 @@ func TestV6NoneNetworksNeverAssignV6(t *testing.T) {
 		}
 		if n.SubscriberHasV6(sub) {
 			t.Fatal("v4-only network claims v6 subscriber")
-		}
-	}
-}
-
-func TestTopASNsByV6Share(t *testing.T) {
-	w := testWorld(t)
-	top := w.TopASNsByV6Share(10)
-	if len(top) != 10 {
-		t.Fatalf("top = %d entries", len(top))
-	}
-	if top[0].ASN != 55836 {
-		t.Fatalf("top ASN = %d (%s), want Reliance Jio", top[0].ASN, top[0].Name)
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].V6SubscriberShare > top[i-1].V6SubscriberShare {
-			t.Fatal("top list not sorted")
 		}
 	}
 }

@@ -2,11 +2,10 @@ package netmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"userv6/internal/netaddr"
 	"userv6/internal/rng"
-	"userv6/internal/trie"
 )
 
 // WorldConfig controls world construction.
@@ -49,7 +48,11 @@ type World struct {
 
 	networks []*Network
 	asnNames map[ASN]string
-	routes   *trie.Trie[ASN]
+	// routes maps each announced block to its ASN, and routeLens holds
+	// each family's block lengths, longest first: ASNOf is a
+	// longest-prefix match of one map probe per length.
+	routes    map[netaddr.Prefix]ASN
+	routeLens map[netaddr.Family][]int
 
 	next6    uint64 // next /32 block index
 	next4    uint64 // next IPv4 /12 block index
@@ -64,11 +67,12 @@ func BuildWorld(cfg WorldConfig) *World {
 		cfg.Scale = 1
 	}
 	w := &World{
-		asnNames: make(map[ASN]string),
-		routes:   trie.New[ASN](),
-		synthASN: 64512,
-		scale:    cfg.Scale,
-		seed:     cfg.Seed,
+		asnNames:  make(map[ASN]string),
+		routes:    make(map[netaddr.Prefix]ASN),
+		routeLens: make(map[netaddr.Family][]int),
+		synthASN:  64512,
+		scale:     cfg.Scale,
+		seed:      cfg.Seed,
 	}
 	for _, c := range Countries() {
 		w.Countries = append(w.Countries, w.buildCountry(c))
@@ -89,11 +93,23 @@ func (w *World) ASNName(a ASN) string { return w.asnNames[a] }
 // ASNOf returns the ASN announcing addr, or 0 if the address is outside
 // every constructed block (which indicates a generator bug).
 func (w *World) ASNOf(a netaddr.Addr) ASN {
-	_, asn, ok := w.routes.Lookup(a)
-	if !ok {
-		return 0
+	for _, bits := range w.routeLens[a.Family()] {
+		if asn, ok := w.routes[netaddr.PrefixFrom(a, bits)]; ok {
+			return asn
+		}
 	}
-	return asn
+	return 0
+}
+
+// announce routes block p to asn.
+func (w *World) announce(p netaddr.Prefix, asn ASN) {
+	w.routes[p] = asn
+	lens := w.routeLens[p.Family()]
+	if !slices.Contains(lens, p.Bits()) {
+		lens = append(lens, p.Bits())
+		slices.SortFunc(lens, func(a, b int) int { return b - a })
+		w.routeLens[p.Family()] = lens
+	}
 }
 
 // CountryByCode returns the CountryNets for a code, or nil.
@@ -177,11 +193,11 @@ func (w *World) addNetwork(s netSpec) *Network {
 			bits = 32
 		}
 		n.V6.RoutingBlock = w.alloc6(bits)
-		w.routes.Set(n.V6.RoutingBlock, asn)
+		w.announce(n.V6.RoutingBlock, asn)
 	}
 	if n.V4.Mode != V4None {
 		n.V4.Pool = w.alloc4()
-		w.routes.Set(n.V4.Pool, asn)
+		w.announce(n.V4.Pool, asn)
 	}
 	w.networks = append(w.networks, n)
 	w.asnNames[asn] = s.name
@@ -403,7 +419,7 @@ func (w *World) buildGlobal() {
 		// Transition blocks are fixed by RFC, not drawn from the arena.
 		n.V6 = V6Policy{Mode: V6SLAAC, RoutingBlock: netaddr.MustParsePrefix(tr.block), DelegatedLen: 56, IIDRotationDays: 1}
 		n.V6SubscriberShare = 1
-		w.routes.Set(n.V6.RoutingBlock, n.ASN)
+		w.announce(n.V6.RoutingBlock, n.ASN)
 		w.Transition = append(w.Transition, n)
 	}
 }
@@ -446,30 +462,4 @@ func mobileShareFor(asn ASN) float64 {
 	default:
 		return 0.72
 	}
-}
-
-// TopASNsByV6Share returns the constructed networks ordered by their
-// configured subscriber IPv6 share (descending), for Table 1 sanity
-// checks. Measurement-based rankings come from the analyzers.
-func (w *World) TopASNsByV6Share(k int) []*Network {
-	relay := make(map[*Network]bool, len(w.Transition))
-	for _, n := range w.Transition {
-		relay[n] = true
-	}
-	nets := make([]*Network, 0, len(w.networks))
-	for _, n := range w.networks {
-		if n.HasV6() && n.Kind != Hosting && n.Kind != Proxy && !relay[n] {
-			nets = append(nets, n)
-		}
-	}
-	sort.Slice(nets, func(i, j int) bool {
-		if nets[i].V6SubscriberShare != nets[j].V6SubscriberShare {
-			return nets[i].V6SubscriberShare > nets[j].V6SubscriberShare
-		}
-		return nets[i].ASN < nets[j].ASN
-	})
-	if k < len(nets) {
-		nets = nets[:k]
-	}
-	return nets
 }

@@ -89,18 +89,6 @@ func (u *User) Context(kind ContextKind) *Context {
 	return nil
 }
 
-// HasV6Context reports whether any of the user's contexts can assign the
-// user an IPv6 address.
-func (u *User) HasV6Context() bool {
-	for i := range u.Contexts {
-		c := &u.Contexts[i]
-		if c.Net.SubscriberHasV6(c.Sub) {
-			return true
-		}
-	}
-	return false
-}
-
 // Config controls population synthesis.
 type Config struct {
 	// Seed drives all randomness; Users is the population size.

@@ -206,22 +206,6 @@ func TestWorkOnlyConcentratesWeight(t *testing.T) {
 	}
 }
 
-func TestHasV6Context(t *testing.T) {
-	p := testPop(t, 10000, 7)
-	with := 0
-	for i := range p.Users {
-		if p.Users[i].HasV6Context() {
-			with++
-		}
-	}
-	share := float64(with) / float64(len(p.Users))
-	// Global capability should be in the broad band around the paper's
-	// 35% weekly-active share (capability is an upper bound on it).
-	if share < 0.3 || share < 0.01 || share > 0.75 {
-		t.Fatalf("v6-capable share = %v", share)
-	}
-}
-
 func TestContextKindString(t *testing.T) {
 	if Home.String() != "home" || MobileCtx.String() != "mobile" ||
 		Work.String() != "work" || VPN.String() != "vpn" {

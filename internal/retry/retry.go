@@ -115,12 +115,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Do runs fn until it succeeds, returns a Permanent error, exhausts
 // MaxRetries, or the context is cancelled mid-backoff. label names the
 // call site ("merge-read part-0001.uv6"): it seeds the jitter stream

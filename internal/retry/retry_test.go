@@ -65,9 +65,6 @@ func TestDoPermanent(t *testing.T) {
 	if retries != 0 || err != boom {
 		t.Fatalf("retries=%d err=%v", retries, err)
 	}
-	if !IsPermanent(Permanent(boom)) || IsPermanent(boom) {
-		t.Fatal("IsPermanent misclassifies")
-	}
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil) != nil")
 	}

@@ -134,16 +134,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1 (mean 1).
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
-	}
-}
-
 // Poisson returns a Poisson variate with the given mean, using inversion
 // for small means and the normal approximation above 64 (adequate for
 // workload generation; the distribution tail beyond that point is not
@@ -187,41 +177,9 @@ func (s *Source) Geometric(p float64) int {
 	return int(ln(u) / ln(1-p))
 }
 
-// Zipf returns a value in [0, n) with probability proportional to
-// 1/(rank+1)^alpha, via rejection-free inverse-CDF on a precomputed table
-// is avoided: this uses simple rejection with the standard envelope and is
-// intended for modest n. For repeated heavy use, build a Zipf table.
-func (s *Source) Zipf(n int, alpha float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// Inverse-transform on the harmonic CDF computed incrementally.
-	// For simulation-sized n (≤ a few thousand) this is fast enough and
-	// exactly distributed.
-	target := s.Float64() * harmonic(n, alpha)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / pow(float64(i+1), alpha)
-		if sum >= target {
-			return i
-		}
-	}
-	return n - 1
-}
-
 // LogNormal returns exp(mu + sigma*Z).
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return exp(mu + sigma*s.NormFloat64())
-}
-
-// Pareto returns a Pareto variate with scale xm and shape alpha:
-// xm / U^(1/alpha). Heavy-tailed; used for outlier populations.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / pow(u, 1/alpha)
 }
 
 // WeightedChoice returns an index in [0, len(weights)) with probability
@@ -249,20 +207,4 @@ func (s *Source) WeightedChoice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Shuffle permutes the first n indices using swap, Fisher-Yates.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-func harmonic(n int, alpha float64) float64 {
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1 / pow(float64(i), alpha)
-	}
-	return sum
 }

@@ -51,9 +51,6 @@ func (d Day) IsWeekend() bool {
 	return wd == time.Saturday || wd == time.Sunday
 }
 
-// InStudy reports whether the day falls inside the study window.
-func (d Day) InStudy() bool { return d >= 0 && d < StudyDays }
-
 // Phase describes the pandemic period a day belongs to. The paper treats
 // mid-March as the global inflection point (Italy locked down Mar 9, the
 // first US state Mar 19).
@@ -111,12 +108,5 @@ func LockdownIntensity(d Day) float64 {
 		return 1
 	default:
 		return float64(d-transitionStart) / float64(lockdownStart-transitionStart)
-	}
-}
-
-// Range calls fn for each day in [from, to] inclusive.
-func Range(from, to Day, fn func(Day)) {
-	for d := from; d <= to; d++ {
-		fn(d)
 	}
 }

@@ -20,9 +20,6 @@ func TestStudyWindowEndsApr19(t *testing.T) {
 	if got := last.Date(); got.Month() != time.April || got.Day() != 19 {
 		t.Fatalf("last study day = %v, want Apr 19", got)
 	}
-	if !last.InStudy() || Day(StudyDays).InStudy() || Day(-1).InStudy() {
-		t.Fatal("InStudy boundaries wrong")
-	}
 }
 
 func TestAnalysisWeek(t *testing.T) {
@@ -94,15 +91,6 @@ func TestLockdownIntensityMonotone(t *testing.T) {
 	if mid <= 0 || mid >= 1 {
 		t.Fatalf("transition intensity = %v, want in (0,1)", mid)
 	}
-}
-
-func TestRange(t *testing.T) {
-	var got []Day
-	Range(3, 6, func(d Day) { got = append(got, d) })
-	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
-		t.Fatalf("Range = %v", got)
-	}
-	Range(5, 4, func(Day) { t.Fatal("empty range visited") })
 }
 
 func TestDayString(t *testing.T) {

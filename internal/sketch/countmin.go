@@ -56,12 +56,3 @@ func (cm *CountMin) Count(key uint64) uint64 {
 	}
 	return min
 }
-
-// Reset clears all counters.
-func (cm *CountMin) Reset() {
-	for _, row := range cm.rows {
-		for i := range row {
-			row[i] = 0
-		}
-	}
-}

@@ -85,23 +85,3 @@ func (h *HLL) Estimate() float64 {
 	}
 	return e
 }
-
-// Merge folds other into h. Both must have the same precision.
-func (h *HLL) Merge(other *HLL) error {
-	if h.p != other.p {
-		return fmt.Errorf("sketch: HLL precision mismatch %d != %d", h.p, other.p)
-	}
-	for i, r := range other.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
-		}
-	}
-	return nil
-}
-
-// Reset clears the sketch for reuse without reallocating.
-func (h *HLL) Reset() {
-	for i := range h.regs {
-		h.regs[i] = 0
-	}
-}

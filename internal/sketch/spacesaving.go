@@ -116,6 +116,3 @@ func (s *SpaceSaving) Count(key uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// Len returns the number of monitored keys.
-func (s *SpaceSaving) Len() int { return len(s.entries.items) }

@@ -4,13 +4,12 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // ECDF is an empirical cumulative distribution function over float64
-// samples. Build one with NewECDF or incrementally via an Accumulator.
+// samples, built with NewECDF.
 type ECDF struct {
 	sorted []float64
 }
@@ -58,9 +57,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[rank]
 }
 
-// Median returns Quantile(0.5).
-func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
-
 // Mean returns the sample mean, or NaN when empty.
 func (e *ECDF) Mean() float64 {
 	if len(e.sorted) == 0 {
@@ -71,32 +67,6 @@ func (e *ECDF) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(e.sorted))
-}
-
-// Max returns the largest sample, or NaN when empty.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[len(e.sorted)-1]
-}
-
-// Min returns the smallest sample, or NaN when empty.
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[0]
-}
-
-// Points returns (x, P(X <= x)) pairs at the given x values, the form the
-// figure renderers consume.
-func (e *ECDF) Points(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	for i, x := range xs {
-		pts[i] = Point{X: x, Y: e.At(x)}
-	}
-	return pts
 }
 
 // Point is a 2-D sample of a curve.
@@ -231,26 +201,4 @@ func (h *IntHist) CDFPoints(maxV int) []Point {
 		pts = append(pts, Point{X: float64(v), Y: h.CDFAt(v)})
 	}
 	return pts
-}
-
-// Merge folds other into h. The bucket capacities must match.
-func (h *IntHist) Merge(other *IntHist) error {
-	if len(h.buckets) != len(other.buckets) {
-		return fmt.Errorf("stats: IntHist capacity mismatch %d != %d", len(h.buckets), len(other.buckets))
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	for v, c := range other.overflow {
-		if h.overflow == nil {
-			h.overflow = make(map[int]uint64)
-		}
-		h.overflow[v] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	return nil
 }

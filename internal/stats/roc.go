@@ -121,14 +121,6 @@ func (c BinaryCounts) FPR() float64 {
 	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
-// Precision returns TP / (TP + FP), or NaN with no predicted positives.
-func (c BinaryCounts) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return math.NaN()
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
 // Extrapolate scales a count observed under a sampling rate to the full
 // population: count/rate. It panics on non-positive rates, which always
 // indicate a configuration bug.

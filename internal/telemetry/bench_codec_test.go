@@ -1,8 +1,8 @@
 package telemetry
 
 // Codec benchmarks: raw framed-stream encode/decode throughput, one of
-// the three hot paths (generation, codec, trie) the CI bench-smoke gate
-// watches for regressions.
+// the hot paths (generation, codec, read, analysis) the CI bench-smoke
+// gate watches for regressions.
 
 import (
 	"bytes"

@@ -155,17 +155,3 @@ func (s *CodecSet) Add(id CodecID) { *s |= 1 << uint32(id%32) }
 
 // Has reports whether id is in the set.
 func (s CodecSet) Has(id CodecID) bool { return s&(1<<uint32(id%32)) != 0 }
-
-// Empty reports whether no codec has been recorded.
-func (s CodecSet) Empty() bool { return s == 0 }
-
-// Names lists the codecs in the set in ID order.
-func (s CodecSet) Names() []string {
-	var names []string
-	for id := 0; id < 32; id++ {
-		if s.Has(CodecID(id)) {
-			names = append(names, CodecID(id).String())
-		}
-	}
-	return names
-}

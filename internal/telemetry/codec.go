@@ -246,38 +246,3 @@ func (w *JSONLWriter) Write(o Observation) error {
 
 // Flush drains the buffer.
 func (w *JSONLWriter) Flush() error { return w.bw.Flush() }
-
-// JSONLReader streams observations from JSON lines.
-type JSONLReader struct {
-	dec *json.Decoder
-}
-
-// NewJSONLReader returns a JSONLReader wrapping r.
-func NewJSONLReader(r io.Reader) *JSONLReader {
-	return &JSONLReader{dec: json.NewDecoder(bufio.NewReaderSize(r, 1<<16))}
-}
-
-// Read returns the next observation, or io.EOF.
-func (r *JSONLReader) Read() (Observation, error) {
-	var j jsonObs
-	if err := r.dec.Decode(&j); err != nil {
-		if err == io.EOF {
-			return Observation{}, io.EOF
-		}
-		return Observation{}, fmt.Errorf("telemetry: decode jsonl: %w", err)
-	}
-	a, err := netaddr.ParseAddr(j.Addr)
-	if err != nil {
-		return Observation{}, fmt.Errorf("telemetry: jsonl addr: %w", err)
-	}
-	o := Observation{
-		Day:      simtime.Day(j.Day),
-		UserID:   j.User,
-		Addr:     a,
-		ASN:      netmodel.ASN(j.ASN),
-		Requests: j.Requests,
-		Abusive:  j.Abusive,
-	}
-	o.SetCountry(j.Country)
-	return o, nil
-}

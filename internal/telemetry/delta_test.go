@@ -240,7 +240,7 @@ func TestSalvageReportCodecBlocks(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Scan(bytes.NewReader(buf.Bytes()))
+	rep, err := Salvage(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,8 +393,8 @@ func (r *Reader) readBlock() error {
 	return nil
 }
 
-// SalvageReport summarizes what Salvage or Scan recovered from a
-// possibly damaged stream.
+// SalvageReport summarizes what Salvage recovered from a possibly
+// damaged stream.
 type SalvageReport struct {
 	// Version is the detected format (1 or 2). When the signature
 	// itself is damaged but intact v2 blocks were found, or a dataset
@@ -472,12 +472,6 @@ func (r *SalvageReport) Add(o SalvageReport) {
 // skipped or corrupt.
 func (r SalvageReport) Intact() bool {
 	return r.CorruptBlocks == 0 && r.SkippedBytes == 0
-}
-
-// Scan is Salvage without record delivery: it verifies the stream and
-// reports what a salvage pass would recover.
-func Scan(r io.Reader) (SalvageReport, error) {
-	return Salvage(r, nil)
 }
 
 // Salvage recovers every intact record from a possibly corrupted or

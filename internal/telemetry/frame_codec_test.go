@@ -164,7 +164,7 @@ func TestReaderRejectsUnknownCodec(t *testing.T) {
 		t.Fatalf("CorruptBlocks = %d, want 1", rep.CorruptBlocks)
 	}
 	if !rep.Codecs.Has(CodecLZ) || rep.Codecs.Has(CodecID(7)) {
-		t.Fatalf("salvage codec set %v wrong", rep.Codecs.Names())
+		t.Fatalf("salvage codec set %b wrong", rep.Codecs)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestSalvageCRCValidButUndecodable(t *testing.T) {
 // TestSalvageCompressedCorruption is the flip-a-byte drill from the
 // format docs, on a compressed stream: one damaged byte inside a
 // block's stored payload must cost exactly that block, with every
-// sibling recovered and the reports agreeing across Salvage, Scan, and
-// a tolerant BlockReader walk.
+// sibling recovered and the reports agreeing across Salvage, a scan
+// (Salvage delivering no records), and a tolerant BlockReader walk.
 func TestSalvageCompressedCorruption(t *testing.T) {
 	const perBlock = 64
 	obs := frameObs(perBlock * 5)
@@ -246,8 +246,8 @@ func TestSalvageCompressedCorruption(t *testing.T) {
 			rep.SkippedBytes, blockHeaderSize+lengths[2])
 	}
 
-	// Scan and the raw-block walk must report identical coverage.
-	scan, err := Scan(bytes.NewReader(stream))
+	// A scan and the raw-block walk must report identical coverage.
+	scan, err := Salvage(bytes.NewReader(stream), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestSalvageCompressedCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, other := range map[string]SalvageReport{"Scan": scan, "NextIntact": raw} {
+	for name, other := range map[string]SalvageReport{"scan": scan, "NextIntact": raw} {
 		if other.Blocks != rep.Blocks || other.CorruptBlocks != rep.CorruptBlocks ||
 			other.Records != rep.Records || other.SkippedBytes != rep.SkippedBytes ||
 			other.Codecs != rep.Codecs {

@@ -260,7 +260,7 @@ func TestSalvageDestroyedMarker(t *testing.T) {
 	mut := bytes.Clone(data)
 	mut[4+1*blockLen] ^= 0xff // first marker byte of block 1
 
-	rep, err := Scan(bytes.NewReader(mut))
+	rep, err := Salvage(bytes.NewReader(mut), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestSalvageDamagedSignature(t *testing.T) {
 	data := encodeV2(t, frameObs(300), 100)
 	mut := bytes.Clone(data)
 	mut[0] ^= 0xff
-	rep, err := Scan(bytes.NewReader(mut))
+	rep, err := Salvage(bytes.NewReader(mut), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSalvageTruncated(t *testing.T) {
 	data := encodeV2(t, frameObs(500), 100)
 	blockLen := blockHeaderSize + 100*recordSize
 	// Cut mid-way through block 3: blocks 0-2 survive.
-	rep, err := Scan(bytes.NewReader(data[:4+3*blockLen+blockLen/2]))
+	rep, err := Salvage(bytes.NewReader(data[:4+3*blockLen+blockLen/2]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestSalvageGarbage(t *testing.T) {
 	junk := make([]byte, 4096)
 	rnd := rand.New(rand.NewSource(42))
 	rnd.Read(junk)
-	_, err := Scan(bytes.NewReader(junk))
+	_, err := Salvage(bytes.NewReader(junk), nil)
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
 	}

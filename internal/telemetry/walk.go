@@ -2,7 +2,7 @@ package telemetry
 
 // The frame walker: the one production parser of the stream framing.
 // BlockReader.Next is its strict face and BlockReader.NextIntact, which
-// Salvage and Scan read through, its tolerant face. It reads through a
+// Salvage reads through, its tolerant face. It reads through a
 // window that holds at most one maximum-size frame.
 
 import (

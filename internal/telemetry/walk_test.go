@@ -182,14 +182,15 @@ func TestBlockReaderPinnedV2(t *testing.T) {
 	if err != nil || rep.Version != 2 || !rep.Intact() || rep.Blocks != 0 {
 		t.Fatalf("pinned empty stream: %+v, %v", rep, err)
 	}
-	if _, err := Scan(bytes.NewReader(nil)); !errors.Is(err, ErrBadMagic) {
+	if _, err := Salvage(bytes.NewReader(nil), nil); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("unpinned empty stream: %v, want ErrBadMagic", err)
 	}
 }
 
 // The strict face fills the same report the tolerant face does on an
-// intact stream: a v1 stream counts as one block however many
-// pseudo-blocks it is cut into.
+// intact stream, as a scan (Salvage delivering no records) reads it: a
+// v1 stream counts as one block however many pseudo-blocks it is cut
+// into.
 func TestBlockReaderReportMatchesScan(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"v1":       v1Stream(t, frameObs(2100)),
@@ -212,9 +213,9 @@ func TestBlockReaderReportMatchesScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := Scan(bytes.NewReader(data))
+			want, err := Salvage(bytes.NewReader(data), nil)
 			if name == "empty" {
-				// A raw stream has nothing to pin: Scan cannot call an
+				// A raw stream has nothing to pin: a scan cannot call an
 				// empty input v2, the strict read has nothing to refuse.
 				if !errors.Is(err, ErrBadMagic) || br.Report().Version != 2 {
 					t.Fatalf("empty: scan %v, strict %+v", err, br.Report())
@@ -225,7 +226,7 @@ func TestBlockReaderReportMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := br.Report(); !got.Equal(want) {
-				t.Fatalf("strict report %+v, Scan %+v", got, want)
+				t.Fatalf("strict report %+v, scan %+v", got, want)
 			}
 		})
 	}
@@ -236,7 +237,7 @@ func TestWalkerReadError(t *testing.T) {
 	boom := errors.New("boom")
 	data := v2Stream(t, frameObs(3000), 1024)
 	r := io.MultiReader(bytes.NewReader(data[:50000]), iotest.ErrReader(boom))
-	if _, err := Scan(r); !errors.Is(err, boom) {
+	if _, err := Salvage(r, nil); !errors.Is(err, boom) {
 		t.Fatalf("tolerant: %v, want the read error", err)
 	}
 	br := NewBlockReader(io.MultiReader(bytes.NewReader(data[:50000]), iotest.ErrReader(boom)))

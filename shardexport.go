@@ -5,10 +5,10 @@ package userv6
 // each generation shard streams directly into its own part-NNNN.uv6
 // dataset file, and a manifest.uv6m binds the parts together (seed,
 // config hash, per-part user ranges, block counts, checksums). Merging
-// the parts with dataset.Merge reproduces, byte for byte, the file a
-// single-writer run would have written — so export throughput scales
-// with cores (and, by splitting user ranges, with machines) without
-// giving up the canonical artifact.
+// the parts with dataset.MergeManifest reproduces, byte for byte, the
+// file a single-writer run would have written — so export throughput
+// scales with cores (and, by splitting user ranges, with machines)
+// without giving up the canonical artifact.
 //
 // The export is crash-survivable end to end. A provisional manifest —
 // every expected part with its user range, zero counts, no checksums,
