@@ -17,6 +17,8 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzLZDecode \
 	./internal/telemetry:FuzzDeltaRoundTrip \
 	./internal/telemetry:FuzzDeltaDecode \
+	./internal/telemetry:FuzzLZDecodeMatchesReference \
+	./internal/telemetry:FuzzDeltaDecodeMatchesReference \
 	./internal/telemetry:FuzzWriterPolicyMatchesReference \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip \
@@ -62,15 +64,18 @@ race:
 # full sweeps, every manifest rewrite) must resume byte-identical — and
 # the merge's read-retry, output-write-error and cancellation tests,
 # its resumed reads (parts torn at header, frame-header, payload and
-# last-byte offsets must still merge byte-identical) and the failures
+# last-byte offsets must still merge byte-identical), the failures
 # a resumed read must not hide (a fault that never clears, a part
-# changed or gone between attempts, a missing part).
+# changed or gone between attempts, a missing part), the merge against
+# its per-record reference at GOMAXPROCS 1, 2 and 4 (stored records
+# written as bytes, blocks encoded concurrently), and an output write
+# failing under concurrent encoding, which must leave no goroutine.
 # FAULTS_FLAGS=-short subsamples the truncation sweeps for the PR gate;
 # nightly runs them full.
 FAULTS_FLAGS ?=
 faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume|TestMergeMatchesRecordWrites|TestMergeWriteFaultStopsGoroutines' . ./internal/dataset
 
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the
@@ -101,16 +106,17 @@ bench-check:
 	cd bench/userv6bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzz smoke over every decoder fuzz target, the encoder
-# differentials against the reference encoders, merge reads resumed
-# after faults at fuzzed offsets, the analyzer oracle, the key-pool
-# differential against a map reference, the Merge laws, and stored
-# datasets analyzed against the same records fed in memory: catches
-# panics, typed-error regressions, stored bytes that depart from the
-# reference writer, a resumed merge that departs from the single-writer
-# file, analyzer answers that depart from the oracle, key lists that
-# depart from their reference, folds that depend on order or split, and
-# an analysis whose answer depends on codec, shape, workers or read
-# mode, without a long campaign.
+# and decoder differentials against the reference encoders and
+# decoders, merge reads resumed after faults at fuzzed offsets, the
+# analyzer oracle, the key-pool differential against a map reference,
+# the Merge laws, and stored datasets analyzed against the same records
+# fed in memory: catches panics, typed-error regressions, stored bytes
+# that depart from the reference writer, decoded bytes or failures that
+# depart from the reference decoders, a resumed merge that departs from
+# the single-writer file, analyzer answers that depart from the oracle,
+# key lists that depart from their reference, folds that depend on
+# order or split, and an analysis whose answer depends on codec, shape,
+# workers or read mode, without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

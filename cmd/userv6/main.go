@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -336,7 +337,13 @@ func printFig11(r userv6.Fig11Result) {
 	report.Plot(os.Stdout, 64, 14, series...)
 	fmt.Println("\n(x axis: log10 FPR; y axis: TPR)")
 	for _, g := range userv6.Fig11Granularities() {
-		fmt.Printf("AUC %-5s %.3f\n", g.Name, r.Curves[g.Name].AUC())
+		// A curve with no operating points, or none with negatives to
+		// rate, has no area: print "-" rather than NaN.
+		auc := "-"
+		if a := r.Curves[g.Name].AUC(); !math.IsNaN(a) {
+			auc = fmt.Sprintf("%.3f", a)
+		}
+		fmt.Printf("AUC %-5s %s\n", g.Name, auc)
 	}
 }
 

@@ -80,6 +80,25 @@ func TestUsersMustBePositive(t *testing.T) {
 	}
 }
 
+// TestTinyPopulationPrintsNoNaN: at 2 users the /128, /64 and /56
+// actioning curves have no negatives to rate, so they have no area;
+// `all` prints "-" for their AUC, as the tables print "-" for a rate
+// with nothing to divide by, and prints NaN nowhere.
+func TestTinyPopulationPrintsNoNaN(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "-users", "2", "all")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	if strings.Contains(stdout, "NaN") {
+		t.Fatalf("output prints NaN:\n%s", stdout)
+	}
+	for _, want := range []string{"AUC /128  -\n", "AUC /64   -\n", "AUC /56   -\n"} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("output lacks %q", want)
+		}
+	}
+}
+
 // TestAllPrintsEveryExperimentOnce: all prints the run header and then
 // every experiment's "== name: description ==" header exactly once, in
 // experimentOrder.

@@ -225,13 +225,26 @@ func (w *Writer) Write(o telemetry.Observation) error {
 	}
 	w.sinceFlush++
 	if w.sinceFlush >= headerFlushEvery {
-		w.sinceFlush = 0
-		if err := w.tw.Flush(); err != nil {
+		return w.refresh()
+	}
+	return nil
+}
+
+// writeRecords appends stored records (telemetry.WriterV2.WriteRecords),
+// storing what Write stores for each record decoded and refreshing the
+// header after the same records as Write would.
+func (w *Writer) writeRecords(p []byte) error {
+	for len(p) > 0 {
+		n := min(len(p), (headerFlushEvery-w.sinceFlush)*telemetry.RecordSize)
+		if err := w.tw.WriteRecords(p[:n]); err != nil {
 			return err
 		}
-		w.meta.Records = w.tw.Count()
-		if err := w.writeHeader(); err != nil {
-			return err
+		p = p[n:]
+		w.sinceFlush += n / telemetry.RecordSize
+		if w.sinceFlush >= headerFlushEvery {
+			if err := w.refresh(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -251,16 +264,20 @@ func (w *Writer) writeEncodedBlock(b telemetry.RawBlock) (bool, error) {
 	}
 	w.sinceFlush += b.Count
 	if w.sinceFlush >= headerFlushEvery {
-		w.sinceFlush = 0
-		if err := w.tw.Flush(); err != nil {
-			return true, err
-		}
-		w.meta.Records = w.tw.Count()
-		if err := w.writeHeader(); err != nil {
-			return true, err
-		}
+		return true, w.refresh()
 	}
 	return true, nil
+}
+
+// refresh flushes the stream, the partial block in progress included,
+// and rewrites the header with the running record count.
+func (w *Writer) refresh() error {
+	w.sinceFlush = 0
+	if err := w.tw.Flush(); err != nil {
+		return err
+	}
+	w.meta.Records = w.tw.Count()
+	return w.writeHeader()
 }
 
 // Emit adapts Write to a telemetry.EmitFunc, recording the first error.

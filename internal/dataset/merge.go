@@ -13,15 +13,18 @@
 // as they pass, and a read that fails reopens the part and resumes at
 // the byte it reached (partReader), so a retry never repeats a record.
 //
-// Two things keep the pass from being the pipeline's slowest: the
-// salvage scan and record decode of each part run on their own
-// goroutine, overlapping the output writer's re-encode, and a stored
-// block whose frame is provably what the output writer would emit at
-// that position — boundary-aligned, full, same codec — is copied
-// through without being re-encoded. For a compressed sharded export
-// merged at the same codec, that passthrough covers every full block up
-// to the first part boundary that falls mid-block; the blocks after it
-// are misaligned and re-encoded.
+// Three things keep the pass from being the pipeline's slowest. The
+// salvage scan and codec decode of each part run on their own
+// goroutine, and the decoded records go into the output as the bytes
+// they are stored as, never converted to records and back. The output
+// writer encodes its blocks on GOMAXPROCS encoder goroutines and writes
+// their frames in stream order. And a stored block whose frame is
+// provably what the output writer would emit at that position —
+// boundary-aligned, full, same codec — is copied through without being
+// re-encoded. For a compressed sharded export merged at the same codec,
+// that passthrough covers every full block up to the first part
+// boundary that falls mid-block; the blocks after it are misaligned and
+// re-encoded.
 package dataset
 
 import (
@@ -34,6 +37,7 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -152,6 +156,8 @@ func MergeCtx(ctx context.Context, out string, meta Meta, parts []string, opts *
 	if err != nil {
 		return MergeReport{}, err
 	}
+	stop := w.tw.EncodeConcurrently(runtime.GOMAXPROCS(0))
+	defer stop()
 	rep, err := mergeInto(ctx, w, parts, opt)
 	if err != nil {
 		w.Abort()
@@ -212,20 +218,26 @@ func (e *PartChangedError) Error() string {
 }
 
 // merger is what every part of one merge shares: the output writer, one
-// frame walker whose window serves part after part, its decode buffer,
-// and one set of block buffer pools.
+// frame walker whose window serves part after part, and the free list
+// of the buffers blocks travel in from the scanner to the writer.
 type merger struct {
 	w    *Writer
 	opt  MergeOptions
 	br   telemetry.BlockReader
-	dec  []byte
-	bufs pools
+	free chan blockBufs
 }
+
+// blockBufs are the buffers one block travels in: its decoded records,
+// and its stored payload when it passes through.
+type blockBufs struct{ recs, stored []byte }
 
 func mergeInto(ctx context.Context, w *Writer, parts []string, opt MergeOptions) (MergeReport, error) {
 	var rep MergeReport
 	rep.Complete = true
-	m := &merger{w: w, opt: opt}
+	m := &merger{w: w, opt: opt, free: make(chan blockBufs, mergeQueue)}
+	for range mergeQueue {
+		m.free <- blockBufs{}
+	}
 	for _, path := range parts {
 		if err := ctx.Err(); err != nil {
 			return rep, err
@@ -388,48 +400,79 @@ func CheckPartCodecs(declared string, observed telemetry.CodecSet) error {
 	return nil
 }
 
-// mergeQueue is how many decoded blocks a merge's scanner may run ahead
-// of its writer. The per-block cost of each side swings (a passthrough
-// block costs the writer almost nothing, a re-encoded one the most), and
-// a few slots absorb the swings: over 30 paired merges of a 30k-user,
-// 4-shard auto export on 2 vCPUs, one slot was about 6% slower than
-// four, and sixteen no faster than four.
-const mergeQueue = 4
+// mergeQueue is how many blocks of a part may be in flight between the
+// merge's scanner and its writer, and so how many buffer pairs the merge
+// allocates. With blocks encoded concurrently the writer's own share of
+// a block is a copy, and the encoders' queue absorbs the swings in
+// per-block cost: over 10 alternating rounds of 10 merges of a
+// 30k-user, 4-shard auto export on 2 vCPUs, one, two and four slots
+// took 0.160, 0.159 and 0.162 s (medians) and allocated 1.68, 1.74 and
+// 1.85 MB per merge. Two let the scanner decode a block while the
+// writer holds the one before it.
+const mergeQueue = 2
+
+// mergeBlock is one intact block of a part on its way from the merge's
+// scanner to its writer: its records as stored, decoded into bufs.recs,
+// and when pass, its stored frame, whose Payload is bufs.stored.
+type mergeBlock struct {
+	bufs  blockBufs
+	frame telemetry.RawBlock
+	pass  bool
+}
 
 // stream salvages one part's stream into the output writer. A scanner
-// goroutine walks the part tolerantly through the merge's one walker
-// (which verifies and decodes each frame) and decodes every intact
-// block's records into a pooled slice. The calling goroutine writes the
-// blocks in stream order, so the output bytes match a sequential merge
-// exactly. When passOK (the caller established policy compatibility)
-// the writer first offers the stored frame to writeEncodedBlock, whose
-// own precondition check (no partial block pending, a full block, a
-// codec the writer could have chosen) decides passthrough; otherwise
-// the block's records are re-emitted. scanErr reports an unrecognizable
-// stream (non-fatal to the merge) or a failed read; writeErr an
-// output-side failure.
+// goroutine walks the part tolerantly through the merge's one walker,
+// which verifies each frame and decodes it into a buffer from the free
+// list. The calling goroutine writes the blocks in stream order, so the
+// output bytes match a sequential merge exactly: a block's records go
+// into the output as stored (Writer.writeRecords), with no conversion to
+// records and back. When passOK (the caller established policy
+// compatibility), the scanner also copies out the stored payload of each
+// block that starts an output block, is full, and is under a codec the
+// writer could have chosen, and the writer offers that frame to
+// writeEncodedBlock, whose own precondition check decides passthrough.
+// scanErr reports an unrecognizable stream (non-fatal to the merge) or a
+// failed read; writeErr an output-side failure.
 func (m *merger) stream(r io.Reader, pin int, passOK bool) (rep telemetry.SalvageReport, scanErr, writeErr error) {
-	type block struct { // with its buffers' pool handles
-		raw     telemetry.RawBlock
-		recs    []telemetry.Observation
-		rawBuf  *[]byte
-		recsBuf *[]telemetry.Observation
-	}
-	blocks := make(chan block, mergeQueue)
+	blocks := make(chan mergeBlock, mergeQueue)
 	m.br.Reset(r, pin)
+	// out is the output's record count before the next block: the blocks
+	// written before it were full unless a header refresh flushed a
+	// partial one, which only happens when headerFlushEvery is not a
+	// multiple of the block size. A block predicted to start an output
+	// block that does not is re-encoded, which costs CPU but never bytes.
+	out := m.w.Records()
+	passable := func(b telemetry.RawBlock) bool {
+		return passOK && out%telemetry.DefaultBlockRecords == 0 &&
+			b.Count == telemetry.DefaultBlockRecords && m.w.tw.CodecCompatible(b.Codec)
+	}
 	go func() {
 		defer close(blocks)
-		raw, dec, err := m.br.NextIntact(m.dec)
-		for ; err == nil; raw, dec, err = m.br.NextIntact(dec) {
-			b := block{raw: raw, rawBuf: m.bufs.payload.get(0), recsBuf: m.bufs.recs.get(telemetry.DefaultBlockRecords)}
-			// The stored payload aliases the walker's window, which moves on.
-			b.raw.Payload = append((*b.rawBuf)[:0], raw.Payload...)
-			b.recs = telemetry.AppendRecords((*b.recsBuf)[:0], dec)
+		for {
+			bufs := <-m.free
+			raw, recs, err := m.br.NextIntact(bufs.recs)
+			if err != nil {
+				m.free <- bufs
+				if rep = m.br.Report(); err != io.EOF {
+					scanErr = err
+				}
+				return
+			}
+			b := mergeBlock{bufs: blockBufs{recs: recs, stored: bufs.stored}}
+			if passable(raw) {
+				// The stored payload aliases the walker's window, which moves on.
+				b.bufs.stored = append(b.bufs.stored[:0], raw.Payload...)
+				b.frame, b.frame.Payload, b.pass = raw, b.bufs.stored, true
+			}
+			out += uint64(raw.Count)
 			blocks <- b
-			m.dec = dec
 		}
-		if rep = m.br.Report(); err != io.EOF {
-			scanErr = err
+	}()
+	// A panic an encoder re-raises on this goroutine leaves blocks
+	// unread; draining them lets the scanner run to its end.
+	defer func() {
+		for b := range blocks {
+			m.free <- b.bufs
 		}
 	}()
 	// After a write error the loop keeps draining, so the scanner always
@@ -437,29 +480,22 @@ func (m *merger) stream(r io.Reader, pin int, passOK bool) (rep telemetry.Salvag
 	// closes the channel.
 	for b := range blocks {
 		if writeErr == nil {
-			writeErr = writeMergedBlock(m.w, b.raw, b.recs, passOK)
+			writeErr = m.write(b)
 		}
-		m.bufs.payload.put(b.rawBuf, b.raw.Payload)
-		m.bufs.recs.put(b.recsBuf, b.recs)
+		m.free <- b.bufs
 	}
 	return rep, scanErr, writeErr
 }
 
-// writeMergedBlock copies raw's stored frame through when passOK and
-// the writer accepts it, and otherwise writes recs, raw's decoded
-// records, one by one.
-func writeMergedBlock(w *Writer, raw telemetry.RawBlock, recs []telemetry.Observation, passOK bool) error {
-	if passOK {
-		if ok, err := w.writeEncodedBlock(raw); ok || err != nil {
+// write writes b's stored frame through when it passes through, and
+// otherwise its records.
+func (m *merger) write(b mergeBlock) error {
+	if b.pass {
+		if ok, err := m.w.writeEncodedBlock(b.frame); ok || err != nil {
 			return err
 		}
 	}
-	for _, o := range recs {
-		if err := w.Write(o); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.w.writeRecords(b.bufs.recs)
 }
 
 // partReader reads one part of a merge from its first byte to its last,

@@ -138,22 +138,39 @@ func (s *Source) NormFloat64() float64 {
 // for small means and the normal approximation above 64 (adequate for
 // workload generation; the distribution tail beyond that point is not
 // load-bearing for any experiment).
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
+func (s *Source) Poisson(mean float64) int { return NewPoissonDist(mean).Draw(s) }
+
+// PoissonDist is a Poisson distribution whose per-draw constant, the
+// inversion bound exp(-mean), is computed once, for a caller that draws
+// many variates of one mean.
+type PoissonDist struct{ mean, bound float64 }
+
+// NewPoissonDist returns the Poisson distribution with the given mean.
+func NewPoissonDist(mean float64) PoissonDist {
+	d := PoissonDist{mean: mean}
+	if mean > 0 && mean <= 64 {
+		d.bound = exp(-mean)
+	}
+	return d
+}
+
+// Draw returns a variate of d drawn from s: the value s.Poisson(mean)
+// returns, from the same draws.
+func (d PoissonDist) Draw(s *Source) int {
+	if d.mean <= 0 {
 		return 0
 	}
-	if mean > 64 {
-		v := int(mean + sqrt(mean)*s.NormFloat64() + 0.5)
+	if d.mean > 64 {
+		v := int(d.mean + sqrt(d.mean)*s.NormFloat64() + 0.5)
 		if v < 0 {
 			return 0
 		}
 		return v
 	}
-	l := exp(-mean)
 	k, p := 0, 1.0
 	for {
 		p *= s.Float64()
-		if p <= l {
+		if p <= d.bound {
 			return k
 		}
 		k++

@@ -26,6 +26,10 @@ import (
 //	36     4    requests
 const recordSize = 40
 
+// RecordSize is the size of one stored record: a block of n records
+// decodes to n*RecordSize bytes, the form WriterV2.WriteRecords takes.
+const RecordSize = recordSize
+
 // magic is the v1 file signature; magicV2 (frame.go) marks the framed,
 // checksummed v2 layout. The first three bytes identify the family, the
 // fourth is the format version.
@@ -82,6 +86,33 @@ func decodeRecord(b []byte) Observation {
 	o.ASN = netmodel.ASN(binary.LittleEndian.Uint32(b[32:]))
 	o.Requests = binary.LittleEndian.Uint32(b[36:])
 	return o
+}
+
+// canonicalizeRecords rewrites in place each whole record of p that
+// encodeRecord could not have written to the bytes encodeRecord writes
+// for its decoded value, so that storing p stores what encoding
+// decodeRecord of each record would. Three fields do not round-trip as
+// stored: a family byte other than 1 or 2 decodes to no address, stored
+// as family 0 and a zero address; an IPv4 address decodes from its last
+// four bytes and is stored as ::ffff:a.b.c.d; an abusive byte above 1
+// decodes to false, stored as 0.
+func canonicalizeRecords(p []byte) {
+	for off := 0; off+recordSize <= len(p); off += recordSize {
+		r := p[off : off+recordSize]
+		switch r[28] {
+		case 1:
+			if binary.LittleEndian.Uint64(r[12:]) != 0 || binary.LittleEndian.Uint32(r[20:]) != 0xffff0000 {
+				clear(r[12:22])
+				r[22], r[23] = 0xff, 0xff
+			}
+		case 2:
+		default:
+			clear(r[12:29])
+		}
+		if r[29] > 1 {
+			r[29] = 0
+		}
+	}
 }
 
 // Writer streams observations to an io.Writer in the legacy v1 binary

@@ -205,45 +205,36 @@ func deltaDecodeBody(dst, body []byte, maxLen int) ([]byte, error) {
 	}
 	out := dst[base:]
 
-	varintCol := func(fill func(i int, v int64)) bool {
-		for i := 0; i < n; i++ {
-			u, sz := binary.Uvarint(body)
-			if sz <= 0 {
-				return false
-			}
-			body = body[sz:]
-			fill(i, unzigzag(u))
-		}
-		return true
-	}
-
 	// day column: the running value is reduced to int32 each step,
 	// mirroring the encoder's per-record reads, so arbitrary deltas
 	// still round-trip.
 	prevDay := int64(0)
-	if !varintCol(func(i int, d int64) {
-		prevDay = int64(int32(prevDay + d))
+	for i := 0; i < n; i++ {
+		if u, sz = binary.Uvarint(body); sz <= 0 {
+			return dst[:base], errDeltaTruncated
+		}
+		body = body[sz:]
+		prevDay = int64(int32(prevDay + unzigzag(u)))
 		binary.LittleEndian.PutUint32(out[i*recordSize:], uint32(prevDay))
-	}) {
-		return dst[:base], errDeltaTruncated
 	}
 	prevUser := uint64(0)
-	if !varintCol(func(i int, d int64) {
-		prevUser += uint64(d)
+	for i := 0; i < n; i++ {
+		if u, sz = binary.Uvarint(body); sz <= 0 {
+			return dst[:base], errDeltaTruncated
+		}
+		body = body[sz:]
+		prevUser += uint64(unzigzag(u))
 		binary.LittleEndian.PutUint64(out[i*recordSize+4:], prevUser)
-	}) {
-		return dst[:base], errDeltaTruncated
 	}
 	if len(body) < 16*n {
 		return dst[:base], errDeltaTruncated
 	}
-	var prevAddr [16]byte
+	var prevHi, prevLo uint64
 	for i := 0; i < n; i++ {
-		a := out[i*recordSize+12 : i*recordSize+28]
-		for j := 0; j < 16; j++ {
-			prevAddr[j] ^= body[i*16+j]
-			a[j] = prevAddr[j]
-		}
+		prevHi ^= binary.LittleEndian.Uint64(body[i*16:])
+		prevLo ^= binary.LittleEndian.Uint64(body[i*16+8:])
+		binary.LittleEndian.PutUint64(out[i*recordSize+12:], prevHi)
+		binary.LittleEndian.PutUint64(out[i*recordSize+20:], prevLo)
 	}
 	body = body[16*n:]
 	if len(body) < 4*n {
@@ -257,15 +248,16 @@ func deltaDecodeBody(dst, body []byte, maxLen int) ([]byte, error) {
 	}
 	body = body[4*n:]
 	prevASN := int64(0)
-	if !varintCol(func(i int, d int64) {
-		prevASN = int64(uint32(prevASN + d))
+	for i := 0; i < n; i++ {
+		if u, sz = binary.Uvarint(body); sz <= 0 {
+			return dst[:base], errDeltaTruncated
+		}
+		body = body[sz:]
+		prevASN = int64(uint32(prevASN + unzigzag(u)))
 		binary.LittleEndian.PutUint32(out[i*recordSize+32:], uint32(prevASN))
-	}) {
-		return dst[:base], errDeltaTruncated
 	}
 	for i := 0; i < n; i++ {
-		u, sz := binary.Uvarint(body)
-		if sz <= 0 {
+		if u, sz = binary.Uvarint(body); sz <= 0 {
 			return dst[:base], errDeltaTruncated
 		}
 		body = body[sz:]

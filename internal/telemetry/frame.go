@@ -137,6 +137,7 @@ type WriterV2 struct {
 	n           uint64
 	blocks      uint64
 	wroteHeader bool
+	pool        *encoderPool // nil: blocks encode on the writing goroutine
 }
 
 // NewWriterV2 returns a v2 Writer with the default block size.
@@ -203,6 +204,36 @@ func (w *WriterV2) CodecCompatible(id CodecID) bool {
 	return false
 }
 
+// WriteRecords appends the records p holds in their stored form, whole
+// RecordSize-byte records as a decoded block payload holds them, and
+// stores exactly what Write would store for each record decoded: a
+// record Write could not have produced is stored as Write stores its
+// decoded value (see canonicalizeRecords). It lets a caller that reads
+// stored records, the dataset merge, write them without decoding them.
+func (w *WriterV2) WriteRecords(p []byte) error {
+	if len(p)%recordSize != 0 {
+		return fmt.Errorf("telemetry: WriteRecords: %d bytes is not a whole number of records", len(p))
+	}
+	if err := w.writeMagic(); err != nil {
+		return err
+	}
+	for len(p) > 0 {
+		n := min(len(p), (w.perBlock-w.count)*recordSize)
+		start := len(w.payload)
+		w.payload = append(w.payload, p[:n]...)
+		canonicalizeRecords(w.payload[start:])
+		w.count += n / recordSize
+		w.n += uint64(n / recordSize)
+		p = p[n:]
+		if w.count >= w.perBlock {
+			if err := w.emitBlock(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Write appends one observation, emitting a block when full.
 func (w *WriterV2) Write(o Observation) error {
 	if err := w.writeMagic(); err != nil {
@@ -233,30 +264,50 @@ func (w *WriterV2) emitBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	stored, codec := w.payload, CodecIdentity
-	for i, c := range w.chain {
-		// Strictly smaller wins; on a tie the earlier chain entry (or
-		// identity) keeps the block, so selection is deterministic. A
-		// trial stops once it cannot beat the smallest so far.
-		enc, ok := c.AppendEncode(w.encs[i][:0], w.payload, len(stored))
-		w.encs[i] = enc
+	if w.pool != nil {
+		return w.submit()
+	}
+	stored, codec := selectEncoding(w.chain, w.payload, w.encs)
+	if err := w.writeFrame(w.count, codec, crc32.Checksum(stored, castagnoli), stored); err != nil {
+		return err
+	}
+	w.payload = w.payload[:0]
+	w.count = 0
+	return nil
+}
+
+// selectEncoding is the writer's per-block codec selection: payload is
+// tried under each codec of chain and stored under whichever yields the
+// strictly smallest result; on a tie the earlier chain entry (identity
+// first) keeps the block, so selection is deterministic. A trial stops
+// once it cannot beat the smallest so far. encs holds one scratch buffer
+// per chain codec, grown in place; stored aliases payload or one of
+// them.
+func selectEncoding(chain []BlockCodec, payload []byte, encs [][]byte) (stored []byte, codec CodecID) {
+	stored, codec = payload, CodecIdentity
+	for i, c := range chain {
+		enc, ok := c.AppendEncode(encs[i][:0], payload, len(stored))
+		encs[i] = enc
 		if ok {
 			stored, codec = enc, c.ID()
 		}
 	}
+	return stored, codec
+}
+
+// writeFrame writes one frame: its header, then the stored payload.
+func (w *WriterV2) writeFrame(count int, codec CodecID, sum uint32, stored []byte) error {
 	h := w.hdr[:]
 	copy(h, blockMagic[:])
 	binary.LittleEndian.PutUint32(h[4:], uint32(len(stored)))
-	binary.LittleEndian.PutUint32(h[8:], packCountFlags(w.count, codec))
-	binary.LittleEndian.PutUint32(h[12:], crc32.Checksum(stored, castagnoli))
+	binary.LittleEndian.PutUint32(h[8:], packCountFlags(count, codec))
+	binary.LittleEndian.PutUint32(h[12:], sum)
 	if _, err := w.bw.Write(h); err != nil {
 		return fmt.Errorf("telemetry: write frame: %w", err)
 	}
 	if _, err := w.bw.Write(stored); err != nil {
 		return fmt.Errorf("telemetry: write frame payload: %w", err)
 	}
-	w.payload = w.payload[:0]
-	w.count = 0
 	w.blocks++
 	return nil
 }
@@ -275,7 +326,8 @@ func (w *WriterV2) emitBlock() error {
 // delta under "auto"; the dataset merge layer enforces this with its
 // declared-policy cross-check before offering blocks here. Returns
 // false, nil when the block does not qualify; the caller then decodes
-// and writes records normally.
+// and writes records normally. Blocks still being encoded
+// concurrently are written first.
 func (w *WriterV2) WriteEncodedBlock(b RawBlock) (bool, error) {
 	if b.version < 2 || b.Count != w.perBlock || w.count != 0 || !w.CodecCompatible(b.Codec) {
 		return false, nil
@@ -283,38 +335,37 @@ func (w *WriterV2) WriteEncodedBlock(b RawBlock) (bool, error) {
 	if err := w.writeMagic(); err != nil {
 		return false, err
 	}
-	h := w.hdr[:]
-	copy(h, blockMagic[:])
-	binary.LittleEndian.PutUint32(h[4:], uint32(len(b.Payload)))
-	binary.LittleEndian.PutUint32(h[8:], packCountFlags(b.Count, b.Codec))
-	binary.LittleEndian.PutUint32(h[12:], b.Sum)
-	if _, err := w.bw.Write(h); err != nil {
-		return false, fmt.Errorf("telemetry: write frame: %w", err)
+	if err := w.drain(); err != nil {
+		return false, err
 	}
-	if _, err := w.bw.Write(b.Payload); err != nil {
-		return false, fmt.Errorf("telemetry: write frame payload: %w", err)
+	if err := w.writeFrame(b.Count, b.Codec, b.Sum, b.Payload); err != nil {
+		return false, err
 	}
 	w.n += uint64(b.Count)
-	w.blocks++
 	return true, nil
 }
 
 // Count returns the number of records written.
 func (w *WriterV2) Count() uint64 { return w.n }
 
-// Blocks returns the number of frames emitted so far (the block in
-// progress is not counted until it is flushed). Sharded sinks record it
-// per part so a merge can verify per-part coverage.
+// Blocks returns the number of frames written so far (the block in
+// progress, and a block still with the encoders, is not counted until
+// its frame is written; after Flush every block is). Sharded sinks
+// record it per part so a merge can verify per-part coverage.
 func (w *WriterV2) Blocks() uint64 { return w.blocks }
 
-// Flush emits the partial block in progress (if any) and drains the
-// buffer. An empty stream still gets its signature, so a zero-record
-// v2 file is recognizable as v2.
+// Flush emits the partial block in progress (if any), writes the
+// blocks still being encoded concurrently, and drains the buffer. An
+// empty stream still gets its signature, so a zero-record v2 file is
+// recognizable as v2.
 func (w *WriterV2) Flush() error {
 	if err := w.writeMagic(); err != nil {
 		return err
 	}
 	if err := w.emitBlock(); err != nil {
+		return err
+	}
+	if err := w.drain(); err != nil {
 		return err
 	}
 	return w.bw.Flush()

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -163,9 +164,13 @@ func lzAppendDecode(dst, src []byte, maxLen int) ([]byte, error) {
 			dst = append(dst, dst[pos:pos+mlen]...)
 			continue
 		}
-		// Overlapping match: the source window grows as we copy.
-		for k := 0; k < mlen; k++ {
-			dst = append(dst, dst[pos+k])
+		// Overlapping match: the output repeats the dist bytes before it.
+		// Every copy starts on a whole period, so it can take all the
+		// periods written so far: the copied run doubles each step.
+		end := len(dst) + mlen
+		dst = slices.Grow(dst, mlen)[:end]
+		for k := end - mlen; k < end; {
+			k += copy(dst[k:end], dst[pos:k])
 		}
 	}
 	return dst, nil

@@ -233,6 +233,8 @@ func (g *Generator) UserDay(u *population.User, day simtime.Day, emit EmitFunc) 
 		}
 	}
 
+	// Every session draws its request count from one distribution.
+	reqDist := rng.NewPoissonDist(g.Cfg.RequestsPerSession * u.Activity)
 	for i := range u.Contexts {
 		c := &u.Contexts[i]
 		w := effW[i]
@@ -254,15 +256,16 @@ func (g *Generator) UserDay(u *population.User, day simtime.Day, emit EmitFunc) 
 		// gives the heavy tail of addresses-per-day the paper observes.
 		sessions := src.Poisson(rate * w * 2 * u.Activity)
 		for s := 0; s < sessions; s++ {
-			g.session(u, c, day, s, src, emit)
+			g.session(u, c, day, s, src, reqDist, emit)
 		}
 	}
 }
 
 // session emits the observations of one session: up to one IPv6 and one
-// IPv4 observation, splitting the session's requests across protocols.
-func (g *Generator) session(u *population.User, c *population.Context, day simtime.Day, s int, src *rng.Source, emit EmitFunc) {
-	reqs := 1 + src.Poisson(g.Cfg.RequestsPerSession*u.Activity)
+// IPv4 observation, splitting the session's requests, one more than a
+// draw of reqDist, across protocols.
+func (g *Generator) session(u *population.User, c *population.Context, day simtime.Day, s int, src *rng.Source, reqDist rng.PoissonDist, emit EmitFunc) {
+	reqs := 1 + reqDist.Draw(src)
 
 	// Device choice: mobile sessions come from the phone (device 0);
 	// home/work sessions come from the primary device most of the time,
