@@ -20,6 +20,7 @@ FUZZ_TARGETS = \
 	./internal/telemetry:FuzzLZDecodeMatchesReference \
 	./internal/telemetry:FuzzDeltaDecodeMatchesReference \
 	./internal/telemetry:FuzzWriterPolicyMatchesReference \
+	./internal/telemetry:FuzzCoalesce \
 	./internal/dataset:FuzzDatasetOpen \
 	./internal/dataset:FuzzDatasetRoundTrip \
 	./internal/dataset:FuzzMergeResume \
@@ -90,7 +91,8 @@ faults:
 # folded feeds, RequestLoad against the request limiter it replaced and
 # IPNovelty's rule on shuffled and folded feeds, and every
 # registration's Merge laws (commutative, associative, empty replica as
-# identity), under the race detector.
+# identity) and split laws (a sighting's requests split across records,
+# and coalesced in blocks, answer alike), under the race detector.
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
@@ -109,14 +111,16 @@ bench-check:
 # and decoder differentials against the reference encoders and
 # decoders, merge reads resumed after faults at fuzzed offsets, the
 # analyzer oracle, the key-pool differential against a map reference,
-# the Merge laws, and stored datasets analyzed against the same records
-# fed in memory: catches panics, typed-error regressions, stored bytes
+# the Merge and split laws, block coalescing against a map reference,
+# and stored datasets analyzed against the same records fed in memory:
+# catches panics, typed-error regressions, stored bytes
 # that depart from the reference writer, decoded bytes or failures that
 # depart from the reference decoders, a resumed merge that departs from
 # the single-writer file, analyzer answers that depart from the oracle,
 # key lists that depart from their reference, folds that depend on
-# order or split, and an analysis whose answer depends on codec, shape,
-# workers or read mode, without a long campaign.
+# order or split, coalescing that loses or moves requests, and an
+# analysis whose answer depends on codec, shape, workers or read mode,
+# without a long campaign.
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

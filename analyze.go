@@ -45,9 +45,13 @@ func PlanSource(src dataset.Source, set *core.AnalyzerSet, opts AnalyzeOptions) 
 }
 
 // AnalyzeSource plans and runs one analysis pass over src, populating
-// set's primaries. The returned report aggregates per-part read
-// coverage (blocks, records, per-codec block counts) across the whole
-// source; for a manifest it matches what a merge-then-analyze of the
+// set's primaries. Each decoded block is coalesced (telemetry.Coalesce)
+// before the analyzers see it, so records that repeat a sighting reach
+// them as one; every registration's state is invariant under that (see
+// core.AddCommutativeAnalyzer). The returned report aggregates per-part
+// read coverage (blocks, records, per-codec block counts) across the
+// whole source; its counts are the stored records, not the coalesced
+// ones. For a manifest it matches what a merge-then-analyze of the
 // same parts would report.
 //
 // On error the fused mode leaves the primaries unfolded. The sequential
@@ -63,9 +67,10 @@ func AnalyzeSource(ctx context.Context, src dataset.Source, set *core.AnalyzerSe
 	return ExecutePlan(ctx, src, set, plan)
 }
 
-// ExecutePlan runs an already-resolved plan over src. Callers normally
-// use AnalyzeSource; this entry point exists so a caller that printed
-// Plan.Explain() runs exactly the plan it printed.
+// ExecutePlan runs an already-resolved plan over src, coalescing each
+// decoded block before the analyzers as AnalyzeSource describes.
+// Callers normally use AnalyzeSource; this entry point exists so a
+// caller that printed Plan.Explain() runs exactly the plan it printed.
 func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet, plan core.Plan) (telemetry.SalvageReport, error) {
 	var zero telemetry.SalvageReport
 	parts := src.Parts()
@@ -126,7 +131,9 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 	// stream order. Fused: each decode worker feeds its own replica;
 	// replicas persist across parts (part k+1's factory runs only after
 	// part k's workers have been joined, so reuse is race-free), and one
-	// fold at the very end covers the whole source.
+	// fold at the very end covers the whole source. Either way a worker
+	// coalesces its batch in place first: the batch is its own until the
+	// callback returns.
 	replicas := make([]*core.Replica, plan.Workers)
 	for i, path := range parts {
 		pr, err := dataset.OpenParallel(path, dataset.ParallelOptions{
@@ -144,7 +151,7 @@ func ExecutePlan(ctx context.Context, src dataset.Source, set *core.AnalyzerSet,
 				obs = replicas[w]
 			}
 			return func(b dataset.Batch) error {
-				for _, o := range b.Recs {
+				for _, o := range telemetry.Coalesce(b.Recs) {
 					obs.Observe(o)
 				}
 				return nil

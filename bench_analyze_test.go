@@ -43,7 +43,9 @@ func writeBenchDataset(b *testing.B) string {
 }
 
 // BenchmarkAnalyzeSequential replays the dataset through every analyzer
-// on one goroutine — the reference the fused engine must beat.
+// on one goroutine, feeding every stored record: the uncoalesced
+// reference that the fused engine, which coalesces each block first,
+// must beat.
 func BenchmarkAnalyzeSequential(b *testing.B) {
 	path := writeBenchDataset(b)
 	b.ReportAllocs()

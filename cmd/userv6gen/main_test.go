@@ -349,3 +349,37 @@ func TestAnalyzeRefusesNegativeWorkers(t *testing.T) {
 		t.Fatalf("analyze -workers -3: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }
+
+// TestAnalyzeOutputIndependentOfWorkersAndShape: analyze prints the
+// same bytes for a week stored as one file and as a 3-shard auto
+// export, at one worker and at two, and -tolerant's coverage line
+// counts the records the header declares.
+func TestAnalyzeOutputIndependentOfWorkersAndShape(t *testing.T) {
+	dir := t.TempDir()
+	file, export := filepath.Join(dir, "week.uv6"), filepath.Join(dir, "export")
+	mustRun(t, "gen", "-users", "2000", "-o", file)
+	mustRun(t, "gen", "-users", "2000", "-shards", "3", "-compress=auto", "-o", export)
+
+	want := mustRun(t, "analyze", "-workers", "1", file)
+	header, _, _ := strings.Cut(want, "\n")
+	_, records, ok := strings.Cut(header, " records=")
+	if !strings.HasPrefix(header, "dataset: ") || !ok {
+		t.Fatalf("analyze printed no record count in its header line:\n%s", want)
+	}
+	for _, in := range []string{file, export} {
+		for _, workers := range []string{"1", "2"} {
+			if got := mustRun(t, "analyze", "-workers", workers, in); got != want {
+				t.Fatalf("analyze -workers %s %s:\n%s\nwant (analyze -workers 1 %s):\n%s",
+					workers, filepath.Base(in), got, filepath.Base(file), want)
+			}
+		}
+		got := mustRun(t, "analyze", "-tolerant", in)
+		head, rest, _ := strings.Cut(got, "\n\n")
+		coverage, rest, _ := strings.Cut(rest, "\n\n")
+		if !strings.HasPrefix(coverage, "tolerant read: ") ||
+			!strings.Contains(coverage, " ("+records+" records; 0 corrupt blocks") || head+"\n\n"+rest != want {
+			t.Fatalf("analyze -tolerant %s does not print a coverage line of %s records before the strict output:\n%s",
+				filepath.Base(in), records, got)
+		}
+	}
+}

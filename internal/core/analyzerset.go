@@ -30,7 +30,8 @@ type Observer interface {
 // primaries holding identical state.
 //
 // Every registration is commutative: its state must not depend on
-// observation order or on how the stream is split across replicas. A
+// observation order, on how the stream is split across replicas, or on
+// how a sighting's requests are split across records. A
 // new analyzer that looks order-dependent is reformulated as a
 // commutative fold, as ChurnAttribution was (min-first-sight tuples
 // instead of a walk over consecutive observations), rather than by
@@ -82,6 +83,16 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // combines the users both hold: O(chunks + users), not O(keys). An
 // analyzer that inspects transitions between consecutive observations
 // at Observe time would not qualify.
+//
+// Registering also declares that the state is invariant under how a
+// sighting's requests are split across records: replacing a record
+// with several that share its day, user, address, ASN, country and
+// label, and whose requests sum to its own, must leave state
+// identical. userv6.ExecutePlan relies on it, as it coalesces each
+// decoded block (telemetry.Coalesce) before the analyzers see it.
+// Sets, min/OR folds and request sums qualify; an analyzer that counts
+// records would not. TestMergeLaws checks this rule, with the Merge
+// laws, for every analyzer type of this package that can be registered.
 func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, fold func(into, from T)) {
 	AddCommutativeAnalyzerFiltered(s, primary, mk, fold, nil)
 }
@@ -90,7 +101,9 @@ func AddCommutativeAnalyzer[T Observer](s *AnalyzerSet, primary T, mk func() T, 
 // pre-filter: only observations for which filter returns true reach
 // this analyzer (nil accepts everything). The filter runs on worker
 // goroutines and must be pure; a pure filter preserves commutativity
-// (it only thins the multiset).
+// (it only thins the multiset). It must not read Requests: deciding on
+// the sighting alone keeps or drops all records of a sighting alike,
+// however its requests are split.
 //
 // Registering the same primary twice panics: its state would be fed
 // (and folded) twice, and the concurrent Fold would race on it.

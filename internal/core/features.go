@@ -19,12 +19,14 @@ type FeatureVector struct {
 	// NOTE: high spread is NORMAL benign behavior (privacy rotation) —
 	// the paper's warning against porting IPv4 churn heuristics.
 	V6IIDSpread float64
-	// Observations and Requests are activity volumes.
+	// Observations and Requests are activity volumes: records and the
+	// requests they carry.
 	Observations int
 	Requests     uint64
-	// InfraShare is the share of observations from hosting/proxy ASNs.
+	// InfraShare is the share of records from hosting/proxy ASNs.
 	InfraShare float64
-	// StructuredV6 counts structured-IID (gateway) addresses used.
+	// StructuredV6 counts the distinct structured-IID (gateway) IPv6
+	// addresses used.
 	StructuredV6 int
 	// DualStack marks entities seen on both families.
 	DualStack bool
@@ -33,7 +35,11 @@ type FeatureVector struct {
 }
 
 // FeatureExtractor accumulates per-entity feature vectors from a
-// telemetry stream.
+// telemetry stream. Observations and InfraShare count records, so,
+// unlike every analyzer an AnalyzerSet registers, the extractor's
+// answers change when a sighting's requests are split across several
+// records (telemetry.Coalesce). It has no Merge, and no AnalyzerSet
+// registers it.
 type FeatureExtractor struct {
 	infra map[netmodel.ASN]bool
 	ents  map[uint64]*featureAcc
@@ -80,11 +86,11 @@ func (fe *FeatureExtractor) Observe(o telemetry.Observation) {
 		acc.v4[o.Addr] = struct{}{}
 		return
 	}
-	acc.v6[o.Addr] = struct{}{}
-	acc.p64[netaddr.PrefixFrom(o.Addr, 64)] = struct{}{}
-	if netaddr.IsStructuredIID(o.Addr) {
+	if _, seen := acc.v6[o.Addr]; !seen && netaddr.IsStructuredIID(o.Addr) {
 		acc.structured++
 	}
+	acc.v6[o.Addr] = struct{}{}
+	acc.p64[netaddr.PrefixFrom(o.Addr, 64)] = struct{}{}
 }
 
 // Vector returns the feature vector for one entity and whether it was

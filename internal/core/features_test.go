@@ -49,13 +49,17 @@ func TestFeatureExtractorBasics(t *testing.T) {
 	}
 }
 
+// TestFeatureStructuredCount: StructuredV6 counts distinct structured
+// addresses, so one gateway address seen in three records counts once.
 func TestFeatureStructuredCount(t *testing.T) {
 	fe := NewFeatureExtractor(nil)
-	fe.Observe(obs(1, "2600:380:1:2::1f3a", 0, false))
+	for i := 0; i < 3; i++ {
+		fe.Observe(obs(1, "2600:380:1:2::1f3a", 0, false))
+	}
 	fe.Observe(obs(1, "2001:db8::a1b2:c3d4:e5f6:789a", 0, false))
 	v, _ := fe.Vector(1)
-	if v.StructuredV6 != 1 {
-		t.Fatalf("structured = %d", v.StructuredV6)
+	if v.StructuredV6 != 1 || v.Observations != 4 {
+		t.Fatalf("structured = %d over %d records, want 1 over 4", v.StructuredV6, v.Observations)
 	}
 }
 

@@ -7,6 +7,11 @@ package core
 // either side must each answer every query alike. Answers are compared
 // by query surface, as assertSurface compares them, because the user
 // table's layout depends on the fold order.
+//
+// Split laws: a stream whose records' requests are split across
+// several records of the same sighting, and telemetry.Coalesce of that
+// stream in blocks, as analysis feeds a stored stream, must answer
+// every query as the stream itself does.
 
 import (
 	"fmt"
@@ -168,28 +173,88 @@ func checkMergeLaws(t *testing.T, label string, a lawAnalyzer, parts [3][]teleme
 	}
 }
 
-// TestMergeLaws checks the Merge laws of every lawAnalyzers
-// registration on random splits of oracle streams, in user order and
-// shuffled. The heavy user's key lists outgrow indexAt, so the laws
-// cover indexed lists too.
+// splitRequests copies stream and splits the requests of about a third
+// of its records across 2-3 records of the same sighting, which take
+// the record's place in the stream. A part may hold no requests.
+func splitRequests(src *rng.Source, stream []telemetry.Observation) []telemetry.Observation {
+	var out []telemetry.Observation
+	for _, o := range stream {
+		if src.Intn(3) == 0 {
+			for c := 1 + src.Intn(2); c > 0; c-- {
+				part := o
+				part.Requests = uint32(src.Uint64() % (uint64(o.Requests) + 1))
+				o.Requests -= part.Requests
+				out = append(out, part)
+			}
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// coalesceBlocks cuts stream into blocks of 1-128 records, coalesces
+// each as analysis coalesces a decoded block, and returns what the
+// blocks kept, in order.
+func coalesceBlocks(src *rng.Source, stream []telemetry.Observation) []telemetry.Observation {
+	stream = slices.Clone(stream)
+	var out []telemetry.Observation
+	for len(stream) > 0 {
+		n := min(1+src.Intn(128), len(stream))
+		out = append(out, telemetry.Coalesce(stream[:n])...)
+		stream = stream[n:]
+	}
+	return out
+}
+
+// checkSplitLaws checks a's split laws: fed split (stream with requests
+// split across records) or coalesced (split after coalesceBlocks), a
+// answers every query as it does fed stream.
+func checkSplitLaws(t *testing.T, label string, a lawAnalyzer, stream, split, coalesced []telemetry.Observation) {
+	t.Helper()
+	feed := func(s []telemetry.Observation) map[string]any {
+		x := a.mk()
+		for _, o := range s {
+			x.Observe(o)
+		}
+		return a.surface(x)
+	}
+	want := feed(stream)
+	assertQueries(t, fmt.Sprintf("%s, %s: split requests", label, a.name), feed(split), want)
+	assertQueries(t, fmt.Sprintf("%s, %s: coalesced blocks", label, a.name), feed(coalesced), want)
+}
+
+// TestMergeLaws checks the Merge laws and the split laws of every
+// lawAnalyzers registration on random splits of oracle streams, in user
+// order and shuffled. The heavy user's key lists outgrow indexAt, so
+// the laws cover indexed lists too. In user order a split record's
+// parts share a run, so coalescing must merge them.
 func TestMergeLaws(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		stream := oracleStream(seed, 120, 10, 400)
+		split := splitRequests(rng.New(seed*17), stream)
 		if seed == 2 {
 			stream = shuffled(rng.New(seed), stream)
+			split = shuffled(rng.New(seed*19), split)
 		}
 		parts := randomSplit(rng.New(seed*13), stream)
 		if slices.ContainsFunc(parts[:], func(p []telemetry.Observation) bool { return len(p) == 0 }) {
 			t.Fatalf("seed %d: a part of the split is empty", seed)
 		}
+		coalesced := coalesceBlocks(rng.New(seed*23), split)
+		if seed != 2 && len(coalesced) >= len(stream) {
+			t.Fatalf("seed %d: coalescing %d split records in user order kept %d, the stream has %d",
+				seed, len(split), len(coalesced), len(stream))
+		}
 		for _, a := range lawAnalyzers() {
 			checkMergeLaws(t, fmt.Sprintf("seed %d", seed), a, parts)
+			checkSplitLaws(t, fmt.Sprintf("seed %d", seed), a, stream, split, coalesced)
 		}
 	}
 }
 
-// FuzzMergeLaws turns the fuzz input into a stream seed and shape and a
-// random split; every registration's Merge must obey the laws.
+// FuzzMergeLaws turns the fuzz input into a stream seed and shape, a
+// random split and a random request split; every registration must
+// obey the Merge laws and the split laws.
 func FuzzMergeLaws(f *testing.F) {
 	f.Add(uint64(1), uint8(20), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(0x1b))
@@ -200,12 +265,16 @@ func FuzzMergeLaws(f *testing.F) {
 			heavy = 80
 		}
 		stream := oracleStream(seed, int(users%48), 1+int(shape)%10, heavy)
+		split := splitRequests(rng.New(seed^0x5b1d), stream)
 		if shape&32 != 0 {
 			stream = shuffled(rng.New(seed), stream)
+			split = shuffled(rng.New(seed^0x5b1d), split)
 		}
 		parts := randomSplit(rng.New(seed^0x5eed), stream)
+		coalesced := coalesceBlocks(rng.New(seed^0xb10c), split)
 		for _, a := range lawAnalyzers() {
 			checkMergeLaws(t, fmt.Sprintf("seed %d", seed), a, parts)
+			checkSplitLaws(t, fmt.Sprintf("seed %d", seed), a, stream, split, coalesced)
 		}
 	})
 }

@@ -35,9 +35,11 @@ type ParallelOptions struct {
 	Tolerant bool
 }
 
-// Batch is one decoded block of records. The slice is recycled after
-// the worker callback returns; consumers must copy any records they
-// retain (Observation is a value type, so plain assignment copies).
+// Batch is one decoded block of records. The worker callback owns Recs
+// until it returns: it may rewrite them in place, as analysis does when
+// it coalesces the block. The slice is recycled after the callback
+// returns; consumers must copy any records they retain (Observation is
+// a value type, so plain assignment copies).
 type Batch struct {
 	// Index is the block's 0-based position in the stream. In tolerant
 	// mode indexes count intact blocks only.

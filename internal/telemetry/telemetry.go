@@ -2,13 +2,17 @@
 // streaming generator that turns a synthesized population into the
 // telemetry stream the paper's analyses consume.
 //
-// An Observation aggregates the authenticated requests one user made
-// from one source address on one day — exactly the telemetry fields the
-// paper collects (timestamp, user ID, source IP, ASN, country), rolled
-// up to day granularity, which is the granularity of every analysis in
-// the paper. Generation is fully deterministic and streaming: the
-// generator emits observations through a callback and retains nothing,
-// in the spirit of preallocated single-pass packet decoding.
+// An Observation carries authenticated requests one user made from one
+// source address on one day — exactly the telemetry fields the paper
+// collects (timestamp, user ID, source IP, ASN, country), rolled up to
+// day granularity, which is the granularity of every analysis in the
+// paper. A stream may hold several records of one such sighting: the
+// generator writes one record per session and protocol, so a user's
+// all-day IPv4 binding repeats in every session. Analysis treats them
+// as one sighting with the requests summed (Coalesce). Generation is
+// fully deterministic and streaming: the generator emits observations
+// through a callback and retains nothing, in the spirit of preallocated
+// single-pass packet decoding.
 package telemetry
 
 import (
@@ -22,7 +26,8 @@ import (
 )
 
 // Observation is the atomic telemetry record: one (day, user, source
-// address) triple with its request count and routing metadata.
+// address) triple with its request count and routing metadata. Several
+// records may share a sighting; their requests add up.
 type Observation struct {
 	Day      simtime.Day
 	UserID   uint64

@@ -8,7 +8,7 @@ import (
 	"userv6/internal/simtime"
 )
 
-func testGen(t *testing.T, users int) *Generator {
+func testGen(t testing.TB, users int) *Generator {
 	t.Helper()
 	world := netmodel.BuildWorld(netmodel.WorldConfig{Seed: 7, Scale: float64(users) / 200000})
 	cfg := population.DefaultConfig()
