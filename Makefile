@@ -69,14 +69,16 @@ race:
 # a resumed read must not hide (a fault that never clears, a part
 # changed or gone between attempts, a missing part), the merge against
 # its per-record reference at GOMAXPROCS 1, 2 and 4 (stored records
-# written as bytes, blocks encoded concurrently), and an output write
-# failing under concurrent encoding, which must leave no goroutine.
+# written as bytes, blocks encoded concurrently), an output write
+# failing under concurrent encoding, which must leave no goroutine, and
+# a `userv6gen gen` whose writes keep failing, which must exit 1 and
+# leave a .tmp that `gen -resume` finishes byte-identical.
 # FAULTS_FLAGS=-short subsamples the truncation sweeps for the PR gate;
 # nightly runs them full.
 FAULTS_FLAGS ?=
 faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume|TestMergeMatchesRecordWrites|TestMergeWriteFaultStopsGoroutines' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume|TestMergeMatchesRecordWrites|TestMergeWriteFaultStopsGoroutines|TestGenWriteFailureLeavesTmp' . ./internal/dataset ./cmd/userv6gen
 
 # Analysis race gate: the fused decode+analyze path (worker-local
 # replicas, all default analyzers), the sequential one-worker path, the

@@ -10,6 +10,7 @@
 //	userv6gen gen  -resume -o week.uv6                           (continue a partial run)
 //	userv6gen gen  -resume -o weekdir                            (continue a sharded run)
 //	userv6gen info -i week.uv6
+//	userv6gen info -i weekdir                                    (sharded export, as the merged file)
 //	userv6gen analyze -i week.uv6 [-tolerant] [-explain]
 //	userv6gen analyze -i weekdir                                 (sharded export, no merge)
 //	userv6gen verify -i week.uv6
@@ -96,7 +97,8 @@ func usage() {
                       the smallest of delta/lz/identity per block; bare
                       -compress means lz)
            -faults S  arm fault-injection failpoints (debug; docs/FAULT_INJECTION.md)
-  info     summarize a dataset file
+  info     summarize a dataset file, a sharded export directory, or a
+           manifest.uv6m (an export prints what its merged file prints)
   analyze  run the user/IP-centric + churn analyzers over a dataset file,
            a sharded export directory, or a manifest.uv6m (no merge needed:
            parts stream through the same workers the merged file would)
@@ -248,18 +250,17 @@ func runGen(args []string) {
 	}
 
 	sim := userv6.NewSim(userv6.DefaultScenario(*users).WithSeed(*seed))
+	meta := dataset.Meta{
+		Seed: *seed, Users: *users, FromDay: *from, ToDay: *to,
+		Sample: *sampleSpec, BenignOnly: *benignOnly, Codec: codecName,
+	}
+	wrap := func(emit telemetry.EmitFunc) telemetry.EmitFunc { return sampling.Filter(sampler, emit) }
 
 	if *shards != 0 {
 		if *format != "dataset" {
 			fatal(fmt.Errorf("gen: -shards requires -format dataset"))
 		}
-		meta := dataset.Meta{
-			Seed: *seed, Users: *users, FromDay: *from, ToDay: *to,
-			Sample: *sampleSpec, BenignOnly: *benignOnly, Codec: codecName,
-		}
-		man, err := sim.ExportShardedFS(ctx, fsys, *out, *shards, meta, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
-			return sampling.Filter(sampler, emit)
-		})
+		man, err := sim.ExportShardedFS(ctx, fsys, *out, *shards, meta, wrap)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fatal(fmt.Errorf("interrupted: parts and provisional manifest left in %s; continue with `userv6gen gen -resume -o %s`", *out, *out))
@@ -273,38 +274,18 @@ func runGen(args []string) {
 		return
 	}
 
-	generate := func(emit telemetry.EmitFunc) error {
-		emit = sampling.Filter(sampler, emit)
-		if *benignOnly {
-			return sim.Benign.GenerateCtx(ctx, simtime.Day(*from), simtime.Day(*to), emit)
-		}
-		return sim.GenerateCtx(ctx, simtime.Day(*from), simtime.Day(*to), emit)
-	}
-
 	if *format == "dataset" {
-		meta := dataset.Meta{
-			Seed: *seed, Users: *users, FromDay: *from, ToDay: *to,
-			Sample: *sampleSpec, BenignOnly: *benignOnly, Codec: codecName,
-		}
-		w, err := dataset.CreateFS(fsys, *out, meta)
-		if err != nil {
-			fatal(err)
-		}
-		emit, errp := w.Emit()
-		genErr := generate(emit)
-		if *errp != nil {
-			w.Abort()
-			fatal(*errp)
-		}
-		if genErr != nil && !errors.Is(genErr, context.Canceled) {
-			w.Abort()
-			fatal(genErr)
-		}
-		if err := w.Close(); err != nil {
+		// A write error stops generation within one (user, day) batch and
+		// leaves the .tmp for -resume.
+		_, _, _, err := sim.WriteFileFS(ctx, fsys, *out, meta, false, wrap)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			if _, serr := os.Stat(*out + ".tmp"); serr == nil {
+				err = fmt.Errorf("%w (partial dataset left at %s.tmp; continue with `userv6gen gen -resume -o %s`)", err, *out, *out)
+			}
 			fatal(err)
 		}
 		st, _ := os.Stat(*out)
-		if genErr != nil {
+		if err != nil {
 			fmt.Printf("interrupted: finalized partial dataset (%d users, days %d-%d) at %s (%d bytes)\n",
 				*users, *from, *to, *out, st.Size())
 			return
@@ -312,6 +293,14 @@ func runGen(args []string) {
 		fmt.Printf("wrote dataset (%d users, days %d-%d) to %s (%d bytes)\n",
 			*users, *from, *to, *out, st.Size())
 		return
+	}
+
+	generate := func(emit telemetry.EmitFunc) error {
+		emit = wrap(emit)
+		if *benignOnly {
+			return sim.Benign.GenerateCtx(ctx, simtime.Day(*from), simtime.Day(*to), emit)
+		}
+		return sim.GenerateCtx(ctx, simtime.Day(*from), simtime.Day(*to), emit)
 	}
 
 	f, err := fsys.Create(*out)
@@ -369,10 +358,10 @@ func runGen(args []string) {
 // runGenResume continues an interrupted dataset generation run through
 // Sim.ResumeFileFS. The partial file (the -o target, or its crash-safe
 // .tmp sibling) supplies the run configuration from its header, which
-// is read here only to build the Sim and the sampler; the library keeps
-// the file's verified prefix up to its last complete (user, day) batch
-// and regenerates the rest. The finished file is byte-identical to an
-// uninterrupted run.
+// builds the Sim and the sampler and is handed to the library; the
+// library keeps the file's verified prefix up to its last complete
+// (user, day) batch and regenerates the rest. The finished file is
+// byte-identical to an uninterrupted run.
 func runGenResume(ctx context.Context, fsys faultio.FS, out string) {
 	src := out
 	if _, err := os.Stat(src); err != nil {
@@ -392,7 +381,7 @@ func runGenResume(ctx context.Context, fsys faultio.FS, out string) {
 	}
 	sim := userv6.NewSim(userv6.DefaultScenario(meta.Users).WithSeed(meta.Seed))
 
-	front, kept, records, err := sim.ResumeFileFS(ctx, fsys, out, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
+	front, kept, records, err := sim.ResumeFileFS(ctx, fsys, out, meta, func(emit telemetry.EmitFunc) telemetry.EmitFunc {
 		return sampling.Filter(sampler, emit)
 	})
 	if err != nil && !errors.Is(err, context.Canceled) {
@@ -740,20 +729,21 @@ func runSalvage(args []string) {
 
 func runInfo(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	in := fs.String("i", "telemetry.uv6", "input path (binary format)")
+	in := fs.String("i", "telemetry.uv6", "input path (dataset file, sharded export directory, or manifest.uv6m)")
 	fs.Parse(args)
 	inputArg(fs, in)
 
-	// Open accepts a headerless raw stream as well as a dataset file, so
-	// a damaged header is reported as such instead of being misread as a
-	// raw stream.
-	r, err := dataset.Open(*in)
+	// The input may be a dataset file, a headerless raw stream or a
+	// sharded export, whose parts are summarized together as their
+	// merged file would be. A damaged header is reported as such, not
+	// misread as a raw stream.
+	src, err := dataset.OpenSource(*in)
 	if err != nil {
 		fatal(err)
 	}
-	defer r.Close()
-	if !r.Raw() {
-		fmt.Printf("%s\n\n", metaLine(r.Meta()))
+	meta, haveMeta := src.Meta()
+	if haveMeta {
+		fmt.Printf("%s\n\n", metaLine(meta))
 	}
 	var (
 		n, abusive int
@@ -762,27 +752,34 @@ func runInfo(args []string) {
 		minD, maxD = simtime.Day(1 << 30), simtime.Day(-1)
 		requests   uint64
 	)
-	err = r.ForEach(func(o telemetry.Observation) {
-		n++
-		if o.Abusive {
-			abusive++
+	for _, part := range src.Parts() {
+		r, err := dataset.Open(part)
+		if err != nil {
+			fatal(err)
 		}
-		if o.Addr.Is6() {
-			v6++
-		} else {
-			v4++
+		err = r.ForEach(func(o telemetry.Observation) {
+			n++
+			if o.Abusive {
+				abusive++
+			}
+			if o.Addr.Is6() {
+				v6++
+			} else {
+				v4++
+			}
+			users[o.UserID] = struct{}{}
+			if o.Day < minD {
+				minD = o.Day
+			}
+			if o.Day > maxD {
+				maxD = o.Day
+			}
+			requests += uint64(o.Requests)
+		})
+		r.Close()
+		if err != nil {
+			fatal(err)
 		}
-		users[o.UserID] = struct{}{}
-		if o.Day < minD {
-			minD = o.Day
-		}
-		if o.Day > maxD {
-			maxD = o.Day
-		}
-		requests += uint64(o.Requests)
-	})
-	if err != nil {
-		fatal(err)
 	}
 	// A dataset with no records has no day range, only the scan's
 	// starting bounds.
@@ -797,8 +794,8 @@ func runInfo(args []string) {
 		Row("distinct entities", len(users)).
 		Row("days", days).
 		Row("total requests", requests)
-	if codec := r.Meta().Codec; codec != "" {
-		tbl.Row("block codec", codec)
+	if meta.Codec != "" {
+		tbl.Row("block codec", meta.Codec)
 	}
 	tbl.Write(os.Stdout)
 }

@@ -124,6 +124,24 @@ func TestInfoEmptyDatasetHasNoDays(t *testing.T) {
 	}
 }
 
+// TestInfoReadsShardedExport: info on a sharded export, by its
+// directory or by its manifest, prints exactly what it prints for the
+// merged file.
+func TestInfoReadsShardedExport(t *testing.T) {
+	dir := t.TempDir()
+	export, merged := filepath.Join(dir, "export"), filepath.Join(dir, "week.uv6")
+	manifest := filepath.Join(export, dataset.ManifestName)
+	mustRun(t, "gen", "-users", "300", "-shards", "2", "-compress=auto", "-o", export)
+	mustRun(t, "merge", "-manifest", manifest, "-o", merged)
+
+	want := mustRun(t, "info", merged)
+	for _, in := range []string{export, manifest} {
+		if got := mustRun(t, "info", in); got != want {
+			t.Fatalf("info %s:\n%s\nwant (info on the merged file):\n%s", in, got, want)
+		}
+	}
+}
+
 // tableRow returns the row of a printed table whose first cell is
 // metric, with its cells joined by single spaces, or "".
 func tableRow(out, metric string) string {
@@ -204,6 +222,41 @@ func TestGenResumeAfterCrash(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGenWriteFailureLeavesTmp: a gen whose temp-file writes fail from
+// the third on exits 1 and leaves its .tmp, not the target, and `gen
+// -resume` finishes that .tmp into the file a plain gen writes.
+func TestGenWriteFailureLeavesTmp(t *testing.T) {
+	dir := t.TempDir()
+	plain, out := filepath.Join(dir, "plain.uv6"), filepath.Join(dir, "week.uv6")
+	mustRun(t, "gen", "-users", "300", "-o", plain)
+	want, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr, code := userv6gen(t, "gen", "-users", "300", "-o", out, "-faults", "week.uv6.tmp:write:n=3:x=-1:err")
+	if code != 1 || !strings.Contains(stderr, "injected transient error") {
+		t.Fatalf("gen under a persistent write error: exit %d\n%s", code, stderr)
+	}
+	if _, err := os.Stat(out + ".tmp"); err != nil {
+		t.Fatalf("the failed gen left no .tmp to resume: %v", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the failed gen left %s behind (stat: %v)", out, err)
+	}
+
+	if stdout := mustRun(t, "gen", "-resume", "-o", out); !strings.HasPrefix(stdout, "resumed "+out) {
+		t.Fatalf("gen -resume printed %q", stdout)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed file differs from a plain gen (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

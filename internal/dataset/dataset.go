@@ -15,7 +15,6 @@
 package dataset
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/json"
@@ -354,7 +353,7 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, tr: telemetry.NewReader(bufio.NewReaderSize(f, 1<<16)), meta: meta, raw: raw}, nil
+	return &Reader{f: f, tr: telemetry.NewReader(f), meta: meta, raw: raw}, nil
 }
 
 // openDataset opens path and reads its header: the one accept rule

@@ -59,30 +59,41 @@ func (b RawBlock) Verify() error {
 // that does not decode to exactly Count records — returns dst
 // unchanged alongside a *CorruptError.
 func (b RawBlock) AppendDecoded(dst []Observation, scratch []byte) ([]Observation, []byte, error) {
-	if err := b.Verify(); err != nil {
+	recs, scratch, err := b.decode(scratch)
+	if err != nil {
 		return dst, scratch, err
 	}
-	payload := b.Payload
-	if b.version >= 2 && b.Codec != CodecIdentity {
-		c, ok := CodecByID(b.Codec)
-		if !ok {
-			return dst, scratch, &CorruptError{Block: b.Index, Offset: b.Offset,
-				Reason: fmt.Sprintf("unknown codec %s", b.Codec)}
-		}
-		raw := b.Count * recordSize
-		buf, err := c.AppendDecode(scratch[:0], b.Payload, raw)
-		scratch = buf
-		if err != nil {
-			return dst, scratch, &CorruptError{Block: b.Index, Offset: b.Offset,
-				Reason: fmt.Sprintf("payload decode (%s): %v", b.Codec, err)}
-		}
-		if len(buf) != raw {
-			return dst, scratch, &CorruptError{Block: b.Index, Offset: b.Offset,
-				Reason: fmt.Sprintf("decoded length %d, want %d", len(buf), raw)}
-		}
-		payload = buf
+	return AppendRecords(dst, recs), scratch, nil
+}
+
+// decode verifies the block's checksum and reverses its codec,
+// returning the decoded records, Count whole records in their stored
+// form, and the (possibly grown) scratch. The records alias Payload for
+// a v1 or identity block and scratch otherwise. A failure is a
+// *CorruptError, as for AppendDecoded.
+func (b RawBlock) decode(scratch []byte) (recs, grown []byte, err error) {
+	if err := b.Verify(); err != nil {
+		return nil, scratch, err
 	}
-	return AppendRecords(dst, payload), scratch, nil
+	if b.version < 2 || b.Codec == CodecIdentity {
+		return b.Payload, scratch, nil
+	}
+	c, ok := CodecByID(b.Codec)
+	if !ok {
+		return nil, scratch, &CorruptError{Block: b.Index, Offset: b.Offset,
+			Reason: fmt.Sprintf("unknown codec %s", b.Codec)}
+	}
+	raw := b.Count * recordSize
+	buf, err := c.AppendDecode(scratch[:0], b.Payload, raw)
+	if err != nil {
+		return nil, buf, &CorruptError{Block: b.Index, Offset: b.Offset,
+			Reason: fmt.Sprintf("payload decode (%s): %v", b.Codec, err)}
+	}
+	if len(buf) != raw {
+		return nil, buf, &CorruptError{Block: b.Index, Offset: b.Offset,
+			Reason: fmt.Sprintf("decoded length %d, want %d", len(buf), raw)}
+	}
+	return buf, buf, nil
 }
 
 // AppendRecords decodes a verified payload — a whole number of records
@@ -98,9 +109,9 @@ func AppendRecords(dst []Observation, payload []byte) []Observation {
 
 // BlockReader reads a stream block by block through the frame walker
 // (walk.go): strictly with Next or tolerantly with NextIntact, never
-// both. The stream version is detected from the signature like
-// Reader's: v2 streams yield one RawBlock per frame, v1 streams
-// pseudo-blocks of at most DefaultBlockRecords records.
+// both. The stream version is detected from the signature: v2 streams
+// yield one RawBlock per frame, v1 streams pseudo-blocks of at most
+// DefaultBlockRecords records.
 type BlockReader struct {
 	w walker
 }

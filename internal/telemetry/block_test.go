@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,9 @@ func drainBlocks(t *testing.T, data []byte) []Observation {
 	}
 }
 
+// TestBlockReaderMatchesReader: the walker's strict face, read block by
+// block and through Reader's record cursor, delivers the records of the
+// reference walk (salvageWalk) on intact streams.
 func TestBlockReaderMatchesReader(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -75,19 +79,21 @@ func TestBlockReaderMatchesReader(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []Observation
-			if err := NewReader(bytes.NewReader(tc.data)).ForEach(func(o Observation) {
-				want = append(want, o)
+			if _, err := salvageWalk(tc.data, func(_ RawBlock, decoded []byte) {
+				want = AppendRecords(want, decoded)
 			}); err != nil {
 				t.Fatal(err)
 			}
-			got := drainBlocks(t, tc.data)
-			if len(got) != tc.n || len(want) != tc.n {
-				t.Fatalf("got %d / want %d records, expected %d", len(got), len(want), tc.n)
+			var cursor []Observation
+			if err := NewReader(bytes.NewReader(tc.data)).ForEach(func(o Observation) {
+				cursor = append(cursor, o)
+			}); err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("record %d differs: %+v vs %+v", i, got[i], want[i])
-				}
+			blocks := drainBlocks(t, tc.data)
+			if len(want) != tc.n || !slices.Equal(blocks, want) || !slices.Equal(cursor, want) {
+				t.Fatalf("block reader %d, reader %d, reference %d records, expected %d (or a record differs)",
+					len(blocks), len(cursor), len(want), tc.n)
 			}
 		})
 	}

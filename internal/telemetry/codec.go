@@ -154,74 +154,40 @@ func (w *Writer) Count() uint64 { return w.n }
 // Flush drains the internal buffer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader streams observations from the binary format. The format
-// version is detected from the file signature: v1 streams decode as raw
-// fixed-size records, v2 streams decode framed blocks with per-block
-// CRC32C verification (frame.go). A corrupt v2 frame yields a
-// *CorruptError identifying the block and byte offset.
+// Reader streams observations from the binary format: a record cursor
+// over the frame walker's strict face (BlockReader.Next). The format
+// version is detected from the file signature, v1 records are served
+// as the walker chunks them, and each v2 block is verified and decoded
+// as RawBlock.AppendDecoded does before any of its records is served. A
+// corrupt v2 frame yields a *CorruptError identifying the block and
+// byte offset.
 type Reader struct {
-	br         *bufio.Reader
-	buf        [recordSize]byte
-	readHeader bool
-	version    byte
-
-	// v2 framing state. hdr is the reusable frame-header scratch: a
-	// local [16]byte escapes through io.ReadFull's interface argument,
-	// which used to cost one heap allocation per block.
-	blk      []byte // current verified (and decoded) block payload
-	cblk     []byte // scratch for a codec-encoded stored payload
-	hdr      [blockHeaderSize]byte
-	blkOff   int   // read cursor within blk
-	blockIdx int   // index of the next block to read
-	off      int64 // bytes consumed from the underlying stream
+	br      *BlockReader
+	stored  []byte // the current block's stored payload
+	scratch []byte // decode scratch for codec-encoded payloads
+	recs    []byte // the current block's records not yet served
 }
 
 // NewReader returns a Reader wrapping r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{br: NewBlockReader(r)}
 }
 
 // Read returns the next observation, or io.EOF at end of stream.
 func (r *Reader) Read() (Observation, error) {
-	if !r.readHeader {
-		var m [4]byte
-		if _, err := io.ReadFull(r.br, m[:]); err != nil {
-			if err == io.EOF {
-				return Observation{}, io.EOF
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return Observation{}, fmt.Errorf("%w (truncated signature)", ErrBadMagic)
-			}
-			return Observation{}, fmt.Errorf("telemetry: read header: %w", err)
+	for len(r.recs) == 0 {
+		blk, err := r.br.Next(r.stored)
+		if err != nil {
+			return Observation{}, err
 		}
-		r.off += 4
-		switch {
-		case m == magic:
-			r.version = 1
-		case m == magicV2:
-			r.version = 2
-		case m[0] == 'u' && m[1] == 'v' && m[2] == '6':
-			return Observation{}, fmt.Errorf("%w: %d", ErrUnsupportedVersion, m[3])
-		default:
-			return Observation{}, ErrBadMagic
+		r.stored = blk.Payload
+		if r.recs, r.scratch, err = blk.decode(r.scratch); err != nil {
+			return Observation{}, err
 		}
-		r.readHeader = true
 	}
-	if r.version == 2 {
-		return r.readV2()
-	}
-	b := r.buf[:]
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		if err == io.EOF {
-			return Observation{}, io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Observation{}, fmt.Errorf("%w (truncated record)", ErrCorrupt)
-		}
-		return Observation{}, fmt.Errorf("telemetry: read record: %w", err)
-	}
-	r.off += recordSize
-	return decodeRecord(b), nil
+	o := decodeRecord(r.recs)
+	r.recs = r.recs[recordSize:]
+	return o, nil
 }
 
 // ForEach reads the whole stream, invoking fn per observation.

@@ -371,79 +371,6 @@ func (w *WriterV2) Flush() error {
 	return w.bw.Flush()
 }
 
-// readV2 serves the next record from the current block, pulling and
-// verifying the next frame when the block is exhausted.
-func (r *Reader) readV2() (Observation, error) {
-	for r.blkOff >= len(r.blk) {
-		if err := r.readBlock(); err != nil {
-			return Observation{}, err
-		}
-	}
-	o := decodeRecord(r.blk[r.blkOff:])
-	r.blkOff += recordSize
-	return o, nil
-}
-
-// readBlock reads and verifies one frame. io.EOF is returned only at a
-// clean frame boundary; anything else is a *CorruptError.
-func (r *Reader) readBlock() error {
-	frameOff := r.off
-	h := r.hdr[:]
-	n, err := io.ReadFull(r.br, h)
-	r.off += int64(n)
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return &CorruptError{Block: r.blockIdx, Offset: frameOff, Reason: "short frame header"}
-	}
-	if [4]byte(h[0:4]) != blockMagic {
-		return &CorruptError{Block: r.blockIdx, Offset: frameOff, Reason: "bad block marker"}
-	}
-	length := binary.LittleEndian.Uint32(h[4:])
-	count, codec := splitCountFlags(binary.LittleEndian.Uint32(h[8:]))
-	sum := binary.LittleEndian.Uint32(h[12:])
-	if length > maxBlockPayload {
-		return &CorruptError{Block: r.blockIdx, Offset: frameOff,
-			Reason: fmt.Sprintf("oversized frame (%d bytes)", length)}
-	}
-	if !frameShapeValid(length, count, codec) {
-		return &CorruptError{Block: r.blockIdx, Offset: frameOff,
-			Reason: fmt.Sprintf("frame length %d / record count %d mismatch (codec %s)", length, count, codec)}
-	}
-	stored := &r.blk
-	if codec != CodecIdentity {
-		stored = &r.cblk
-	}
-	*stored = sliceFor(*stored, int(length))
-	n, err = io.ReadFull(r.br, *stored)
-	r.off += int64(n)
-	if err != nil {
-		return &CorruptError{Block: r.blockIdx, Offset: frameOff, Reason: "short frame payload"}
-	}
-	if got := crc32.Checksum(*stored, castagnoli); got != sum {
-		return &CorruptError{Block: r.blockIdx, Offset: frameOff,
-			Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
-	}
-	if codec != CodecIdentity {
-		c, _ := CodecByID(codec) // frameShapeValid guarantees it resolves
-		raw := int(count) * recordSize
-		blk, derr := c.AppendDecode(r.blk[:0], r.cblk, raw)
-		r.blk = blk
-		if derr != nil {
-			return &CorruptError{Block: r.blockIdx, Offset: frameOff,
-				Reason: fmt.Sprintf("payload decode (%s): %v", codec, derr)}
-		}
-		if len(r.blk) != raw {
-			return &CorruptError{Block: r.blockIdx, Offset: frameOff,
-				Reason: fmt.Sprintf("decoded length %d, want %d", len(r.blk), raw)}
-		}
-	}
-	r.blkOff = 0
-	r.blockIdx++
-	return nil
-}
-
 // SalvageReport summarizes what Salvage recovered from a possibly
 // damaged stream.
 type SalvageReport struct {

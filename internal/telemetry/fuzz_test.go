@@ -3,7 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"errors"
-	"io"
+	"slices"
 	"testing"
 )
 
@@ -57,42 +57,77 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 }
 
-// FuzzReader: arbitrary input must never panic the reader; every
-// successfully decoded record must survive an encode/decode round trip
-// (i.e. the decoder only ever produces representable observations), and
-// failures must be one of the typed errors.
+// FuzzReader: arbitrary input must never panic the strict Reader, and
+// it must agree with the reference walk (assertStrictMatchesReference).
 func FuzzReader(f *testing.F) {
-	for _, s := range fuzzSeeds(f) {
+	seeds := fuzzSeeds(f)
+	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for {
-			o, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) &&
-					!errors.Is(err, ErrUnsupportedVersion) {
-					t.Fatalf("untyped reader error: %v", err)
-				}
-				break
-			}
-			var buf bytes.Buffer
-			w := NewWriterV2(&buf)
-			if err := w.Write(o); err != nil || w.Flush() != nil {
-				t.Fatalf("re-encode failed: %v", err)
-			}
-			got, err := NewReader(&buf).Read()
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if got != o {
-				t.Fatalf("round trip diverged: %+v vs %+v", got, o)
-			}
+	// A torn tail and a flipped middle byte of each intact v1, v2 and LZ
+	// stream, so the seeds alone reach the reader's failure paths.
+	for _, s := range seeds[:3] {
+		flipped := bytes.Clone(s)
+		flipped[len(s)/2] ^= 0xff
+		f.Add(s[:len(s)-7])
+		f.Add(flipped)
+	}
+	f.Fuzz(assertStrictMatchesReference)
+}
+
+// assertStrictMatchesReference reads data with the strict Reader, which
+// must deliver exactly the records of the reference walk's intact
+// blocks that follow the signature back to back, end with io.EOF if and
+// only if those blocks reach the end of the stream, and otherwise fail
+// with a typed error. Every record it delivers must also survive an
+// encode/decode round trip: the decoder only ever produces
+// representable observations.
+func assertStrictMatchesReference(t *testing.T, data []byte) {
+	t.Helper()
+	want, end := strictChain(data)
+	var got []Observation
+	err := NewReader(bytes.NewReader(data)).ForEach(func(o Observation) { got = append(got, o) })
+	switch {
+	case end == int64(len(data)) && err != nil:
+		t.Fatalf("the reference's intact blocks reach the end of the stream, reader failed: %v", err)
+	case end < int64(len(data)) && err == nil:
+		t.Fatalf("the reference's intact blocks end at %d of %d bytes, reader reached EOF", end, len(data))
+	case err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) &&
+		!errors.Is(err, ErrUnsupportedVersion):
+		t.Fatalf("untyped reader error: %v", err)
+	case !slices.Equal(got, want):
+		t.Fatalf("reader delivered %d records, the reference's intact blocks hold %d", len(got), len(want))
+	}
+	var rec [recordSize]byte
+	for _, o := range got {
+		encodeRecord(rec[:], o)
+		if back := decodeRecord(rec[:]); back != o {
+			t.Fatalf("round trip diverged: %+v vs %+v", back, o)
+		}
+	}
+}
+
+// strictChain is what a strict read of data must deliver, by the
+// reference walk: the records of the intact blocks that follow the
+// stream signature back to back, and the offset where that run of
+// blocks ends. Without a v1 or v2 signature the run is empty and ends
+// at 0.
+func strictChain(data []byte) (recs []Observation, end int64) {
+	if len(data) < 4 || [4]byte(data) != magic && [4]byte(data) != magicV2 {
+		return nil, 0
+	}
+	end = 4
+	salvageWalk(data, func(b RawBlock, decoded []byte) {
+		if b.Offset != end {
+			return // past a gap: the strict read has already failed
+		}
+		recs = AppendRecords(recs, decoded)
+		end += int64(len(b.Payload))
+		if b.version == 2 {
+			end += blockHeaderSize
 		}
 	})
+	return recs, end
 }
 
 // FuzzSalvage: salvage must never panic, never error except for

@@ -1,9 +1,10 @@
 package telemetry
 
 // The frame walker: the one production parser of the stream framing.
-// BlockReader.Next is its strict face and BlockReader.NextIntact, which
-// Salvage reads through, its tolerant face. It reads through a
-// window that holds at most one maximum-size frame.
+// BlockReader.Next is its strict face, which Reader reads through, and
+// BlockReader.NextIntact, which Salvage reads through, its tolerant
+// face. It reads through a window that holds at most one maximum-size
+// frame.
 
 import (
 	"cmp"

@@ -43,9 +43,8 @@ type Scenario struct {
 	// overridden by the Scenario's.
 	Population population.Config
 	// Abuse tunes the attacker model; AccountsPerDay is scaled to the
-	// population size unless AbuseUnscaled is set.
-	Abuse         abuse.Config
-	AbuseUnscaled bool
+	// population size.
+	Abuse abuse.Config
 }
 
 // DefaultScenario returns the calibrated scenario at the given

@@ -45,13 +45,6 @@ func TestNewSimScalesAbuse(t *testing.T) {
 	if small.Abusive.Cfg.AccountsPerDay < 8 {
 		t.Fatal("abuse floor not applied")
 	}
-	// Unscaled mode preserves the configured volume.
-	sc := DefaultScenario(2_000)
-	sc.AbuseUnscaled = true
-	raw := NewSim(sc)
-	if raw.Abusive.Cfg.AccountsPerDay != sc.Abuse.AccountsPerDay {
-		t.Fatalf("unscaled abuse volume changed: %d", raw.Abusive.Cfg.AccountsPerDay)
-	}
 }
 
 func TestNewSimPopulationSize(t *testing.T) {

@@ -22,14 +22,13 @@ package userv6
 // suffix is regenerated. The resumed output — parts and manifest both
 // — is byte-identical to an uninterrupted run.
 //
-// Export, sharded resume and single-file resume (ResumeFileFS) write
-// every file through one filler, fillFile, and fill a manifest's parts
-// through one runner, fillParts.
+// Export, sharded resume and single-file generation and resume
+// (WriteFileFS, ResumeFileFS) write every file through one filler,
+// fillFile, and fill a manifest's parts through one runner, fillParts.
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -223,48 +222,27 @@ func (s *Sim) ResumeShardedFS(ctx context.Context, fsys faultio.FS, dir string, 
 	return run.fill(ctx, s, true, wrap)
 }
 
-// ResumeFileFS finishes an interrupted single-file dataset run at path
-// (`userv6gen gen -resume`). The configuration comes from the header of
-// path, or of path.tmp when path is absent; a header that fails its
-// checksum or names another seed or user count than the Sim's is
-// refused. The file is refilled exactly like a sharded part covering
-// users [0, N) plus, unless the header says benign-only, the abusive
-// stream: the trusted prefix of what survives is kept and generation
-// restarts at its frontier. The finished file is byte-identical to an
-// uninterrupted run, and resuming a complete file reproduces it.
+// WriteFileFS writes the dataset meta describes into the single file
+// at path (`userv6gen gen`): benign users [0, N) over meta's window,
+// then the abusive stream unless meta.BenignOnly. meta must name the
+// Sim's seed and user count, and becomes the file's header. wrap, when
+// non-nil, decorates the emit func generation writes through (the
+// deterministic sampler).
 //
-// It reports the frontier generation restarted at, the number of
-// records kept from the prefix (Restart and 0 when the file started
-// from scratch) and the records the file holds. A cancelled resume
-// finalizes the partial file and returns the context's error alongside
-// those figures; it can be resumed again. wrap must be the emit
-// decorator the original run used (its deterministic sampler), or the
-// regenerated suffix will diverge.
-func (s *Sim) ResumeFileFS(ctx context.Context, fsys faultio.FS, path string, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (front dataset.Frontier, kept int, records uint64, err error) {
-	src := path
-	if _, err := os.Stat(path); err != nil {
-		src = path + ".tmp"
+// With resume set, the file first keeps the trusted prefix an
+// interrupted run left at path or path.tmp, and generation restarts at
+// its frontier; without it, nothing on disk is read. It reports that
+// frontier, the records kept (Restart and 0 when the file started from
+// scratch) and the records the file holds. A write error stops
+// generation within one (user, day) batch and leaves path.tmp; a
+// cancelled run finalizes the partial file and returns the context's
+// error. Either can be resumed.
+func (s *Sim) WriteFileFS(ctx context.Context, fsys faultio.FS, path string, meta dataset.Meta, resume bool, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (front dataset.Frontier, kept int, records uint64, err error) {
+	if meta.Seed != s.Scenario.Seed || meta.Users != len(s.Pop.Users) {
+		return front, 0, 0, fmt.Errorf("userv6: %s: dataset is for seed %d / %d users, sim has seed %d / %d users",
+			path, meta.Seed, meta.Users, s.Scenario.Seed, len(s.Pop.Users))
 	}
-	hdr, err := dataset.NewFileSource(src)
-	if err != nil {
-		return front, 0, 0, fmt.Errorf("userv6: resume %s: %w", path, err)
-	}
-	meta, ok := hdr.Meta()
-	switch {
-	case !ok:
-		return front, 0, 0, fmt.Errorf("userv6: resume %s: raw telemetry stream has no dataset header", src)
-	case meta.Seed != s.Scenario.Seed || meta.Users != len(s.Pop.Users):
-		return front, 0, 0, fmt.Errorf("userv6: resume %s: header is for seed %d / %d users, sim has seed %d / %d users",
-			src, meta.Seed, meta.Users, s.Scenario.Seed, len(s.Pop.Users))
-	}
-	// The resumed file carries the original run's configuration, block
-	// codec included, or its bytes would diverge from the uninterrupted
-	// run's; counts and completion are the new writer's.
-	meta = dataset.Meta{
-		Seed: meta.Seed, Users: meta.Users, FromDay: meta.FromDay, ToDay: meta.ToDay,
-		Sample: meta.Sample, BenignOnly: meta.BenignOnly, Codec: meta.Codec,
-	}
-	w, front, kept, err := s.fillFile(ctx, fsys, path, meta, 0, meta.Users, !meta.BenignOnly, true, wrap)
+	w, front, kept, err := s.fillFile(ctx, fsys, path, meta, 0, meta.Users, !meta.BenignOnly, resume, wrap)
 	if err == nil {
 		err = w.Close()
 	}
@@ -272,6 +250,22 @@ func (s *Sim) ResumeFileFS(ctx context.Context, fsys faultio.FS, path string, wr
 		records = w.Records()
 	}
 	return front, kept, records, err
+}
+
+// ResumeFileFS finishes an interrupted single-file dataset run at path
+// (`userv6gen gen -resume`): WriteFileFS resuming, under meta, the
+// header the caller read from path, or from path.tmp when path is
+// absent. The file keeps that configuration, block codec included;
+// its counts and completion are the new writer's. The finished file is
+// byte-identical to an uninterrupted run, and resuming a complete file
+// reproduces it. wrap must be the emit decorator the original run used
+// (its deterministic sampler), or the regenerated suffix will diverge.
+func (s *Sim) ResumeFileFS(ctx context.Context, fsys faultio.FS, path string, meta dataset.Meta, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (front dataset.Frontier, kept int, records uint64, err error) {
+	meta = dataset.Meta{
+		Seed: meta.Seed, Users: meta.Users, FromDay: meta.FromDay, ToDay: meta.ToDay,
+		Sample: meta.Sample, BenignOnly: meta.BenignOnly, Codec: meta.Codec,
+	}
+	return s.WriteFileFS(ctx, fsys, path, meta, true, wrap)
 }
 
 // fillFile writes the dataset file at path under meta: benign users
@@ -287,11 +281,11 @@ func (s *Sim) ResumeFileFS(ctx context.Context, fsys faultio.FS, path string, wr
 // frontier and kept count report it.
 //
 // On success the writer holds the whole file, still open for the
-// caller to finalize. On failure it comes back already closed, best
-// effort: a cancelled file is finalized as a valid partial dataset and
-// any other failure leaves the .tmp, so a later resume starts from
-// whatever reached disk. The writer is nil if the file was never
-// created.
+// caller to finalize. On failure it comes back already closed: a
+// cancelled file is finalized as a valid partial dataset, and a failure
+// to finalize it is the file's error; any other failure leaves the
+// .tmp (closed best effort), so a later resume starts from whatever
+// reached disk. The writer is nil if the file was never created.
 func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta dataset.Meta, lo, hi int, abusive, resume bool, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (*dataset.Writer, dataset.Frontier, int, error) {
 	var prefix []telemetry.Observation
 	if resume {
@@ -342,7 +336,9 @@ func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta d
 		err = werr
 	}
 	if err != nil {
-		w.Close() // best effort: keep whatever reached disk
+		if cerr := w.Close(); cerr != nil && werr == nil {
+			err = cerr
+		}
 	}
 	return w, front, keep, err
 }

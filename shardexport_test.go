@@ -208,7 +208,7 @@ func TestResumeByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				front, kept, records, err := sim.ResumeFileFS(context.Background(), faultio.OS, path, nil)
+				front, kept, records, err := sim.ResumeFileFS(context.Background(), faultio.OS, path, run.meta, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -335,7 +335,7 @@ func TestResumeTruncationSweep(t *testing.T) {
 				t.Fatalf("crash failpoint at %d never fired (close: %v)", off, err)
 			}
 
-			if _, _, _, err := sim.ResumeFileFS(context.Background(), faultio.OS, path, nil); err != nil {
+			if _, _, _, err := sim.ResumeFileFS(context.Background(), faultio.OS, path, meta, nil); err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(path)

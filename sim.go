@@ -34,12 +34,7 @@ func NewSim(sc Scenario) *Sim {
 
 	acfg := sc.Abuse
 	acfg.Seed = sc.Seed
-	if !sc.AbuseUnscaled {
-		acfg.AccountsPerDay = int(float64(acfg.AccountsPerDay) * sc.Scale())
-		if acfg.AccountsPerDay < 8 {
-			acfg.AccountsPerDay = 8
-		}
-	}
+	acfg.AccountsPerDay = max(int(float64(acfg.AccountsPerDay)*sc.Scale()), 8)
 
 	return &Sim{
 		Scenario: sc,
