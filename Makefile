@@ -71,8 +71,9 @@ race:
 # its per-record reference at GOMAXPROCS 1, 2 and 4 (stored records
 # written as bytes, blocks encoded concurrently), an output write
 # failing under concurrent encoding, which must leave no goroutine, and
-# a `userv6gen gen` whose writes keep failing, which must exit 1 and
-# leave a .tmp that `gen -resume` finishes byte-identical.
+# a `userv6gen gen` whose writes keep failing, which must exit 1, report
+# how often the failpoint fired, and leave a .tmp that `gen -resume`
+# finishes byte-identical.
 # FAULTS_FLAGS=-short subsamples the truncation sweeps for the PR gate;
 # nightly runs them full.
 FAULTS_FLAGS ?=
@@ -80,8 +81,10 @@ faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume|TestMergeMatchesRecordWrites|TestMergeWriteFaultStopsGoroutines|TestGenWriteFailureLeavesTmp' . ./internal/dataset ./cmd/userv6gen
 
-# Analysis race gate: the fused decode+analyze path (worker-local
-# replicas, all default analyzers), the sequential one-worker path, the
+# Analysis race gate: the decode+analyze path (worker-local replicas,
+# all default analyzers) at one worker and at several, failed strict
+# reads that must leave the primaries empty (a corrupt last block at one
+# worker, a manifest part swapped for another valid part), the
 # ForEachWorker reader primitives, direct manifest analysis (shared
 # replicas fanned out across parts), the analyze-parity fuzz seeds (one
 # per codec and shape, against the in-memory feed), AnalyzerSet.Fold's
@@ -98,7 +101,7 @@ faults:
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|FuzzAnalyzeParity|TestAnalyzeManifestTolerantCorruptPart' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|FuzzAnalyzeParity|TestAnalyzeManifestTolerantCorruptPart|TestAnalyzeStrictOneWorkerCorruptLastBlock|TestAnalyzeManifestStrictSwappedPart' . ./internal/dataset
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold|TestActioningMatchesReferenceSims|TestRequestLoadMatchesReference|TestIPNoveltyFlags|TestMergeLaws' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the

@@ -1,7 +1,7 @@
 package userv6
 
 // Parity matrix for the source/plan/execute stack: both source shapes
-// (merged file, manifest) under both execution modes, strict and
+// (merged file, manifest) at one worker and at four, strict and
 // tolerant, must produce analyzer state identical to the sequential
 // replay of the merged file — and analyzing a manifest directly must
 // account coverage exactly like merging it first.
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func sequentialBaseline(t *testing.T, path string) analyzeSet {
 	return base
 }
 
-// analyzeModes are the two execution modes, selected by worker count.
+// analyzeModes are a worker count under each plan label.
 var analyzeModes = []struct {
 	name    string
 	workers int
@@ -64,7 +65,7 @@ var analyzeModes = []struct {
 }
 
 // TestAnalyzeSourceParityMatrix sweeps source {file, manifest} ×
-// mode {sequential, fused} × {strict, tolerant} against the merged-file
+// workers {1, 4} × {strict, tolerant} against the merged-file
 // sequential-reader baseline. Inputs are intact here;
 // damage is TestAnalyzeManifestTolerantCorruptPart's job.
 func TestAnalyzeSourceParityMatrix(t *testing.T) {
@@ -235,8 +236,9 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 		}
 	}
 
-	// Strict mode must refuse up front: the part's bytes no longer match
-	// the manifest checksum, and nothing should be analyzed or folded.
+	// Strict mode must refuse, naming the part, with nothing folded: the
+	// corrupt block fails the read before its checksum is compared with
+	// the manifest's (TestAnalyzeManifestStrictSwappedPart covers that).
 	src, err := dataset.OpenManifestSource(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -245,10 +247,90 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 	_, err = AnalyzeSource(context.Background(), src, strict.set,
 		AnalyzeOptions{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), man.Parts[0].Name) {
-		t.Fatalf("strict analysis of corrupted part: err = %v, want checksum mismatch naming %s", err, man.Parts[0].Name)
+		t.Fatalf("strict analysis of corrupted part: err = %v, want an error naming %s", err, man.Parts[0].Name)
 	}
 	if strict.uc.Users() != 0 {
 		t.Fatalf("primaries touched after strict refusal: %d users", strict.uc.Users())
+	}
+}
+
+// TestAnalyzeManifestStrictSwappedPart: a manifest part replaced by
+// another valid part has an intact header and intact frames, so only
+// the manifest's whole-file checksum tells it apart. Strict analysis
+// must fail naming the part, at one worker and at two, and leave the
+// primaries empty though the parts before it were read.
+func TestAnalyzeManifestStrictSwappedPart(t *testing.T) {
+	users := 500
+	sim := NewSim(DefaultScenario(users))
+	dir, _, man := exportShardedWeek(t, sim, users)
+	last := -1
+	for i, p := range man.Parts {
+		if p.Kind == dataset.PartKindBenign {
+			last = i
+		}
+	}
+	if last < 1 {
+		t.Fatalf("export lists %d benign parts, want at least 2", last+1)
+	}
+	first, err := os.ReadFile(filepath.Join(dir, man.Parts[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := man.Parts[last].Name
+	if err := os.WriteFile(filepath.Join(dir, swapped), first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2} {
+		src, err := dataset.OpenManifestSource(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := newAnalyzeSet()
+		_, err = AnalyzeSource(context.Background(), src, got.set, AnalyzeOptions{Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "part "+swapped+": file checksum") {
+			t.Fatalf("workers=%d: strict analysis with %s swapped: err = %v, want its checksum mismatch", workers, swapped, err)
+		}
+		got.assertEqual(t, newAnalyzeSet(), fmt.Sprintf("workers=%d: primaries after the refusal", workers))
+	}
+}
+
+// TestPlanModeSelection: PlanSource resolves Workers <= 0 to GOMAXPROCS,
+// keeps any other count, and labels a one-worker plan sequential and
+// any other fused.
+func TestPlanModeSelection(t *testing.T) {
+	src, err := dataset.NewFileSource(writeAnalyzeDataset(t, NewSim(DefaultScenario(50)), 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		workers int
+		want    int // resolved workers; 0 = GOMAXPROCS
+	}{
+		{"auto one worker", 1, 1},
+		{"auto commutative", 4, 4},
+		{"auto default workers", 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := PlanSource(src, newAnalyzeSet().set, AnalyzeOptions{Workers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.want
+			if want == 0 {
+				want = runtime.GOMAXPROCS(0)
+			}
+			// On a one-CPU machine "all CPUs" is one worker, so sequential.
+			mode := core.ModeFused
+			if want == 1 {
+				mode = core.ModeSequential
+			}
+			if p.Workers != want || p.Mode != mode || p.Parts != 1 {
+				t.Fatalf("PlanSource(Workers %d) = %+v, want %d workers, mode %v, 1 part", tc.workers, p, want, mode)
+			}
+		})
 	}
 }
 

@@ -93,9 +93,10 @@ func writeBenchShardedExport(b *testing.B) string {
 	return dir
 }
 
-// BenchmarkAnalyzeManifest analyzes a sharded export in place: strict
-// per-part checksum gate, then the fused engine fanned out part by
-// part — the path that replaces merge-then-analyze.
+// BenchmarkAnalyzeManifest analyzes a sharded export in place: the
+// fused engine fanned out part by part, each part's manifest checksum
+// checked on the bytes its read consumed — the path that replaces
+// merge-then-analyze.
 func BenchmarkAnalyzeManifest(b *testing.B) {
 	dir := writeBenchShardedExport(b)
 	b.ReportAllocs()

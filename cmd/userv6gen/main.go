@@ -103,11 +103,11 @@ func usage() {
            a sharded export directory, or a manifest.uv6m (no merge needed:
            parts stream through the same workers the merged file would)
            -tolerant  salvage-path read: skip corrupt blocks, report coverage
-           -workers N block-parallel decode + analysis (0 = all CPUs, 1 = sequential);
-                      the default analyzer set is commutative, so parallel runs
-                      use the fused path (decode workers feed worker-local
-                      analyzer replicas, folded once at the end)
-           -explain   print the planner's chosen mode and rationale
+           -workers N block-parallel decode + analysis (0 = all CPUs); each
+                      decode worker feeds its own analyzer replica, and the
+                      replicas fold once after the last part is read, so a
+                      failed read leaves no partial result
+           -explain   print the plan (mode label, workers, parts) before analyzing
   verify   check dataset integrity (block checksums, record counts); on a
            manifest or export directory, checks every part and aggregates
            per-codec block counts across parts
@@ -203,23 +203,27 @@ func runGen(args []string) {
 		}
 		fsys = injector
 	}
-	// At return: write the heap profile, stop the CPU profile, then
-	// report the failpoints — profile bytes flush at
-	// WriteHeapProfile/StopCPUProfile time, and a campaign aimed at a
-	// profile file must count those hits — and fail the run if either
-	// profile could not be written or closed.
-	stopProf := startCPUProfile(fsys, *cpuprofile)
-	defer func() {
+	// At exit, on success and through fatal alike: write the heap
+	// profile, stop the CPU profile, then report the failpoints —
+	// profile bytes flush at WriteHeapProfile/StopCPUProfile time, and a
+	// campaign aimed at a profile file must count those hits — and fail
+	// the run if either profile could not be written or closed.
+	stopProf := func() error { return nil }
+	atExit = func() error {
 		err := errors.Join(writeMemProfile(fsys, *memprofile), stopProf())
 		if injector != nil {
 			for _, p := range injector.Points() {
 				fmt.Fprintf(os.Stderr, "failpoint %s: fired %d time(s)\n", p.Name, p.Hits)
 			}
 		}
-		if err != nil {
+		return err
+	}
+	defer func() {
+		if err := runAtExit(); err != nil {
 			fatal(err)
 		}
 	}()
+	stopProf = startCPUProfile(fsys, *cpuprofile)
 
 	// A SIGINT/SIGTERM cancels generation at the next (user, day) batch;
 	// the writer then finalizes, so an interrupted run still leaves a
@@ -587,10 +591,8 @@ func runVerifyManifest(path string) {
 			fatal(err)
 		}
 		sum := "ok"
-		if want.CRC32C != "" {
-			if got, err := dataset.FileCRC32C(p); err != nil || got != want.CRC32C {
-				sum, intact = "MISMATCH", false
-			}
+		if want.CRC32C != "" && rep.CRC32C != want.CRC32C {
+			sum, intact = "MISMATCH", false
 		}
 		codec := "ok"
 		if err := dataset.CheckPartCodecs(want.Codec, rep.Stream.Codecs); err != nil {
@@ -692,7 +694,10 @@ func formatName(f int) string {
 }
 
 // runSalvage recovers every intact record from a damaged or interrupted
-// dataset into a fresh, complete v2 dataset file.
+// dataset into a fresh, complete v2 dataset file: a tolerant one-part
+// merge, which reads the input once. The output keeps the input's
+// header only when it passes the strict probe merge applies to
+// positional parts; a lost or failing header gives a zero Meta.
 func runSalvage(args []string) {
 	fs := flag.NewFlagSet("salvage", flag.ExitOnError)
 	in := fs.String("i", "telemetry.uv6", "input path (possibly damaged)")
@@ -700,31 +705,17 @@ func runSalvage(args []string) {
 	fs.Parse(args)
 	inputArg(fs, in)
 
-	scan, err := dataset.Scan(*in)
+	var meta dataset.Meta
+	if src, err := dataset.NewFileSource(*in); err == nil {
+		meta, _ = src.Meta()
+	}
+	rep, err := dataset.MergeCtx(context.Background(), *out, meta, []string{*in}, &dataset.MergeOptions{Tolerant: true})
 	if err != nil {
 		fatal(err)
 	}
-	meta := scan.Meta // zero Meta when the header was lost: still salvageable
-	w, err := dataset.Create(*out, meta)
-	if err != nil {
-		fatal(err)
-	}
-	emit, errp := w.Emit()
-	rep, err := dataset.Salvage(*in, emit)
-	if err != nil {
-		w.Abort()
-		fatal(err)
-	}
-	if *errp != nil {
-		w.Abort()
-		fatal(*errp)
-	}
-	if err := w.Close(); err != nil {
-		fatal(err)
-	}
+	c := rep.Parts[0]
 	fmt.Printf("salvaged %d records (%d intact blocks, %d corrupt, %d bytes skipped) from %s to %s\n",
-		rep.Stream.Records, rep.Stream.Blocks, rep.Stream.CorruptBlocks,
-		rep.Stream.SkippedBytes, *in, *out)
+		c.Records, c.BlocksRecovered, c.CorruptBlocks, c.SkippedBytes, *in, *out)
 }
 
 func runInfo(args []string) {
@@ -804,8 +795,8 @@ func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	in := fs.String("i", "telemetry.uv6", "input path (dataset file, sharded export directory, or manifest.uv6m)")
 	tolerant := fs.Bool("tolerant", false, "salvage-path read: analyze intact blocks of a damaged source and report coverage")
-	workers := fs.Int("workers", 0, "block decode + analysis workers (0 = all CPUs, 1 = sequential)")
-	explain := fs.Bool("explain", false, "print the planner's chosen execution mode and why before analyzing")
+	workers := fs.Int("workers", 0, "block decode + analysis workers, each feeding its own analyzer replica (0 = all CPUs)")
+	explain := fs.Bool("explain", false, "print the plan (mode label, workers, parts) before analyzing")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the analysis to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path after analysis")
 	fs.Parse(args)
@@ -815,8 +806,7 @@ func runAnalyze(args []string) {
 	}
 
 	// The input may be a merged file, a sharded export directory, or a
-	// manifest path; the source layer resolves the shape and the
-	// planner picks the execution mode from the worker count.
+	// manifest path; the source layer resolves the shape.
 	src, err := dataset.OpenSource(*in)
 	if err != nil {
 		fatal(err)
@@ -824,7 +814,7 @@ func runAnalyze(args []string) {
 
 	// Every analyzer this command registers — including churn, since its
 	// first-sight-tuple reformulation — folds exactly under arbitrary
-	// stream partition, which is what the fused default relies on.
+	// stream partition, which is what the worker replicas rely on.
 	set := core.NewAnalyzerSet()
 	uc := core.NewUserCentricFor(false)
 	core.AddCommutativeAnalyzer(set, uc,
@@ -982,7 +972,24 @@ func usageError(cmd, format string, args ...any) {
 	os.Exit(2)
 }
 
+// atExit, when set, is what the running command must do before it
+// exits, whether it returns or fails through fatal; runAtExit runs it
+// once.
+var atExit func() error
+
+func runAtExit() error {
+	f := atExit
+	atExit = nil
+	if f == nil {
+		return nil
+	}
+	return f()
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "userv6gen:", err)
+	if err := runAtExit(); err != nil {
+		fmt.Fprintln(os.Stderr, "userv6gen:", err)
+	}
 	os.Exit(1)
 }

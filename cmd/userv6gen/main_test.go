@@ -12,12 +12,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"userv6/internal/dataset"
 	"userv6/internal/faultio"
+	"userv6/internal/telemetry"
 )
 
 func TestMain(m *testing.M) {
@@ -226,8 +229,9 @@ func TestGenResumeAfterCrash(t *testing.T) {
 }
 
 // TestGenWriteFailureLeavesTmp: a gen whose temp-file writes fail from
-// the third on exits 1 and leaves its .tmp, not the target, and `gen
-// -resume` finishes that .tmp into the file a plain gen writes.
+// the third on exits 1, reports how often the failpoint fired, and
+// leaves its .tmp, not the target, and `gen -resume` finishes that .tmp
+// into the file a plain gen writes.
 func TestGenWriteFailureLeavesTmp(t *testing.T) {
 	dir := t.TempDir()
 	plain, out := filepath.Join(dir, "plain.uv6"), filepath.Join(dir, "week.uv6")
@@ -238,8 +242,9 @@ func TestGenWriteFailureLeavesTmp(t *testing.T) {
 	}
 
 	_, stderr, code := userv6gen(t, "gen", "-users", "300", "-o", out, "-faults", "week.uv6.tmp:write:n=3:x=-1:err")
-	if code != 1 || !strings.Contains(stderr, "injected transient error") {
-		t.Fatalf("gen under a persistent write error: exit %d\n%s", code, stderr)
+	if code != 1 || !strings.Contains(stderr, "injected transient error") ||
+		!regexp.MustCompile(`(?m)^failpoint week\.uv6\.tmp:write: fired [1-9][0-9]* time\(s\)$`).MatchString(stderr) {
+		t.Fatalf("gen under a persistent write error: exit %d, want 1 and the failpoint's hits\n%s", code, stderr)
 	}
 	if _, err := os.Stat(out + ".tmp"); err != nil {
 		t.Fatalf("the failed gen left no .tmp to resume: %v", err)
@@ -433,6 +438,109 @@ func TestAnalyzeOutputIndependentOfWorkersAndShape(t *testing.T) {
 			!strings.Contains(coverage, " ("+records+" records; 0 corrupt blocks") || head+"\n\n"+rest != want {
 			t.Fatalf("analyze -tolerant %s does not print a coverage line of %s records before the strict output:\n%s",
 				filepath.Base(in), records, got)
+		}
+	}
+}
+
+// TestSalvageDropsUntrustedHeader: salvage of a file whose header fails
+// its checksum recovers every record into a file that verifies, under a
+// zero Meta rather than the damaged header's configuration.
+func TestSalvageDropsUntrustedHeader(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "week.uv6"), filepath.Join(dir, "rec.uv6")
+	mustRun(t, "gen", "-users", "300", "-o", in)
+	flipSeedDigit(t, in)
+	mustRun(t, "salvage", "-o", out, in)
+	mustRun(t, "verify", out)
+
+	scan, err := dataset.Scan(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := dataset.NewFileSource(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := src.Meta()
+	want := dataset.Meta{Records: scan.Stream.Records, Format: dataset.FormatV2, Complete: true, HeaderCRC: got.HeaderCRC}
+	if got != want {
+		t.Fatalf("salvaged header %+v, want %+v", got, want)
+	}
+}
+
+// TestSalvageMatchesDatasetSalvage: salvage of a file with two damaged
+// blocks writes exactly the records dataset.Salvage recovers, keeps the
+// input's verified header, and reports what it recovered.
+func TestSalvageMatchesDatasetSalvage(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "week.uv6"), filepath.Join(dir, "rec.uv6")
+	mustRun(t, "gen", "-users", "300", "-compress=auto", "-o", in)
+	b, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/3] ^= 0xff
+	b[2*len(b)/3] ^= 0xff
+	if err := os.WriteFile(in, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout := mustRun(t, "salvage", "-o", out, in)
+
+	var want []telemetry.Observation
+	rep, err := dataset.Salvage(in, func(o telemetry.Observation) { want = append(want, o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stream.CorruptBlocks != 2 {
+		t.Fatalf("damaged input: %+v, want 2 corrupt blocks", rep.Stream)
+	}
+	line := fmt.Sprintf("salvaged %d records (%d intact blocks, %d corrupt, %d bytes skipped) from %s to %s\n",
+		rep.Stream.Records, rep.Stream.Blocks, rep.Stream.CorruptBlocks, rep.Stream.SkippedBytes, in, out)
+	if stdout != line {
+		t.Fatalf("salvage printed %q, want %q", stdout, line)
+	}
+	r, err := dataset.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var got []telemetry.Observation
+	if err := r.ForEach(func(o telemetry.Observation) { got = append(got, o) }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("salvaged file holds %d records, dataset.Salvage recovers %d (or they differ)", len(got), len(want))
+	}
+	if m := r.Meta(); m.Seed != rep.Meta.Seed || m.Users != rep.Meta.Users || m.Codec != rep.Meta.Codec {
+		t.Fatalf("salvaged header %+v does not keep the input's %+v", m, rep.Meta)
+	}
+}
+
+// TestVerifyExport: verify on an intact export prints an INTACT verdict
+// and exits 0; with two benign parts swapped, both rows print MISMATCH
+// in the checksum column and verify exits 1.
+func TestVerifyExport(t *testing.T) {
+	export := filepath.Join(t.TempDir(), "export")
+	mustRun(t, "gen", "-users", "300", "-shards", "2", "-compress=auto", "-o", export)
+	if out := mustRun(t, "verify", export); !strings.Contains(out, "\nverdict: INTACT\n") {
+		t.Fatalf("verify on an intact export:\n%s", out)
+	}
+
+	p0, p1 := filepath.Join(export, "part-0000.uv6"), filepath.Join(export, "part-0001.uv6")
+	tmp := filepath.Join(export, "swap")
+	for _, mv := range [][2]string{{p0, tmp}, {p1, p0}, {tmp, p1}} {
+		if err := os.Rename(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stdout, stderr, code := userv6gen(t, "verify", export)
+	if code != 1 {
+		t.Fatalf("verify with swapped parts: exit %d\n%s%s", code, stdout, stderr)
+	}
+	for _, part := range []string{"part-0000.uv6", "part-0001.uv6"} {
+		// part, blocks, records, corrupt, checksum, codec
+		if row := strings.Fields(tableRow(stdout, part)); len(row) != 6 || row[4] != "MISMATCH" {
+			t.Fatalf("verify with swapped parts: row %q, want MISMATCH in the checksum column\n%s", row, stdout)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"userv6/internal/core"
@@ -114,11 +115,11 @@ func TestAnalyzeDatasetFusedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDatasetParallelMatchesSequential compares the two modes
-// through AnalyzeSource alone: a multi-worker run (fused) must reproduce
-// the one-worker run (sequential) in analyzer state and in the coverage
-// report, strict and tolerant, including worker counts that do not
-// divide the block count.
+// TestAnalyzeDatasetParallelMatchesSequential compares worker counts
+// through AnalyzeSource alone: a multi-worker run must reproduce the
+// one-worker run, which reads in stream order, in analyzer state and
+// in the coverage report, strict and tolerant, including worker counts
+// that do not divide the block count.
 func TestAnalyzeDatasetParallelMatchesSequential(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
@@ -177,10 +178,9 @@ func (b *bombAnalyzer) Observe(telemetry.Observation) {
 }
 
 // A panic inside an analyzer must surface as a typed
-// *dataset.WorkerPanicError in both modes, not crash the caller. The
-// fused mode must also leave the set's primaries unfolded — no partial
-// fold masquerading as a result. The sequential mode feeds the
-// primaries directly, so only the error is asserted there.
+// *dataset.WorkerPanicError at one worker and at four, not crash the
+// caller, and leave the set's primaries unfolded — no partial fold
+// masquerading as a result.
 func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 	users := fusedTestUsers()
 	sim := NewSim(DefaultScenario(users))
@@ -199,9 +199,6 @@ func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 		if pe.Value != "bomb" {
 			t.Fatalf("workers=%d: panic value %v, want bomb", workers, pe.Value)
 		}
-		if workers == 1 {
-			continue
-		}
 		if got := s.uc.Users(); got != 0 {
 			t.Fatalf("workers=%d: primaries folded after failure: %d users", workers, got)
 		}
@@ -209,4 +206,38 @@ func TestAnalyzeDatasetFusedWorkerPanic(t *testing.T) {
 			t.Fatalf("workers=%d: churn primary folded after failure: %+v", workers, got)
 		}
 	}
+}
+
+// TestAnalyzeStrictOneWorkerCorruptLastBlock: a strict one-worker
+// analysis of a file whose last block is corrupt fails naming the file
+// and the block, and leaves the primaries as empty as a fresh set's,
+// though every block before the corrupt one was read and analyzed.
+func TestAnalyzeStrictOneWorkerCorruptLastBlock(t *testing.T) {
+	users := fusedTestUsers()
+	sim := NewSim(DefaultScenario(users))
+	path := writeAnalyzeDataset(t, sim, users)
+	scan, err := dataset.Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := scan.Stream.Blocks - 1
+	if last < 1 {
+		t.Fatalf("%s holds %d blocks; the test needs blocks before the corrupt one", path, last+1)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff // the last block's last payload byte
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got := newAnalyzeSet()
+	_, err = analyzeFile(path, 1, got.set, false)
+	var ce *telemetry.CorruptError
+	if !errors.As(err, &ce) || ce.Block != last || !strings.Contains(err.Error(), "w.uv6") {
+		t.Fatalf("strict one-worker read of a corrupt block %d: err = %v, want a corrupt-block error naming w.uv6", last, err)
+	}
+	got.assertEqual(t, newAnalyzeSet(), "primaries after a failed strict read")
 }

@@ -1,12 +1,12 @@
 package core
 
 // Analyzer sets: an AnalyzerSet names the analyzers a run wants
-// populated. A sequential run feeds the registered primaries directly;
-// a parallel run gives each worker a Replica of every analyzer, feeds it
-// an arbitrary share of the stream, and folds the replicas back into the
-// primaries with the analyzers' Merge methods. Both leave the primaries
-// holding identical state, because every registration declares a
-// commutative Merge.
+// populated. A feed in memory (userv6.Paper's pass) feeds the registered
+// primaries directly; an analysis of stored data gives each decode
+// worker a Replica of every analyzer, feeds it an arbitrary share of the
+// stream, and folds the replicas back into the primaries with the
+// analyzers' Merge methods. Both leave the primaries holding identical
+// state, because every registration declares a commutative Merge.
 
 import (
 	"fmt"
@@ -25,9 +25,9 @@ type Observer interface {
 
 // AnalyzerSet is a named collection of analyzers to populate from one
 // pass over a telemetry stream. Register each analyzer with
-// AddCommutativeAnalyzer, then either feed the set directly (sequential)
-// or feed Replicas and Fold them (parallel); both leave the registered
-// primaries holding identical state.
+// AddCommutativeAnalyzer, then either feed the set directly (in memory)
+// or feed Replicas and Fold them (stored data); both leave the
+// registered primaries holding identical state.
 //
 // Every registration is commutative: its state must not depend on
 // observation order, on how the stream is split across replicas, or on
@@ -66,10 +66,11 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // partitioned across replicas before folding. Concretely, feeding any
 // permutation of the same multiset of observations — or splitting it
 // arbitrarily (not just user-disjointly) across replicas and folding —
-// must leave state identical to the in-order sequential feed. The fused
-// execution mode relies on it. Analyzers whose state is a pure set- or
-// lattice-fold qualify. The default five keep a user table (per user,
-// the distinct addresses or prefixes seen, each with a value): set
+// must leave state identical to the in-order sequential feed. Analysis
+// of stored data relies on it: every decode worker feeds a replica.
+// Analyzers whose state is a pure set- or lattice-fold qualify. The
+// default five keep a user table (per user, the distinct addresses or
+// prefixes seen, each with a value): set
 // union for UserCentric's addresses and IPCentric's prefixes, min/OR
 // folds (Lifespans), OR folds with summed tallies (Prevalence), and
 // min-day first-sight tuples (ChurnAttribution). The table is pooled
@@ -128,7 +129,7 @@ func samePrimary(a, b Observer) bool {
 }
 
 // Observe feeds one observation to every registered primary directly —
-// the sequential path, and the reference every replica fold must match.
+// the feed in memory, and the reference every replica fold must match.
 func (s *AnalyzerSet) Observe(o telemetry.Observation) {
 	for i := range s.regs {
 		r := &s.regs[i]
@@ -139,8 +140,8 @@ func (s *AnalyzerSet) Observe(o telemetry.Observation) {
 }
 
 // Replica is an independent copy of every registered analyzer. Each
-// fused decode worker feeds its own Replica with no locking, and Fold
-// merges them back into the primaries.
+// decode worker of an analysis feeds its own Replica with no locking,
+// and Fold merges them back into the primaries.
 type Replica struct {
 	set *AnalyzerSet
 	obs []Observer

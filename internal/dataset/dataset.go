@@ -349,46 +349,47 @@ type Reader struct {
 // passes its checksum, or a headerless raw telemetry stream (Raw true,
 // zero Meta).
 func Open(path string) (*Reader, error) {
-	f, meta, raw, err := openDataset(path)
+	f, meta, hdr, err := openDataset(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, tr: telemetry.NewReader(f), meta: meta, raw: raw}, nil
+	return &Reader{f: f, tr: telemetry.NewReader(f), meta: meta, raw: hdr == nil}, nil
 }
 
 // openDataset opens path and reads its header: the one accept rule
 // Open, OpenParallel and the source probes share. A file that starts
-// with a telemetry stream signature is a headerless raw stream: raw is
-// true, meta is zero, and f is rewound to byte zero. Anything else must
+// with a telemetry stream signature is a headerless raw stream: meta is
+// zero, hdr is nil, and f is rewound to byte zero. Anything else must
 // begin with a full headerSize-byte header that parses and passes its
-// checksum, and f is left just past it. A format-2 header pins the
-// stream version: the stream must begin with the v2 signature.
-func openDataset(path string) (f *os.File, meta Meta, raw bool, err error) {
+// checksum: hdr holds the bytes it was parsed from, and f is left just
+// past them. A format-2 header pins the stream version: the stream must
+// begin with the v2 signature.
+func openDataset(path string) (f *os.File, meta Meta, hdr []byte, err error) {
 	f, err = os.Open(path)
 	if err != nil {
-		return nil, Meta{}, false, fmt.Errorf("dataset: open: %w", err)
+		return nil, Meta{}, nil, fmt.Errorf("dataset: open: %w", err)
 	}
-	if meta, raw, err = readHeader(f); err != nil {
+	if meta, hdr, err = readHeader(f); err != nil {
 		f.Close()
-		return nil, Meta{}, false, err
+		return nil, Meta{}, nil, err
 	}
-	return f, meta, raw, nil
+	return f, meta, hdr, nil
 }
 
-func readHeader(f *os.File) (Meta, bool, error) {
+func readHeader(f *os.File) (Meta, []byte, error) {
 	hdr := make([]byte, headerSize)
 	n, err := io.ReadFull(f, hdr)
 	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return Meta{}, false, fmt.Errorf("dataset: read header: %w", err)
+		return Meta{}, nil, fmt.Errorf("dataset: read header: %w", err)
 	}
 	if isRawStream(hdr[:n]) {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return Meta{}, false, fmt.Errorf("dataset: seek: %w", err)
+			return Meta{}, nil, fmt.Errorf("dataset: seek: %w", err)
 		}
-		return Meta{}, true, nil
+		return Meta{}, nil, nil
 	}
 	if n != headerSize {
-		return Meta{}, false, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
+		return Meta{}, nil, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
 	}
 	meta, err := parseHeader(hdr)
 	if err == nil && meta.Format == FormatV2 {
@@ -402,7 +403,7 @@ func readHeader(f *os.File) (Meta, bool, error) {
 			err = fmt.Errorf("dataset: read stream signature: %w", rerr)
 		}
 	}
-	return meta, false, err
+	return meta, hdr, err
 }
 
 // ErrStreamSignature reports a format-2 header over a stream with
@@ -475,6 +476,10 @@ type ScanReport struct {
 	// StreamErr is set when the record stream is unrecognizable (no
 	// signature and no intact block).
 	StreamErr string
+	// CRC32C is the whole-file checksum of the bytes the scan read,
+	// rendered like FileCRC32C: every byte of the file, unless a read
+	// failed part way.
+	CRC32C string
 }
 
 // Intact reports whether the file verifies end to end: parseable or
@@ -520,19 +525,21 @@ func salvage(path string, emit telemetry.EmitFunc) (ScanReport, error) {
 	defer f.Close()
 
 	var rep ScanReport
+	sum := crc32.New(headerCastagnoli)
+	in := io.TeeReader(f, sum)
 	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(f, hdr)
+	n, err := io.ReadFull(in, hdr)
 	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return ScanReport{}, fmt.Errorf("dataset: read header: %w", err)
 	}
 	hdr = hdr[:n]
 
-	var stream io.Reader = f
+	stream := in
 	pin := 0
 	if isRawStream(hdr) {
 		// Headerless raw telemetry stream: scan from byte zero.
 		rep.Raw = true
-		stream = io.MultiReader(bytes.NewReader(hdr), f)
+		stream = io.MultiReader(bytes.NewReader(hdr), in)
 	} else if n == headerSize {
 		meta, err := parseHeader(hdr)
 		switch {
@@ -548,5 +555,6 @@ func salvage(path string, emit telemetry.EmitFunc) (ScanReport, error) {
 	if serr != nil {
 		rep.StreamErr = serr.Error()
 	}
+	rep.CRC32C = fmt.Sprintf("%08x", sum.Sum32())
 	return rep, nil
 }

@@ -13,6 +13,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
@@ -56,6 +58,9 @@ type ParallelReader struct {
 	meta Meta
 	raw  bool
 	opts ParallelOptions
+	// sum hashes every byte the reader consumes: the header it parsed,
+	// then the stream as the walk reads it.
+	sum hash.Hash32
 
 	consumed bool
 	coverage telemetry.SalvageReport
@@ -69,11 +74,13 @@ func OpenParallel(path string, opts ParallelOptions) (*ParallelReader, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	f, meta, raw, err := openDataset(path)
+	f, meta, hdr, err := openDataset(path)
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelReader{f: f, meta: meta, raw: raw, opts: opts}, nil
+	sum := crc32.New(headerCastagnoli)
+	sum.Write(hdr) // nil for a raw stream, whose walk starts at byte zero
+	return &ParallelReader{f: f, meta: meta, raw: hdr == nil, opts: opts, sum: sum}, nil
 }
 
 // Meta returns the dataset metadata (zero for raw streams).
@@ -94,6 +101,18 @@ func (pr *ParallelReader) Raw() bool { return pr.raw }
 // corrupt or skipped by construction. A failed read reports nothing.
 func (pr *ParallelReader) Coverage() (telemetry.SalvageReport, bool) {
 	return pr.coverage, pr.covered
+}
+
+// CRC32C returns the whole-file checksum of a completed read, rendered
+// like FileCRC32C, or "" before a read completes. A read consumes the
+// file once, from the header to the end of the stream, and the checksum
+// covers exactly the bytes it consumed: the bytes its records and
+// Coverage came from.
+func (pr *ParallelReader) CRC32C() string {
+	if !pr.covered {
+		return ""
+	}
+	return fmt.Sprintf("%08x", pr.sum.Sum32())
 }
 
 // Close closes the underlying file.
@@ -204,7 +223,7 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 	if !pr.raw {
 		pin = streamPin(pr.meta)
 	}
-	br := telemetry.NewBlockReaderVersion(pr.f, pin)
+	br := telemetry.NewBlockReaderVersion(io.TeeReader(pr.f, pr.sum), pin)
 	jobs := make(chan scannedBlock, pr.opts.Workers)
 	go scanLabeled(func() {
 		defer close(jobs)

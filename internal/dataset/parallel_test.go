@@ -27,7 +27,7 @@ func readSequential(t *testing.T, path string) []telemetry.Observation {
 }
 
 // readOneWorker drains a dataset through a one-worker ForEachWorker —
-// the sequential analysis path — which delivers blocks in stream order.
+// a one-worker analysis read — which delivers blocks in stream order.
 func readOneWorker(t *testing.T, path string, tolerant bool) []telemetry.Observation {
 	t.Helper()
 	pr, err := OpenParallel(path, ParallelOptions{Workers: 1, Tolerant: tolerant})
@@ -327,5 +327,48 @@ func TestParallelReaderSingleUse(t *testing.T) {
 	}
 	if _, err := collectOneWorker(pr); err == nil {
 		t.Fatal("second consume after a failed read must fail")
+	}
+}
+
+// TestReadsChecksumWholeFile: Scan and a completed ParallelReader read,
+// strict or tolerant, each checksum exactly the bytes FileCRC32C does —
+// on a dataset file, a headerless raw stream and a damaged file — and a
+// failed read reports no checksum.
+func TestReadsChecksumWholeFile(t *testing.T) {
+	in := sample(3000)
+	file := writeDataset(t, in)
+	bad := corruptCopy(t, file, blockPayload(1, 7))
+	for _, path := range []string{file, writeRawStream(t, in), bad} {
+		want, err := FileCRC32C(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := Scan(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scan.CRC32C != want {
+			t.Fatalf("%s: Scan checksum %s, FileCRC32C %s", filepath.Base(path), scan.CRC32C, want)
+		}
+		for _, tolerant := range []bool{false, true} {
+			pr, err := OpenParallel(path, ParallelOptions{Workers: 2, Tolerant: tolerant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = pr.ForEachWorker(context.Background(), func(int) func(Batch) error {
+				return func(Batch) error { return nil }
+			})
+			pr.Close()
+			if wantErr := path == bad && !tolerant; (err != nil) != wantErr {
+				t.Fatalf("%s tolerant=%v: read error %v", filepath.Base(path), tolerant, err)
+			}
+			wantRead := want
+			if err != nil {
+				wantRead = ""
+			}
+			if got := pr.CRC32C(); got != wantRead {
+				t.Fatalf("%s tolerant=%v: read checksum %q, want %q", filepath.Base(path), tolerant, got, wantRead)
+			}
+		}
 	}
 }

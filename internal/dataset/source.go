@@ -38,12 +38,12 @@ type Source interface {
 // headerless raw telemetry stream yields ok=false, anything else is an
 // error.
 func probeMeta(path string) (Meta, bool, error) {
-	f, meta, raw, err := openDataset(path)
+	f, meta, hdr, err := openDataset(path)
 	if err != nil {
 		return Meta{}, false, err
 	}
 	f.Close()
-	return meta, !raw, nil
+	return meta, hdr != nil, nil
 }
 
 // FileSource is a single dataset file (headered or raw stream).
