@@ -496,11 +496,9 @@ func runMerge(args []string) {
 		// Only the header is read; the merge itself salvages the streams.
 		var meta dataset.Meta
 		for _, p := range parts {
-			if src, serr := dataset.NewFileSource(p); serr == nil {
-				if m, ok := src.Meta(); ok {
-					meta = m
-					break
-				}
+			if m, ok, _ := dataset.HeaderMeta(p); ok {
+				meta = m
+				break
 			}
 		}
 		rep, err = dataset.MergeCtx(ctx, *out, meta, parts, opts)
@@ -695,9 +693,10 @@ func formatName(f int) string {
 
 // runSalvage recovers every intact record from a damaged or interrupted
 // dataset into a fresh, complete v2 dataset file: a tolerant one-part
-// merge, which reads the input once. The output keeps the input's
-// header only when it passes the strict probe merge applies to
-// positional parts; a lost or failing header gives a zero Meta.
+// merge, which reads the input once. Like merge's positional parts,
+// the output keeps the input's header when it parses and passes its
+// checksum, whatever the stream behind it holds; a lost or failing
+// header gives a zero Meta.
 func runSalvage(args []string) {
 	fs := flag.NewFlagSet("salvage", flag.ExitOnError)
 	in := fs.String("i", "telemetry.uv6", "input path (possibly damaged)")
@@ -705,10 +704,7 @@ func runSalvage(args []string) {
 	fs.Parse(args)
 	inputArg(fs, in)
 
-	var meta dataset.Meta
-	if src, err := dataset.NewFileSource(*in); err == nil {
-		meta, _ = src.Meta()
-	}
+	meta, _, _ := dataset.HeaderMeta(*in) // zero when the header is lost or fails
 	rep, err := dataset.MergeCtx(context.Background(), *out, meta, []string{*in}, &dataset.MergeOptions{Tolerant: true})
 	if err != nil {
 		fatal(err)

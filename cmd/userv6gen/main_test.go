@@ -468,6 +468,50 @@ func TestSalvageDropsUntrustedHeader(t *testing.T) {
 	}
 }
 
+// TestSalvageKeepsHeaderOverDamagedSignature: a verified header over a
+// damaged stream signature stays the header of what salvage and a
+// positional merge write, while the strict readers still refuse the
+// file.
+func TestSalvageKeepsHeaderOverDamagedSignature(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "week.uv6")
+	mustRun(t, "gen", "-users", "300", "-o", in)
+	f, err := os.OpenFile(in, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header is 256 bytes; byte 259 ends the stream signature uv6\x02.
+	if _, err := f.WriteAt([]byte{0x01}, 259); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan, err := dataset.Scan(in)
+	if err != nil || !scan.HeaderOK || scan.HeaderErr != "" {
+		t.Fatalf("damaged signature: scan %+v, %v; want a verified header", scan, err)
+	}
+	for _, cmd := range []string{"info", "analyze"} {
+		stdout, stderr, code := userv6gen(t, cmd, in)
+		if code != 1 || !strings.Contains(stderr, "stream signature does not match") {
+			t.Fatalf("%s on a damaged signature: exit %d\nstdout: %s\nstderr: %s", cmd, code, stdout, stderr)
+		}
+	}
+	for _, args := range [][]string{{"salvage", "-o"}, {"merge", "-o"}} {
+		out := filepath.Join(dir, args[0]+".uv6")
+		mustRun(t, append(args, out, in)...)
+		r, err := dataset.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := r.Meta()
+		r.Close()
+		if m.Seed != scan.Meta.Seed || m.Users != scan.Meta.Users || m.FromDay != scan.Meta.FromDay || m.ToDay != scan.Meta.ToDay {
+			t.Fatalf("%s: output header %+v does not keep the input's verified %+v", args[0], m, scan.Meta)
+		}
+	}
+}
+
 // TestSalvageMatchesDatasetSalvage: salvage of a file with two damaged
 // blocks writes exactly the records dataset.Salvage recovers, keeps the
 // input's verified header, and reports what it recovered.

@@ -70,10 +70,13 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // of stored data relies on it: every decode worker feeds a replica.
 // Analyzers whose state is a pure set- or lattice-fold qualify. The
 // default five keep a user table (per user, the distinct addresses or
-// prefixes seen, each with a value): set
-// union for UserCentric's addresses and IPCentric's prefixes, min/OR
-// folds (Lifespans), OR folds with summed tallies (Prevalence), and
-// min-day first-sight tuples (ChurnAttribution). The table is pooled
+// prefixes seen, each with a value): UserCentric each user's address
+// sets and IPCentric each user's prefix set and label, both united by
+// Merge, with IPCentric's prefix populations counted when queried;
+// Lifespans min/OR folds of each pair's days; ChurnAttribution min-day
+// first-sight tuples; and Prevalence OR-folded sighting masks, beside
+// which it alone keeps cross-user tallies (each ASN's and country's
+// users, each day's requests). The table is pooled
 // and holds no pointer the GC would trace per user or key: user IDs map
 // to indexes into chunks of by-value states, and each key list is a
 // handle into a per-field pool of key and value chunks. An address or

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"userv6/internal/netaddr"
@@ -13,6 +15,13 @@ import (
 // one prefix length over its feeding window: the engine behind Figures
 // 7-10 and the §6 outlier analyses. Use length 32 for IPv4 addresses,
 // 128 for IPv6 addresses, or any IPv6 prefix length.
+//
+// Its pass state is its user table alone: each user's distinct
+// prefixes and label. The first query after a change counts every
+// prefix's benign and abusive users from the users' lists and caches
+// the counts until the next added entry or Merge, so queries write the
+// analyzer: they must not run concurrently with each other or with
+// Observe or Merge.
 type IPCentric struct {
 	// Length is the aggregation prefix length; Family selects which
 	// observations are counted.
@@ -21,9 +30,9 @@ type IPCentric struct {
 
 	users userTable[userPrefixes]
 	pfx   keyPool[addrKey, struct{}]
-	// prefixes tallies each prefix's users, keyed like pfx: one per
-	// (user, prefix) entry, counted when the entry is added.
-	prefixes map[addrKey]prefixUsers
+	// pops caches each prefix's population: nil until a query counts
+	// it, and again once Observe adds an entry or Merge runs.
+	pops []prefixCount
 }
 
 // userPrefixes holds one user's distinct prefixes, in the pfx pool,
@@ -36,8 +45,8 @@ type userPrefixes struct {
 }
 
 // prefixUsers is one prefix's population tally: benign users in the
-// low 32 bits and abusive accounts in the high 32, so one map update
-// counts (or uncounts) a user of either label.
+// low 32 bits and abusive accounts in the high 32, so one addition
+// counts a user of either label.
 type prefixUsers uint64
 
 // popOf is the tally of one user with the given label.
@@ -52,9 +61,15 @@ func (p prefixUsers) benign() int  { return int(uint32(p)) }
 func (p prefixUsers) abusive() int { return int(p >> 32) }
 func (p prefixUsers) users() int   { return p.benign() + p.abusive() }
 
+// prefixCount is one prefix with its population tally.
+type prefixCount struct {
+	k addrKey
+	prefixUsers
+}
+
 // NewIPCentric returns an analyzer for one family and prefix length.
 func NewIPCentric(fam netaddr.Family, length int) *IPCentric {
-	return &IPCentric{Length: length, Family: fam, prefixes: make(map[addrKey]prefixUsers)}
+	return &IPCentric{Length: length, Family: fam}
 }
 
 // Observe feeds one observation.
@@ -66,47 +81,104 @@ func (ic *IPCentric) Observe(o telemetry.Observation) {
 	if added {
 		u.abusive = o.Abusive
 	}
-	p := keyOf(netaddr.PrefixFrom(o.Addr, ic.Length).Addr())
-	if _, added := ic.pfx.slot(&u.pfx, p); !added {
-		return
+	if _, added := ic.pfx.slot(&u.pfx, keyOf(netaddr.PrefixFrom(o.Addr, ic.Length).Addr())); added {
+		ic.pops = nil
 	}
-	ic.prefixes[p] += popOf(u.abusive)
 }
 
 // Prefixes returns the number of distinct prefixes observed.
-func (ic *IPCentric) Prefixes() int { return len(ic.prefixes) }
+func (ic *IPCentric) Prefixes() int { return len(ic.tally()) }
 
-// Merge folds another analyzer's state into ic: the prefix tallies sum,
-// ic adopts other's pool chunks whole, users only other saw are
-// adopted, and for users both saw each (user, prefix) entry both
-// counted is kept once and uncounted once. Both must use the same
-// family and length. Merge enables sharded parallel
-// analysis. The smaller state is folded into the larger (the two swap
-// first when other holds more users), so other must not be used after
-// Merge.
+// Merge folds another analyzer's state into ic: ic adopts other's pool
+// chunks whole, users only other saw are adopted, and the prefix lists
+// of users both saw are united. Both must use the same family and
+// length. Merge enables sharded parallel analysis. The smaller state
+// is folded into the larger (the two swap first when other holds more
+// users), so other must not be used after Merge.
 func (ic *IPCentric) Merge(other *IPCentric) {
 	if other.users.len() > ic.users.len() {
 		*ic, *other = *other, *ic
 	}
-	for p, op := range other.prefixes {
-		ic.prefixes[p] += op
-	}
+	ic.pops = nil
 	base := ic.pfx.adopt(&other.pfx)
 	ic.users.merge(&other.users, func(u *userPrefixes, _ int) {
 		u.pfx.rebase(base)
 	}, func(into, from *userPrefixes, _ int) {
-		ic.pfx.merge(&into.pfx, &from.pfx, func(p addrKey, _ *struct{}, _ struct{}) {
-			ic.prefixes[p] -= popOf(into.abusive)
-		})
+		ic.pfx.merge(&into.pfx, &from.pfx, nil)
 	})
+}
+
+// tallyPart sizes a count's partitions: n (user, prefix) entries go
+// to the smallest power of two of partitions above n/tallyPart, so a
+// partition holds tallyPart/2 to tallyPart entries on average, few
+// enough that the map counting one stays in cache.
+const tallyPart = 1 << 12
+
+// tally returns every prefix's population, counting it when no count
+// is cached.
+func (ic *IPCentric) tally() []prefixCount {
+	if ic.pops == nil {
+		ic.pops = ic.count()
+	}
+	return ic.pops
+}
+
+// count counts every prefix's benign and abusive users from the users'
+// prefix lists. One random map update per entry over all prefixes
+// would miss the cache on most entries, so count scatters the entries
+// into hash partitions (see tallyPart), counts each partition in one
+// small reused map, and writes each partition's counts back over its
+// own entries. The result is copied out, so the entries-sized scratch
+// is not retained.
+func (ic *IPCentric) count() []prefixCount {
+	n := 0
+	ic.users.each(func(_ uint64, u *userPrefixes) { n += int(u.pfx.n) })
+	if n == 0 {
+		return nil
+	}
+	// 2^b partitions; a key's partition is the top b bits of its hash.
+	b := bits.Len(uint(n / tallyPart))
+	shift := 64 - b
+	off := make([]int, 1<<b+1)
+	ic.users.each(func(_ uint64, u *userPrefixes) {
+		for _, k := range ic.pfx.keysOf(u.pfx) {
+			off[k.hash()>>shift+1]++
+		}
+	})
+	for p := 1; p < len(off); p++ {
+		off[p] += off[p-1]
+	}
+	ents := make([]prefixCount, n)
+	next := slices.Clone(off)
+	ic.users.each(func(_ uint64, u *userPrefixes) {
+		pop := popOf(u.abusive)
+		for _, k := range ic.pfx.keysOf(u.pfx) {
+			p := k.hash() >> shift
+			ents[next[p]] = prefixCount{k, pop}
+			next[p]++
+		}
+	})
+	m := make(map[addrKey]prefixUsers)
+	w := 0
+	for p := 0; p+1 < len(off); p++ {
+		for _, e := range ents[off[p]:off[p+1]] {
+			m[e.k] += e.prefixUsers
+		}
+		for k, pop := range m {
+			ents[w] = prefixCount{k, pop}
+			w++
+		}
+		clear(m)
+	}
+	return slices.Clone(ents[:w])
 }
 
 // UsersPerPrefix returns the histogram of total users (benign + abusive)
 // per prefix (Figures 7 and 9).
 func (ic *IPCentric) UsersPerPrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
-	for _, pop := range ic.prefixes {
-		h.Add(pop.users())
+	for _, p := range ic.tally() {
+		h.Add(p.users())
 	}
 	return h
 }
@@ -114,8 +186,8 @@ func (ic *IPCentric) UsersPerPrefix() *stats.IntHist {
 // BenignPerPrefix returns the histogram of benign users per prefix.
 func (ic *IPCentric) BenignPerPrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
-	for _, pop := range ic.prefixes {
-		h.Add(pop.benign())
+	for _, p := range ic.tally() {
+		h.Add(p.benign())
 	}
 	return h
 }
@@ -125,9 +197,9 @@ func (ic *IPCentric) BenignPerPrefix() *stats.IntHist {
 // 10a).
 func (ic *IPCentric) AbusivePerAbusivePrefix() *stats.IntHist {
 	h := stats.NewIntHist(64)
-	for _, pop := range ic.prefixes {
-		if pop.abusive() > 0 {
-			h.Add(pop.abusive())
+	for _, p := range ic.tally() {
+		if p.abusive() > 0 {
+			h.Add(p.abusive())
 		}
 	}
 	return h
@@ -138,9 +210,9 @@ func (ic *IPCentric) AbusivePerAbusivePrefix() *stats.IntHist {
 // 10b).
 func (ic *IPCentric) BenignPerAbusivePrefix() *stats.IntHist {
 	h := stats.NewIntHist(256)
-	for _, pop := range ic.prefixes {
-		if pop.abusive() > 0 {
-			h.Add(pop.benign())
+	for _, p := range ic.tally() {
+		if p.abusive() > 0 {
+			h.Add(p.benign())
 		}
 	}
 	return h
@@ -150,8 +222,8 @@ func (ic *IPCentric) BenignPerAbusivePrefix() *stats.IntHist {
 // strictly exceeds n.
 func (ic *IPCentric) PrefixesWithMoreThan(n int) int {
 	count := 0
-	for _, pop := range ic.prefixes {
-		if pop.users() > n {
+	for _, p := range ic.tally() {
+		if p.users() > n {
 			count++
 		}
 	}
@@ -166,9 +238,10 @@ type HeavyPrefix struct {
 
 // TopPrefixes returns the k most user-populated prefixes, descending.
 func (ic *IPCentric) TopPrefixes(k int) []HeavyPrefix {
-	tops := make([]HeavyPrefix, 0, len(ic.prefixes))
-	for k, pop := range ic.prefixes {
-		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(k.addr(ic.Family), ic.Length), Users: pop.users(), Abusive: pop.abusive()})
+	pops := ic.tally()
+	tops := make([]HeavyPrefix, 0, len(pops))
+	for _, p := range pops {
+		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(p.k.addr(ic.Family), ic.Length), Users: p.users(), Abusive: p.abusive()})
 	}
 	sort.Slice(tops, func(i, j int) bool {
 		if tops[i].Users != tops[j].Users {
@@ -205,11 +278,11 @@ func (ic *IPCentric) ConcentrationAbove(n int, asnOf func(netaddr.Addr) netmodel
 	var hc HeavyConcentration
 	perASN := make(map[netmodel.ASN]int)
 	structured := 0
-	for k, pop := range ic.prefixes {
-		if pop.users() <= n {
+	for _, p := range ic.tally() {
+		if p.users() <= n {
 			continue
 		}
-		a := k.addr(ic.Family)
+		a := p.k.addr(ic.Family)
 		hc.Heavy++
 		if asnOf != nil {
 			perASN[asnOf(a)]++

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
+	"userv6/internal/telemetry"
 )
 
 func TestIPCentricUsersPerAddr(t *testing.T) {
@@ -118,4 +120,89 @@ func TestConcentration(t *testing.T) {
 	}
 	// Nil asnOf must not panic.
 	_ = ic.ConcentrationAbove(2, nil)
+}
+
+// TestIPCentricQueryBetweenFeeds checks that a query's cached prefix
+// populations are dropped by every change: each IPCentric of the full
+// set is queried after part of a stream, then after re-observing a
+// pair it holds, a new pair for a known user, a new user, and a Merge
+// of a fed replica, and every answer must equal a fresh feed's.
+func TestIPCentricQueryBetweenFeeds(t *testing.T) {
+	stream := oracleStream(5, 300, 10, 40)
+	half := len(stream) / 2
+	asnOf := func(a netaddr.Addr) netmodel.ASN {
+		hi, lo := a.Words()
+		return netmodel.ASN((hi ^ lo) % 7)
+	}
+	queries := func(ic *IPCentric) map[string]any {
+		q := map[string]any{}
+		ipCentricQueries(q, "ic", ic)
+		q["ic.more_than_1"] = ic.PrefixesWithMoreThan(1)
+		q["ic.concentration"] = ic.ConcentrationAbove(1, asnOf)
+		return q
+	}
+	for _, c := range []struct {
+		fam    netaddr.Family
+		length int
+	}{{netaddr.IPv4, 32}, {netaddr.IPv6, 128}, {netaddr.IPv6, 64}} {
+		name := fmt.Sprintf("%v/%d", c.fam, c.length)
+		prefix := func(o telemetry.Observation) netaddr.Prefix { return netaddr.PrefixFrom(o.Addr, c.length) }
+		ic := NewIPCentric(c.fam, c.length)
+		var fed []telemetry.Observation
+		feed := func(obs ...telemetry.Observation) {
+			for _, o := range obs {
+				ic.Observe(o)
+			}
+			fed = append(fed, obs...)
+		}
+		check := func(step string) {
+			t.Helper()
+			fresh := NewIPCentric(c.fam, c.length)
+			for _, o := range fed {
+				fresh.Observe(o)
+			}
+			assertQueries(t, name+", "+step, queries(ic), queries(fresh))
+		}
+
+		feed(stream[:half]...)
+		check("part of the stream")
+
+		// u is a pair of the first user of the family, and v a pair of
+		// another user on a prefix u's user does not hold.
+		var u, v telemetry.Observation
+		held := map[netaddr.Prefix]bool{}
+		for _, o := range fed {
+			if o.Addr.Family() == c.fam && (!u.Addr.IsValid() || o.UserID == u.UserID) {
+				u = o
+				held[prefix(o)] = true
+			}
+		}
+		for _, o := range fed {
+			if o.Addr.Family() == c.fam && !held[prefix(o)] {
+				v = o
+				break
+			}
+		}
+		if !v.Addr.IsValid() {
+			t.Fatalf("%s: no two users of the family in the first half", name)
+		}
+		feed(u)
+		check("a pair it holds")
+		known := v
+		known.UserID, known.Abusive = u.UserID, u.Abusive
+		feed(known)
+		check("a new pair for a known user")
+		newcomer := v
+		newcomer.UserID, newcomer.Abusive = 1<<50, false
+		feed(newcomer)
+		check("a new user")
+
+		replica := NewIPCentric(c.fam, c.length)
+		for _, o := range stream[half:] {
+			replica.Observe(o)
+		}
+		ic.Merge(replica)
+		fed = append(fed, stream[half:]...)
+		check("a merged replica")
+	}
 }

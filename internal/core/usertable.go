@@ -8,6 +8,14 @@ package core
 // user a few short key lists. A record of the same user as the one
 // before costs no hashing at all.
 //
+// UserCentric, IPCentric, Lifespans and ChurnAttribution keep no
+// cross-user state beside the table. Their cross-user answers, such as
+// a prefix's user population or a churn cause's share of new pairs,
+// are counted from the users' lists when queried, so Observe touches
+// only the current user's lists and Merge is a union of tables.
+// Prevalence alone also keeps cross-user tallies: each ASN's and
+// country's users and each day's requests.
+//
 // None of this state holds a pointer per user or per key, so the GC
 // never traces it. The table maps a user ID to an int32 index into
 // chunks of by-value states, and a state's key lists are keyList
@@ -43,6 +51,12 @@ func (k addrKey) addr(fam netaddr.Family) netaddr.Addr {
 		return netaddr.AddrFrom4(uint32(k.lo))
 	}
 	return netaddr.AddrFrom6(k.hi, k.lo)
+}
+
+// hash mixes both of k's words into its high bits, which pick k's
+// partition when IPCentric counts prefix populations.
+func (k addrKey) hash() uint64 {
+	return (k.hi ^ k.lo*0x9e3779b97f4a7c15) * 0xd6e8feb86659fd93
 }
 
 // indexAt is the key-list length past which a list gets a hash index.

@@ -369,13 +369,18 @@ func openDataset(path string) (f *os.File, meta Meta, hdr []byte, err error) {
 	if err != nil {
 		return nil, Meta{}, nil, fmt.Errorf("dataset: open: %w", err)
 	}
-	if meta, hdr, err = readHeader(f); err != nil {
+	if meta, hdr, err = readHeader(f); err == nil && hdr != nil {
+		err = checkSignature(f, meta)
+	}
+	if err != nil {
 		f.Close()
 		return nil, Meta{}, nil, err
 	}
 	return f, meta, hdr, nil
 }
 
+// readHeader reads f's header under openDataset's accept rule, without
+// looking at the stream behind it.
 func readHeader(f *os.File) (Meta, []byte, error) {
 	hdr := make([]byte, headerSize)
 	n, err := io.ReadFull(f, hdr)
@@ -392,18 +397,26 @@ func readHeader(f *os.File) (Meta, []byte, error) {
 		return Meta{}, nil, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
 	}
 	meta, err := parseHeader(hdr)
-	if err == nil && meta.Format == FormatV2 {
-		// No stream bytes at all is an empty stream, and a torn signature
-		// is left to the stream readers, which report the truncation.
-		sig := make([]byte, 4)
-		n, rerr := f.ReadAt(sig, headerSize)
-		if string(sig[:n]) != "uv6\x02"[:n] {
-			err = fmt.Errorf("%w (stream begins %q)", ErrStreamSignature, sig[:n])
-		} else if rerr != nil && rerr != io.EOF {
-			err = fmt.Errorf("dataset: read stream signature: %w", rerr)
-		}
-	}
 	return meta, hdr, err
+}
+
+// checkSignature checks that the stream behind a format-2 header
+// begins with the v2 signature. No stream bytes at all is an empty
+// stream, and a torn signature is left to the stream readers, which
+// report the truncation.
+func checkSignature(f *os.File, meta Meta) error {
+	if meta.Format != FormatV2 {
+		return nil
+	}
+	sig := make([]byte, 4)
+	n, err := f.ReadAt(sig, headerSize)
+	if string(sig[:n]) != "uv6\x02"[:n] {
+		return fmt.Errorf("%w (stream begins %q)", ErrStreamSignature, sig[:n])
+	}
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("dataset: read stream signature: %w", err)
+	}
+	return nil
 }
 
 // ErrStreamSignature reports a format-2 header over a stream with

@@ -161,11 +161,12 @@ func TestHeaderCRCLegacyHeadersStillReadable(t *testing.T) {
 	}
 }
 
-// TestOpenersShareHeaderRule: Open, OpenParallel and NewFileSource read
-// the header through one reader, so they accept and reject the same
-// files: a headered file and a headerless raw stream open everywhere
-// (the raw one with zero Meta), a flipped header digit fails everywhere
-// with ErrHeaderCRC, and a garbage or short header fails everywhere.
+// TestOpenersShareHeaderRule: Open, OpenParallel, NewFileSource and
+// HeaderMeta read the header through one reader, so they accept and
+// reject the same files: a headered file and a headerless raw stream
+// open everywhere (the raw one with zero Meta), a flipped header digit
+// fails everywhere with ErrHeaderCRC, and a garbage or short header
+// fails everywhere.
 func TestOpenersShareHeaderRule(t *testing.T) {
 	dir := t.TempDir()
 	headered := writeDataset(t, sample(100))
@@ -209,6 +210,10 @@ func TestOpenersShareHeaderRule(t *testing.T) {
 			}
 			m, ok := src.Meta()
 			return m, !ok, nil
+		},
+		"HeaderMeta": func(p string) (Meta, bool, error) {
+			m, ok, err := HeaderMeta(p)
+			return m, !ok && err == nil, err
 		},
 	}
 	for name, open := range openers {

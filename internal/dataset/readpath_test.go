@@ -39,9 +39,10 @@ func readParallel(path string, workers int, tolerant bool) ([]telemetry.Observat
 // Every bit flip of the v2 signature behind a verified format-2 header
 // turns "uv6\x02" into something else — "uv6\x01" among them, which a
 // reader trusting the signature decodes as unframed v1 records. The
-// header pins the version: Open and OpenParallel refuse the file, and
-// Scan and Salvage find every block by its marker, count the four
-// signature bytes as skipped, and serve no damaged record.
+// header pins the version: Open and OpenParallel refuse the file,
+// HeaderMeta still returns the verified header, and Scan and Salvage
+// find every block by its marker, count the four signature bytes as
+// skipped, and serve no damaged record.
 func TestSignatureFlipPinnedByHeader(t *testing.T) {
 	in := sample(3000)
 	raw, err := os.ReadFile(writeDataset(t, in))
@@ -82,6 +83,9 @@ func TestSignatureFlipPinnedByHeader(t *testing.T) {
 		st := rep.Stream
 		if rep.StreamErr != "" || st.Version != 2 || st.Records != 3000 || st.SkippedBytes != 4 || rep.Intact() {
 			t.Fatalf("bit %d: Scan %+v", bit, rep)
+		}
+		if m, ok, err := HeaderMeta(path); err != nil || !ok || m != rep.Meta {
+			t.Fatalf("bit %d: HeaderMeta %+v, %v, %v; want the verified header %+v", bit, m, ok, err, rep.Meta)
 		}
 		var got []telemetry.Observation
 		if _, err := Salvage(path, func(o telemetry.Observation) { got = append(got, o) }); err != nil {

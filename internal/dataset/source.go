@@ -46,6 +46,26 @@ func probeMeta(path string) (Meta, bool, error) {
 	return meta, hdr != nil, nil
 }
 
+// HeaderMeta reads path's header alone: the Meta of a header that
+// parses and passes its checksum, or ok=false for a headerless raw
+// stream; a header that fails gives a zero Meta and the error. Unlike
+// NewFileSource it does not look behind the header, so a verified
+// header over a damaged stream signature still yields its Meta:
+// salvage and merge keep it while their tolerant walk reads the
+// stream.
+func HeaderMeta(path string) (meta Meta, ok bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Meta{}, false, fmt.Errorf("dataset: open: %w", err)
+	}
+	defer f.Close()
+	meta, hdr, err := readHeader(f)
+	if err != nil {
+		return Meta{}, false, err
+	}
+	return meta, hdr != nil, nil
+}
+
 // FileSource is a single dataset file (headered or raw stream).
 type FileSource struct {
 	path    string
