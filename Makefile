@@ -77,13 +77,19 @@ race:
 # failing under concurrent encoding, which must leave no goroutine, and
 # a `userv6gen gen` whose writes keep failing, which must exit 1, report
 # how often the failpoint fired, and leave a .tmp that `gen -resume`
-# finishes byte-identical.
+# finishes byte-identical, and a `gen -resume` whose read of that .tmp
+# fails, which must exit 1 naming it and leave it for the next resume.
+# The TestResume and TestShardedResume families include resumes that are
+# themselves interrupted (a crash mid-copy, at the aside rename or
+# before the aside file is removed, a read error or a cancellation
+# mid-copy) and then resumed again, under every codec, and a resume of
+# a complete file whose allocation must not grow with the file.
 # FAULTS_FLAGS=-short subsamples the truncation sweeps for the PR gate;
 # nightly runs them full.
 FAULTS_FLAGS ?=
 faults:
 	$(GO) test -race $(FAULTS_FLAGS) ./internal/faultio ./internal/retry
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume|TestMergeMatchesRecordWrites|TestMergeWriteFaultStopsGoroutines|TestGenWriteFailureLeavesTmp' . ./internal/dataset ./cmd/userv6gen
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestShardedResume|TestResume|TestMergeRetriesTransientIO|TestMergeOutputWriteFault|TestMergeCtxCancelled|TestMergeResumeFailures|FuzzMergeResume|TestMergeMatchesRecordWrites|TestMergeWriteFaultStopsGoroutines|TestGenWriteFailureLeavesTmp|TestGenResumeReadFailureKeepsSource' . ./internal/dataset ./cmd/userv6gen
 
 # Analysis race gate: the decode+analyze path (worker-local replicas,
 # all default analyzers) at one worker and at several, failed strict

@@ -360,16 +360,18 @@ func runGen(args []string) {
 }
 
 // runGenResume continues an interrupted dataset generation run through
-// Sim.ResumeFileFS. The partial file (the -o target, or its crash-safe
-// .tmp sibling) supplies the run configuration from its header, which
-// builds the Sim and the sampler and is handed to the library; the
-// library keeps the file's verified prefix up to its last complete
-// (user, day) batch and regenerates the rest. The finished file is
-// byte-identical to an uninterrupted run.
+// Sim.ResumeFileFS. The partial file (the first of the -o target, its
+// aside file and its crash-safe .tmp that exists) supplies the run
+// configuration from its header, which builds the Sim and the sampler
+// and is handed to the library; the library keeps the verified prefix
+// up to its last complete (user, day) batch and regenerates the rest.
+// The finished file is byte-identical to an uninterrupted run.
 func runGenResume(ctx context.Context, fsys faultio.FS, out string) {
-	src := out
-	if _, err := os.Stat(src); err != nil {
-		src = out + ".tmp"
+	var src string
+	for _, src = range dataset.ResumeSources(out) {
+		if _, err := os.Stat(src); err == nil {
+			break
+		}
 	}
 	hdr, err := dataset.NewFileSource(src)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -213,8 +214,15 @@ func TestGenResumeAfterCrash(t *testing.T) {
 				if _, stderr, code := userv6gen(t, args...); code == 0 || !strings.Contains(stderr, "injected crash") {
 					t.Fatalf("gen across the crash failpoint: exit %d\n%s", code, stderr)
 				}
-				if stdout := mustRun(t, "gen", "-resume", "-o", out); !strings.HasPrefix(stdout, "resumed "+out) {
+				stdout := mustRun(t, "gen", "-resume", "-o", out)
+				if !strings.HasPrefix(stdout, "resumed "+out) {
 					t.Fatalf("gen -resume printed %q", stdout)
+				}
+				// Half the file survives the mid cut; the sampled stream
+				// does not start at user 0, and the rule that trusts the
+				// prefix must compare against the sampled stream.
+				if cut == "mid" && keptCount(t, stdout) == 0 {
+					t.Fatalf("gen -resume kept nothing of half a file: %q", stdout)
 				}
 				got, err := os.ReadFile(out)
 				if err != nil {
@@ -225,6 +233,68 @@ func TestGenResumeAfterCrash(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// keptCount returns the record count a `gen -resume` line says it kept.
+func keptCount(t *testing.T, stdout string) int {
+	t.Helper()
+	m := regexp.MustCompile(`kept (\d+)`).FindStringSubmatch(stdout)
+	if m == nil {
+		return 0
+	}
+	n, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestGenResumeReadFailureKeepsSource: a `gen -resume` whose read of
+// the partial .tmp fails exits 1 naming the file and leaves the .tmp
+// in place, so a plain `gen -resume` after it keeps what a fault-free
+// resume keeps and writes the file a plain gen writes.
+func TestGenResumeReadFailureKeepsSource(t *testing.T) {
+	dir := t.TempDir()
+	plain, out := filepath.Join(dir, "plain.uv6"), filepath.Join(dir, "week.uv6")
+	mustRun(t, "gen", "-users", "300", "-o", plain)
+	want, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := func(out string) {
+		t.Helper()
+		fault := fmt.Sprintf("week.uv6.tmp:write:off=%d:crash", len(want)*3/4)
+		if _, stderr, code := userv6gen(t, "gen", "-users", "300", "-o", out, "-faults", fault); code == 0 {
+			t.Fatalf("gen across the crash failpoint exited 0\n%s", stderr)
+		}
+	}
+	ref := filepath.Join(t.TempDir(), "week.uv6")
+	crashed(ref)
+	wantKept := keptCount(t, mustRun(t, "gen", "-resume", "-o", ref))
+	if wantKept == 0 {
+		t.Fatal("a fault-free resume kept nothing")
+	}
+
+	crashed(out)
+	torn, err := os.ReadFile(out + ".tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := fmt.Sprintf("week.uv6.tmp:read:off=%d:err", len(torn)/2)
+	if _, stderr, code := userv6gen(t, "gen", "-resume", "-o", out, "-faults", fault); code != 1 ||
+		!strings.Contains(stderr, out+".tmp") || !strings.Contains(stderr, "injected transient error") {
+		t.Fatalf("gen -resume under a read fault: exit %d, want 1 naming %s.tmp\n%s", code, out, stderr)
+	}
+	if got, err := os.ReadFile(out + ".tmp"); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("the failed resume did not leave its .tmp in place (%v)", err)
+	}
+	if kept := keptCount(t, mustRun(t, "gen", "-resume", "-o", out)); kept != wantKept {
+		t.Fatalf("gen -resume after the failed one kept %d records, a fault-free one keeps %d", kept, wantKept)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed file differs from a plain gen (%d vs %d bytes, %v)", len(got), len(want), err)
 	}
 }
 

@@ -3,8 +3,9 @@ package main
 // faultio-seam: mutating file I/O in the dataset layer must flow
 // through the internal/faultio FS seam. A direct os.Create (or
 // OpenFile/Rename/Remove/MkdirAll) in internal/dataset,
-// internal/telemetry, or cmd/userv6gen is invisible to the
-// fault-injection harness: `gen -faults` and the crash-sweep tests
+// internal/telemetry, cmd/userv6gen, or the root package (whose
+// fillFile writes every exported, generated and resumed file) is
+// invisible to the fault-injection harness: `gen -faults` and the crash-sweep tests
 // would silently stop covering that write path, which is exactly the
 // methodology drift PR 5 built the seam to prevent. The faultio
 // package itself is the one place the os calls belong.
@@ -16,8 +17,8 @@ type faultioSeamRule struct{}
 func (faultioSeamRule) Name() string { return "faultio-seam" }
 
 // seamScopes are the module-relative package paths whose mutating
-// I/O must use the seam.
-var seamScopes = []string{"internal/dataset", "internal/telemetry", "cmd/userv6gen"}
+// I/O must use the seam ("." is the module's root package).
+var seamScopes = []string{".", "internal/dataset", "internal/telemetry", "cmd/userv6gen"}
 
 // seamFuncs maps the os functions the rule intercepts to the FS
 // method that replaces them.

@@ -381,7 +381,7 @@ func openDataset(path string) (f *os.File, meta Meta, hdr []byte, err error) {
 
 // readHeader reads f's header under openDataset's accept rule, without
 // looking at the stream behind it.
-func readHeader(f *os.File) (Meta, []byte, error) {
+func readHeader(f io.ReadSeeker) (Meta, []byte, error) {
 	hdr := make([]byte, headerSize)
 	n, err := io.ReadFull(f, hdr)
 	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {

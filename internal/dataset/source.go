@@ -33,19 +33,6 @@ type Source interface {
 	Meta() (Meta, bool)
 }
 
-// probeMeta reads path's header without consuming the stream, under
-// OpenParallel's accept rules: a headered v1/v2 file yields its Meta, a
-// headerless raw telemetry stream yields ok=false, anything else is an
-// error.
-func probeMeta(path string) (Meta, bool, error) {
-	f, meta, hdr, err := openDataset(path)
-	if err != nil {
-		return Meta{}, false, err
-	}
-	f.Close()
-	return meta, hdr != nil, nil
-}
-
 // HeaderMeta reads path's header alone: the Meta of a header that
 // parses and passes its checksum, or ok=false for a headerless raw
 // stream; a header that fails gives a zero Meta and the error. Unlike
@@ -73,13 +60,15 @@ type FileSource struct {
 	hasMeta bool
 }
 
-// NewFileSource probes path's header and wraps it as a one-part source.
+// NewFileSource probes path's header under OpenParallel's accept rule
+// and wraps it as a one-part source.
 func NewFileSource(path string) (*FileSource, error) {
-	meta, ok, err := probeMeta(path)
+	f, meta, hdr, err := openDataset(path)
 	if err != nil {
 		return nil, err
 	}
-	return &FileSource{path: path, meta: meta, hasMeta: ok}, nil
+	f.Close()
+	return &FileSource{path: path, meta: meta, hasMeta: hdr != nil}, nil
 }
 
 func (s *FileSource) Kind() string                  { return "file" }

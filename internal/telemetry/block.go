@@ -59,19 +59,20 @@ func (b RawBlock) Verify() error {
 // that does not decode to exactly Count records — returns dst
 // unchanged alongside a *CorruptError.
 func (b RawBlock) AppendDecoded(dst []Observation, scratch []byte) ([]Observation, []byte, error) {
-	recs, scratch, err := b.decode(scratch)
+	recs, scratch, err := b.Decode(scratch)
 	if err != nil {
 		return dst, scratch, err
 	}
 	return AppendRecords(dst, recs), scratch, nil
 }
 
-// decode verifies the block's checksum and reverses its codec,
+// Decode verifies the block's checksum and reverses its codec,
 // returning the decoded records, Count whole records in their stored
-// form, and the (possibly grown) scratch. The records alias Payload for
-// a v1 or identity block and scratch otherwise. A failure is a
-// *CorruptError, as for AppendDecoded.
-func (b RawBlock) decode(scratch []byte) (recs, grown []byte, err error) {
+// form (the form WriterV2.WriteRecords takes), and the (possibly grown)
+// scratch. The records alias Payload for a v1 or identity block and
+// scratch otherwise. A failure is a *CorruptError, as for
+// AppendDecoded.
+func (b RawBlock) Decode(scratch []byte) (recs, grown []byte, err error) {
 	if err := b.Verify(); err != nil {
 		return nil, scratch, err
 	}

@@ -181,7 +181,7 @@ func (r *Reader) Read() (Observation, error) {
 			return Observation{}, err
 		}
 		r.stored = blk.Payload
-		if r.recs, r.scratch, err = blk.decode(r.scratch); err != nil {
+		if r.recs, r.scratch, err = blk.Decode(r.scratch); err != nil {
 			return Observation{}, err
 		}
 	}

@@ -34,6 +34,7 @@ import (
 
 	"userv6/internal/dataset"
 	"userv6/internal/faultio"
+	"userv6/internal/simtime"
 	"userv6/internal/telemetry"
 )
 
@@ -189,8 +190,9 @@ func (s *Sim) ExportShardedFS(ctx context.Context, fsys faultio.FS, dir string, 
 // reads the (provisional or final) manifest, keeps every part whose
 // recorded whole-file checksum still matches, and refills the rest
 // concurrently — each from the trusted prefix of what survives of it
-// (the part file or its crash-safe .tmp sibling), regenerating only the
-// missing suffix of the part's user range. Finished parts update the
+// (dataset.ResumeSources: the part file, its aside file or its
+// crash-safe .tmp), regenerating only the missing suffix of the part's
+// user range. Finished parts update the
 // manifest incrementally, so an interrupted resume is itself
 // resumable. The final directory — every part and the manifest — is
 // byte-identical to an uninterrupted ExportShardedCtx run.
@@ -201,9 +203,9 @@ func (s *Sim) ResumeShardedCtx(ctx context.Context, dir string, wrap func(teleme
 	return s.ResumeShardedFS(ctx, faultio.OS, dir, wrap)
 }
 
-// ResumeShardedFS is ResumeShardedCtx over an explicit filesystem for
-// writes and checksums (prefix salvage always reads the real files on
-// disk).
+// ResumeShardedFS is ResumeShardedCtx over an explicit filesystem, which
+// every read and write of the resume goes through: the checksums, the
+// kept prefixes and the parts written.
 func (s *Sim) ResumeShardedFS(ctx context.Context, fsys faultio.FS, dir string, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (*dataset.Manifest, error) {
 	run := &shardedRun{fsys: fsys, dir: dir}
 	man, err := dataset.ReadManifestFS(fsys, run.manifestPath())
@@ -230,8 +232,8 @@ func (s *Sim) ResumeShardedFS(ctx context.Context, fsys faultio.FS, dir string, 
 // deterministic sampler).
 //
 // With resume set, the file first keeps the trusted prefix an
-// interrupted run left at path or path.tmp, and generation restarts at
-// its frontier; without it, nothing on disk is read. It reports that
+// interrupted run left of it (dataset.ResumeSources), and generation
+// restarts at its frontier; without it, nothing on disk is read. It reports that
 // frontier, the records kept (Restart and 0 when the file started from
 // scratch) and the records the file holds. A write error stops
 // generation within one (user, day) batch and leaves path.tmp; a
@@ -254,8 +256,8 @@ func (s *Sim) WriteFileFS(ctx context.Context, fsys faultio.FS, path string, met
 
 // ResumeFileFS finishes an interrupted single-file dataset run at path
 // (`userv6gen gen -resume`): WriteFileFS resuming, under meta, the
-// header the caller read from path, or from path.tmp when path is
-// absent. The file keeps that configuration, block codec included;
+// header the caller read from the first of dataset.ResumeSources(path)
+// that exists. The file keeps that configuration, block codec included;
 // its counts and completion are the new writer's. The finished file is
 // byte-identical to an uninterrupted run, and resuming a complete file
 // reproduces it. wrap must be the emit decorator the original run used
@@ -274,27 +276,22 @@ func (s *Sim) ResumeFileFS(ctx context.Context, fsys faultio.FS, path string, me
 // through.
 //
 // With resume set, the file first keeps the trusted prefix an
-// interrupted run left of it (see salvagePrefix) up to its frontier —
+// interrupted run left of it (dataset.ResumeFS) up to its frontier —
 // the first (user, day) batch that may be torn — and generation
 // restarts at that batch. Without a trusted prefix the file starts from
-// scratch. The choice is made before the first write, and the returned
-// frontier and kept count report it.
+// scratch. The returned frontier and kept count report the choice.
 //
 // On success the writer holds the whole file, still open for the
 // caller to finalize. On failure it comes back already closed: a
-// cancelled file is finalized as a valid partial dataset, and a failure
-// to finalize it is the file's error; any other failure leaves the
-// .tmp (closed best effort), so a later resume starts from whatever
-// reached disk. The writer is nil if the file was never created.
+// cancelled file is finalized as a valid partial dataset once its kept
+// prefix is copied, and a failure to finalize it is the file's error;
+// any other failure leaves the .tmp (closed best effort), or the
+// resume's sources, so a later resume starts from whatever reached
+// disk. The writer is nil if the file was never created.
 func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta dataset.Meta, lo, hi int, abusive, resume bool, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (*dataset.Writer, dataset.Frontier, int, error) {
-	var prefix []telemetry.Observation
-	if resume {
-		prefix = s.salvagePrefix(path, meta, lo, hi, abusive)
-	}
-	front, keep := dataset.DeriveFrontier(prefix)
-	w, err := dataset.CreateFS(fsys, path, meta)
+	w, front, keep, err := s.createFile(ctx, fsys, path, meta, lo, hi, abusive, resume, wrap)
 	if err != nil {
-		return nil, front, keep, err
+		return w, front, keep, err
 	}
 
 	// A write error stops generation within one batch; the first one is
@@ -309,9 +306,6 @@ func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta d
 			}
 		}
 	}
-	for _, o := range prefix[:keep] {
-		emit(o)
-	}
 	if wrap != nil {
 		emit = wrap(emit)
 	}
@@ -324,14 +318,7 @@ func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta d
 	case !front.Restart:
 		user, day = s.UserIndex(front.UserID), front.Day
 	}
-	err = s.Benign.GenerateUsersFromCtx(ctx, user, day, hi, from, to, emit)
-	if err == nil && abusive {
-		// The abusive stream is small and not range-resumable: it always
-		// regenerates whole, uninterrupted once started.
-		if err = ctx.Err(); err == nil {
-			s.Abusive.Generate(from, to, emit)
-		}
-	}
+	err = s.generateFile(ctx, user, day, hi, from, to, abusive, emit)
 	if werr != nil {
 		err = werr
 	}
@@ -343,36 +330,45 @@ func (s *Sim) fillFile(ctx context.Context, fsys faultio.FS, path string, meta d
 	return w, front, keep, err
 }
 
-// salvagePrefix returns the verified record prefix an interrupted run
-// left of the file at path: from path itself, or failing that its
-// crash-safe .tmp sibling. A source is trusted only if its prefix can
-// begin the file under meta: its header's config hash equals meta's,
-// its benign records all belong to users in [lo, hi) (canonical order
-// lets the first and last decide), and it holds abusive records only if
-// the file holds the abusive stream. A file of another configuration or
-// shard layout fails that rule — keeping it would splice foreign
-// records into the file — so it is skipped, and with no trusted source
-// left the file restarts from scratch.
-func (s *Sim) salvagePrefix(path string, meta dataset.Meta, lo, hi int, abusive bool) []telemetry.Observation {
-	hash := dataset.ConfigHash(meta)
-	inRange := func(o telemetry.Observation) bool {
-		i := s.UserIndex(o.UserID)
-		return !o.Abusive && i >= lo && i < hi
-	}
-	for _, src := range []string{path, path + ".tmp"} {
-		m, obs, err := dataset.LoadResumePrefix(src)
-		if err != nil || len(obs) == 0 || dataset.ConfigHash(m) != hash {
-			continue
+// createFile creates fillFile's file, resuming it when resume is set
+// from a source that begins with the first record the file writes under
+// wrap, which is generated no further than its batch.
+func (s *Sim) createFile(ctx context.Context, fsys faultio.FS, path string, meta dataset.Meta, lo, hi int, abusive, resume bool, wrap func(telemetry.EmitFunc) telemetry.EmitFunc) (*dataset.Writer, dataset.Frontier, int, error) {
+	if resume {
+		var first *telemetry.Observation
+		probe, stop := context.WithCancel(context.Background())
+		defer stop()
+		var emit telemetry.EmitFunc = func(o telemetry.Observation) {
+			if first == nil {
+				first = &o
+				stop()
+			}
 		}
-		benign := len(obs)
-		for benign > 0 && obs[benign-1].Abusive {
-			benign--
+		if wrap != nil {
+			emit = wrap(emit)
 		}
-		benignOK := benign == 0 || inRange(obs[0]) && inRange(obs[benign-1])
-		abusiveOK := benign == len(obs) || abusive
-		if benignOK && abusiveOK {
-			return obs
+		from, to := meta.Window()
+		if s.generateFile(probe, lo, from, hi, from, to, abusive, emit); first != nil {
+			return dataset.ResumeFS(ctx, fsys, path, meta, *first, func(o telemetry.Observation) bool {
+				i := s.UserIndex(o.UserID)
+				return o.Abusive && abusive || !o.Abusive && i >= lo && i < hi
+			})
 		}
 	}
-	return nil
+	w, err := dataset.CreateFS(fsys, path, meta)
+	return w, dataset.Frontier{Restart: true}, 0, err
+}
+
+// generateFile emits a file's records from (user, day) on: the benign
+// batches up to user hi, then, when abusive is set, the abusive stream,
+// which is small and not range-resumable: it always regenerates whole,
+// uninterrupted once started.
+func (s *Sim) generateFile(ctx context.Context, user int, day simtime.Day, hi int, from, to simtime.Day, abusive bool, emit telemetry.EmitFunc) error {
+	err := s.Benign.GenerateUsersFromCtx(ctx, user, day, hi, from, to, emit)
+	if err == nil && abusive {
+		if err = ctx.Err(); err == nil {
+			s.Abusive.Generate(from, to, emit)
+		}
+	}
+	return err
 }

@@ -351,9 +351,13 @@ func TestResumeTruncationSweep(t *testing.T) {
 
 // TestShardedResumeIgnoresStalePart: a directory reused by a run of
 // another configuration (other-seed) or another shard layout
-// (other-layout) holds finished parts the new run never wrote. After
-// the new run crashes, resume must not keep any of their records: the
-// result equals the new run's uninterrupted export, byte for byte.
+// (other-layout, other-layout-partial) holds parts the new run never
+// wrote. After the new run crashes, resume must not keep any of their
+// records: the result equals the new run's uninterrupted export, byte
+// for byte. In other-layout-partial the stale part is a 2-shard run's
+// interrupted part-0001 holding users 150–179: every record of it lies
+// inside the 3-shard part-0001's range [100, 200), but it does not
+// start where that part starts.
 func TestShardedResumeIgnoresStalePart(t *testing.T) {
 	const users = 300
 	from, to := AnalysisWeek()
@@ -361,27 +365,52 @@ func TestShardedResumeIgnoresStalePart(t *testing.T) {
 		return dataset.Meta{Seed: seed, Users: users, FromDay: int(from), ToDay: int(to), Sample: "all"}
 	}
 	sim := NewSim(DefaultScenario(users).WithSeed(2))
-	_, want := exportPristine(t, sim, t.TempDir(), 2, metaFor(2), nil)
-
+	export := func(sim *Sim, dir string, shards int) {
+		t.Helper()
+		if _, err := sim.ExportShardedCtx(context.Background(), dir, shards, metaFor(sim.Scenario.Seed), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// interrupted leaves what a 2-shard run cancelled once its
+	// part-0001 holds users 150–179 leaves.
+	interrupted := func(dir string) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		upTo180 := func(emit telemetry.EmitFunc) telemetry.EmitFunc {
+			return func(o telemetry.Observation) {
+				if !o.Abusive && o.UserID >= 180 {
+					cancel()
+					return
+				}
+				emit(o)
+			}
+		}
+		if _, err := sim.ExportShardedCtx(ctx, dir, 2, metaFor(2), upTo180); err == nil {
+			t.Fatal("cancelled export succeeded")
+		}
+	}
+	wants := map[int]map[string][]byte{}
 	for _, c := range []struct {
 		name   string
-		stale  *Sim
+		stale  func(dir string)
 		shards int
 		fault  string
 	}{
-		{"other-seed", NewSim(DefaultScenario(users).WithSeed(1)), 2, "part-0000.uv6.tmp:write:off=2000:crash"},
-		{"other-layout", sim, 3, "part-0001.uv6.tmp:write:off=2000:crash"},
+		{"other-seed", func(dir string) { export(NewSim(DefaultScenario(users).WithSeed(1)), dir, 2) }, 2, "part-0000.uv6.tmp:write:off=2000:crash"},
+		{"other-layout", func(dir string) { export(sim, dir, 3) }, 2, "part-0001.uv6.tmp:write:off=2000:crash"},
+		{"other-layout-partial", interrupted, 3, "part-0001.uv6.tmp:write:off=2000:crash"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := c.stale.ExportShardedCtx(context.Background(), dir, c.shards, metaFor(c.stale.Scenario.Seed), nil); err != nil {
-				t.Fatal(err)
+			if wants[c.shards] == nil {
+				_, wants[c.shards] = exportPristine(t, sim, t.TempDir(), c.shards, metaFor(2), nil)
 			}
+			dir := t.TempDir()
+			c.stale(dir)
 			in := faultio.New(faultio.OS, 1)
 			if err := in.Arm(c.fault); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sim.ExportShardedFS(context.Background(), in, dir, 2, metaFor(2), nil); err == nil || !in.Crashed() {
+			if _, err := sim.ExportShardedFS(context.Background(), in, dir, c.shards, metaFor(2), nil); err == nil || !in.Crashed() {
 				t.Fatalf("export across %s did not crash (err %v)", c.fault, err)
 			}
 			man, err := sim.ResumeShardedCtx(context.Background(), dir, nil)
@@ -391,7 +420,7 @@ func TestShardedResumeIgnoresStalePart(t *testing.T) {
 			if !man.Complete || man.Seed != 2 {
 				t.Fatalf("resumed manifest: complete=%v seed=%d", man.Complete, man.Seed)
 			}
-			requireIdentical(t, dir, want)
+			requireIdentical(t, dir, wants[c.shards])
 		})
 	}
 }
