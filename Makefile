@@ -10,7 +10,12 @@ FUZZTIME ?= 10s
 # populations, so the PR tripwire trips when query time regresses past
 # 3x; the nightly baseline has no entry for it, and the nightly gate,
 # which gates only the benchmarks its baseline lists, skips it.
-BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkBlockReaderStrict|BenchmarkBlockReaderStrictLZ|BenchmarkBlockReaderStrictDelta|BenchmarkBlockReaderTolerant|BenchmarkBlockReaderTolerantLZ|BenchmarkBlockReaderTolerantDelta|BenchmarkWriterV2Auto|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzerQueries
+# BenchmarkPaperAll gates the whole reproduction: every experiment of
+# userv6.Experiments registered on one Paper at 8,000 users, one
+# generation pass and every result read, as `userv6 all` runs them.
+# One op takes 3-4.5 s on two vCPUs, most of the PR tripwire's time;
+# the nightly run's -benchtime=2s samples it once too.
+BENCH_1X = BenchmarkGenerateWeek|BenchmarkGenerateDay|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkWriterV2LZ|BenchmarkReaderV2LZ|BenchmarkWriterV2Delta|BenchmarkReaderV2Delta|BenchmarkBlockReaderStrict|BenchmarkBlockReaderStrictLZ|BenchmarkBlockReaderStrictDelta|BenchmarkBlockReaderTolerant|BenchmarkBlockReaderTolerantLZ|BenchmarkBlockReaderTolerantDelta|BenchmarkWriterV2Auto|BenchmarkAnalyzeSequential|BenchmarkAnalyzeFused|BenchmarkAnalyzeManifest|BenchmarkAnalyzeMergeAnalyze|BenchmarkUserCentricObserve|BenchmarkIPCentricObserve|BenchmarkAnalyzerQueries|BenchmarkPaperAll
 BENCH_GATE = ^($(BENCH_1X))$$
 BENCH_PKGS = . ./internal/telemetry ./internal/core
 NIGHTLY_BENCHTIME = 2s

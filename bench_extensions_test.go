@@ -69,7 +69,7 @@ func BenchmarkSegments(b *testing.B) {
 func BenchmarkSketchedOutliers(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
-		r := runFigure(sim, func(p *Paper) func() SketchedOutliersResult { return p.SketchedOutliers(128) })
+		r := runFigure(sim, func(p *Paper) func() SketchedOutliersResult { return p.SketchedOutliers(sketchLength) })
 		if i == b.N-1 {
 			b.ReportMetric(r.HeavyRecall*100, "heavy_recall_%")
 			b.ReportMetric(r.TopError*100, "top_err_%")

@@ -268,16 +268,16 @@ func BenchmarkAdvise(b *testing.B) {
 	}
 }
 
-// BenchmarkPaperAll times one Run with every paper figure registered,
-// and the reads of every result: the whole reproduction from one
-// generation pass (informational; no bench gate runs it).
+// BenchmarkPaperAll times one Run with every experiment registered,
+// and the reads of every result: the whole reproduction, as `userv6
+// all` runs it, from one generation pass.
 func BenchmarkPaperAll(b *testing.B) {
 	sim := getBenchSim()
 	for i := 0; i < b.N; i++ {
 		paper := NewPaper(sim)
-		reads := make([]func() any, len(paperFigures))
-		for j, f := range paperFigures {
-			reads[j] = f.register(paper)
+		reads := make([]func() any, len(Experiments))
+		for j, e := range Experiments {
+			reads[j] = e.Register(paper)
 		}
 		paper.Run()
 		for _, read := range reads {

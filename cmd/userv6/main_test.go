@@ -11,9 +11,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"userv6"
 )
 
 func TestMain(m *testing.M) {
@@ -43,8 +46,8 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestUnknownExperimentPrintsUsage: an unknown experiment exits 2 with
-// the usage text, which lists every experiment, before any simulation
-// is built.
+// the usage text, which lists every experiment with its description,
+// all in one column, before any simulation is built.
 func TestUnknownExperimentPrintsUsage(t *testing.T) {
 	stdout, stderr, code := runCLI(t, "-users", "100", "fig99")
 	if code != 2 {
@@ -53,14 +56,55 @@ func TestUnknownExperimentPrintsUsage(t *testing.T) {
 	if stdout != "" {
 		t.Fatalf("stdout = %q, want nothing", stdout)
 	}
-	for _, want := range []string{`unknown experiment "fig99"`, "usage: userv6 [-users N] [-seed S] <experiment>", "run every experiment"} {
+	for _, want := range []string{`unknown experiment "fig99"`, "usage: userv6 [-users N] [-seed S] <experiment>"} {
 		if !strings.Contains(stderr, want) {
 			t.Fatalf("stderr lacks %q:\n%s", want, stderr)
 		}
 	}
-	for _, e := range experimentOrder {
-		if !strings.Contains(stderr, "  "+e+" ") {
-			t.Fatalf("usage does not list %s:\n%s", e, stderr)
+	column := 0
+	for _, e := range append(slices.Clone(userv6.Experiments), userv6.Experiment{Name: "all", Desc: "run every experiment"}) {
+		_, line, ok := strings.Cut(stderr, "\n  "+e.Name+" ")
+		line, _, _ = strings.Cut(line, "\n")
+		if desc := strings.TrimLeft(line, " "); !ok || desc != e.Desc {
+			t.Fatalf("usage does not list %s with %q:\n%s", e.Name, e.Desc, stderr)
+		}
+		at := len("  "+e.Name+" ") + len(line) - len(e.Desc)
+		if column == 0 {
+			column = at
+		}
+		if at != column {
+			t.Errorf("%s: description starts in column %d, others in %d:\n%s", e.Name, at, column, stderr)
+		}
+	}
+}
+
+// TestPrintersMatchExperiments: every experiment has one printer, every
+// printer names an experiment, and each printer takes the type that its
+// experiment's reader returns, so no experiment is half registered.
+func TestPrintersMatchExperiments(t *testing.T) {
+	paper := userv6.NewPaper(userv6.NewSim(userv6.DefaultScenario(2)))
+	reads := make(map[string]func() any, len(userv6.Experiments))
+	for _, e := range userv6.Experiments {
+		if _, dup := reads[e.Name]; dup {
+			t.Errorf("%s: two experiments of that name", e.Name)
+		}
+		reads[e.Name] = e.Register(paper)
+	}
+	paper.Run()
+	for name := range printers {
+		if reads[name] == nil {
+			t.Errorf("printer %s: no experiment of that name", name)
+		}
+	}
+	for _, e := range userv6.Experiments {
+		printer, ok := printers[e.Name]
+		if !ok {
+			t.Errorf("%s: no printer", e.Name)
+			continue
+		}
+		pt, rt := reflect.TypeOf(printer), reflect.TypeOf(reads[e.Name]())
+		if pt.Kind() != reflect.Func || pt.NumIn() != 1 || pt.NumOut() != 0 || pt.In(0) != rt {
+			t.Errorf("%s: printer %v does not take the experiment's result, %v", e.Name, pt, rt)
 		}
 	}
 }
@@ -101,24 +145,23 @@ func TestTinyPopulationPrintsNoNaN(t *testing.T) {
 
 // TestAllPrintsEveryExperimentOnce: all prints the run header and then
 // every experiment's "== name: description ==" header exactly once, in
-// experimentOrder.
+// the order of userv6.Experiments.
 func TestAllPrintsEveryExperimentOnce(t *testing.T) {
 	stdout := runAll(t, "1")
 	if !strings.HasPrefix(stdout, "# userv6: 1500 users, seed 1 ") {
 		t.Fatalf("run header missing: %.80q", stdout)
 	}
-	var got []string
+	var got, want []string
 	for _, line := range strings.Split(stdout, "\n") {
-		if name, ok := strings.CutPrefix(line, "== "); ok {
-			name, desc, _ := strings.Cut(name, ": ")
-			if want := experiments[name].desc + " =="; desc != want {
-				t.Errorf("header %q: description %q, want %q", line, desc, want)
-			}
-			got = append(got, name)
+		if header, ok := strings.CutPrefix(line, "== "); ok {
+			got = append(got, header)
 		}
 	}
-	if !slices.Equal(got, experimentOrder) {
-		t.Fatalf("experiment headers\n got %v\nwant %v", got, experimentOrder)
+	for _, e := range userv6.Experiments {
+		want = append(want, e.Name+": "+e.Desc+" ==")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("experiment headers\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -162,34 +205,36 @@ func TestAllMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestExperimentAloneMatchesAll: each §8 and Appendix A extension
-// prints, run alone at 1,500 users, exactly its section of the seed-1
-// golden of all, below the run header. A registration that reads other
-// days or populations alone than inside all fails it.
+// TestExperimentAloneMatchesAll: each experiment prints, run alone at
+// 1,500 users, exactly its section of the seed-1 golden of all, below
+// the run header. A registration that reads other days or populations
+// alone than inside all fails it.
 func TestExperimentAloneMatchesAll(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "all-1500-seed1.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	header, sections, _ := strings.Cut(string(golden), "\n\n")
-	for _, e := range []string{"segments", "blocklist-sweep", "ratelimit-sweep", "ttlcurve", "churn", "pandemic", "hijacks", "scrapers", "sketched"} {
-		title := fmt.Sprintf("== %s: %s ==\n", e, experiments[e].desc)
-		_, section, ok := strings.Cut(sections, title)
-		if !ok {
-			t.Fatalf("%s: no section in the golden", e)
-		}
-		// all prints a blank line after each section.
-		if end := strings.Index(section, "\n== "); end >= 0 {
-			section = section[:end+1]
-		}
-		want := header + "\n\n" + strings.TrimSuffix(section, "\n")
-		stdout, stderr, code := runCLI(t, "-users", "1500", "-seed", "1", e)
-		if code != 0 {
-			t.Fatalf("%s: exit %d\nstderr: %s", e, code, stderr)
-		}
-		if stdout != want {
-			t.Errorf("%s alone differs from its section of all:\n%s", e, lineDiff(want, stdout))
-		}
+	for _, e := range userv6.Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			_, section, ok := strings.Cut(sections, fmt.Sprintf("== %s: %s ==\n", e.Name, e.Desc))
+			if !ok {
+				t.Fatal("no section in the golden")
+			}
+			// all prints a blank line after each section.
+			if end := strings.Index(section, "\n== "); end >= 0 {
+				section = section[:end+1]
+			}
+			want := header + "\n\n" + strings.TrimSuffix(section, "\n")
+			stdout, stderr, code := runCLI(t, "-users", "1500", "-seed", "1", e.Name)
+			if code != 0 {
+				t.Fatalf("exit %d\nstderr: %s", code, stderr)
+			}
+			if stdout != want {
+				t.Errorf("alone differs from its section of all:\n%s", lineDiff(want, stdout))
+			}
+		})
 	}
 }
 

@@ -53,7 +53,8 @@ type Advice struct {
 	// BlocklistGranularity is the recommended IPv6 actioning length
 	// (128 or 64) at the operator's FPR tolerance.
 	BlocklistGranularity int
-	// BlocklistTPR/FPR are the achieved rates at that granularity.
+	// BlocklistTPR is the recall achieved at that granularity within
+	// the tolerance, and BlocklistFPR the FPR tolerance itself.
 	BlocklistTPR, BlocklistFPR float64
 	// BlocklistTTLDays is the recommended blocklist entry lifetime,
 	// derived from how fast abusive IPv6 presence decays.

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"userv6/internal/netaddr"
 	"userv6/internal/netmodel"
@@ -236,21 +235,24 @@ type HeavyPrefix struct {
 	Users, Abusive int
 }
 
-// TopPrefixes returns the k most user-populated prefixes, descending.
+// TopPrefixes returns the k most user-populated prefixes, descending,
+// ties in address order.
 func (ic *IPCentric) TopPrefixes(k int) []HeavyPrefix {
 	pops := ic.tally()
-	tops := make([]HeavyPrefix, 0, len(pops))
-	for _, p := range pops {
-		tops = append(tops, HeavyPrefix{Prefix: netaddr.PrefixFrom(p.k.addr(ic.Family), ic.Length), Users: p.users(), Abusive: p.abusive()})
-	}
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].Users != tops[j].Users {
-			return tops[i].Users > tops[j].Users
+	kept := topK(k, func(yield func(prefixCount)) {
+		for _, p := range pops {
+			yield(p)
 		}
-		return tops[i].Prefix.Addr().Less(tops[j].Prefix.Addr())
+	}, func(a, b prefixCount) bool {
+		if a.users() != b.users() {
+			return a.users() > b.users()
+		}
+		// One family's keys order as its addresses do.
+		return a.k.hi < b.k.hi || a.k.hi == b.k.hi && a.k.lo < b.k.lo
 	})
-	if k < len(tops) {
-		tops = tops[:k]
+	tops := make([]HeavyPrefix, len(kept))
+	for i, p := range kept {
+		tops[i] = HeavyPrefix{Prefix: netaddr.PrefixFrom(p.k.addr(ic.Family), ic.Length), Users: p.users(), Abusive: p.abusive()}
 	}
 	return tops
 }

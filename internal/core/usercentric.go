@@ -12,8 +12,6 @@
 package core
 
 import (
-	"sort"
-
 	"userv6/internal/netaddr"
 	"userv6/internal/stats"
 	"userv6/internal/telemetry"
@@ -177,24 +175,20 @@ type TopUser struct {
 }
 
 // TopUsersByAddrs returns the k users with the most distinct addresses
-// of the family, descending.
+// of the family, descending, ties in UID order.
 func (uc *UserCentric) TopUsersByAddrs(fam netaddr.Family, k int) []TopUser {
-	tops := make([]TopUser, 0, uc.users.len())
-	uc.users.each(func(uid uint64, u *userAddrs) {
-		if n := u.count(fam); n > 0 {
-			tops = append(tops, TopUser{UID: uid, Count: n})
+	return topK(k, func(yield func(TopUser)) {
+		uc.users.each(func(uid uint64, u *userAddrs) {
+			if n := u.count(fam); n > 0 {
+				yield(TopUser{UID: uid, Count: n})
+			}
+		})
+	}, func(a, b TopUser) bool {
+		if a.Count != b.Count {
+			return a.Count > b.Count
 		}
+		return a.UID < b.UID
 	})
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].Count != tops[j].Count {
-			return tops[i].Count > tops[j].Count
-		}
-		return tops[i].UID < tops[j].UID
-	})
-	if k < len(tops) {
-		tops = tops[:k]
-	}
-	return tops
 }
 
 // UsersWithMoreThan counts users with strictly more than n distinct

@@ -392,8 +392,10 @@ type OutlierResult struct {
 	V4HeavyAddrs, V6HeavyAddrs int
 	V4MaxUsers, V6MaxUsers     int
 	V6Max64Users               int
-	// Concentration of heavy IPv6 addresses (ASN / structured IIDs).
+	// Concentration of heavy IPv6 addresses (ASN / structured IIDs),
+	// and the name of its top ASN.
 	V6Concentration core.HeavyConcentration
+	V6TopASNName    string
 }
 
 // Outliers registers the §5.1.3/§6.1.3 outlier summary over the
@@ -414,6 +416,7 @@ func (p *Paper) Outliers() func() OutlierResult {
 			V6HeavyAddrs:       ipc.V6[128].PrefixesWithMoreThan(addrThresh),
 			V6Concentration:    ipc.V6[128].ConcentrationAbove(addrThresh, s.World.ASNOf),
 		}
+		r.V6TopASNName = s.World.ASNName(r.V6Concentration.TopASN)
 		if tops := uc.TopUsersByAddrs(netaddr.IPv4, 1); len(tops) > 0 {
 			r.V4MaxAddrs = tops[0].Count
 		}

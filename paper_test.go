@@ -18,7 +18,6 @@ package userv6
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"userv6/internal/core"
@@ -234,6 +233,7 @@ func (s perFigureFeeds) Outliers() OutlierResult {
 		V6HeavyAddrs:       ipc.V6[128].PrefixesWithMoreThan(addrThresh),
 		V6Concentration:    ipc.V6[128].ConcentrationAbove(addrThresh, s.World.ASNOf),
 	}
+	r.V6TopASNName = s.World.ASNName(r.V6Concentration.TopASN)
 	if tops := uc.TopUsersByAddrs(netaddr.IPv4, 1); len(tops) > 0 {
 		r.V4MaxAddrs = tops[0].Count
 	}
@@ -618,149 +618,129 @@ func runFigure[R any](sim *Sim, register func(*Paper) func() R) R {
 	return read()
 }
 
-// adviseAt reads the advisor at the three tolerances cmd/userv6 prints.
-func adviseAt(advise func(float64) core.Advice) []core.Advice {
-	return []core.Advice{advise(0.0001), advise(0.001), advise(0.01)}
+// A reference computes an experiment's result from the per-figure
+// feeds. An experiment whose reference is elsewhere names, instead,
+// the test that checks it.
+type reference struct {
+	want      func(perFigureFeeds) any
+	elsewhere string
 }
 
-// granularity is one (family, prefix length) pair.
-type granularity struct {
-	fam    netaddr.Family
-	length int
-}
+// ipCentricWeek is Figures 7–10's one reference: all four read
+// IPCentricWeek.
+var ipCentricWeek = &reference{want: func(s perFigureFeeds) any { return s.IPCentricWeek() }}
 
-// sweepGranularities are the granularities cmd/userv6's rate-limit
-// and TTL sweeps read, and ttlHorizon its TTL horizon.
-var sweepGranularities = []granularity{{netaddr.IPv6, 128}, {netaddr.IPv6, 64}, {netaddr.IPv4, 32}}
-
-const ttlHorizon = 5
-
-// ttlCurves registers TTLRecallCurve at every sweep granularity.
-func ttlCurves(p *Paper) func() [][]float64 {
-	reads := make([]func() []float64, len(sweepGranularities))
-	for i, g := range sweepGranularities {
-		reads[i] = p.TTLRecallCurve(g.fam, g.length, ttlHorizon)
-	}
-	return func() [][]float64 {
-		out := make([][]float64, len(reads))
-		for i, read := range reads {
-			out[i] = read()
-		}
-		return out
-	}
-}
-
-// paperFigure pairs a Paper figure with its per-figure reference.
-type paperFigure struct {
-	name     string
-	register func(*Paper) func() any
-	want     func(perFigureFeeds) any
-}
-
-// figure adapts a typed registration to paperFigure's.
-func figure[R any](register func(*Paper) func() R) func(*Paper) func() any {
-	return func(p *Paper) func() any {
-		read := register(p)
-		return func() any { return read() }
-	}
-}
-
-var paperFigures = []paperFigure{
-	{"Fig1", figure((*Paper).Fig1), func(s perFigureFeeds) any { return s.Fig1(0, simtime.StudyDays-1) }},
-	{"Table1", figure((*Paper).Table1), func(s perFigureFeeds) any { return s.Table1(AnalysisWeek()) }},
-	{"Table2", figure((*Paper).Table2), func(s perFigureFeeds) any { return s.Table2() }},
-	{"CountryRatios", figure((*Paper).CountryRatios), func(s perFigureFeeds) any { return s.CountryRatios() }},
-	{"ClientAddrPatterns", figure((*Paper).ClientAddrPatterns), func(s perFigureFeeds) any { return s.ClientAddrPatterns() }},
-	{"Fig2", figure((*Paper).Fig2), func(s perFigureFeeds) any { return s.Fig2() }},
-	{"Fig3", figure((*Paper).Fig3), func(s perFigureFeeds) any { return s.Fig3() }},
-	{"Fig4", figure((*Paper).Fig4), func(s perFigureFeeds) any { return s.Fig4() }},
-	{"Fig5And6(false)", figure(func(p *Paper) func() LifespanResult { return p.Fig5And6(false) }),
-		func(s perFigureFeeds) any { return s.Fig5And6(false) }},
-	{"Fig5And6(true)", figure(func(p *Paper) func() LifespanResult { return p.Fig5And6(true) }),
-		func(s perFigureFeeds) any { return s.Fig5And6(true) }},
-	{"IPCentricWeek", figure((*Paper).IPCentricWeek), func(s perFigureFeeds) any { return s.IPCentricWeek() }},
-	{"Outliers", figure((*Paper).Outliers), func(s perFigureFeeds) any { return s.Outliers() }},
-	{"Fig11", figure((*Paper).Fig11), func(s perFigureFeeds) any { return s.Fig11() }},
-	{"Advise", figure(func(p *Paper) func() []core.Advice {
-		advise := p.Advise()
-		return func() []core.Advice { return adviseAt(advise) }
-	}), func(s perFigureFeeds) any { return adviseAt(s.Advise) }},
-	{"Segments", figure((*Paper).Segments), func(s perFigureFeeds) any { return s.Segments() }},
-	{"ChurnReasons", figure((*Paper).ChurnReasons), func(s perFigureFeeds) any { return s.ChurnReasons() }},
-	{"ComparePandemic", figure((*Paper).ComparePandemic), func(s perFigureFeeds) any { return s.ComparePandemic() }},
-	{"TTLRecallCurve", figure(ttlCurves), func(s perFigureFeeds) any {
-		out := make([][]float64, len(sweepGranularities))
-		for i, g := range sweepGranularities {
-			out[i] = s.TTLRecallCurve(g.fam, g.length, ttlHorizon)
+// references are the experiments' per-figure references, by name.
+var references = map[string]*reference{
+	"fig1":       {want: func(s perFigureFeeds) any { return s.Fig1(0, simtime.StudyDays-1) }},
+	"table1":     {want: func(s perFigureFeeds) any { return s.Table1(AnalysisWeek()) }},
+	"table2":     {want: func(s perFigureFeeds) any { return s.Table2() }},
+	"clientaddr": {want: func(s perFigureFeeds) any { return s.ClientAddrPatterns() }},
+	"fig2":       {want: func(s perFigureFeeds) any { return s.Fig2() }},
+	"fig3":       {want: func(s perFigureFeeds) any { return s.Fig3() }},
+	"fig4":       {want: func(s perFigureFeeds) any { return s.Fig4() }},
+	"fig5":       {want: func(s perFigureFeeds) any { return s.Fig5And6(false) }},
+	"fig6":       {want: func(s perFigureFeeds) any { return []LifespanResult{s.Fig5And6(false), s.Fig5And6(true)} }},
+	"fig7":       ipCentricWeek,
+	"fig8":       ipCentricWeek,
+	"fig9":       ipCentricWeek,
+	"fig10":      ipCentricWeek,
+	"fig11":      {want: func(s perFigureFeeds) any { return s.Fig11() }},
+	"outliers":   {want: func(s perFigureFeeds) any { return s.Outliers() }},
+	"advise": {want: func(s perFigureFeeds) any {
+		out := make([]core.Advice, len(adviseTolerances))
+		for i, tol := range adviseTolerances {
+			out[i] = s.Advise(tol)
 		}
 		return out
 	}},
-	{"SketchedOutliers", figure(func(p *Paper) func() SketchedOutliersResult { return p.SketchedOutliers(128) }),
-		func(s perFigureFeeds) any { return s.SketchedOutliers(128) }},
-	{"ScraperDefense", figure(func(p *Paper) func() []ScraperDefenseResult { return p.ScraperDefense(scraperCaps) }),
-		func(s perFigureFeeds) any { return s.ScraperDefense(scraperCaps) }},
-	{"DetectHijacks", figure((*Paper).DetectHijacks), func(s perFigureFeeds) any { return s.DetectHijacks() }},
-}
-
-// scraperCaps are the budgets cmd/userv6's scraper experiment reads.
-var scraperCaps = []uint64{100, 200, 500, 1000}
-
-// sweepFigures are the blocklist and rate-limit sweeps as cmd/userv6
-// registers them. Their references are internal/core's BlocklistSim
-// and RateLimitSim, so here only the days they generate are checked.
-var sweepFigures = []paperFigure{
-	{"BlocklistSweep", figure(func(p *Paper) func() []BlocklistSweepResult {
-		return p.BlocklistSweep(DefaultBlocklistPolicies())
-	}), nil},
-	{"RateLimitSweep", figure(func(p *Paper) func() [][]core.RateLimitOutcome {
-		reads := make([]func() []core.RateLimitOutcome, len(sweepGranularities))
+	"scrapers":        {want: func(s perFigureFeeds) any { return s.ScraperDefense(scraperCaps) }},
+	"hijacks":         {want: func(s perFigureFeeds) any { return s.DetectHijacks() }},
+	"pandemic":        {want: func(s perFigureFeeds) any { return s.ComparePandemic() }},
+	"segments":        {want: func(s perFigureFeeds) any { return s.Segments() }},
+	"blocklist-sweep": {elsewhere: "internal/core's TestActioningMatchesReferenceSims, against BlocklistSim"},
+	"ratelimit-sweep": {elsewhere: "internal/core's TestActioningMatchesReferenceSims, against RateLimitSim"},
+	"sketched":        {want: func(s perFigureFeeds) any { return s.SketchedOutliers(sketchLength) }},
+	"ttlcurve": {want: func(s perFigureFeeds) any {
+		out := make([][]float64, len(sweepGranularities))
 		for i, g := range sweepGranularities {
-			reads[i] = p.RateLimitSweep(g.fam, g.length, []int{1, 2, 3, 5, 10, 50})
+			out[i] = s.TTLRecallCurve(g.Family, g.Length, ttlHorizon)
 		}
-		return func() [][]core.RateLimitOutcome {
-			out := make([][]core.RateLimitOutcome, len(reads))
-			for i, read := range reads {
-				out[i] = read()
-			}
-			return out
-		}
-	}), nil},
+		return out
+	}},
+	"churn": {want: func(s perFigureFeeds) any { return s.ChurnReasons() }},
+	"fig12": {want: func(s perFigureFeeds) any { return s.CountryRatios() }},
 }
 
-// TestPaperMatchesPerFigureFeeds: one Paper with every figure
-// registered, and one Paper per figure alone, each fed by its one
-// generation pass, give every figure's result exactly as its own
-// per-figure feed does, down to the analyzers' state where a result
-// holds them (IPCentricWeek).
+// checkKeys fails t unless the keys of rows, a table of what, name the
+// experiments one to one.
+func checkKeys[V any](t *testing.T, what string, rows map[string]V) {
+	t.Helper()
+	names := make(map[string]bool, len(Experiments))
+	for _, e := range Experiments {
+		names[e.Name] = true
+		if _, ok := rows[e.Name]; !ok {
+			t.Fatalf("%s: no %s row", e.Name, what)
+		}
+	}
+	for name := range rows {
+		if !names[name] {
+			t.Fatalf("%s row %s: no experiment of that name", what, name)
+		}
+	}
+}
+
+// TestPaperMatchesPerFigureFeeds: one Paper with every experiment
+// registered, and one Paper per experiment alone, each fed by its one
+// generation pass, give every experiment's result exactly as its
+// per-figure reference does, down to the analyzers' state where a
+// result holds them (Figures 7–10). Experiments that share a reference
+// also share their registration, so each reference is computed, and
+// run alone, once per seed.
 func TestPaperMatchesPerFigureFeeds(t *testing.T) {
+	checkKeys(t, "reference", references)
+	for name, ref := range references {
+		if ref.want == nil && ref.elsewhere == "" {
+			t.Fatalf("%s: no reference, and no test named that checks it", name)
+		}
+	}
 	for _, seed := range []uint64{1, 2} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
 			sim := NewSim(DefaultScenario(2_000).WithSeed(seed))
 			all := NewPaper(sim)
-			reads := make([]func() any, len(paperFigures))
-			for i, f := range paperFigures {
-				reads[i] = f.register(all)
+			reads := make([]func() any, len(Experiments))
+			for i, e := range Experiments {
+				reads[i] = e.Register(all)
 			}
 			all.Run()
-			for i, f := range paperFigures {
-				want := f.want(perFigureFeeds{sim})
-				if got := reads[i](); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s with every figure registered:\n got %+v\nwant %+v", f.name, got, want)
+			wants := map[*reference]any{}
+			for i, e := range Experiments {
+				ref := references[e.Name]
+				if ref.want == nil {
+					continue
 				}
-				if got := runFigure(sim, f.register); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s alone:\n got %+v\nwant %+v", f.name, got, want)
+				want, done := wants[ref]
+				if !done {
+					want = ref.want(perFigureFeeds{sim})
+					wants[ref] = want
+					if got := runFigure(sim, e.Register); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s alone:\n got %+v\nwant %+v", e.Name, got, want)
+					}
+				}
+				if got := reads[i](); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s with every experiment registered:\n got %+v\nwant %+v", e.Name, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestPaperGeneratesOnlyReadDays: a figure registered alone makes Run
-// generate the days and populations it reads, each once, and nothing
-// else. These are the days its per-figure feed generates, except that
-// the TTL curve reads the week-long Actioning the blocklist and
-// rate-limit sweeps share, so it generates both populations' week.
+// TestPaperGeneratesOnlyReadDays: an experiment registered alone makes
+// Run generate the days and populations it reads, each once, and
+// nothing else. These are the days its per-figure reference generates,
+// except that the TTL curve reads the week-long Actioning the blocklist
+// and rate-limit sweeps share, so it generates both populations' week.
 // The sketched outliers generate the week again for their sketch when
 // read, which is after Run and not counted here.
 func TestPaperGeneratesOnlyReadDays(t *testing.T) {
@@ -772,31 +752,36 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		return func(from, to simtime.Day) window { return window{pop, from, to} }
 	}
 	benign, abusive, hijack, scraper := in(benignPop), in(abusivePop), in(hijackPop), in(scraperPop)
+	week := []window{benign(81, 87), abusive(81, 87)}
 	windowsOf := map[string][]window{
-		"Fig1":               {benign(0, 87)},
-		"Table1":             {benign(81, 87)},
-		"Table2":             {benign(0, 6), benign(81, 87)},
-		"CountryRatios":      {benign(81, 87)},
-		"ClientAddrPatterns": {benign(81, 87)},
-		"Fig2":               {benign(81, 87)},
-		"Fig3":               {abusive(81, 87)},
-		"Fig4":               {benign(81, 87), abusive(81, 87)},
-		"Fig5And6(false)":    {benign(60, 87)},
-		"Fig5And6(true)":     {abusive(60, 87)},
-		"IPCentricWeek":      {benign(81, 87), abusive(81, 87)},
-		"Outliers":           {benign(81, 87), abusive(81, 87)},
-		"Fig11":              {benign(86, 87), abusive(86, 87)},
-		"Advise":             {benign(60, 87), abusive(81, 87)},
-		"Segments":           {benign(81, 87)},
-		"ChurnReasons":       {benign(74, 87)},
-		"ComparePandemic":    {benign(13, 26), benign(74, 87)},
-		"TTLRecallCurve":     {benign(81, 87), abusive(81, 87)},
-		"SketchedOutliers":   {benign(81, 87), abusive(81, 87)},
-		"ScraperDefense":     {benign(81, 81), scraper(81, 81)},
-		"DetectHijacks":      {benign(0, 87), hijack(0, 87)},
-		"BlocklistSweep":     {benign(81, 87), abusive(81, 87)},
-		"RateLimitSweep":     {benign(81, 87), abusive(81, 87)},
+		"fig1":            {benign(0, 87)},
+		"table1":          {benign(81, 87)},
+		"table2":          {benign(0, 6), benign(81, 87)},
+		"clientaddr":      {benign(81, 87)},
+		"fig2":            {benign(81, 87)},
+		"fig3":            {abusive(81, 87)},
+		"fig4":            week,
+		"fig5":            {benign(60, 87)},
+		"fig6":            {benign(60, 87), abusive(60, 87)},
+		"fig7":            week,
+		"fig8":            week,
+		"fig9":            week,
+		"fig10":           week,
+		"fig11":           {benign(86, 87), abusive(86, 87)},
+		"outliers":        week,
+		"advise":          {benign(60, 87), abusive(81, 87)},
+		"scrapers":        {benign(81, 81), scraper(81, 81)},
+		"hijacks":         {benign(0, 87), hijack(0, 87)},
+		"pandemic":        {benign(13, 26), benign(74, 87)},
+		"segments":        {benign(81, 87)},
+		"blocklist-sweep": week,
+		"ratelimit-sweep": week,
+		"sketched":        week,
+		"ttlcurve":        week,
+		"churn":           {benign(74, 87)},
+		"fig12":           {benign(81, 87)},
 	}
+	checkKeys(t, "window", windowsOf)
 	// count tallies observations per (day, population).
 	type dayPop struct {
 		day simtime.Day
@@ -810,29 +795,25 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		benignPop: sim.Benign.Generate, abusivePop: sim.Abusive.Generate,
 		hijackPop: sim.Hijacks().Generate, scraperPop: sim.Scrapers().Generate,
 	}
-	for _, f := range slices.Concat(paperFigures, sweepFigures) {
-		windows, ok := windowsOf[f.name]
-		if !ok {
-			t.Fatalf("%s: no expected windows", f.name)
-		}
+	for _, e := range Experiments {
 		want := map[dayPop]int{}
-		for _, w := range windows {
+		for _, w := range windowsOf[e.Name] {
 			n := len(want)
 			gens[w.pop](w.from, w.to, count(want, w.pop))
 			if len(want) == n {
-				t.Fatalf("%s: window %+v generates nothing, so it is not checked", f.name, w)
+				t.Fatalf("%s: window %+v generates nothing, so it is not checked", e.Name, w)
 			}
 		}
 		got := map[dayPop]int{}
 		p := NewPaper(sim)
-		f.register(p)
+		e.Register(p)
 		for i, set := range p.sets {
 			tap := observerFunc(count(got, 1<<i))
 			core.AddCommutativeAnalyzer(set, tap, func() observerFunc { return tap }, func(_, _ observerFunc) {})
 		}
 		p.Run()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: generated (day, population) counts\n got %v\nwant %v", f.name, got, want)
+			t.Errorf("%s: generated (day, population) counts\n got %v\nwant %v", e.Name, got, want)
 		}
 	}
 }
