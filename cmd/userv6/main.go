@@ -176,14 +176,14 @@ var printers = map[string]any{
 			report.CDFSeries("v4 pairs", r.AgeV4, 27),
 		)
 	},
-	"fig6": func(pops []userv6.LifespanResult) {
-		for i, name := range []string{"users", "abusive accounts"} {
-			fmt.Printf("-- %s --\n", name)
+	"fig6": func(pops []userv6.Labeled[userv6.LifespanResult]) {
+		for _, pop := range pops {
+			fmt.Printf("-- %s --\n", pop.Label)
 			t := report.NewTable("family", "prefix", "pairs", "<=1d", "<=2d", "<=3d")
-			for _, fs := range pops[i].FreshV4 {
+			for _, fs := range pop.Result.FreshV4 {
 				t.Row("IPv4", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
 			}
-			for _, fs := range pops[i].FreshV6 {
+			for _, fs := range pop.Result.FreshV6 {
 				t.Row("IPv6", fmt.Sprintf("/%d", fs.Length), fs.Pairs, fs.Within1, fs.Within2, fs.Within3)
 			}
 			t.Write(os.Stdout)
@@ -330,11 +330,11 @@ var printers = map[string]any{
 		}
 		t.Write(os.Stdout)
 	},
-	"ratelimit-sweep": func(results []userv6.RateLimitSweepResult) {
+	"ratelimit-sweep": func(results []userv6.Labeled[[]core.RateLimitOutcome]) {
 		for _, r := range results {
-			fmt.Printf("-- %s --\n", r.Granularity)
+			fmt.Printf("-- %s --\n", r.Label)
 			t := report.NewTable("cap", "benign throttled", "abusive throttled")
-			for _, o := range r.Outcomes {
+			for _, o := range r.Result {
 				t.Row(o.Cap, report.Percent(o.BenignShare), report.Percent(o.AbusiveShare))
 			}
 			t.Write(os.Stdout)
@@ -351,12 +351,18 @@ var printers = map[string]any{
 		}
 		t.Write(os.Stdout)
 	},
-	// The curves are IPv6 /128's, IPv6 /64's and IPv4's, in the order
-	// the experiment reads them.
-	"ttlcurve": func(r [][]float64) {
-		t := report.NewTable("age (days)", "IPv6 /128", "IPv6 /64", "IPv4")
-		for k := range r[0] {
-			t.Row(k+1, report.Percent(r[0][k]), report.Percent(r[1][k]), report.Percent(r[2][k]))
+	"ttlcurve": func(curves []userv6.Labeled[[]float64]) {
+		header := []string{"age (days)"}
+		for _, c := range curves {
+			header = append(header, c.Label)
+		}
+		t := report.NewTable(header...)
+		for k := range curves[0].Result {
+			row := []any{k + 1}
+			for _, c := range curves {
+				row = append(row, report.Percent(c.Result[k]))
+			}
+			t.Row(row...)
 		}
 		t.Write(os.Stdout)
 		fmt.Println("\nindicator value decays fastest at /128; /64 buys roughly one extra day.")

@@ -29,8 +29,8 @@ var Experiments = []Experiment{
 	{"fig3", "addresses per abusive account (1 day)", result((*Paper).Fig3)},
 	{"fig4", "prefixes spanned per entity vs prefix length", result((*Paper).Fig4)},
 	{"fig5", "address lifespans for users", result(func(p *Paper) func() LifespanResult { return p.Fig5And6(false) })},
-	{"fig6", "prefix lifespans vs prefix length", result(func(p *Paper) func() []LifespanResult {
-		return readAll(p.Fig5And6(false), p.Fig5And6(true))
+	{"fig6", "prefix lifespans vs prefix length", result(func(p *Paper) func() []Labeled[LifespanResult] {
+		return readAll(labeled("users", p.Fig5And6(false)), labeled("abusive accounts", p.Fig5And6(true)))
 	})},
 	{"fig7", "users per address (day / week)", result((*Paper).IPCentricWeek)},
 	{"fig8", "populations on addresses with abusive accounts", result((*Paper).IPCentricWeek)},
@@ -66,8 +66,12 @@ var (
 	// rate-limit sweep tries.
 	rateLimitCaps = []int{1, 2, 3, 5, 10, 50}
 	// sweepGranularities are the rate-limit sweep's and the TTL
-	// curve's granularities, named as the rate-limit sweep prints them.
-	sweepGranularities = []Fig11Granularity{{"IPv6 /128", netaddr.IPv6, 128}, {"IPv6 /64", netaddr.IPv6, 64}, {"IPv4 addr", netaddr.IPv4, 32}}
+	// curve's granularities.
+	sweepGranularities = []sweepGranularity{
+		{netaddr.IPv6, 128, "IPv6 /128", "IPv6 /128"},
+		{netaddr.IPv6, 64, "IPv6 /64", "IPv6 /64"},
+		{netaddr.IPv4, 32, "IPv4 addr", "IPv4"},
+	}
 	// adviseTolerances are the FPR tolerances the advisor advises at.
 	adviseTolerances = []float64{0.0001, 0.001, 0.01}
 	// ttlHorizon is the TTL curve's oldest indicator age, in days.
@@ -76,6 +80,27 @@ var (
 	// count.
 	sketchLength = 128
 )
+
+// sweepGranularity is a granularity the rate-limit sweep and the TTL
+// curve read, labeled as the sweep titles its section and as the curve
+// heads its column.
+type sweepGranularity struct {
+	family          netaddr.Family
+	length          int
+	section, column string
+}
+
+// Labeled is one part of an experiment's result, a population or a
+// granularity, under the label its printer shows.
+type Labeled[R any] struct {
+	Label  string
+	Result R
+}
+
+// labeled returns a reader of read's result under label.
+func labeled[R any](label string, read func() R) func() Labeled[R] {
+	return func() Labeled[R] { return Labeled[R]{label, read()} }
+}
 
 // result adapts a typed registration to Experiment's.
 func result[R any](register func(*Paper) func() R) func(*Paper) func() any {
@@ -106,29 +131,22 @@ func advise(p *Paper) func() []core.Advice {
 	return readAll(reads...)
 }
 
-// RateLimitSweepResult is the rate-limit sweep at one granularity.
-type RateLimitSweepResult struct {
-	Granularity string
-	Outcomes    []core.RateLimitOutcome
-}
-
 // rateLimitSweep registers the rate-limit sweep at rateLimitCaps, one
 // result per sweep granularity.
-func rateLimitSweep(p *Paper) func() []RateLimitSweepResult {
-	var reads []func() RateLimitSweepResult
+func rateLimitSweep(p *Paper) func() []Labeled[[]core.RateLimitOutcome] {
+	var reads []func() Labeled[[]core.RateLimitOutcome]
 	for _, g := range sweepGranularities {
-		read := p.RateLimitSweep(g.Family, g.Length, rateLimitCaps)
-		reads = append(reads, func() RateLimitSweepResult { return RateLimitSweepResult{g.Name, read()} })
+		reads = append(reads, labeled(g.section, p.RateLimitSweep(g.family, g.length, rateLimitCaps)))
 	}
 	return readAll(reads...)
 }
 
 // ttlCurves registers the TTL recall curve up to ttlHorizon, one curve
 // per sweep granularity.
-func ttlCurves(p *Paper) func() [][]float64 {
-	var reads []func() []float64
+func ttlCurves(p *Paper) func() []Labeled[[]float64] {
+	var reads []func() Labeled[[]float64]
 	for _, g := range sweepGranularities {
-		reads = append(reads, p.TTLRecallCurve(g.Family, g.Length, ttlHorizon))
+		reads = append(reads, labeled(g.column, p.TTLRecallCurve(g.family, g.length, ttlHorizon)))
 	}
 	return readAll(reads...)
 }

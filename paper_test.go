@@ -17,7 +17,9 @@ package userv6
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"userv6/internal/core"
@@ -640,13 +642,15 @@ var references = map[string]*reference{
 	"fig3":       {want: func(s perFigureFeeds) any { return s.Fig3() }},
 	"fig4":       {want: func(s perFigureFeeds) any { return s.Fig4() }},
 	"fig5":       {want: func(s perFigureFeeds) any { return s.Fig5And6(false) }},
-	"fig6":       {want: func(s perFigureFeeds) any { return []LifespanResult{s.Fig5And6(false), s.Fig5And6(true)} }},
-	"fig7":       ipCentricWeek,
-	"fig8":       ipCentricWeek,
-	"fig9":       ipCentricWeek,
-	"fig10":      ipCentricWeek,
-	"fig11":      {want: func(s perFigureFeeds) any { return s.Fig11() }},
-	"outliers":   {want: func(s perFigureFeeds) any { return s.Outliers() }},
+	"fig6": {want: func(s perFigureFeeds) any {
+		return []Labeled[LifespanResult]{{"users", s.Fig5And6(false)}, {"abusive accounts", s.Fig5And6(true)}}
+	}},
+	"fig7":     ipCentricWeek,
+	"fig8":     ipCentricWeek,
+	"fig9":     ipCentricWeek,
+	"fig10":    ipCentricWeek,
+	"fig11":    {want: func(s perFigureFeeds) any { return s.Fig11() }},
+	"outliers": {want: func(s perFigureFeeds) any { return s.Outliers() }},
 	"advise": {want: func(s perFigureFeeds) any {
 		out := make([]core.Advice, len(adviseTolerances))
 		for i, tol := range adviseTolerances {
@@ -662,22 +666,36 @@ var references = map[string]*reference{
 	"ratelimit-sweep": {elsewhere: "internal/core's TestActioningMatchesReferenceSims, against RateLimitSim"},
 	"sketched":        {want: func(s perFigureFeeds) any { return s.SketchedOutliers(sketchLength) }},
 	"ttlcurve": {want: func(s perFigureFeeds) any {
-		out := make([][]float64, len(sweepGranularities))
-		for i, g := range sweepGranularities {
-			out[i] = s.TTLRecallCurve(g.Family, g.Length, ttlHorizon)
+		var out []Labeled[[]float64]
+		for _, g := range sweepGranularities {
+			out = append(out, Labeled[[]float64]{g.column, s.TTLRecallCurve(g.family, g.length, ttlHorizon)})
 		}
 		return out
 	}},
-	"churn": {want: func(s perFigureFeeds) any { return s.ChurnReasons() }},
-	"fig12": {want: func(s perFigureFeeds) any { return s.CountryRatios() }},
+	"churn":        {want: func(s perFigureFeeds) any { return s.ChurnReasons() }},
+	"fig12":        {want: func(s perFigureFeeds) any { return s.CountryRatios() }},
+	"fig6-abusive": {want: func(s perFigureFeeds) any { return s.Fig5And6(true) }},
 }
 
+// testOnly are registrations the paper tests check beside the
+// registry's, with rows of their own. fig6 registers its abusive
+// accounts' lifespans only next to its users', so they are also checked
+// alone: alone they must compute as their reference does and generate
+// no benign day.
+var testOnly = []Experiment{
+	{Name: "fig6-abusive", Register: result(func(p *Paper) func() LifespanResult { return p.Fig5And6(true) })},
+}
+
+// checked are the registrations the paper tests check: the registry's
+// and testOnly.
+func checked() []Experiment { return slices.Concat(Experiments, testOnly) }
+
 // checkKeys fails t unless the keys of rows, a table of what, name the
-// experiments one to one.
+// checked registrations one to one.
 func checkKeys[V any](t *testing.T, what string, rows map[string]V) {
 	t.Helper()
 	names := make(map[string]bool, len(Experiments))
-	for _, e := range Experiments {
+	for _, e := range checked() {
 		names[e.Name] = true
 		if _, ok := rows[e.Name]; !ok {
 			t.Fatalf("%s: no %s row", e.Name, what)
@@ -690,13 +708,25 @@ func checkKeys[V any](t *testing.T, what string, rows map[string]V) {
 	}
 }
 
+// registrations returns what register registers on a fresh Paper over
+// sim: each analyzer with its configuration, days and populations.
+func registrations(sim *Sim, register func(*Paper) func() any) map[reg]bool {
+	p := NewPaper(sim)
+	register(p)
+	regs := make(map[reg]bool, len(p.memo))
+	for r := range p.memo {
+		regs[r] = true
+	}
+	return regs
+}
+
 // TestPaperMatchesPerFigureFeeds: one Paper with every experiment
 // registered, and one Paper per experiment alone, each fed by its one
 // generation pass, give every experiment's result exactly as its
 // per-figure reference does, down to the analyzers' state where a
-// result holds them (Figures 7–10). Experiments that share a reference
-// also share their registration, so each reference is computed, and
-// run alone, once per seed.
+// result holds them (Figures 7–10). Each distinct reference is
+// computed once per seed, and experiments that share a reference and
+// register the same analyzers (Figures 7–10) run alone once.
 func TestPaperMatchesPerFigureFeeds(t *testing.T) {
 	checkKeys(t, "reference", references)
 	for name, ref := range references {
@@ -708,14 +738,16 @@ func TestPaperMatchesPerFigureFeeds(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
 			sim := NewSim(DefaultScenario(2_000).WithSeed(seed))
+			exps := checked()
 			all := NewPaper(sim)
-			reads := make([]func() any, len(Experiments))
-			for i, e := range Experiments {
+			reads := make([]func() any, len(exps))
+			for i, e := range exps {
 				reads[i] = e.Register(all)
 			}
 			all.Run()
 			wants := map[*reference]any{}
-			for i, e := range Experiments {
+			ranAlone := map[*reference][]map[reg]bool{}
+			for i, e := range exps {
 				ref := references[e.Name]
 				if ref.want == nil {
 					continue
@@ -724,6 +756,10 @@ func TestPaperMatchesPerFigureFeeds(t *testing.T) {
 				if !done {
 					want = ref.want(perFigureFeeds{sim})
 					wants[ref] = want
+				}
+				regs := registrations(sim, e.Register)
+				if !slices.ContainsFunc(ranAlone[ref], func(r map[reg]bool) bool { return maps.Equal(r, regs) }) {
+					ranAlone[ref] = append(ranAlone[ref], regs)
 					if got := runFigure(sim, e.Register); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s alone:\n got %+v\nwant %+v", e.Name, got, want)
 					}
@@ -780,6 +816,7 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		"ttlcurve":        week,
 		"churn":           {benign(74, 87)},
 		"fig12":           {benign(81, 87)},
+		"fig6-abusive":    {abusive(60, 87)},
 	}
 	checkKeys(t, "window", windowsOf)
 	// count tallies observations per (day, population).
@@ -795,7 +832,7 @@ func TestPaperGeneratesOnlyReadDays(t *testing.T) {
 		benignPop: sim.Benign.Generate, abusivePop: sim.Abusive.Generate,
 		hijackPop: sim.Hijacks().Generate, scraperPop: sim.Scrapers().Generate,
 	}
-	for _, e := range Experiments {
+	for _, e := range checked() {
 		want := map[dayPop]int{}
 		for _, w := range windowsOf[e.Name] {
 			n := len(want)
