@@ -7,9 +7,9 @@ FUZZTIME ?= 10s
 # (the analyzer Observe benchmarks feed a fresh analyzer a whole
 # fixture per op, so one op takes milliseconds). BenchmarkAnalyzerQueries
 # times the first queries after a feed, which count IPCentric's prefix
-# populations, so the PR tripwire trips when query time regresses past
-# 3x; the nightly baseline has no entry for it, and the nightly gate,
-# which gates only the benchmarks its baseline lists, skips it.
+# populations and Prevalence's day, ASN and country users, so the PR
+# tripwire trips when query time regresses past 3x and the nightly gate
+# when it drifts past 1.3x.
 # BenchmarkPaperAll gates the whole reproduction: every experiment of
 # userv6.Experiments registered on one Paper at 8,000 users, one
 # generation pass and every result read, as `userv6 all` runs them.
@@ -102,7 +102,10 @@ faults:
 # Analysis race gate: the decode+analyze path (worker-local replicas,
 # all default analyzers) at one worker and at several, failed strict
 # reads that must leave the primaries empty (a corrupt last block at one
-# worker, a manifest part swapped for another valid part), the
+# worker, a manifest part swapped for another valid part), tolerant
+# reads of a manifest part whose block, header or stream signature is
+# damaged or that is torn inside its header, which must equal a
+# tolerant merge's records and coverage at one worker and at several, the
 # ForEachWorker reader primitives, direct manifest analysis (shared
 # replicas fanned out across parts), the analyze-parity fuzz seeds (one
 # per codec and shape, against the in-memory feed), AnalyzerSet.Fold's
@@ -121,7 +124,7 @@ faults:
 # FAULTS_FLAGS conventions apply: -short for the PR lane, full sweep
 # nightly.
 fused-race:
-	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|FuzzAnalyzeParity|TestAnalyzeManifestTolerantCorruptPart|TestAnalyzeStrictOneWorkerCorruptLastBlock|TestAnalyzeManifestStrictSwappedPart' . ./internal/dataset
+	$(GO) test -race $(FAULTS_FLAGS) -run 'TestAnalyzeDatasetFused|TestForEachWorker|TestParallelReader|TestAnalyzeSourceParityMatrix|FuzzAnalyzeParity|TestAnalyzeManifestTolerantCorruptPart|TestAnalyzeManifestTolerantDamagedPart|TestAnalyzeStrictOneWorkerCorruptLastBlock|TestAnalyzeManifestStrictSwappedPart' . ./internal/dataset
 	$(GO) test -race $(FAULTS_FLAGS) -run 'TestFullSetCommutative|TestPipelineMatchesSequential|TestFold|TestAnalyzersMatchOracle|TestKeyPool|TestActioningCommutativeFold|TestActioningMatchesReferenceSims|TestRequestLoadMatchesReference|TestIPNoveltyFlags|TestMergeLaws|TestIPCentricQueryBetweenFeeds' ./internal/core
 
 # The benchmark (bench/userv6bench) is a Go module of its own, so the

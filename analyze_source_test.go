@@ -190,68 +190,111 @@ func TestAnalyzeManifestTolerantCorruptPart(t *testing.T) {
 	dir, _, man := exportShardedWeek(t, sim, users)
 
 	// Corrupt one payload byte in block 0 of the first part.
-	p0 := filepath.Join(dir, man.Parts[0].Name)
-	raw, err := os.ReadFile(p0)
+	damagePart(t, dir, man.Parts[0].Name, func(b []byte) []byte {
+		b[256+4+16+2000] ^= 0x20
+		return b
+	})
+	checkTolerantMatchesMerge(t, dir, man.Parts[0].Name, 1, 4)
+}
+
+// TestAnalyzeManifestTolerantDamagedPart: a tolerant analysis reads a
+// part whose header is damaged, torn or over a damaged stream signature
+// as a tolerant merge reads it, at one worker and at two.
+func TestAnalyzeManifestTolerantDamagedPart(t *testing.T) {
+	users := fusedTestUsers()
+	sim := NewSim(DefaultScenario(users))
+	for _, c := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"header-byte", func(b []byte) []byte {
+			b[20] = 'A'
+			return b
+		}},
+		{"torn-header", func(b []byte) []byte { return b[:100] }},
+		{"signature", func(b []byte) []byte {
+			b[259] = 1
+			return b
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, _, man := exportShardedWeek(t, sim, users)
+			damagePart(t, dir, man.Parts[1].Name, c.damage)
+			checkTolerantMatchesMerge(t, dir, man.Parts[1].Name, 1, 2)
+		})
+	}
+}
+
+// damagePart rewrites the part named part of the export in dir through
+// damage.
+func damagePart(t *testing.T, dir, part string, damage func([]byte) []byte) {
+	t.Helper()
+	path := filepath.Join(dir, part)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[256+4+16+2000] ^= 0x20
-	if err := os.WriteFile(p0, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	mergedBad := filepath.Join(t.TempDir(), "merged-bad.uv6")
-	_, mrep, err := dataset.MergeManifest(mergedBad, filepath.Join(dir, dataset.ManifestName), nil)
+// checkTolerantMatchesMerge checks a tolerant analysis of the export in
+// dir, whose part named part is damaged, at each worker count against a
+// tolerant merge of it: the analyzer state must equal the replay of the
+// merged file, and the aggregated coverage the sums of the merge's
+// per-part rows. A strict analysis must fail naming the part, with
+// nothing folded.
+func checkTolerantMatchesMerge(t *testing.T, dir, part string, workers ...int) {
+	t.Helper()
+	merged := filepath.Join(t.TempDir(), "merged-bad.uv6")
+	_, mrep, err := dataset.MergeManifest(merged, filepath.Join(dir, dataset.ManifestName), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mrep.Complete {
-		t.Fatal("merge of a corrupted part reported complete")
+		t.Fatal("merge of a damaged part reported complete")
 	}
-	base := sequentialBaseline(t, mergedBad)
+	base := sequentialBaseline(t, merged)
 
-	var wantBlocks, wantCorrupt int
-	var wantRecords uint64
+	var want telemetry.SalvageReport
 	for _, cov := range mrep.Parts {
-		wantBlocks += cov.BlocksRecovered
-		wantCorrupt += cov.CorruptBlocks
-		wantRecords += cov.Records
+		want.Blocks += cov.BlocksRecovered
+		want.CorruptBlocks += cov.CorruptBlocks
+		want.Records += cov.Records
+		want.SkippedBytes += cov.SkippedBytes
 	}
-
-	for _, mode := range analyzeModes {
+	for _, w := range workers {
 		src, err := dataset.OpenManifestSource(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := newAnalyzeSet()
-		rep, err := AnalyzeSource(context.Background(), src, got.set,
-			AnalyzeOptions{Workers: mode.workers, Tolerant: true})
+		rep, err := AnalyzeSource(context.Background(), src, got.set, AnalyzeOptions{Workers: w, Tolerant: true})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
-		got.assertEqual(t, base, mode.name)
-		if rep.Blocks != wantBlocks || rep.CorruptBlocks != wantCorrupt || rep.Records != wantRecords {
-			t.Fatalf("%s: aggregated coverage %+v, want %d blocks / %d corrupt / %d records (merge per-part sums)",
-				mode.name, rep, wantBlocks, wantCorrupt, wantRecords)
+		got.assertEqual(t, base, fmt.Sprintf("workers=%d", w))
+		if rep.Blocks != want.Blocks || rep.CorruptBlocks != want.CorruptBlocks ||
+			rep.Records != want.Records || rep.SkippedBytes != want.SkippedBytes {
+			t.Fatalf("workers=%d: aggregated coverage %+v, want %d blocks / %d corrupt / %d records / %d bytes skipped (merge per-part sums)",
+				w, rep, want.Blocks, want.CorruptBlocks, want.Records, want.SkippedBytes)
 		}
 	}
 
-	// Strict mode must refuse, naming the part, with nothing folded: the
-	// corrupt block fails the read before its checksum is compared with
-	// the manifest's (TestAnalyzeManifestStrictSwappedPart covers that).
+	// The damage fails a strict read before the part's checksum is
+	// compared with the manifest's (TestAnalyzeManifestStrictSwappedPart
+	// covers that).
 	src, err := dataset.OpenManifestSource(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	strict := newAnalyzeSet()
-	_, err = AnalyzeSource(context.Background(), src, strict.set,
-		AnalyzeOptions{Workers: 4})
-	if err == nil || !strings.Contains(err.Error(), man.Parts[0].Name) {
-		t.Fatalf("strict analysis of corrupted part: err = %v, want an error naming %s", err, man.Parts[0].Name)
+	_, err = AnalyzeSource(context.Background(), src, strict.set, AnalyzeOptions{Workers: workers[len(workers)-1]})
+	if err == nil || !strings.Contains(err.Error(), part) {
+		t.Fatalf("strict analysis of damaged part: err = %v, want an error naming %s", err, part)
 	}
-	if strict.uc.Users() != 0 {
-		t.Fatalf("primaries touched after strict refusal: %d users", strict.uc.Users())
-	}
+	strict.assertEqual(t, newAnalyzeSet(), "primaries after the strict refusal")
 }
 
 // TestAnalyzeManifestStrictSwappedPart: a manifest part replaced by

@@ -72,11 +72,11 @@ func (s *AnalyzerSet) Len() int { return len(s.regs) }
 // default five keep a user table (per user, the distinct addresses or
 // prefixes seen, each with a value): UserCentric each user's address
 // sets and IPCentric each user's prefix set and label, both united by
-// Merge, with IPCentric's prefix populations counted when queried;
-// Lifespans min/OR folds of each pair's days; ChurnAttribution min-day
-// first-sight tuples; and Prevalence OR-folded sighting masks, beside
-// which it alone keeps cross-user tallies (each ASN's and country's
-// users, each day's requests). The table is pooled
+// Merge; Lifespans min/OR folds of each pair's days; ChurnAttribution
+// min-day first-sight tuples; and Prevalence OR-folded sighting masks.
+// Their cross-user answers (prefix populations, pair counts, ASN and
+// country users) are counted when queried; the one cross-user state
+// kept is Prevalence's per-day request sums. The table is pooled
 // and holds no pointer the GC would trace per user or key: user IDs map
 // to indexes into chunks of by-value states, and each key list is a
 // handle into a per-field pool of key and value chunks. An address or

@@ -29,8 +29,6 @@ type Lifespans struct {
 	// pool, so rows and pools line up.
 	users userTable[keyList]
 	pools []keyPool[addrKey, pairLife]
-	// pairs counts the (user, prefix) entries across all users.
-	pairs int
 	// abusiveOnly/benignOnly restrict the population.
 	abusiveOnly, benignOnly bool
 }
@@ -88,10 +86,7 @@ func (l *Lifespans) Observe(o telemetry.Observation) {
 			continue
 		}
 		p, added := l.pools[i].slot(&row[i], keyOf(netaddr.PrefixFrom(o.Addr, c.length).Addr()))
-		if added {
-			p.first = day
-			l.pairs++
-		} else if day < p.first {
+		if added || day < p.first {
 			p.first = day
 		}
 		if o.Day == l.Ref {
@@ -112,7 +107,6 @@ func (l *Lifespans) Merge(other *Lifespans) {
 	if other.users.len() > l.users.len() {
 		*l, *other = *other, *l
 	}
-	l.pairs += other.pairs
 	bases := make([]int32, len(l.pools))
 	for i := range l.pools {
 		bases[i] = l.pools[i].adopt(&other.pools[i])
@@ -120,7 +114,6 @@ func (l *Lifespans) Merge(other *Lifespans) {
 	both := func(_ addrKey, p *pairLife, op pairLife) {
 		p.first = min(p.first, op.first)
 		p.onRef = p.onRef || op.onRef
-		l.pairs--
 	}
 	l.users.merge(&other.users, func(s *keyList, i int) {
 		s.rebase(bases[i])
@@ -239,4 +232,11 @@ func (l *Lifespans) FreshShares(fam netaddr.Family) []FreshShare {
 }
 
 // Pairs returns the number of tracked (user, prefix) pairs.
-func (l *Lifespans) Pairs() int { return l.pairs }
+func (l *Lifespans) Pairs() (n int) {
+	l.users.eachRow(func(_ uint64, row []keyList) {
+		for _, s := range row {
+			n += int(s.n)
+		}
+	})
+	return n
+}

@@ -9,21 +9,19 @@ import (
 )
 
 // Prevalence tracks daily IPv6 shares of users and requests (Figure 1)
-// and per-ASN / per-country user IPv6 ratios (Tables 1 and 2). The zero
-// value is not ready; use NewPrevalence.
+// and per-ASN / per-country user IPv6 ratios (Tables 1 and 2). Its
+// users' sighting masks are its user state; every query counts users
+// from them when asked. The zero value is not ready; use NewPrevalence.
 type Prevalence struct {
 	// reqs sums each day's requests over IPv4 (reqs[0]) and IPv6
-	// (reqs[1]).
+	// (reqs[1]): the one cross-user state, as the masks hold no
+	// requests.
 	reqs  [2]map[int32]uint64
 	users userTable[userMasks]
 	// The users' mask lists, by field of userMasks.
 	dayMasks     keyPool[int32, uint8]
 	asnMasks     keyPool[netmodel.ASN, uint8]
 	countryMasks keyPool[[2]byte, uint8]
-	// asn and country tally each entity's users and IPv6 users; they
-	// change only when a user's mask for the entity does.
-	asn     map[netmodel.ASN]ratioTally
-	country map[[2]byte]ratioTally
 }
 
 // userMasks holds one user's sighting masks (1 = any, 2 = IPv6) per
@@ -32,42 +30,38 @@ type userMasks struct {
 	days, asns, countries keyList
 }
 
+// ratioTally is one day's, ASN's or country's users and IPv6 users.
 type ratioTally struct {
 	users, v6Users int
 }
 
-// countMask records in m that a user's mask for entity k grew from
-// prev to next: the user counts toward the entity once, and toward its
-// IPv6 tally once seen over IPv6.
-func countMask[K comparable](m map[K]ratioTally, k K, prev, next uint8) {
-	t := m[k]
-	if prev == 0 && next != 0 {
-		t.users++
-	}
-	if prev&2 == 0 && next&2 != 0 {
-		t.v6Users++
-	}
-	m[k] = t
+// tallyMasks counts, for each key of the lists that list picks from
+// p's users, its users and its IPv6 users: a user counts toward a key
+// if they used it at all, and toward its v6 tally if they used it over
+// IPv6.
+func tallyMasks[K comparable](p *Prevalence, pool *keyPool[K, uint8], list func(*userMasks) keyList) map[K]ratioTally {
+	m := make(map[K]ratioTally)
+	p.users.each(func(_ uint64, u *userMasks) {
+		l := list(u)
+		masks := pool.valsOf(l)
+		for i, k := range pool.keysOf(l) {
+			t := m[k]
+			t.users++
+			if masks[i]&2 != 0 {
+				t.v6Users++
+			}
+			m[k] = t
+		}
+	})
+	return m
 }
 
-// uncountMask removes from m the second count of a user whose masks
-// for entity k two replicas both counted, a and b.
-func uncountMask[K comparable](m map[K]ratioTally, k K, a, b uint8) {
-	t := m[k]
-	t.users--
-	if a&b&2 != 0 {
-		t.v6Users--
-	}
-	m[k] = t
-}
+// orMask folds a mask two replicas both hold for one key.
+func orMask[K comparable](_ K, m *uint8, om uint8) { *m |= om }
 
 // NewPrevalence returns an empty prevalence tracker.
 func NewPrevalence() *Prevalence {
-	return &Prevalence{
-		reqs:    [2]map[int32]uint64{make(map[int32]uint64), make(map[int32]uint64)},
-		asn:     make(map[netmodel.ASN]ratioTally),
-		country: make(map[[2]byte]ratioTally),
-	}
+	return &Prevalence{reqs: [2]map[int32]uint64{make(map[int32]uint64), make(map[int32]uint64)}}
 }
 
 // Observe feeds one observation (benign users only are expected, but the
@@ -83,26 +77,16 @@ func (p *Prevalence) Observe(o telemetry.Observation) {
 	u, _ := p.users.get(o.UserID)
 	m, _ := p.dayMasks.slot(&u.days, day)
 	*m |= mark
-
-	// ASN table: a user counts toward an ASN if they used it at all,
-	// and toward its v6 ratio if they used it over IPv6.
-	if m, _ := p.asnMasks.slot(&u.asns, o.ASN); *m|mark != *m {
-		countMask(p.asn, o.ASN, *m, *m|mark)
-		*m |= mark
-	}
-	if m, _ := p.countryMasks.slot(&u.countries, o.Country); *m|mark != *m {
-		countMask(p.country, o.Country, *m, *m|mark)
-		*m |= mark
-	}
+	m, _ = p.asnMasks.slot(&u.asns, o.ASN)
+	*m |= mark
+	m, _ = p.countryMasks.slot(&u.countries, o.Country)
+	*m |= mark
 }
 
 // Merge folds another tracker's state into p, exactly for any split of
-// the observation stream: request tallies and the ASN/country user
-// tallies sum, p adopts other's pool chunks whole, users only other
-// saw are adopted, and the per-(user, window) masks of users both saw
-// OR — each ASN or country both replicas counted a user toward is
-// uncounted once, and its v6 tally likewise when both saw the user
-// over IPv6. The smaller state is
+// the observation stream: request tallies sum, p adopts other's pool
+// chunks whole, users only other saw are adopted, and the
+// per-(user, window) masks of users both saw OR. The smaller state is
 // folded into the larger (the two swap whole trackers first when other
 // holds more users), so other must not be used after Merge.
 func (p *Prevalence) Merge(other *Prevalence) {
@@ -114,34 +98,16 @@ func (p *Prevalence) Merge(other *Prevalence) {
 			p.reqs[fam][day] += n
 		}
 	}
-	sumTallies(p.asn, other.asn)
-	sumTallies(p.country, other.country)
 	bd, ba, bc := p.dayMasks.adopt(&other.dayMasks), p.asnMasks.adopt(&other.asnMasks), p.countryMasks.adopt(&other.countryMasks)
 	p.users.merge(&other.users, func(u *userMasks, _ int) {
 		u.days.rebase(bd)
 		u.asns.rebase(ba)
 		u.countries.rebase(bc)
 	}, func(into, from *userMasks, _ int) {
-		p.dayMasks.merge(&into.days, &from.days, func(_ int32, m *uint8, om uint8) { *m |= om })
-		p.asnMasks.merge(&into.asns, &from.asns, func(asn netmodel.ASN, m *uint8, om uint8) {
-			uncountMask(p.asn, asn, *m, om)
-			*m |= om
-		})
-		p.countryMasks.merge(&into.countries, &from.countries, func(cc [2]byte, m *uint8, om uint8) {
-			uncountMask(p.country, cc, *m, om)
-			*m |= om
-		})
+		p.dayMasks.merge(&into.days, &from.days, orMask)
+		p.asnMasks.merge(&into.asns, &from.asns, orMask)
+		p.countryMasks.merge(&into.countries, &from.countries, orMask)
 	})
-}
-
-// sumTallies adds from's tallies into m.
-func sumTallies[K comparable](m, from map[K]ratioTally) {
-	for k, ot := range from {
-		t := m[k]
-		t.users += ot.users
-		t.v6Users += ot.v6Users
-		m[k] = t
-	}
 }
 
 // DayShare is one day's IPv6 prevalence.
@@ -169,17 +135,11 @@ func (p *Prevalence) Daily() []DayShare {
 			}
 		}
 	}
-	p.users.each(func(_ uint64, u *userMasks) {
-		masks := p.dayMasks.valsOf(u.days)
-		for i, day := range p.dayMasks.keysOf(u.days) {
-			if s := perDay[simtime.Day(day)]; s != nil {
-				s.Users++
-				if masks[i]&2 != 0 {
-					s.V6Users++
-				}
-			}
+	for day, t := range tallyMasks(p, &p.dayMasks, func(u *userMasks) keyList { return u.days }) {
+		if s := perDay[simtime.Day(day)]; s != nil {
+			s.Users, s.V6Users = t.users, t.v6Users
 		}
-	})
+	}
 	out := make([]DayShare, 0, len(perDay))
 	for _, s := range perDay {
 		if s.Requests > 0 {
@@ -207,8 +167,9 @@ type RatioRow struct {
 // ratio descending (Table 1). resolve maps ASNs to display names and may
 // be nil.
 func (p *Prevalence) TopASNs(minUsers, k int, resolve func(netmodel.ASN) string) []RatioRow {
-	rows := make([]RatioRow, 0, len(p.asn))
-	for asn, t := range p.asn {
+	asns := tallyMasks(p, &p.asnMasks, func(u *userMasks) keyList { return u.asns })
+	rows := make([]RatioRow, 0, len(asns))
+	for asn, t := range asns {
 		if t.users < minUsers {
 			continue
 		}
@@ -234,7 +195,7 @@ func (p *Prevalence) TopASNs(minUsers, k int, resolve func(netmodel.ASN) string)
 // with zero IPv6 usage and with under 10% of users on IPv6 (§4.2).
 func (p *Prevalence) ASNShareBands(minUsers int) (zero, underTen float64, total int) {
 	var z, u int
-	for _, t := range p.asn {
+	for _, t := range tallyMasks(p, &p.asnMasks, func(u *userMasks) keyList { return u.asns }) {
 		if t.users < minUsers {
 			continue
 		}
@@ -256,8 +217,9 @@ func (p *Prevalence) ASNShareBands(minUsers int) (zero, underTen float64, total 
 // TopCountries returns countries with at least minUsers users, ranked by
 // v6 user ratio descending (Table 2 / Figure 12).
 func (p *Prevalence) TopCountries(minUsers, k int) []RatioRow {
-	rows := make([]RatioRow, 0, len(p.country))
-	for cc, t := range p.country {
+	countries := tallyMasks(p, &p.countryMasks, func(u *userMasks) keyList { return u.countries })
+	rows := make([]RatioRow, 0, len(countries))
+	for cc, t := range countries {
 		if t.users < minUsers {
 			continue
 		}
@@ -280,7 +242,7 @@ func (p *Prevalence) CountryRatio(code string) (ratio float64, users int) {
 	if len(code) != 2 {
 		return 0, 0
 	}
-	t := p.country[[2]byte{code[0], code[1]}]
+	t := tallyMasks(p, &p.countryMasks, func(u *userMasks) keyList { return u.countries })[[2]byte{code[0], code[1]}]
 	if t.users == 0 {
 		return 0, 0
 	}

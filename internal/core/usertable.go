@@ -1,6 +1,6 @@
 package core
 
-// The user table behind the §5–6 analyzers. The paper's unit of
+// The user table behind the default analyzers. The paper's unit of
 // analysis is one user's sightings over the window, and the canonical
 // stream delivers each user's records back to back, so every default
 // analyzer keeps its state per user: a table from user ID to that
@@ -8,13 +8,12 @@ package core
 // user a few short key lists. A record of the same user as the one
 // before costs no hashing at all.
 //
-// UserCentric, IPCentric, Lifespans and ChurnAttribution keep no
-// cross-user state beside the table. Their cross-user answers, such as
-// a prefix's user population or a churn cause's share of new pairs,
-// are counted from the users' lists when queried, so Observe touches
-// only the current user's lists and Merge is a union of tables.
-// Prevalence alone also keeps cross-user tallies: each ASN's and
-// country's users and each day's requests.
+// Every cross-user answer, such as a prefix's user population, a
+// churn cause's share of new pairs, a pair count or an ASN's users, is
+// counted from the users' lists when queried, so Observe touches only
+// the current user's lists and Merge is a union of tables. The one
+// exception is Prevalence's per-day request sums, which Observe adds
+// to and Merge sums: its users' sighting masks hold no requests.
 //
 // None of this state holds a pointer per user or per key, so the GC
 // never traces it. The table maps a user ID to an int32 index into

@@ -345,66 +345,103 @@ type Reader struct {
 }
 
 // Open opens a dataset file for sequential reading, accepting exactly
-// what OpenParallel accepts: a headered file whose header parses and
+// what a strict OpenParallel accepts: a headered file whose header parses and
 // passes its checksum, or a headerless raw telemetry stream (Raw true,
 // zero Meta).
 func Open(path string) (*Reader, error) {
-	f, meta, hdr, err := openDataset(path)
+	f, h, err := openDataset(path, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, tr: telemetry.NewReader(f), meta: meta, raw: hdr == nil}, nil
+	return &Reader{f: f, tr: telemetry.NewReader(h.stream), meta: h.meta, raw: h.raw}, nil
 }
 
-// openDataset opens path and reads its header: the one accept rule
-// Open, OpenParallel and the source probes share. A file that starts
-// with a telemetry stream signature is a headerless raw stream: meta is
-// zero, hdr is nil, and f is rewound to byte zero. Anything else must
-// begin with a full headerSize-byte header that parses and passes its
-// checksum: hdr holds the bytes it was parsed from, and f is left just
-// past them. A format-2 header pins the stream version: the stream must
-// begin with the v2 signature.
-func openDataset(path string) (f *os.File, meta Meta, hdr []byte, err error) {
-	f, err = os.Open(path)
+// openDataset opens path and reads its header through readHead,
+// hashing every byte it reads into sum when sum is not nil. Unless
+// tolerant, the header must pass the one accept rule Open, a strict
+// OpenParallel and the source probes share: a file that starts with a
+// telemetry stream signature is a headerless raw stream, and anything
+// else must begin with a full headerSize-byte header that parses and
+// passes its checksum; a format-2 header pins the stream version, so
+// the stream must begin with the v2 signature.
+func openDataset(path string, tolerant bool, sum io.Writer) (*os.File, fileHead, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, Meta{}, nil, fmt.Errorf("dataset: open: %w", err)
+		return nil, fileHead{}, fmt.Errorf("dataset: open: %w", err)
 	}
-	if meta, hdr, err = readHeader(f); err == nil && hdr != nil {
-		err = checkSignature(f, meta)
+	var in io.Reader = f
+	if sum != nil {
+		in = io.TeeReader(f, sum)
+	}
+	h, err := readHead(in)
+	if err == nil && !tolerant {
+		err = h.hdrErr
+		if err == nil && !h.raw {
+			err = checkSignature(f, h.meta)
+		}
 	}
 	if err != nil {
 		f.Close()
-		return nil, Meta{}, nil, err
+		return nil, fileHead{}, err
 	}
-	return f, meta, hdr, nil
+	return f, h, nil
 }
 
-// readHeader reads f's header under openDataset's accept rule, without
-// looking at the stream behind it.
-func readHeader(f io.ReadSeeker) (Meta, []byte, error) {
+// fileHead is what a read makes of the start of a file.
+type fileHead struct {
+	// raw marks a headerless raw stream, which has no header to judge.
+	// Otherwise meta and hdrErr are the header's verdict: hdrErr is nil
+	// when the header parses and passes its checksum, wraps ErrHeaderCRC
+	// when it parses but fails it, and is a read or parse error when the
+	// file is too short to hold a header or the header does not parse.
+	raw    bool
+	meta   Meta
+	hdrErr error
+	// stream is what a walk of the stream reads, pinned to version pin:
+	// from byte zero for a raw stream, every byte of a file too short to
+	// hold a header (so a tolerant walk counts them as skipped), and the
+	// bytes past the header otherwise, pinned when the header verifies.
+	stream io.Reader
+	pin    int
+}
+
+// parsed reports whether the file has a header that parsed, whatever
+// its checksum says.
+func (h fileHead) parsed() bool {
+	return !h.raw && (h.hdrErr == nil || errors.Is(h.hdrErr, ErrHeaderCRC))
+}
+
+// readHead reads the header at the start of in: the one header read of
+// every open, probe and tolerant read. It fails only when in fails; a
+// short, unparseable or failing header is left in hdrErr, for a strict
+// open to refuse and a tolerant read to walk past.
+func readHead(in io.Reader) (fileHead, error) {
 	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(f, hdr)
+	n, err := io.ReadFull(in, hdr)
 	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return Meta{}, nil, fmt.Errorf("dataset: read header: %w", err)
+		return fileHead{}, fmt.Errorf("dataset: read header: %w", err)
 	}
-	if isRawStream(hdr[:n]) {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return Meta{}, nil, fmt.Errorf("dataset: seek: %w", err)
+	hdr = hdr[:n]
+	h := fileHead{raw: isRawStream(hdr), stream: in}
+	switch {
+	case h.raw:
+		h.stream = io.MultiReader(bytes.NewReader(hdr), in)
+	case n < headerSize:
+		h.hdrErr = fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
+		h.stream = bytes.NewReader(hdr)
+	default:
+		if h.meta, h.hdrErr = parseHeader(hdr); h.hdrErr == nil {
+			h.pin = streamPin(h.meta)
 		}
-		return Meta{}, nil, nil
 	}
-	if n != headerSize {
-		return Meta{}, nil, fmt.Errorf("dataset: read header: %w", io.ErrUnexpectedEOF)
-	}
-	meta, err := parseHeader(hdr)
-	return meta, hdr, err
+	return h, nil
 }
 
 // checkSignature checks that the stream behind a format-2 header
 // begins with the v2 signature. No stream bytes at all is an empty
 // stream, and a torn signature is left to the stream readers, which
 // report the truncation.
-func checkSignature(f *os.File, meta Meta) error {
+func checkSignature(f io.ReaderAt, meta Meta) error {
 	if meta.Format != FormatV2 {
 		return nil
 	}
@@ -537,33 +574,19 @@ func salvage(path string, emit telemetry.EmitFunc) (ScanReport, error) {
 	}
 	defer f.Close()
 
-	var rep ScanReport
 	sum := crc32.New(headerCastagnoli)
-	in := io.TeeReader(f, sum)
-	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(in, hdr)
-	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return ScanReport{}, fmt.Errorf("dataset: read header: %w", err)
+	h, err := readHead(io.TeeReader(f, sum))
+	if err != nil {
+		return ScanReport{}, err
 	}
-	hdr = hdr[:n]
-
-	stream := in
-	pin := 0
-	if isRawStream(hdr) {
-		// Headerless raw telemetry stream: scan from byte zero.
-		rep.Raw = true
-		stream = io.MultiReader(bytes.NewReader(hdr), in)
-	} else if n == headerSize {
-		meta, err := parseHeader(hdr)
-		switch {
-		case err == nil:
-			rep.HeaderOK, rep.Meta = true, meta
-			pin = streamPin(meta)
-		case errors.Is(err, ErrHeaderCRC):
-			rep.HeaderOK, rep.Meta, rep.HeaderErr = true, meta, err.Error()
+	rep := ScanReport{Raw: h.raw}
+	if h.parsed() {
+		rep.HeaderOK, rep.Meta = true, h.meta
+		if h.hdrErr != nil {
+			rep.HeaderErr = h.hdrErr.Error()
 		}
 	}
-	sr, serr := telemetry.NewBlockReaderVersion(stream, pin).Salvage(emit)
+	sr, serr := telemetry.NewBlockReaderVersion(h.stream, h.pin).Salvage(emit)
 	rep.Stream = sr
 	if serr != nil {
 		rep.StreamErr = serr.Error()

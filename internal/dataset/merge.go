@@ -28,7 +28,6 @@
 package dataset
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -104,7 +103,9 @@ type PartCoverage struct {
 	// successfully.
 	Retries int
 	// ChecksumOK reports the whole-file CRC32C against the manifest;
-	// true when no expectation was available.
+	// true when no expectation was available. It is false for a part
+	// whose stream is unrecognizable (no signature and no intact
+	// block), which a part too short to hold a header always is.
 	ChecksumOK bool
 	// CodecOK reports that every intact frame's codec was one the part
 	// declared (the declared codec, or identity — an encoder that did
@@ -278,30 +279,12 @@ func (m *merger) part(ctx context.Context, path string) (PartCoverage, error) {
 		declared, haveDeclared = want.Codec, true
 	}
 
-	// Strip the dataset header when present; a raw stream (signature at
-	// byte zero) is salvaged whole; a verified header pins its version.
-	// A part too short to hold a header has nothing to salvage.
-	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(pr, hdr)
-	if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+	h, err := readHead(pr)
+	if err != nil {
 		return cov, err
 	}
-	hdr = hdr[:n]
-	var stream io.Reader = pr
-	pin := 0
-	switch {
-	case isRawStream(hdr):
-		stream = io.MultiReader(bytes.NewReader(hdr), pr)
-	case n < headerSize:
-		stream = nil
-	default:
-		pm, err := parseHeader(hdr)
-		if err == nil {
-			pin = streamPin(pm)
-		}
-		if !haveDeclared && (err == nil || errors.Is(err, ErrHeaderCRC)) {
-			declared, haveDeclared = pm.Codec, true
-		}
+	if !haveDeclared && h.parsed() {
+		declared, haveDeclared = h.meta.Codec, true
 	}
 
 	// Passthrough of stored frames is only provably byte-identical when
@@ -317,13 +300,9 @@ func (m *merger) part(ctx context.Context, path string) (PartCoverage, error) {
 			telemetry.CanonicalPolicy(declared) == telemetry.CanonicalPolicy(m.w.meta.Codec)
 	}
 
-	var sr telemetry.SalvageReport
-	var serr error
-	if stream != nil {
-		var werr error
-		if sr, serr, werr = m.stream(stream, pin, passOK); werr != nil {
-			return cov, werr
-		}
+	sr, serr, werr := m.stream(h.stream, h.pin, passOK)
+	if werr != nil {
+		return cov, werr
 	}
 	// The walk read the part to its end, so this drains nothing but
 	// returns a read that still failed once its retries were spent: that
@@ -335,10 +314,6 @@ func (m *merger) part(ctx context.Context, path string) (PartCoverage, error) {
 	}
 	if fromManifest {
 		cov.ChecksumOK = fmt.Sprintf("%08x", pr.crc) == want.CRC32C
-	}
-	if stream == nil {
-		cov.SkippedBytes = int64(n)
-		return cov, nil
 	}
 	cov.BlocksRecovered = sr.Blocks
 	cov.CorruptBlocks = sr.CorruptBlocks

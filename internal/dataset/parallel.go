@@ -61,29 +61,39 @@ type ParallelReader struct {
 	// sum hashes every byte the reader consumes: the header it parsed,
 	// then the stream as the walk reads it.
 	sum hash.Hash32
+	// stream is what the walk reads, pinned to version pin.
+	stream io.Reader
+	pin    int
 
 	consumed bool
 	coverage telemetry.SalvageReport
 	covered  bool
 }
 
-// OpenParallel opens path for parallel reading and parses its header,
-// under the same accept rule as Open: a headered file whose header
-// checksum verifies, or a headerless raw telemetry stream (zero Meta).
+// OpenParallel opens path for parallel reading and parses its header.
+// A strict reader opens under the same accept rule as Open: a headered
+// file whose header checksum verifies, or a headerless raw telemetry
+// stream (zero Meta). A tolerant reader reads the header as Salvage
+// does: a header that is short, does not parse or fails its checksum
+// gives a zero Meta and leaves the stream to the tolerant walk.
 func OpenParallel(path string, opts ParallelOptions) (*ParallelReader, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	f, meta, hdr, err := openDataset(path)
+	sum := crc32.New(headerCastagnoli)
+	f, h, err := openDataset(path, opts.Tolerant, sum)
 	if err != nil {
 		return nil, err
 	}
-	sum := crc32.New(headerCastagnoli)
-	sum.Write(hdr) // nil for a raw stream, whose walk starts at byte zero
-	return &ParallelReader{f: f, meta: meta, raw: hdr == nil, opts: opts, sum: sum}, nil
+	pr := &ParallelReader{f: f, raw: h.raw, opts: opts, sum: sum, stream: h.stream, pin: h.pin}
+	if h.hdrErr == nil {
+		pr.meta = h.meta
+	}
+	return pr, nil
 }
 
-// Meta returns the dataset metadata (zero for raw streams).
+// Meta returns the dataset metadata (zero for raw streams, and for a
+// header a tolerant reader could not verify).
 func (pr *ParallelReader) Meta() Meta { return pr.meta }
 
 // Workers returns the normalized decode-pool size (the Workers option,
@@ -219,11 +229,7 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 		errMu.Unlock()
 	}
 
-	pin := 0
-	if !pr.raw {
-		pin = streamPin(pr.meta)
-	}
-	br := telemetry.NewBlockReaderVersion(io.TeeReader(pr.f, pr.sum), pin)
+	br := telemetry.NewBlockReaderVersion(pr.stream, pr.pin)
 	jobs := make(chan scannedBlock, pr.opts.Workers)
 	go scanLabeled(func() {
 		defer close(jobs)
@@ -237,7 +243,9 @@ func (pr *ParallelReader) ForEachWorker(ctx context.Context, newWorker func(work
 			} else {
 				job.blk, err = br.Next(*job.buf)
 			}
-			if err == io.EOF {
+			// A tolerant walk that recognizes nothing recovers nothing
+			// and ends with its coverage, as Scan and a merge count it.
+			if err == io.EOF || pr.opts.Tolerant && errors.Is(err, telemetry.ErrBadMagic) {
 				return
 			}
 			if err != nil {

@@ -221,6 +221,17 @@ func TestParallelReaderTolerantMatchesSalvage(t *testing.T) {
 			return b
 		}},
 		{"torn-tail", func(b []byte) []byte { return b[:len(b)-41] }},
+		// A tolerant read opens a file whose header is damaged, torn or
+		// over a damaged stream signature, as Salvage does.
+		{"header-byte", func(b []byte) []byte {
+			b[20] = 'A'
+			return b
+		}},
+		{"torn-header", func(b []byte) []byte { return b[:100] }},
+		{"signature", func(b []byte) []byte {
+			b[headerSize+3] = 1
+			return b
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := writeDataset(t, sample(5000))

@@ -123,8 +123,8 @@ func (r *resumeSource) open(fsys faultio.FS, hash string, first telemetry.Observ
 	r.File = f
 	// The walk, pinned to the header's version, refuses a stream of
 	// another signature.
-	if meta, hdr, err := readHeader(r); err == nil && hdr != nil && ConfigHash(meta) == hash {
-		r.br.Reset(r, streamPin(meta))
+	if h, err := readHead(r); err == nil && h.hdrErr == nil && !h.raw && ConfigHash(h.meta) == hash {
+		r.br.Reset(h.stream, h.pin)
 		if r.next() && r.obs[0] == first {
 			return true, nil
 		}

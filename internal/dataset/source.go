@@ -46,11 +46,14 @@ func HeaderMeta(path string) (meta Meta, ok bool, err error) {
 		return Meta{}, false, fmt.Errorf("dataset: open: %w", err)
 	}
 	defer f.Close()
-	meta, hdr, err := readHeader(f)
+	h, err := readHead(f)
+	if err == nil {
+		err = h.hdrErr
+	}
 	if err != nil {
 		return Meta{}, false, err
 	}
-	return meta, hdr != nil, nil
+	return h.meta, !h.raw, nil
 }
 
 // FileSource is a single dataset file (headered or raw stream).
@@ -63,12 +66,12 @@ type FileSource struct {
 // NewFileSource probes path's header under OpenParallel's accept rule
 // and wraps it as a one-part source.
 func NewFileSource(path string) (*FileSource, error) {
-	f, meta, hdr, err := openDataset(path)
+	f, h, err := openDataset(path, false, nil)
 	if err != nil {
 		return nil, err
 	}
 	f.Close()
-	return &FileSource{path: path, meta: meta, hasMeta: hdr != nil}, nil
+	return &FileSource{path: path, meta: h.meta, hasMeta: !h.raw}, nil
 }
 
 func (s *FileSource) Kind() string                  { return "file" }

@@ -620,6 +620,26 @@ func runFigure[R any](sim *Sim, register func(*Paper) func() R) R {
 	return read()
 }
 
+// sameState reports whether got and want are deeply equal once every
+// IPCentric they hold (Figures 7–10) has dropped the prefix populations
+// a query cached, whose order follows map iteration: folding in an
+// empty IPCentric, Merge's identity, clears that cache and nothing
+// else.
+func sameState(got, want any) bool {
+	for _, v := range []any{got, want} {
+		if r, ok := v.(IPCentricResult); ok {
+			ics := []*core.IPCentric{r.V4, r.DayV4, r.DayV6}
+			for _, ic := range r.V6 {
+				ics = append(ics, ic)
+			}
+			for _, ic := range ics {
+				ic.Merge(core.NewIPCentric(ic.Family, ic.Length))
+			}
+		}
+	}
+	return reflect.DeepEqual(got, want)
+}
+
 // A reference computes an experiment's result from the per-figure
 // feeds. An experiment whose reference is elsewhere names, instead,
 // the test that checks it.
@@ -760,11 +780,11 @@ func TestPaperMatchesPerFigureFeeds(t *testing.T) {
 				regs := registrations(sim, e.Register)
 				if !slices.ContainsFunc(ranAlone[ref], func(r map[reg]bool) bool { return maps.Equal(r, regs) }) {
 					ranAlone[ref] = append(ranAlone[ref], regs)
-					if got := runFigure(sim, e.Register); !reflect.DeepEqual(got, want) {
+					if got := runFigure(sim, e.Register); !sameState(got, want) {
 						t.Errorf("%s alone:\n got %+v\nwant %+v", e.Name, got, want)
 					}
 				}
-				if got := reads[i](); !reflect.DeepEqual(got, want) {
+				if got := reads[i](); !sameState(got, want) {
 					t.Errorf("%s with every experiment registered:\n got %+v\nwant %+v", e.Name, got, want)
 				}
 			}
