@@ -9,6 +9,11 @@
 // (default 3x) fail the gate. Refresh it with -update after intentional
 // performance changes.
 //
+// A run with -count=N prints N result lines per benchmark. benchgate
+// keeps each benchmark's median sample: it gates that sample, writes it
+// to the results and, with -update, to the baseline, so one noisy
+// sample neither fails nor passes a tight gate alone.
+//
 // Usage:
 //
 //	go test -bench=... -benchtime=1x ./... | tee bench.txt
@@ -121,12 +126,13 @@ func main() {
 	fmt.Printf("benchgate: all %d gated benchmarks within %.1fx of baseline\n", len(names), *maxRatio)
 }
 
-// parse extracts benchmark result lines from `go test -bench` output.
-// The returned bad string is non-empty when the run itself failed
-// (panic or FAIL), which must gate even if every parsed line looks
-// healthy.
+// parse extracts benchmark result lines from `go test -bench` output
+// and keeps each benchmark's median sample (for an even count, the
+// slower of the two middle ones). The returned bad string is non-empty
+// when the run itself failed (panic or FAIL), which must gate even if
+// every parsed line looks healthy.
 func parse(r io.Reader) (*File, string, error) {
-	out := &File{Benchmarks: map[string]Result{}}
+	samples := map[string][]Result{}
 	bad := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -175,10 +181,15 @@ func parse(r io.Reader) (*File, string, error) {
 		if !found {
 			continue
 		}
-		out.Benchmarks[name] = Result{NsPerOp: ns, Iters: iters}
+		samples[name] = append(samples[name], Result{NsPerOp: ns, Iters: iters})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, "", err
+	}
+	out := &File{Benchmarks: map[string]Result{}}
+	for name, rs := range samples {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		out.Benchmarks[name] = rs[len(rs)/2]
 	}
 	return out, bad, nil
 }

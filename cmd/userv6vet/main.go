@@ -4,20 +4,24 @@
 // flows through the internal/faultio seam, backoff sleeps stay
 // ctx-aware via internal/retry, commutative-analyzer registrations
 // carry a usable Merge, sentinel errors are matched with errors.Is,
-// and sync.Pool Gets have Puts. Zero dependencies: module-internal
-// packages are type-checked here and the standard library resolves
-// through go/importer's source mode.
+// and sync.Pool Gets have Puts. Zero dependencies: `go list` names the
+// module's packages and the files the go tool builds for them, those
+// are type-checked here, and the standard library resolves through
+// go/importer's source mode.
 //
 // Usage:
 //
 //	userv6vet [packages]
+//	userv6vet -rules
 //
-// Package arguments select the module to analyze (the module whose
-// go.mod governs the named directory); analysis always covers the
-// whole module, because the invariants are module-wide ("./..." and
-// "." both mean the module around the working directory). Findings
-// print as file:line:col: rule-name: message and any finding makes
-// the exit status 1.
+// Package arguments, any pattern `go list` accepts in the working
+// directory, select the module to analyze (the module holding the
+// packages they name); analysis always covers the whole module,
+// because the invariants are module-wide ("./..." and "." both mean
+// the module around the working directory). Findings print as
+// file:line:col: rule-name: message and any finding makes the exit
+// status 1; a module that fails to load or type-check makes it 2.
+// -rules prints the rule names and exits; it takes no packages.
 //
 // Per-file suppression: a //userv6vet:ignore rule-name comment
 // anywhere in a file silences that rule for the file. Unknown rule
@@ -28,98 +32,87 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 func main() {
-	list := flag.Bool("rules", false, "list the rules and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: userv6vet [-rules] [packages]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command line: it parses args, lints, writes findings to
+// stdout and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("userv6vet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("rules", false, "list the rules and exit (takes no packages)")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: userv6vet [packages]\n       userv6vet -rules\n")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
+	if err := flags.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	rules := allRules()
 	if *list {
-		for _, r := range rules {
-			fmt.Println(r.Name())
+		if flags.NArg() > 0 {
+			fmt.Fprintln(stderr, "userv6vet: -rules only lists the rules; it takes no packages")
+			flags.Usage()
+			return 2
 		}
-		return
+		for _, r := range rules {
+			fmt.Fprintln(stdout, r.Name())
+		}
+		return 0
 	}
 
-	root, err := moduleRootFor(flag.Args())
+	root, err := moduleRoot(flags.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "userv6vet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "userv6vet:", err)
+		return 2
 	}
 	mod, err := loadModule(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "userv6vet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "userv6vet:", err)
+		return 2
 	}
 	diags := runRules(mod, rules)
 	for _, d := range diags {
-		fmt.Println(relToCwd(d))
+		fmt.Fprintln(stdout, relToCwd(d))
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "userv6vet: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "userv6vet: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
-// moduleRootFor maps the package arguments ("./...", ".", a directory)
-// to the enclosing module root: the nearest parent directory holding a
-// go.mod. All arguments must land in the same module.
-func moduleRootFor(args []string) (string, error) {
-	if len(args) == 0 {
-		args = []string{"."}
-	}
-	root := ""
-	for _, arg := range args {
-		dir := filepath.Clean(trimPattern(arg))
-		r, err := findModuleRoot(dir)
-		if err != nil {
-			return "", err
-		}
-		if root == "" {
-			root = r
-		} else if root != r {
-			return "", fmt.Errorf("arguments span two modules (%s and %s)", root, r)
-		}
-	}
-	return root, nil
-}
-
-// trimPattern strips a trailing /... wildcard ("./..." -> ".").
-func trimPattern(arg string) string {
-	if arg == "..." {
-		return "."
-	}
-	if len(arg) > 4 && arg[len(arg)-4:] == "/..." {
-		return arg[:len(arg)-4]
-	}
-	return arg
-}
-
-// findModuleRoot walks up from dir to the nearest go.mod.
-func findModuleRoot(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
+// moduleRoot returns the root directory of the module holding the
+// packages args name, as `go list` resolves them in the working
+// directory. All of them must be in one module.
+func moduleRoot(args []string) (string, error) {
+	out, err := goList(".", append([]string{"-f", "{{.Module.Dir}}"}, args...)...)
 	if err != nil {
 		return "", err
 	}
-	for d := abs; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("no go.mod above %s", abs)
-		}
-		d = parent
+	dirs := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if dirs[0] == "" {
+		return "", fmt.Errorf("no packages match %q", args)
 	}
+	for _, dir := range dirs[1:] {
+		if dir != dirs[0] {
+			return "", fmt.Errorf("arguments span two modules (%s and %s)", dirs[0], dir)
+		}
+	}
+	return dirs[0], nil
 }
 
 // relToCwd renders a diagnostic with a working-directory-relative

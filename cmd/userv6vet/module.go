@@ -1,34 +1,37 @@
 package main
 
 // Module loading: userv6vet type-checks the whole module from source
-// using only the standard library. Packages inside the module are
-// parsed and checked here, in dependency order, so every unit sees
-// fully-resolved types for its module-internal imports; everything
+// using only the standard library and the go command. `go list` names
+// the packages, the order to check them in, and the files the go tool
+// builds for each (build constraints and the _ and . file-name rules
+// applied). The files are parsed and checked here, so every unit sees
+// fully-resolved types for its module-internal imports. Everything
 // else (the standard library — the module has no other dependencies)
 // is resolved by go/importer's source-mode importer.
 //
-// Each directory yields up to three compilation units, mirroring the
-// go tool's test build:
+// Each package yields up to three compilation units, mirroring the go
+// tool's test build:
 //
-//   - the base package (non-test files) — cached for import resolution,
-//   - the in-package test unit (base files + same-package _test.go
-//     files), and
-//   - the external test unit (the foo_test package).
+//   - the base package (GoFiles) — cached for import resolution,
+//   - the in-package test unit (GoFiles + TestGoFiles), and
+//   - the external test unit (XTestGoFiles, the foo_test package).
 //
 // Rules see every unit; the driver keeps only _test.go-positioned
 // diagnostics from test units so base-file findings are never
 // reported twice.
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -100,87 +103,126 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	return stdImport.Import(path)
 }
 
-// parsedDir is one directory's files, pre-partitioned into units.
-type parsedDir struct {
-	dir      string
-	path     string // import path
-	base     []*ast.File
-	inTest   []*ast.File // same-package _test.go files
-	extTest  []*ast.File // package foo_test files
-	imports  []string    // module-internal imports of the base files
-	baseName string
+// listedPackage is the part of a `go list -json` record the loader
+// reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Standard   bool
+	Module     *struct{ Path, Dir string }
+	GoFiles    []string
+	// TestGoFiles are the same-package _test.go files, XTestGoFiles
+	// the package foo_test files.
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Error        *struct{ Err string }
 }
 
-// loadModule parses and type-checks every package under root, which
-// must hold a go.mod. Directories named testdata or vendor, hidden
-// directories, and nested modules (a subdirectory with its own
-// go.mod) are skipped.
+// loadModule parses and type-checks every package of the module whose
+// root is root: the packages `go list ./...` matches there, which
+// leaves out testdata, vendor, _- and .-prefixed directories and
+// nested modules.
 func loadModule(root string) (*Module, error) {
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
 
-	root, err := filepath.Abs(root)
+	// -deps prints every package after the packages it imports.
+	out, err := goList(root, "-e", "-deps", "-json=ImportPath,Dir,Standard,Module,GoFiles,TestGoFiles,XTestGoFiles,Error", "./...")
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := readModulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
+	m := &Module{Fset: sharedFset}
+	var listed []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("reading go list output: %w", err)
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if lp.Standard {
+			continue
+		}
+		if lp.Module == nil {
+			return nil, fmt.Errorf("%s is not in a module", lp.ImportPath)
+		}
+		m.Root, m.Path = lp.Module.Dir, lp.Module.Path
+		listed = append(listed, lp)
 	}
-	m := &Module{Root: root, Path: modPath, Fset: sharedFset}
+	if len(listed) == 0 {
+		return nil, fmt.Errorf("no packages in %s", root)
+	}
 
-	dirs, err := collectDirs(root)
-	if err != nil {
-		return nil, err
-	}
-	var pdirs []*parsedDir
-	for _, dir := range dirs {
-		pd, err := parseDir(m, dir)
+	imp := &moduleImporter{module: m.Path, cache: map[string]*types.Package{}}
+	// unit parses the named files of dir, type-checks them after the
+	// already parsed files base as one unit, and adds it to m.
+	unit := func(path, dir string, base []*ast.File, names []string, test bool) (*Package, error) {
+		files, err := parseFiles(m.Fset, dir, names)
 		if err != nil {
 			return nil, err
 		}
-		if pd != nil {
-			pdirs = append(pdirs, pd)
-		}
-	}
-
-	ordered, err := topoSort(pdirs)
-	if err != nil {
-		return nil, err
-	}
-
-	imp := &moduleImporter{module: modPath, cache: map[string]*types.Package{}}
-	// Base units first, in dependency order, feeding the import cache.
-	for _, pd := range ordered {
-		pkg, err := check(m, imp, pd.path, pd.dir, pd.base, false)
+		pkg, err := check(m, imp, path, dir, append(append([]*ast.File{}, base...), files...), test)
 		if err != nil {
 			return nil, err
 		}
-		imp.cache[pd.path] = pkg.Types
 		m.Pkgs = append(m.Pkgs, pkg)
+		return pkg, nil
+	}
+	// Base units first, in dependency order, feeding the import cache.
+	for _, lp := range listed {
+		pkg, err := unit(lp.ImportPath, lp.Dir, nil, lp.GoFiles, false)
+		if err != nil {
+			return nil, err
+		}
+		imp.cache[lp.ImportPath] = pkg.Types
 	}
 	// Then the test units: every base package is now importable, so
 	// order no longer matters. The in-package unit re-checks the base
 	// files together with the _test.go files, exactly as `go test`
 	// compiles them.
-	for _, pd := range ordered {
-		if len(pd.inTest) > 0 {
-			files := append(append([]*ast.File{}, pd.base...), pd.inTest...)
-			pkg, err := check(m, imp, pd.path, pd.dir, files, true)
-			if err != nil {
+	for i, lp := range listed {
+		if len(lp.TestGoFiles) > 0 {
+			if _, err := unit(lp.ImportPath, lp.Dir, m.Pkgs[i].Files, lp.TestGoFiles, true); err != nil {
 				return nil, err
 			}
-			m.Pkgs = append(m.Pkgs, pkg)
 		}
-		if len(pd.extTest) > 0 {
-			pkg, err := check(m, imp, pd.path+"_test", pd.dir, pd.extTest, true)
-			if err != nil {
+		if len(lp.XTestGoFiles) > 0 {
+			if _, err := unit(lp.ImportPath+"_test", lp.Dir, nil, lp.XTestGoFiles, true); err != nil {
 				return nil, err
 			}
-			m.Pkgs = append(m.Pkgs, pkg)
 		}
 	}
 	return m, nil
+}
+
+// goList runs `go list args...` in dir and returns its standard
+// output; a failed run's error carries the go tool's message.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return nil, fmt.Errorf("go list: %s", bytes.TrimSpace(exit.Stderr))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	return out, nil
+}
+
+// parseFiles parses the named files of dir.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, file)
+	}
+	return files, nil
 }
 
 // check type-checks one unit.
@@ -201,144 +243,4 @@ func check(m *Module, imp types.Importer, path, dir string, files []*ast.File, t
 		return nil, fmt.Errorf("type-checking %s: %v", path, errs[0])
 	}
 	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Test: test}, nil
-}
-
-// parseDir parses one directory into a parsedDir, or nil when it has
-// no buildable Go files.
-func parseDir(m *Module, dir string) (*parsedDir, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(m.Root, dir)
-	if err != nil {
-		return nil, err
-	}
-	path := m.Path
-	if rel != "." {
-		path = m.Path + "/" + filepath.ToSlash(rel)
-	}
-	pd := &parsedDir{dir: dir, path: path}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		file, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		pkgName := file.Name.Name
-		switch {
-		case !strings.HasSuffix(name, "_test.go"):
-			if pd.baseName == "" {
-				pd.baseName = pkgName
-			}
-			pd.base = append(pd.base, file)
-			for _, spec := range file.Imports {
-				ip := strings.Trim(spec.Path.Value, `"`)
-				if ip == m.Path || strings.HasPrefix(ip, m.Path+"/") {
-					pd.imports = append(pd.imports, ip)
-				}
-			}
-		case strings.HasSuffix(pkgName, "_test"):
-			pd.extTest = append(pd.extTest, file)
-		default:
-			pd.inTest = append(pd.inTest, file)
-		}
-	}
-	if len(pd.base) == 0 && len(pd.inTest) == 0 && len(pd.extTest) == 0 {
-		return nil, nil
-	}
-	return pd, nil
-}
-
-// collectDirs walks root for package directories, skipping testdata,
-// vendor, hidden directories, and nested modules.
-func collectDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root {
-			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	return dirs, err
-}
-
-// topoSort orders base units so every module-internal import precedes
-// its importer.
-func topoSort(pdirs []*parsedDir) ([]*parsedDir, error) {
-	byPath := make(map[string]*parsedDir, len(pdirs))
-	for _, pd := range pdirs {
-		byPath[pd.path] = pd
-	}
-	var (
-		out     []*parsedDir
-		state   = map[string]int{} // 0 unvisited, 1 in progress, 2 done
-		visit   func(pd *parsedDir) error
-		visitMu []string // active stack, for the cycle message
-	)
-	visit = func(pd *parsedDir) error {
-		switch state[pd.path] {
-		case 1:
-			return fmt.Errorf("import cycle through %s (stack %v)", pd.path, visitMu)
-		case 2:
-			return nil
-		}
-		state[pd.path] = 1
-		visitMu = append(visitMu, pd.path)
-		for _, ip := range pd.imports {
-			if dep, ok := byPath[ip]; ok && dep != pd {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		visitMu = visitMu[:len(visitMu)-1]
-		state[pd.path] = 2
-		out = append(out, pd)
-		return nil
-	}
-	for _, pd := range pdirs {
-		if err := visit(pd); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// readModulePath extracts the module path from a go.mod.
-func readModulePath(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", fmt.Errorf("userv6vet: %w (run from inside a module or pass a module root)", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			rest = strings.TrimSpace(rest)
-			rest = strings.Trim(rest, `"`)
-			if rest != "" {
-				return rest, nil
-			}
-		}
-	}
-	return "", fmt.Errorf("no module path in %s", path)
 }

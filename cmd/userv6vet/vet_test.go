@@ -145,7 +145,7 @@ func TestRealTreeClean(t *testing.T) {
 		t.Fatalf("loaded module %q, want userv6 (wrong root?)", mod.Path)
 	}
 	if len(mod.Pkgs) < 20 {
-		t.Fatalf("loaded only %d units — the walk lost packages", len(mod.Pkgs))
+		t.Fatalf("loaded only %d units — go list lost packages", len(mod.Pkgs))
 	}
 	diags := runRules(mod, allRules())
 	for _, d := range diags {
@@ -172,5 +172,40 @@ func TestRuleNamesUniqueAndStable(t *testing.T) {
 		if !seen[expect] {
 			t.Errorf("shipped rule %q missing from allRules", expect)
 		}
+	}
+}
+
+// TestCommandLine: -rules lists the rule names and exits 0, and with
+// package arguments (the shape of a rule subset, which the tool does
+// not have) it exits 2 with a usage error instead of linting nothing;
+// "." and "./..." both pick the module around the working directory.
+func TestCommandLine(t *testing.T) {
+	var out, errs strings.Builder
+	if code := run([]string{"-rules"}, &out, &errs); code != 0 {
+		t.Fatalf("-rules exited %d: %s", code, errs.String())
+	}
+	var names []string
+	for _, r := range allRules() {
+		names = append(names, r.Name()+"\n")
+	}
+	if got, want := out.String(), strings.Join(names, ""); got != want {
+		t.Errorf("-rules printed %q, want %q", got, want)
+	}
+
+	out.Reset()
+	errs.Reset()
+	if code := run([]string{"-rules", "ctx-sleep,errors-is", "./..."}, &out, &errs); code != 2 {
+		t.Errorf("-rules with packages exited %d, want 2", code)
+	}
+	if out.Len() != 0 || !strings.Contains(errs.String(), "usage:") {
+		t.Errorf("-rules with packages printed %q and %q, want only a usage error", out.String(), errs.String())
+	}
+
+	want, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root, err := moduleRoot([]string{".", "./..."}); err != nil || root != want {
+		t.Errorf(`moduleRoot(".", "./...") = %q, %v; want %q`, root, err, want)
 	}
 }

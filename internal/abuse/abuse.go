@@ -383,10 +383,3 @@ func (g *Generator) obs(a Account, d simtime.Day, addr netaddr.Addr, asn netmode
 	o.SetCountry(country)
 	return o
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -437,10 +437,3 @@ func (n *Network) V4HotAddrAt(sub uint64, day simtime.Day, session int) netaddr.
 func (n *Network) poolAddr(idx uint64) netaddr.Addr {
 	return n.V4.Pool.Subnet(32, idx).Addr()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

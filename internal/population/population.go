@@ -243,7 +243,7 @@ func Synthesize(w *netmodel.World, cfg Config) *Population {
 		}
 
 		// Work context: shared enterprise site.
-		hasWork := c.WorkW > 0 && (u.WorkOnly || src.Bool(minf(1, c.WorkW*2.2)))
+		hasWork := c.WorkW > 0 && (u.WorkOnly || src.Bool(min(1, c.WorkW*2.2)))
 		if hasWork {
 			net := cn.EntV4
 			if src.Bool(c.EntV6) {
@@ -312,21 +312,7 @@ func normalizeWeights(cs []Context) {
 func resV6Prob(c netmodel.Country, workOnly bool) float64 {
 	p := c.ResV6
 	if workOnly {
-		p = minf(1, p*1.4)
+		p = min(1, p*1.4)
 	}
 	return p
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
